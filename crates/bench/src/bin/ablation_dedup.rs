@@ -2,16 +2,14 @@
 //!
 //! A slowly-mutating MD run (each step rewrites a prefix of the
 //! position buffer, then recomputes forces) is checkpointed after
-//! every kernel, under three policies: classic full dumps, dirty-bit
-//! incremental dumps, and the dedup chunk store. Because the force
-//! kernel only reads a neighbour window, an untouched position suffix
-//! reproduces its force suffix bit-for-bit — content addressing sees
-//! through the launch's conservative dirty marking and only pays for
-//! the mutated prefix, where the dirty-bit scheme must re-save every
-//! buffer a launch touched.
+//! every kernel, under two policies: classic full dumps and the dedup
+//! chunk store. Because the force kernel only reads a neighbour window,
+//! an untouched position suffix reproduces its force suffix
+//! bit-for-bit — content addressing sees through the launch's
+//! conservative dirty marking and only pays for the mutated prefix.
 //!
 //! Every cell restores its *last* generation and runs to completion;
-//! the final pos/force checksums must be identical across all three
+//! the final pos/force checksums must be identical across both
 //! policies and an uninterrupted baseline (bit-exactness of the dedup
 //! path is asserted here, not just eyeballed).
 
@@ -39,7 +37,6 @@ fn checksum_digest(checksums: &[u64]) -> String {
 fn policy_for(mode: &str) -> CprPolicy {
     match mode {
         "full" => CprPolicy::sequential(),
-        "incremental" => CprPolicy::sequential().incremental(true),
         "dedup" => CprPolicy::pipelined().dedup(true),
         _ => unreachable!(),
     }
@@ -84,7 +81,7 @@ fn main() {
         };
         assert!(!golden.is_empty(), "baseline recorded no checksums");
 
-        for mode in ["full", "incremental", "dedup"] {
+        for mode in ["full", "dedup"] {
             let policy = policy_for(mode);
             let mut cluster = Cluster::with_standard_nodes(1);
             let node = cluster.node_ids()[0];
@@ -172,9 +169,8 @@ fn main() {
          chunk store actually appended (novel chunks after compression). \
          files[MB] counts the per-generation stream/dump files, whose fixed \
          process-image header is common to every policy and untouched by \
-         dedup — the payload columns isolate what the chunk store changes. \
-         incremental re-saves every launch-touched buffer, so it tracks the \
-         full dump here; dedup only pays for the mutated prefix.",
+         dedup — the payload columns isolate what the chunk store changes; \
+         dedup only pays for the mutated prefix.",
     );
     fig.note(
         "every row's checksum is the digest of the restored run's final \

@@ -601,7 +601,6 @@ fn torture_run(policy: &CprPolicy, crash_after: Option<u64>) -> Wreckage {
             vault
                 .commit_at(&mut cluster, session.pid, &out.path)
                 .map_err(|e| format!("commit: {e:?}"))?;
-            vault.take_retired_paths();
         }
         session
             .run(&mut cluster, StopCondition::Completion)

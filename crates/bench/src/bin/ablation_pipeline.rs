@@ -4,20 +4,17 @@
 //! The pipelined engine places each per-buffer D2H copy on its device's
 //! PCIe channel and streams every completed buffer into the chunked
 //! checkpoint file while the next copy is still in flight, so distinct
-//! resources (PCIe vs local disk) overlap instead of adding up. Three
+//! resources (PCIe vs local disk) overlap instead of adding up. Two
 //! engines are swept over buffer counts, buffer sizes and 1–4 GPUs:
 //!
 //! * `sequential` — copy everything, then write one dump.
 //! * `pipelined` — overlapped copies + streamed chunk writes.
-//! * `pipe+incr` — pipelined, and clean buffers are skipped (their
-//!   bytes referenced from the previous file).
 //!
 //! Every scenario then proves bit-exactness: the run is resumed from
-//! the sequential dump, the streamed dump *and* the incremental
-//! streamed dump, and each resumed run must reproduce the checksums of
-//! the undisturbed session.
+//! the sequential dump and the streamed dump, and each resumed run must
+//! reproduce the checksums of the undisturbed session.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession};
 use clspec::types::{DeviceType, MemFlags};
 use osproc::Cluster;
@@ -195,28 +192,22 @@ fn main() {
         );
         s.run(&mut cluster, StopCondition::AfterOps(stop_create))
             .unwrap();
-        // Baseline file the incremental variant references for buffers
-        // that stay clean across the rewrite stage.
+        // An earlier generation before the rewrite stage, so the
+        // measured dumps below capture a session that has checkpointed
+        // before (its rewritten buffers carry precise dirty regions).
         let base = format!("/local/pl-base-{i}.ckpt");
         s.checkpoint(&mut cluster, &base).unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
 
-        let inc_path = format!("/local/pl-inc-{i}.ckpt");
         let seq_path = format!("/local/pl-seq-{i}.ckpt");
         let pipe_path = format!("/local/pl-pipe-{i}.ckpt");
-        // Incremental first: it must run while half the buffers are
-        // still dirty (the full engines below re-mark everything clean).
-        let inc = s
-            .checkpoint_pipelined_incremental(&mut cluster, &inc_path)
-            .unwrap();
         let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
-        let pipe = s.checkpoint_pipelined(&mut cluster, &pipe_path).unwrap();
-        for (mode, r) in [
-            ("sequential", &seq),
-            ("pipelined", &pipe),
-            ("pipe+incr", &inc),
-        ] {
+        let pipe = s
+            .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
+            .unwrap()
+            .report;
+        for (mode, r) in [("sequential", &seq), ("pipelined", &pipe)] {
             fig.row(vec![
                 mode.into(),
                 (bufs as u64).into(),
@@ -244,7 +235,6 @@ fn main() {
         for (kind, path, pipelined) in [
             ("sequential", &seq_path, false),
             ("pipelined", &pipe_path, true),
-            ("pipe+incr", &inc_path, true),
         ] {
             let sums = resumed_checksums(&mut cluster, node, path, (target.vendor)(), pipelined);
             assert_eq!(sums, golden, "restart from {kind} file diverged ({label})");
@@ -280,7 +270,10 @@ fn main() {
         let seq_path = format!("/local/pl-mgpu-seq-{devices}.ckpt");
         let pipe_path = format!("/local/pl-mgpu-pipe-{devices}.ckpt");
         let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
-        let pipe = s.checkpoint_pipelined(&mut cluster, &pipe_path).unwrap();
+        let pipe = s
+            .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
+            .unwrap()
+            .report;
         for (mode, r) in [("sequential", &seq), ("pipelined", &pipe)] {
             fig.row(vec![
                 mode.into(),
@@ -333,9 +326,8 @@ fn main() {
         "expectation: pipelined total stays strictly below sequential on every \
          multi-buffer scenario (the D2H copy of buffer k+1 hides behind the \
          streamed chunk write of buffer k), the gap reported as saved[s]; \
-         adding GPUs adds parallel PCIe channels and widens it; \
-         pipe+incr additionally skips the clean half of the buffers; all \
-         three file kinds resume to checksum-identical runs",
+         adding GPUs adds parallel PCIe channels and widens it; both \
+         file kinds resume to checksum-identical runs",
     );
     fig.finish().unwrap();
     trace.finish().unwrap();

@@ -105,11 +105,6 @@ pub struct DumpVault {
     /// apart from the current one at commit time.
     epoch: u64,
     generations: Vec<Generation>,
-    /// Replica paths dropped by GC or scrub since the last
-    /// [`DumpVault::take_retired_paths`] drain. An incremental dump may
-    /// hold `saved_in` references into these files; the caller must
-    /// invalidate them or later restores chase a dead generation.
-    retired_paths: Vec<String>,
 }
 
 fn replica_event(cluster: &Cluster, pid: Pid, name: &str, path: &str) {
@@ -140,16 +135,7 @@ impl DumpVault {
             next_gen: 0,
             epoch: 0,
             generations: Vec::new(),
-            retired_paths: Vec::new(),
         }
-    }
-
-    /// Drain the replica paths GC and scrub have dropped since the last
-    /// drain. Callers holding incremental `saved_in` references into
-    /// vault generations must invalidate (or re-dirty) any reference
-    /// into these paths — the bytes are gone.
-    pub fn take_retired_paths(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.retired_paths)
     }
 
     /// Where the *next* generation's primary dump must be written. The
@@ -300,7 +286,6 @@ impl DumpVault {
     ) -> Result<Generation, CommitError> {
         if held_epoch != self.epoch {
             let _ = cluster.delete_file(pid, primary);
-            self.retired_paths.push(primary.to_string());
             replica_event(cluster, pid, "replica.fenced", primary);
             obs::emit(
                 "vault",
@@ -328,8 +313,6 @@ impl DumpVault {
             let g = self.generations.remove(0);
             let _ = cluster.delete_file(pid, &g.primary);
             let _ = cluster.delete_file(pid, &g.mirror);
-            self.retired_paths.push(g.primary.clone());
-            self.retired_paths.push(g.mirror.clone());
             replica_event(cluster, pid, "replica.gc", &g.primary);
             obs::emit(
                 "vault",
@@ -432,8 +415,6 @@ impl DumpVault {
                     replica_event(cluster, pid, "replica.lost", &g.primary);
                     let _ = cluster.delete_file(pid, &g.primary);
                     let _ = cluster.delete_file(pid, &g.mirror);
-                    self.retired_paths.push(g.primary.clone());
-                    self.retired_paths.push(g.mirror.clone());
                     report.lost += 1;
                     obs::emit(
                         "vault",
@@ -615,27 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn gc_and_scrub_surface_retired_replica_paths() {
-        let (mut c, p) = one_node();
-        let mut vault = DumpVault::new("/local/app", "/nfs/app", 1);
-        stage(&mut c, p, &vault, 1);
-        let g0 = vault.commit(&mut c, p).unwrap();
-        assert!(vault.take_retired_paths().is_empty(), "nothing GC'd yet");
-        stage(&mut c, p, &vault, 2);
-        let g1 = vault.commit(&mut c, p).unwrap();
-        // keep=1: committing gen1 retired gen0's replicas.
-        let retired = vault.take_retired_paths();
-        assert_eq!(retired, vec![g0.primary.clone(), g0.mirror.clone()]);
-        assert!(vault.take_retired_paths().is_empty(), "drain is a drain");
-        // A scrub that loses a generation surfaces its paths too.
-        c.write_file(p, &g1.primary, vec![9; 4]).unwrap();
-        c.write_file(p, &g1.mirror, vec![9; 4]).unwrap();
-        vault.scrub(&mut c, p);
-        let retired = vault.take_retired_paths();
-        assert_eq!(retired, vec![g1.primary, g1.mirror]);
-    }
-
-    #[test]
     fn fenced_commit_is_refused_and_leaves_no_orphan() {
         let (mut c, p) = one_node();
         let mut vault = DumpVault::new("/local/app", "/nfs/app", 3);
@@ -653,10 +613,8 @@ mod tests {
                 current: held + 1
             }
         );
-        // The staged dump was deleted — no orphan tmp file — and its
-        // path surfaces as retired so incremental refs get invalidated.
+        // The staged dump was deleted — no orphan tmp file.
         assert!(c.read_file(p, &staged).is_err());
-        assert_eq!(vault.take_retired_paths(), vec![staged.clone()]);
         assert!(vault.generations().is_empty(), "nothing committed");
         // The current-epoch writer commits the same generation fine.
         stage(&mut c, p, &vault, 2);

@@ -5,9 +5,11 @@
 //! → fork a new proxy → re-create OpenCL objects in dependency order →
 //! upload user data → mint dummy events.
 //!
-//! The four-phase machinery itself lives in [`crate::engine`]; every
-//! entry point here is a fixed point in the [`crate::engine::CprPolicy`]
-//! lattice (see the table in that module's docs). Object re-creation
+//! The four-phase machinery itself lives in [`crate::engine`]:
+//! [`checkpoint_checl`] is [`engine::snapshot`] under
+//! [`CprPolicy::sequential`], and [`restart_checl_process`] is the
+//! sequential half of [`engine::restore`]; every other lattice point is
+//! reached through `snapshot` with a policy. Object re-creation
 //! ([`restore_checl`]) stays here: it is the §III-C dependency-order
 //! replay, shared by every restore path and by proxy respawn.
 
@@ -22,7 +24,7 @@ use clspec::handles::{
     CommandQueue, Context, DeviceId, HandleKind, Kernel, PlatformId, Program, RawHandle,
 };
 use clspec::types::{ArgValue, DeviceType, MemFlags};
-use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
+use osproc::{Cluster, FsKind, NodeId, Pid};
 use simcore::codec::CodecError;
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -159,16 +161,11 @@ pub enum CheclCprError {
     BadState(CodecError),
     /// The dump did not contain a CheCL state segment.
     MissingState,
-    /// An incremental restore chased a buffer's `saved_in` reference
-    /// into a base checkpoint that no longer exists or no longer
-    /// yields the buffer's bytes — pruned by generation GC, lost to a
-    /// failed scrub, or truncated.
-    MissingBase {
-        /// CheCL handle of the buffer whose bytes are unreachable.
-        buffer: u64,
-        /// The base checkpoint file the reference names.
-        base: String,
-    },
+    /// The snapshot policy (named by its label) combines settings the
+    /// engine cannot honour together: a live drain writes its payload
+    /// inline under its own temp-and-rename commit, so `live` composes
+    /// with neither `dedup` nor `recovery`.
+    UnsupportedPolicy(String),
     /// The restore host enumerates no platform/device that can satisfy
     /// a recorded query — e.g. restarting on a box with no OpenCL
     /// implementation, or with no device of the requested type.
@@ -193,10 +190,10 @@ impl fmt::Display for CheclCprError {
             }
             CheclCprError::BadState(e) => write!(f, "CheCL state segment corrupt: {e}"),
             CheclCprError::MissingState => write!(f, "no CheCL state in checkpoint"),
-            CheclCprError::MissingBase { buffer, base } => write!(
+            CheclCprError::UnsupportedPolicy(label) => write!(
                 f,
-                "buffer {buffer:#x}: incremental base checkpoint {base} is missing or \
-                 unreadable (pruned by generation GC or lost to a failed scrub)"
+                "unsupported snapshot policy {label}: a live drain composes with \
+                 neither dedup nor recovery"
             ),
             CheclCprError::NoSuchDevice {
                 kind,
@@ -287,56 +284,6 @@ pub fn checkpoint_checl(
     path: &str,
 ) -> Result<CheckpointReport, CheclCprError> {
     engine::snapshot(lib, cluster, app_pid, path, &CprPolicy::sequential()).map(|o| o.report)
-}
-
-/// Incremental checkpoint (the §IV-D future-work feature): buffers
-/// whose device data has not changed since their last save are *not*
-/// copied or re-written — their records keep a reference to the
-/// checkpoint file already holding their bytes. Preprocess and write
-/// phases shrink accordingly. Restart transparently resolves the
-/// references ([`restart_checl_process`]).
-pub fn checkpoint_checl_incremental(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    let policy = CprPolicy::sequential().incremental(true);
-    engine::snapshot(lib, cluster, app_pid, path, &policy).map(|o| o.report)
-}
-
-/// Pipelined checkpoint: the same four phases as [`checkpoint_checl`],
-/// but the data path is overlapped. Device→host copies run on one PCIe
-/// channel per device while each completed buffer is streamed into a
-/// chunked checkpoint file ([`blcr::stream`]) on the storage channel —
-/// the copy of buffer *n+1* is in flight while buffer *n*'s chunk is
-/// being written, so the copy/write window costs `max` instead of `sum`
-/// ([`CheckpointReport::overlap_saved`] reports the difference). The
-/// commit protocol is unchanged: everything lands in `<path>.tmp` and
-/// one atomic rename publishes the file, so a fault during any streamed
-/// chunk leaves the previous generation at `path` intact, exactly like
-/// the sequential engine.
-pub fn checkpoint_checl_pipelined(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    engine::snapshot(lib, cluster, app_pid, path, &CprPolicy::pipelined()).map(|o| o.report)
-}
-
-/// Pipelined + incremental checkpoint: clean buffers are neither copied
-/// nor streamed (their records keep the reference to the file already
-/// holding their bytes), and everything else follows the overlapped
-/// data path of [`checkpoint_checl_pipelined`].
-pub fn checkpoint_checl_pipelined_incremental(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    let policy = CprPolicy::pipelined().incremental(true);
-    engine::snapshot(lib, cluster, app_pid, path, &policy).map(|o| o.report)
 }
 
 /// Re-create every OpenCL object recorded in the database, in the
@@ -576,10 +523,9 @@ fn restore_one(
                 lib.forward(now, ApiRequest::ReleaseEvent { event: ev })?;
             }
             // Drop the host copy now that the device owns the data, and
-            // forget any incremental-file reference: the referenced
-            // checkpoint may live on the *old* node's local disk, so a
-            // later incremental checkpoint must re-save this buffer
-            // rather than point across the migration.
+            // forget the dump it came from: the chunk lists recorded
+            // against the *old* node's store say nothing about this
+            // one, so the next dedup generation re-reads the buffer.
             if let Some(e) = lib.db.get_mut(checl) {
                 if let ObjectRecord::Mem {
                     saved_data,
@@ -744,103 +690,4 @@ pub fn restart_checl_process(
     target: RestoreTarget,
 ) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
     engine::restore_sequential(cluster, node, path, vendor, target)
-}
-
-/// Pipelined restart: the mirror of [`checkpoint_checl_pipelined`].
-///
-/// Accepts both on-disk formats — a sequential dump is delegated to
-/// [`restart_checl_process`] untouched. For a streamed checkpoint the
-/// header is read first and the objects are re-created from its state
-/// segment while the buffer chunks are still being read from storage;
-/// each chunk's host→device upload starts as soon as that chunk is in
-/// host memory, overlapping the remaining reads on the storage channel.
-pub fn restart_checl_pipelined(
-    cluster: &mut Cluster,
-    node: NodeId,
-    path: &str,
-    vendor: VendorConfig,
-    target: RestoreTarget,
-) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    engine::restore(cluster, node, path, vendor, target)
-}
-
-/// Load `saved_data` for every clean buffer whose bytes live in a
-/// checkpoint file (`saved_in`), except the file named by `exclude`
-/// (whose data rides in the current dump already). Returns which
-/// buffers were filled from which files, so a caller that did *not*
-/// lose the node (proxy respawn) can re-mark them clean afterwards.
-pub(crate) fn resolve_saved_data(
-    cluster: &mut Cluster,
-    pid: Pid,
-    lib: &mut ChecLib,
-    exclude: Option<&str>,
-) -> Result<Vec<(u64, String)>, CheclCprError> {
-    let missing: Vec<(u64, String)> = lib
-        .db
-        .live_of_kind(HandleKind::Mem)
-        .filter_map(|e| match &e.record {
-            ObjectRecord::Mem {
-                saved_data: None,
-                saved_in: Some(file),
-                ..
-            } if exclude != Some(file.as_str()) => Some((e.checl, file.clone())),
-            _ => None,
-        })
-        .collect();
-    if missing.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut cache: BTreeMap<String, ChecLib> = BTreeMap::new();
-    for (checl_mem, file) in &missing {
-        let (checl_mem, file) = (*checl_mem, file.clone());
-        if !cache.contains_key(&file) {
-            // A base generation can vanish between the checkpoint that
-            // referenced it and this restore — keep-k GC in `DumpVault`
-            // or a failed scrub retires the file. Name the dead base in
-            // a typed error instead of surfacing a raw fs failure.
-            let bytes = cluster.read_file(pid, &file).map_err(|e| match e {
-                FsError::NotFound(_) => CheclCprError::MissingBase {
-                    buffer: checl_mem,
-                    base: file.clone(),
-                },
-                other => CheclCprError::Cpr(CprError::Fs(other)),
-            })?;
-            // Whatever policy wrote the referenced file, the sniffer
-            // identifies it and `shim_from_dump_on` hands back a shim
-            // with the payloads attached (for a streamed dump the bytes
-            // ride in chunk frames keyed by CheCL handle; for a dedup
-            // dump, chunk-map frames are resolved against the store).
-            let dump = match blcr::sniff_dump(&bytes) {
-                Ok(d) => d,
-                Err(_) => {
-                    // A truncated/corrupt base is as dead as a pruned
-                    // one for the purposes of chasing a reference.
-                    return Err(CheclCprError::MissingBase {
-                        buffer: checl_mem,
-                        base: file.clone(),
-                    });
-                }
-            };
-            cache.insert(file.clone(), engine::shim_from_dump_on(cluster, pid, dump)?);
-        }
-        // The cached old shim is a throwaway: move the bytes out of it
-        // instead of cloning a multi-MB payload.
-        let old = cache.get_mut(&file).expect("file cached above");
-        let data = old.db.get_mut(checl_mem).and_then(|e| match &mut e.record {
-            ObjectRecord::Mem { saved_data, .. } => saved_data.take(),
-            _ => None,
-        });
-        let Some(data) = data else {
-            return Err(CheclCprError::MissingBase {
-                buffer: checl_mem,
-                base: file.clone(),
-            });
-        };
-        if let Some(e) = lib.db.get_mut(checl_mem) {
-            if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
-                *saved_data = Some(data);
-            }
-        }
-    }
-    Ok(missing)
 }

@@ -2,26 +2,20 @@
 //! policy).
 //!
 //! Every way this codebase knows how to snapshot a CheCL application —
-//! sequential or streamed on-disk format, full or incremental payloads,
-//! back-to-back or channel-overlapped data path, raw or
+//! sequential or overlapped data path, inline or content-addressed
+//! payloads, stop-the-world or live copy-on-write cut, raw or
 //! verify/retry/fallback-wrapped commit — is one [`CprPolicy`] handed
 //! to [`snapshot`]. The four-phase structure (synchronize → preprocess
 //! → write → postprocess) and its telemetry live here exactly once;
-//! the legacy entry points in [`crate::cpr`] and [`crate::recovery`]
+//! the §III-C entry points in [`crate::cpr`] and [`crate::recovery`]
 //! are thin shims over this module, as is process migration
 //! ([`crate::migrate`]) and the MPI-rank plumbing in `mpisim`.
 //!
-//! The policy lattice maps onto the legacy API like this:
-//!
-//! | legacy entry point                       | policy                                    |
-//! |------------------------------------------|-------------------------------------------|
-//! | `checkpoint_checl`                       | `CprPolicy::sequential()`                  |
-//! | `checkpoint_checl_incremental`           | `CprPolicy::sequential().incremental(true)`|
-//! | `checkpoint_checl_pipelined`             | `CprPolicy::pipelined()`                   |
-//! | `checkpoint_checl_pipelined_incremental` | `CprPolicy::pipelined().incremental(true)` |
-//! | `checkpoint_with_recovery`               | `CprPolicy::sequential().with_recovery(…)` |
-//! | `restart_checl_process`                  | [`restore`] (sequential dump)              |
-//! | `restart_checl_pipelined`                | [`restore`] (either dump format)           |
+//! The §IV-D "incremental checkpointing" future work is the dedup data
+//! path's clean-buffer fast path: a buffer no write touched since its
+//! last dedup generation re-emits that generation's chunk map without
+//! a device read. Every dump is standalone-restorable — no dump ever
+//! references bytes in another dump file.
 //!
 //! [`restore`] sniffs the on-disk format ([`blcr::sniff_dump`]) and
 //! rebuilds the process with the matching data path, so a restore
@@ -29,9 +23,9 @@
 
 use crate::boot::{kill_proxy, refork_proxy};
 use crate::cpr::{
-    queue_and_device_in_context, queue_in_context, resolve_saved_data, restore_checl,
-    storage_channel_name, CheckpointMode, CheckpointReport, CheclCprError, DedupStats,
-    RestoreReport, RestoreTarget, CHECL_STATE_SEGMENT,
+    queue_and_device_in_context, queue_in_context, restore_checl, storage_channel_name,
+    CheckpointMode, CheckpointReport, CheclCprError, DedupStats, RestoreReport, RestoreTarget,
+    CHECL_STATE_SEGMENT,
 };
 use crate::objects::ObjectRecord;
 use crate::runtime::ChecLib;
@@ -77,18 +71,6 @@ pub(crate) fn pcie_channel(
     }
 }
 
-/// On-disk layout of a snapshot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// One framed [`blcr::CheckpointFile`]; buffer payloads ride inside
-    /// the dumped state segment.
-    #[default]
-    Sequential,
-    /// The chunked `BLCS` stream ([`blcr::stream`]): header image +
-    /// per-buffer chunk frames + sealing trailer.
-    Streamed,
-}
-
 /// Commit hardening for a snapshot: each attempt writes `<target>.tmp`,
 /// is verified on read-back, and is published by one atomic rename;
 /// transient I/O failures retry with doubling virtual-time backoff and
@@ -118,31 +100,32 @@ pub enum IntervalPolicy {
 }
 
 /// Everything that can vary about taking a snapshot, in one value.
+///
+/// The streamed (`BLCS`) on-disk format follows from the data path:
+/// `pipelined`, `dedup` and `live` all write chunk streams, the plain
+/// policy writes one framed [`blcr::CheckpointFile`]. [`snapshot`]
+/// rejects the combinations it cannot honour (see [`CprPolicy::live`])
+/// instead of recording a label it did not enact.
 #[derive(Clone, Debug, Default)]
 pub struct CprPolicy {
-    /// On-disk format. [`SnapshotFormat::Streamed`] is implied by
-    /// `pipelined` (the overlapped data path writes chunk streams).
-    pub format: SnapshotFormat,
-    /// Skip clean buffers whose bytes already live in an earlier file.
-    pub incremental: bool,
     /// Overlap D2H copies with chunk writes on per-resource channels.
     pub pipelined: bool,
     /// Route buffer payloads through the content-addressed chunk store:
     /// content-defined chunking, FNV-64 dedup against every earlier
     /// generation, per-chunk compression on the `cpu.compress` channel.
-    /// Implies the streamed format (the dump carries chunk-map frames).
+    /// A buffer no write touched since its last dedup generation skips
+    /// the device read altogether and re-emits its previous chunk map
+    /// (the §IV-D incremental fast path).
     pub dedup: bool,
     /// Live (copy-on-write) snapshots: after quiescing, capture the cut
     /// *logically* (epoch-stamp every buffer, write only the header),
     /// resume the application immediately, and drain the payload to
     /// disk in the background. Enqueue paths that would overwrite
     /// un-drained cut bytes fork the affected 64 KiB chunks first —
-    /// that fork D2H is the only post-quiesce stall. Implies the
-    /// streamed format. The drain has its own temp-and-rename commit
-    /// discipline, so a [`RecoveryPolicy`]'s retry/fallback lattice is
-    /// not applied to live snapshots; dedup requests are honored for
-    /// the lattice label but the drained payload rides inline (the
-    /// chunk store is mutable while the drain is in flight).
+    /// that fork D2H is the only post-quiesce stall. The drain writes
+    /// its payload inline under its own temp-and-rename commit, so
+    /// `live` combined with `dedup` or `recovery` is rejected with
+    /// [`CheclCprError::UnsupportedPolicy`].
     pub live: bool,
     /// Verify/retry/fallback commit hardening; `None` means one raw
     /// attempt at the primary path (legacy semantics).
@@ -167,16 +150,9 @@ impl CprPolicy {
     /// pipelined across resource channels.
     pub fn pipelined() -> CprPolicy {
         CprPolicy {
-            format: SnapshotFormat::Streamed,
             pipelined: true,
             ..CprPolicy::default()
         }
-    }
-
-    /// Toggle incremental payloads.
-    pub fn incremental(mut self, on: bool) -> CprPolicy {
-        self.incremental = on;
-        self
     }
 
     /// Toggle content-addressed dedup + compression of buffer payloads.
@@ -211,16 +187,14 @@ impl CprPolicy {
         self
     }
 
-    /// Whether this policy writes the streamed (`BLCS`) format — true
-    /// for an explicit [`SnapshotFormat::Streamed`] and always for the
-    /// pipelined data path.
+    /// Whether this policy writes the streamed (`BLCS`) format.
     pub fn streamed(&self) -> bool {
-        self.pipelined || self.dedup || self.live || self.format == SnapshotFormat::Streamed
+        self.pipelined || self.dedup || self.live
     }
 
     /// Stable human-readable name of this lattice point, recorded in
     /// every dump's provenance (e.g.
-    /// `"streamed+pipelined+incremental+recovery+daly"`).
+    /// `"streamed+pipelined+dedup+recovery+daly"`).
     pub fn label(&self) -> String {
         let mut parts: Vec<&str> = vec![if self.streamed() {
             "streamed"
@@ -229,9 +203,6 @@ impl CprPolicy {
         }];
         if self.pipelined {
             parts.push("pipelined");
-        }
-        if self.incremental {
-            parts.push("incremental");
         }
         if self.dedup {
             parts.push("dedup");
@@ -272,7 +243,8 @@ pub struct SnapshotOutcome {
 /// back and leaves any previous generation at `path` untouched). With
 /// one, every attempt lands in `<target>.tmp`, is verified, and is
 /// atomically renamed into place, retrying and falling through targets
-/// on transient faults.
+/// on transient faults. A live policy combined with dedup or recovery
+/// is refused up front with [`CheclCprError::UnsupportedPolicy`].
 pub fn snapshot(
     lib: &mut ChecLib,
     cluster: &mut Cluster,
@@ -280,6 +252,9 @@ pub fn snapshot(
     path: &str,
     policy: &CprPolicy,
 ) -> Result<SnapshotOutcome, CheclCprError> {
+    if policy.live && (policy.dedup || policy.recovery.is_some()) {
+        return Err(CheclCprError::UnsupportedPolicy(policy.label()));
+    }
     // A still-draining earlier live generation must land before a new
     // cut can re-stamp the same buffers: force it to completion first.
     // The application only waits out whatever drain time its own
@@ -297,11 +272,9 @@ pub fn snapshot(
         });
     }
     let streamed = policy.streamed();
-    let incremental = policy.incremental;
     let dedup = policy.dedup;
     let Some(rp) = &policy.recovery else {
-        let (report, provenance) =
-            snapshot_once(lib, cluster, app_pid, path, streamed, incremental, dedup)?;
+        let (report, provenance) = snapshot_once(lib, cluster, app_pid, path, streamed, dedup)?;
         emit_checkpoint_committed(cluster, app_pid, path, policy, &provenance, &report);
         emit_dedup_generation(lib, cluster, app_pid, path, &report);
         return Ok(SnapshotOutcome {
@@ -320,7 +293,7 @@ pub fn snapshot(
         &retry,
         |cluster, tmp, target| {
             let (report, provenance) =
-                match snapshot_once(lib, cluster, app_pid, tmp, streamed, incremental, dedup) {
+                match snapshot_once(lib, cluster, app_pid, tmp, streamed, dedup) {
                     Ok(r) => r,
                     Err(e @ CheclCprError::Cpr(CprError::Fs(_))) => {
                         return RecoveryAttempt::Transient(e)
@@ -429,8 +402,9 @@ pub(crate) fn chunk_store_path(target: &str) -> String {
 }
 
 /// Record a committed dump's provenance in the obs ledger: where it
-/// landed, the policy lattice point, its incremental bases, byte and
-/// chunk accounting, and the four-phase cost breakdown.
+/// landed, the policy lattice point, byte and chunk accounting, and the
+/// four-phase cost breakdown. Engine dumps are standalone, so they
+/// record no `bases` and no `skipped` buffers.
 fn emit_checkpoint_committed(
     cluster: &Cluster,
     app_pid: Pid,
@@ -453,9 +427,9 @@ fn emit_checkpoint_committed(
                 "sequential".to_string()
             },
             policy: policy.label(),
-            bases: provenance.bases.clone(),
+            bases: Vec::new(),
             buffers: provenance.buffers,
-            skipped: provenance.skipped,
+            skipped: 0,
             chunks: provenance.chunks,
             logical_bytes: provenance.logical_bytes,
             file_bytes: report.file_size.as_u64(),
@@ -473,14 +447,12 @@ fn emit_checkpoint_committed(
 /// `streamed` selects the data path for the middle phases; the sync
 /// and postprocess phases (and the report/telemetry bookkeeping) are
 /// shared.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn snapshot_once(
     lib: &mut ChecLib,
     cluster: &mut Cluster,
     app_pid: Pid,
     path: &str,
     streamed: bool,
-    incremental: bool,
     dedup: bool,
 ) -> Result<(CheckpointReport, DumpProvenance), CheclCprError> {
     if !lib.has_proxy() {
@@ -489,10 +461,7 @@ pub(crate) fn snapshot_once(
     let mut now = cluster.process(app_pid).clock;
     let _scope = telemetry::track_scope(telemetry::Track::process(app_pid.0 as u64));
     let start = now;
-    let mut open_args = vec![
-        ("path", path.into()),
-        ("incremental", u64::from(incremental).into()),
-    ];
+    let mut open_args = vec![("path", path.into())];
     if streamed {
         open_args.push(("pipelined", 1u64.into()));
     }
@@ -504,8 +473,8 @@ pub(crate) fn snapshot_once(
     // show exactly where it stopped.
     let sync = sync_queues(lib, &mut now)?;
 
-    let mems = collect_mems(lib, incremental);
-    let provenance = dump_provenance(lib, &mems, streamed);
+    let mems = collect_mems(lib);
+    let provenance = dump_provenance(&mems, streamed);
 
     let mut dedup_stats: Option<DedupStats> = None;
     let (now, preprocess, write, file_size, channels) = if !streamed {
@@ -514,14 +483,7 @@ pub(crate) fn snapshot_once(
         let t0 = now;
         telemetry::span_begin("cpr", "checkpoint.preprocess", t0, Vec::new());
         let mut copied_bytes: u64 = 0;
-        let mut skipped: u64 = 0;
-        for &(checl_mem, vendor_mem, context, size, skip) in &mems {
-            if skip {
-                // Clean buffer: its bytes already live in a previous
-                // checkpoint file; nothing to copy.
-                skipped += 1;
-                continue;
-            }
+        for &(checl_mem, vendor_mem, context, size) in &mems {
             copied_bytes += size;
             let (_q_checl, q_vendor) =
                 queue_in_context(lib, context).ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
@@ -563,10 +525,7 @@ pub(crate) fn snapshot_once(
             "cpr",
             "checkpoint.preprocess",
             now,
-            vec![
-                ("copied_bytes", copied_bytes.into()),
-                ("skipped_clean", skipped.into()),
-            ],
+            vec![("copied_bytes", copied_bytes.into())],
         );
 
         // Phase 3: write — dump the host process (CheCL state included)
@@ -616,17 +575,15 @@ pub(crate) fn snapshot_once(
         // Phases 2+3: the overlapped copy/stream window.
         let phase0 = now;
         telemetry::span_begin("cpr", "checkpoint.preprocess", phase0, Vec::new());
-        let copied_bytes: u64 = mems.iter().filter(|m| !m.4).map(|m| m.3).sum();
-        let skipped: u64 = mems.iter().filter(|m| m.4).count() as u64;
+        let copied_bytes: u64 = provenance.logical_bytes;
         // Mark every streamed buffer clean *before* encoding the state:
         // the dumped records must say "bytes live in `path`", because
         // the chunks ride in this very file (the state segment itself
         // carries no payloads). A failed attempt un-marks them below,
-        // exactly like the sequential rollback.
-        for &(checl_mem, _, _, _, skip) in &mems {
-            if skip {
-                continue;
-            }
+        // exactly like the sequential rollback. `dirty_regions` and
+        // `saved_chunks` are left alone: the dedup data path reads them
+        // for its clean-buffer fast path.
+        for &(checl_mem, ..) in &mems {
             if let Some(e) = lib.db.get_mut(checl_mem) {
                 if let ObjectRecord::Mem {
                     saved_data,
@@ -720,10 +677,7 @@ pub(crate) fn snapshot_once(
             "cpr",
             "checkpoint.preprocess",
             copies_done,
-            vec![
-                ("copied_bytes", copied_bytes.into()),
-                ("skipped_clean", skipped.into()),
-            ],
+            vec![("copied_bytes", copied_bytes.into())],
         );
         telemetry::span_begin("cpr", telemetry::QUIESCE_UNTIL, copies_done, Vec::new());
         let now = channels.makespan().max(commit_end);
@@ -781,14 +735,13 @@ fn snapshot_live(
         start,
         vec![
             ("path", path.into()),
-            ("incremental", u64::from(policy.incremental).into()),
             ("pipelined", 1u64.into()),
             ("live", 1u64.into()),
         ],
     );
     let sync = sync_queues(lib, &mut now)?;
-    let mems = collect_mems(lib, policy.incremental);
-    let provenance = dump_provenance(lib, &mems, true);
+    let mems = collect_mems(lib);
+    let provenance = dump_provenance(&mems, true);
     // The drain writes `<path>.tmp` and publishes by one rename at
     // completion, so an abort mid-drain leaves any previous generation
     // at `path` untouched.
@@ -803,10 +756,7 @@ fn snapshot_live(
     lib.live_epoch += 1;
     let epoch = lib.live_epoch;
     let mut pending: Vec<LivePending> = Vec::new();
-    for &(checl_mem, vendor_mem, context, size, skip) in &mems {
-        if skip {
-            continue;
-        }
+    for &(checl_mem, vendor_mem, context, size) in &mems {
         if let Some(e) = lib.db.get_mut(checl_mem) {
             if let ObjectRecord::Mem {
                 saved_data,
@@ -843,10 +793,7 @@ fn snapshot_live(
         "cpr",
         "checkpoint.preprocess",
         now,
-        vec![
-            ("cut_bytes", provenance.logical_bytes.into()),
-            ("skipped_clean", provenance.skipped.into()),
-        ],
+        vec![("cut_bytes", provenance.logical_bytes.into())],
     );
 
     // The header (process image + stripped state) is captured now —
@@ -1380,71 +1327,39 @@ fn sync_queues(lib: &mut ChecLib, now: &mut SimTime) -> Result<SimDuration, Chec
 }
 
 /// Per-buffer checkpoint plan: `(checl handle, vendor handle, context,
-/// size, skip)` — `skip` marks clean buffers an incremental snapshot
-/// leaves referenced in their previous file.
-type MemPlan = (u64, RawHandle, u64, u64, bool);
+/// size)`.
+type MemPlan = (u64, RawHandle, u64, u64);
 
 /// Provenance facts of one snapshot attempt, recorded in the obs
-/// ledger at commit: which earlier dumps its skipped buffers reference,
-/// and the buffer/byte/chunk accounting of the payload.
+/// ledger at commit: the buffer/byte/chunk accounting of the payload.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DumpProvenance {
-    /// Distinct files holding the clean bytes of skipped buffers.
-    bases: Vec<String>,
     /// Live buffers considered.
     buffers: u64,
-    /// Buffers skipped by incremental dedup.
-    skipped: u64,
     /// Chunk frames written (streamed format only).
     chunks: u64,
     /// Logical bytes across all live buffers.
     logical_bytes: u64,
 }
 
-/// Collect the provenance of the attempt described by `mems` *before*
-/// any buffer record is repointed at the new file: a skipped buffer's
-/// `saved_in` still names the earlier dump its bytes live in.
-fn dump_provenance(lib: &ChecLib, mems: &[MemPlan], streamed: bool) -> DumpProvenance {
-    let mut bases: Vec<String> = Vec::new();
-    for &(checl_mem, _, _, _, skip) in mems {
-        if !skip {
-            continue;
-        }
-        if let Some(ObjectRecord::Mem {
-            saved_in: Some(p), ..
-        }) = lib.db.get(checl_mem).map(|e| &e.record)
-        {
-            bases.push(p.clone());
-        }
-    }
-    bases.sort();
-    bases.dedup();
+fn dump_provenance(mems: &[MemPlan], streamed: bool) -> DumpProvenance {
     let buffers = mems.len() as u64;
-    let skipped = mems.iter().filter(|m| m.4).count() as u64;
     DumpProvenance {
-        bases,
         buffers,
-        skipped,
-        chunks: if streamed { buffers - skipped } else { 0 },
+        chunks: if streamed { buffers } else { 0 },
         logical_bytes: mems.iter().map(|m| m.3).sum(),
     }
 }
 
-fn collect_mems(lib: &ChecLib, incremental: bool) -> Vec<MemPlan> {
+fn collect_mems(lib: &ChecLib) -> Vec<MemPlan> {
     lib.db
         .live_of_kind(HandleKind::Mem)
         .map(|e| {
-            let (context, size, skip) = match &e.record {
-                ObjectRecord::Mem {
-                    context,
-                    size,
-                    dirty,
-                    saved_in,
-                    ..
-                } => (*context, *size, incremental && !dirty && saved_in.is_some()),
+            let (context, size) = match &e.record {
+                ObjectRecord::Mem { context, size, .. } => (*context, *size),
                 _ => unreachable!("kind filter"),
             };
-            (e.checl, e.vendor, context, size, skip)
+            (e.checl, e.vendor, context, size)
         })
         .collect()
 }
@@ -1476,10 +1391,7 @@ fn pipelined_data_path(
     channels.place(disk, phase0, header_end.since(phase0), "stream.header");
 
     let mut copies_done = phase0;
-    for &(checl_mem, vendor_mem, context, size, skip) in mems {
-        if skip {
-            continue;
-        }
+    for &(checl_mem, vendor_mem, context, size) in mems {
         let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
             .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
         let pcie = pcie_channel(channels, dev_index);
@@ -1537,7 +1449,8 @@ fn pipelined_data_path(
 /// compressed on the `cpu.compress` CPU channel, and referenced from
 /// the stream by a chunk-map frame instead of riding inline. Dirty-
 /// region tracking lets chunks whose span no write touched since the
-/// last generation skip even the hashing pass.
+/// last generation skip even the hashing pass, and a buffer no write
+/// touched at all skip its device read too.
 #[allow(clippy::too_many_arguments)]
 fn dedup_data_path(
     lib: &mut ChecLib,
@@ -1580,48 +1493,16 @@ fn dedup_data_path(
     let mut stats = DedupStats::default();
     let mut referenced: Vec<(u64, u64)> = Vec::new();
     let mut copies_done = phase0;
-    for &(checl_mem, vendor_mem, context, size, skip) in mems {
-        if skip {
-            continue;
-        }
-        let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
-            .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-        let pcie = pcie_channel(channels, dev_index);
-        let ready = channels.free_at(pcie).max(phase0);
-        let mut t = ready;
-        let (data, ev) = lib
-            .forward(
-                &mut t,
-                ApiRequest::EnqueueReadBuffer {
-                    queue: CommandQueue::from_raw(q_vendor),
-                    mem: Mem::from_raw(vendor_mem),
-                    blocking: true,
-                    offset: 0,
-                    size,
-                    wait_list: vec![],
-                },
-            )?
-            .into_data_event()?;
-        let copy = channels.place(pcie, ready, t.since(ready), "d2h");
-        let mut t2 = copy.end;
-        lib.forward(
-            &mut t2,
-            ApiRequest::ReleaseEvent {
-                event: Event::from_raw(ev.raw()),
-            },
-        )?;
-        let rel = channels.place(ipc, copy.end, t2.since(copy.end), "release");
-        copies_done = copies_done.max(rel.end);
-
+    for &(checl_mem, vendor_mem, context, size) in mems {
         // What the record knows about this buffer's history: the dirty
         // regions written since the last dedup generation, and that
         // generation's chunk list (offsets reconstructible by cumulative
         // sum). `saved_chunks` only survives while the tracking is
-        // trustworthy — whole-extent invalidation (restore, GC, failed
-        // write) clears it, and whole-buffer dirtying is recorded as one
-        // `(0, size)` region — so "previous chunk at the same cut
-        // points, no intersecting dirty region" proves the bytes are
-        // unchanged.
+        // trustworthy — whole-extent invalidation (restore, failed or
+        // aborted write, live cut) clears it, and whole-buffer dirtying
+        // is recorded as one `(0, size)` region — so "previous chunk at
+        // the same cut points, no intersecting dirty region" proves the
+        // bytes are unchanged.
         let (regions, prev) = match lib.db.get(checl_mem).map(|e| &e.record) {
             Some(ObjectRecord::Mem {
                 dirty_regions,
@@ -1633,82 +1514,127 @@ fn dedup_data_path(
             ),
             _ => (Vec::new(), None),
         };
-        let mut prev_at: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-        if let Some(prev) = &prev {
-            let mut off = 0u64;
-            for &(hash, len) in prev {
-                prev_at.insert((off, len), hash);
-                off += len;
+        // The §IV-D incremental fast path: no write since the last
+        // generation (an empty region list — every dirtying records a
+        // region, so this also stands for the `dirty` bit, which the
+        // caller already reset for this attempt) and a chunk list that
+        // covers the buffer with every chunk still in the store. The
+        // buffer re-emits its previous chunk map without a device read
+        // and with exactly the stats a region-clean rescan would give.
+        let store = lib.chunk_store.as_ref().expect("store opened above");
+        let unchanged = regions.is_empty()
+            && prev.as_ref().is_some_and(|chunks| {
+                chunks.iter().map(|&(_, len)| len).sum::<u64>() == size
+                    && chunks.iter().all(|&(hash, _)| store.contains(hash))
+            });
+        let (segments, staged) = match prev {
+            Some(segments) if unchanged => {
+                let n = segments.len() as u64;
+                stats.chunks_total += n;
+                stats.chunks_deduped += n;
+                stats.chunks_region_clean += n;
+                stats.raw_bytes += size;
+                stats.deduped_bytes += size;
+                (segments, phase0)
             }
-        }
+            prev => {
+                let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
+                    .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+                let pcie = pcie_channel(channels, dev_index);
+                let ready = channels.free_at(pcie).max(phase0);
+                let mut t = ready;
+                let (data, ev) = lib
+                    .forward(
+                        &mut t,
+                        ApiRequest::EnqueueReadBuffer {
+                            queue: CommandQueue::from_raw(q_vendor),
+                            mem: Mem::from_raw(vendor_mem),
+                            blocking: true,
+                            offset: 0,
+                            size,
+                            wait_list: vec![],
+                        },
+                    )?
+                    .into_data_event()?;
+                let copy = channels.place(pcie, ready, t.since(ready), "d2h");
+                let mut t2 = copy.end;
+                lib.forward(
+                    &mut t2,
+                    ApiRequest::ReleaseEvent {
+                        event: Event::from_raw(ev.raw()),
+                    },
+                )?;
+                let rel = channels.place(ipc, copy.end, t2.since(copy.end), "release");
+                copies_done = copies_done.max(rel.end);
 
-        let segs = cdc_chunks(&data);
-        let mut segments: Vec<(u64, u64)> = Vec::with_capacity(segs.len());
-        let mut cpu = SimDuration::ZERO;
-        let mut io = SimDuration::ZERO;
-        {
-            let store = lib.chunk_store.as_mut().expect("store opened above");
-            for &(off, len) in &segs {
-                stats.chunks_total += 1;
-                stats.raw_bytes += len;
-                // Dirty-region fast path: a chunk whose cut points match
-                // the previous generation and whose span no write
-                // touched holds the same bytes — reuse its hash without
-                // rescanning.
-                let clean = !crate::objects::intersects_regions(&regions, off, len)
-                    && prev_at.get(&(off, len)).is_some_and(|h| store.contains(*h));
-                if clean {
-                    let hash = prev_at[&(off, len)];
-                    stats.chunks_deduped += 1;
-                    stats.chunks_region_clean += 1;
-                    stats.deduped_bytes += len;
-                    segments.push((hash, len));
-                    continue;
+                let mut prev_at: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+                let mut off = 0u64;
+                for (hash, len) in prev.into_iter().flatten() {
+                    prev_at.insert((off, len), hash);
+                    off += len;
                 }
-                cpu += calib::chunking_bandwidth().transfer_time(ByteSize::bytes(len));
-                let slice = &data[off as usize..(off + len) as usize];
-                let (hash, outcome) = store.put(cluster, slice)?;
-                match outcome {
-                    PutOutcome::Deduped(_) => {
+                let segs = cdc_chunks(&data);
+                let mut segments: Vec<(u64, u64)> = Vec::with_capacity(segs.len());
+                let mut cpu = SimDuration::ZERO;
+                let mut io = SimDuration::ZERO;
+                let store = lib.chunk_store.as_mut().expect("store opened above");
+                for &(off, len) in &segs {
+                    stats.chunks_total += 1;
+                    stats.raw_bytes += len;
+                    // Dirty-region fast path: a chunk whose cut points
+                    // match the previous generation and whose span no
+                    // write touched holds the same bytes — reuse its
+                    // hash without rescanning.
+                    let clean = !crate::objects::intersects_regions(&regions, off, len)
+                        && prev_at.get(&(off, len)).is_some_and(|h| store.contains(*h));
+                    if clean {
+                        let hash = prev_at[&(off, len)];
                         stats.chunks_deduped += 1;
+                        stats.chunks_region_clean += 1;
                         stats.deduped_bytes += len;
+                        segments.push((hash, len));
+                        continue;
                     }
-                    PutOutcome::Stored(meta, cost) => {
-                        cpu += calib::compress_bandwidth().transfer_time(ByteSize::bytes(len));
-                        stats.stored_bytes += meta.stored_len;
-                        io += cost;
+                    cpu += calib::chunking_bandwidth().transfer_time(ByteSize::bytes(len));
+                    let slice = &data[off as usize..(off + len) as usize];
+                    let (hash, outcome) = store.put(cluster, slice)?;
+                    match outcome {
+                        PutOutcome::Deduped(_) => {
+                            stats.chunks_deduped += 1;
+                            stats.deduped_bytes += len;
+                        }
+                        PutOutcome::Stored(meta, cost) => {
+                            cpu += calib::compress_bandwidth().transfer_time(ByteSize::bytes(len));
+                            stats.stored_bytes += meta.stored_len;
+                            io += cost;
+                        }
                     }
+                    segments.push((hash, len));
                 }
-                segments.push((hash, len));
+                // Chunking + compression overlap other buffers' PCIe and
+                // disk work on the CPU channel; store appends and the map
+                // frame then serialize on the disk channel behind them.
+                let mut staged = copy.end;
+                if cpu > SimDuration::ZERO {
+                    let cready = channels.free_at(compress).max(copy.end);
+                    let cp = channels.place(compress, cready, cpu, "chunk.compress");
+                    stats.compress_ns += cpu.as_nanos();
+                    staged = cp.end;
+                }
+                if io > SimDuration::ZERO {
+                    let sready = channels.free_at(disk).max(staged);
+                    let sp = channels.place(disk, sready, io, "store.append");
+                    staged = sp.end;
+                }
+                (segments, staged)
             }
-        }
-        // Chunking + compression overlap other buffers' PCIe and disk
-        // work on the CPU channel; store appends and the map frame then
-        // serialize on the disk channel behind them.
-        let mut staged = copy.end;
-        if cpu > SimDuration::ZERO {
-            let cready = channels.free_at(compress).max(copy.end);
-            let cp = channels.place(compress, cready, cpu, "chunk.compress");
-            stats.compress_ns += cpu.as_nanos();
-            staged = cp.end;
-        }
-        if io > SimDuration::ZERO {
-            let sready = channels.free_at(disk).max(staged);
-            let sp = channels.place(disk, sready, io, "store.append");
-            staged = sp.end;
-        }
+        };
         let wready = channels.free_at(disk).max(staged);
         cluster.process_mut(app_pid).clock = wready;
         writer_slot
             .as_mut()
             .expect("writer open")
-            .append_chunk_map(
-                cluster,
-                checl_mem,
-                &store_path,
-                data.len() as u64,
-                segments.clone(),
-            )?;
+            .append_chunk_map(cluster, checl_mem, &store_path, size, segments.clone())?;
         let wend = cluster.process(app_pid).clock;
         channels.place(disk, wready, wend.since(wready), "stream.map");
 
@@ -1741,9 +1667,8 @@ fn dedup_data_path(
 }
 
 /// Undo a failed write attempt's bookkeeping: take the state segment
-/// back out of the image and forget the buffer references to the file
-/// that never landed (a later incremental checkpoint must not skip
-/// buffers "saved" in it).
+/// back out of the image and re-dirty the buffers "saved" in the file
+/// that never landed, so the next dedup generation re-reads them.
 fn rollback_failed_write(lib: &mut ChecLib, cluster: &mut Cluster, app_pid: Pid, path: &str) {
     cluster.process_mut(app_pid).image.take(CHECL_STATE_SEGMENT);
     invalidate_saves(lib, path);
@@ -1944,29 +1869,6 @@ pub fn restore(
             return Err(CheclCprError::BadState(e));
         }
     };
-    // A commit-hardened dump was written to `<target>.tmp` and
-    // published by one rename, so its encoded state may still carry the
-    // temp name; whatever the state says, a buffer with a chunk in this
-    // file lives *here*.
-    for handle in chunks
-        .iter()
-        .map(|c| c.handle)
-        .chain(maps.iter().map(|m| m.handle))
-        .chain(slices.iter().map(|s| s.handle))
-    {
-        if let Some(entry) = lib.db.get_mut(handle) {
-            if let ObjectRecord::Mem { saved_in, .. } = &mut entry.record {
-                *saved_in = Some(path.to_string());
-            }
-        }
-    }
-    // Buffers streamed into *this* file are excluded here (their bytes
-    // arrive as chunks below); only references into older incremental
-    // generations are resolved from disk.
-    if let Err(e) = resolve_incremental_data(cluster, pid, &mut lib, path) {
-        cluster.kill(pid);
-        return Err(e);
-    }
     telemetry::span_begin(
         "cpr",
         "restart",
@@ -2335,10 +2237,6 @@ pub(crate) fn restore_sequential(
             return Err(CheclCprError::BadState(e));
         }
     };
-    if let Err(e) = resolve_incremental_data(cluster, pid, &mut lib, path) {
-        cluster.kill(pid);
-        return Err(e);
-    }
     telemetry::span_begin(
         "cpr",
         "restart",
@@ -2397,18 +2295,6 @@ fn restart_cleanup(
     );
     kill_proxy(cluster, lib);
     cluster.kill(pid);
-}
-
-/// Fill in buffer data that an incremental checkpoint left in earlier
-/// checkpoint files. Each referenced file is read (and its CheCL state
-/// decoded) at most once.
-fn resolve_incremental_data(
-    cluster: &mut Cluster,
-    pid: Pid,
-    lib: &mut ChecLib,
-    current_path: &str,
-) -> Result<(), CheclCprError> {
-    resolve_saved_data(cluster, pid, lib, Some(current_path)).map(|_| ())
 }
 
 /// Rebuild a [`ChecLib`] from a sniffed dump: fetch + decode the CheCL
@@ -2497,61 +2383,64 @@ fn load_stores(
     Ok(stores)
 }
 
+/// A typed corruption error for a restore-side consistency check.
+fn corrupt(why: &'static str) -> CheclCprError {
+    CheclCprError::Cpr(CprError::Corrupt(simcore::CodecError::Invalid(why)))
+}
+
 /// Reassemble one buffer's payload from its chunk-map frame and the
 /// already-loaded stores. A hash the store no longer yields means the
-/// dump outlived its chunk store — surfaced as corruption.
+/// dump outlived its chunk store — surfaced as corruption. Every chunk
+/// is resolved before anything is allocated, so a lying `total_len`
+/// costs nothing but the error.
 fn assemble_from_store(
     stores: &BTreeMap<String, BTreeMap<u64, Vec<u8>>>,
     map: &blcr::StreamChunkMap,
 ) -> Result<Vec<u8>, CheclCprError> {
     let store = stores
         .get(&map.store)
-        .expect("every referenced store loaded");
-    let mut data = Vec::with_capacity(map.total_len as usize);
+        .ok_or_else(|| corrupt("chunk map names a store that was not loaded"))?;
+    let mut chunks: Vec<&[u8]> = Vec::with_capacity(map.segments.len());
+    let mut total = 0u64;
     for &(hash, len) in &map.segments {
         let chunk = store
             .get(&hash)
-            .ok_or(CheclCprError::Cpr(CprError::Corrupt(
-                simcore::CodecError::Invalid("chunk store is missing a referenced chunk"),
-            )))?;
+            .ok_or_else(|| corrupt("chunk store is missing a referenced chunk"))?;
         if chunk.len() as u64 != len {
-            return Err(CheclCprError::Cpr(CprError::Corrupt(
-                simcore::CodecError::Invalid("chunk store length mismatch"),
-            )));
+            return Err(corrupt("chunk store length mismatch"));
         }
-        data.extend_from_slice(chunk);
+        total += len;
+        chunks.push(chunk);
     }
-    if data.len() as u64 != map.total_len {
-        return Err(CheclCprError::Cpr(CprError::Corrupt(
-            simcore::CodecError::Invalid("chunk map reassembly length mismatch"),
-        )));
+    if total != map.total_len {
+        return Err(corrupt("chunk map reassembly length mismatch"));
     }
-    Ok(data)
+    Ok(chunks.concat())
 }
 
 /// Reassemble one buffer's payload from its out-of-order slice frames.
 /// A committed live dump's slices exactly tile `[0, size)` — gaps,
-/// overlaps, or overruns are surfaced as corruption.
+/// overlaps, or overruns are surfaced as corruption. The tiling is
+/// checked before anything is allocated, so `size` (read out of the
+/// dumped state) is only trusted once the slices actually back it.
 fn assemble_from_slices(
     size: u64,
     mut parts: Vec<(u64, Vec<u8>)>,
 ) -> Result<Vec<u8>, CheclCprError> {
     parts.sort_by_key(|p| p.0);
-    let mut data = vec![0u8; size as usize];
     let mut cur = 0u64;
-    for (off, part) in parts {
-        if off != cur || off + part.len() as u64 > size {
-            return Err(CheclCprError::Cpr(CprError::Corrupt(
-                simcore::CodecError::Invalid("slice frames do not tile the buffer"),
-            )));
+    for (off, part) in &parts {
+        if *off != cur {
+            return Err(corrupt("slice frames do not tile the buffer"));
         }
-        data[off as usize..off as usize + part.len()].copy_from_slice(&part);
-        cur = off + part.len() as u64;
+        cur += part.len() as u64;
     }
     if cur != size {
-        return Err(CheclCprError::Cpr(CprError::Corrupt(
-            simcore::CodecError::Invalid("slice frames do not cover the buffer"),
-        )));
+        return Err(corrupt("slice frames do not cover the buffer"));
+    }
+    let mut data = Vec::with_capacity(size as usize);
+    for (_, part) in parts {
+        data.extend_from_slice(&part);
     }
     Ok(data)
 }
@@ -2615,13 +2504,12 @@ pub(crate) fn repoint_saves(lib: &mut ChecLib, from: &str, to: &str) {
     }
 }
 
-/// Forget references to a checkpoint file that no longer holds bytes a
-/// restore could chase: a failed or deleted temp, or a committed
-/// generation retired later by keep-k GC or a failed scrub. The
-/// affected buffers are re-dirtied (whole extent) so the next
-/// incremental or dedup checkpoint re-saves them instead of pointing at
-/// a dead base.
-pub fn invalidate_saves(lib: &mut ChecLib, path: &str) {
+/// Roll back a failed or aborted attempt's buffer bookkeeping: forget
+/// references to the file at `path` (a temp that was deleted, or a
+/// write that never landed) and re-dirty the affected buffers (whole
+/// extent), so the next dedup generation re-reads and re-chunks them
+/// instead of trusting chunk lists from the abandoned attempt.
+pub(crate) fn invalidate_saves(lib: &mut ChecLib, path: &str) {
     let mems: Vec<u64> = lib
         .db
         .live_of_kind(HandleKind::Mem)

@@ -17,8 +17,9 @@
 //! * **Checkpoint/restart engine** ([`engine`], legacy API in [`cpr`])
 //!   — synchronize, copy device data to host memory, dump via BLCR,
 //!   restore objects in dependency order, substitute dummy events from
-//!   `clEnqueueMarker`. Every variation (format, incremental,
-//!   pipelining, commit hardening) is a [`CprPolicy`] field.
+//!   `clEnqueueMarker`. Every variation (pipelining, content-addressed
+//!   dedup, live copy-on-write cuts, commit hardening) is a
+//!   [`CprPolicy`] field.
 //! * **Migration** ([`migrate`]) — restart on another node, another
 //!   vendor, or another device type (GPU↔CPU), plus the
 //!   `Tm = αM + Tr + β` cost model of §IV-C.
@@ -58,14 +59,12 @@ pub mod supervisor;
 
 pub use boot::{boot_checl, BootedChecl};
 pub use cpr::{
-    checkpoint_checl, checkpoint_checl_incremental, checkpoint_checl_pipelined,
-    checkpoint_checl_pipelined_incremental, restart_checl_pipelined, restart_checl_process,
-    restore_checl, CheckpointMode, CheckpointReport, CheclCprError, DedupStats, RestoreReport,
-    RestoreTarget,
+    checkpoint_checl, restart_checl_process, restore_checl, CheckpointMode, CheckpointReport,
+    CheclCprError, DedupStats, RestoreReport, RestoreTarget,
 };
 pub use engine::{
-    abort_live_drain, complete_live_drain, invalidate_saves, restore, snapshot, CprPolicy,
-    IntervalPolicy, LiveDrainOutcome, RecoveryPolicy, SnapshotFormat, SnapshotOutcome,
+    abort_live_drain, complete_live_drain, restore, snapshot, CprPolicy, IntervalPolicy,
+    LiveDrainOutcome, RecoveryPolicy, SnapshotOutcome,
 };
 pub use migrate::{migrate_process, predict_migration_time, MigrationModel, MigrationReport};
 pub use objects::{CheclDb, CheclEntry, ObjectRecord, RecordedArg};

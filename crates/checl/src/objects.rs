@@ -105,10 +105,9 @@ pub enum ObjectRecord {
         host_cache: Option<Vec<u8>>,
         /// `true` if the device copy may have changed since the last
         /// checkpoint (kernel wrote to it, or the host wrote it).
-        /// Drives incremental checkpointing (§IV-D future work).
         dirty: bool,
-        /// Checkpoint file that holds this buffer's most recent saved
-        /// data, when an incremental checkpoint skipped it.
+        /// Checkpoint file the most recent snapshot saved this buffer
+        /// into (bookkeeping only; restores never chase it).
         saved_in: Option<String>,
         /// `Some((w, h))` when the object is a 2-D image rather than a
         /// plain buffer (created via `clCreateImage2D`).

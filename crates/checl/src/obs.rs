@@ -97,7 +97,8 @@ impl fmt::Display for LineageError {
 impl std::error::Error for LineageError {}
 
 /// Verify the full lineage of `path`: the dump itself plus every base
-/// file its incremental chain leans on, transitively. Each file must
+/// file its provenance leans on, transitively (engine dumps are
+/// standalone; a coordinated MPI snapshot leans on its per-rank files). Each file must
 /// exist, match its recorded on-disk size, parse under its recorded
 /// format, and — when vault-committed — hash to the recorded FNV-64
 /// (replicas included). A `coordinated` node is a composite (the path
@@ -518,14 +519,23 @@ mod tests {
         obs::start_recording();
         let (mut cluster, mut lib, pid) = dirty_session();
         let node = cluster.process(pid).node;
-        let policy = CprPolicy {
-            incremental: true,
-            ..CprPolicy::sequential()
-        };
+        let policy = CprPolicy::sequential();
         engine::snapshot(&mut lib, &mut cluster, pid, "/nfs/g0.ckpt", &policy).unwrap();
-        // Dirty one buffer? Not needed: a second dump with nothing
-        // dirty leans fully on g0 — the deepest lineage we can make.
         engine::snapshot(&mut lib, &mut cluster, pid, "/nfs/g1.ckpt", &policy).unwrap();
+        let recorded = obs::stop_recording().unwrap();
+        // Engine dumps are standalone, so the deep lineage is built by
+        // hand: replay the recorded events into a synthetic ledger whose
+        // g1 leans on g0 — a real file and a real recorded size each.
+        obs::start_recording();
+        for e in recorded.events() {
+            let mut kind = e.kind.clone();
+            if let obs::EventKind::CheckpointCommitted { path, bases, .. } = &mut kind {
+                if path == "/nfs/g1.ckpt" {
+                    bases.push("/nfs/g0.ckpt".to_string());
+                }
+            }
+            obs::emit(&e.component, e.t, kind);
+        }
         let ledger = obs::stop_recording().unwrap();
         let graph = ProvenanceGraph::from_ledger(&ledger);
 

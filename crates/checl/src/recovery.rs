@@ -22,8 +22,8 @@
 
 use crate::boot::{kill_proxy, refork_proxy};
 use crate::cpr::{
-    resolve_saved_data, restart_checl_process, restore_checl, CheckpointReport, CheclCprError,
-    RestoreReport, RestoreTarget,
+    restart_checl_process, restore_checl, CheckpointReport, CheclCprError, RestoreReport,
+    RestoreTarget,
 };
 use crate::engine::{self, recovery_event, CprPolicy, RecoveryPolicy};
 use crate::runtime::ChecLib;
@@ -97,8 +97,6 @@ pub fn respawn_proxy_and_restore(
         .map_err(|e| CheclCprError::Cpr(CprError::Fs(e)))?;
     let dump = blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
     *lib = engine::shim_from_dump_on(cluster, app_pid, dump)?;
-    // Clean buffers may reference still-earlier incremental files.
-    resolve_saved_data(cluster, app_pid, lib, Some(last_ckpt))?;
     refork_proxy(cluster, lib, app_pid, vendor);
     let mut now = cluster.process(app_pid).clock;
     let report = match restore_checl(lib, &mut now, target) {

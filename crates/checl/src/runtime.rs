@@ -345,7 +345,7 @@ impl ChecLib {
     const MAX_DIRTY_REGIONS: usize = 64;
 
     /// Mark a buffer's device copy as modified since its last save
-    /// (drives incremental checkpointing). The whole extent is dirtied
+    /// (drives dedup's clean-buffer fast path). The whole extent is dirtied
     /// — used when the write's footprint is unknown (kernel writes,
     /// image writes).
     fn mark_mem_dirty(&mut self, checl_mem: u64) {
@@ -744,7 +744,7 @@ impl ChecLib {
         // parameter. Pointer-to-const and __constant parameters cannot
         // be written, so their buffers stay clean — the per-parameter
         // modification tracking the paper lists as future work, which
-        // is what makes incremental checkpointing effective.
+        // is what lets dedup's incremental fast path skip them.
         let sig_loc = self.sig_index_of_kernel(kernel.raw().0);
         let bound_mems: Vec<(u64, Option<u64>)> = {
             let sig = sig_loc.and_then(|(p, i)| match self.db.get(p).map(|e| &e.record) {

@@ -707,88 +707,6 @@ fn false_positive_scalar_matching_checl_handle() {
 }
 
 #[test]
-fn incremental_checkpoint_skips_clean_buffers_and_restores() {
-    use checl::checkpoint_checl_incremental;
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let app_pid = cluster.spawn(node);
-    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
-    let mut now = cluster.process(app_pid).clock;
-    // Large read-only inputs (a, b) plus a small output (c).
-    let app = build_app(&mut booted.lib, &mut now, 1 << 20);
-    let golden = fnv1a64(&run_kernel_and_read(&mut booted.lib, &mut now, &app));
-    cluster.process_mut(app_pid).clock = now;
-
-    // First incremental checkpoint saves everything (all dirty).
-    let first =
-        checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/i0.ckpt")
-            .unwrap();
-
-    // Run the kernel again: only c changes (a, b are untouched — the
-    // kernel marks its args conservatively, so write to c only via a
-    // small host write to keep a/b clean).
-    let mut now = cluster.process(app_pid).clock;
-    let mut ocl = Ocl::new(&mut booted.lib, &mut now);
-    ocl.enqueue_write_buffer(app.queue, app.c, true, 0, vec![7u8; 64], &[])
-        .unwrap();
-    let _ = ocl;
-    cluster.process_mut(app_pid).clock = now;
-
-    // Second incremental checkpoint: a and b are clean and skipped.
-    let second =
-        checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/i1.ckpt")
-            .unwrap();
-    assert!(
-        second.file_size.as_u64() < first.file_size.as_u64() - (1 << 21),
-        "incremental file {} should be much smaller than full {}",
-        second.file_size,
-        first.file_size
-    );
-    assert!(second.preprocess < first.preprocess);
-
-    // Restart from the *incremental* checkpoint: data for a and b is
-    // pulled from i0.ckpt via the saved_in references.
-    checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
-    cluster.kill(app_pid);
-    let (mut lib2, pid2, _) = restart_checl_process(
-        &mut cluster,
-        node,
-        "/local/i1.ckpt",
-        nimbus(),
-        RestoreTarget::default(),
-    )
-    .unwrap();
-    let mut now2 = cluster.process(pid2).clock;
-    // c's small host write survived...
-    let mut ocl2 = Ocl::new(&mut lib2, &mut now2);
-    let (c_head, _) = ocl2
-        .enqueue_read_buffer(app.queue, app.c, true, 0, 64, &[])
-        .unwrap();
-    assert_eq!(c_head, vec![7u8; 64]);
-    let _ = ocl2;
-    // ...and a/b still produce the golden result after re-running.
-    let after = run_kernel_and_read(&mut lib2, &mut now2, &app);
-    assert_eq!(fnv1a64(&after), golden);
-}
-
-#[test]
-fn incremental_equals_full_when_everything_dirty() {
-    use checl::checkpoint_checl_incremental;
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let app_pid = cluster.spawn(node);
-    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
-    let mut now = cluster.process(app_pid).clock;
-    let _app = build_app(&mut booted.lib, &mut now, 1 << 16);
-    cluster.process_mut(app_pid).clock = now;
-    let inc = checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/ram/e0.ckpt")
-        .unwrap();
-    // Nothing was ever checkpointed before, so the incremental file
-    // contains all three buffers, same as a full checkpoint would.
-    assert!(inc.file_size.as_u64() > 3 * (1 << 18));
-}
-
-#[test]
 fn images_survive_checkpoint_and_cross_vendor_restart() {
     // clCreateImage2D objects are cl_mem with 2-D layout; their texels
     // must survive CPR and migration exactly like buffers.
@@ -848,43 +766,6 @@ __kernel void peek(image2d_t img, __global float* out) { }
 }
 
 #[test]
-fn incremental_restart_fails_cleanly_when_base_file_is_gone() {
-    use checl::checkpoint_checl_incremental;
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let app_pid = cluster.spawn(node);
-    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
-    let mut now = cluster.process(app_pid).clock;
-    let _app = build_app(&mut booted.lib, &mut now, 1 << 12);
-    cluster.process_mut(app_pid).clock = now;
-
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/base.ckpt")
-        .unwrap();
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/top.ckpt")
-        .unwrap();
-    checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
-    cluster.kill(app_pid);
-
-    // Delete the base file the incremental checkpoint refers to.
-    let janitor = cluster.spawn(node);
-    cluster.delete_file(janitor, "/local/base.ckpt").unwrap();
-
-    match restart_checl_process(
-        &mut cluster,
-        node,
-        "/local/top.ckpt",
-        nimbus(),
-        RestoreTarget::default(),
-    ) {
-        Err(checl::cpr::CheclCprError::MissingBase { base, .. }) => {
-            assert_eq!(base, "/local/base.ckpt", "error must name the dead base");
-        }
-        Err(other) => panic!("wrong error: {other}"),
-        Ok(_) => panic!("restart must fail without the base checkpoint"),
-    }
-}
-
-#[test]
 fn restore_after_db_corruption_is_detected() {
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
@@ -912,53 +793,4 @@ fn restore_after_db_corruption_is_detected() {
         Err(other) => panic!("wrong error: {other}"),
         Ok(_) => panic!("corruption must not restart"),
     }
-}
-
-#[test]
-fn incremental_chain_survives_migration() {
-    // Regression: after a migration, clean buffers must not keep
-    // incremental references to files on the *old* node's local disk.
-    use checl::checkpoint_checl_incremental;
-    let mut cluster = Cluster::with_standard_nodes(2);
-    let nodes = cluster.node_ids();
-    let app_pid = cluster.spawn(nodes[0]);
-    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
-    let mut now = cluster.process(app_pid).clock;
-    let app = build_app(&mut booted.lib, &mut now, 1 << 12);
-    let golden = fnv1a64(&run_kernel_and_read(&mut booted.lib, &mut now, &app));
-    cluster.process_mut(app_pid).clock = now;
-
-    // Incremental checkpoint onto node0's LOCAL disk, then migrate via
-    // NFS to node1.
-    checkpoint_checl_incremental(&mut booted.lib, &mut cluster, app_pid, "/local/n0.ckpt").unwrap();
-    let report = checl::migrate_process(
-        &mut cluster,
-        booted.lib,
-        app_pid,
-        nodes[1],
-        nimbus(),
-        "/nfs/mig-inc.ckpt",
-        RestoreTarget::default(),
-        &checl::CprPolicy::sequential(),
-    )
-    .unwrap();
-    let mut lib2 = report.new_lib;
-    let pid2 = report.new_pid;
-
-    // On node1, take another *incremental* checkpoint; it must not
-    // reference /local/n0.ckpt (which lives on node0's disk).
-    checkpoint_checl_incremental(&mut lib2, &mut cluster, pid2, "/local/n1.ckpt").unwrap();
-    checl::boot::kill_proxy(&mut cluster, &mut lib2);
-    cluster.kill(pid2);
-    let (mut lib3, pid3, _) = restart_checl_process(
-        &mut cluster,
-        nodes[1],
-        "/local/n1.ckpt",
-        nimbus(),
-        RestoreTarget::default(),
-    )
-    .expect("restart from the node1 incremental checkpoint must not need node0 files");
-    let mut now3 = cluster.process(pid3).clock;
-    let after = run_kernel_and_read(&mut lib3, &mut now3, &app);
-    assert_eq!(fnv1a64(&after), golden);
 }

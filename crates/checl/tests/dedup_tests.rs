@@ -1,12 +1,14 @@
 //! Content-addressed dedup checkpoint tests: the chunk-store data path
 //! must restore bit-exactly at every policy lattice point, cost near
-//! zero bytes for unchanged buffers across generations, survive a
-//! mid-dump abort without damaging earlier generations, and never leave
-//! an incremental reference pointing at a GC-pruned base.
+//! zero bytes for unchanged buffers across generations, skip the device
+//! read of a buffer no write touched (the §IV-D incremental fast path),
+//! re-read every buffer after a faulted attempt, survive a mid-dump
+//! abort without damaging earlier generations, and refuse a chunk map
+//! whose recorded length its chunks do not back.
 
-use checl::cpr::restart_checl_process;
+use blcr::CprError;
 use checl::runtime::ChecLib;
-use checl::{boot_checl, CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
+use checl::{boot_checl, CheclConfig, CheclCprError, CprPolicy, RecoveryPolicy, RestoreTarget};
 use cldriver::vendor::nimbus;
 use clspec::types::{DeviceType, MemFlags, NDRange, QueueProps};
 use clspec::{Kernel, Mem, Ocl};
@@ -219,14 +221,14 @@ fn unchanged_buffers_cost_near_zero_bytes_across_generations() {
 
 #[test]
 fn dedup_restores_bit_exactly_across_policy_lattice() {
-    // Every lattice point that can carry dedup: {sequential-format
-    // streamed-via-dedup | pipelined} × {full | incremental} ×
-    // {raw | recovery-hardened}. Each must restore the same device
-    // state the baseline preserves.
+    // Every lattice point that can carry dedup: {plain | pipelined} ×
+    // {raw | recovery-hardened}, with or without a write between the
+    // two generations. Each must restore the same device state the
+    // baseline preserves.
     simcore::qcheck::qcheck("dedup_policy_lattice_roundtrip", 10, |g| {
         let pipelined = g.bool();
-        let incremental = g.bool();
         let recovery = g.bool();
+        let mutate = g.bool();
         let n = 1u32 << g.range(10, 13);
 
         let mut cluster = Cluster::with_standard_nodes(1);
@@ -236,7 +238,6 @@ fn dedup_restores_bit_exactly_across_policy_lattice() {
         let mut now = cluster.process(app_pid).clock;
         let app = build_app(&mut booted.lib, &mut now, n);
         let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
-        let golden = device_state_checksum(&mut booted.lib, &mut now, &app);
         cluster.process_mut(app_pid).clock = now;
 
         let mut policy = if pipelined {
@@ -244,12 +245,12 @@ fn dedup_restores_bit_exactly_across_policy_lattice() {
         } else {
             CprPolicy::sequential()
         }
-        .dedup(true)
-        .incremental(incremental);
+        .dedup(true);
         if recovery {
             policy = policy.with_recovery(RecoveryPolicy::default());
         }
-        // Two generations so incremental/dedup interactions are live.
+        // Two generations so the clean-buffer fast path is live; an
+        // optional patch in between mixes it with re-chunking.
         checl::snapshot(
             &mut booted.lib,
             &mut cluster,
@@ -258,6 +259,12 @@ fn dedup_restores_bit_exactly_across_policy_lattice() {
             &policy,
         )
         .unwrap();
+        let mut now = cluster.process(app_pid).clock;
+        if mutate {
+            patch(&mut booted.lib, &mut now, &app, app.b);
+        }
+        let golden = device_state_checksum(&mut booted.lib, &mut now, &app);
+        cluster.process_mut(app_pid).clock = now;
         let outcome = checl::snapshot(
             &mut booted.lib,
             &mut cluster,
@@ -356,55 +363,172 @@ fn mid_dump_abort_leaves_previous_generation_intact() {
     );
 }
 
+/// Overwrite the first 512 bytes of `mem` from the host.
+fn patch(lib: &mut ChecLib, now: &mut simcore::SimTime, app: &App, mem: Mem) {
+    let mut ocl = Ocl::new(lib, now);
+    ocl.enqueue_write_buffer(app.queue, mem, true, 0, vec![0xA5u8; 512], &[])
+        .unwrap();
+    ocl.finish(app.queue).unwrap();
+}
+
+/// Device reads the shim forwarded so far.
+fn reads(lib: &ChecLib) -> u64 {
+    lib.call_histogram()
+        .get("clEnqueueReadBuffer")
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Take one dedup snapshot at `path`, returning the dedup stats and
+/// how many device reads it forwarded.
+fn dedup_gen(
+    lib: &mut ChecLib,
+    cluster: &mut Cluster,
+    pid: osproc::Pid,
+    path: &str,
+) -> (checl::DedupStats, u64) {
+    let before = reads(lib);
+    let out = checl::snapshot(lib, cluster, pid, path, &CprPolicy::pipelined().dedup(true))
+        .unwrap_or_else(|e| panic!("dedup snapshot at {path} failed: {e}"));
+    (out.report.dedup.expect("dedup stats"), reads(lib) - before)
+}
+
+/// Kill the app, restore `path` and return its device-state checksum.
+fn restored_checksum(
+    cluster: &mut Cluster,
+    mut lib: ChecLib,
+    pid: osproc::Pid,
+    path: &str,
+    app: &App,
+) -> u64 {
+    let node = cluster.process(pid).node;
+    checl::boot::kill_proxy(cluster, &mut lib);
+    cluster.kill(pid);
+    let (mut lib2, pid2, _) =
+        checl::restore(cluster, node, path, nimbus(), RestoreTarget::default()).unwrap();
+    let mut now = cluster.process(pid2).clock;
+    device_state_checksum(&mut lib2, &mut now, app)
+}
+
 #[test]
-fn gc_pruned_base_is_redirtied_not_chased() {
-    // The satellite regression: an incremental checkpoint skips a clean
-    // buffer because `saved_in` names an earlier generation; when keep-k
-    // GC prunes that generation the reference is dead. With the fix,
-    // draining `DumpVault::take_retired_paths` into
-    // `checl::invalidate_saves` re-dirties the buffer, the next
-    // checkpoint re-saves it, and the newest generation stays
-    // self-sufficient.
+fn untouched_buffers_skip_the_device_read() {
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let app_pid = cluster.spawn(node);
+    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
+    let mut now = cluster.process(app_pid).clock;
+    let app = build_app(&mut booted.lib, &mut now, 1 << 13);
+    let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
+    cluster.process_mut(app_pid).clock = now;
+
+    // Generation 0 reads all three buffers off the device.
+    let (s0, r0) = dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/cl0.ckpt");
+    assert_eq!(r0, 3);
+    // Generation 1, nothing written since: no device read at all, and
+    // exactly the chunk accounting a region-clean rescan would give.
+    let (s1, r1) = dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/cl1.ckpt");
+    assert_eq!(r1, 0, "an untouched buffer must not be read back");
+    assert_eq!(s1.chunks_total, s0.chunks_total);
+    assert_eq!(s1.raw_bytes, s0.raw_bytes);
+    assert_eq!(s1.chunks_region_clean, s1.chunks_total);
+    assert_eq!(s1.deduped_bytes, s1.raw_bytes);
+    assert_eq!((s1.stored_bytes, s1.compress_ns), (0, 0));
+    // Generation 2 after a host write to `a`: only `a` is read back.
+    let mut now = cluster.process(app_pid).clock;
+    patch(&mut booted.lib, &mut now, &app, app.a);
+    let golden = device_state_checksum(&mut booted.lib, &mut now, &app);
+    cluster.process_mut(app_pid).clock = now;
+    let (_, r2) = dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/cl2.ckpt");
+    assert_eq!(r2, 1, "only the patched buffer is read back");
+
+    let after = restored_checksum(&mut cluster, booted.lib, app_pid, "/local/cl2.ckpt", &app);
+    assert_eq!(
+        after, golden,
+        "re-emitted chunk maps must restore bit-exactly"
+    );
+}
+
+#[test]
+fn faulted_dedup_attempt_redirties_its_buffers() {
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let app_pid = cluster.spawn(node);
+    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
+    let mut now = cluster.process(app_pid).clock;
+    let app = build_app(&mut booted.lib, &mut now, 1 << 13);
+    let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
+    let golden = device_state_checksum(&mut booted.lib, &mut now, &app);
+    cluster.process_mut(app_pid).clock = now;
+
+    dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/fz0.ckpt");
+    cluster.install_faults(FaultPlan::new(7).fail_next_writes(u32::MAX));
+    let faulted = checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/fz1.ckpt",
+        &CprPolicy::pipelined().dedup(true),
+    );
+    assert!(
+        faulted.is_err(),
+        "a dump under total write failure must fail"
+    );
+    cluster.install_faults(FaultPlan::new(7));
+    // The faulted attempt forgot its chunk lists: the next generation
+    // reads every buffer back and trusts nothing from the abandoned one.
+    let (s2, r2) = dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/fz2.ckpt");
+    assert_eq!(r2, 3, "every buffer of the faulted attempt is re-read");
+    assert_eq!(s2.chunks_region_clean, 0);
+
+    let after = restored_checksum(&mut cluster, booted.lib, app_pid, "/local/fz2.ckpt", &app);
+    assert_eq!(
+        after, golden,
+        "the generation after a fault restores bit-exactly"
+    );
+}
+
+#[test]
+fn oversized_chunk_map_restores_to_a_typed_error() {
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let app_pid = cluster.spawn(node);
     let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
     let mut now = cluster.process(app_pid).clock;
     let app = build_app(&mut booted.lib, &mut now, 1 << 12);
-    let golden = device_state_checksum(&mut booted.lib, &mut now, &app);
+    let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
     cluster.process_mut(app_pid).clock = now;
+    dedup_gen(&mut booted.lib, &mut cluster, app_pid, "/local/ok.ckpt");
 
-    let policy = CprPolicy::sequential().incremental(true);
-    let mut vault = blcr::DumpVault::new("/local/inc", "/nfs/inc", 2);
-    // Generation 0 saves everything; generations 1.. skip the clean
-    // buffers and reference generation 0. The drain below is the fix
-    // under test: without it, the newest generation still references
-    // the pruned generation 0 and the restore dies with MissingBase.
-    for _ in 0..4 {
-        let stage = vault.stage_path();
-        let outcome =
-            checl::snapshot(&mut booted.lib, &mut cluster, app_pid, &stage, &policy).unwrap();
-        vault
-            .commit_at(&mut cluster, app_pid, &outcome.path)
-            .unwrap();
-        for retired in vault.take_retired_paths() {
-            checl::invalidate_saves(&mut booted.lib, &retired);
-        }
+    // Re-seal the same dump with one map claiming a terabyte: every
+    // frame checksum holds, only the recorded length lies.
+    let bytes = cluster.read_file(app_pid, "/local/ok.ckpt").unwrap();
+    let parsed = blcr::parse_stream(&bytes).unwrap();
+    cluster.process_mut(app_pid).image = parsed.header.image.clone();
+    let mut w = blcr::StreamWriter::begin(&mut cluster, app_pid, "/local/lying.ckpt").unwrap();
+    for (i, map) in parsed.maps.iter().enumerate() {
+        let total_len = if i == 0 { 1 << 40 } else { map.total_len };
+        w.append_chunk_map(
+            &mut cluster,
+            map.handle,
+            &map.store,
+            total_len,
+            map.segments.clone(),
+        )
+        .unwrap();
     }
+    w.finish(&mut cluster).unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    drop(booted);
 
-    let newest = vault.restore_chain().into_iter().next().unwrap();
-    let (mut lib2, pid2, _) = restart_checl_process(
+    match checl::restore(
         &mut cluster,
         node,
-        &newest,
+        "/local/lying.ckpt",
         nimbus(),
         RestoreTarget::default(),
-    )
-    .expect("the newest generation must not chase a pruned base");
-    let mut now2 = cluster.process(pid2).clock;
-    let after = device_state_checksum(&mut lib2, &mut now2, &app);
-    assert_eq!(after, golden, "restore must reproduce the device state");
+    ) {
+        Err(CheclCprError::Cpr(CprError::Corrupt(_))) => {}
+        Err(other) => panic!("expected a typed corruption error, got {other}"),
+        Ok(_) => panic!("a lying chunk map must not restore"),
+    }
 }

@@ -63,8 +63,8 @@ pub struct ParamInfo {
     /// Classification.
     pub kind: ParamKind,
     /// `true` for pointer-to-const parameters (`__global const float*`):
-    /// the kernel cannot write through them, which lets incremental
-    /// checkpointing skip re-saving such buffers (§IV-D future work:
+    /// the kernel cannot write through them, which lets the dedup
+    /// checkpointer skip re-reading such buffers (§IV-D future work:
     /// "checking if a memory object is modified by a kernel").
     pub is_const: bool,
     /// For pointer parameters, the size in bytes of the pointee element

@@ -166,7 +166,6 @@ pub fn preempt_policies() -> Vec<CprPolicy> {
     vec![
         CprPolicy::sequential(),
         CprPolicy::pipelined(),
-        CprPolicy::pipelined().incremental(true),
         CprPolicy::pipelined().dedup(true),
     ]
 }
@@ -1040,9 +1039,9 @@ impl Sched {
             self.jobs[idx as usize].preempt_req = false;
             self.pending_preempts -= 1;
         }
-        // The dump chain is dead once the job is done (incremental
-        // bases are only needed while another restore could happen);
-        // dropping it keeps /nfs bounded over a 10k-job sweep.
+        // The job's dumps are dead once it is done (each one only
+        // mattered while another restore could happen); dropping them
+        // keeps /nfs bounded over a 10k-job sweep.
         let dump_files = std::mem::take(&mut self.jobs[idx as usize].dump_files);
         let janitor = tenant.sessions[0].pid;
         for path in dump_files {

@@ -14,7 +14,8 @@
 //!
 //! * [`ProvenanceGraph`] — one node per dump file, carrying its format,
 //!   policy lattice point, logical vs. serialized bytes, chunk counts,
-//!   incremental `bases`, vault generation/replica/checksum data and
+//!   `bases` (the per-rank files of a coordinated MPI snapshot), vault
+//!   generation/replica/checksum data and
 //!   scrub history. `lineage(path)` walks the base edges and explains
 //!   exactly which files a restore will touch.
 //! * [`SloSummary`] — availability, downtime, wasted-work and
@@ -68,12 +69,12 @@ pub enum EventKind {
         format: String,
         /// Human-readable policy lattice point.
         policy: String,
-        /// Dumps this one depends on: the distinct files holding the
-        /// clean bytes of buffers an incremental dump skipped.
+        /// Dumps this one depends on (a coordinated MPI snapshot's
+        /// per-rank files; engine dumps are standalone and record none).
         bases: Vec<String>,
         /// Live buffers considered.
         buffers: u64,
-        /// Buffers skipped by incremental dedup.
+        /// Buffers left out of the dump (always 0 for engine dumps).
         skipped: u64,
         /// Chunks written (streamed format; 0 for sequential).
         chunks: u64,
@@ -1234,9 +1235,9 @@ pub struct DumpNode {
     pub format: String,
     /// Policy lattice point that produced it.
     pub policy: String,
-    /// Paths of the dumps this one's skipped buffers live in.
+    /// Paths of the dumps this one depends on.
     pub bases: Vec<String>,
-    /// Live buffers considered / skipped by incremental dedup.
+    /// Live buffers considered.
     pub buffers: u64,
     /// Buffers skipped.
     pub skipped: u64,
@@ -1263,8 +1264,8 @@ pub struct DumpNode {
 }
 
 /// The dump-lineage graph derived from a ledger: nodes keyed by path,
-/// edges from each incremental dump to the files holding its skipped
-/// buffers' clean bytes.
+/// edges from each dump to the files it depends on (a coordinated MPI
+/// snapshot to its per-rank files).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProvenanceGraph {
     nodes: BTreeMap<String, DumpNode>,
@@ -1535,7 +1536,7 @@ mod tests {
             EventKind::CheckpointCommitted {
                 path: "/nfs/a.ckpt".into(),
                 format: "streamed".into(),
-                policy: "streamed+incremental".into(),
+                policy: "streamed+dedup".into(),
                 bases: vec![],
                 buffers: 4,
                 skipped: 0,
@@ -1555,7 +1556,7 @@ mod tests {
             EventKind::CheckpointCommitted {
                 path: "/nfs/b.ckpt".into(),
                 format: "streamed".into(),
-                policy: "streamed+incremental".into(),
+                policy: "streamed+dedup".into(),
                 bases: vec!["/nfs/a.ckpt".into()],
                 buffers: 4,
                 skipped: 3,
@@ -1677,7 +1678,7 @@ mod tests {
                 job: "j0042.nbody".into(),
                 node: 3,
                 generation: 2,
-                policy: "streamed+incremental+pipelined".into(),
+                policy: "streamed+pipelined+dedup".into(),
             },
         );
         emit(

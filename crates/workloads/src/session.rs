@@ -163,28 +163,6 @@ impl CheclSession {
         checkpoint_checl(&mut self.lib, cluster, self.pid, path)
     }
 
-    /// Checkpoint through the pipelined engine: D2H copies overlap the
-    /// streamed chunk writes ([`checl::checkpoint_checl_pipelined`]).
-    pub fn checkpoint_pipelined(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_checl_pipelined(&mut self.lib, cluster, self.pid, path)
-    }
-
-    /// Pipelined + incremental checkpoint
-    /// ([`checl::checkpoint_checl_pipelined_incremental`]).
-    pub fn checkpoint_pipelined_incremental(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_checl_pipelined_incremental(&mut self.lib, cluster, self.pid, path)
-    }
-
     /// Checkpoint with the full recovery policy — atomic
     /// write-to-temp-then-rename, post-write verification, bounded
     /// retry and target fallback ([`checl::checkpoint_with_recovery`]).
@@ -199,7 +177,8 @@ impl CheclSession {
     }
 
     /// Checkpoint under an arbitrary [`CprPolicy`] — the unified-engine
-    /// entry point the legacy `checkpoint*` methods are shims over.
+    /// entry point [`CheclSession::checkpoint`] and
+    /// [`CheclSession::checkpoint_with_recovery`] are fixed points of.
     pub fn checkpoint_with_policy(
         &mut self,
         cluster: &mut Cluster,
@@ -250,8 +229,7 @@ impl CheclSession {
         Ok(CheclSession { pid, lib, program })
     }
 
-    /// Restart through the pipelined engine
-    /// ([`checl::restart_checl_pipelined`]): streamed checkpoints are
+    /// Restart through [`checl::restore`]: streamed checkpoints are
     /// read and uploaded overlapped; sequential dumps are handled
     /// identically to [`CheclSession::restart`].
     pub fn restart_pipelined(
@@ -261,8 +239,7 @@ impl CheclSession {
         vendor: VendorConfig,
         target: RestoreTarget,
     ) -> Result<CheclSession, CheclCprError> {
-        let (lib, pid, _report) =
-            checl::restart_checl_pipelined(cluster, node, path, vendor, target)?;
+        let (lib, pid, _report) = checl::restore(cluster, node, path, vendor, target)?;
         let bytes = cluster
             .process(pid)
             .image

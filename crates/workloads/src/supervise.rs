@@ -135,9 +135,6 @@ fn seal_live(
     };
     let drained = session.complete_live_drain(cluster)?;
     vault_commit(vault, cluster, session, &path, epoch)?;
-    for retired in vault.take_retired_paths() {
-        checl::invalidate_saves(&mut session.lib, &retired);
-    }
     sup.advance(cluster.process(session.pid).clock);
     let stall = drained
         .map(|d| d.stall.total() + d.fork_stall)
@@ -179,12 +176,6 @@ fn commit_checkpoint(
         return Ok(after);
     }
     vault_commit(vault, cluster, session, &outcome.path, epoch)?;
-    // Committing may have GC'd older generations that incremental
-    // buffer records still reference; re-dirty them so no later restore
-    // chases a pruned base.
-    for retired in vault.take_retired_paths() {
-        checl::invalidate_saves(&mut session.lib, &retired);
-    }
     let after = cluster.process(session.pid).clock;
     sup.advance(after);
     sup.checkpoint_committed(after.since(before), SimDuration::ZERO);
@@ -383,7 +374,6 @@ pub fn run_supervised(
                         // the caller may cap how many generations the
                         // re-seed verifies (newest first) so repair
                         // downtime stays bounded.
-                        let mut s = s;
                         match setup.scrub_budget {
                             Some(b) => {
                                 vault.scrub_budgeted(cluster, s.pid, b);
@@ -391,12 +381,6 @@ pub fn run_supervised(
                             None => {
                                 vault.scrub(cluster, s.pid);
                             }
-                        }
-                        // A scrub can lose replicas for good (source
-                        // unreadable): drop any buffer references into
-                        // them before the session resumes.
-                        for retired in vault.take_retired_paths() {
-                            checl::invalidate_saves(&mut s.lib, &retired);
                         }
                         let took = cluster.process(s.pid).clock.since(SimTime::ZERO);
                         sup.repair_succeeded(took);

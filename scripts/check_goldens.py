@@ -33,10 +33,15 @@ Invariants guarded:
                availability degrades monotonically with failure rate;
 * dedup      — the content-addressed chunk store earns its keep: on
                the slowly-mutating MD sweep every restore is
-               checksum-identical to the non-dedup policies, the
-               payload reduction at the slow mutation rate is >= 5x a
+               checksum-identical to the full dump, the payload
+               reduction at the slow mutation rate is >= 5x a
                full dump, and the ratio degrades monotonically as the
                mutation rate grows;
+* incremental — the paper's §IV-D claim holds for the dedup data
+               path: on iterative BlackScholes every checkpoint from #1
+               on is strictly cheaper than the full dump of the same
+               index in preprocessing, write and total time and in
+               dump-file size;
 * obs        — the event ledger is free in virtual time (delta vs the
                bare run is exactly 0 ns in every regime) and every
                emission site is alive (incidents == faults ==
@@ -353,7 +358,7 @@ def check_dedup(doc: dict) -> str:
     if not checksums:
         fail("dedup", "sweep section has no rows")
     for rate, by_mode in checksums.items():
-        for mode in ("full", "incremental", "dedup"):
+        for mode in ("full", "dedup"):
             if mode not in by_mode:
                 fail("dedup", f"rate {rate}: no {mode} row")
         if len(set(by_mode.values())) != 1:
@@ -380,6 +385,44 @@ def check_dedup(doc: dict) -> str:
         f"{len(checksums)} rates bit-exact across policies, "
         f"{ratios[SLOW_RATE]:.1f}x payload reduction at {SLOW_RATE} mutation"
     )
+
+
+# ---------------------------------------------------------------------
+# incremental — §IV-D incremental checkpointing via dedup
+# ---------------------------------------------------------------------
+
+INCREMENTAL_COLUMNS = ("preproc[s]", "write[s]", "total[s]", "file[MB]")
+
+
+def check_incremental(doc: dict) -> str:
+    section = section_with(doc, "mode", "ckpt#", *INCREMENTAL_COLUMNS)
+    if section is None:
+        fail("incremental", "no full-vs-dedup section found — schema drift")
+    cols = section["columns"]
+    mode_i = cols.index("mode")
+    ckpt_i = cols.index("ckpt#")
+    rows: dict[str, dict[int, list]] = {}
+    for row in section["rows"]:
+        rows.setdefault(row[mode_i], {})[row[ckpt_i]] = row
+    for mode in ("full", "dedup"):
+        if mode not in rows:
+            fail("incremental", f"no {mode} rows")
+    later = sorted(i for i in rows["dedup"] if i >= 1)
+    if not later:
+        fail("incremental", "no dedup checkpoint from #1 on")
+    for i in later:
+        if i not in rows["full"]:
+            fail("incremental", f"checkpoint #{i}: no full row to compare against")
+        for col in INCREMENTAL_COLUMNS:
+            c = cols.index(col)
+            full, dedup = rows["full"][i][c], rows["dedup"][i][c]
+            if not dedup < full:
+                fail(
+                    "incremental",
+                    f"checkpoint #{i}: dedup {col} {dedup} is not strictly below "
+                    f"full {full}",
+                )
+    return f"{len(later)} checkpoints from #1 on, dedup < full on {len(INCREMENTAL_COLUMNS)} columns"
 
 
 # ---------------------------------------------------------------------
@@ -699,6 +742,7 @@ SPECS = {
     "supervisor": ("results/BENCH_ablation_supervisor.json", check_supervisor),
     "inspect": ("results/BENCH_checl_inspect.json", check_inspect),
     "dedup": ("results/BENCH_ablation_dedup.json", check_dedup),
+    "incremental": ("results/BENCH_ablation_incremental.json", check_incremental),
     "live": ("results/BENCH_ablation_live.json", check_live),
     "obs": ("results/BENCH_ablation_obs.json", check_obs),
     "fleet": ("results/BENCH_fleet.json", check_fleet),

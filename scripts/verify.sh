@@ -24,6 +24,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench tests (reads results/BENCH_fleet.json)"
+cargo test --manifest-path perfbench/Cargo.toml -q
+
 echo "==> smoke: fig5_checkpoint with trace recording"
 cargo run -q --release -p checl-bench --bin fig5_checkpoint -- \
     --trace results/fig5.trace.json >/dev/null
@@ -60,6 +63,12 @@ echo "==> smoke: dedup chunk store ablation (golden diff)"
 cargo run -q --release -p checl-bench --bin ablation_dedup >/dev/null
 git diff --exit-code -- results/BENCH_ablation_dedup.json
 
+echo "==> smoke: incremental (dedup) checkpoint ablation (golden diff)"
+# Full dumps vs the dedup path's clean-buffer fast path on iterative
+# BlackScholes (the paper's §IV-D incremental checkpointing).
+cargo run -q --release -p checl-bench --bin ablation_incremental >/dev/null
+git diff --exit-code -- results/BENCH_ablation_incremental.json
+
 echo "==> smoke: live copy-on-write checkpoint ablation (golden diff)"
 # Every cell cuts mid-run, races the drain with further mutation, and
 # asserts the restore is bit-exact against an uninterrupted baseline.
@@ -95,9 +104,10 @@ fi
 echo "==> golden invariants (perf, availability, reconciliation guards)"
 # One spec per bench: pipelined < sequential (checkpoint + migration),
 # the adaptive interval policy wins, the health report reconciles
-# faults 1:1, the ledger stays free in virtual time, and the fleet
+# faults 1:1, incremental (dedup) checkpoints undercut full dumps from
+# the second on, the ledger stays free in virtual time, and the fleet
 # sweep stays flat in ops/event with monotone node-count throughput.
-python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup live obs fleet gray
+python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray
 
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> smoke: micro-benches (codec filter)"

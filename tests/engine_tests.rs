@@ -6,7 +6,7 @@
 //! migration survives a transient disk fault across a vendor switch.
 
 use blcr::RetryPolicy;
-use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget, SnapshotFormat};
+use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan};
@@ -77,21 +77,14 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
         .collect()
 }
 
-/// Draw one point of the policy lattice: format × incremental ×
-/// pipelined × recovery (with and without read-back verification).
+/// Draw one point of the policy lattice: pipelined × dedup × recovery
+/// (with and without read-back verification) × delayed.
 fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
-    let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
-        ..CprPolicy::default()
-    };
-    policy = policy.incremental(g.bool());
+    let mut policy = CprPolicy::sequential();
     if g.bool() {
         policy.pipelined = true;
     }
+    policy = policy.dedup(g.bool());
     if g.bool() {
         policy = policy.with_recovery(RecoveryPolicy {
             retry: RetryPolicy {
@@ -126,8 +119,8 @@ fn resumed_checksums(cluster: &mut Cluster, node: osproc::NodeId, path: &str) ->
 }
 
 /// Every point of the policy lattice snapshots to a file that resumes
-/// to a checksum-identical run — format, incremental payloads,
-/// pipelining and commit hardening never change restored bytes.
+/// to a checksum-identical run — pipelining, content-addressed payloads
+/// and commit hardening never change restored bytes.
 #[test]
 fn every_policy_combination_restores_bit_identical() {
     qcheck("every_policy_combination_restores_bit_identical", 16, |g| {
@@ -145,9 +138,11 @@ fn every_policy_combination_restores_bit_identical() {
         );
         s.run(&mut cluster, StopCondition::AfterOps(stop_create))
             .unwrap();
-        // Baseline generation: incremental policies reference the clean
-        // half of the buffers from this file.
-        s.checkpoint(&mut cluster, "/nfs/engine-base.ckpt").unwrap();
+        // Baseline generation under the same policy: a dedup snapshot
+        // re-emits the untouched half of the buffers from its chunk
+        // lists without reading them back.
+        s.checkpoint_with_policy(&mut cluster, "/nfs/engine-base.ckpt", &policy)
+            .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
         let outcome = s

@@ -55,7 +55,7 @@ fn fleet_schedule_replays_bit_identically() {
 /// resumed on a *different* node — finishes with checksums identical
 /// to an uninterrupted solo run, at **every** policy lattice point the
 /// fleet's preemption rotation uses (sequential, pipelined,
-/// pipelined+incremental, pipelined+dedup).
+/// pipelined+dedup).
 #[test]
 fn preemption_is_bit_exact_at_every_lattice_point() {
     qcheck("preemption_is_bit_exact_at_every_lattice_point", 3, |g| {

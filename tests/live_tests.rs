@@ -3,10 +3,11 @@
 //! to its quiesce point no matter how the application mutates buffers
 //! while the background drain is in flight, at every point of the
 //! policy lattice; a mid-drain fault leaves the previous generation
-//! restorable; and the live stall never exceeds the stop-the-world
-//! sequential total for the same session state.
+//! restorable; the live stall never exceeds the stop-the-world
+//! sequential total for the same session state; and the combinations
+//! a live drain cannot honour are refused with a typed error.
 
-use checl::{CheclConfig, CprPolicy, RestoreTarget, SnapshotFormat};
+use checl::{CheclConfig, CheclCprError, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan};
@@ -92,22 +93,13 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
         .collect()
 }
 
-/// Draw one live point of the policy lattice: format × incremental ×
-/// pipelined × dedup × trigger, all with the live axis on.
+/// Draw one live point of the policy lattice: pipelined × trigger, with
+/// the live axis on (live composes with neither dedup nor recovery).
 fn arbitrary_live_policy(g: &mut Gen) -> CprPolicy {
-    let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
-        ..CprPolicy::default()
-    };
-    policy = policy.incremental(g.bool());
+    let mut policy = CprPolicy::sequential();
     if g.bool() {
         policy.pipelined = true;
     }
-    policy = policy.dedup(g.bool());
     if g.bool() {
         policy = policy.delayed();
     }
@@ -151,7 +143,7 @@ fn live_restores_bit_identical_under_concurrent_mutation() {
         |g| {
             let sizes = arbitrary_sizes(g);
             let policy = arbitrary_live_policy(g);
-            let (script, stop_create, stop_cut) = live_script(&sizes);
+            let (script, _stop_create, stop_cut) = live_script(&sizes);
             // Golden: the same program, never checkpointed.
             let golden = {
                 let mut cluster = Cluster::with_standard_nodes(1);
@@ -165,10 +157,6 @@ fn live_restores_bit_identical_under_concurrent_mutation() {
             let mut cluster = Cluster::with_standard_nodes(1);
             let node = cluster.node_ids()[0];
             let mut s = launch(&mut cluster, node, script);
-            s.run(&mut cluster, StopCondition::AfterOps(stop_create))
-                .unwrap();
-            // Base generation for the incremental lattice points.
-            s.checkpoint(&mut cluster, "/nfs/live-base.ckpt").unwrap();
             s.run(&mut cluster, StopCondition::AfterOps(stop_cut))
                 .unwrap();
             let outcome = s
@@ -304,4 +292,46 @@ fn live_stall_never_exceeds_sequential_total() {
         );
         s.kill(&mut cluster);
     });
+}
+
+/// A live drain writes its payload inline under its own temp-and-rename
+/// commit, so `live + dedup` and `live + recovery` are refused up front
+/// with one typed error — nothing is quiesced, written or parked — and
+/// the session goes on to checkpoint and restore normally.
+#[test]
+fn live_rejects_dedup_and_recovery() {
+    let (script, _stop_create, stop_cut) = live_script(&[256 * KIB, 512 * KIB]);
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let mut s = launch(&mut cluster, node, script.clone());
+    s.run(&mut cluster, StopCondition::AfterOps(stop_cut))
+        .unwrap();
+    let live = CprPolicy::pipelined().live(true);
+    for policy in [
+        live.clone().dedup(true),
+        live.clone().with_recovery(RecoveryPolicy::default()),
+        live.dedup(true).with_recovery(RecoveryPolicy::default()),
+    ] {
+        let before = cluster.process(s.pid).clock;
+        match s.checkpoint_with_policy(&mut cluster, "/nfs/live-bad.ckpt", &policy) {
+            Err(CheclCprError::UnsupportedPolicy(label)) => assert_eq!(label, policy.label()),
+            other => panic!("{} was not refused: {other:?}", policy.label()),
+        }
+        assert_eq!(
+            cluster.process(s.pid).clock,
+            before,
+            "a refusal costs no time"
+        );
+        assert!(cluster.peek_file_on(node, "/nfs/live-bad.ckpt").is_none());
+        assert!(cluster
+            .peek_file_on(node, "/nfs/live-bad.ckpt.tmp")
+            .is_none());
+    }
+    let out = s
+        .checkpoint_with_policy(&mut cluster, "/nfs/live-ok.ckpt", &CprPolicy::pipelined())
+        .unwrap();
+    s.run(&mut cluster, StopCondition::Completion).unwrap();
+    let golden = s.program.checksums.clone();
+    s.kill(&mut cluster);
+    assert_eq!(resumed_checksums(&mut cluster, node, &out.path), golden);
 }

@@ -8,7 +8,7 @@
 
 use checl::obs::{reconcile_faults, verify_all, verify_lineage, LineageError};
 use checl::supervisor::{SupervisorError, SupervisorReport};
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy, SnapshotFormat};
+use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan, NodeId};
@@ -27,8 +27,8 @@ const KIB: u64 = 1 << 10;
 // Shared fixtures (mirrors tests/engine_tests.rs and supervisor_tests)
 // ---------------------------------------------------------------------
 
-/// Single-device script with a clean half and a dirty half, so
-/// incremental policies produce a real base edge.
+/// Single-device script with a clean half and a dirty half, so a dedup
+/// head takes both the clean-buffer fast path and the re-chunking path.
 fn dirty_script(sizes: &[u64]) -> (Script, u64, u64) {
     let mut ops = vec![
         Op::GetPlatform { out: 0 },
@@ -79,21 +79,13 @@ fn dirty_script(sizes: &[u64]) -> (Script, u64, u64) {
     (Script { ops }, stop_create, stop_dirty)
 }
 
-/// One point of the policy lattice: format × incremental × pipelined ×
-/// recovery × trigger.
+/// One point of the policy lattice: pipelined × dedup × recovery.
 fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
-    let mut policy = CprPolicy {
-        format: if g.bool() {
-            SnapshotFormat::Streamed
-        } else {
-            SnapshotFormat::Sequential
-        },
-        ..CprPolicy::default()
-    };
-    policy = policy.incremental(g.bool());
+    let mut policy = CprPolicy::sequential();
     if g.bool() {
         policy.pipelined = true;
     }
+    policy = policy.dedup(g.bool());
     if g.bool() {
         policy = policy.with_recovery(RecoveryPolicy {
             retry: blcr::RetryPolicy {
@@ -212,7 +204,8 @@ fn lineage_verifies_at_every_policy_point() {
         s.run(&mut cluster, StopCondition::AfterOps(stop_create))
             .unwrap();
         obs::start_recording();
-        s.checkpoint(&mut cluster, "/nfs/obs-base.ckpt").unwrap();
+        s.checkpoint_with_policy(&mut cluster, "/nfs/obs-base.ckpt", &policy)
+            .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
         let outcome = s
@@ -226,12 +219,8 @@ fn lineage_verifies_at_every_policy_point() {
         let report = verify_lineage(&cluster, node, &graph, &outcome.path)
             .unwrap_or_else(|e| panic!("lineage failed under {policy:?}: {e}"));
         assert!(report.bytes_verified > 0);
-        if policy.incremental {
-            assert!(
-                report.checked.contains(&"/nfs/obs-base.ckpt".to_string()),
-                "incremental head must lean on the base generation"
-            );
-        }
+        // Engine dumps are standalone: the head's lineage is the head.
+        assert_eq!(report.checked, vec![outcome.path.clone()]);
         verify_all(&cluster, node, &graph).unwrap();
 
         // Corrupt one lineage file behind everyone's back: the walk

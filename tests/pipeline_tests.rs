@@ -4,6 +4,7 @@
 //! channel scheduler never double-books a resource, and a disk fault
 //! mid-stream leaves the previous checkpoint generation restorable.
 
+use checl::CprPolicy;
 use checl_repro as _;
 use osproc::{Cluster, FaultPlan};
 use simcore::channels::ChannelSet;
@@ -87,8 +88,9 @@ fn pipelined_never_slower_than_sequential() {
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
         let seq = s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
         let pipe = s
-            .checkpoint_pipelined(&mut cluster, "/local/q-pipe.ckpt")
-            .unwrap();
+            .checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
+            .unwrap()
+            .report;
         assert!(
             pipe.total() <= seq.total(),
             "pipelined {:?} > sequential {:?} on sizes {sizes:?}",
@@ -113,7 +115,7 @@ fn pipelined_file_restarts_bit_identical() {
         let node = cluster.node_ids()[0];
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
         s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
-        s.checkpoint_pipelined(&mut cluster, "/local/q-pipe.ckpt")
+        s.checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
             .unwrap();
         s.kill(&mut cluster);
 
@@ -197,7 +199,8 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
         // so rollback is proven onto both file kinds.
         let gen0_pipelined = g.bool();
         if gen0_pipelined {
-            s.checkpoint_pipelined(&mut cluster, "/local/q-gen0.ckpt")
+            s.checkpoint_with_policy(&mut cluster, "/local/q-gen0.ckpt", &CprPolicy::pipelined())
+                .map(|o| o.report)
         } else {
             s.checkpoint(&mut cluster, "/local/q-gen0.ckpt")
         }
@@ -215,7 +218,8 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
             plan = plan.fail_next_writes(1);
         }
         cluster.install_faults(plan);
-        let res = s.checkpoint_pipelined(&mut cluster, "/local/q-gen1.ckpt");
+        let res =
+            s.checkpoint_with_policy(&mut cluster, "/local/q-gen1.ckpt", &CprPolicy::pipelined());
         cluster.take_faults();
         // Either the stream committed and is itself restorable, or the
         // abort left no gen-1 file — never a torn half-commit.

@@ -167,7 +167,6 @@ fn torture_run(policy: &CprPolicy, crash_after: Option<u64>) -> Wreckage {
             vault
                 .commit_at(&mut cluster, session.pid, &out.path)
                 .map_err(|e| format!("commit: {e:?}"))?;
-            vault.take_retired_paths();
         }
         session
             .run(&mut cluster, StopCondition::Completion)
@@ -281,10 +280,9 @@ fn partition_heal_commits_each_generation_exactly_once() {
             if g.bool() {
                 policy = CprPolicy::pipelined();
             }
-            let pipelined = policy.pipelined;
-            policy = policy.incremental(g.bool() && pipelined);
             policy = policy.dedup(g.bool());
-            if g.bool() && pipelined {
+            // Live composes with neither dedup nor recovery.
+            if g.bool() && policy.pipelined && !policy.dedup {
                 policy = policy.live(true);
             }
 
@@ -344,7 +342,6 @@ fn partition_heal_commits_each_generation_exactly_once() {
                             let generation = res.expect("current-epoch commit was refused");
                             committed.push(generation.gen);
                         }
-                        vault.take_retired_paths();
                     }
                 }
             }
