@@ -534,7 +534,9 @@ mod tests {
                     bases.push("/nfs/g0.ckpt".to_string());
                 }
             }
-            obs::emit(&e.component, e.t, kind);
+            // Sequential engine dumps are the only records here.
+            assert_eq!(e.component, "engine");
+            obs::emit("engine", e.t, kind);
         }
         let ledger = obs::stop_recording().unwrap();
         let graph = ProvenanceGraph::from_ledger(&ledger);

@@ -16,8 +16,9 @@
 //!   readable, uncorrupted and carries a decodable CheCL state.
 //!
 //! Every recovery action is a telemetry instant in
-//! [`telemetry::RECOVERY_CATEGORY`], mirroring the fault instants the
-//! injection layer emits — a trace shows cause and response side by
+//! [`telemetry::RECOVERY_CATEGORY`], or — for a proxy respawn — the
+//! `"recovery"` restore records, mirroring the fault records the
+//! injection layer emits: a trace shows cause and response side by
 //! side.
 
 use crate::boot::{kill_proxy, refork_proxy};
@@ -80,7 +81,6 @@ pub fn respawn_proxy_and_restore(
     vendor: VendorConfig,
     target: RestoreTarget,
 ) -> Result<RestoreReport, CheclCprError> {
-    recovery_event(cluster, app_pid, "recovery.respawn_proxy", last_ckpt);
     let t0 = cluster.process(app_pid).clock;
     obs::emit(
         "recovery",
@@ -108,10 +108,6 @@ pub fn respawn_proxy_and_restore(
         }
     };
     cluster.process_mut(app_pid).clock = now;
-    recovery_event(cluster, app_pid, "recovery.objects_recreated", last_ckpt);
-    if telemetry::enabled() {
-        telemetry::counter_add("recovery.proxy_respawns", 1);
-    }
     obs::emit(
         "recovery",
         now,

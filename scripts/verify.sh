@@ -78,8 +78,11 @@ git diff --exit-code -- results/BENCH_ablation_live.json
 echo "==> smoke: ledger health report + observability ablation (golden diff)"
 # checl_inspect re-derives the supervisor's books from the event ledger
 # alone (the binary asserts exact agreement); ablation_obs asserts the
-# ledger costs zero virtual time. Both exports are seeded goldens.
-cargo run -q --release -p checl-bench --bin checl_inspect >/dev/null
+# ledger costs zero virtual time. Both exports are seeded goldens. The
+# trace projection of the same run (spans and records) must validate:
+# TraceSession::finish panics otherwise.
+cargo run -q --release -p checl-bench --bin checl_inspect -- \
+    --trace /tmp/inspect.trace.json >/dev/null
 git diff --exit-code -- results/BENCH_checl_inspect.json results/checl_inspect.ledger.jsonl
 cargo run -q --release -p checl-bench --bin ablation_obs >/dev/null
 git diff --exit-code -- results/BENCH_ablation_obs.json
