@@ -35,7 +35,7 @@
 
 use std::collections::BTreeSet;
 
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
 use clspec::types::DeviceType;
 use fleet::{default_job_mix, run_fleet, FleetConfig};
@@ -228,12 +228,10 @@ fn gray_setup(target: &EvalTarget) -> SuperviseSetup {
     setup.config.max_interval = SimDuration::from_secs(8);
     setup.config.initial_mtbf = SimDuration::from_secs(5);
     setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential()
-        .with_interval(IntervalPolicy::DalyAdaptive)
-        .with_recovery(RecoveryPolicy {
-            retry: blcr::RetryPolicy::default(),
-            fallback_targets: Vec::new(),
-        });
+    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: blcr::RetryPolicy::default(),
+        fallback_targets: Vec::new(),
+    });
     setup
 }
 

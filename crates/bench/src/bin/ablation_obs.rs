@@ -12,7 +12,7 @@
 //! double-emits) moves a count here before it breaks a dashboard.
 
 use checl::supervisor::SupervisorReport;
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy};
+use checl::{CheclConfig, CprPolicy, RecoveryPolicy};
 use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
 use osproc::{Cluster, DetectorPolicy, FaultPlan};
 use simcore::obs::{self, EventKind, Ledger};
@@ -154,12 +154,10 @@ fn sweep_setup(target: &EvalTarget) -> SuperviseSetup {
     setup.config.max_interval = SimDuration::from_secs(8);
     setup.config.initial_mtbf = SimDuration::from_secs(5);
     setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential()
-        .with_interval(IntervalPolicy::DalyAdaptive)
-        .with_recovery(RecoveryPolicy {
-            retry: blcr::RetryPolicy::default(),
-            fallback_targets: Vec::new(),
-        });
+    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: blcr::RetryPolicy::default(),
+        fallback_targets: Vec::new(),
+    });
     setup
 }
 

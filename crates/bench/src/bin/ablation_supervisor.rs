@@ -210,12 +210,11 @@ fn sweep_setup(target: &EvalTarget, policy: IntervalPolicy) -> SuperviseSetup {
     setup.config.max_interval = SimDuration::from_secs(8);
     setup.config.initial_mtbf = SimDuration::from_secs(5);
     setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential()
-        .with_interval(policy)
-        .with_recovery(RecoveryPolicy {
-            retry: RetryPolicy::default(),
-            fallback_targets: Vec::new(),
-        });
+    setup.interval = policy;
+    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: RetryPolicy::default(),
+        fallback_targets: Vec::new(),
+    });
     setup
 }
 

@@ -30,7 +30,7 @@
 
 use checl::obs::{generation_table, incident_timeline, reconcile_faults, verify_all};
 use checl::supervisor::SupervisorReport;
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy};
+use checl::{CheclConfig, CprPolicy, RecoveryPolicy};
 use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
 use osproc::{Cluster, DetectorPolicy, FaultPlan};
 use simcore::obs::{self, EventKind, Ledger, ProvenanceGraph, SloSummary};
@@ -533,12 +533,10 @@ fn sweep_setup(target: &EvalTarget) -> SuperviseSetup {
     setup.config.max_interval = SimDuration::from_secs(8);
     setup.config.initial_mtbf = SimDuration::from_secs(5);
     setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential()
-        .with_interval(IntervalPolicy::DalyAdaptive)
-        .with_recovery(RecoveryPolicy {
-            retry: blcr::RetryPolicy::default(),
-            fallback_targets: Vec::new(),
-        });
+    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: blcr::RetryPolicy::default(),
+        fallback_targets: Vec::new(),
+    });
     setup
 }
 

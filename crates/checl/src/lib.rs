@@ -63,13 +63,14 @@ pub use cpr::{
     CheclCprError, DedupStats, RestoreReport, RestoreTarget,
 };
 pub use engine::{
-    abort_live_drain, complete_live_drain, restore, snapshot, CprPolicy, IntervalPolicy,
-    LiveDrainOutcome, RecoveryPolicy, SnapshotOutcome,
+    abort_live_drain, complete_live_drain, restore, snapshot, CprPolicy, LiveDrainOutcome,
+    RecoveryPolicy, SnapshotOutcome,
 };
 pub use migrate::{migrate_process, predict_migration_time, MigrationModel, MigrationReport};
 pub use objects::{CheclDb, CheclEntry, ObjectRecord, RecordedArg};
 pub use recovery::{checkpoint_with_recovery, respawn_proxy_and_restore, restart_checl_chain};
 pub use runtime::{ChecLib, CheclConfig, CheclStats, StructArgPolicy};
 pub use supervisor::{
-    IntervalController, Supervisor, SupervisorConfig, SupervisorError, SupervisorReport,
+    IntervalController, IntervalPolicy, Supervisor, SupervisorConfig, SupervisorError,
+    SupervisorReport,
 };

@@ -78,7 +78,7 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
 }
 
 /// Draw one point of the policy lattice: pipelined × dedup × recovery
-/// (with and without read-back verification) × delayed.
+/// (with and without read-back verification).
 fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
     let mut policy = CprPolicy::sequential();
     if g.bool() {
@@ -93,9 +93,6 @@ fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
             },
             fallback_targets: Vec::new(),
         });
-    }
-    if g.bool() {
-        policy = policy.delayed();
     }
     policy
 }

@@ -93,15 +93,12 @@ fn arbitrary_sizes(g: &mut Gen) -> Vec<u64> {
         .collect()
 }
 
-/// Draw one live point of the policy lattice: pipelined × trigger, with
+/// Draw one live point of the policy lattice: pipelined or not, with
 /// the live axis on (live composes with neither dedup nor recovery).
 fn arbitrary_live_policy(g: &mut Gen) -> CprPolicy {
     let mut policy = CprPolicy::sequential();
     if g.bool() {
         policy.pipelined = true;
-    }
-    if g.bool() {
-        policy = policy.delayed();
     }
     policy.live(true)
 }

@@ -7,7 +7,7 @@
 //! replays bit-for-bit under the same seed.
 
 use checl::supervisor::{SupervisorError, SupervisorReport};
-use checl::{CprPolicy, IntervalPolicy, RecoveryPolicy};
+use checl::{CheckpointMode, CprPolicy, RecoveryPolicy};
 use checl_repro as _;
 use osproc::{Cluster, FaultPlan, InjectedFault, NodeId};
 use simcore::qcheck::{qcheck, Gen};
@@ -60,12 +60,10 @@ fn test_setup(spares: Vec<NodeId>) -> SuperviseSetup {
     setup.config.max_interval = SimDuration::from_secs(2);
     setup.config.initial_mtbf = SimDuration::from_millis(200);
     setup.config.max_failures = 24;
-    setup.policy = CprPolicy::sequential()
-        .with_interval(IntervalPolicy::DalyAdaptive)
-        .with_recovery(RecoveryPolicy {
-            retry: blcr::RetryPolicy::default(),
-            fallback_targets: Vec::new(),
-        });
+    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: blcr::RetryPolicy::default(),
+        fallback_targets: Vec::new(),
+    });
     setup
 }
 
@@ -291,13 +289,16 @@ fn delayed_checkpoint_under_faults_restores_bit_exact() {
                     plan.schedule_nfs_outage(from, from + SimDuration::from_millis(g.range(1, 50)));
             }
             cluster.install_faults(plan);
-            let policy = CprPolicy::sequential()
-                .delayed()
-                .with_recovery(RecoveryPolicy {
-                    retry: blcr::RetryPolicy::default(),
-                    fallback_targets: vec!["/local/d.fb.ckpt".into()],
-                });
-            let snap = match session.run_with_cpr_policy(&mut cluster, &policy, "/nfs/d.ckpt") {
+            let policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+                retry: blcr::RetryPolicy::default(),
+                fallback_targets: vec!["/local/d.fb.ckpt".into()],
+            });
+            let snap = match session.run_with_cpr_policy(
+                &mut cluster,
+                CheckpointMode::Delayed,
+                &policy,
+                "/nfs/d.ckpt",
+            ) {
                 Ok(PolicyRunOutcome::Checkpointed(snap)) => snap,
                 Ok(PolicyRunOutcome::Done) => panic!("an armed trigger cannot end in Done"),
                 // Hardening exhausted under this draw — a typed error, and
