@@ -12,7 +12,7 @@
 //! byte count applies) is printed. Pass a substring argument to run a
 //! subset, e.g. `cargo bench --bench micro -- codec`.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use osproc::Cluster;
 use simcore::codec::Codec;
 use simcore::SimTime;
@@ -180,7 +180,8 @@ fn bench_cpr_cycle(filter: &str) {
             w.script(&cfg),
         );
         s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-        s.checkpoint(&mut cluster, "/ram/bench.ckpt").unwrap();
+        s.checkpoint_with_policy(&mut cluster, "/ram/bench.ckpt", &CprPolicy::sequential())
+            .unwrap();
         s.kill(&mut cluster);
         let mut resumed = CheclSession::restart(
             &mut cluster,

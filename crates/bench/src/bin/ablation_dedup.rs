@@ -116,23 +116,13 @@ fn main() {
 
             // Kill the source and resume from the newest generation.
             s.kill(&mut cluster);
-            let mut restored = if policy.streamed() {
-                CheclSession::restart_pipelined(
-                    &mut cluster,
-                    node,
-                    &last_path,
-                    (target.vendor)(),
-                    RestoreTarget::default(),
-                )
-            } else {
-                CheclSession::restart(
-                    &mut cluster,
-                    node,
-                    &last_path,
-                    (target.vendor)(),
-                    RestoreTarget::default(),
-                )
-            }
+            let mut restored = CheclSession::restart(
+                &mut cluster,
+                node,
+                &last_path,
+                (target.vendor)(),
+                RestoreTarget::default(),
+            )
             .unwrap();
             restored
                 .run(&mut cluster, StopCondition::Completion)

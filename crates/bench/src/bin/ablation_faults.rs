@@ -21,7 +21,7 @@
 //! byte-identical across runs of the same seed.
 
 use blcr::RetryPolicy;
-use checl::{restart_checl_chain, CheclConfig, RestoreTarget};
+use checl::{restart_checl_chain, CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_bench::{
     eval_targets, session_at_first_kernel, Cell, EvalTarget, FigureWriter, TraceSession,
 };
@@ -134,6 +134,15 @@ fn main() {
     trace.finish().unwrap();
 }
 
+/// The sequential engine with the full recovery policy: verify, retry,
+/// then fall through `fallbacks` in order.
+fn hardened(fallbacks: &[&str]) -> CprPolicy {
+    CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: RetryPolicy::default(),
+        fallback_targets: fallbacks.iter().map(|t| t.to_string()).collect(),
+    })
+}
+
 /// Checkpoint once under `plan` with the full recovery policy, then
 /// prove the committed file by restarting from it.
 fn checkpoint_scenario(
@@ -147,9 +156,11 @@ fn checkpoint_scenario(
     let w = workload_by_name("oclVectorAdd").unwrap();
     let (mut cluster, mut session) = session_at_first_kernel(&w, target, SCALE).unwrap();
     cluster.install_faults(plan);
-    let (_report, out) = session
-        .checkpoint_with_recovery(&mut cluster, targets, &RetryPolicy::default())
-        .expect("recovery exhausted every target");
+    let out = session
+        .checkpoint_with_policy(&mut cluster, targets[0], &hardened(&targets[1..]))
+        .expect("recovery exhausted every target")
+        .recovery
+        .expect("a hardened snapshot reports its recovery");
     let injected = cluster.faults().unwrap().count(class);
     let node = cluster.process(session.pid).node;
     CheclSession::restart(
@@ -180,13 +191,15 @@ fn nfs_outage_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
     cluster.install_faults(
         FaultPlan::new(SEED + 3).schedule_nfs_outage(now, now + SimDuration::from_millis(600_000)),
     );
-    let (_report, out) = session
-        .checkpoint_with_recovery(
+    let out = session
+        .checkpoint_with_policy(
             &mut cluster,
-            &["/nfs/vadd.ckpt", "/local/vadd.ckpt"],
-            &RetryPolicy::default(),
+            "/nfs/vadd.ckpt",
+            &hardened(&["/local/vadd.ckpt"]),
         )
-        .expect("local fallback must commit");
+        .expect("local fallback must commit")
+        .recovery
+        .expect("a hardened snapshot reports its recovery");
     let injected = cluster.faults().unwrap().count(FaultKind::NfsOutage);
     let node = cluster.process(session.pid).node;
     CheclSession::restart(
@@ -232,7 +245,7 @@ fn proxy_death_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: &[u
     let w = workload_by_name("oclVectorAdd").unwrap();
     let (mut cluster, mut session) = session_at_first_kernel(&w, target, SCALE).unwrap();
     session
-        .checkpoint(&mut cluster, "/local/vadd.ckpt")
+        .checkpoint_with_policy(&mut cluster, "/local/vadd.ckpt", &CprPolicy::sequential())
         .unwrap();
     let now = cluster.process(session.pid).clock;
     cluster.install_faults(
@@ -270,7 +283,7 @@ fn restart_chain_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
     let w = workload_by_name("oclVectorAdd").unwrap();
     let (mut cluster, mut session) = session_at_first_kernel(&w, target, SCALE).unwrap();
     session
-        .checkpoint(&mut cluster, "/local/gen1.ckpt")
+        .checkpoint_with_policy(&mut cluster, "/local/gen1.ckpt", &CprPolicy::sequential())
         .unwrap();
     cluster.install_faults(
         FaultPlan::new(SEED + 5)
@@ -278,7 +291,7 @@ fn restart_chain_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
             .corrupt_in_prefix(64),
     );
     session
-        .checkpoint(&mut cluster, "/local/gen2.ckpt")
+        .checkpoint_with_policy(&mut cluster, "/local/gen2.ckpt", &CprPolicy::sequential())
         .unwrap();
     let injected = cluster.faults().unwrap().count(FaultKind::CorruptWrite);
     let node = cluster.process(session.pid).node;
@@ -306,7 +319,9 @@ fn restart_chain_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
 fn node_crash_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: &[u64]) {
     let w = workload_by_name("oclVectorAdd").unwrap();
     let (mut cluster, mut session) = session_at_first_kernel(&w, target, SCALE).unwrap();
-    session.checkpoint(&mut cluster, "/nfs/vadd.ckpt").unwrap();
+    session
+        .checkpoint_with_policy(&mut cluster, "/nfs/vadd.ckpt", &CprPolicy::sequential())
+        .unwrap();
     let now = cluster.process(session.pid).clock;
     let home = cluster.process(session.pid).node;
     cluster.install_faults(FaultPlan::new(SEED + 6).schedule_node_crash(now, home));
@@ -382,7 +397,8 @@ fn mpi_rank_failure_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
         SimDuration::from_millis(50),
         |cluster, pid, path| {
             let rank = pids.iter().position(|p| *p == pid).unwrap();
-            checl::checkpoint_checl(libs[rank], cluster, pid, path).map(|r| r.file_size)
+            checl::snapshot(libs[rank], cluster, pid, path, &CprPolicy::sequential())
+                .map(|o| o.report.file_size)
         },
     )
     .expect("the retry must commit a full global snapshot");
@@ -390,7 +406,7 @@ fn mpi_rank_failure_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
     let attempt = injected + 1; // one write failure aborts one attempt
     let vendor = (target.vendor)();
     restart_world(&mut cluster, &snapshot, &nodes, |cluster, node, file| {
-        checl::restart_checl_process(
+        checl::restore(
             cluster,
             node,
             file,

@@ -618,7 +618,7 @@ fn torture_run(policy: &CprPolicy, crash_after: Option<u64>) -> Wreckage {
 fn restore_and_finish(wreck: &mut Wreckage, context: &str) -> Vec<u64> {
     let chain = wreck.vault.restore_chain();
     for path in &chain {
-        let restored = CheclSession::restart_pipelined(
+        let restored = CheclSession::restart(
             &mut wreck.cluster,
             wreck.node,
             path,

@@ -123,7 +123,7 @@ fn main() {
             .expect("a live drain was parked");
         s.kill(&mut cluster);
 
-        let mut restored = CheclSession::restart_pipelined(
+        let mut restored = CheclSession::restart(
             &mut cluster,
             node,
             &drained.path,

@@ -6,7 +6,7 @@
 //! `clFinish`, so the synchronization phase of the checkpoint itself is
 //! nearly free.
 
-use checl::CheclConfig;
+use checl::{CheclConfig, CprPolicy};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession, HARNESS_SCALE};
 use osproc::Cluster;
 use workloads::{workload_by_name, CheclSession, StopCondition};
@@ -51,7 +51,10 @@ fn main() {
             // its own clFinish — model by draining before checkpoint.
             s.drain(&mut cluster);
         }
-        let report = s.checkpoint(&mut cluster, "/local/modes.ckpt").unwrap();
+        let report = s
+            .checkpoint_with_policy(&mut cluster, "/local/modes.ckpt", &CprPolicy::sequential())
+            .unwrap()
+            .report;
         fig.row(vec![
             mode.into(),
             Cell::secs(report.sync),

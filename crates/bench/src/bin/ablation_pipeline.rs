@@ -136,14 +136,9 @@ fn resumed_checksums(
     node: osproc::NodeId,
     path: &str,
     vendor: cldriver::VendorConfig,
-    pipelined: bool,
 ) -> Vec<u64> {
-    let mut s = if pipelined {
-        CheclSession::restart_pipelined(cluster, node, path, vendor, RestoreTarget::default())
-    } else {
-        CheclSession::restart(cluster, node, path, vendor, RestoreTarget::default())
-    }
-    .expect("restart failed");
+    let mut s = CheclSession::restart(cluster, node, path, vendor, RestoreTarget::default())
+        .expect("restart failed");
     s.run(cluster, StopCondition::Completion).unwrap();
     let sums = s.program.checksums.clone();
     s.kill(cluster);
@@ -196,13 +191,17 @@ fn main() {
         // measured dumps below capture a session that has checkpointed
         // before (its rewritten buffers carry precise dirty regions).
         let base = format!("/local/pl-base-{i}.ckpt");
-        s.checkpoint(&mut cluster, &base).unwrap();
+        s.checkpoint_with_policy(&mut cluster, &base, &CprPolicy::sequential())
+            .unwrap();
         s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
             .unwrap();
 
         let seq_path = format!("/local/pl-seq-{i}.ckpt");
         let pipe_path = format!("/local/pl-pipe-{i}.ckpt");
-        let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, &seq_path, &CprPolicy::sequential())
+            .unwrap()
+            .report;
         let pipe = s
             .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
             .unwrap()
@@ -232,11 +231,8 @@ fn main() {
         let golden = s.program.checksums.clone();
         s.kill(&mut cluster);
         let label = format!("{bufs}x{}MiB", size / MIB);
-        for (kind, path, pipelined) in [
-            ("sequential", &seq_path, false),
-            ("pipelined", &pipe_path, true),
-        ] {
-            let sums = resumed_checksums(&mut cluster, node, path, (target.vendor)(), pipelined);
+        for (kind, path) in [("sequential", &seq_path), ("pipelined", &pipe_path)] {
+            let sums = resumed_checksums(&mut cluster, node, path, (target.vendor)());
             assert_eq!(sums, golden, "restart from {kind} file diverged ({label})");
             equivalence.push((label.clone(), kind, true));
         }
@@ -269,7 +265,10 @@ fn main() {
             .unwrap();
         let seq_path = format!("/local/pl-mgpu-seq-{devices}.ckpt");
         let pipe_path = format!("/local/pl-mgpu-pipe-{devices}.ckpt");
-        let seq = s.checkpoint(&mut cluster, &seq_path).unwrap();
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, &seq_path, &CprPolicy::sequential())
+            .unwrap()
+            .report;
         let pipe = s
             .checkpoint_with_policy(&mut cluster, &pipe_path, &CprPolicy::pipelined())
             .unwrap()
@@ -294,17 +293,9 @@ fn main() {
         let golden = s.program.checksums.clone();
         s.kill(&mut cluster);
         let label = format!("{devices}gpu");
-        for (kind, path, pipelined) in [
-            ("sequential", &seq_path, false),
-            ("pipelined", &pipe_path, true),
-        ] {
-            let sums = resumed_checksums(
-                &mut cluster,
-                node,
-                path,
-                multi_gpu_vendor(devices as usize),
-                pipelined,
-            );
+        for (kind, path) in [("sequential", &seq_path), ("pipelined", &pipe_path)] {
+            let sums =
+                resumed_checksums(&mut cluster, node, path, multi_gpu_vendor(devices as usize));
             assert_eq!(sums, golden, "restart from {kind} file diverged ({label})");
             equivalence.push((label.clone(), kind, true));
         }

@@ -5,7 +5,7 @@
 //! "use of the RAM disk can significantly reduce the cost of changing
 //! the compute device from one to another."
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession, HARNESS_SCALE};
 use clspec::types::DeviceType;
 use osproc::Cluster;
@@ -38,7 +38,7 @@ fn main() {
         );
         s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
         let (mut resumed, report) = s
-            .migrate(
+            .migrate_with_policy(
                 &mut cluster,
                 node, // same machine: only the device changes
                 (target.vendor)(),
@@ -46,6 +46,7 @@ fn main() {
                 RestoreTarget {
                     device_type: Some(DeviceType::Cpu),
                 },
+                &CprPolicy::sequential(),
             )
             .expect("processor switch failed");
         // Prove the app now really runs on the CPU and still finishes.

@@ -272,7 +272,9 @@ fn scrub_repair_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
     let mut vault = DumpVault::new("/local/sv", "/nfs/sv", 2);
     for _ in 0..3 {
         let stage = vault.stage_path();
-        session.checkpoint(&mut cluster, &stage).unwrap();
+        session
+            .checkpoint_with_policy(&mut cluster, &stage, &CprPolicy::sequential())
+            .unwrap();
         vault.commit(&mut cluster, session.pid).unwrap();
     }
     // Bit-rot the newest primary behind the vault's back.

@@ -7,6 +7,7 @@
 //! Benchmarks with no kernel (oclBandwidthTest, BusSpeed*,
 //! KernelCompile) are excluded, as in the paper.
 
+use checl::CprPolicy;
 use checl_bench::{
     eval_targets, session_at_last_kernel, Cell, FigureWriter, TraceSession, HARNESS_SCALE,
 };
@@ -47,8 +48,9 @@ fn main() {
                 continue;
             };
             let report = session
-                .checkpoint(&mut cluster, "/local/fig5.ckpt")
-                .expect("checkpoint failed");
+                .checkpoint_with_policy(&mut cluster, "/local/fig5.ckpt", &CprPolicy::sequential())
+                .expect("checkpoint failed")
+                .report;
             fig.row(vec![
                 w.name.into(),
                 Cell::secs(report.sync),

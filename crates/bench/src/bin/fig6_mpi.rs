@@ -6,7 +6,7 @@
 //! snapshots into a global snapshot on the shared NFS mount (Hursey et
 //! al.), whose single server serializes the writes.
 
-use checl::CheclConfig;
+use checl::{CheclConfig, CprPolicy};
 use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession};
 use mpisim::{coordinated_checkpoint, MpiWorld};
 use osproc::Cluster;
@@ -60,7 +60,8 @@ fn main() {
                 |cluster, pid, path| {
                     let lib = &mut libs[idx];
                     idx += 1;
-                    checl::checkpoint_checl(lib, cluster, pid, path).map(|r| r.file_size)
+                    checl::snapshot(lib, cluster, pid, path, &CprPolicy::sequential())
+                        .map(|o| o.report.file_size)
                 },
             )
             .expect("coordinated checkpoint failed");

@@ -6,8 +6,7 @@
 //! and the application is restarted on the same node; the restore
 //! engine reports how long each object class took to re-create.
 
-use checl::cpr::restart_checl_process;
-use checl::RestoreTarget;
+use checl::{CprPolicy, RestoreTarget};
 use checl_bench::{
     eval_targets, session_at_last_kernel, Cell, FigureWriter, TraceSession, HARNESS_SCALE,
 };
@@ -43,11 +42,11 @@ fn main() {
                 continue;
             };
             session
-                .checkpoint(&mut cluster, "/local/fig7.ckpt")
+                .checkpoint_with_policy(&mut cluster, "/local/fig7.ckpt", &CprPolicy::sequential())
                 .expect("checkpoint failed");
             let node = cluster.process(session.pid).node;
             session.kill(&mut cluster);
-            let (_lib, _pid, report) = restart_checl_process(
+            let (_lib, _pid, report) = checl::restore(
                 &mut cluster,
                 node,
                 "/local/fig7.ckpt",

@@ -135,12 +135,13 @@ fn main() {
             }
             s.persist_program(&mut cluster);
             let (_resumed, report) = s
-                .migrate(
+                .migrate_with_policy(
                     &mut cluster,
                     nodes[1],
                     (target.vendor)(),
                     "/nfs/fig8.ckpt",
                     RestoreTarget::default(),
+                    &CprPolicy::sequential(),
                 )
                 .expect("migration failed");
             let err = (report.predicted.as_secs_f64() - report.actual.as_secs_f64()).abs()

@@ -1,9 +1,9 @@
 //! Checkpoint and restart operations.
 
 use crate::ckptfile::CheckpointFile;
-use osproc::{Cluster, DeviceMapping, FsError, NodeId, Pid};
+use osproc::{Cluster, DeviceMapping, FsError, MemImage, NodeId, Pid};
 use simcore::codec::CodecError;
-use simcore::{telemetry, ByteSize};
+use simcore::{telemetry, ByteSize, SimTime};
 use std::fmt;
 
 /// CPR failures.
@@ -153,9 +153,28 @@ pub fn restart(cluster: &mut Cluster, node: NodeId, path: &str) -> Result<Pid, C
             return Err(CprError::Fs(e));
         }
     };
+    let image = CheckpointFile::from_file_bytes(&bytes).map(|file| file.image);
+    finish_restart(cluster, pid, path, t0, bytes.len() as u64, image)?;
+    Ok(pid)
+}
+
+/// The tail of a restart once `pid` has read the `file_len`-byte
+/// checkpoint at `path` (starting at `t0`) and parsed it: book the read
+/// — the `blcr.read` span and the `blcr.restarts`/`blcr.bytes_read`
+/// counters, for a corrupt file too — then install the parsed image,
+/// or kill `pid` if the parse failed. Shared by [`restart`] and by
+/// restore paths that sniff the format from bytes they already read.
+pub fn finish_restart(
+    cluster: &mut Cluster,
+    pid: Pid,
+    path: &str,
+    t0: SimTime,
+    file_len: u64,
+    image: Result<MemImage, CodecError>,
+) -> Result<(), CprError> {
     if telemetry::enabled() {
         let t1 = cluster.process(pid).clock;
-        let size = ByteSize::bytes(bytes.len() as u64);
+        let size = ByteSize::bytes(file_len);
         let dur = t1.since(t0).as_secs_f64();
         let mb_per_s = if dur > 0.0 {
             size.as_mib_f64() / dur
@@ -173,21 +192,21 @@ pub fn restart(cluster: &mut Cluster, node: NodeId, path: &str) -> Result<Pid, C
         telemetry::counter_add("blcr.restarts", 1);
         telemetry::counter_add("blcr.bytes_read", size.as_u64());
     }
-    let file = match CheckpointFile::from_file_bytes(&bytes) {
-        Ok(file) => file,
+    match image {
+        Ok(image) => {
+            cluster.process_mut(pid).image = image;
+            Ok(())
+        }
         Err(e) => {
             cluster.kill(pid);
-            return Err(CprError::Corrupt(e));
+            Err(CprError::Corrupt(e))
         }
-    };
-    cluster.process_mut(pid).image = file.image;
-    Ok(pid)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimTime;
 
     #[test]
     fn checkpoint_restart_roundtrips_image() {

@@ -25,7 +25,7 @@ pub mod stream;
 
 pub use chunkstore::{cdc_chunks, ChunkMeta, ChunkStore, PutOutcome};
 pub use ckptfile::{CheckpointFile, CKPT_MAGIC, CKPT_VERSION};
-pub use cpr::{checkpoint, dmtcp_checkpoint, restart, CprError};
+pub use cpr::{checkpoint, dmtcp_checkpoint, finish_restart, restart, CprError};
 pub use replica::{CommitError, DumpVault, Generation, ScrubReport};
 pub use robust::{
     checkpoint_robust, drive_recovery, restart_from_chain, RecoveryAttempt, RecoveryOutcome,

@@ -1,30 +1,28 @@
-//! The legacy checkpoint/restart API (§III-C), kept as thin shims.
+//! The checkpoint/restart report and error types, and the §III-C
+//! object replay.
 //!
 //! Checkpoint = synchronize → preprocess (device→host copies) → write
 //! (BLCR dump) → postprocess (free the copies). Restart = BLCR restore
 //! → fork a new proxy → re-create OpenCL objects in dependency order →
 //! upload user data → mint dummy events.
 //!
-//! The four-phase machinery itself lives in [`crate::engine`]:
-//! [`checkpoint_checl`] is [`engine::snapshot`] under
-//! [`CprPolicy::sequential`], and [`restart_checl_process`] is the
-//! sequential half of [`engine::restore`]; every other lattice point is
-//! reached through `snapshot` with a policy. Object re-creation
-//! ([`restore_checl`]) stays here: it is the §III-C dependency-order
+//! Both procedures run in [`crate::engine`]: [`crate::snapshot`] under
+//! a [`crate::CprPolicy`], and [`crate::restore`] for a dump of any
+//! format. This module holds what they report ([`CheckpointReport`],
+//! [`RestoreReport`]) and how they fail ([`CheclCprError`]), plus object
+//! re-creation itself ([`restore_checl`]): the §III-C dependency-order
 //! replay, shared by every restore path and by proxy respawn.
 
-use crate::engine::{self, CprPolicy};
 use crate::objects::{ObjectRecord, RecordedArg};
 use crate::runtime::{ChecLib, StructArgPolicy};
 use blcr::CprError;
-use cldriver::VendorConfig;
 use clspec::api::ApiRequest;
 use clspec::error::ClError;
 use clspec::handles::{
     CommandQueue, Context, DeviceId, HandleKind, Kernel, PlatformId, Program, RawHandle,
 };
 use clspec::types::{ArgValue, DeviceType, MemFlags};
-use osproc::{Cluster, FsKind, NodeId, Pid};
+use osproc::{Cluster, FsKind, Pid};
 use simcore::codec::CodecError;
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -267,23 +265,6 @@ pub(crate) fn storage_channel_name(cluster: &Cluster, pid: Pid, path: &str) -> &
         Some(FsKind::Nfs) => "nfs",
         _ => "disk.local",
     }
-}
-
-/// Checkpoint a CheCL application process (§III-C steps 1–4).
-///
-/// The caller is responsible for *when* this runs (immediately on
-/// signal, or delayed to the next sync point — [`CheckpointMode`]); the
-/// phases and their costs are the same either way, except that in
-/// delayed mode the queues are already drained so the sync phase is
-/// almost free. Equivalent to [`engine::snapshot`] with
-/// [`CprPolicy::sequential`].
-pub fn checkpoint_checl(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-) -> Result<CheckpointReport, CheclCprError> {
-    engine::snapshot(lib, cluster, app_pid, path, &CprPolicy::sequential()).map(|o| o.report)
 }
 
 /// Re-create every OpenCL object recorded in the database, in the
@@ -676,18 +657,4 @@ fn restore_one(
                 .raw())
         }
     }
-}
-
-/// Full restart: BLCR-restore the application process from `path` on
-/// `node`, rebuild the CheCL shim from its dumped state, fork a new
-/// proxy with `vendor`, and re-create all OpenCL objects. Expects a
-/// sequential dump; [`engine::restore`] handles either format.
-pub fn restart_checl_process(
-    cluster: &mut Cluster,
-    node: NodeId,
-    path: &str,
-    vendor: VendorConfig,
-    target: RestoreTarget,
-) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    engine::restore_sequential(cluster, node, path, vendor, target)
 }

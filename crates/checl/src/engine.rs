@@ -6,10 +6,10 @@
 //! payloads, stop-the-world or live copy-on-write cut, raw or
 //! verify/retry/fallback-wrapped commit — is one [`CprPolicy`] handed
 //! to [`snapshot`]. The four-phase structure (synchronize → preprocess
-//! → write → postprocess) and its telemetry live here exactly once;
-//! the §III-C entry points in [`crate::cpr`] and [`crate::recovery`]
-//! are thin shims over this module, as is process migration
-//! ([`crate::migrate`]) and the MPI-rank plumbing in `mpisim`.
+//! → write → postprocess) and its telemetry live here exactly once,
+//! and [`restore`] is the one restart. Process migration
+//! ([`crate::migrate`]) and restart chains ([`crate::recovery`]) are
+//! built on this pair.
 //!
 //! The §IV-D "incremental checkpointing" future work is the dedup data
 //! path's clean-buffer fast path: a buffer no write touched since its
@@ -37,8 +37,8 @@ use clspec::api::ApiRequest;
 use clspec::error::ClError;
 use clspec::handles::{CommandQueue, Event, HandleKind, Mem, RawHandle};
 use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
-use simcore::channels::ChannelSet;
-use simcore::{calib, obs, telemetry, ByteSize, SimDuration, SimTime};
+use simcore::channels::{ChannelId, ChannelSet};
+use simcore::{calib, obs, telemetry, ByteSize, LinkModel, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Telemetry `tid` base for per-channel swimlanes (well above any real
@@ -112,7 +112,7 @@ pub struct CprPolicy {
     /// [`CheclCprError::UnsupportedPolicy`].
     pub live: bool,
     /// Verify/retry/fallback commit hardening; `None` means one raw
-    /// attempt at the primary path (legacy semantics).
+    /// attempt at the primary path (the plain §III-C commit).
     pub recovery: Option<RecoveryPolicy>,
 }
 
@@ -1723,10 +1723,13 @@ fn emit_channel_utilization(channels: &ChannelSet, now: SimTime) {
 }
 
 /// Restore a CheCL application from `path` on `node`, whatever policy
-/// wrote the file: the format is sniffed once ([`blcr::sniff_dump`])
-/// and the matching data path rebuilds the process — the classic
-/// sequential restart, or the overlapped chunk-read/upload pipeline for
-/// a streamed dump.
+/// wrote the file — the one restart entry point. The process that
+/// becomes the restored application reads the file once and sniffs its
+/// format ([`blcr::sniff_dump`]): a sequential dump continues as the
+/// classic BLCR restart from those bytes, a streamed dump through the
+/// overlapped chunk-read/upload pipeline. Either way the shim is rebuilt
+/// from its dumped state, a new proxy is forked with `vendor`, and every
+/// OpenCL object is re-created.
 pub fn restore(
     cluster: &mut Cluster,
     node: NodeId,
@@ -1744,69 +1747,37 @@ pub fn restore(
         }
     };
     let parsed = match blcr::sniff_dump(&bytes) {
-        Ok(SniffedDump::Streamed(parsed)) => *parsed,
-        Ok(SniffedDump::Sequential(_)) => {
-            // Sequential dump: the classic restart handles it (and
-            // re-charges the file read to the process it spawns).
-            cluster.kill(pid);
-            return restore_sequential(cluster, node, path, vendor, target);
-        }
-        Err(e) => {
+        Ok(SniffedDump::Streamed(parsed)) => Some(*parsed),
+        Err(e) if blcr::is_stream_file(&bytes) => {
             cluster.kill(pid);
             return Err(CheclCprError::Cpr(CprError::Corrupt(e)));
         }
+        // Anything else is a sequential BLCR image, valid or not: the
+        // read above is the restart's one read, booked and installed
+        // exactly as `blcr::restart` does.
+        image => {
+            let image = image.map(SniffedDump::into_image);
+            blcr::finish_restart(cluster, pid, path, t0, bytes.len() as u64, image)?;
+            None
+        }
     };
     drop(bytes);
-    let blcr::ParsedStream {
-        header,
-        chunks,
-        chunk_bytes,
-        maps,
-        map_bytes,
-        slices,
-        slice_bytes,
-        tail_bytes,
-        header_bytes,
-        ..
-    } = parsed;
 
     let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
+    let format = if parsed.is_some() {
+        "streamed"
+    } else {
+        "sequential"
+    };
     obs::emit(
         "engine",
         t0,
         obs::EventKind::RestoreStarted {
             path: path.to_string(),
-            format: "streamed".to_string(),
+            format: format.to_string(),
         },
     );
-    // The whole-file read above validated the stream but charged the
-    // clock as one blocking read; rewind and re-account it as a
-    // progressive scan on the storage channel, so later chunks are
-    // still streaming in while the restore below is already running.
-    cluster.process_mut(pid).clock = t0;
-    let read_link = {
-        let node_id = cluster.process(pid).node;
-        cluster
-            .node(node_id)
-            .resolve(path)
-            .map(|(fs, _)| cluster.fs(fs).kind())
-            .unwrap_or(FsKind::LocalDisk)
-            .read_link()
-    };
-    let mut channels = ChannelSet::new(t0)
-        .without_log()
-        .with_telemetry(pid.0 as u64, CHANNEL_TRACK_BASE);
-    let disk = channels.channel(storage_channel_name(cluster, pid, path));
-    let ipc = channels.channel("ipc");
-    let hdr = channels.place(
-        disk,
-        t0,
-        read_link.cost(ByteSize::bytes(header_bytes)),
-        "stream.header",
-    );
-    cluster.process_mut(pid).clock = hdr.end;
-    cluster.process_mut(pid).image = header.image;
-
+    let mut stream = parsed.map(|parsed| StreamRestore::begin(cluster, pid, path, t0, parsed));
     let state = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
         Some(bytes) => bytes.to_vec(),
         None => {
@@ -1821,380 +1792,20 @@ pub fn restore(
             return Err(CheclCprError::BadState(e));
         }
     };
-    telemetry::span_begin(
-        "cpr",
-        "restart",
-        cluster.process(pid).clock,
-        vec![("path", path.into()), ("pipelined", 1u64.into())],
-    );
+    let mut args = vec![("path", path.into())];
+    if stream.is_some() {
+        args.push(("pipelined", 1u64.into()));
+    }
+    telemetry::span_begin("cpr", "restart", cluster.process(pid).clock, args);
     refork_proxy(cluster, &mut lib, pid, vendor);
     let mut now = cluster.process(pid).clock;
-    let mut report = match restore_checl(&mut lib, &mut now, target) {
-        Ok(report) => report,
-        Err(e) => {
-            restart_cleanup(cluster, &mut lib, pid, now, &e);
-            return Err(e);
+    let restored = restore_checl(&mut lib, &mut now, target).and_then(|mut report| {
+        if let Some(stream) = &mut stream {
+            now = stream.upload(cluster, &mut lib, pid, now, &mut report)?;
         }
-    };
-
-    // Overlapped data path: chunk reads serialize on the storage
-    // channel (they follow the header in file order), while each
-    // chunk's upload starts once the chunk is in host memory, the
-    // objects exist (`now`), and its device's PCIe link is free.
-    let mut upload_end = now;
-    for (i, chunk) in chunks.into_iter().enumerate() {
-        let rd = channels.place(
-            disk,
-            hdr.end,
-            read_link
-                .bandwidth
-                .transfer_time(ByteSize::bytes(chunk_bytes[i])),
-            "stream.chunk",
-        );
-        let context = match lib.db.get(chunk.handle).map(|e| &e.record) {
-            Some(ObjectRecord::Mem { context, .. }) => *context,
-            _ => {
-                let err = CheclCprError::MissingState;
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-        };
-        let vendor_mem = match lib.db.vendor_of(chunk.handle) {
-            Some(v) => v,
-            None => {
-                let err = CheclCprError::MissingState;
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-        };
-        let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-            let err = CheclCprError::Cl(ClError::InvalidContext);
-            restart_cleanup(cluster, &mut lib, pid, now, &err);
-            return Err(err);
-        };
-        let pcie = pcie_channel(&mut channels, dev_index);
-        let ready = channels.free_at(pcie).max(rd.end).max(now);
-        let mut t = ready;
-        let upload = lib
-            .forward(
-                &mut t,
-                ApiRequest::EnqueueWriteBuffer {
-                    queue: CommandQueue::from_raw(q_vendor),
-                    mem: Mem::from_raw(vendor_mem),
-                    blocking: true,
-                    offset: 0,
-                    data: chunk.data,
-                    wait_list: vec![],
-                },
-            )
-            .and_then(|resp| resp.into_event());
-        let ev = match upload {
-            Ok(ev) => ev,
-            Err(e) => {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-        };
-        let up = channels.place(pcie, ready, t.since(ready), "h2d");
-        let mut t2 = up.end;
-        if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-            let err = CheclCprError::Cl(e);
-            restart_cleanup(cluster, &mut lib, pid, now, &err);
-            return Err(err);
-        }
-        let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-        upload_end = upload_end.max(rel.end);
-    }
-
-    // Dedup'd buffers: read each referenced chunk store once (serialized
-    // on the storage channel), decompress it on the CPU channel, then
-    // reassemble and upload every mapped buffer as above.
-    if !maps.is_empty() {
-        let compress = channels.channel("cpu.compress");
-        let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
-        let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
-        for map in &maps {
-            if stores.contains_key(&map.store) {
-                continue;
-            }
-            let lready = channels.free_at(disk).max(hdr.end);
-            cluster.process_mut(pid).clock = lready;
-            let loaded = match ChunkStore::load_all(cluster, pid, &map.store) {
-                Ok(chunks) => chunks,
-                Err(e) => {
-                    let err = CheclCprError::Cpr(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let lend = cluster.process(pid).clock;
-            let load = channels.place(disk, lready, lend.since(lready), "store.load");
-            // Decompression of the referenced bytes overlaps the other
-            // channels, mirroring the dump-side compression cost.
-            let raw: u64 = maps
-                .iter()
-                .filter(|m| m.store == map.store)
-                .map(|m| m.total_len)
-                .sum();
-            let dready = channels.free_at(compress).max(load.end);
-            let dp = channels.place(
-                compress,
-                dready,
-                calib::compress_bandwidth().transfer_time(ByteSize::bytes(raw)),
-                "chunk.decompress",
-            );
-            store_ready.insert(map.store.clone(), dp.end);
-            stores.insert(map.store.clone(), loaded);
-        }
-        for (i, map) in maps.iter().enumerate() {
-            let rd = channels.place(
-                disk,
-                hdr.end,
-                read_link
-                    .bandwidth
-                    .transfer_time(ByteSize::bytes(map_bytes[i])),
-                "stream.map",
-            );
-            let data = match assemble_from_store(&stores, map) {
-                Ok(data) => data,
-                Err(err) => {
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let context = match lib.db.get(map.handle).map(|e| &e.record) {
-                Some(ObjectRecord::Mem { context, .. }) => *context,
-                _ => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let vendor_mem = match lib.db.vendor_of(map.handle) {
-                Some(v) => v,
-                None => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-                let err = CheclCprError::Cl(ClError::InvalidContext);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            };
-            let pcie = pcie_channel(&mut channels, dev_index);
-            let ready = channels
-                .free_at(pcie)
-                .max(rd.end)
-                .max(store_ready[&map.store])
-                .max(now);
-            let mut t = ready;
-            let upload = lib
-                .forward(
-                    &mut t,
-                    ApiRequest::EnqueueWriteBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor_mem),
-                        blocking: true,
-                        offset: 0,
-                        data,
-                        wait_list: vec![],
-                    },
-                )
-                .and_then(|resp| resp.into_event());
-            let ev = match upload {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let err = CheclCprError::Cl(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let up = channels.place(pcie, ready, t.since(ready), "h2d");
-            let mut t2 = up.end;
-            if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-            let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-            upload_end = upload_end.max(rel.end);
-        }
-    }
-    // Live-drained buffers arrive as out-of-order slice frames: the
-    // slice reads serialize on the storage channel in file order, and
-    // each buffer uploads once its last slice is in host memory. A
-    // committed live dump's slices exactly tile each buffer — anything
-    // else is corruption.
-    if !slices.is_empty() {
-        type SliceGroup = (Vec<(u64, Vec<u8>)>, SimTime);
-        let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
-        for (i, slice) in slices.into_iter().enumerate() {
-            let rd = channels.place(
-                disk,
-                hdr.end,
-                read_link
-                    .bandwidth
-                    .transfer_time(ByteSize::bytes(slice_bytes[i])),
-                "stream.slice",
-            );
-            let g = groups.entry(slice.handle).or_insert((Vec::new(), hdr.end));
-            g.0.push((slice.offset, slice.data));
-            g.1 = g.1.max(rd.end);
-        }
-        for (handle, (mut parts, read_end)) in groups {
-            let (context, size) = match lib.db.get(handle).map(|e| &e.record) {
-                Some(ObjectRecord::Mem { context, size, .. }) => (*context, *size),
-                _ => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            parts.sort_by_key(|p| p.0);
-            let data = match assemble_from_slices(size, parts) {
-                Ok(data) => data,
-                Err(err) => {
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let vendor_mem = match lib.db.vendor_of(handle) {
-                Some(v) => v,
-                None => {
-                    let err = CheclCprError::MissingState;
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let Some((q_vendor, dev_index)) = queue_and_device_in_context(&lib, context) else {
-                let err = CheclCprError::Cl(ClError::InvalidContext);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            };
-            let pcie = pcie_channel(&mut channels, dev_index);
-            let ready = channels.free_at(pcie).max(read_end).max(now);
-            let mut t = ready;
-            let upload = lib
-                .forward(
-                    &mut t,
-                    ApiRequest::EnqueueWriteBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor_mem),
-                        blocking: true,
-                        offset: 0,
-                        data,
-                        wait_list: vec![],
-                    },
-                )
-                .and_then(|resp| resp.into_event());
-            let ev = match upload {
-                Ok(ev) => ev,
-                Err(e) => {
-                    let err = CheclCprError::Cl(e);
-                    restart_cleanup(cluster, &mut lib, pid, now, &err);
-                    return Err(err);
-                }
-            };
-            let up = channels.place(pcie, ready, t.since(ready), "h2d");
-            let mut t2 = up.end;
-            if let Err(e) = lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev }) {
-                let err = CheclCprError::Cl(e);
-                restart_cleanup(cluster, &mut lib, pid, now, &err);
-                return Err(err);
-            }
-            let rel = channels.place(ipc, up.end, t2.since(up.end), "release");
-            upload_end = upload_end.max(rel.end);
-        }
-    }
-
-    // The trailer + baseline padding finish the file scan.
-    let tail = channels.place(
-        disk,
-        hdr.end,
-        read_link
-            .bandwidth
-            .transfer_time(ByteSize::bytes(tail_bytes)),
-        "stream.tail",
-    );
-    let end = upload_end.max(tail.end).max(now);
-    // The streamed-data window past the object restore counts toward
-    // the Mem row of the Fig. 7 breakdown.
-    let stream_wall = end.since(now);
-    if stream_wall > SimDuration::ZERO {
-        *report
-            .per_kind
-            .entry(HandleKind::Mem)
-            .or_insert(SimDuration::ZERO) += stream_wall;
-    }
-    let now = end;
-    cluster.process_mut(pid).clock = now;
-    telemetry::span_end(
-        "cpr",
-        "restart",
-        now,
-        vec![("restore_total_ns", report.total().into())],
-    );
-    emit_channel_utilization(&channels, now);
-    obs::emit(
-        "engine",
-        now,
-        obs::EventKind::RestoreCompleted {
-            path: path.to_string(),
-            objects: report.counts.values().map(|&n| n as u64).sum(),
-            cost_ns: now.since(t0).as_nanos(),
-        },
-    );
-    Ok((lib, pid, report))
-}
-
-/// The classic sequential restart: BLCR-restore the application process
-/// from `path` on `node`, rebuild the CheCL shim from its dumped state,
-/// fork a new proxy with `vendor`, and re-create all OpenCL objects.
-pub(crate) fn restore_sequential(
-    cluster: &mut Cluster,
-    node: NodeId,
-    path: &str,
-    vendor: VendorConfig,
-    target: RestoreTarget,
-) -> Result<(ChecLib, Pid, RestoreReport), CheclCprError> {
-    let pid = blcr::restart(cluster, node, path)?;
-    let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
-    // The restored process's timeline starts at zero; the restart call
-    // above already charged the file read and fork.
-    obs::emit(
-        "engine",
-        SimTime::ZERO,
-        obs::EventKind::RestoreStarted {
-            path: path.to_string(),
-            format: "sequential".to_string(),
-        },
-    );
-    let state = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
-        Some(bytes) => bytes.to_vec(),
-        None => {
-            cluster.kill(pid);
-            return Err(CheclCprError::MissingState);
-        }
-    };
-    let mut lib = match ChecLib::decode_state(&state) {
-        Ok(lib) => lib,
-        Err(e) => {
-            cluster.kill(pid);
-            return Err(CheclCprError::BadState(e));
-        }
-    };
-    telemetry::span_begin(
-        "cpr",
-        "restart",
-        cluster.process(pid).clock,
-        vec![("path", path.into())],
-    );
-    refork_proxy(cluster, &mut lib, pid, vendor);
-    let mut now = cluster.process(pid).clock;
-    let report = match restore_checl(&mut lib, &mut now, target) {
+        Ok(report)
+    });
+    let report = match restored {
         Ok(report) => report,
         Err(e) => {
             // Restore failed (e.g. the host has no usable device):
@@ -2211,16 +1822,246 @@ pub(crate) fn restore_sequential(
         now,
         vec![("restore_total_ns", report.total().into())],
     );
+    if let Some(stream) = &stream {
+        emit_channel_utilization(&stream.channels, now);
+    }
     obs::emit(
         "engine",
         now,
         obs::EventKind::RestoreCompleted {
             path: path.to_string(),
             objects: report.counts.values().map(|&n| n as u64).sum(),
-            cost_ns: now.since(SimTime::ZERO).as_nanos(),
+            cost_ns: now.since(t0).as_nanos(),
         },
     );
     Ok((lib, pid, report))
+}
+
+/// The overlapped data path of a streamed restore. The file's frames
+/// are accounted as one progressive scan on the storage channel, and
+/// each buffer uploads over its device's PCIe channel once its bytes
+/// are in host memory and the objects exist.
+struct StreamRestore {
+    /// The parsed stream; its payload frames are consumed by
+    /// [`StreamRestore::upload`].
+    parsed: blcr::ParsedStream,
+    channels: ChannelSet,
+    disk: ChannelId,
+    ipc: ChannelId,
+    read_link: LinkModel,
+    /// When the header frame (the process image) is in host memory.
+    hdr_end: SimTime,
+}
+
+impl StreamRestore {
+    /// Charge the header frame's read to `pid` and install the dumped
+    /// process image.
+    fn begin(
+        cluster: &mut Cluster,
+        pid: Pid,
+        path: &str,
+        t0: SimTime,
+        mut parsed: blcr::ParsedStream,
+    ) -> StreamRestore {
+        // The whole-file read validated the stream but charged the
+        // clock as one blocking read; rewind and re-account it as a
+        // progressive scan on the storage channel, so later chunks are
+        // still streaming in while the restore is already running.
+        cluster.process_mut(pid).clock = t0;
+        let read_link = {
+            let node_id = cluster.process(pid).node;
+            cluster
+                .node(node_id)
+                .resolve(path)
+                .map(|(fs, _)| cluster.fs(fs).kind())
+                .unwrap_or(FsKind::LocalDisk)
+                .read_link()
+        };
+        let mut channels = ChannelSet::new(t0)
+            .without_log()
+            .with_telemetry(pid.0 as u64, CHANNEL_TRACK_BASE);
+        let disk = channels.channel(storage_channel_name(cluster, pid, path));
+        let ipc = channels.channel("ipc");
+        let hdr = channels.place(
+            disk,
+            t0,
+            read_link.cost(ByteSize::bytes(parsed.header_bytes)),
+            "stream.header",
+        );
+        cluster.process_mut(pid).clock = hdr.end;
+        cluster.process_mut(pid).image = std::mem::take(&mut parsed.header.image);
+        StreamRestore {
+            parsed,
+            channels,
+            disk,
+            ipc,
+            read_link,
+            hdr_end: hdr.end,
+        }
+    }
+
+    /// Read and upload every buffer payload of the stream, the objects
+    /// having been re-created by `now`. Returns when the last upload and
+    /// the file scan have both finished; the window past `now` counts
+    /// toward the Mem row of `report` (the Fig. 7 breakdown).
+    fn upload(
+        &mut self,
+        cluster: &mut Cluster,
+        lib: &mut ChecLib,
+        pid: Pid,
+        now: SimTime,
+        report: &mut RestoreReport,
+    ) -> Result<SimTime, CheclCprError> {
+        let mut upload_end = now;
+        for (i, chunk) in std::mem::take(&mut self.parsed.chunks)
+            .into_iter()
+            .enumerate()
+        {
+            let read = self.read_frame(self.parsed.chunk_bytes[i], "stream.chunk");
+            let end = self.upload_buffer(lib, chunk.handle, chunk.data, read, now)?;
+            upload_end = upload_end.max(end);
+        }
+
+        // Dedup'd buffers: read each referenced chunk store once
+        // (serialized on the storage channel), decompress it on the CPU
+        // channel, then reassemble and upload every mapped buffer.
+        let maps = std::mem::take(&mut self.parsed.maps);
+        if !maps.is_empty() {
+            let compress = self.channels.channel("cpu.compress");
+            let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
+            let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
+            for map in &maps {
+                if stores.contains_key(&map.store) {
+                    continue;
+                }
+                let lready = self.channels.free_at(self.disk).max(self.hdr_end);
+                cluster.process_mut(pid).clock = lready;
+                let loaded = ChunkStore::load_all(cluster, pid, &map.store)?;
+                let lend = cluster.process(pid).clock;
+                let load = self
+                    .channels
+                    .place(self.disk, lready, lend.since(lready), "store.load");
+                // Decompression of the referenced bytes overlaps the
+                // other channels, mirroring the dump-side compression.
+                let raw: u64 = maps
+                    .iter()
+                    .filter(|m| m.store == map.store)
+                    .map(|m| m.total_len)
+                    .sum();
+                let dready = self.channels.free_at(compress).max(load.end);
+                let dp = self.channels.place(
+                    compress,
+                    dready,
+                    calib::compress_bandwidth().transfer_time(ByteSize::bytes(raw)),
+                    "chunk.decompress",
+                );
+                store_ready.insert(map.store.clone(), dp.end);
+                stores.insert(map.store.clone(), loaded);
+            }
+            for (i, map) in maps.iter().enumerate() {
+                let read = self.read_frame(self.parsed.map_bytes[i], "stream.map");
+                let data = assemble_from_store(&stores, map)?;
+                let in_memory = read.max(store_ready[&map.store]);
+                let end = self.upload_buffer(lib, map.handle, data, in_memory, now)?;
+                upload_end = upload_end.max(end);
+            }
+        }
+
+        // Live-drained buffers arrive as out-of-order slice frames: each
+        // buffer uploads once its last slice is in host memory. A
+        // committed live dump's slices exactly tile each buffer —
+        // anything else is corruption.
+        type SliceGroup = (Vec<(u64, Vec<u8>)>, SimTime);
+        let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
+        for (i, slice) in std::mem::take(&mut self.parsed.slices)
+            .into_iter()
+            .enumerate()
+        {
+            let read = self.read_frame(self.parsed.slice_bytes[i], "stream.slice");
+            let g = groups
+                .entry(slice.handle)
+                .or_insert((Vec::new(), self.hdr_end));
+            g.0.push((slice.offset, slice.data));
+            g.1 = g.1.max(read);
+        }
+        for (handle, (parts, in_memory)) in groups {
+            let size = match lib.db.get(handle).map(|e| &e.record) {
+                Some(ObjectRecord::Mem { size, .. }) => *size,
+                _ => return Err(CheclCprError::MissingState),
+            };
+            let data = assemble_from_slices(size, parts)?;
+            let end = self.upload_buffer(lib, handle, data, in_memory, now)?;
+            upload_end = upload_end.max(end);
+        }
+
+        // The trailer + baseline padding finish the file scan.
+        let tail = self.read_frame(self.parsed.tail_bytes, "stream.tail");
+        let end = upload_end.max(tail).max(now);
+        let stream_wall = end.since(now);
+        if stream_wall > SimDuration::ZERO {
+            *report
+                .per_kind
+                .entry(HandleKind::Mem)
+                .or_insert(SimDuration::ZERO) += stream_wall;
+        }
+        Ok(end)
+    }
+
+    /// Place the read of one `len`-byte frame on the storage channel;
+    /// frames follow the header in file order. Returns when the frame
+    /// is in host memory.
+    fn read_frame(&mut self, len: u64, label: &str) -> SimTime {
+        let cost = self.read_link.bandwidth.transfer_time(ByteSize::bytes(len));
+        self.channels
+            .place(self.disk, self.hdr_end, cost, label)
+            .end
+    }
+
+    /// Upload `data` into buffer `handle` once it is in host memory
+    /// (`in_memory`), the objects exist (`now`) and its device's PCIe
+    /// link is free. Returns when the upload's event release lands.
+    fn upload_buffer(
+        &mut self,
+        lib: &mut ChecLib,
+        handle: u64,
+        data: Vec<u8>,
+        in_memory: SimTime,
+        now: SimTime,
+    ) -> Result<SimTime, CheclCprError> {
+        let context = match lib.db.get(handle).map(|e| &e.record) {
+            Some(ObjectRecord::Mem { context, .. }) => *context,
+            _ => return Err(CheclCprError::MissingState),
+        };
+        let vendor_mem = lib
+            .db
+            .vendor_of(handle)
+            .ok_or(CheclCprError::MissingState)?;
+        let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
+            .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+        let pcie = pcie_channel(&mut self.channels, dev_index);
+        let ready = self.channels.free_at(pcie).max(in_memory).max(now);
+        let mut t = ready;
+        let ev = lib
+            .forward(
+                &mut t,
+                ApiRequest::EnqueueWriteBuffer {
+                    queue: CommandQueue::from_raw(q_vendor),
+                    mem: Mem::from_raw(vendor_mem),
+                    blocking: true,
+                    offset: 0,
+                    data,
+                    wait_list: vec![],
+                },
+            )?
+            .into_event()?;
+        let up = self.channels.place(pcie, ready, t.since(ready), "h2d");
+        let mut t2 = up.end;
+        lib.forward(&mut t2, ApiRequest::ReleaseEvent { event: ev })?;
+        Ok(self
+            .channels
+            .place(self.ipc, up.end, t2.since(up.end), "release")
+            .end)
+    }
 }
 
 /// Close the restart span and tear down the half-restored process and

@@ -14,12 +14,14 @@
 //!   everything needed to re-create the object: creation arguments,
 //!   program sources and build options, kernel argument history, buffer
 //!   contents captured at checkpoint time.
-//! * **Checkpoint/restart engine** ([`engine`], legacy API in [`cpr`])
-//!   — synchronize, copy device data to host memory, dump via BLCR,
-//!   restore objects in dependency order, substitute dummy events from
-//!   `clEnqueueMarker`. Every variation (pipelining, content-addressed
-//!   dedup, live copy-on-write cuts, commit hardening) is a
-//!   [`CprPolicy`] field.
+//! * **Checkpoint/restart engine** ([`engine`], report types and the
+//!   object replay in [`cpr`]) — synchronize, copy device data to host
+//!   memory, dump via BLCR, restore objects in dependency order,
+//!   substitute dummy events from `clEnqueueMarker`. One entry point
+//!   each: [`snapshot`] takes every variation (pipelining,
+//!   content-addressed dedup, live copy-on-write cuts, commit
+//!   hardening) as a [`CprPolicy`] field, and [`restore`] reads a dump
+//!   of any format.
 //! * **Migration** ([`migrate`]) — restart on another node, another
 //!   vendor, or another device type (GPU↔CPU), plus the
 //!   `Tm = αM + Tr + β` cost model of §IV-C.
@@ -59,8 +61,8 @@ pub mod supervisor;
 
 pub use boot::{boot_checl, BootedChecl};
 pub use cpr::{
-    checkpoint_checl, restart_checl_process, restore_checl, CheckpointMode, CheckpointReport,
-    CheclCprError, DedupStats, RestoreReport, RestoreTarget,
+    restore_checl, CheckpointMode, CheckpointReport, CheclCprError, DedupStats, RestoreReport,
+    RestoreTarget,
 };
 pub use engine::{
     abort_live_drain, complete_live_drain, restore, snapshot, CprPolicy, LiveDrainOutcome,
@@ -68,7 +70,7 @@ pub use engine::{
 };
 pub use migrate::{migrate_process, predict_migration_time, MigrationModel, MigrationReport};
 pub use objects::{CheclDb, CheclEntry, ObjectRecord, RecordedArg};
-pub use recovery::{checkpoint_with_recovery, respawn_proxy_and_restore, restart_checl_chain};
+pub use recovery::{respawn_proxy_and_restore, restart_checl_chain};
 pub use runtime::{ChecLib, CheclConfig, CheclStats, StructArgPolicy};
 pub use supervisor::{
     IntervalController, IntervalPolicy, Supervisor, SupervisorConfig, SupervisorError,

@@ -186,14 +186,9 @@ pub fn migrate_process(
 
     // Restore from wherever the snapshot landed (a recovery policy may
     // have fallen through to another target); the engine sniffs the
-    // on-disk format, so sequential and streamed dumps both work. The
-    // policy already fixes the format, so skip the probe for a
-    // sequential dump.
-    let (new_lib, new_pid, restore) = if policy.streamed() {
-        engine::restore(cluster, dest_node, &outcome.path, dest_vendor, target)?
-    } else {
-        engine::restore_sequential(cluster, dest_node, &outcome.path, dest_vendor, target)?
-    };
+    // on-disk format, so sequential and streamed dumps both work.
+    let (new_lib, new_pid, restore) =
+        engine::restore(cluster, dest_node, &outcome.path, dest_vendor, target)?;
     // The destination process clock started at zero and now reads
     // "everything the restart cost": file read + proxy fork + restore.
     let dest_side = cluster.process(new_pid).clock.since(SimTime::ZERO);

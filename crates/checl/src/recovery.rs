@@ -1,11 +1,9 @@
-//! CheCL-level recovery policies, layered over the [`crate::engine`]
-//! the way [`blcr::robust`](blcr) layers over raw BLCR:
+//! CheCL-level recovery actions, layered over the [`crate::engine`]
+//! the way [`blcr::robust`](blcr) layers over raw BLCR. Robust
+//! checkpointing itself (verify, retry, target fallback) is a
+//! [`CprPolicy`](crate::CprPolicy) field — [`crate::snapshot`] with
+//! `.with_recovery(..)`; this module holds the two restart-side actions:
 //!
-//! * **robust checkpointing** — [`checkpoint_with_recovery`] runs the
-//!   four-phase CheCL checkpoint against `<target>.tmp`, verifies the
-//!   file on disk, and commits it with an atomic rename; transient I/O
-//!   failures are retried with doubling virtual-time backoff and fall
-//!   through an ordered target list (local → RAM disk → NFS);
 //! * **proxy respawn** — [`respawn_proxy_and_restore`] recovers from
 //!   API-proxy death or a broken app↔proxy pipe *without* restarting
 //!   the application process: fork a new proxy and re-create the object
@@ -22,46 +20,13 @@
 //! side.
 
 use crate::boot::{kill_proxy, refork_proxy};
-use crate::cpr::{
-    restart_checl_process, restore_checl, CheckpointReport, CheclCprError, RestoreReport,
-    RestoreTarget,
-};
-use crate::engine::{self, recovery_event, CprPolicy, RecoveryPolicy};
+use crate::cpr::{restore_checl, CheclCprError, RestoreReport, RestoreTarget};
+use crate::engine::{self, recovery_event};
 use crate::runtime::ChecLib;
-use blcr::{CprError, RecoveryOutcome, RetryPolicy};
+use blcr::CprError;
 use cldriver::VendorConfig;
 use osproc::{Cluster, NodeId, Pid};
 use simcore::{obs, telemetry};
-
-/// Checkpoint a CheCL application with atomic commit, post-write
-/// verification, bounded retry and target fallback.
-///
-/// `targets` is tried in order (e.g. `["/local/a.ckpt", "/ram/a.ckpt",
-/// "/nfs/a.ckpt"]`). Each attempt writes to `<target>.tmp` and renames
-/// on success, so a fault mid-write never leaves a half-written file
-/// under a name a restart would trust. Only transient failures — I/O
-/// errors and verification mismatches — are retried; everything else
-/// (no proxy, OpenCL failure during preprocess) aborts immediately.
-/// Equivalent to [`engine::snapshot`] with
-/// [`CprPolicy::sequential`]`.with_recovery(…)`.
-pub fn checkpoint_with_recovery(
-    lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    targets: &[&str],
-    policy: &RetryPolicy,
-) -> Result<(CheckpointReport, RecoveryOutcome), CheclCprError> {
-    assert!(
-        !targets.is_empty(),
-        "checkpoint_with_recovery needs >= 1 target"
-    );
-    let policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
-        retry: *policy,
-        fallback_targets: targets[1..].iter().map(|t| t.to_string()).collect(),
-    });
-    let out = engine::snapshot(lib, cluster, app_pid, targets[0], &policy)?;
-    Ok((out.report, out.recovery.expect("recovery policy set")))
-}
 
 /// Recover from API-proxy death or a broken app↔proxy pipe *without*
 /// restarting the application process.
@@ -121,7 +86,8 @@ pub fn respawn_proxy_and_restore(
 }
 
 /// Restart a CheCL process from the newest good checkpoint in `paths`
-/// (newest first). Unreadable, corrupt or state-less files are skipped
+/// (newest first), each through [`engine::restore`], so a chain may mix
+/// every dump format. Unreadable, corrupt or state-less files are skipped
 /// with a telemetry note; host-degradation errors ([`NoSuchDevice`])
 /// are fatal — an older checkpoint cannot conjure a device the restore
 /// host does not have.
@@ -137,7 +103,7 @@ pub fn restart_checl_chain(
     assert!(!paths.is_empty(), "restart_checl_chain needs >= 1 path");
     let mut last_err: Option<CheclCprError> = None;
     for (i, path) in paths.iter().enumerate() {
-        match restart_checl_process(cluster, node, path, vendor.clone(), target) {
+        match engine::restore(cluster, node, path, vendor.clone(), target) {
             Ok((lib, pid, report)) => {
                 if i > 0 {
                     recovery_event(cluster, pid, "recovery.restart_fallback", path);
@@ -170,9 +136,10 @@ pub fn restart_checl_chain(
 mod tests {
     use super::*;
     use crate::boot::boot_checl;
-    use crate::cpr::checkpoint_checl;
+    use crate::engine::{snapshot, CprPolicy, RecoveryPolicy};
     use crate::objects::ObjectRecord;
     use crate::runtime::CheclConfig;
+    use blcr::RetryPolicy;
     use clspec::handles::HandleKind;
     use clspec::types::{DeviceType, MemFlags, QueueProps};
     use clspec::Ocl;
@@ -211,6 +178,15 @@ mod tests {
         (cluster, booted.lib, app, buf.raw().0)
     }
 
+    /// The sequential engine with commit hardening: `fallbacks` are
+    /// tried in order after the primary path fails persistently.
+    fn hardened(fallbacks: &[&str]) -> CprPolicy {
+        CprPolicy::sequential().with_recovery(RecoveryPolicy {
+            retry: RetryPolicy::default(),
+            fallback_targets: fallbacks.iter().map(|t| t.to_string()).collect(),
+        })
+    }
+
     fn read_buffer(cluster: &Cluster, lib: &mut ChecLib, app: Pid, buf: u64, len: u64) -> Vec<u8> {
         let mut now = cluster.process(app).clock;
         let (_q_checl, q_vendor) = lib
@@ -241,14 +217,10 @@ mod tests {
     #[test]
     fn clean_run_commits_first_try() {
         let (mut cluster, mut lib, app, _) = booted_app(&[7u8; 256]);
-        let (_, out) = checkpoint_with_recovery(
-            &mut lib,
-            &mut cluster,
-            app,
-            &["/local/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let out = snapshot(&mut lib, &mut cluster, app, "/local/a.ckpt", &hardened(&[]))
+            .unwrap()
+            .recovery
+            .unwrap();
         assert!(!out.recovered());
         assert_eq!(out.path, "/local/a.ckpt");
         // Committed under the final name, no stray temp file.
@@ -260,14 +232,10 @@ mod tests {
     fn disk_faults_are_retried_and_saved_in_points_at_final_name() {
         let (mut cluster, mut lib, app, buf) = booted_app(&[3u8; 256]);
         cluster.install_faults(FaultPlan::new(11).fail_next_writes(2));
-        let (_, out) = checkpoint_with_recovery(
-            &mut lib,
-            &mut cluster,
-            app,
-            &["/local/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let out = snapshot(&mut lib, &mut cluster, app, "/local/a.ckpt", &hardened(&[]))
+            .unwrap()
+            .recovery
+            .unwrap();
         assert_eq!(out.attempts, 3);
         assert!(out.recovered());
         let entry = lib.db.get(buf).unwrap();
@@ -287,13 +255,15 @@ mod tests {
                 .fail_next_writes(u32::MAX)
                 .only_paths_containing("/local/"),
         );
-        let (_, out) = checkpoint_with_recovery(
+        let out = snapshot(
             &mut lib,
             &mut cluster,
             app,
-            &["/local/a.ckpt", "/ram/a.ckpt"],
-            &RetryPolicy::default(),
+            "/local/a.ckpt",
+            &hardened(&["/ram/a.ckpt"]),
         )
+        .unwrap()
+        .recovery
         .unwrap();
         assert_eq!(out.path, "/ram/a.ckpt");
         assert_eq!(out.fallbacks, 1);
@@ -307,19 +277,15 @@ mod tests {
                 .corrupt_next_writes(1)
                 .corrupt_in_prefix(64),
         );
-        let (_, out) = checkpoint_with_recovery(
-            &mut lib,
-            &mut cluster,
-            app,
-            &["/local/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        let out = snapshot(&mut lib, &mut cluster, app, "/local/a.ckpt", &hardened(&[]))
+            .unwrap()
+            .recovery
+            .unwrap();
         assert!(out.attempts >= 2, "verify must have rejected attempt 1");
         // The committed file restores.
         let node = cluster.process(app).node;
         let vendor = cldriver::vendor::nimbus();
-        restart_checl_process(
+        engine::restore(
             &mut cluster,
             node,
             "/local/a.ckpt",
@@ -333,14 +299,7 @@ mod tests {
     fn proxy_death_recovers_buffer_contents() {
         let data: Vec<u8> = (0..512u32).map(|i| (i * 7) as u8).collect();
         let (mut cluster, mut lib, app, buf) = booted_app(&data);
-        checkpoint_with_recovery(
-            &mut lib,
-            &mut cluster,
-            app,
-            &["/local/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
+        snapshot(&mut lib, &mut cluster, app, "/local/a.ckpt", &hardened(&[])).unwrap();
         // The proxy dies; the pipe breaks with it.
         let proxy = lib.proxy_pid().unwrap();
         cluster.kill(proxy);
@@ -368,14 +327,28 @@ mod tests {
     fn restart_chain_skips_corrupt_newest() {
         let (mut cluster, mut lib, app, buf) = booted_app(&[42u8; 64]);
         let node = cluster.process(app).node;
-        checkpoint_checl(&mut lib, &mut cluster, app, "/local/old.ckpt").unwrap();
+        snapshot(
+            &mut lib,
+            &mut cluster,
+            app,
+            "/local/old.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
         // Newest checkpoint lands corrupted in the live frame region.
         cluster.install_faults(
             FaultPlan::new(14)
                 .corrupt_next_writes(1)
                 .corrupt_in_prefix(64),
         );
-        checkpoint_checl(&mut lib, &mut cluster, app, "/local/new.ckpt").unwrap();
+        snapshot(
+            &mut lib,
+            &mut cluster,
+            app,
+            "/local/new.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
         let vendor = cldriver::vendor::nimbus();
         let (mut restored, pid, _, idx) = restart_checl_chain(
             &mut cluster,
@@ -391,11 +364,72 @@ mod tests {
     }
 
     #[test]
+    fn restart_chain_restores_streamed_generations() {
+        let (mut cluster, mut lib, app, buf) = booted_app(&[42u8; 64]);
+        let node = cluster.process(app).node;
+        let pipelined = CprPolicy::pipelined();
+        snapshot(&mut lib, &mut cluster, app, "/local/old.ckpt", &pipelined).unwrap();
+        // The newest generation holds different bytes, then rots on
+        // disk inside its header frame.
+        {
+            let mut now = cluster.process(app).clock;
+            let queue = lib
+                .db
+                .live_of_kind(HandleKind::CommandQueue)
+                .next()
+                .unwrap()
+                .checl;
+            let mut ocl = Ocl::new(&mut lib, &mut now);
+            ocl.enqueue_write_buffer(
+                clspec::handles::CommandQueue::from_raw(clspec::RawHandle(queue)),
+                clspec::handles::Mem::from_raw(clspec::RawHandle(buf)),
+                true,
+                0,
+                vec![7u8; 64],
+                &[],
+            )
+            .unwrap();
+            cluster.process_mut(app).clock = now;
+        }
+        snapshot(&mut lib, &mut cluster, app, "/local/new.ckpt", &pipelined).unwrap();
+        let mut bytes = cluster.read_file(app, "/local/new.ckpt").unwrap();
+        bytes[64] ^= 0xff;
+        cluster.write_file(app, "/local/new.ckpt", bytes).unwrap();
+
+        let vendor = cldriver::vendor::nimbus();
+        let (mut restored, pid, _, idx) = restart_checl_chain(
+            &mut cluster,
+            node,
+            &["/local/new.ckpt", "/local/old.ckpt"],
+            &vendor,
+            RestoreTarget::default(),
+        )
+        .unwrap();
+        assert_eq!(idx, 1, "should have fallen back to the older generation");
+        let back = read_buffer(&cluster, &mut restored, pid, buf, 64);
+        assert_eq!(back, vec![42u8; 64]);
+    }
+
+    #[test]
     fn restart_chain_degraded_host_is_fatal_not_skipped() {
         let (mut cluster, mut lib, app, _) = booted_app(&[9u8; 64]);
         let node = cluster.process(app).node;
-        checkpoint_checl(&mut lib, &mut cluster, app, "/local/a.ckpt").unwrap();
-        checkpoint_checl(&mut lib, &mut cluster, app, "/local/b.ckpt").unwrap();
+        snapshot(
+            &mut lib,
+            &mut cluster,
+            app,
+            "/local/a.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
+        snapshot(
+            &mut lib,
+            &mut cluster,
+            app,
+            "/local/b.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
         let headless = cldriver::vendor::headless();
         let err = match restart_checl_chain(
             &mut cluster,

@@ -6,10 +6,10 @@
 //! node, a different vendor, or a different device type — and continue
 //! producing bit-identical results.
 
-use checl::cpr::restart_checl_process;
 use checl::runtime::ChecLib;
 use checl::{
-    boot_checl, checkpoint_checl, restore_checl, CheclConfig, RestoreTarget, StructArgPolicy,
+    boot_checl, restore, restore_checl, snapshot, CheclConfig, CprPolicy, RestoreTarget,
+    StructArgPolicy,
 };
 use cldriver::vendor::{crimson, nimbus};
 use clspec::api::ClApi;
@@ -111,7 +111,15 @@ fn checkpoint_restart_preserves_results_bit_exactly() {
     cluster.process_mut(app_pid).clock = now;
 
     // Checkpoint to the shared NFS mount.
-    let report = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/app.ckpt").unwrap();
+    let report = snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/app.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
     assert!(report.file_size.as_u64() > 0);
 
     // Crash the node: app and proxy die, all vendor objects vanish.
@@ -121,7 +129,7 @@ fn checkpoint_restart_preserves_results_bit_exactly() {
     drop(booted);
 
     // Restart on the *other* node (same vendor available there).
-    let (mut lib2, pid2, restore_report) = restart_checl_process(
+    let (mut lib2, pid2, restore_report) = restore(
         &mut cluster,
         nodes[1],
         "/nfs/app.ckpt",
@@ -162,11 +170,18 @@ fn vendor_handles_change_but_checl_handles_do_not() {
 
     let vendor_before = booted.lib.db.vendor_of(app.ctx.raw().0).unwrap();
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/x.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/x.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
-    let (lib2, _pid2, _) = restart_checl_process(
+    let (lib2, _pid2, _) = restore(
         &mut cluster,
         node,
         "/local/x.ckpt",
@@ -286,7 +301,15 @@ fn checkpoint_phase_breakdown_is_sane() {
     let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
     cluster.process_mut(app_pid).clock = now;
 
-    let r = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/big.ckpt").unwrap();
+    let r = snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/big.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
     // Write phase dominates (Fig. 5's headline observation).
     assert!(
         r.write > r.preprocess,
@@ -327,8 +350,15 @@ fn delayed_mode_is_cheaper_when_kernel_in_flight() {
     }
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
-    let immediate =
-        checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/i.ckpt").unwrap();
+    let immediate = snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/i.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
 
     // Delayed: same, but the app reaches its natural clFinish first.
     let (mut cluster, app_pid, mut booted) = build();
@@ -342,7 +372,15 @@ fn delayed_mode_is_cheaper_when_kernel_in_flight() {
     ocl.finish(app.queue).unwrap(); // the app's own sync point
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
-    let delayed = checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/d.ckpt").unwrap();
+    let delayed = snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/d.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap()
+    .report;
 
     assert!(
         immediate.sync > delayed.sync * 10,
@@ -363,10 +401,17 @@ fn restore_breakdown_charges_programs_and_mem() {
     let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/r.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/r.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    let (_lib2, _pid2, report) = restart_checl_process(
+    let (_lib2, _pid2, report) = restore(
         &mut cluster,
         node,
         "/local/r.ckpt",
@@ -404,10 +449,17 @@ fn dummy_events_substitute_for_old_events() {
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/ram/e.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/ram/e.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = restore(
         &mut cluster,
         node,
         "/ram/e.ckpt",
@@ -520,12 +572,19 @@ fn binary_program_restore_fails_cross_vendor() {
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/bin.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/bin.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
     // Restoring on a Crimson node rejects the Nimbus binary.
-    match restart_checl_process(
+    match restore(
         &mut cluster,
         nodes[1],
         "/nfs/bin.ckpt",
@@ -538,7 +597,7 @@ fn binary_program_restore_fails_cross_vendor() {
     }
 
     // Same vendor works.
-    restart_checl_process(
+    restore(
         &mut cluster,
         nodes[1],
         "/nfs/bin.ckpt",
@@ -611,7 +670,13 @@ fn no_proxy_is_a_clean_error() {
     let node = cluster.node_ids()[0];
     let pid = cluster.spawn(node);
     assert!(matches!(
-        checkpoint_checl(&mut lib, &mut cluster, pid, "/ram/x"),
+        snapshot(
+            &mut lib,
+            &mut cluster,
+            pid,
+            "/ram/x",
+            &CprPolicy::sequential()
+        ),
         Err(checl::cpr::CheclCprError::NoProxy)
     ));
     assert!(matches!(
@@ -747,11 +812,18 @@ __kernel void peek(image2d_t img, __global float* out) { }
     let _ = ocl;
     cluster.process_mut(app_pid).clock = now;
 
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/nfs/img.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/nfs/img.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
     cluster.kill(app_pid);
 
-    let (mut lib2, pid2, _) = restart_checl_process(
+    let (mut lib2, pid2, _) = restore(
         &mut cluster,
         nodes[1],
         "/nfs/img.ckpt",
@@ -774,7 +846,14 @@ fn restore_after_db_corruption_is_detected() {
     let mut now = cluster.process(app_pid).clock;
     let _app = build_app(&mut booted.lib, &mut now, 1 << 10);
     cluster.process_mut(app_pid).clock = now;
-    checkpoint_checl(&mut booted.lib, &mut cluster, app_pid, "/local/c.ckpt").unwrap();
+    snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/c.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
 
     // Flip a byte inside the frame (not the padding): detected by the
     // frame checksum at restart.
@@ -782,7 +861,7 @@ fn restore_after_db_corruption_is_detected() {
     let mut bytes = cluster.read_file(reader, "/local/c.ckpt").unwrap();
     bytes[64] ^= 0xff;
     cluster.write_file(reader, "/local/c.ckpt", bytes).unwrap();
-    match restart_checl_process(
+    match restore(
         &mut cluster,
         node,
         "/local/c.ckpt",

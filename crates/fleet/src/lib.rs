@@ -713,7 +713,7 @@ impl Sched {
         let mut sessions = Vec::with_capacity(ranks);
         for (r, &(node, _)) in placed.iter().enumerate() {
             let path = rank_dump_path(&prefix, r, ranks);
-            let session = CheclSession::restart_pipelined(
+            let session = CheclSession::restart(
                 &mut self.cluster,
                 self.node_ids[node],
                 &path,

@@ -7,13 +7,13 @@
 //! the interpreter.
 
 use crate::script::{AppProgram, RunStatus, Script, StopCondition};
-use checl::cpr::{restart_checl_process, CheckpointReport, CheclCprError, RestoreTarget};
+use checl::cpr::{CheclCprError, RestoreTarget};
 use checl::migrate::MigrationReport;
-use checl::{boot_checl, checkpoint_checl, ChecLib, CheclConfig, CprPolicy, SnapshotOutcome};
+use checl::{boot_checl, ChecLib, CheclConfig, CprPolicy, SnapshotOutcome};
 use cldriver::{Driver, VendorConfig};
 use clspec::api::ClApi;
 use clspec::error::ClResult;
-use osproc::{Cluster, NodeId, Pid};
+use osproc::{Cluster, MemImage, NodeId, Pid};
 use simcore::codec::Codec;
 use simcore::{telemetry, SimDuration, SimTime};
 
@@ -21,6 +21,29 @@ use simcore::{telemetry, SimDuration, SimTime};
 /// registers, checksums) — the part of "host memory" the interpreter
 /// owns.
 pub const APP_SEGMENT: &str = "app-state";
+
+/// Decode the application state a dumped or restored process image
+/// carries in [`APP_SEGMENT`].
+fn program_from_image(image: &MemImage) -> Result<AppProgram, CheclCprError> {
+    let bytes = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
+    AppProgram::from_bytes(bytes).map_err(CheclCprError::BadState)
+}
+
+/// Read the dump at `path` as `pid` and decode the application state it
+/// carries — the host-side half of an in-place rollback, whose device
+/// side came back through the object graph of the same generation.
+pub(crate) fn program_from_dump(
+    cluster: &mut Cluster,
+    pid: Pid,
+    path: &str,
+) -> Result<AppProgram, CheclCprError> {
+    let bytes = cluster
+        .read_file(pid, path)
+        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
+    let dump =
+        blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?;
+    program_from_image(dump.image())
+}
 
 /// A workload linked directly against a vendor driver (no CheCL).
 pub struct NativeSession {
@@ -153,32 +176,9 @@ impl CheclSession {
             .put(APP_SEGMENT, self.program.to_bytes());
     }
 
-    /// Checkpoint this application (CheCL §III-C procedure).
-    pub fn checkpoint(
-        &mut self,
-        cluster: &mut Cluster,
-        path: &str,
-    ) -> Result<CheckpointReport, CheclCprError> {
-        self.persist_program(cluster);
-        checkpoint_checl(&mut self.lib, cluster, self.pid, path)
-    }
-
-    /// Checkpoint with the full recovery policy — atomic
-    /// write-to-temp-then-rename, post-write verification, bounded
-    /// retry and target fallback ([`checl::checkpoint_with_recovery`]).
-    pub fn checkpoint_with_recovery(
-        &mut self,
-        cluster: &mut Cluster,
-        targets: &[&str],
-        policy: &blcr::RetryPolicy,
-    ) -> Result<(CheckpointReport, blcr::RecoveryOutcome), CheclCprError> {
-        self.persist_program(cluster);
-        checl::checkpoint_with_recovery(&mut self.lib, cluster, self.pid, targets, policy)
-    }
-
-    /// Checkpoint under an arbitrary [`CprPolicy`] — the unified-engine
-    /// entry point [`CheclSession::checkpoint`] and
-    /// [`CheclSession::checkpoint_with_recovery`] are fixed points of.
+    /// Checkpoint this application under `policy` (the CheCL §III-C
+    /// procedure at [`CprPolicy::sequential`]): the program state is
+    /// persisted into the image, then [`checl::snapshot`] dumps it.
     pub fn checkpoint_with_policy(
         &mut self,
         cluster: &mut Cluster,
@@ -210,7 +210,8 @@ impl CheclSession {
         cluster.kill(self.pid);
     }
 
-    /// Restart a checkpointed session on `node` with `vendor`.
+    /// Restart a checkpointed session on `node` with `vendor` through
+    /// [`checl::restore`], whatever policy wrote the dump.
     pub fn restart(
         cluster: &mut Cluster,
         node: NodeId,
@@ -218,56 +219,9 @@ impl CheclSession {
         vendor: VendorConfig,
         target: RestoreTarget,
     ) -> Result<CheclSession, CheclCprError> {
-        let (lib, pid, _report) = restart_checl_process(cluster, node, path, vendor, target)?;
-        let bytes = cluster
-            .process(pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
-        Ok(CheclSession { pid, lib, program })
-    }
-
-    /// Restart through [`checl::restore`]: streamed checkpoints are
-    /// read and uploaded overlapped; sequential dumps are handled
-    /// identically to [`CheclSession::restart`].
-    pub fn restart_pipelined(
-        cluster: &mut Cluster,
-        node: NodeId,
-        path: &str,
-        vendor: VendorConfig,
-        target: RestoreTarget,
-    ) -> Result<CheclSession, CheclCprError> {
         let (lib, pid, _report) = checl::restore(cluster, node, path, vendor, target)?;
-        let bytes = cluster
-            .process(pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
+        let program = program_from_image(&cluster.process(pid).image)?;
         Ok(CheclSession { pid, lib, program })
-    }
-
-    /// Migrate this session to another node/vendor/device and resume,
-    /// using the classic sequential dump.
-    pub fn migrate(
-        self,
-        cluster: &mut Cluster,
-        dest_node: NodeId,
-        dest_vendor: VendorConfig,
-        path: &str,
-        target: RestoreTarget,
-    ) -> Result<(CheclSession, MigrationReport), CheclCprError> {
-        self.migrate_with_policy(
-            cluster,
-            dest_node,
-            dest_vendor,
-            path,
-            target,
-            &CprPolicy::sequential(),
-        )
     }
 
     /// Migrate under an arbitrary [`CprPolicy`]: a pipelined policy
@@ -293,13 +247,7 @@ impl CheclSession {
             target,
             policy,
         )?;
-        let bytes = cluster
-            .process(report.new_pid)
-            .image
-            .get(APP_SEGMENT)
-            .ok_or(CheclCprError::MissingState)?
-            .to_vec();
-        let program = AppProgram::from_bytes(&bytes).map_err(CheclCprError::BadState)?;
+        let program = program_from_image(&cluster.process(report.new_pid).image)?;
         // Take the rebuilt shim out of the report and into the session.
         let lib = std::mem::replace(&mut report.new_lib, ChecLib::new(CheclConfig::default()));
         let session = CheclSession {
@@ -378,13 +326,13 @@ impl CheclSession {
 }
 
 /// Outcome of a signal-aware run segment.
-#[derive(Debug, PartialEq)]
-pub enum CprRunOutcome {
+#[derive(Debug)]
+pub enum PolicyRunOutcome {
     /// Script finished; no checkpoint was triggered.
     Done,
-    /// A checkpoint was taken (triggered by SIGUSR1) and the program
-    /// paused right after it; call `run_with_cpr` again to continue.
-    Checkpointed(checl::CheckpointReport),
+    /// A checkpoint was taken (triggered by SIGUSR1) under the policy
+    /// and the program paused right after it.
+    Checkpointed(SnapshotOutcome),
 }
 
 impl CheclSession {
@@ -398,40 +346,10 @@ impl CheclSession {
     ///   phase is nearly free. If the script ends first, the checkpoint
     ///   is taken at exit (all queues drained by then).
     ///
-    /// Returns after the first checkpoint so callers can decide whether
-    /// to continue, migrate or kill. This is
-    /// [`CheclSession::run_with_cpr_policy`] at the sequential policy.
-    pub fn run_with_cpr(
-        &mut self,
-        cluster: &mut Cluster,
-        mode: checl::CheckpointMode,
-        path: &str,
-    ) -> Result<CprRunOutcome, CheclCprError> {
-        let outcome = self.run_with_cpr_policy(cluster, mode, &CprPolicy::sequential(), path)?;
-        Ok(match outcome {
-            PolicyRunOutcome::Done => CprRunOutcome::Done,
-            PolicyRunOutcome::Checkpointed(o) => CprRunOutcome::Checkpointed(o.report),
-        })
-    }
-}
-
-/// Outcome of a policy-driven signal-aware run segment.
-#[derive(Debug)]
-pub enum PolicyRunOutcome {
-    /// Script finished; no checkpoint was triggered.
-    Done,
-    /// A checkpoint was taken (triggered by SIGUSR1) under the policy
-    /// and the program paused right after it.
-    Checkpointed(SnapshotOutcome),
-}
-
-impl CheclSession {
-    /// Run the program while honouring checkpoint signals under an
-    /// arbitrary [`CprPolicy`] ([`CheclSession::run_with_cpr`] is its
-    /// sequential fixed point). `mode` decides Immediate vs
-    /// Delayed placement, and the snapshot itself goes through
-    /// [`CheclSession::checkpoint_with_policy`], so Delayed triggering
-    /// composes with streaming, pipelining and commit hardening.
+    /// The snapshot goes through [`CheclSession::checkpoint_with_policy`],
+    /// so Delayed triggering composes with streaming, pipelining and
+    /// commit hardening. Returns after the first checkpoint so callers
+    /// can decide whether to continue, migrate or kill.
     pub fn run_with_cpr_policy(
         &mut self,
         cluster: &mut Cluster,
@@ -502,7 +420,8 @@ impl CheclSession {
     /// final buffer contents are bit-exact with an undisturbed run.
     ///
     /// `last_ckpt` must name a checkpoint taken with
-    /// [`CheclSession::checkpoint`] (so it carries the program state).
+    /// [`CheclSession::checkpoint_with_policy`] (so it carries the
+    /// program state).
     /// At most `max_respawns` recoveries are attempted; a fault storm
     /// beyond that surfaces as `DeviceNotAvailable`.
     pub fn run_with_recovery(
@@ -607,14 +526,7 @@ impl CheclSession {
             vendor,
             RestoreTarget::default(),
         )?;
-        let bytes = cluster
-            .read_file(self.pid, last_ckpt)
-            .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
-        let image = blcr::sniff_dump(&bytes)
-            .map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?
-            .into_image();
-        let app = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
-        self.program = AppProgram::from_bytes(app).map_err(CheclCprError::BadState)?;
+        self.program = program_from_dump(cluster, self.pid, last_ckpt)?;
         Ok(())
     }
 }

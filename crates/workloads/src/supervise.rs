@@ -21,15 +21,13 @@
 //!    per-incident repair ladder or the global failure-storm backstop
 //!    is exhausted — never a panic, never silent corruption.
 
-use crate::script::AppProgram;
-use crate::session::{CheclSession, APP_SEGMENT};
+use crate::session::{program_from_dump, CheclSession};
 use blcr::DumpVault;
 use checl::cpr::{CheclCprError, RestoreTarget};
 use checl::supervisor::{Supervisor, SupervisorConfig, SupervisorError, SupervisorReport};
 use checl::{CprPolicy, IntervalPolicy};
 use cldriver::VendorConfig;
 use osproc::{BeatSource, Cluster, NodeId};
-use simcore::codec::Codec;
 use simcore::{telemetry, SimDuration, SimTime};
 
 /// Everything a supervised run needs beyond the session itself.
@@ -178,25 +176,6 @@ fn commit_checkpoint(
     sup.advance(after);
     sup.checkpoint_committed(after.since(before), SimDuration::ZERO);
     Ok(after)
-}
-
-/// Reload the interpreter from the dump at `path` (the rollback half of
-/// a proxy respawn — device state came back via the object graph, host
-/// state must come from the same generation).
-fn reload_program(
-    cluster: &mut Cluster,
-    session: &mut CheclSession,
-    path: &str,
-) -> Result<(), CheclCprError> {
-    let bytes = cluster
-        .read_file(session.pid, path)
-        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
-    let image = blcr::sniff_dump(&bytes)
-        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?
-        .into_image();
-    let app = image.get(APP_SEGMENT).ok_or(CheclCprError::MissingState)?;
-    session.program = AppProgram::from_bytes(app).map_err(CheclCprError::BadState)?;
-    Ok(())
 }
 
 /// Run `session` to completion under supervision. Returns the finished
@@ -444,7 +423,12 @@ pub fn run_supervised(
                         setup.vendor.clone(),
                         setup.restore,
                     )
-                    .and_then(|_| reload_program(cluster, &mut session, path));
+                    .and_then(|_| {
+                        // Host state must come from the same generation
+                        // as the object graph just re-created.
+                        session.program = program_from_dump(cluster, session.pid, path)?;
+                        Ok(())
+                    });
                     match respawned {
                         Ok(()) => {
                             ok = true;

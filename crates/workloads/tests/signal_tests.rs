@@ -1,10 +1,11 @@
 //! Signal-driven checkpointing (§III-C): SIGUSR1 triggers a checkpoint
 //! either immediately or at the program's next synchronization point.
 
-use checl::{CheckpointMode, CheclConfig, RestoreTarget};
+use checl::{CheckpointMode, CheclConfig, CprPolicy, RestoreTarget};
 use osproc::{Cluster, Signal};
-use workloads::session::CprRunOutcome;
-use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition, WorkloadCfg};
+use workloads::{
+    workload_by_name, CheclSession, NativeSession, PolicyRunOutcome, StopCondition, WorkloadCfg,
+};
 
 fn quick() -> WorkloadCfg {
     WorkloadCfg {
@@ -32,16 +33,26 @@ fn immediate_mode_checkpoints_on_signal() {
     // Signal delivered before any op runs: checkpoint happens at once.
     cluster.signal(s.pid, Signal::Usr1);
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Immediate, "/ram/sig.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Immediate,
+            &CprPolicy::sequential(),
+            "/ram/sig.ckpt",
+        )
         .unwrap();
-    assert!(matches!(outcome, CprRunOutcome::Checkpointed(_)));
+    assert!(matches!(outcome, PolicyRunOutcome::Checkpointed(_)));
     // Nothing has executed yet.
     assert_eq!(s.program.pc, 0);
     // Continuing (no further signal) runs to completion.
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Immediate, "/ram/sig.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Immediate,
+            &CprPolicy::sequential(),
+            "/ram/sig.ckpt",
+        )
         .unwrap();
-    assert_eq!(outcome, CprRunOutcome::Done);
+    assert!(matches!(outcome, PolicyRunOutcome::Done));
     assert!(s.program.is_done());
 }
 
@@ -51,10 +62,15 @@ fn delayed_mode_waits_for_finish_op() {
     let mut s = launch(&mut cluster, "MaxFlops");
     cluster.signal(s.pid, Signal::Usr1);
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Delayed, "/ram/dly.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Delayed,
+            &CprPolicy::sequential(),
+            "/ram/dly.ckpt",
+        )
         .unwrap();
     let report = match outcome {
-        CprRunOutcome::Checkpointed(r) => r,
+        PolicyRunOutcome::Checkpointed(o) => o.report,
         other => panic!("expected checkpoint, got {other:?}"),
     };
     // The program ran all the way to its Finish op: every kernel was
@@ -74,9 +90,14 @@ fn no_signal_means_no_checkpoint() {
     let mut cluster = Cluster::with_standard_nodes(1);
     let mut s = launch(&mut cluster, "oclHistogram");
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Immediate, "/ram/none.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Immediate,
+            &CprPolicy::sequential(),
+            "/ram/none.ckpt",
+        )
         .unwrap();
-    assert_eq!(outcome, CprRunOutcome::Done);
+    assert!(matches!(outcome, PolicyRunOutcome::Done));
     // No file was written.
     let node = cluster.node_ids()[0];
     assert!(cluster.file_size_on(node, "/ram/none.ckpt").is_none());
@@ -105,9 +126,14 @@ fn signal_checkpoint_restart_preserves_results() {
     s.run(&mut cluster, StopCondition::AfterKernel(3)).unwrap();
     cluster.signal(s.pid, Signal::Usr1);
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Immediate, "/nfs/sig.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Immediate,
+            &CprPolicy::sequential(),
+            "/nfs/sig.ckpt",
+        )
         .unwrap();
-    assert!(matches!(outcome, CprRunOutcome::Checkpointed(_)));
+    assert!(matches!(outcome, PolicyRunOutcome::Checkpointed(_)));
     s.kill(&mut cluster);
 
     let mut resumed = CheclSession::restart(
@@ -135,14 +161,24 @@ fn delayed_signal_after_last_finish_checkpoints_at_exit() {
         .unwrap();
     cluster.signal(s.pid, Signal::Usr1);
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Delayed, "/ram/exit.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Delayed,
+            &CprPolicy::sequential(),
+            "/ram/exit.ckpt",
+        )
         .unwrap();
-    assert!(matches!(outcome, CprRunOutcome::Checkpointed(_)));
+    assert!(matches!(outcome, PolicyRunOutcome::Checkpointed(_)));
     // The checkpoint landed at the script's trailing Finish (its last
     // sync point) or at exit; either way the program can run out.
     let outcome = s
-        .run_with_cpr(&mut cluster, CheckpointMode::Delayed, "/ram/exit2.ckpt")
+        .run_with_cpr_policy(
+            &mut cluster,
+            CheckpointMode::Delayed,
+            &CprPolicy::sequential(),
+            "/ram/exit2.ckpt",
+        )
         .unwrap();
-    assert_eq!(outcome, CprRunOutcome::Done);
+    assert!(matches!(outcome, PolicyRunOutcome::Done));
     assert!(s.program.is_done());
 }

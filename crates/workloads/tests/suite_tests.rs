@@ -6,7 +6,7 @@
 //! correct results. We verify with per-buffer checksums on real data.
 
 use checl::cpr::RestoreTarget;
-use checl::CheclConfig;
+use checl::{CheclConfig, CprPolicy};
 use cldriver::vendor::{crimson, nimbus};
 use clspec::error::ClError;
 use clspec::types::DeviceType;
@@ -127,7 +127,7 @@ fn every_kernel_workload_survives_midrun_checkpoint() {
         );
         let status = s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
         assert_eq!(status, RunStatus::Paused, "{}", w.name);
-        s.checkpoint(&mut cluster, "/nfs/suite.ckpt")
+        s.checkpoint_with_policy(&mut cluster, "/nfs/suite.ckpt", &CprPolicy::sequential())
             .unwrap_or_else(|e| panic!("{}: checkpoint failed: {e}", w.name));
         s.kill(&mut cluster);
 
@@ -171,12 +171,13 @@ fn cross_vendor_suite_spotcheck() {
         );
         s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
         let (mut resumed, report) = s
-            .migrate(
+            .migrate_with_policy(
                 &mut cluster,
                 nodes[1],
                 crimson(),
                 "/nfs/xv.ckpt",
                 RestoreTarget::default(),
+                &CprPolicy::sequential(),
             )
             .unwrap();
         assert!(report.actual.as_secs_f64() > 0.0);
@@ -366,7 +367,12 @@ fn image_workload_survives_midrun_checkpoint() {
         script,
     );
     s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-    s.checkpoint(&mut cluster, "/nfs/img-suite.ckpt").unwrap();
+    s.checkpoint_with_policy(
+        &mut cluster,
+        "/nfs/img-suite.ckpt",
+        &CprPolicy::sequential(),
+    )
+    .unwrap();
     s.kill(&mut cluster);
     let mut resumed = CheclSession::restart(
         &mut cluster,

@@ -10,7 +10,7 @@
 //! vendor. The migration-cost model `Tm = αM + Tr + β` is evaluated
 //! against the measured cost.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use clspec::api::ClApi;
 use osproc::Cluster;
 use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition, WorkloadCfg};
@@ -51,12 +51,13 @@ fn main() {
 
     // Migrate to the Crimson node through NFS.
     let (mut job, report) = job
-        .migrate(
+        .migrate_with_policy(
             &mut cluster,
             nodes[1],
             cldriver::vendor::crimson(),
             "/nfs/migration.ckpt",
             RestoreTarget::default(),
+            &CprPolicy::sequential(),
         )
         .unwrap();
     println!("migrated to node1 [{}]", job.lib.impl_name());

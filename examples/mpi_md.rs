@@ -12,7 +12,7 @@
 //! recovered from its snapshot, and the job completes with the same
 //! per-rank results.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use mpisim::{coordinated_checkpoint, MpiWorld};
 use osproc::Cluster;
 use simcore::ByteSize;
@@ -56,7 +56,7 @@ fn main() {
         coordinated_checkpoint(&mut cluster, &world, "/nfs/md-global", |c, pid, path| {
             let lib = &mut libs[idx];
             idx += 1;
-            checl::checkpoint_checl(lib, c, pid, path).map(|r| r.file_size)
+            checl::snapshot(lib, c, pid, path, &CprPolicy::sequential()).map(|o| o.report.file_size)
         })
         .unwrap();
     println!(

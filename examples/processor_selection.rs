@@ -10,7 +10,7 @@
 //! device … use of the RAM disk can significantly reduce the cost of
 //! changing the compute device from one to another."
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use clspec::types::DeviceType;
 use osproc::Cluster;
 use workloads::{workload_by_name, CheclSession, StopCondition, WorkloadCfg};
@@ -42,7 +42,7 @@ fn main() {
     // The GPU is wanted by a higher-priority job: fall back to the CPU
     // via a RAM-disk checkpoint.
     let (mut job, to_cpu) = job
-        .migrate(
+        .migrate_with_policy(
             &mut cluster,
             node,
             cldriver::vendor::crimson(),
@@ -50,6 +50,7 @@ fn main() {
             RestoreTarget {
                 device_type: Some(DeviceType::Cpu),
             },
+            &CprPolicy::sequential(),
         )
         .unwrap();
     println!(
@@ -66,7 +67,7 @@ fn main() {
 
     // GPU freed up again: switch back.
     let (mut job, to_gpu) = job
-        .migrate(
+        .migrate_with_policy(
             &mut cluster,
             node,
             cldriver::vendor::crimson(),
@@ -74,6 +75,7 @@ fn main() {
             RestoreTarget {
                 device_type: Some(DeviceType::Gpu),
             },
+            &CprPolicy::sequential(),
         )
         .unwrap();
     println!("switched CPU→GPU in {}", to_gpu.actual);

@@ -12,7 +12,7 @@
 //! killed, and it resumes from the checkpoint file on the same node,
 //! finishing with the same checksums.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use clspec::api::ClApi;
 use osproc::Cluster;
 use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition, WorkloadCfg};
@@ -65,8 +65,13 @@ fn main() {
     // ...and checkpoint. The application process is clean; only the API
     // proxy holds GPU state, and CheCL knows how to rebuild it.
     let report = session
-        .checkpoint(&mut cluster, "/nfs/quickstart.ckpt")
-        .unwrap();
+        .checkpoint_with_policy(
+            &mut cluster,
+            "/nfs/quickstart.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap()
+        .report;
     println!(
         "checkpoint: sync {} + preprocess {} + write {} + postprocess {} = {} ({} file)",
         report.sync,

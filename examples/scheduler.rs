@@ -12,7 +12,7 @@
 //! running job pays off, exactly the policy loop the paper proposes
 //! CheCL as an infrastructure for.
 
-use checl::{CheclConfig, MigrationModel, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, MigrationModel, RestoreTarget};
 use clspec::api::ClApi;
 use osproc::{Cluster, FsKind};
 use simcore::SimDuration;
@@ -68,12 +68,13 @@ fn main() {
     println!("→ scheduler migrates the batch job to node1\n");
 
     let (mut batch_job, report) = batch_job
-        .migrate(
+        .migrate_with_policy(
             &mut cluster,
             nodes[1],
             cldriver::vendor::crimson(),
             "/nfs/sched.ckpt",
             RestoreTarget::default(),
+            &CprPolicy::sequential(),
         )
         .unwrap();
     println!(

@@ -3,7 +3,8 @@
 # run of one figure harness with trace recording + validation.
 #
 # Usage: scripts/verify.sh [--quick]
-#   --quick   skip clippy and the micro-bench smoke (CI uses the full run)
+#   --quick   type-check every target instead of running clippy, and skip
+#             the fleet sweep and micro-bench smoke (CI uses the full run)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +17,11 @@ cargo fmt --all --check
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+else
+    # `cargo test` never builds the benches; compile every target so an
+    # API change cannot strand them.
+    echo "==> cargo check --all-targets"
+    cargo check --workspace --all-targets
 fi
 
 echo "==> cargo build --release"

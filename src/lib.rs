@@ -20,7 +20,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use checl::{CheclConfig, RestoreTarget};
+//! use checl::{CheclConfig, CprPolicy, RestoreTarget};
 //! use osproc::Cluster;
 //! use workloads::{workload_by_name, CheclSession, StopCondition, WorkloadCfg};
 //!
@@ -35,7 +35,8 @@
 //!     &mut cluster, nodes[0], cldriver::vendor::nimbus(),
 //!     CheclConfig::default(), w.script(&cfg));
 //! job.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-//! job.checkpoint(&mut cluster, "/nfs/job.ckpt").unwrap();
+//! job.checkpoint_with_policy(&mut cluster, "/nfs/job.ckpt", &CprPolicy::sequential())
+//!     .unwrap();
 //! job.kill(&mut cluster);
 //!
 //! let mut job = CheclSession::restart(

@@ -10,8 +10,10 @@ use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_repro as _;
 use clspec::types::DeviceType;
 use osproc::{Cluster, FaultPlan};
+use simcore::codec::Codec;
 use simcore::qcheck::{qcheck, Gen};
-use workloads::{BufInit, CheclSession, Op, Reg, Script, StopCondition};
+use simcore::SimTime;
+use workloads::{AppProgram, BufInit, CheclSession, Op, Reg, Script, StopCondition, APP_SEGMENT};
 
 const KIB: u64 = 1 << 10;
 
@@ -101,7 +103,7 @@ fn arbitrary_policy(g: &mut Gen) -> CprPolicy {
 /// always goes through the sniffing entry point, so sequential and
 /// streamed dumps are told apart by the file itself.
 fn resumed_checksums(cluster: &mut Cluster, node: osproc::NodeId, path: &str) -> Vec<u64> {
-    let mut s = CheclSession::restart_pipelined(
+    let mut s = CheclSession::restart(
         cluster,
         node,
         path,
@@ -239,7 +241,12 @@ fn failed_migration_leaves_previous_generation_restorable() {
             );
             s.run(&mut cluster, StopCondition::AfterOps(stop_create))
                 .unwrap();
-            s.checkpoint(&mut cluster, "/nfs/engine-gen1.ckpt").unwrap();
+            s.checkpoint_with_policy(
+                &mut cluster,
+                "/nfs/engine-gen1.ckpt",
+                &CprPolicy::sequential(),
+            )
+            .unwrap();
             s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
                 .unwrap();
             // The migration dump dies mid-write (hard failure or short
@@ -346,4 +353,59 @@ fn robust_pipelined_migration_survives_transient_fault_across_vendors() {
             resumed.kill(&mut cluster);
         },
     );
+}
+
+/// A sequential dump is restored by the process that read and sniffed
+/// it: `checl::restore` reads the file exactly once, and the restart's
+/// virtual cost and the restored bytes are those of the classic BLCR
+/// restart.
+#[test]
+fn sequential_restore_reads_the_dump_once() {
+    let sizes = [512 * KIB, 768 * KIB];
+    let (script, _, stop_dirty) = dirty_script(&sizes);
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let vendor = cldriver::vendor::nimbus;
+    let mut baseline = CheclSession::launch(
+        &mut cluster,
+        node,
+        vendor(),
+        CheclConfig::default(),
+        script.clone(),
+    );
+    baseline
+        .run(&mut cluster, StopCondition::Completion)
+        .unwrap();
+    let expected = baseline.program.checksums.clone();
+    baseline.kill(&mut cluster);
+
+    let path = "/local/once.ckpt";
+    let mut s = CheclSession::launch(&mut cluster, node, vendor(), CheclConfig::default(), script);
+    s.run(&mut cluster, StopCondition::AfterOps(stop_dirty))
+        .unwrap();
+    s.checkpoint_with_policy(&mut cluster, path, &CprPolicy::sequential())
+        .unwrap();
+    s.kill(&mut cluster);
+
+    let (fs, _) = cluster.node(node).resolve(path).unwrap();
+    let reads = cluster.fs(fs).stats().reads;
+    let (lib, pid, _) =
+        checl::restore(&mut cluster, node, path, vendor(), RestoreTarget::default()).unwrap();
+    assert_eq!(
+        cluster.fs(fs).stats().reads - reads,
+        1,
+        "one read of the dump"
+    );
+    // Virtual time is deterministic: one file read, the proxy fork and
+    // the object re-creation add up to the same restart cost every run.
+    let restart = cluster.process(pid).clock.since(SimTime::ZERO);
+    assert_eq!(restart.as_nanos(), 373_383_985);
+
+    let state = cluster.process(pid).image.get(APP_SEGMENT).unwrap();
+    let program = AppProgram::from_bytes(state).unwrap();
+    let mut resumed = CheclSession { pid, lib, program };
+    resumed
+        .run(&mut cluster, StopCondition::Completion)
+        .unwrap();
+    assert_eq!(resumed.program.checksums, expected);
 }

@@ -5,6 +5,7 @@
 //! run.
 
 use blcr::RetryPolicy;
+use checl::{CprPolicy, RecoveryPolicy};
 use checl_repro as _;
 use osproc::{Cluster, FaultPlan, InjectedFault, Pid};
 use simcore::qcheck::{qcheck, Gen};
@@ -88,13 +89,15 @@ fn gauntlet(plan: FaultPlan) -> (Vec<InjectedFault>, Vec<u64>, SimTime) {
         .unwrap();
     // The safety net is written before faults arm, so recovery always
     // has a good file to fall back on.
-    session.checkpoint(&mut cluster, "/local/net.ckpt").unwrap();
+    session
+        .checkpoint_with_policy(&mut cluster, "/local/net.ckpt", &CprPolicy::sequential())
+        .unwrap();
     cluster.install_faults(plan);
-    let _ = session.checkpoint_with_recovery(
-        &mut cluster,
-        &["/nfs/g.ckpt", "/local/g.ckpt"],
-        &RetryPolicy::default(),
-    );
+    let hardened = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+        retry: RetryPolicy::default(),
+        fallback_targets: vec!["/local/g.ckpt".to_string()],
+    });
+    let _ = session.checkpoint_with_policy(&mut cluster, "/nfs/g.ckpt", &hardened);
     let vendor = cldriver::vendor::nimbus();
     let outcome = session.run_with_recovery(
         &mut cluster,
@@ -156,7 +159,9 @@ fn recovered_run_is_bit_exact() {
         session
             .run(&mut cluster, StopCondition::AfterKernel(1))
             .unwrap();
-        session.checkpoint(&mut cluster, "/local/r.ckpt").unwrap();
+        session
+            .checkpoint_with_policy(&mut cluster, "/local/r.ckpt", &CprPolicy::sequential())
+            .unwrap();
         let now = cluster.process(session.pid).clock;
         // At least one proxy death due immediately; maybe more later.
         let mut plan = FaultPlan::new(g.u64()).schedule_proxy_death(now);
@@ -196,9 +201,11 @@ fn restore_on_headless_host_errors() {
     session
         .run(&mut cluster, StopCondition::AfterKernel(1))
         .unwrap();
-    session.checkpoint(&mut cluster, "/nfs/h.ckpt").unwrap();
+    session
+        .checkpoint_with_policy(&mut cluster, "/nfs/h.ckpt", &CprPolicy::sequential())
+        .unwrap();
     let peer = cluster.node_ids()[1];
-    let err = match checl::restart_checl_process(
+    let err = match checl::restore(
         &mut cluster,
         peer,
         "/nfs/h.ckpt",
@@ -225,9 +232,11 @@ fn restore_with_unavailable_device_type_errors() {
     session
         .run(&mut cluster, StopCondition::AfterKernel(1))
         .unwrap();
-    session.checkpoint(&mut cluster, "/nfs/t.ckpt").unwrap();
+    session
+        .checkpoint_with_policy(&mut cluster, "/nfs/t.ckpt", &CprPolicy::sequential())
+        .unwrap();
     let peer = cluster.node_ids()[1];
-    let err = match checl::restart_checl_process(
+    let err = match checl::restore(
         &mut cluster,
         peer,
         "/nfs/t.ckpt",
@@ -254,7 +263,9 @@ fn failed_restore_reaps_the_process() {
     session
         .run(&mut cluster, StopCondition::AfterKernel(1))
         .unwrap();
-    session.checkpoint(&mut cluster, "/nfs/p.ckpt").unwrap();
+    session
+        .checkpoint_with_policy(&mut cluster, "/nfs/p.ckpt", &CprPolicy::sequential())
+        .unwrap();
     let live = |c: &Cluster| -> Vec<Pid> {
         c.pids()
             .into_iter()
@@ -263,7 +274,7 @@ fn failed_restore_reaps_the_process() {
     };
     let before = live(&cluster);
     let peer = cluster.node_ids()[1];
-    assert!(checl::restart_checl_process(
+    assert!(checl::restore(
         &mut cluster,
         peer,
         "/nfs/p.ckpt",

@@ -110,7 +110,7 @@ fn preemption_is_bit_exact_at_every_lattice_point() {
                 s.checkpoint_with_policy(&mut cluster, &path, &policy)
                     .unwrap();
                 s.kill(&mut cluster);
-                s = CheclSession::restart_pipelined(
+                s = CheclSession::restart(
                     &mut cluster,
                     nodes[1],
                     &path,

@@ -114,7 +114,7 @@ fn launch(cluster: &mut Cluster, node: osproc::NodeId, script: Script) -> CheclS
 }
 
 fn resumed_checksums(cluster: &mut Cluster, node: osproc::NodeId, path: &str) -> Vec<u64> {
-    let mut s = CheclSession::restart_pipelined(
+    let mut s = CheclSession::restart(
         cluster,
         node,
         path,

@@ -86,7 +86,10 @@ fn pipelined_never_slower_than_sequential() {
         let sizes = arbitrary_sizes(g);
         let (mut cluster, mut s, stop) = session_at_stop(&sizes);
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
-        let seq = s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
+        let seq = s
+            .checkpoint_with_policy(&mut cluster, "/local/q-seq.ckpt", &CprPolicy::sequential())
+            .unwrap()
+            .report;
         let pipe = s
             .checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
             .unwrap()
@@ -114,7 +117,8 @@ fn pipelined_file_restarts_bit_identical() {
         let (mut cluster, mut s, stop) = session_at_stop(&sizes);
         let node = cluster.node_ids()[0];
         s.run(&mut cluster, StopCondition::AfterOps(stop)).unwrap();
-        s.checkpoint(&mut cluster, "/local/q-seq.ckpt").unwrap();
+        s.checkpoint_with_policy(&mut cluster, "/local/q-seq.ckpt", &CprPolicy::sequential())
+            .unwrap();
         s.checkpoint_with_policy(&mut cluster, "/local/q-pipe.ckpt", &CprPolicy::pipelined())
             .unwrap();
         s.kill(&mut cluster);
@@ -130,7 +134,7 @@ fn pipelined_file_restarts_bit_identical() {
         from_seq
             .run(&mut cluster, StopCondition::Completion)
             .unwrap();
-        let mut from_pipe = CheclSession::restart_pipelined(
+        let mut from_pipe = CheclSession::restart(
             &mut cluster,
             node,
             "/local/q-pipe.ckpt",
@@ -198,13 +202,13 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
         // Generation 0 commits before faults arm; alternate its format
         // so rollback is proven onto both file kinds.
         let gen0_pipelined = g.bool();
-        if gen0_pipelined {
-            s.checkpoint_with_policy(&mut cluster, "/local/q-gen0.ckpt", &CprPolicy::pipelined())
-                .map(|o| o.report)
+        let gen0 = if gen0_pipelined {
+            CprPolicy::pipelined()
         } else {
-            s.checkpoint(&mut cluster, "/local/q-gen0.ckpt")
-        }
-        .unwrap();
+            CprPolicy::sequential()
+        };
+        s.checkpoint_with_policy(&mut cluster, "/local/q-gen0.ckpt", &gen0)
+            .unwrap();
 
         // Arm detectable write faults (hard failures and short writes —
         // both are caught in-line, failures by the append itself and
@@ -235,7 +239,7 @@ fn mid_stream_fault_leaves_previous_generation_restorable() {
         };
         s.kill(&mut cluster);
 
-        let mut revived = CheclSession::restart_pipelined(
+        let mut revived = CheclSession::restart(
             &mut cluster,
             node,
             restore_from,

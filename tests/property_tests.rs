@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants, driven by the
 //! dependency-free `simcore::qcheck` harness.
 
+use checl::CprPolicy;
 use checl_repro as _;
 use simcore::codec::Codec;
 use simcore::qcheck::{qcheck, Gen};
@@ -286,11 +287,18 @@ fn arbitrary_buffers_survive_cpr() {
         let _ = ocl;
         cluster.process_mut(app).clock = now;
 
-        checl::checkpoint_checl(&mut booted.lib, &mut cluster, app, "/nfs/prop.ckpt").unwrap();
+        checl::snapshot(
+            &mut booted.lib,
+            &mut cluster,
+            app,
+            "/nfs/prop.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap();
         checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
         cluster.kill(app);
 
-        let (mut lib2, pid2, _) = checl::cpr::restart_checl_process(
+        let (mut lib2, pid2, _) = checl::restore(
             &mut cluster,
             nodes[1],
             "/nfs/prop.ckpt",

@@ -1,6 +1,6 @@
 //! Cross-crate system scenarios: the paper's end-to-end stories.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_repro as _;
 use osproc::Cluster;
 use simcore::SimDuration;
@@ -44,7 +44,8 @@ fn blcr_fails_native_succeeds_under_checl() {
     );
     shim.run(&mut cluster, StopCondition::AfterKernel(1))
         .unwrap();
-    shim.checkpoint(&mut cluster, "/local/checl.ckpt").unwrap();
+    shim.checkpoint_with_policy(&mut cluster, "/local/checl.ckpt", &CprPolicy::sequential())
+        .unwrap();
 }
 
 /// §V: DMTCP checkpoints process trees, so it fails while the API proxy
@@ -75,8 +76,8 @@ fn dmtcp_workflow_with_proxy_kill_and_refork() {
     // let DMTCP dump the now-clean tree.
     s.drain(&mut cluster);
     // Use the regular CheCL checkpoint to capture buffers + state...
-    s.persist_program(&mut cluster);
-    checl::checkpoint_checl(&mut s.lib, &mut cluster, s.pid, "/local/pre.ckpt").unwrap();
+    s.checkpoint_with_policy(&mut cluster, "/local/pre.ckpt", &CprPolicy::sequential())
+        .unwrap();
     // ...then kill the proxy and let the DMTCP-style tree dump succeed.
     checl::boot::kill_proxy(&mut cluster, &mut s.lib);
     blcr::dmtcp_checkpoint(&mut cluster, s.pid, "/local/tree.ckpt").unwrap();
@@ -165,7 +166,8 @@ fn checkpoint_files_are_host_independent() {
         w.script(&quick()),
     );
     s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-    s.checkpoint(&mut cluster, "/nfs/anynode.ckpt").unwrap();
+    s.checkpoint_with_policy(&mut cluster, "/nfs/anynode.ckpt", &CprPolicy::sequential())
+        .unwrap();
     s.kill(&mut cluster);
 
     // Restart on node 1, then checkpoint again and hop to node 2.
@@ -177,7 +179,8 @@ fn checkpoint_files_are_host_independent() {
         RestoreTarget::default(),
     )
     .unwrap();
-    s.checkpoint(&mut cluster, "/nfs/hop2.ckpt").unwrap();
+    s.checkpoint_with_policy(&mut cluster, "/nfs/hop2.ckpt", &CprPolicy::sequential())
+        .unwrap();
     s.kill(&mut cluster);
     let mut s = CheclSession::restart(
         &mut cluster,
@@ -228,7 +231,8 @@ fn many_generations_of_restart() {
             break;
         }
         let path = format!("/nfs/gen{gen}.ckpt");
-        s.checkpoint(&mut cluster, &path).unwrap();
+        s.checkpoint_with_policy(&mut cluster, &path, &CprPolicy::sequential())
+            .unwrap();
         s.kill(&mut cluster);
         let vendor = if gen % 2 == 0 {
             cldriver::vendor::crimson()

@@ -3,7 +3,7 @@
 //! spans and the `CheckpointReport` arithmetic, and byte-exact
 //! determinism of the Chrome trace export.
 
-use checl::{CheclConfig, RestoreTarget};
+use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use checl_repro as _;
 use osproc::Cluster;
 use simcore::qcheck::qcheck;
@@ -111,7 +111,14 @@ fn record_checkpoint() -> (Recorder, checl::CheckpointReport) {
         w.script(&cfg),
     );
     s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
-    let report = s.checkpoint(&mut cluster, "/nfs/telemetry.ckpt").unwrap();
+    let report = s
+        .checkpoint_with_policy(
+            &mut cluster,
+            "/nfs/telemetry.ckpt",
+            &CprPolicy::sequential(),
+        )
+        .unwrap()
+        .report;
 
     // Cross-vendor restart so restore spans land in the trace too.
     s.kill(&mut cluster);

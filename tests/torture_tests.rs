@@ -190,7 +190,7 @@ fn restore_and_finish(wreck: &mut Wreckage, context: &str) -> Vec<u64> {
     let chain = wreck.vault.restore_chain();
     assert!(!chain.is_empty(), "{context}: empty restore chain");
     for path in &chain {
-        let restored = CheclSession::restart_pipelined(
+        let restored = CheclSession::restart(
             &mut wreck.cluster,
             wreck.node,
             path,
