@@ -27,10 +27,7 @@ pub use chunkstore::{cdc_chunks, ChunkMeta, ChunkStore, PutOutcome};
 pub use ckptfile::{CheckpointFile, CKPT_MAGIC, CKPT_VERSION};
 pub use cpr::{checkpoint, dmtcp_checkpoint, finish_restart, restart, CprError};
 pub use replica::{CommitError, DumpVault, Generation, ScrubReport};
-pub use robust::{
-    checkpoint_robust, drive_recovery, restart_from_chain, RecoveryAttempt, RecoveryOutcome,
-    RetryPolicy,
-};
+pub use robust::{drive_recovery, recovery_event, RecoveryAttempt, RecoveryOutcome, RetryPolicy};
 pub use sniff::{sniff_dump, SniffedDump};
 pub use stream::{
     is_stream_file, parse_stream, sweep_orphaned_tmps, take_orphaned_tmps, ParsedStream,

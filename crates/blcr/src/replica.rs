@@ -15,13 +15,11 @@
 //!   replica from its healthy sibling (this is what re-seeds a spare
 //!   node's local disk after a failover);
 //! * [`DumpVault::restore_chain`] — a newest-first path list, primary
-//!   before mirror, ready for [`restart_from_chain`] and the restore
-//!   engines' chain walkers.
+//!   before mirror, ready for the restore engine's chain walker
+//!   (`checl::restart_checl_chain`).
 //!
 //! Every vault action is one `"vault"` record ([`obs::EventKind`]): a
 //! ledger entry, and in a trace an instant.
-//!
-//! [`restart_from_chain`]: crate::robust::restart_from_chain
 
 use osproc::{Cluster, FsError, Pid};
 use simcore::{fnv1a64, obs, ByteSize};
@@ -166,10 +164,8 @@ impl DumpVault {
     }
 
     /// Newest-first replica paths (primary before mirror per
-    /// generation) — the input shape of [`restart_from_chain`] and the
-    /// engine's chain restore.
-    ///
-    /// [`restart_from_chain`]: crate::robust::restart_from_chain
+    /// generation) — the input shape of the engine's chain restore
+    /// (`checl::restart_checl_chain`).
     pub fn restore_chain(&self) -> Vec<String> {
         let mut chain = Vec::with_capacity(self.generations.len() * 2);
         for g in self.generations.iter().rev() {

@@ -1,33 +1,30 @@
-//! Robust checkpointing: recovery policies layered over the raw
-//! [`checkpoint`]/[`restart`] primitives.
+//! Robust-commit machinery shared by every checkpoint writer above the
+//! raw [`checkpoint`](crate::checkpoint)/[`restart`](crate::restart)
+//! primitives.
 //!
 //! The paper motivates CheCL with fault tolerance (§I, §IV); this
-//! module supplies the storage-side half of it:
+//! module supplies the storage-side skeleton of it, which
+//! `checl::snapshot` (with a recovery policy) drives:
 //!
-//! * **atomic commit** — the image is written to `<target>.tmp`,
-//!   verified by reading it back through the frame checksum, and only
-//!   then renamed onto the target, so a crash or injected fault mid-
-//!   write never leaves a half-written file under the final name;
+//! * **atomic commit** — each attempt writes `<target>.tmp`, which the
+//!   caller verifies before one rename publishes it, so a crash or
+//!   injected fault mid-write never leaves a half-written file under
+//!   the final name;
 //! * **bounded retry** — transient I/O failures (disk write faults,
 //!   NFS outage windows) are retried with doubling virtual-time
 //!   backoff;
 //! * **target fallback** — when one mount stays broken, the writer
 //!   falls through an ordered list of alternatives (the local → RAM
-//!   disk → NFS ordering of Table I);
-//! * **restart chains** — restart walks a newest-first list of
-//!   checkpoint files, skipping corrupt or unreadable ones, so the
-//!   newest *good* checkpoint wins.
+//!   disk → NFS ordering of Table I).
 //!
 //! Every recovery action is emitted as a telemetry instant in
-//! [`telemetry::RECOVERY_CATEGORY`].
+//! [`telemetry::RECOVERY_CATEGORY`] ([`recovery_event`]).
 
-use crate::ckptfile::CheckpointFile;
-use crate::cpr::{checkpoint, restart, CprError};
-use osproc::{Cluster, FsError, NodeId, Pid};
-use simcore::codec::CodecError;
-use simcore::{fnv1a64, telemetry, ByteSize, SimDuration};
+use osproc::{Cluster, Pid};
+use simcore::{telemetry, ByteSize, SimDuration};
 
-/// Knobs for [`checkpoint_robust`].
+/// Knobs for a robust commit ([`drive_recovery`]): attempts, backoff,
+/// and whether the caller verifies each attempt.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Attempts per target before falling through to the next one.
@@ -71,7 +68,9 @@ impl RecoveryOutcome {
     }
 }
 
-fn recovery_event(cluster: &Cluster, pid: Pid, name: &str, path: &str) {
+/// Telemetry instant for a recovery action on `path`, mirroring the
+/// fault records the injection layer emits; bumps `recovery.actions`.
+pub fn recovery_event(cluster: &Cluster, pid: Pid, name: &str, path: &str) {
     if telemetry::enabled() {
         let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
         telemetry::instant(
@@ -82,27 +81,6 @@ fn recovery_event(cluster: &Cluster, pid: Pid, name: &str, path: &str) {
         );
         telemetry::counter_add("recovery.actions", 1);
     }
-}
-
-/// Read `path` back and compare byte-for-byte (by length + FNV-64)
-/// against what should have been written — the post-write verification
-/// step. Byte-exact rather than checksum-only, so it also catches
-/// short writes and flips outside the framed payload. Charges the read
-/// to `pid`'s clock.
-fn verify_file(
-    cluster: &mut Cluster,
-    pid: Pid,
-    path: &str,
-    expected_len: usize,
-    expected_hash: u64,
-) -> Result<(), CprError> {
-    let bytes = cluster.read_file(pid, path)?;
-    if bytes.len() != expected_len || fnv1a64(&bytes) != expected_hash {
-        return Err(CprError::Corrupt(CodecError::Invalid(
-            "checkpoint read-back mismatch",
-        )));
-    }
-    Ok(())
 }
 
 /// One attempt's outcome inside [`drive_recovery`].
@@ -188,312 +166,4 @@ pub fn drive_recovery<T, E>(
         let _ = cluster.delete_file(pid, &tmp);
     }
     Err(last_err.unwrap_or_else(exhausted))
-}
-
-/// Checkpoint `pid` with atomic commit, verification, bounded retry and
-/// target fallback. `targets` is tried in order (e.g.
-/// `["/local/a.ckpt", "/ram/a.ckpt", "/nfs/a.ckpt"]`); the committed
-/// path is reported in the [`RecoveryOutcome`].
-///
-/// Only *transient* failures — I/O errors and verification mismatches —
-/// are retried. Structural refusals (device mappings, dead process)
-/// abort immediately, exactly as the raw [`checkpoint`] would.
-pub fn checkpoint_robust(
-    cluster: &mut Cluster,
-    pid: Pid,
-    targets: &[&str],
-    policy: &RetryPolicy,
-) -> Result<(ByteSize, RecoveryOutcome), CprError> {
-    assert!(!targets.is_empty(), "checkpoint_robust needs >= 1 target");
-    // What the dump *should* look like on disk; `checkpoint` serializes
-    // deterministically, so this is exact (free of charge: the sim
-    // clock only moves on modelled I/O).
-    let (expected_len, expected_hash) = if policy.verify {
-        let p = cluster.process(pid);
-        let expected = CheckpointFile {
-            source_pid: pid.0,
-            source_host: cluster.node(p.node).name.clone(),
-            image: p.image.clone(),
-        }
-        .to_file_bytes();
-        (expected.len(), fnv1a64(&expected))
-    } else {
-        (0, 0)
-    };
-    drive_recovery(
-        cluster,
-        pid,
-        targets,
-        policy,
-        |cluster, tmp, target| {
-            let size = match checkpoint(cluster, pid, tmp) {
-                Ok(size) => size,
-                Err(CprError::Fs(e)) => return RecoveryAttempt::Transient(CprError::Fs(e)),
-                Err(fatal) => return RecoveryAttempt::Fatal(fatal),
-            };
-            if policy.verify {
-                match verify_file(cluster, pid, tmp, expected_len, expected_hash) {
-                    Ok(()) => {}
-                    Err(CprError::Fs(e)) => return RecoveryAttempt::Transient(CprError::Fs(e)),
-                    Err(e) => {
-                        recovery_event(cluster, pid, "recovery.verify_failed", tmp);
-                        let _ = cluster.delete_file(pid, tmp);
-                        return RecoveryAttempt::Transient(e);
-                    }
-                }
-            }
-            match cluster.rename_file(pid, tmp, target) {
-                Ok(()) => RecoveryAttempt::Committed { value: size, size },
-                Err(e) => RecoveryAttempt::Fatal(CprError::Fs(e)),
-            }
-        },
-        || CprError::Fs(FsError::WriteFailed(targets[0].to_string())),
-    )
-}
-
-/// Restart from the newest good checkpoint in `paths` (newest first).
-/// Corrupt or unreadable files are skipped with a telemetry note; the
-/// returned index says how far down the chain the restart had to go.
-pub fn restart_from_chain(
-    cluster: &mut Cluster,
-    node: NodeId,
-    paths: &[&str],
-) -> Result<(Pid, usize), CprError> {
-    assert!(!paths.is_empty(), "restart_from_chain needs >= 1 path");
-    let mut last_err: Option<CprError> = None;
-    for (i, path) in paths.iter().enumerate() {
-        match restart(cluster, node, path) {
-            Ok(pid) => {
-                if i > 0 {
-                    recovery_event(cluster, pid, "recovery.restart_fallback", path);
-                }
-                return Ok((pid, i));
-            }
-            Err(e @ (CprError::Corrupt(_) | CprError::Fs(_))) => {
-                if telemetry::enabled() {
-                    let _scope = telemetry::track_scope(telemetry::Track::CLUSTER);
-                    telemetry::instant(
-                        telemetry::RECOVERY_CATEGORY,
-                        "recovery.skip_checkpoint",
-                        simcore::SimTime::ZERO,
-                        vec![("path", (*path).into()), ("error", e.to_string().into())],
-                    );
-                }
-                last_err = Some(e);
-            }
-            Err(fatal) => return Err(fatal),
-        }
-    }
-    Err(last_err.expect("loop ran at least once"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use osproc::FaultPlan;
-
-    fn one_node() -> (Cluster, Pid) {
-        let mut c = Cluster::with_standard_nodes(1);
-        let n = c.node_ids()[0];
-        let p = c.spawn(n);
-        c.process_mut(p).image.put("state", vec![1, 2, 3, 4]);
-        (c, p)
-    }
-
-    #[test]
-    fn clean_run_commits_first_try() {
-        let (mut c, p) = one_node();
-        let (size, out) =
-            checkpoint_robust(&mut c, p, &["/local/a.ckpt"], &RetryPolicy::default()).unwrap();
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.fallbacks, 0);
-        assert!(!out.recovered());
-        assert_eq!(out.path, "/local/a.ckpt");
-        assert_eq!(
-            c.file_size_on(c.process(p).node, "/local/a.ckpt"),
-            Some(size)
-        );
-        // No stray temp file.
-        assert!(c.read_file(p, "/local/a.ckpt.tmp").is_err());
-    }
-
-    #[test]
-    fn write_failures_are_retried() {
-        let (mut c, p) = one_node();
-        c.install_faults(FaultPlan::new(1).fail_next_writes(2));
-        let (_, out) =
-            checkpoint_robust(&mut c, p, &["/local/a.ckpt"], &RetryPolicy::default()).unwrap();
-        assert_eq!(out.attempts, 3);
-        assert!(out.recovered());
-        let back = c.read_file(p, "/local/a.ckpt").unwrap();
-        assert!(CheckpointFile::from_file_bytes(&back).is_ok());
-    }
-
-    #[test]
-    fn corruption_is_caught_by_verify_and_retried() {
-        let (mut c, p) = one_node();
-        c.install_faults(FaultPlan::new(2).corrupt_next_writes(1));
-        let (_, out) =
-            checkpoint_robust(&mut c, p, &["/local/a.ckpt"], &RetryPolicy::default()).unwrap();
-        assert!(out.attempts >= 2, "verify must have rejected attempt 1");
-        let back = c.read_file(p, "/local/a.ckpt").unwrap();
-        assert!(CheckpointFile::from_file_bytes(&back).is_ok());
-    }
-
-    #[test]
-    fn short_write_is_caught_by_verify() {
-        let (mut c, p) = one_node();
-        c.install_faults(FaultPlan::new(3).short_next_writes(1));
-        let (_, out) =
-            checkpoint_robust(&mut c, p, &["/ram/a.ckpt"], &RetryPolicy::default()).unwrap();
-        assert!(out.recovered());
-    }
-
-    #[test]
-    fn persistent_failure_falls_to_next_target() {
-        let (mut c, p) = one_node();
-        // Only /local writes fail, forever.
-        c.install_faults(
-            FaultPlan::new(4)
-                .fail_next_writes(u32::MAX)
-                .only_paths_containing("/local/"),
-        );
-        let (_, out) = checkpoint_robust(
-            &mut c,
-            p,
-            &["/local/a.ckpt", "/ram/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(out.path, "/ram/a.ckpt");
-        assert_eq!(out.fallbacks, 1);
-        assert_eq!(out.attempts, 4); // 3 on /local + 1 on /ram
-    }
-
-    #[test]
-    fn all_targets_exhausted_reports_last_error() {
-        let (mut c, p) = one_node();
-        c.install_faults(FaultPlan::new(5).fail_next_writes(u32::MAX));
-        let policy = RetryPolicy {
-            max_attempts_per_target: 2,
-            ..RetryPolicy::default()
-        };
-        let err =
-            checkpoint_robust(&mut c, p, &["/local/a.ckpt", "/ram/a.ckpt"], &policy).unwrap_err();
-        assert!(matches!(err, CprError::Fs(FsError::WriteFailed(_))));
-    }
-
-    #[test]
-    fn backoff_charges_virtual_time() {
-        let (mut c, p) = one_node();
-        let t0 = c.process(p).clock;
-        checkpoint_robust(&mut c, p, &["/ram/a.ckpt"], &RetryPolicy::default()).unwrap();
-        let clean = c.process(p).clock.since(t0);
-
-        let (mut c2, p2) = one_node();
-        c2.install_faults(FaultPlan::new(6).fail_next_writes(2));
-        let t0 = c2.process(p2).clock;
-        checkpoint_robust(&mut c2, p2, &["/ram/a.ckpt"], &RetryPolicy::default()).unwrap();
-        let faulted = c2.process(p2).clock.since(t0);
-        // Two retries: 50 ms + 100 ms of backoff plus the failed
-        // attempts' latency.
-        assert!(
-            faulted.as_secs_f64() > clean.as_secs_f64() + 0.149,
-            "faulted {faulted} vs clean {clean}"
-        );
-    }
-
-    #[test]
-    fn no_tmp_files_survive_a_failed_commit() {
-        let (mut c, p) = one_node();
-        let node = c.process(p).node;
-        // Open an NFS outage window one tick after the first write is
-        // submitted: the write itself lands (creating the temp), the
-        // verify read-back then fails, and every retry's write fails —
-        // the historical recipe for an orphaned `.tmp` on fallback.
-        let t0 = c.process(p).clock;
-        c.install_faults(FaultPlan::new(11).schedule_nfs_outage(
-            t0 + SimDuration::from_nanos(1),
-            t0 + SimDuration::from_secs(3600),
-        ));
-        let (_, out) = checkpoint_robust(
-            &mut c,
-            p,
-            &["/nfs/a.ckpt", "/local/a.ckpt"],
-            &RetryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(out.path, "/local/a.ckpt");
-        assert_eq!(out.fallbacks, 1);
-        let strays: Vec<String> = c
-            .paths_on(node)
-            .into_iter()
-            .filter(|f| f.ends_with(".tmp"))
-            .collect();
-        assert!(strays.is_empty(), "orphaned temp files: {strays:?}");
-    }
-
-    #[test]
-    fn exhausted_recovery_leaves_no_tmp_behind() {
-        let (mut c, p) = one_node();
-        let node = c.process(p).node;
-        let t0 = c.process(p).clock;
-        // Same shape but with no healthy fallback: the whole recovery
-        // fails, which must still not orphan temps.
-        c.install_faults(FaultPlan::new(12).schedule_nfs_outage(
-            t0 + SimDuration::from_nanos(1),
-            t0 + SimDuration::from_secs(3600),
-        ));
-        let err =
-            checkpoint_robust(&mut c, p, &["/nfs/a.ckpt"], &RetryPolicy::default()).unwrap_err();
-        assert!(matches!(err, CprError::Fs(_)));
-        let strays: Vec<String> = c
-            .paths_on(node)
-            .into_iter()
-            .filter(|f| f.ends_with(".tmp"))
-            .collect();
-        assert!(strays.is_empty(), "orphaned temp files: {strays:?}");
-    }
-
-    #[test]
-    fn restart_chain_skips_corrupt_newest() {
-        let (mut c, p) = one_node();
-        let node = c.process(p).node;
-        checkpoint(&mut c, p, "/local/old.ckpt").unwrap();
-        c.process_mut(p).image.put("state", vec![9, 9, 9, 9]);
-        // Newest checkpoint lands corrupted on disk, in the live frame
-        // region the checksum covers.
-        c.install_faults(
-            FaultPlan::new(7)
-                .corrupt_next_writes(1)
-                .corrupt_in_prefix(64),
-        );
-        checkpoint(&mut c, p, "/local/new.ckpt").unwrap();
-        let (pid, idx) =
-            restart_from_chain(&mut c, node, &["/local/new.ckpt", "/local/old.ckpt"]).unwrap();
-        assert_eq!(idx, 1, "should have fallen back to the old file");
-        assert_eq!(
-            c.process(pid).image.get("state"),
-            Some(&[1u8, 2, 3, 4][..]),
-            "state must come from the last *good* checkpoint"
-        );
-    }
-
-    #[test]
-    fn restart_chain_all_bad_errors_cleanly() {
-        let mut c = Cluster::with_standard_nodes(1);
-        let n = c.node_ids()[0];
-        let p = c.spawn(n);
-        c.write_file(p, "/local/junk.ckpt", vec![0u8; 64]).unwrap();
-        let err =
-            restart_from_chain(&mut c, n, &["/local/junk.ckpt", "/local/none.ckpt"]).unwrap_err();
-        assert!(matches!(err, CprError::Fs(_) | CprError::Corrupt(_)));
-        // No leaked live processes from the failed attempts.
-        let alive = c
-            .pids()
-            .iter()
-            .filter(|q| c.process(**q).is_alive())
-            .count();
-        assert_eq!(alive, 1, "only the writer process should be alive");
-    }
 }

@@ -426,12 +426,12 @@ pub fn sweep_orphaned_tmps(cluster: &mut Cluster) -> usize {
 /// Double-buffered streamed checkpoint writer.
 ///
 /// Appends verified (framed + checksummed) chunks to `<target>.tmp` as
-/// they arrive and atomically renames to `target` on [`finish`]
-/// (`StreamWriter::finish`). Any error leaves the previous generation
-/// at `target` untouched; call [`abort`](StreamWriter::abort) to clean
-/// up the temporary file. A writer dropped while still open registers
-/// its tmp with the orphan audit ([`take_orphaned_tmps`]) instead of
-/// leaking it silently.
+/// they arrive and atomically renames to `target` on
+/// [`finish`](StreamWriter::finish). Any error leaves the previous
+/// generation at `target` untouched; call [`abort`](StreamWriter::abort)
+/// to clean up the temporary file. A writer dropped while still open
+/// registers its tmp with the orphan audit ([`take_orphaned_tmps`])
+/// instead of leaking it silently.
 #[derive(Debug)]
 pub struct StreamWriter {
     pid: Pid,

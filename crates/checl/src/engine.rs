@@ -23,19 +23,19 @@
 
 use crate::boot::{kill_proxy, refork_proxy};
 use crate::cpr::{
-    queue_and_device_in_context, queue_in_context, restore_checl, storage_channel_name,
-    CheckpointReport, CheclCprError, DedupStats, RestoreReport, RestoreTarget, CHECL_STATE_SEGMENT,
+    queue_and_device_in_context, restore_checl, storage_channel_name, CheckpointReport,
+    CheclCprError, DedupStats, RestoreReport, RestoreTarget, CHECL_STATE_SEGMENT,
 };
 use crate::objects::ObjectRecord;
 use crate::runtime::ChecLib;
 use blcr::{
-    cdc_chunks, ChunkStore, CprError, PutOutcome, RecoveryAttempt, RecoveryOutcome, RetryPolicy,
-    SniffedDump, StreamWriter,
+    cdc_chunks, recovery_event, ChunkStore, CprError, PutOutcome, RecoveryAttempt, RecoveryOutcome,
+    RetryPolicy, SniffedDump, StreamWriter,
 };
 use cldriver::VendorConfig;
 use clspec::api::ApiRequest;
 use clspec::error::ClError;
-use clspec::handles::{CommandQueue, Event, HandleKind, Mem, RawHandle};
+use clspec::handles::{CommandQueue, HandleKind, Mem, RawHandle};
 use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
 use simcore::channels::{ChannelId, ChannelSet};
 use simcore::{calib, obs, telemetry, ByteSize, LinkModel, SimDuration, SimTime};
@@ -159,16 +159,15 @@ impl CprPolicy {
 
     /// Stable human-readable name of this lattice point, recorded in
     /// every dump's provenance (e.g. `"streamed+pipelined+dedup+recovery"`).
-    /// It names only what [`snapshot`] enacts.
+    /// It names only what [`snapshot`] enacts: every streamed data path
+    /// overlaps copies with writes, so every streamed point is
+    /// `pipelined`, whether or not that field is set.
     pub fn label(&self) -> String {
         let mut parts: Vec<&str> = vec![if self.streamed() {
-            "streamed"
+            "streamed+pipelined"
         } else {
             "sequential"
         }];
-        if self.pipelined {
-            parts.push("pipelined");
-        }
         if self.dedup {
             parts.push("dedup");
         }
@@ -432,37 +431,19 @@ pub(crate) fn snapshot_once(
 
     let mems = collect_mems(lib);
     let provenance = dump_provenance(&mems, streamed);
+    let copied_bytes = provenance.logical_bytes;
 
-    let mut dedup_stats: Option<DedupStats> = None;
-    let (now, preprocess, write, file_size, channels) = if !streamed {
+    let (now, preprocess, write, file_size, channels, dedup_stats) = if !streamed {
         // Phase 2: preprocess — copy all user data in device memory to
         // the host memory.
         let t0 = now;
         telemetry::span_begin("cpr", "checkpoint.preprocess", t0, Vec::new());
-        let mut copied_bytes: u64 = 0;
         for &(checl_mem, vendor_mem, context, size) in &mems {
-            copied_bytes += size;
-            let (_q_checl, q_vendor) =
-                queue_in_context(lib, context).ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-            let (data, ev) = lib
-                .forward(
-                    &mut now,
-                    ApiRequest::EnqueueReadBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor_mem),
-                        blocking: true,
-                        offset: 0,
-                        size,
-                        wait_list: vec![],
-                    },
-                )?
-                .into_data_event()?;
-            lib.forward(
-                &mut now,
-                ApiRequest::ReleaseEvent {
-                    event: Event::from_raw(ev.raw()),
-                },
-            )?;
+            let (queue, _) = queue_and_device_in_context(lib, context)
+                .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+            let (data, _, released) =
+                read_device(lib, queue, vendor_mem, 0, size, now, |cost| now + cost)?;
+            now = released;
             if let Some(e) = lib.db.get_mut(checl_mem) {
                 if let ObjectRecord::Mem {
                     saved_data,
@@ -497,26 +478,9 @@ pub(crate) fn snapshot_once(
         let file_size = match blcr::checkpoint(cluster, app_pid, path) {
             Ok(size) => size,
             Err(e) => {
-                // Failed write (disk fault, NFS outage): undo this
-                // attempt's bookkeeping so the shim stays consistent,
-                // and close the open spans so the trace stays
-                // well-formed.
-                now = cluster.process(app_pid).clock;
-                rollback_failed_write(lib, cluster, app_pid, path);
-                let err = CheclCprError::from(e);
-                telemetry::span_end(
-                    "cpr",
-                    telemetry::QUIESCE_UNTIL,
-                    now,
-                    vec![("error", err.to_string().into())],
-                );
-                telemetry::span_end(
-                    "cpr",
-                    "checkpoint",
-                    now,
-                    vec![("error", err.to_string().into())],
-                );
-                return Err(err);
+                // Failed write (disk fault, NFS outage).
+                let now = cluster.process(app_pid).clock;
+                return Err(fail_attempt(lib, cluster, app_pid, path, now, e.into()));
             }
         };
         now = cluster.process(app_pid).clock;
@@ -527,19 +491,18 @@ pub(crate) fn snapshot_once(
             now,
             vec![("file_bytes", file_size.as_u64().into())],
         );
-        (now, preprocess, write, file_size, None)
+        (now, preprocess, write, file_size, None, None)
     } else {
         // Phases 2+3: the overlapped copy/stream window.
         let phase0 = now;
         telemetry::span_begin("cpr", "checkpoint.preprocess", phase0, Vec::new());
-        let copied_bytes: u64 = provenance.logical_bytes;
         // Mark every streamed buffer clean *before* encoding the state:
         // the dumped records must say "bytes live in `path`", because
         // the chunks ride in this very file (the state segment itself
-        // carries no payloads). A failed attempt un-marks them below,
+        // carries no payloads). A failed attempt un-marks them again,
         // exactly like the sequential rollback. `dirty_regions` and
-        // `saved_chunks` are left alone: the dedup data path reads them
-        // for its clean-buffer fast path.
+        // `saved_chunks` are left alone: the dedup payload step reads
+        // them for its clean-buffer fast path.
         for &(checl_mem, ..) in &mems {
             if let Some(e) = lib.db.get_mut(checl_mem) {
                 if let ObjectRecord::Mem {
@@ -563,68 +526,23 @@ pub(crate) fn snapshot_once(
         let mut channels = ChannelSet::new(phase0)
             .without_log()
             .with_telemetry(app_pid.0 as u64, CHANNEL_TRACK_BASE);
-        let mut writer: Option<StreamWriter> = None;
-        let data_path = if dedup {
-            dedup_data_path(
-                lib,
-                cluster,
-                app_pid,
-                path,
-                &mems,
-                &mut channels,
-                &mut writer,
-            )
-            .map(|(copies, commit, size, stats)| {
-                dedup_stats = Some(stats);
-                (copies, commit, size)
-            })
-        } else {
-            pipelined_data_path(
-                lib,
-                cluster,
-                app_pid,
-                path,
-                &mems,
-                &mut channels,
-                &mut writer,
-            )
-        };
-        let (copies_done, commit_end, file_size) = match data_path {
-            Ok(done) => done,
-            Err(err) => {
-                // Same rollback as the sequential engine: drop the tmp
-                // (the previous generation at `path` is untouched),
-                // take the state segment back out, forget the
-                // references to the file that never landed, and close
-                // the open spans.
-                if let Some(w) = writer.as_mut() {
-                    w.abort(cluster);
+        let (copies_done, commit_end, file_size, dedup_stats) =
+            match streamed_data_path(lib, cluster, app_pid, path, &mems, &mut channels, dedup) {
+                Ok(done) => done,
+                Err(err) => {
+                    // The temp is already gone and the previous
+                    // generation at `path` untouched.
+                    let now = channels.makespan().max(cluster.process(app_pid).clock);
+                    telemetry::span_end(
+                        "cpr",
+                        "checkpoint.preprocess",
+                        now,
+                        vec![("error", err.to_string().into())],
+                    );
+                    telemetry::span_begin("cpr", telemetry::QUIESCE_UNTIL, now, Vec::new());
+                    return Err(fail_attempt(lib, cluster, app_pid, path, now, err));
                 }
-                let now = channels.makespan().max(cluster.process(app_pid).clock);
-                cluster.process_mut(app_pid).clock = now;
-                rollback_failed_write(lib, cluster, app_pid, path);
-                telemetry::span_end(
-                    "cpr",
-                    "checkpoint.preprocess",
-                    now,
-                    vec![("error", err.to_string().into())],
-                );
-                telemetry::span_begin("cpr", telemetry::QUIESCE_UNTIL, now, Vec::new());
-                telemetry::span_end(
-                    "cpr",
-                    telemetry::QUIESCE_UNTIL,
-                    now,
-                    vec![("error", err.to_string().into())],
-                );
-                telemetry::span_end(
-                    "cpr",
-                    "checkpoint",
-                    now,
-                    vec![("error", err.to_string().into())],
-                );
-                return Err(err);
-            }
-        };
+            };
 
         // The preprocess phase of the Fig. 5 breakdown ends when the
         // last copy lands; everything past that is write-side
@@ -645,7 +563,14 @@ pub(crate) fn snapshot_once(
             now,
             vec![("file_bytes", file_size.as_u64().into())],
         );
-        (now, preprocess, write, file_size, Some(channels))
+        (
+            now,
+            preprocess,
+            write,
+            file_size,
+            Some(channels),
+            dedup_stats,
+        )
     };
 
     Ok((
@@ -664,6 +589,28 @@ pub(crate) fn snapshot_once(
         ),
         provenance,
     ))
+}
+
+/// Close a failed snapshot attempt at `now`: take the state segment
+/// back out of the image, re-dirty the buffers "saved" in `path` (it
+/// never landed) so the next dedup generation re-reads them, and end
+/// the open write-phase and checkpoint spans with the error so the
+/// trace stays well-formed. Returns `err`.
+fn fail_attempt(
+    lib: &mut ChecLib,
+    cluster: &mut Cluster,
+    app_pid: Pid,
+    path: &str,
+    now: SimTime,
+    err: CheclCprError,
+) -> CheclCprError {
+    cluster.process_mut(app_pid).clock = now;
+    cluster.process_mut(app_pid).image.take(CHECL_STATE_SEGMENT);
+    invalidate_saves(lib, path);
+    for span in [telemetry::QUIESCE_UNTIL, "checkpoint"] {
+        telemetry::span_end("cpr", span, now, vec![("error", err.to_string().into())]);
+    }
+    err
 }
 
 /// The live flavour of [`snapshot_once`]: quiesce, capture the cut
@@ -761,30 +708,10 @@ fn snapshot_live(
         .without_log()
         .with_telemetry(app_pid.0 as u64, CHANNEL_TRACK_BASE);
     let disk = channels.channel(storage_channel_name(cluster, app_pid, &tmp));
-    cluster.process_mut(app_pid).clock = now;
-    let writer = match StreamWriter::begin(cluster, app_pid, &tmp) {
+    let writer = match open_stream(cluster, app_pid, &tmp, &mut channels, disk, now) {
         Ok(w) => w,
-        Err(e) => {
-            cluster.process_mut(app_pid).clock = now;
-            rollback_failed_write(lib, cluster, app_pid, &tmp);
-            let err = CheclCprError::from(e);
-            telemetry::span_end(
-                "cpr",
-                telemetry::QUIESCE_UNTIL,
-                now,
-                vec![("error", err.to_string().into())],
-            );
-            telemetry::span_end(
-                "cpr",
-                "checkpoint",
-                now,
-                vec![("error", err.to_string().into())],
-            );
-            return Err(err);
-        }
+        Err(e) => return Err(fail_attempt(lib, cluster, app_pid, &tmp, now, e.into())),
     };
-    let header_end = cluster.process(app_pid).clock;
-    channels.place(disk, now, header_end.since(now), "stream.header");
     cluster.process_mut(app_pid).clock = now;
     telemetry::span_end(
         "cpr",
@@ -938,31 +865,13 @@ impl LiveDrain {
         for (run_lo, run_hi) in runs {
             let run_len = run_hi - run_lo;
             let ready = self.channels.free_at(pcie).max(*now);
-            let mut t = ready;
-            let (data, ev) = lib
-                .forward(
-                    &mut t,
-                    ApiRequest::EnqueueReadBuffer {
-                        queue: CommandQueue::from_raw(q_vendor),
-                        mem: Mem::from_raw(vendor),
-                        blocking: true,
-                        offset: run_lo,
-                        size: run_len,
-                        wait_list: vec![],
-                    },
-                )?
-                .into_data_event()?;
-            let copy = self.channels.place(pcie, ready, t.since(ready), "cow.d2h");
-            let mut t2 = copy.end;
-            lib.forward(
-                &mut t2,
-                ApiRequest::ReleaseEvent {
-                    event: Event::from_raw(ev.raw()),
-                },
-            )?;
+            let (data, landed, released) =
+                read_device(lib, q_vendor, vendor, run_lo, run_len, ready, |cost| {
+                    self.channels.place(pcie, ready, cost, "cow.d2h").end
+                })?;
             let rel = self
                 .channels
-                .place(ipc, copy.end, t2.since(copy.end), "release");
+                .place(ipc, landed, released.since(landed), "release");
             let mready = self.channels.free_at(cpu).max(rel.end);
             let stash = self.channels.place(
                 cpu,
@@ -1019,14 +928,15 @@ pub struct LiveDrainOutcome {
     pub drained_bytes: u64,
 }
 
-/// Drive a parked [`LiveDrain`] to completion: background-D2H every
-/// cut buffer still on the device (gap-filled around the foreground's
-/// own PCIe traffic), append the out-of-order slice/chunk frames in
-/// host-ready order, seal the stream, and publish `<path>.tmp` →
-/// `path` by one rename. The app clock only advances if the drain's
-/// virtual-time makespan outran the compute the application managed in
-/// the meantime. A failure aborts the temp and re-dirties the cut
-/// buffers, leaving any previous generation at `path` restorable.
+/// Drive the live drain a live [`snapshot`] parked on the shim to
+/// completion: background-D2H every cut buffer still on the device
+/// (gap-filled around the foreground's own PCIe traffic), append the
+/// out-of-order slice/chunk frames in host-ready order, seal the
+/// stream, and publish `<path>.tmp` → `path` by one rename. The app
+/// clock only advances if the drain's virtual-time makespan outran the
+/// compute the application managed in the meantime. A failure aborts
+/// the temp and re-dirties the cut buffers, leaving any previous
+/// generation at `path` restorable.
 /// No-op (`Ok(None)`) when nothing is draining.
 pub fn complete_live_drain(
     lib: &mut ChecLib,
@@ -1151,10 +1061,6 @@ fn drive_live_drain(
     // of different buffers interleave freely in the file; frame seq
     // numbers are assigned at append time. Keyed `(ready, handle,
     // offset)` so the order is deterministic.
-    enum Frame {
-        Chunk(Vec<u8>),
-        Slice(u64, Vec<u8>),
-    }
     let mut tasks: Vec<(SimTime, u64, u64, Frame)> = Vec::new();
     let mut drained_bytes = 0u64;
     for p in pending {
@@ -1173,34 +1079,12 @@ fn drive_live_drain(
         let (q_vendor, dev_index) = queue_and_device_in_context(lib, p.context)
             .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
         let pcie = pcie_channel(channels, dev_index);
-        let mut t = cut;
-        let (data, ev) = lib
-            .forward(
-                &mut t,
-                ApiRequest::EnqueueReadBuffer {
-                    queue: CommandQueue::from_raw(q_vendor),
-                    mem: Mem::from_raw(p.vendor),
-                    blocking: true,
-                    offset: 0,
-                    size: p.size,
-                    wait_list: vec![],
-                },
-            )
-            .map_err(CheclCprError::Cl)?
-            .into_data_event()
-            .map_err(CheclCprError::Cl)?;
-        let rd = channels.place_background(pcie, cut, t.since(cut), "drain.d2h");
-        let mut t2 = rd.end;
-        lib.forward(
-            &mut t2,
-            ApiRequest::ReleaseEvent {
-                event: Event::from_raw(ev.raw()),
-            },
-        )
-        .map_err(CheclCprError::Cl)?;
+        let (data, landed, _) = read_device(lib, q_vendor, p.vendor, 0, p.size, cut, |cost| {
+            channels.place_background(pcie, cut, cost, "drain.d2h").end
+        })?;
         if p.forked.is_empty() {
             drained_bytes += p.size;
-            tasks.push((rd.end, p.checl, 0, Frame::Chunk(data)));
+            tasks.push((landed, p.checl, 0, Frame::Chunk(data)));
             continue;
         }
         // Partially forked: the forks carry the overwritten runs, the
@@ -1212,7 +1096,7 @@ fn drive_live_drain(
             if off > cur {
                 drained_bytes += off - cur;
                 tasks.push((
-                    rd.end,
+                    landed,
                     p.checl,
                     cur,
                     Frame::Slice(cur, data[cur as usize..off as usize].to_vec()),
@@ -1224,7 +1108,7 @@ fn drive_live_drain(
         if cur < p.size {
             drained_bytes += p.size - cur;
             tasks.push((
-                rd.end,
+                landed,
                 p.checl,
                 cur,
                 Frame::Slice(cur, data[cur as usize..p.size as usize].to_vec()),
@@ -1233,25 +1117,22 @@ fn drive_live_drain(
     }
     tasks.sort_by_key(|t| (t.0, t.1, t.2));
     for (ready, handle, _off, frame) in tasks {
-        let wready = channels.free_at(disk).max(ready);
-        cluster.process_mut(app_pid).clock = wready;
-        match frame {
-            Frame::Chunk(data) => writer.append_chunk(cluster, handle, data)?,
-            Frame::Slice(off, data) => writer.append_slice(cluster, handle, off, data)?,
-        };
-        let wend = cluster.process(app_pid).clock;
-        channels.place(disk, wready, wend.since(wready), "drain.append");
+        on_disk(
+            cluster,
+            app_pid,
+            channels,
+            disk,
+            ready,
+            "drain.append",
+            |cluster| frame.append(writer, cluster, handle),
+        )?;
     }
     // Seal, then publish by one rename.
-    let fready = channels.free_at(disk).max(cut);
-    cluster.process_mut(app_pid).clock = fready;
-    let (file_size, _) = writer.finish(cluster)?;
-    let commit_end = cluster.process(app_pid).clock;
-    let seal = channels.place(disk, fready, commit_end.since(fready), "stream.commit");
+    let (file_size, sealed) = seal_stream(cluster, app_pid, writer, channels, disk, cut)?;
     cluster
         .rename_file(app_pid, tmp, path)
         .map_err(|e| CheclCprError::Cpr(CprError::Fs(e)))?;
-    Ok((file_size, seal.end, drained_bytes))
+    Ok((file_size, sealed, drained_bytes))
 }
 
 /// Phase 1, shared by both data paths: drain the host and every
@@ -1321,136 +1202,294 @@ fn collect_mems(lib: &ChecLib) -> Vec<MemPlan> {
         .collect()
 }
 
-/// The overlapped copy/stream window: open the stream writer (header
-/// first), then for each buffer schedule the D2H copy on its device's
-/// PCIe channel and the chunk append on the storage channel. Returns
-/// `(end of the last copy, end of the commit, file size)`. The caller
-/// aborts `writer_slot` and rolls back on error.
-#[allow(clippy::too_many_arguments)]
-fn pipelined_data_path(
+/// The engine's one device-to-host copy: a blocking read of `size`
+/// bytes at `offset` of vendor buffer `mem` on vendor queue `queue`,
+/// forwarded at `start`, then the release of its event. `land` books
+/// the read's duration (on a channel, or nowhere) and returns when the
+/// copy landed; the release is forwarded from there. Returns the
+/// bytes, when they landed, and when the release returned.
+fn read_device(
     lib: &mut ChecLib,
-    cluster: &mut Cluster,
-    app_pid: Pid,
-    path: &str,
-    mems: &[MemPlan],
-    channels: &mut ChannelSet,
-    writer_slot: &mut Option<StreamWriter>,
-) -> Result<(SimTime, SimTime, ByteSize), CheclCprError> {
-    let phase0 = channels.origin();
-    let disk = channels.channel(storage_channel_name(cluster, app_pid, path));
-    let ipc = channels.channel("ipc");
-
-    // The header (process image + stripped CheCL state) goes to disk
-    // before any copy has landed.
-    cluster.process_mut(app_pid).clock = phase0;
-    *writer_slot = Some(StreamWriter::begin(cluster, app_pid, path)?);
-    let header_end = cluster.process(app_pid).clock;
-    channels.place(disk, phase0, header_end.since(phase0), "stream.header");
-
-    let mut copies_done = phase0;
-    for &(checl_mem, vendor_mem, context, size) in mems {
-        let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
-            .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-        let pcie = pcie_channel(channels, dev_index);
-        // D2H copy: starts as soon as this device's PCIe link frees up.
-        let ready = channels.free_at(pcie).max(phase0);
-        let mut t = ready;
-        let (data, ev) = lib
-            .forward(
-                &mut t,
-                ApiRequest::EnqueueReadBuffer {
-                    queue: CommandQueue::from_raw(q_vendor),
-                    mem: Mem::from_raw(vendor_mem),
-                    blocking: true,
-                    offset: 0,
-                    size,
-                    wait_list: vec![],
-                },
-            )?
-            .into_data_event()?;
-        let copy = channels.place(pcie, ready, t.since(ready), "d2h");
-        // Event release is cheap app↔proxy chatter on its own channel.
-        let mut t2 = copy.end;
-        lib.forward(
-            &mut t2,
-            ApiRequest::ReleaseEvent {
-                event: Event::from_raw(ev.raw()),
+    queue: RawHandle,
+    mem: RawHandle,
+    offset: u64,
+    size: u64,
+    start: SimTime,
+    land: impl FnOnce(SimDuration) -> SimTime,
+) -> Result<(Vec<u8>, SimTime, SimTime), ClError> {
+    let mut t = start;
+    let (data, event) = lib
+        .forward(
+            &mut t,
+            ApiRequest::EnqueueReadBuffer {
+                queue: CommandQueue::from_raw(queue),
+                mem: Mem::from_raw(mem),
+                blocking: true,
+                offset,
+                size,
+                wait_list: vec![],
             },
-        )?;
-        let rel = channels.place(ipc, copy.end, t2.since(copy.end), "release");
-        copies_done = copies_done.max(rel.end);
-        // Stream the chunk while the next copy is in flight. The chunk
-        // buffer is moved into the writer, never cloned.
-        let wready = channels.free_at(disk).max(copy.end);
-        cluster.process_mut(app_pid).clock = wready;
-        writer_slot
-            .as_mut()
-            .expect("writer open")
-            .append_chunk(cluster, checl_mem, data)?;
-        let wend = cluster.process(app_pid).clock;
-        channels.place(disk, wready, wend.since(wready), "stream.chunk");
-    }
-
-    // Seal + atomically publish once the last chunk has landed.
-    let fready = channels.free_at(disk).max(copies_done);
-    cluster.process_mut(app_pid).clock = fready;
-    let (file_size, _) = writer_slot.as_mut().expect("writer open").finish(cluster)?;
-    let commit_end = cluster.process(app_pid).clock;
-    channels.place(disk, fready, commit_end.since(fready), "stream.commit");
-    Ok((copies_done, commit_end, file_size))
+        )?
+        .into_data_event()?;
+    let landed = land(t.since(start));
+    let mut released = landed;
+    lib.forward(&mut released, ApiRequest::ReleaseEvent { event })?;
+    Ok((data, landed, released))
 }
 
-/// The content-addressed data path: like [`pipelined_data_path`], but
-/// each buffer's payload is content-defined-chunked, deduplicated
-/// against the shared chunk store (`checl.cas` beside the dump),
-/// compressed on the `cpu.compress` CPU channel, and referenced from
-/// the stream by a chunk-map frame instead of riding inline. Dirty-
-/// region tracking lets chunks whose span no write touched since the
-/// last generation skip even the hashing pass, and a buffer no write
-/// touched at all skip its device read too.
-#[allow(clippy::too_many_arguments)]
-fn dedup_data_path(
+/// One I/O step on the storage channel `disk`: it starts once `disk`
+/// is free and `ready` has passed, `io` charges its cost to `pid`'s
+/// clock, and that elapsed time is placed on `disk` as `label`.
+/// Returns `io`'s value and when the step ended.
+fn on_disk<T>(
+    cluster: &mut Cluster,
+    pid: Pid,
+    channels: &mut ChannelSet,
+    disk: ChannelId,
+    ready: SimTime,
+    label: &str,
+    io: impl FnOnce(&mut Cluster) -> Result<T, CprError>,
+) -> Result<(T, SimTime), CprError> {
+    let start = channels.free_at(disk).max(ready);
+    cluster.process_mut(pid).clock = start;
+    let value = io(cluster)?;
+    let cost = cluster.process(pid).clock.since(start);
+    Ok((value, channels.place(disk, start, cost, label).end))
+}
+
+/// Open the stream on `path` (`<path>.tmp` until sealed): its header
+/// frame, the process image as it stands, goes first.
+fn open_stream(
+    cluster: &mut Cluster,
+    pid: Pid,
+    path: &str,
+    channels: &mut ChannelSet,
+    disk: ChannelId,
+    ready: SimTime,
+) -> Result<StreamWriter, CprError> {
+    on_disk(
+        cluster,
+        pid,
+        channels,
+        disk,
+        ready,
+        "stream.header",
+        |cluster| StreamWriter::begin(cluster, pid, path),
+    )
+    .map(|(writer, _)| writer)
+}
+
+/// Seal an open stream. Returns the file size and when the commit
+/// landed.
+fn seal_stream(
+    cluster: &mut Cluster,
+    pid: Pid,
+    writer: &mut StreamWriter,
+    channels: &mut ChannelSet,
+    disk: ChannelId,
+    ready: SimTime,
+) -> Result<(ByteSize, SimTime), CprError> {
+    let ((file_size, _), sealed) = on_disk(
+        cluster,
+        pid,
+        channels,
+        disk,
+        ready,
+        "stream.commit",
+        |cluster| writer.finish(cluster),
+    )?;
+    Ok((file_size, sealed))
+}
+
+/// One payload frame of a buffer.
+enum Frame<'a> {
+    Chunk(Vec<u8>),
+    Map {
+        store: &'a str,
+        total_len: u64,
+        segments: Vec<(u64, u64)>,
+    },
+    /// `(offset, bytes)`: one run of a live-drained buffer.
+    Slice(u64, Vec<u8>),
+}
+
+impl Frame<'_> {
+    fn append(
+        self,
+        writer: &mut StreamWriter,
+        cluster: &mut Cluster,
+        handle: u64,
+    ) -> Result<SimDuration, CprError> {
+        match self {
+            Frame::Chunk(data) => writer.append_chunk(cluster, handle, data),
+            Frame::Map {
+                store,
+                total_len,
+                segments,
+            } => writer.append_chunk_map(cluster, handle, store, total_len, segments),
+            Frame::Slice(offset, data) => writer.append_slice(cluster, handle, offset, data),
+        }
+    }
+}
+
+/// The overlapped copy/stream window of every stop-the-world streamed
+/// snapshot: open the stream, then for each buffer place the D2H copy
+/// on its device's PCIe channel and the payload frame on the storage
+/// channel, and seal. The payload step is the only branch: an inline
+/// chunk frame, or under `dedup` a chunk-map frame ([`DedupPass`],
+/// whose store opens ahead of the header). Returns `(end of the last
+/// copy, end of the commit, file size, dedup stats)`. On error the temp
+/// is aborted; the caller rolls the bookkeeping back.
+fn streamed_data_path(
     lib: &mut ChecLib,
     cluster: &mut Cluster,
     app_pid: Pid,
     path: &str,
     mems: &[MemPlan],
     channels: &mut ChannelSet,
-    writer_slot: &mut Option<StreamWriter>,
-) -> Result<(SimTime, SimTime, ByteSize, DedupStats), CheclCprError> {
+    dedup: bool,
+) -> Result<(SimTime, SimTime, ByteSize, Option<DedupStats>), CheclCprError> {
     let phase0 = channels.origin();
     let disk = channels.channel(storage_channel_name(cluster, app_pid, path));
     let ipc = channels.channel("ipc");
-    let compress = channels.channel("cpu.compress");
-    let store_path = chunk_store_path(path);
+    let mut dedup = if dedup {
+        Some(DedupPass::open(
+            lib, cluster, app_pid, path, channels, disk,
+        )?)
+    } else {
+        None
+    };
+    let mut writer = open_stream(cluster, app_pid, path, channels, disk, phase0)?;
+    let mut stream = || -> Result<(SimTime, SimTime, ByteSize), CheclCprError> {
+        let mut copies_done = phase0;
+        for &(checl_mem, vendor_mem, context, size) in mems {
+            // D2H copy: starts as soon as this device's PCIe link frees
+            // up; the event release is cheap app↔proxy chatter on its
+            // own channel.
+            let mut copy = |lib: &mut ChecLib,
+                            channels: &mut ChannelSet|
+             -> Result<(Vec<u8>, SimTime), CheclCprError> {
+                let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
+                    .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+                let pcie = pcie_channel(channels, dev_index);
+                let ready = channels.free_at(pcie).max(phase0);
+                let (data, landed, released) =
+                    read_device(lib, q_vendor, vendor_mem, 0, size, ready, |cost| {
+                        channels.place(pcie, ready, cost, "d2h").end
+                    })?;
+                let rel = channels.place(ipc, landed, released.since(landed), "release");
+                copies_done = copies_done.max(rel.end);
+                Ok((data, landed))
+            };
+            let (ready, frame, label) = match &mut dedup {
+                // Stream the chunk while the next copy is in flight;
+                // the buffer is moved into the writer, never cloned.
+                None => {
+                    let (data, landed) = copy(lib, channels)?;
+                    (landed, Frame::Chunk(data), "stream.chunk")
+                }
+                Some(pass) => {
+                    let (staged, segments) =
+                        pass.payload(lib, cluster, channels, checl_mem, size, copy)?;
+                    let frame = Frame::Map {
+                        store: &pass.store_path,
+                        total_len: size,
+                        segments,
+                    };
+                    (staged, frame, "stream.map")
+                }
+            };
+            on_disk(cluster, app_pid, channels, disk, ready, label, |cluster| {
+                frame.append(&mut writer, cluster, checl_mem)
+            })?;
+        }
+        // Seal + atomically publish once the last frame has landed.
+        let (file_size, sealed) =
+            seal_stream(cluster, app_pid, &mut writer, channels, disk, copies_done)?;
+        Ok((copies_done, sealed, file_size))
+    };
+    let (copies_done, sealed, file_size) = stream().inspect_err(|_| writer.abort(cluster))?;
+    Ok((
+        copies_done,
+        sealed,
+        file_size,
+        dedup.map(|pass| pass.finish(lib)),
+    ))
+}
 
-    // Open (or reuse) the shared chunk store. A cold open scans any
-    // existing records to rebuild the hash index — that read goes to
-    // the disk channel before anything else happens.
-    if lib
-        .chunk_store
-        .as_ref()
-        .map(|s| s.path() != store_path)
-        .unwrap_or(true)
-    {
-        cluster.process_mut(app_pid).clock = phase0;
-        let store = ChunkStore::open(cluster, app_pid, &store_path)?;
-        let opened = cluster.process(app_pid).clock;
-        channels.place(disk, phase0, opened.since(phase0), "store.open");
-        lib.chunk_store = Some(store);
+/// The content-addressed payload step of a dedup snapshot: each
+/// buffer's payload is content-defined-chunked, deduplicated against
+/// the shared chunk store (`checl.cas` beside the dump), compressed on
+/// the `cpu.compress` CPU channel, and referenced from the stream by a
+/// chunk-map frame instead of riding inline. Dirty-region tracking lets
+/// chunks whose span no write touched since the last generation skip
+/// even the hashing pass, and a buffer no write touched at all skip its
+/// device read too.
+struct DedupPass {
+    /// The shared chunk store (`checl.cas` beside the dump).
+    store_path: String,
+    disk: ChannelId,
+    compress: ChannelId,
+    stats: DedupStats,
+    /// Every chunk this dump's maps reference.
+    referenced: Vec<(u64, u64)>,
+}
+
+impl DedupPass {
+    /// Open (or reuse) the chunk store shared by dumps beside `path`. A
+    /// cold open scans any existing records to rebuild the hash index —
+    /// that read goes to the disk channel before anything else happens.
+    fn open(
+        lib: &mut ChecLib,
+        cluster: &mut Cluster,
+        app_pid: Pid,
+        path: &str,
+        channels: &mut ChannelSet,
+        disk: ChannelId,
+    ) -> Result<DedupPass, CprError> {
+        let store_path = chunk_store_path(path);
+        let compress = channels.channel("cpu.compress");
+        if lib
+            .chunk_store
+            .as_ref()
+            .map(|s| s.path() != store_path)
+            .unwrap_or(true)
+        {
+            let ready = channels.origin();
+            let (store, _) = on_disk(
+                cluster,
+                app_pid,
+                channels,
+                disk,
+                ready,
+                "store.open",
+                |cluster| ChunkStore::open(cluster, app_pid, &store_path),
+            )?;
+            lib.chunk_store = Some(store);
+        }
+        Ok(DedupPass {
+            store_path,
+            disk,
+            compress,
+            stats: DedupStats::default(),
+            referenced: Vec::new(),
+        })
     }
 
-    // Header first, as in the pipelined path.
-    let hready = channels.free_at(disk).max(phase0);
-    cluster.process_mut(app_pid).clock = hready;
-    *writer_slot = Some(StreamWriter::begin(cluster, app_pid, path)?);
-    let header_end = cluster.process(app_pid).clock;
-    channels.place(disk, hready, header_end.since(hready), "stream.header");
-
-    let mut stats = DedupStats::default();
-    let mut referenced: Vec<(u64, u64)> = Vec::new();
-    let mut copies_done = phase0;
-    for &(checl_mem, vendor_mem, context, size) in mems {
+    /// The chunk map of buffer `checl_mem` (`size` bytes) and when it
+    /// is ready to append. `copy` is the buffer's D2H copy (the bytes
+    /// and when they landed), skipped when the buffer is unchanged
+    /// since its last dedup generation.
+    #[allow(clippy::type_complexity)]
+    fn payload(
+        &mut self,
+        lib: &mut ChecLib,
+        cluster: &mut Cluster,
+        channels: &mut ChannelSet,
+        checl_mem: u64,
+        size: u64,
+        copy: impl FnOnce(&mut ChecLib, &mut ChannelSet) -> Result<(Vec<u8>, SimTime), CheclCprError>,
+    ) -> Result<(SimTime, Vec<(u64, u64)>), CheclCprError> {
         // What the record knows about this buffer's history: the dirty
         // regions written since the last dedup generation, and that
         // generation's chunk list (offsets reconstructible by cumulative
@@ -1478,13 +1517,14 @@ fn dedup_data_path(
         // covers the buffer with every chunk still in the store. The
         // buffer re-emits its previous chunk map without a device read
         // and with exactly the stats a region-clean rescan would give.
-        let store = lib.chunk_store.as_ref().expect("store opened above");
+        let store = lib.chunk_store.as_ref().expect("store opened");
         let unchanged = regions.is_empty()
             && prev.as_ref().is_some_and(|chunks| {
                 chunks.iter().map(|&(_, len)| len).sum::<u64>() == size
                     && chunks.iter().all(|&(hash, _)| store.contains(hash))
             });
-        let (segments, staged) = match prev {
+        let stats = &mut self.stats;
+        let (staged, segments) = match prev {
             Some(segments) if unchanged => {
                 let n = segments.len() as u64;
                 stats.chunks_total += n;
@@ -1492,38 +1532,10 @@ fn dedup_data_path(
                 stats.chunks_region_clean += n;
                 stats.raw_bytes += size;
                 stats.deduped_bytes += size;
-                (segments, phase0)
+                (channels.origin(), segments)
             }
             prev => {
-                let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
-                    .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-                let pcie = pcie_channel(channels, dev_index);
-                let ready = channels.free_at(pcie).max(phase0);
-                let mut t = ready;
-                let (data, ev) = lib
-                    .forward(
-                        &mut t,
-                        ApiRequest::EnqueueReadBuffer {
-                            queue: CommandQueue::from_raw(q_vendor),
-                            mem: Mem::from_raw(vendor_mem),
-                            blocking: true,
-                            offset: 0,
-                            size,
-                            wait_list: vec![],
-                        },
-                    )?
-                    .into_data_event()?;
-                let copy = channels.place(pcie, ready, t.since(ready), "d2h");
-                let mut t2 = copy.end;
-                lib.forward(
-                    &mut t2,
-                    ApiRequest::ReleaseEvent {
-                        event: Event::from_raw(ev.raw()),
-                    },
-                )?;
-                let rel = channels.place(ipc, copy.end, t2.since(copy.end), "release");
-                copies_done = copies_done.max(rel.end);
-
+                let (data, landed) = copy(lib, channels)?;
                 let mut prev_at: BTreeMap<(u64, u64), u64> = BTreeMap::new();
                 let mut off = 0u64;
                 for (hash, len) in prev.into_iter().flatten() {
@@ -1534,7 +1546,7 @@ fn dedup_data_path(
                 let mut segments: Vec<(u64, u64)> = Vec::with_capacity(segs.len());
                 let mut cpu = SimDuration::ZERO;
                 let mut io = SimDuration::ZERO;
-                let store = lib.chunk_store.as_mut().expect("store opened above");
+                let store = lib.chunk_store.as_mut().expect("store opened");
                 for &(off, len) in &segs {
                     stats.chunks_total += 1;
                     stats.raw_bytes += len;
@@ -1571,31 +1583,21 @@ fn dedup_data_path(
                 // Chunking + compression overlap other buffers' PCIe and
                 // disk work on the CPU channel; store appends and the map
                 // frame then serialize on the disk channel behind them.
-                let mut staged = copy.end;
+                let mut staged = landed;
                 if cpu > SimDuration::ZERO {
-                    let cready = channels.free_at(compress).max(copy.end);
-                    let cp = channels.place(compress, cready, cpu, "chunk.compress");
+                    let cready = channels.free_at(self.compress).max(landed);
+                    let cp = channels.place(self.compress, cready, cpu, "chunk.compress");
                     stats.compress_ns += cpu.as_nanos();
                     staged = cp.end;
                 }
                 if io > SimDuration::ZERO {
-                    let sready = channels.free_at(disk).max(staged);
-                    let sp = channels.place(disk, sready, io, "store.append");
-                    staged = sp.end;
+                    let sready = channels.free_at(self.disk).max(staged);
+                    staged = channels.place(self.disk, sready, io, "store.append").end;
                 }
-                (segments, staged)
+                (staged, segments)
             }
         };
-        let wready = channels.free_at(disk).max(staged);
-        cluster.process_mut(app_pid).clock = wready;
-        writer_slot
-            .as_mut()
-            .expect("writer open")
-            .append_chunk_map(cluster, checl_mem, &store_path, size, segments.clone())?;
-        let wend = cluster.process(app_pid).clock;
-        channels.place(disk, wready, wend.since(wready), "stream.map");
-
-        referenced.extend_from_slice(&segments);
+        self.referenced.extend_from_slice(&segments);
         if let Some(e) = lib.db.get_mut(checl_mem) {
             if let ObjectRecord::Mem {
                 dirty_regions,
@@ -1604,31 +1606,21 @@ fn dedup_data_path(
             } = &mut e.record
             {
                 dirty_regions.clear();
-                *saved_chunks = Some(segments);
+                *saved_chunks = Some(segments.clone());
             }
         }
+        Ok((staged, segments))
     }
-    stats.store_referenced_bytes = lib
-        .chunk_store
-        .as_ref()
-        .expect("store opened above")
-        .referenced_bytes(&referenced);
 
-    // Seal + atomically publish once the last map frame has landed.
-    let fready = channels.free_at(disk).max(copies_done);
-    cluster.process_mut(app_pid).clock = fready;
-    let (file_size, _) = writer_slot.as_mut().expect("writer open").finish(cluster)?;
-    let commit_end = cluster.process(app_pid).clock;
-    channels.place(disk, fready, commit_end.since(fready), "stream.commit");
-    Ok((copies_done, commit_end, file_size, stats))
-}
-
-/// Undo a failed write attempt's bookkeeping: take the state segment
-/// back out of the image and re-dirty the buffers "saved" in the file
-/// that never landed, so the next dedup generation re-reads them.
-fn rollback_failed_write(lib: &mut ChecLib, cluster: &mut Cluster, app_pid: Pid, path: &str) {
-    cluster.process_mut(app_pid).image.take(CHECL_STATE_SEGMENT);
-    invalidate_saves(lib, path);
+    /// The pass's chunk accounting.
+    fn finish(mut self, lib: &ChecLib) -> DedupStats {
+        self.stats.store_referenced_bytes = lib
+            .chunk_store
+            .as_ref()
+            .expect("store opened")
+            .referenced_bytes(&self.referenced);
+        self.stats
+    }
 }
 
 /// Phase 4 + report assembly, shared by both data paths: free the host
@@ -1912,90 +1904,68 @@ impl StreamRestore {
         now: SimTime,
         report: &mut RestoreReport,
     ) -> Result<SimTime, CheclCprError> {
-        let mut upload_end = now;
-        for (i, chunk) in std::mem::take(&mut self.parsed.chunks)
-            .into_iter()
-            .enumerate()
-        {
-            let read = self.read_frame(self.parsed.chunk_bytes[i], "stream.chunk");
-            let end = self.upload_buffer(lib, chunk.handle, chunk.data, read, now)?;
-            upload_end = upload_end.max(end);
-        }
-
-        // Dedup'd buffers: read each referenced chunk store once
-        // (serialized on the storage channel), decompress it on the CPU
-        // channel, then reassemble and upload every mapped buffer.
-        let maps = std::mem::take(&mut self.parsed.maps);
-        if !maps.is_empty() {
+        // The file scan, frame by frame in file order. Chunk stores the
+        // chunk maps reference are read once each (serialized on the
+        // storage channel behind the inline chunks) and decompressed on
+        // the CPU channel, mirroring the dump-side compression.
+        let chunk_read = self.read_frames(|p| &mut p.chunk_bytes, "stream.chunk");
+        let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
+        let stores = if self.parsed.maps.is_empty() {
+            Stores::new()
+        } else {
             let compress = self.channels.channel("cpu.compress");
-            let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
-            let mut store_ready: BTreeMap<String, SimTime> = BTreeMap::new();
-            for map in &maps {
-                if stores.contains_key(&map.store) {
-                    continue;
-                }
-                let lready = self.channels.free_at(self.disk).max(self.hdr_end);
-                cluster.process_mut(pid).clock = lready;
-                let loaded = ChunkStore::load_all(cluster, pid, &map.store)?;
-                let lend = cluster.process(pid).clock;
-                let load = self
-                    .channels
-                    .place(self.disk, lready, lend.since(lready), "store.load");
-                // Decompression of the referenced bytes overlaps the
-                // other channels, mirroring the dump-side compression.
+            let maps = &self.parsed.maps;
+            let (channels, disk, hdr_end) = (&mut self.channels, self.disk, self.hdr_end);
+            load_stores(cluster, maps, |cluster, store| {
+                let (loaded, loaded_at) = on_disk(
+                    cluster,
+                    pid,
+                    channels,
+                    disk,
+                    hdr_end,
+                    "store.load",
+                    |cluster| ChunkStore::load_all(cluster, pid, store),
+                )?;
                 let raw: u64 = maps
                     .iter()
-                    .filter(|m| m.store == map.store)
+                    .filter(|m| m.store == store)
                     .map(|m| m.total_len)
                     .sum();
-                let dready = self.channels.free_at(compress).max(load.end);
-                let dp = self.channels.place(
+                let dready = channels.free_at(compress).max(loaded_at);
+                let decompressed = channels.place(
                     compress,
                     dready,
                     calib::compress_bandwidth().transfer_time(ByteSize::bytes(raw)),
                     "chunk.decompress",
                 );
-                store_ready.insert(map.store.clone(), dp.end);
-                stores.insert(map.store.clone(), loaded);
-            }
-            for (i, map) in maps.iter().enumerate() {
-                let read = self.read_frame(self.parsed.map_bytes[i], "stream.map");
-                let data = assemble_from_store(&stores, map)?;
-                let in_memory = read.max(store_ready[&map.store]);
-                let end = self.upload_buffer(lib, map.handle, data, in_memory, now)?;
-                upload_end = upload_end.max(end);
-            }
-        }
-
-        // Live-drained buffers arrive as out-of-order slice frames: each
-        // buffer uploads once its last slice is in host memory. A
-        // committed live dump's slices exactly tile each buffer —
-        // anything else is corruption.
-        type SliceGroup = (Vec<(u64, Vec<u8>)>, SimTime);
-        let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
-        for (i, slice) in std::mem::take(&mut self.parsed.slices)
+                store_ready.insert(store.to_string(), decompressed.end);
+                Ok(loaded)
+            })?
+        };
+        let map_ready: Vec<SimTime> = self
+            .read_frames(|p| &mut p.map_bytes, "stream.map")
             .into_iter()
-            .enumerate()
-        {
-            let read = self.read_frame(self.parsed.slice_bytes[i], "stream.slice");
-            let g = groups
-                .entry(slice.handle)
-                .or_insert((Vec::new(), self.hdr_end));
-            g.0.push((slice.offset, slice.data));
-            g.1 = g.1.max(read);
-        }
-        for (handle, (parts, in_memory)) in groups {
-            let size = match lib.db.get(handle).map(|e| &e.record) {
-                Some(ObjectRecord::Mem { size, .. }) => *size,
-                _ => return Err(CheclCprError::MissingState),
+            .zip(&self.parsed.maps)
+            .map(|(read, map)| read.max(store_ready[&map.store]))
+            .collect();
+        let slice_read = self.read_frames(|p| &mut p.slice_bytes, "stream.slice");
+        // The trailer + baseline padding finish the file scan.
+        let tail = self.read_frame(self.parsed.tail_bytes, "stream.tail");
+
+        // Each buffer uploads over its device's PCIe channel once all
+        // the frames carrying its bytes are in host memory.
+        let mut upload_end = now;
+        for (handle, data, frames) in assemble_payloads(lib, &mut self.parsed, &stores)? {
+            let in_memory = match frames {
+                PayloadFrames::Chunk(i) => chunk_read[i],
+                PayloadFrames::Map(i) => map_ready[i],
+                PayloadFrames::Slices(slices) => slices
+                    .into_iter()
+                    .fold(self.hdr_end, |t, i| t.max(slice_read[i])),
             };
-            let data = assemble_from_slices(size, parts)?;
             let end = self.upload_buffer(lib, handle, data, in_memory, now)?;
             upload_end = upload_end.max(end);
         }
-
-        // The trailer + baseline padding finish the file scan.
-        let tail = self.read_frame(self.parsed.tail_bytes, "stream.tail");
         let end = upload_end.max(tail).max(now);
         let stream_wall = end.since(now);
         if stream_wall > SimDuration::ZERO {
@@ -2005,6 +1975,19 @@ impl StreamRestore {
                 .or_insert(SimDuration::ZERO) += stream_wall;
         }
         Ok(end)
+    }
+
+    /// [`read_frame`](Self::read_frame) every frame of one section of
+    /// the parsed stream, in file order.
+    fn read_frames(
+        &mut self,
+        section: fn(&mut blcr::ParsedStream) -> &mut Vec<u64>,
+        label: &str,
+    ) -> Vec<SimTime> {
+        std::mem::take(section(&mut self.parsed))
+            .into_iter()
+            .map(|len| self.read_frame(len, label))
+            .collect()
     }
 
     /// Place the read of one `len`-byte frame on the storage channel;
@@ -2086,88 +2069,124 @@ fn restart_cleanup(
 
 /// Rebuild a [`ChecLib`] from a sniffed dump: fetch + decode the CheCL
 /// state segment, and for a streamed dump re-attach the buffer payloads
-/// so downstream code is format-agnostic — inline chunk frames directly,
-/// chunk-map frames by reading their content-addressed stores from
-/// `cluster` and reassembling each buffer from its referenced segments.
+/// ([`assemble_payloads`], reading the chunk stores its chunk maps
+/// reference from `cluster`), so downstream code is format-agnostic.
 /// Callers own the mapping of the sniff error itself.
 pub(crate) fn shim_from_dump_on(
     cluster: &mut Cluster,
     pid: Pid,
     dump: SniffedDump,
 ) -> Result<ChecLib, CheclCprError> {
-    match dump {
-        SniffedDump::Sequential(ck) => {
-            let state = ck
-                .image
-                .get(CHECL_STATE_SEGMENT)
-                .ok_or(CheclCprError::MissingState)?;
-            ChecLib::decode_state(state).map_err(CheclCprError::BadState)
+    let (image, parsed) = match dump {
+        SniffedDump::Sequential(ck) => (ck.image, None),
+        SniffedDump::Streamed(mut parsed) => {
+            (std::mem::take(&mut parsed.header.image), Some(parsed))
         }
-        SniffedDump::Streamed(parsed) => {
-            let state = parsed
-                .header
-                .image
-                .get(CHECL_STATE_SEGMENT)
-                .ok_or(CheclCprError::MissingState)?;
-            let mut lib = ChecLib::decode_state(state).map_err(CheclCprError::BadState)?;
-            for chunk in parsed.chunks {
-                if let Some(e) = lib.db.get_mut(chunk.handle) {
-                    if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
-                        *saved_data = Some(chunk.data);
-                    }
+    };
+    let state = image
+        .get(CHECL_STATE_SEGMENT)
+        .ok_or(CheclCprError::MissingState)?;
+    let mut lib = ChecLib::decode_state(state).map_err(CheclCprError::BadState)?;
+    if let Some(mut parsed) = parsed {
+        let stores = load_stores(cluster, &parsed.maps, |cluster, store| {
+            ChunkStore::load_all(cluster, pid, store)
+        })?;
+        for (handle, data, _) in assemble_payloads(&lib, &mut parsed, &stores)? {
+            if let Some(e) = lib.db.get_mut(handle) {
+                if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
+                    *saved_data = Some(data);
                 }
             }
-            if !parsed.maps.is_empty() {
-                let stores = load_stores(cluster, pid, &parsed.maps)?;
-                for map in parsed.maps {
-                    let data = assemble_from_store(&stores, &map)?;
-                    if let Some(e) = lib.db.get_mut(map.handle) {
-                        if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
-                            *saved_data = Some(data);
-                        }
-                    }
-                }
-            }
-            if !parsed.slices.is_empty() {
-                let mut groups: BTreeMap<u64, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
-                for slice in parsed.slices {
-                    groups
-                        .entry(slice.handle)
-                        .or_default()
-                        .push((slice.offset, slice.data));
-                }
-                for (handle, parts) in groups {
-                    let size = match lib.db.get(handle).map(|e| &e.record) {
-                        Some(ObjectRecord::Mem { size, .. }) => *size,
-                        _ => continue,
-                    };
-                    let data = assemble_from_slices(size, parts)?;
-                    if let Some(e) = lib.db.get_mut(handle) {
-                        if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
-                            *saved_data = Some(data);
-                        }
-                    }
-                }
-            }
-            Ok(lib)
         }
     }
+    Ok(lib)
 }
 
-/// Read every chunk store referenced by `maps`, each at most once.
+/// Loaded chunk stores: store path → chunk hash → raw chunk bytes.
+type Stores = BTreeMap<String, BTreeMap<u64, Vec<u8>>>;
+
+/// Read every chunk store `maps` reference, each once, in order of
+/// first reference. `load` reads one store (and books its cost).
 fn load_stores(
     cluster: &mut Cluster,
-    pid: Pid,
     maps: &[blcr::StreamChunkMap],
-) -> Result<BTreeMap<String, BTreeMap<u64, Vec<u8>>>, CheclCprError> {
-    let mut stores: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
+    mut load: impl FnMut(&mut Cluster, &str) -> Result<BTreeMap<u64, Vec<u8>>, CprError>,
+) -> Result<Stores, CprError> {
+    let mut stores = Stores::new();
     for map in maps {
         if !stores.contains_key(&map.store) {
-            let chunks = ChunkStore::load_all(cluster, pid, &map.store)?;
+            let chunks = load(cluster, &map.store)?;
             stores.insert(map.store.clone(), chunks);
         }
     }
     Ok(stores)
+}
+
+/// The frames one assembled payload came from, by index into the
+/// parsed stream's chunk, chunk-map or slice frames.
+enum PayloadFrames {
+    Chunk(usize),
+    Map(usize),
+    Slices(Vec<usize>),
+}
+
+/// The one decoder from a streamed dump's payload frames to buffer
+/// bytes, shared by the timed restore and the shim rebuild (post-write
+/// verify, proxy respawn). Consumes the frames and returns exactly one
+/// payload per live Mem record of `lib`, of exactly its recorded size,
+/// with the frames it came from: chunks and chunk maps in file order,
+/// then slice groups by handle. A frame naming an unknown or already
+/// filled buffer, a payload of the wrong length, and a buffer no frame
+/// fills are corruption. Payloads are moved, never cloned.
+fn assemble_payloads(
+    lib: &ChecLib,
+    parsed: &mut blcr::ParsedStream,
+    stores: &Stores,
+) -> Result<Vec<(u64, Vec<u8>, PayloadFrames)>, CheclCprError> {
+    // Live buffers still waiting for their payload, with their sizes.
+    let mut unfilled: BTreeMap<u64, u64> = lib
+        .db
+        .live_of_kind(HandleKind::Mem)
+        .filter_map(|e| match e.record {
+            ObjectRecord::Mem { size, .. } => Some((e.checl, size)),
+            _ => None,
+        })
+        .collect();
+    let mut fill = |handle: u64| {
+        unfilled
+            .remove(&handle)
+            .ok_or_else(|| corrupt("payload frame names no unfilled buffer"))
+    };
+    let mut payloads = Vec::with_capacity(parsed.chunks.len() + parsed.maps.len());
+    for (i, chunk) in std::mem::take(&mut parsed.chunks).into_iter().enumerate() {
+        if chunk.data.len() as u64 != fill(chunk.handle)? {
+            return Err(corrupt("chunk frame length does not match its buffer"));
+        }
+        payloads.push((chunk.handle, chunk.data, PayloadFrames::Chunk(i)));
+    }
+    for (i, map) in std::mem::take(&mut parsed.maps).into_iter().enumerate() {
+        if map.total_len != fill(map.handle)? {
+            return Err(corrupt("chunk map length does not match its buffer"));
+        }
+        let data = assemble_from_store(stores, &map)?;
+        payloads.push((map.handle, data, PayloadFrames::Map(i)));
+    }
+    // Live-drained buffers arrive as out-of-order slice frames.
+    type SliceGroup = (Vec<(u64, Vec<u8>)>, Vec<usize>);
+    let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
+    for (i, slice) in std::mem::take(&mut parsed.slices).into_iter().enumerate() {
+        let group = groups.entry(slice.handle).or_default();
+        group.0.push((slice.offset, slice.data));
+        group.1.push(i);
+    }
+    for (handle, (parts, frames)) in groups {
+        let data = assemble_from_slices(fill(handle)?, parts)?;
+        payloads.push((handle, data, PayloadFrames::Slices(frames)));
+    }
+    if !unfilled.is_empty() {
+        return Err(corrupt("a buffer has no payload frame"));
+    }
+    Ok(payloads)
 }
 
 /// A typed corruption error for a restore-side consistency check.
@@ -2248,28 +2267,11 @@ fn verify_snapshot_file(
         .read_file(pid, path)
         .map_err(|e| CheclCprError::Cpr(CprError::Fs(e)))?;
     if bytes.len() as u64 != expected_len {
-        return Err(CheclCprError::Cpr(CprError::Corrupt(
-            simcore::CodecError::Invalid("checkpoint read-back length mismatch"),
-        )));
+        return Err(corrupt("checkpoint read-back length mismatch"));
     }
     let dump = blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
     shim_from_dump_on(cluster, pid, dump)?;
     Ok(())
-}
-
-/// Telemetry instant for a recovery action, mirroring the fault
-/// instants the injection layer emits.
-pub(crate) fn recovery_event(cluster: &Cluster, pid: Pid, name: &str, path: &str) {
-    if telemetry::enabled() {
-        let _scope = telemetry::track_scope(telemetry::Track::process(pid.0 as u64));
-        telemetry::instant(
-            telemetry::RECOVERY_CATEGORY,
-            name,
-            cluster.process(pid).clock,
-            vec![("path", path.into())],
-        );
-        telemetry::counter_add("recovery.actions", 1);
-    }
 }
 
 /// Rewrite `saved_in` references from the temp name to the committed

@@ -21,9 +21,9 @@
 
 use crate::boot::{kill_proxy, refork_proxy};
 use crate::cpr::{restore_checl, CheclCprError, RestoreReport, RestoreTarget};
-use crate::engine::{self, recovery_event};
+use crate::engine;
 use crate::runtime::ChecLib;
-use blcr::CprError;
+use blcr::{recovery_event, CprError};
 use cldriver::VendorConfig;
 use osproc::{Cluster, NodeId, Pid};
 use simcore::{obs, telemetry};
@@ -144,6 +144,7 @@ mod tests {
     use clspec::types::{DeviceType, MemFlags, QueueProps};
     use clspec::Ocl;
     use osproc::FaultPlan;
+    use simcore::SimDuration;
 
     /// Boot a CheCL app with one context, one queue and one buffer
     /// holding `data`.
@@ -214,6 +215,21 @@ mod tests {
         data
     }
 
+    /// Temp files left anywhere on `app`'s node.
+    fn stray_temps(cluster: &Cluster, app: Pid) -> Vec<String> {
+        cluster
+            .paths_on(cluster.process(app).node)
+            .into_iter()
+            .filter(|f| f.ends_with(".tmp"))
+            .collect()
+    }
+
+    /// The committed file at `path` sniffs as a well-formed dump.
+    fn committed_dump_is_whole(cluster: &mut Cluster, app: Pid, path: &str) -> bool {
+        let bytes = cluster.read_file(app, path).unwrap();
+        blcr::sniff_dump(&bytes).is_ok()
+    }
+
     #[test]
     fn clean_run_commits_first_try() {
         let (mut cluster, mut lib, app, _) = booted_app(&[7u8; 256]);
@@ -221,10 +237,14 @@ mod tests {
             .unwrap()
             .recovery
             .unwrap();
+        assert_eq!(out.attempts, 1);
+        assert_eq!(out.fallbacks, 0);
         assert!(!out.recovered());
         assert_eq!(out.path, "/local/a.ckpt");
-        // Committed under the final name, no stray temp file.
-        assert!(cluster.read_file(app, "/local/a.ckpt").is_ok());
+        // Committed under the final name at the reported size, no stray
+        // temp file.
+        let node = cluster.process(app).node;
+        assert_eq!(cluster.file_size_on(node, "/local/a.ckpt"), Some(out.size));
         assert!(cluster.read_file(app, "/local/a.ckpt.tmp").is_err());
     }
 
@@ -238,6 +258,7 @@ mod tests {
             .unwrap();
         assert_eq!(out.attempts, 3);
         assert!(out.recovered());
+        assert!(committed_dump_is_whole(&mut cluster, app, "/local/a.ckpt"));
         let entry = lib.db.get(buf).unwrap();
         match &entry.record {
             ObjectRecord::Mem { saved_in, .. } => {
@@ -267,6 +288,124 @@ mod tests {
         .unwrap();
         assert_eq!(out.path, "/ram/a.ckpt");
         assert_eq!(out.fallbacks, 1);
+        assert_eq!(out.attempts, 4); // 3 on /local + 1 on /ram
+    }
+
+    #[test]
+    fn short_write_is_caught_by_verify() {
+        let (mut cluster, mut lib, app, _) = booted_app(&[6u8; 128]);
+        // The sequential write is stored short without an error; only
+        // the read-back can notice.
+        cluster.install_faults(FaultPlan::new(15).short_next_writes(1));
+        let out = snapshot(&mut lib, &mut cluster, app, "/ram/a.ckpt", &hardened(&[]))
+            .unwrap()
+            .recovery
+            .unwrap();
+        assert_eq!(out.attempts, 2, "verify must have rejected attempt 1");
+        assert!(committed_dump_is_whole(&mut cluster, app, "/ram/a.ckpt"));
+    }
+
+    #[test]
+    fn all_targets_exhausted_reports_last_error() {
+        let (mut cluster, mut lib, app, _) = booted_app(&[2u8; 128]);
+        cluster.install_faults(FaultPlan::new(16).fail_next_writes(u32::MAX));
+        let policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
+            retry: RetryPolicy {
+                max_attempts_per_target: 2,
+                ..RetryPolicy::default()
+            },
+            fallback_targets: vec!["/ram/a.ckpt".to_string()],
+        });
+        let err = snapshot(&mut lib, &mut cluster, app, "/local/a.ckpt", &policy).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CheclCprError::Cpr(CprError::Fs(osproc::FsError::WriteFailed(_)))
+            ),
+            "got {err}"
+        );
+        assert!(stray_temps(&cluster, app).is_empty());
+    }
+
+    #[test]
+    fn backoff_charges_virtual_time() {
+        let elapsed = |faults: Option<FaultPlan>| {
+            let (mut cluster, mut lib, app, _) = booted_app(&[4u8; 128]);
+            if let Some(plan) = faults {
+                cluster.install_faults(plan);
+            }
+            let t0 = cluster.process(app).clock;
+            snapshot(&mut lib, &mut cluster, app, "/ram/a.ckpt", &hardened(&[])).unwrap();
+            cluster.process(app).clock.since(t0)
+        };
+        let clean = elapsed(None);
+        let faulted = elapsed(Some(FaultPlan::new(17).fail_next_writes(2)));
+        // Two retries: 50 ms + 100 ms of backoff plus the failed
+        // attempts' latency.
+        assert!(
+            faulted.as_secs_f64() > clean.as_secs_f64() + 0.149,
+            "faulted {faulted} vs clean {clean}"
+        );
+    }
+
+    /// When the first attempt's write at `target` is submitted, from a
+    /// fault-free dry run of the same app.
+    fn first_write_at(data: &[u8], target: &str) -> simcore::SimTime {
+        let (mut cluster, mut lib, app, _) = booted_app(data);
+        let t0 = cluster.process(app).clock;
+        let report = snapshot(&mut lib, &mut cluster, app, target, &hardened(&[]))
+            .unwrap()
+            .report;
+        t0 + report.sync + report.preprocess
+    }
+
+    /// An NFS outage that opens one tick after the first write to
+    /// `/nfs/a.ckpt` is submitted: that write lands (creating the
+    /// temp), its verify read-back fails, and every retry's write
+    /// fails — the recipe for an orphaned `.tmp` on fallback.
+    fn outage_after_first_write(data: &[u8]) -> FaultPlan {
+        let at = first_write_at(data, "/nfs/a.ckpt");
+        FaultPlan::new(18).schedule_nfs_outage(
+            at + SimDuration::from_nanos(1),
+            at + SimDuration::from_secs(3600),
+        )
+    }
+
+    #[test]
+    fn no_tmp_files_survive_a_failed_commit() {
+        let data = [8u8; 128];
+        let (mut cluster, mut lib, app, _) = booted_app(&data);
+        cluster.install_faults(outage_after_first_write(&data));
+        let out = snapshot(
+            &mut lib,
+            &mut cluster,
+            app,
+            "/nfs/a.ckpt",
+            &hardened(&["/local/a.ckpt"]),
+        )
+        .unwrap()
+        .recovery
+        .unwrap();
+        assert_eq!(out.path, "/local/a.ckpt");
+        assert_eq!(out.fallbacks, 1);
+        let strays = stray_temps(&cluster, app);
+        assert!(strays.is_empty(), "orphaned temp files: {strays:?}");
+    }
+
+    #[test]
+    fn exhausted_recovery_leaves_no_tmp_behind() {
+        // Same shape with no healthy fallback: the whole recovery fails,
+        // which must still not orphan temps.
+        let data = [8u8; 128];
+        let (mut cluster, mut lib, app, _) = booted_app(&data);
+        cluster.install_faults(outage_after_first_write(&data));
+        let err = snapshot(&mut lib, &mut cluster, app, "/nfs/a.ckpt", &hardened(&[])).unwrap_err();
+        assert!(
+            matches!(err, CheclCprError::Cpr(CprError::Fs(_))),
+            "got {err}"
+        );
+        let strays = stray_temps(&cluster, app);
+        assert!(strays.is_empty(), "orphaned temp files: {strays:?}");
     }
 
     #[test]
@@ -408,6 +547,40 @@ mod tests {
         assert_eq!(idx, 1, "should have fallen back to the older generation");
         let back = read_buffer(&cluster, &mut restored, pid, buf, 64);
         assert_eq!(back, vec![42u8; 64]);
+    }
+
+    #[test]
+    fn restart_chain_all_bad_errors_cleanly() {
+        let mut cluster = Cluster::with_standard_nodes(1);
+        let node = cluster.node_ids()[0];
+        let writer = cluster.spawn(node);
+        cluster
+            .write_file(writer, "/local/junk.ckpt", vec![0u8; 64])
+            .unwrap();
+        let err = match restart_checl_chain(
+            &mut cluster,
+            node,
+            &["/local/junk.ckpt", "/local/none.ckpt"],
+            &cldriver::vendor::nimbus(),
+            RestoreTarget::default(),
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("a chain of bad files must not restart"),
+        };
+        assert!(
+            matches!(
+                err,
+                CheclCprError::Cpr(CprError::Fs(_) | CprError::Corrupt(_))
+            ),
+            "got {err}"
+        );
+        // No leaked live processes from the failed attempts.
+        let alive = cluster
+            .pids()
+            .iter()
+            .filter(|q| cluster.process(**q).is_alive())
+            .count();
+        assert_eq!(alive, 1, "only the writer process should be alive");
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! read of a buffer no write touched (the §IV-D incremental fast path),
 //! re-read every buffer after a faulted attempt, survive a mid-dump
 //! abort without damaging earlier generations, and refuse a chunk map
-//! whose recorded length its chunks do not back.
+//! whose recorded length its chunks do not back. Sealed streamed dumps
+//! whose payload frames lie (a dropped frame, an unknown handle, a
+//! wrong length) are corruption on every read path, and a dedup policy
+//! records the one streamed lattice point it runs.
 
 use blcr::CprError;
 use checl::runtime::ChecLib;
@@ -531,4 +534,129 @@ fn oversized_chunk_map_restores_to_a_typed_error() {
         Err(other) => panic!("expected a typed corruption error, got {other}"),
         Ok(_) => panic!("a lying chunk map must not restore"),
     }
+}
+
+#[test]
+fn every_streamed_point_is_labelled_and_runs_pipelined() {
+    // `pipelined` adds nothing once dedup is on: both policies take the
+    // same data path, so they must record the same lattice point and
+    // produce the same report.
+    let run = |policy: &CprPolicy| {
+        let mut cluster = Cluster::with_standard_nodes(1);
+        let node = cluster.node_ids()[0];
+        let app_pid = cluster.spawn(node);
+        let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
+        let mut now = cluster.process(app_pid).clock;
+        let app = build_app(&mut booted.lib, &mut now, 1 << 12);
+        let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
+        cluster.process_mut(app_pid).clock = now;
+        checl::snapshot(
+            &mut booted.lib,
+            &mut cluster,
+            app_pid,
+            "/local/l.ckpt",
+            policy,
+        )
+        .unwrap()
+        .report
+    };
+    let bare = CprPolicy::sequential().dedup(true);
+    let piped = CprPolicy::pipelined().dedup(true);
+    assert_eq!(bare.label(), "streamed+pipelined+dedup");
+    assert_eq!(bare.label(), piped.label());
+    assert_eq!(run(&bare), run(&piped));
+    assert_eq!(
+        CprPolicy::sequential().live(true).label(),
+        CprPolicy::pipelined().live(true).label()
+    );
+}
+
+/// Re-emit the streamed dump at `from` as `to` through a fresh
+/// `StreamWriter`, with its inline chunk frames passed through `edit`:
+/// every frame checksum and the trailer seal hold, only the payloads
+/// lie. `pid`'s image is left as it was.
+fn reseal(
+    cluster: &mut Cluster,
+    pid: osproc::Pid,
+    from: &str,
+    to: &str,
+    edit: impl FnOnce(&mut Vec<blcr::StreamChunk>),
+) {
+    let bytes = cluster.read_file(pid, from).unwrap();
+    let mut parsed = blcr::parse_stream(&bytes).unwrap();
+    let image = std::mem::replace(&mut cluster.process_mut(pid).image, parsed.header.image);
+    let mut w = blcr::StreamWriter::begin(cluster, pid, to).unwrap();
+    edit(&mut parsed.chunks);
+    for chunk in parsed.chunks {
+        w.append_chunk(cluster, chunk.handle, chunk.data).unwrap();
+    }
+    w.finish(cluster).unwrap();
+    cluster.process_mut(pid).image = image;
+}
+
+#[test]
+fn sealed_dumps_that_lie_about_payloads_are_corrupt() {
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let app_pid = cluster.spawn(node);
+    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
+    let mut now = cluster.process(app_pid).clock;
+    let app = build_app(&mut booted.lib, &mut now, 1 << 12);
+    let _ = run_kernel_and_read(&mut booted.lib, &mut now, &app);
+    cluster.process_mut(app_pid).clock = now;
+    checl::snapshot(
+        &mut booted.lib,
+        &mut cluster,
+        app_pid,
+        "/local/ok.ckpt",
+        &CprPolicy::pipelined(),
+    )
+    .unwrap();
+
+    let lies = [
+        "/local/dropped.ckpt",
+        "/local/unknown.ckpt",
+        "/local/short.ckpt",
+    ];
+    reseal(&mut cluster, app_pid, "/local/ok.ckpt", lies[0], |chunks| {
+        chunks.remove(1);
+    });
+    reseal(&mut cluster, app_pid, "/local/ok.ckpt", lies[1], |chunks| {
+        chunks[0].handle = 0xdead_beef;
+    });
+    reseal(&mut cluster, app_pid, "/local/ok.ckpt", lies[2], |chunks| {
+        chunks[2].data.pop();
+    });
+
+    let is_corrupt =
+        |r: Result<(), CheclCprError>| matches!(r, Err(CheclCprError::Cpr(CprError::Corrupt(_))));
+    for path in lies {
+        let restored = checl::restore(&mut cluster, node, path, nimbus(), RestoreTarget::default())
+            .map(|_| ());
+        assert!(is_corrupt(restored), "restore of {path} must be corrupt");
+    }
+    // The proxy-respawn path decodes through the post-write verify
+    // step's decoder.
+    for path in lies {
+        let respawned = checl::respawn_proxy_and_restore(
+            &mut cluster,
+            &mut booted.lib,
+            app_pid,
+            path,
+            nimbus(),
+            RestoreTarget::default(),
+        )
+        .map(|_| ());
+        assert!(is_corrupt(respawned), "respawn from {path} must be corrupt");
+    }
+    // The honest dump still restores in place.
+    checl::respawn_proxy_and_restore(
+        &mut cluster,
+        &mut booted.lib,
+        app_pid,
+        "/local/ok.ckpt",
+        nimbus(),
+        RestoreTarget::default(),
+    )
+    .unwrap();
 }

@@ -208,7 +208,7 @@ impl Cluster {
 
     /// Install a fault schedule. Filesystem, node and process faults
     /// fire from here on; pass the plan built with
-    /// [`FaultPlan`](crate::FaultPlan) combinators.
+    /// [`FaultPlan`] combinators.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
     }

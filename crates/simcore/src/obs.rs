@@ -28,7 +28,7 @@
 //! * [`SloSummary`] — availability, downtime, wasted-work and
 //!   checkpoint-overhead accounting summed from incident and
 //!   checkpoint records. The sums reconcile *exactly* with the
-//!   supervisor's own [`SupervisorReport`]-style accounting because the
+//!   supervisor's own `SupervisorReport`-style accounting because the
 //!   supervisor emits each quantity at the moment it charges it.
 //! * Percentile digests — any `u64` projection of the ledger folds into
 //!   a [`Histogram`] (see [`Ledger::digest`]), whose mergeable
@@ -1109,7 +1109,7 @@ mod tests {
             EventKind::CheckpointCommitted {
                 path: "/nfs/a.ckpt".into(),
                 format: "streamed".into(),
-                policy: "streamed+dedup".into(),
+                policy: "streamed+pipelined+dedup".into(),
                 bases: vec![],
                 buffers: 4,
                 chunks: 8,
@@ -1128,7 +1128,7 @@ mod tests {
             EventKind::CheckpointCommitted {
                 path: "/nfs/b.ckpt".into(),
                 format: "streamed".into(),
-                policy: "streamed+dedup".into(),
+                policy: "streamed+pipelined+dedup".into(),
                 bases: vec!["/nfs/a.ckpt".into()],
                 buffers: 4,
                 chunks: 2,

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full offline verification: format, lints, build, tests, and a smoke
+# Full offline verification: format, lints, docs, build, tests, and a smoke
 # run of one figure harness with trace recording + validation.
 #
 # Usage: scripts/verify.sh [--quick]
@@ -23,6 +23,11 @@ else
     echo "==> cargo check --all-targets"
     cargo check --workspace --all-targets
 fi
+
+echo "==> cargo doc (deny warnings)"
+# Intra-doc links are checked, so a doc pointing at a deleted or
+# private name fails here instead of dangling.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 
 echo "==> cargo build --release"
 cargo build --release
