@@ -12,6 +12,25 @@
 //! [`RestoreReport`]) and how they fail ([`CheclCprError`]), plus object
 //! re-creation itself ([`restore_checl`]): the §III-C dependency-order
 //! replay, shared by every restore path and by proxy respawn.
+//!
+//! Replay runs the shim's path backwards. For each live record, in
+//! [`HandleKind::RESTORE_ORDER`]:
+//!
+//! 1. [`ObjectRecord::recreate_request`] gives the creation request in
+//!    CheCL handle space — the inverse of the
+//!    [`ObjectRecord::created_by`] that recorded it;
+//! 2. [`ApiRequest::try_map_handles`] translates it to the vendor
+//!    handles of the objects re-created before it. This translation has
+//!    no kind check and is not counted as an application translation,
+//!    and a dead reference fails with `InvalidValue`;
+//! 3. the request is forwarded to the fresh proxy;
+//! 4. a kind-specific tail finishes the object: a buffer gets its saved
+//!    data uploaded, a built program is rebuilt, and a kernel has its
+//!    argument history replayed.
+//!
+//! Platforms and devices have no creation request: they are
+//! re-enumerated on the restore host and picked by recorded position. A
+//! program built from a binary is re-created on the first live device.
 
 use crate::objects::{ObjectRecord, RecordedArg};
 use crate::runtime::{ChecLib, StructArgPolicy};
@@ -19,9 +38,9 @@ use blcr::CprError;
 use clspec::api::ApiRequest;
 use clspec::error::ClError;
 use clspec::handles::{
-    CommandQueue, Context, DeviceId, HandleKind, Kernel, PlatformId, Program, RawHandle,
+    CommandQueue, Context, DeviceId, HandleKind, Kernel, Mem, PlatformId, Program, RawHandle,
 };
-use clspec::types::{ArgValue, DeviceType, MemFlags};
+use clspec::types::{ArgValue, DeviceType};
 use osproc::{Cluster, FsKind, Pid};
 use simcore::codec::CodecError;
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
@@ -350,6 +369,15 @@ pub fn restore_checl(
     Ok(report)
 }
 
+/// Restore-side translation of a CheCL handle a record names. The object
+/// was re-created earlier in this pass, so there is no kind check, and
+/// nothing counts as an application translation.
+fn vendor_of(lib: &ChecLib, h: u64) -> Result<RawHandle, CheclCprError> {
+    lib.db
+        .vendor_of(h)
+        .ok_or(CheclCprError::Cl(ClError::InvalidValue))
+}
+
 fn restore_one(
     lib: &mut ChecLib,
     now: &mut SimTime,
@@ -358,11 +386,122 @@ fn restore_one(
     payload: Option<Vec<u8>>,
     target: RestoreTarget,
 ) -> Result<RawHandle, CheclCprError> {
-    let vendor_of = |lib: &ChecLib, h: u64| -> Result<RawHandle, CheclCprError> {
-        lib.db
-            .vendor_of(h)
-            .ok_or(CheclCprError::Cl(ClError::InvalidValue))
+    let vendor = match record.recreate_request() {
+        Some(mut req) => {
+            req.try_map_handles(|_, h| vendor_of(lib, h.0))?;
+            *lib.forward(now, req)?
+                .object_mut()
+                .expect("a re-creation request returns its object")
+        }
+        None => recreate_special(lib, now, record, target)?,
     };
+    // The kind-specific tails.
+    match record {
+        ObjectRecord::Mem {
+            context,
+            host_cache,
+            ..
+        } => {
+            // "Send the user data back to the device memory" (§III-C).
+            // The checkpoint payload is moved in; the recorded host
+            // cache (which must survive the restore) is the cloned
+            // fallback.
+            if let Some(data) = payload.or_else(|| host_cache.clone()) {
+                let (_qc, q_vendor) = queue_in_context(lib, *context)
+                    .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+                let ev = lib
+                    .forward(
+                        now,
+                        ApiRequest::EnqueueWriteBuffer {
+                            queue: CommandQueue::from_raw(q_vendor),
+                            mem: Mem::from_raw(vendor),
+                            blocking: true,
+                            offset: 0,
+                            data,
+                            wait_list: vec![],
+                        },
+                    )?
+                    .into_event()?;
+                lib.forward(now, ApiRequest::ReleaseEvent { event: ev })?;
+            }
+            // Drop the host copy now that the device owns the data, and
+            // forget the dump it came from: the chunk lists recorded
+            // against the *old* node's store say nothing about this
+            // one, so the next dedup generation re-reads the buffer.
+            if let Some(e) = lib.db.get_mut(checl) {
+                if let ObjectRecord::Mem {
+                    saved_data,
+                    saved_in,
+                    dirty,
+                    dirty_regions,
+                    saved_chunks,
+                    ..
+                } = &mut e.record
+                {
+                    *saved_data = None;
+                    *saved_in = None;
+                    *dirty = true;
+                    dirty_regions.clear();
+                    *saved_chunks = None;
+                }
+            }
+        }
+        ObjectRecord::Program {
+            build_options: Some(options),
+            ..
+        } => {
+            // The program was built before the checkpoint: rebuild
+            // (recompile) — the Tr term of the migration model.
+            lib.forward(
+                now,
+                ApiRequest::BuildProgram {
+                    program: Program::from_raw(vendor),
+                    options: options.clone(),
+                },
+            )?;
+        }
+        ObjectRecord::Kernel { args, .. } => {
+            // Replay the argument history against the new objects.
+            for (index, arg) in args {
+                let value = match arg {
+                    RecordedArg::Handle(h) => ArgValue::handle(vendor_of(lib, *h)?),
+                    RecordedArg::Bytes(b) => {
+                        let mut blob = b.clone();
+                        if lib.config().struct_arg_policy == StructArgPolicy::ScanAndTranslate {
+                            let db = &lib.db;
+                            crate::guess::rewrite_handles_in_struct(db, &mut blob, |h| {
+                                db.vendor_of(h).map(|v| v.0)
+                            });
+                        }
+                        ArgValue::Bytes(blob)
+                    }
+                    RecordedArg::Local(n) => ArgValue::LocalMem(*n),
+                };
+                lib.forward(
+                    now,
+                    ApiRequest::SetKernelArg {
+                        kernel: Kernel::from_raw(vendor),
+                        index: *index,
+                        value,
+                    },
+                )?;
+            }
+        }
+        _ => {}
+    }
+    Ok(vendor)
+}
+
+/// Re-create what no recorded request can, returning the new vendor
+/// handle: platforms and devices are re-enumerated on the restore host
+/// and picked by recorded position, and a program built from a binary is
+/// re-created on the first live device.
+fn recreate_special(
+    lib: &mut ChecLib,
+    now: &mut SimTime,
+    record: &ObjectRecord,
+    target: RestoreTarget,
+) -> Result<RawHandle, CheclCprError> {
     match record {
         ObjectRecord::Platform { index } => {
             let platforms = lib
@@ -414,247 +553,37 @@ fn restore_one(
             let i = (*index as usize).min(devices.len() - 1);
             Ok(devices[i].raw())
         }
-        ObjectRecord::Context { devices } => {
-            let v_devices = devices
-                .iter()
-                .map(|d| Ok(DeviceId::from_raw(vendor_of(lib, *d)?)))
-                .collect::<Result<Vec<_>, CheclCprError>>()?;
-            Ok(lib
-                .forward(now, ApiRequest::CreateContext { devices: v_devices })?
-                .into_context()?
-                .raw())
-        }
-        ObjectRecord::Queue {
-            context,
-            device,
-            props,
-        } => {
-            let v_ctx = vendor_of(lib, *context)?;
-            let v_dev = vendor_of(lib, *device)?;
-            Ok(lib
-                .forward(
-                    now,
-                    ApiRequest::CreateCommandQueue {
-                        context: Context::from_raw(v_ctx),
-                        device: DeviceId::from_raw(v_dev),
-                        props: *props,
-                    },
-                )?
-                .into_queue()?
-                .raw())
-        }
-        ObjectRecord::Mem {
-            context,
-            flags,
-            size,
-            host_cache,
-            image_dims,
-            ..
-        } => {
-            let v_ctx = vendor_of(lib, *context)?;
-            // Host-pointer flags are creation-time concepts; the
-            // restored buffer is created empty and refilled explicitly.
-            let mut clean = MemFlags::empty();
-            for f in [
-                MemFlags::READ_WRITE,
-                MemFlags::READ_ONLY,
-                MemFlags::WRITE_ONLY,
-            ] {
-                if flags.contains(f) {
-                    clean = clean | f;
-                }
-            }
-            let create = match image_dims {
-                Some((w, h)) => ApiRequest::CreateImage2D {
-                    context: Context::from_raw(v_ctx),
-                    flags: clean,
-                    width: *w,
-                    height: *h,
-                    host_data: None,
-                },
-                None => ApiRequest::CreateBuffer {
-                    context: Context::from_raw(v_ctx),
-                    flags: clean,
-                    size: *size,
-                    host_data: None,
-                },
-            };
-            let v_mem = lib.forward(now, create)?.into_mem()?;
-            // "Send the user data back to the device memory" (§III-C).
-            // The checkpoint payload is moved in; the recorded host
-            // cache (which must survive the restore) is the cloned
-            // fallback.
-            let data = payload.or_else(|| host_cache.clone());
-            if let Some(data) = data {
-                let (_qc, q_vendor) = queue_in_context(lib, *context)
-                    .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-                let ev = lib
-                    .forward(
-                        now,
-                        ApiRequest::EnqueueWriteBuffer {
-                            queue: CommandQueue::from_raw(q_vendor),
-                            mem: v_mem,
-                            blocking: true,
-                            offset: 0,
-                            data,
-                            wait_list: vec![],
-                        },
-                    )?
-                    .into_event()?;
-                lib.forward(now, ApiRequest::ReleaseEvent { event: ev })?;
-            }
-            // Drop the host copy now that the device owns the data, and
-            // forget the dump it came from: the chunk lists recorded
-            // against the *old* node's store say nothing about this
-            // one, so the next dedup generation re-reads the buffer.
-            if let Some(e) = lib.db.get_mut(checl) {
-                if let ObjectRecord::Mem {
-                    saved_data,
-                    saved_in,
-                    dirty,
-                    dirty_regions,
-                    saved_chunks,
-                    ..
-                } = &mut e.record
-                {
-                    *saved_data = None;
-                    *saved_in = None;
-                    *dirty = true;
-                    dirty_regions.clear();
-                    *saved_chunks = None;
-                }
-            }
-            Ok(v_mem.raw())
-        }
-        ObjectRecord::Sampler { context, desc } => {
-            let v_ctx = vendor_of(lib, *context)?;
-            Ok(lib
-                .forward(
-                    now,
-                    ApiRequest::CreateSampler {
-                        context: Context::from_raw(v_ctx),
-                        desc: *desc,
-                    },
-                )?
-                .into_sampler()?
-                .raw())
-        }
         ObjectRecord::Program {
-            context,
-            source,
-            binary,
-            build_options,
-            ..
+            context, binary, ..
         } => {
             let v_ctx = vendor_of(lib, *context)?;
-            let v_prog = match (source, binary) {
-                (Some(src), _) => lib
-                    .forward(
-                        now,
-                        ApiRequest::CreateProgramWithSource {
-                            context: Context::from_raw(v_ctx),
-                            source: src.clone(),
-                        },
-                    )?
-                    .into_program()?,
-                (None, Some(bin)) => {
-                    // Deprecated path: works only if the new node's
-                    // vendor accepts the old binary.
-                    let device = lib
-                        .db
-                        .live_of_kind(HandleKind::Device)
-                        .next()
-                        .map(|e| e.vendor)
-                        .ok_or(CheclCprError::Cl(ClError::InvalidDevice))?;
-                    lib.forward(
-                        now,
-                        ApiRequest::CreateProgramWithBinary {
-                            context: Context::from_raw(v_ctx),
-                            device: DeviceId::from_raw(device),
-                            binary: bin.clone(),
-                        },
-                    )
-                    .map_err(|e| match e {
-                        ClError::InvalidBinary => CheclCprError::BinaryNotPortable,
-                        other => CheclCprError::Cl(other),
-                    })?
-                    .into_program()?
-                }
-                (None, None) => return Err(CheclCprError::Cl(ClError::InvalidProgram)),
-            };
-            if let Some(options) = build_options {
-                // The program was built before the checkpoint: rebuild
-                // (recompile) — the Tr term of the migration model.
-                lib.forward(
-                    now,
-                    ApiRequest::BuildProgram {
-                        program: v_prog,
-                        options: options.clone(),
-                    },
-                )?;
-            }
-            Ok(v_prog.raw())
-        }
-        ObjectRecord::Kernel {
-            program,
-            name,
-            args,
-        } => {
-            let v_prog = vendor_of(lib, *program)?;
-            let v_kernel = lib
-                .forward(
-                    now,
-                    ApiRequest::CreateKernel {
-                        program: Program::from_raw(v_prog),
-                        name: name.clone(),
-                    },
-                )?
-                .into_kernel()?;
-            // Replay the argument history against the new objects.
-            for (index, arg) in args {
-                let value = match arg {
-                    RecordedArg::Handle(h) => {
-                        let v = vendor_of(lib, *h)?;
-                        ArgValue::Bytes(v.0.to_le_bytes().to_vec())
-                    }
-                    RecordedArg::Bytes(b) => {
-                        let mut blob = b.clone();
-                        if lib.config().struct_arg_policy == StructArgPolicy::ScanAndTranslate {
-                            let db = &lib.db;
-                            crate::guess::rewrite_handles_in_struct(db, &mut blob, |h| {
-                                db.vendor_of(h).map(|v| v.0)
-                            });
-                        }
-                        ArgValue::Bytes(blob)
-                    }
-                    RecordedArg::Local(n) => ArgValue::LocalMem(*n),
-                };
-                lib.forward(
-                    now,
-                    ApiRequest::SetKernelArg {
-                        kernel: Kernel::from_raw(v_kernel.raw()),
-                        index: *index,
-                        value,
-                    },
-                )?;
-            }
-            Ok(v_kernel.raw())
-        }
-        ObjectRecord::Event { queue } => {
-            // "CheCL gets a dummy event object by calling
-            // clEnqueueMarker" (§III-C, Fig. 3). All queues are empty at
-            // this point, so the marker completes immediately and the
-            // dummy never blocks anything.
-            let v_queue = vendor_of(lib, *queue)?;
+            let bin = binary
+                .clone()
+                .ok_or(CheclCprError::Cl(ClError::InvalidProgram))?;
+            // Deprecated path: works only if the new node's vendor
+            // accepts the old binary.
+            let device = lib
+                .db
+                .live_of_kind(HandleKind::Device)
+                .next()
+                .map(|e| e.vendor)
+                .ok_or(CheclCprError::Cl(ClError::InvalidDevice))?;
             Ok(lib
                 .forward(
                     now,
-                    ApiRequest::EnqueueMarker {
-                        queue: CommandQueue::from_raw(v_queue),
+                    ApiRequest::CreateProgramWithBinary {
+                        context: Context::from_raw(v_ctx),
+                        device: DeviceId::from_raw(device),
+                        binary: bin,
                     },
-                )?
-                .into_event()?
+                )
+                .map_err(|e| match e {
+                    ClError::InvalidBinary => CheclCprError::BinaryNotPortable,
+                    other => CheclCprError::Cl(other),
+                })?
+                .into_program()?
                 .raw())
         }
+        _ => unreachable!("every other record has a re-creation request"),
     }
 }

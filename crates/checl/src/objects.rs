@@ -8,9 +8,16 @@
 //! The database of CheCL objects is ordinary host memory: it rides
 //! inside the BLCR dump, which is how the restart procedure knows what
 //! to re-create. Everything here is therefore [`Codec`].
+//!
+//! A record and the request that creates its object are each other's
+//! inverse: the shim builds every record from a request with
+//! [`ObjectRecord::created_by`], and a restart turns it back into one
+//! with [`ObjectRecord::recreate_request`].
 
-use clspec::handles::{HandleKind, RawHandle};
-use clspec::sig::KernelSig;
+use clspec::api::ApiRequest;
+use clspec::error::{ClError, ClResult};
+use clspec::handles::{CommandQueue, Context, DeviceId, HandleKind, Program, RawHandle};
+use clspec::sig::{parse_kernel_sigs, KernelSig};
 use clspec::types::{DeviceType, MemFlags, QueueProps, SamplerDesc};
 use simcore::codec::{decode_bytes, encode_bytes, Codec, CodecError, Reader};
 use simcore::impl_codec_struct;
@@ -181,6 +188,191 @@ impl ObjectRecord {
             ObjectRecord::Kernel { .. } => HandleKind::Kernel,
             ObjectRecord::Event { .. } => HandleKind::Event,
         }
+    }
+
+    /// The record a successful `req` leaves behind, read off the request
+    /// while its handles are still CheCL handles; `None` for a call that
+    /// creates nothing. This is the one place the shim builds a record.
+    /// A `USE_HOST_PTR` buffer keeps a copy of its host data; a program
+    /// from source has its kernel signatures parsed here (§III-B), which
+    /// fails with `InvalidValue` on unparsable source. Enumerated
+    /// platforms and devices are recorded by position, which the request
+    /// does not carry, so they are not built here.
+    pub fn created_by(req: &ApiRequest) -> Option<ClResult<ObjectRecord>> {
+        use ApiRequest::*;
+        Some(Ok(match req {
+            CreateContext { devices } => ObjectRecord::Context {
+                devices: devices.iter().map(|d| d.raw().0).collect(),
+            },
+            CreateCommandQueue {
+                context,
+                device,
+                props,
+            } => ObjectRecord::Queue {
+                context: context.raw().0,
+                device: device.raw().0,
+                props: *props,
+            },
+            CreateBuffer {
+                context,
+                flags,
+                host_data,
+                ..
+            }
+            | CreateImage2D {
+                context,
+                flags,
+                host_data,
+                ..
+            } => {
+                let (size, image_dims) = match *req {
+                    CreateImage2D { width, height, .. } => {
+                        (width * height * 4, Some((width, height)))
+                    }
+                    CreateBuffer { size, .. } => (size, None),
+                    _ => unreachable!("matched a buffer or an image above"),
+                };
+                ObjectRecord::Mem {
+                    context: context.raw().0,
+                    flags: *flags,
+                    size,
+                    saved_data: None,
+                    host_cache: host_data
+                        .as_ref()
+                        .filter(|_| flags.contains(MemFlags::USE_HOST_PTR))
+                        .cloned(),
+                    dirty: true,
+                    saved_in: None,
+                    image_dims,
+                    dirty_regions: Vec::new(),
+                    saved_chunks: None,
+                    cut_epoch: 0,
+                }
+            }
+            CreateSampler { context, desc } => ObjectRecord::Sampler {
+                context: context.raw().0,
+                desc: *desc,
+            },
+            CreateProgramWithSource { context, source } => {
+                return Some(
+                    parse_kernel_sigs(source)
+                        .map_err(|_| ClError::InvalidValue)
+                        .map(|sigs| ObjectRecord::Program {
+                            context: context.raw().0,
+                            source: Some(source.clone()),
+                            binary: None,
+                            build_options: None,
+                            sigs,
+                        }),
+                )
+            }
+            CreateProgramWithBinary {
+                context, binary, ..
+            } => ObjectRecord::Program {
+                context: context.raw().0,
+                source: None,
+                binary: Some(binary.clone()),
+                build_options: None,
+                sigs: Vec::new(),
+            },
+            CreateKernel { program, name } => ObjectRecord::Kernel {
+                program: program.raw().0,
+                name: name.clone(),
+                args: BTreeMap::new(),
+            },
+            EnqueueReadImage { queue, .. }
+            | EnqueueWriteImage { queue, .. }
+            | EnqueueReadBuffer { queue, .. }
+            | EnqueueWriteBuffer { queue, .. }
+            | EnqueueCopyBuffer { queue, .. }
+            | EnqueueNDRangeKernel { queue, .. }
+            | EnqueueMarker { queue } => ObjectRecord::Event {
+                queue: queue.raw().0,
+            },
+            _ => return None,
+        }))
+    }
+
+    /// The request that re-creates this object on a fresh proxy, in
+    /// CheCL-handle space — the inverse of [`ObjectRecord::created_by`].
+    /// A buffer comes back empty, with its access flags only: host-pointer
+    /// flags are creation-time concepts, and the restore uploads the
+    /// saved data itself. An event comes back as the dummy
+    /// `clEnqueueMarker` event of §III-C (Fig. 3). `None` for the
+    /// enumerated platforms and devices and for a program built from a
+    /// binary: re-creating those needs the restore host's devices.
+    pub fn recreate_request(&self) -> Option<ApiRequest> {
+        let ctx = |h: &u64| Context::from_raw(RawHandle(*h));
+        Some(match self {
+            ObjectRecord::Platform { .. }
+            | ObjectRecord::Device { .. }
+            | ObjectRecord::Program { source: None, .. } => return None,
+            ObjectRecord::Context { devices } => ApiRequest::CreateContext {
+                devices: devices
+                    .iter()
+                    .map(|d| DeviceId::from_raw(RawHandle(*d)))
+                    .collect(),
+            },
+            ObjectRecord::Queue {
+                context,
+                device,
+                props,
+            } => ApiRequest::CreateCommandQueue {
+                context: ctx(context),
+                device: DeviceId::from_raw(RawHandle(*device)),
+                props: *props,
+            },
+            ObjectRecord::Mem {
+                context,
+                flags,
+                size,
+                image_dims,
+                ..
+            } => {
+                let flags = [
+                    MemFlags::READ_WRITE,
+                    MemFlags::READ_ONLY,
+                    MemFlags::WRITE_ONLY,
+                ]
+                .into_iter()
+                .filter(|f| flags.contains(*f))
+                .fold(MemFlags::empty(), MemFlags::union);
+                match *image_dims {
+                    Some((width, height)) => ApiRequest::CreateImage2D {
+                        context: ctx(context),
+                        flags,
+                        width,
+                        height,
+                        host_data: None,
+                    },
+                    None => ApiRequest::CreateBuffer {
+                        context: ctx(context),
+                        flags,
+                        size: *size,
+                        host_data: None,
+                    },
+                }
+            }
+            ObjectRecord::Sampler { context, desc } => ApiRequest::CreateSampler {
+                context: ctx(context),
+                desc: *desc,
+            },
+            ObjectRecord::Program {
+                context,
+                source: Some(source),
+                ..
+            } => ApiRequest::CreateProgramWithSource {
+                context: ctx(context),
+                source: source.clone(),
+            },
+            ObjectRecord::Kernel { program, name, .. } => ApiRequest::CreateKernel {
+                program: Program::from_raw(RawHandle(*program)),
+                name: name.clone(),
+            },
+            ObjectRecord::Event { queue } => ApiRequest::EnqueueMarker {
+                queue: CommandQueue::from_raw(RawHandle(*queue)),
+            },
+        })
     }
 }
 

@@ -1,31 +1,43 @@
 //! The interposed `libOpenCL.so`: record, translate, forward.
 //!
 //! [`ChecLib`] implements [`ClApi`] — the application cannot tell it
-//! apart from a vendor library. Internally every call is:
+//! apart from a vendor library. Every call takes one generic path:
 //!
-//! 1. **translated** — CheCL handles in the request are swapped for the
-//!    vendor handles currently wrapped by the database (`clSetKernelArg`
-//!    blobs need the kernel signature to decide, §III-B);
-//! 2. **forwarded** — shipped over the app↔proxy pipe, paying the IPC
-//!    latency plus an extra host-memory copy of any bulk payload
-//!    (§IV-A: this is the measured runtime overhead of Fig. 4);
-//! 3. **recorded** — creation calls insert a CheCL object; state
-//!    changes (`clBuildProgram`, `clSetKernelArg`) update it; releases
-//!    mark it dead;
-//! 4. **wrapped** — returned vendor handles are replaced by fresh CheCL
-//!    handles before the application sees them.
+//! 1. **noted** — the CheCL-space facts are read off the request while
+//!    its handles are still CheCL handles: the record a creation call or
+//!    an enqueue leaves ([`ObjectRecord::created_by`]), the buffer span a
+//!    write overwrites, and the object a retain, release or build acts on;
+//! 2. **translated** — [`ApiRequest::try_map_handles`] swaps each CheCL
+//!    handle for the vendor handle the database wraps, checking liveness
+//!    and kind. The first bad handle rejects the call before any effect;
+//! 3. **forwarded** — after the pre-effects (fork a pending live cut,
+//!    mark the buffer dirty, keep a `USE_HOST_PTR` cache coherent), one
+//!    trip over the app↔proxy pipe, paying the IPC latency plus an extra
+//!    host-memory copy of any bulk payload (§IV-A: this is the measured
+//!    runtime overhead of Fig. 4);
+//! 4. **recorded and wrapped** — retains and releases mirror the
+//!    refcount, `clBuildProgram` records its options, and a returned
+//!    vendor handle is wrapped in a fresh CheCL object before the
+//!    application sees it.
+//!
+//! Four requests keep hand-written arms, because their logic is their
+//! own. `clGetPlatformIDs` and `clGetDeviceIDs` wrap idempotently: a
+//! repeated query returns the same CheCL handles, and the record holds a
+//! position in the answer, which the request does not carry.
+//! `clSetKernelArg` decides from the kernel signature (or, for a binary
+//! program, by address guessing) whether its blob is a handle (§III-B).
+//! `clEnqueueNDRangeKernel` dirties the buffers bound to writable
+//! parameters, and pushes and pulls `USE_HOST_PTR` caches around the
+//! launch (§IV-D).
 
 use crate::guess::{guess_handle, rewrite_handles_in_struct};
 use crate::objects::{CheclDb, ObjectRecord, RecordedArg};
 use cldriver::Driver;
 use clspec::api::{ApiRequest, ApiResponse, ClApi};
 use clspec::error::{ClError, ClResult};
-use clspec::handles::{
-    CommandQueue, Context, DeviceId, Event, HandleKind, Kernel, Mem, PlatformId, Program,
-    RawHandle, Sampler,
-};
-use clspec::sig::{parse_kernel_sigs, parse_struct_defs, ParamKind};
-use clspec::types::ArgValue;
+use clspec::handles::{CommandQueue, DeviceId, HandleKind, Kernel, Mem, PlatformId, RawHandle};
+use clspec::sig::{parse_struct_defs, ParamKind};
+use clspec::types::{ArgValue, NDRange};
 use osproc::{Pid, Pipe};
 use simcore::codec::Codec;
 use simcore::{telemetry, SimTime};
@@ -344,57 +356,6 @@ impl ChecLib {
     /// chunker could ever save.
     const MAX_DIRTY_REGIONS: usize = 64;
 
-    /// Mark a buffer's device copy as modified since its last save
-    /// (drives dedup's clean-buffer fast path). The whole extent is dirtied
-    /// — used when the write's footprint is unknown (kernel writes,
-    /// image writes).
-    fn mark_mem_dirty(&mut self, checl_mem: u64) {
-        if let Some(e) = self.db.get_mut(checl_mem) {
-            if let ObjectRecord::Mem {
-                size,
-                dirty,
-                dirty_regions,
-                ..
-            } = &mut e.record
-            {
-                *dirty = true;
-                dirty_regions.clear();
-                dirty_regions.push((0, *size));
-            }
-        }
-    }
-
-    /// Mark one byte range of a buffer as modified — the precise form
-    /// used when the API call carries its footprint
-    /// (`clEnqueueWriteBuffer`, `clEnqueueCopyBuffer` destinations).
-    /// The dedup checkpointer skips hashing chunks that fall entirely
-    /// outside the recorded regions.
-    fn mark_mem_dirty_region(&mut self, checl_mem: u64, offset: u64, len: u64) {
-        if let Some(e) = self.db.get_mut(checl_mem) {
-            if let ObjectRecord::Mem {
-                size,
-                dirty,
-                dirty_regions,
-                ..
-            } = &mut e.record
-            {
-                // A dirty buffer with an empty region list means
-                // "unknown extent"; adding a precise span to it would
-                // silently *shrink* the dirty footprint.
-                if *dirty && dirty_regions.is_empty() {
-                    return;
-                }
-                *dirty = true;
-                dirty_regions.push((offset, len.min(size.saturating_sub(offset))));
-                if dirty_regions.len() > Self::MAX_DIRTY_REGIONS {
-                    let whole = (0, *size);
-                    dirty_regions.clear();
-                    dirty_regions.push(whole);
-                }
-            }
-        }
-    }
-
     /// Copy-on-write guard for the live checkpoint drain: when a live
     /// snapshot's cut still holds this buffer's un-serialized bytes,
     /// lazily fork the chunks the imminent write would clobber before
@@ -417,36 +378,48 @@ impl ChecLib {
         r
     }
 
-    /// Wrap a vendor handle in a fresh CheCL object and hand the CheCL
-    /// handle back in `RawHandle` clothing.
-    fn wrap(&mut self, vendor: RawHandle, record: ObjectRecord) -> RawHandle {
-        RawHandle(self.db.insert(vendor, record))
+    /// Pre-effect of a write to `[offset, offset + len)` of a buffer:
+    /// fork the span out of a pending live cut, then mark it modified
+    /// since its last save (drives dedup's clean-buffer fast path). With
+    /// `len == u64::MAX` the footprint is unknown (kernel and image
+    /// writes) and the whole extent is dirtied; a precise span lets the
+    /// dedup checkpointer skip hashing chunks outside every region.
+    fn overwrite(&mut self, now: &mut SimTime, mem: u64, offset: u64, len: u64) -> ClResult<()> {
+        self.cow_guard(now, mem, offset, len)?;
+        let Some(ObjectRecord::Mem {
+            size,
+            dirty,
+            dirty_regions,
+            ..
+        }) = self.db.get_mut(mem).map(|e| &mut e.record)
+        else {
+            return Ok(());
+        };
+        let whole = len == u64::MAX;
+        // A dirty buffer with an empty region list means "unknown
+        // extent"; adding a precise span to it would silently *shrink*
+        // the dirty footprint.
+        if !whole && *dirty && dirty_regions.is_empty() {
+            return Ok(());
+        }
+        *dirty = true;
+        if !whole {
+            dirty_regions.push((offset, len.min(size.saturating_sub(offset))));
+        }
+        if whole || dirty_regions.len() > Self::MAX_DIRTY_REGIONS {
+            dirty_regions.clear();
+            dirty_regions.push((0, *size));
+        }
+        Ok(())
     }
 
-    fn release_common(
-        &mut self,
-        now: &mut SimTime,
-        checl: u64,
-        kind: HandleKind,
-        make_req: impl FnOnce(RawHandle) -> ApiRequest,
-    ) -> ClResult<ApiResponse> {
-        let vendor = self.xlate(checl, kind)?;
-        let resp = self.forward(now, make_req(vendor))?;
-        self.db.release(checl);
-        Ok(resp)
-    }
-
-    fn retain_common(
-        &mut self,
-        now: &mut SimTime,
-        checl: u64,
-        kind: HandleKind,
-        make_req: impl FnOnce(RawHandle) -> ApiRequest,
-    ) -> ClResult<ApiResponse> {
-        let vendor = self.xlate(checl, kind)?;
-        let resp = self.forward(now, make_req(vendor))?;
-        self.db.retain(checl);
-        Ok(resp)
+    /// Wrap the object handle `resp` returns in a fresh CheCL object
+    /// holding `record`, so the application only ever sees CheCL handles.
+    fn wrap(&mut self, mut resp: ApiResponse, record: Option<ObjectRecord>) -> ApiResponse {
+        if let (Some(record), Some(h)) = (record, resp.object_mut()) {
+            *h = RawHandle(self.db.insert(*h, record));
+        }
+        resp
     }
 
     // -----------------------------------------------------------------
@@ -476,7 +449,10 @@ impl ChecLib {
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                PlatformId::from_raw(self.wrap(p.raw(), ObjectRecord::Platform { index: i as u32 }))
+                let index = i as u32;
+                PlatformId::from_raw(RawHandle(
+                    self.db.insert(p.raw(), ObjectRecord::Platform { index }),
+                ))
             })
             .collect();
         Ok(ApiResponse::Platforms(out))
@@ -524,14 +500,14 @@ impl ChecLib {
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                DeviceId::from_raw(self.wrap(
+                DeviceId::from_raw(RawHandle(self.db.insert(
                     d.raw(),
                     ObjectRecord::Device {
                         platform: checl_platform,
                         query_type: device_type,
                         index: i as u32,
                     },
-                ))
+                )))
             })
             .collect();
         Ok(ApiResponse::Devices(out))
@@ -722,37 +698,38 @@ impl ChecLib {
             .collect()
     }
 
+    /// `clEnqueueNDRangeKernel`: `req` still in CheCL handle space, with
+    /// its queue, kernel and global range.
     fn enqueue_nd_range(
         &mut self,
         now: &mut SimTime,
-        queue: CommandQueue,
-        kernel: Kernel,
-        global: clspec::types::NDRange,
-        local: Option<clspec::types::NDRange>,
-        wait_list: Vec<Event>,
+        mut req: ApiRequest,
+        queue: u64,
+        checl_kernel: u64,
+        global: NDRange,
     ) -> ClResult<ApiResponse> {
-        let checl_queue = queue.raw().0;
-        let vendor_queue =
-            CommandQueue::from_raw(self.xlate(checl_queue, HandleKind::CommandQueue)?);
-        let vendor_kernel = Kernel::from_raw(self.xlate(kernel.raw().0, HandleKind::Kernel)?);
-        let vendor_waits = wait_list
-            .iter()
-            .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-            .collect::<ClResult<Vec<_>>>()?;
+        let event = ObjectRecord::created_by(&req);
+        req.try_map_handles(|kind, h| self.xlate(h.0, kind))?;
+        let event = event.transpose()?;
+        let vendor_queue = CommandQueue::from_raw(
+            self.db
+                .vendor_of(queue)
+                .expect("the queue translated above"),
+        );
 
         // A launch may write any buffer bound through a *writable*
         // parameter. Pointer-to-const and __constant parameters cannot
         // be written, so their buffers stay clean — the per-parameter
         // modification tracking the paper lists as future work, which
         // is what lets dedup's incremental fast path skip them.
-        let sig_loc = self.sig_index_of_kernel(kernel.raw().0);
+        let sig_loc = self.sig_index_of_kernel(checl_kernel);
         let bound_mems: Vec<(u64, Option<u64>)> = {
             let sig = sig_loc.and_then(|(p, i)| match self.db.get(p).map(|e| &e.record) {
                 Some(ObjectRecord::Program { sigs, .. }) => sigs.get(i),
                 _ => None,
             });
             let param_of = |idx: u32| sig.and_then(|s| s.params.get(idx as usize));
-            match self.db.get(kernel.raw().0).map(|e| &e.record) {
+            match self.db.get(checl_kernel).map(|e| &e.record) {
                 Some(ObjectRecord::Kernel { args, .. }) => args
                     .iter()
                     .filter_map(|(idx, a)| match a {
@@ -790,22 +767,13 @@ impl ChecLib {
             }
         };
         for (m, precise) in bound_mems {
-            match precise {
-                Some(len) => {
-                    self.cow_guard(now, m, 0, len)?;
-                    self.mark_mem_dirty_region(m, 0, len);
-                }
-                None => {
-                    self.cow_guard(now, m, 0, u64::MAX)?;
-                    self.mark_mem_dirty(m);
-                }
-            }
+            self.overwrite(now, m, 0, precise.unwrap_or(u64::MAX))?;
         }
 
         // CL_MEM_USE_HOST_PTR: the cached host copy is pushed to the
         // device before the kernel and pulled back afterwards — "usually
         // causes severe performance degradation" (§IV-D).
-        let host_ptr_mems = self.host_ptr_args_of_kernel(kernel.raw().0);
+        let host_ptr_mems = self.host_ptr_args_of_kernel(checl_kernel);
         for (mem_checl, _) in &host_ptr_mems {
             let cache = match self.db.get(*mem_checl) {
                 Some(e) => match &e.record {
@@ -831,17 +799,7 @@ impl ChecLib {
             )?;
         }
 
-        let resp = self.forward(
-            now,
-            ApiRequest::EnqueueNDRangeKernel {
-                queue: vendor_queue,
-                kernel: vendor_kernel,
-                global,
-                local,
-                wait_list: vendor_waits,
-            },
-        )?;
-        let vendor_event = resp.into_event()?;
+        let resp = self.forward(now, req)?;
 
         for (mem_checl, size) in &host_ptr_mems {
             let vendor_mem = Mem::from_raw(self.xlate(*mem_checl, HandleKind::Mem)?);
@@ -864,631 +822,132 @@ impl ChecLib {
                 }
             }
         }
-
-        let checl_event = self.wrap(
-            vendor_event.raw(),
-            ObjectRecord::Event { queue: checl_queue },
-        );
-        Ok(ApiResponse::Event(Event::from_raw(checl_event)))
-    }
-
-    fn wrap_event_response(
-        &mut self,
-        resp: ApiResponse,
-        checl_queue: u64,
-    ) -> ClResult<ApiResponse> {
-        match resp {
-            ApiResponse::Event(e) => {
-                let h = self.wrap(e.raw(), ObjectRecord::Event { queue: checl_queue });
-                Ok(ApiResponse::Event(Event::from_raw(h)))
-            }
-            ApiResponse::DataEvent { data, event } => {
-                let h = self.wrap(event.raw(), ObjectRecord::Event { queue: checl_queue });
-                Ok(ApiResponse::DataEvent {
-                    data,
-                    event: Event::from_raw(h),
-                })
-            }
-            other => Ok(other),
-        }
+        Ok(self.wrap(resp, event))
     }
 }
 
 impl ChecLib {
-    /// The translate/forward/record pipeline behind [`ClApi::call`].
-    fn dispatch(&mut self, now: &mut SimTime, req: ApiRequest) -> ClResult<ApiResponse> {
+    /// The translate/forward/record pipeline behind [`ClApi::call`]: one
+    /// generic path for every request but the four with logic of their
+    /// own (enumeration, `clSetKernelArg`, `clEnqueueNDRangeKernel`).
+    fn dispatch(&mut self, now: &mut SimTime, mut req: ApiRequest) -> ClResult<ApiResponse> {
         use ApiRequest::*;
         match req {
-            GetPlatformIds => self.get_platform_ids(now),
-            GetPlatformInfo { platform } => {
-                let vendor = self.xlate(platform.raw().0, HandleKind::Platform)?;
-                self.forward(
-                    now,
-                    GetPlatformInfo {
-                        platform: PlatformId::from_raw(vendor),
-                    },
-                )
-            }
+            GetPlatformIds => return self.get_platform_ids(now),
             GetDeviceIds {
                 platform,
                 device_type,
-            } => self.get_device_ids(now, platform, device_type),
-            GetDeviceInfo { device } => {
-                let vendor = self.xlate(device.raw().0, HandleKind::Device)?;
-                self.forward(
-                    now,
-                    GetDeviceInfo {
-                        device: DeviceId::from_raw(vendor),
-                    },
-                )
-            }
-            CreateContext { devices } => {
-                let checl_devices: Vec<u64> = devices.iter().map(|d| d.raw().0).collect();
-                let vendor_devices = checl_devices
-                    .iter()
-                    .map(|d| Ok(DeviceId::from_raw(self.xlate(*d, HandleKind::Device)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                let vendor_ctx = self
-                    .forward(
-                        now,
-                        CreateContext {
-                            devices: vendor_devices,
-                        },
-                    )?
-                    .into_context()?;
-                let h = self.wrap(
-                    vendor_ctx.raw(),
-                    ObjectRecord::Context {
-                        devices: checl_devices,
-                    },
-                );
-                Ok(ApiResponse::Context(Context::from_raw(h)))
-            }
-            RetainContext { context } => {
-                self.retain_common(now, context.raw().0, HandleKind::Context, |v| {
-                    RetainContext {
-                        context: Context::from_raw(v),
-                    }
-                })
-            }
-            ReleaseContext { context } => {
-                self.release_common(now, context.raw().0, HandleKind::Context, |v| {
-                    ReleaseContext {
-                        context: Context::from_raw(v),
-                    }
-                })
-            }
-            CreateCommandQueue {
-                context,
-                device,
-                props,
-            } => {
-                let checl_ctx = context.raw().0;
-                let checl_dev = device.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                let v_dev = DeviceId::from_raw(self.xlate(checl_dev, HandleKind::Device)?);
-                let vendor_q = self
-                    .forward(
-                        now,
-                        CreateCommandQueue {
-                            context: v_ctx,
-                            device: v_dev,
-                            props,
-                        },
-                    )?
-                    .into_queue()?;
-                let h = self.wrap(
-                    vendor_q.raw(),
-                    ObjectRecord::Queue {
-                        context: checl_ctx,
-                        device: checl_dev,
-                        props,
-                    },
-                );
-                Ok(ApiResponse::Queue(CommandQueue::from_raw(h)))
-            }
-            RetainCommandQueue { queue } => {
-                self.retain_common(now, queue.raw().0, HandleKind::CommandQueue, |v| {
-                    RetainCommandQueue {
-                        queue: CommandQueue::from_raw(v),
-                    }
-                })
-            }
-            ReleaseCommandQueue { queue } => {
-                self.release_common(now, queue.raw().0, HandleKind::CommandQueue, |v| {
-                    ReleaseCommandQueue {
-                        queue: CommandQueue::from_raw(v),
-                    }
-                })
-            }
-            CreateBuffer {
-                context,
-                flags,
-                size,
-                host_data,
-            } => {
-                let checl_ctx = context.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                let host_cache = if flags.contains(clspec::types::MemFlags::USE_HOST_PTR) {
-                    host_data.clone()
-                } else {
-                    None
-                };
-                let vendor_mem = self
-                    .forward(
-                        now,
-                        CreateBuffer {
-                            context: v_ctx,
-                            flags,
-                            size,
-                            host_data,
-                        },
-                    )?
-                    .into_mem()?;
-                let h = self.wrap(
-                    vendor_mem.raw(),
-                    ObjectRecord::Mem {
-                        context: checl_ctx,
-                        flags,
-                        size,
-                        saved_data: None,
-                        host_cache,
-                        dirty: true,
-                        saved_in: None,
-                        image_dims: None,
-                        dirty_regions: Vec::new(),
-                        saved_chunks: None,
-                        cut_epoch: 0,
-                    },
-                );
-                Ok(ApiResponse::Mem(Mem::from_raw(h)))
-            }
-            CreateImage2D {
-                context,
-                flags,
-                width,
-                height,
-                host_data,
-            } => {
-                let checl_ctx = context.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                let host_cache = if flags.contains(clspec::types::MemFlags::USE_HOST_PTR) {
-                    host_data.clone()
-                } else {
-                    None
-                };
-                let vendor_mem = self
-                    .forward(
-                        now,
-                        CreateImage2D {
-                            context: v_ctx,
-                            flags,
-                            width,
-                            height,
-                            host_data,
-                        },
-                    )?
-                    .into_mem()?;
-                let h = self.wrap(
-                    vendor_mem.raw(),
-                    ObjectRecord::Mem {
-                        context: checl_ctx,
-                        flags,
-                        size: width * height * 4,
-                        saved_data: None,
-                        host_cache,
-                        dirty: true,
-                        saved_in: None,
-                        image_dims: Some((width, height)),
-                        dirty_regions: Vec::new(),
-                        saved_chunks: None,
-                        cut_epoch: 0,
-                    },
-                );
-                Ok(ApiResponse::Mem(Mem::from_raw(h)))
-            }
-            EnqueueReadImage {
-                queue,
-                image,
-                blocking,
-                wait_list,
-            } => {
-                let checl_q = queue.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let v_m = Mem::from_raw(self.xlate(image.raw().0, HandleKind::Mem)?);
-                let v_w = wait_list
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                let resp = self.forward(
-                    now,
-                    EnqueueReadImage {
-                        queue: v_q,
-                        image: v_m,
-                        blocking,
-                        wait_list: v_w,
-                    },
-                )?;
-                self.wrap_event_response(resp, checl_q)
-            }
-            EnqueueWriteImage {
-                queue,
-                image,
-                blocking,
-                data,
-                wait_list,
-            } => {
-                let checl_q = queue.raw().0;
-                let checl_m = image.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let v_m = Mem::from_raw(self.xlate(checl_m, HandleKind::Mem)?);
-                let v_w = wait_list
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                self.cow_guard(now, checl_m, 0, u64::MAX)?;
-                self.mark_mem_dirty(checl_m);
-                let resp = self.forward(
-                    now,
-                    EnqueueWriteImage {
-                        queue: v_q,
-                        image: v_m,
-                        blocking,
-                        data,
-                        wait_list: v_w,
-                    },
-                )?;
-                self.wrap_event_response(resp, checl_q)
-            }
-            RetainMemObject { mem } => {
-                self.retain_common(now, mem.raw().0, HandleKind::Mem, |v| RetainMemObject {
-                    mem: Mem::from_raw(v),
-                })
-            }
-            ReleaseMemObject { mem } => {
-                // A released buffer's device copy is gone — fork the
-                // whole object into the pending cut first so the drain
-                // never has to read a dead handle.
-                self.cow_guard(now, mem.raw().0, 0, u64::MAX)?;
-                self.release_common(now, mem.raw().0, HandleKind::Mem, |v| ReleaseMemObject {
-                    mem: Mem::from_raw(v),
-                })
-            }
-            CreateSampler { context, desc } => {
-                let checl_ctx = context.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                let vendor_s = self
-                    .forward(
-                        now,
-                        CreateSampler {
-                            context: v_ctx,
-                            desc,
-                        },
-                    )?
-                    .into_sampler()?;
-                let h = self.wrap(
-                    vendor_s.raw(),
-                    ObjectRecord::Sampler {
-                        context: checl_ctx,
-                        desc,
-                    },
-                );
-                Ok(ApiResponse::Sampler(Sampler::from_raw(h)))
-            }
-            RetainSampler { sampler } => {
-                self.retain_common(now, sampler.raw().0, HandleKind::Sampler, |v| {
-                    RetainSampler {
-                        sampler: Sampler::from_raw(v),
-                    }
-                })
-            }
-            ReleaseSampler { sampler } => {
-                self.release_common(now, sampler.raw().0, HandleKind::Sampler, |v| {
-                    ReleaseSampler {
-                        sampler: Sampler::from_raw(v),
-                    }
-                })
-            }
-            CreateProgramWithSource { context, source } => {
-                let checl_ctx = context.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                // CheCL's Clang pass: parse the kernel parameter lists
-                // now, while the source is in hand (§III-B).
-                let sigs = parse_kernel_sigs(&source).map_err(|_| ClError::InvalidValue)?;
-                let vendor_p = self
-                    .forward(
-                        now,
-                        CreateProgramWithSource {
-                            context: v_ctx,
-                            source: source.clone(),
-                        },
-                    )?
-                    .into_program()?;
-                let h = self.wrap(
-                    vendor_p.raw(),
-                    ObjectRecord::Program {
-                        context: checl_ctx,
-                        source: Some(source),
-                        binary: None,
-                        build_options: None,
-                        sigs,
-                    },
-                );
-                Ok(ApiResponse::Program(Program::from_raw(h)))
-            }
-            CreateProgramWithBinary {
-                context,
-                device,
-                binary,
-            } => {
-                // Deprecated under CheCL (§IV-D): the binary may be
-                // invalid on the restart node and the source is
-                // unavailable for signature parsing.
-                let checl_ctx = context.raw().0;
-                let v_ctx = Context::from_raw(self.xlate(checl_ctx, HandleKind::Context)?);
-                let v_dev = DeviceId::from_raw(self.xlate(device.raw().0, HandleKind::Device)?);
-                let vendor_p = self
-                    .forward(
-                        now,
-                        CreateProgramWithBinary {
-                            context: v_ctx,
-                            device: v_dev,
-                            binary: binary.clone(),
-                        },
-                    )?
-                    .into_program()?;
-                let h = self.wrap(
-                    vendor_p.raw(),
-                    ObjectRecord::Program {
-                        context: checl_ctx,
-                        source: None,
-                        binary: Some(binary),
-                        build_options: None,
-                        sigs: Vec::new(),
-                    },
-                );
-                Ok(ApiResponse::Program(Program::from_raw(h)))
-            }
-            BuildProgram { program, options } => {
-                let checl_p = program.raw().0;
-                let vendor = self.xlate(checl_p, HandleKind::Program)?;
-                let resp = self.forward(
-                    now,
-                    BuildProgram {
-                        program: Program::from_raw(vendor),
-                        options: options.clone(),
-                    },
-                )?;
-                if let Some(e) = self.db.get_mut(checl_p) {
-                    if let ObjectRecord::Program { build_options, .. } = &mut e.record {
-                        *build_options = Some(options);
-                    }
-                }
-                Ok(resp)
-            }
-            GetProgramBuildLog { program } => {
-                let vendor = self.xlate(program.raw().0, HandleKind::Program)?;
-                self.forward(
-                    now,
-                    GetProgramBuildLog {
-                        program: Program::from_raw(vendor),
-                    },
-                )
-            }
-            GetProgramBinary { program } => {
-                let vendor = self.xlate(program.raw().0, HandleKind::Program)?;
-                self.forward(
-                    now,
-                    GetProgramBinary {
-                        program: Program::from_raw(vendor),
-                    },
-                )
-            }
-            RetainProgram { program } => {
-                self.retain_common(now, program.raw().0, HandleKind::Program, |v| {
-                    RetainProgram {
-                        program: Program::from_raw(v),
-                    }
-                })
-            }
-            ReleaseProgram { program } => {
-                self.release_common(now, program.raw().0, HandleKind::Program, |v| {
-                    ReleaseProgram {
-                        program: Program::from_raw(v),
-                    }
-                })
-            }
-            CreateKernel { program, name } => {
-                let checl_p = program.raw().0;
-                let vendor = self.xlate(checl_p, HandleKind::Program)?;
-                let vendor_k = self
-                    .forward(
-                        now,
-                        CreateKernel {
-                            program: Program::from_raw(vendor),
-                            name: name.clone(),
-                        },
-                    )?
-                    .into_kernel()?;
-                let h = self.wrap(
-                    vendor_k.raw(),
-                    ObjectRecord::Kernel {
-                        program: checl_p,
-                        name,
-                        args: Default::default(),
-                    },
-                );
-                Ok(ApiResponse::Kernel(Kernel::from_raw(h)))
-            }
-            RetainKernel { kernel } => {
-                self.retain_common(now, kernel.raw().0, HandleKind::Kernel, |v| RetainKernel {
-                    kernel: Kernel::from_raw(v),
-                })
-            }
-            ReleaseKernel { kernel } => {
-                self.release_common(now, kernel.raw().0, HandleKind::Kernel, |v| ReleaseKernel {
-                    kernel: Kernel::from_raw(v),
-                })
-            }
+            } => return self.get_device_ids(now, platform, device_type),
             SetKernelArg {
                 kernel,
                 index,
                 value,
-            } => self.set_kernel_arg(now, kernel, index, value),
+            } => return self.set_kernel_arg(now, kernel, index, value),
             EnqueueNDRangeKernel {
                 queue,
                 kernel,
                 global,
-                local,
-                wait_list,
-            } => self.enqueue_nd_range(now, queue, kernel, global, local, wait_list),
-            EnqueueReadBuffer {
-                queue,
-                mem,
-                blocking,
-                offset,
-                size,
-                wait_list,
+                ..
             } => {
-                let checl_q = queue.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let v_m = Mem::from_raw(self.xlate(mem.raw().0, HandleKind::Mem)?);
-                let v_w = wait_list
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                let resp = self.forward(
-                    now,
-                    EnqueueReadBuffer {
-                        queue: v_q,
-                        mem: v_m,
-                        blocking,
-                        offset,
-                        size,
-                        wait_list: v_w,
-                    },
-                )?;
-                self.wrap_event_response(resp, checl_q)
+                let (queue, kernel) = (queue.raw().0, kernel.raw().0);
+                return self.enqueue_nd_range(now, req, queue, kernel, global);
             }
+            _ => {}
+        }
+        // 1. The CheCL-space facts, noted before translation rewrites the
+        //    handles they name: the record the call creates, the buffer
+        //    span it overwrites, and the refcount it moves.
+        let created = ObjectRecord::created_by(&req);
+        let overwritten = match &req {
             EnqueueWriteBuffer {
-                queue,
-                mem,
-                blocking,
-                offset,
-                data,
-                wait_list,
-            } => {
-                let checl_q = queue.raw().0;
-                let checl_m = mem.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let v_m = Mem::from_raw(self.xlate(checl_m, HandleKind::Mem)?);
-                let v_w = wait_list
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                self.cow_guard(now, checl_m, offset, data.len() as u64)?;
-                self.mark_mem_dirty_region(checl_m, offset, data.len() as u64);
-                // Keep the USE_HOST_PTR cache coherent with app writes.
-                if let Some(e) = self.db.get_mut(checl_m) {
-                    if let ObjectRecord::Mem {
-                        host_cache: Some(c),
-                        ..
-                    } = &mut e.record
-                    {
-                        let off = offset as usize;
-                        if off + data.len() <= c.len() {
-                            c[off..off + data.len()].copy_from_slice(&data);
-                        }
-                    }
-                }
-                let resp = self.forward(
-                    now,
-                    EnqueueWriteBuffer {
-                        queue: v_q,
-                        mem: v_m,
-                        blocking,
-                        offset,
-                        data,
-                        wait_list: v_w,
-                    },
-                )?;
-                self.wrap_event_response(resp, checl_q)
-            }
+                mem, offset, data, ..
+            } => Some((mem.raw().0, *offset, data.len() as u64)),
+            EnqueueWriteImage { image, .. } => Some((image.raw().0, 0, u64::MAX)),
             EnqueueCopyBuffer {
-                queue,
-                src,
                 dst,
-                src_offset,
                 dst_offset,
                 size,
-                wait_list,
-            } => {
-                let checl_q = queue.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let v_s = Mem::from_raw(self.xlate(src.raw().0, HandleKind::Mem)?);
-                let v_d = Mem::from_raw(self.xlate(dst.raw().0, HandleKind::Mem)?);
-                self.cow_guard(now, dst.raw().0, dst_offset, size)?;
-                self.mark_mem_dirty_region(dst.raw().0, dst_offset, size);
-                let v_w = wait_list
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                let resp = self.forward(
-                    now,
-                    EnqueueCopyBuffer {
-                        queue: v_q,
-                        src: v_s,
-                        dst: v_d,
-                        src_offset,
-                        dst_offset,
-                        size,
-                        wait_list: v_w,
-                    },
-                )?;
-                self.wrap_event_response(resp, checl_q)
-            }
-            EnqueueMarker { queue } => {
-                let checl_q = queue.raw().0;
-                let v_q = CommandQueue::from_raw(self.xlate(checl_q, HandleKind::CommandQueue)?);
-                let resp = self.forward(now, EnqueueMarker { queue: v_q })?;
-                self.wrap_event_response(resp, checl_q)
-            }
-            Flush { queue } => {
-                let v_q =
-                    CommandQueue::from_raw(self.xlate(queue.raw().0, HandleKind::CommandQueue)?);
-                self.forward(now, Flush { queue: v_q })
-            }
-            Finish { queue } => {
-                let v_q =
-                    CommandQueue::from_raw(self.xlate(queue.raw().0, HandleKind::CommandQueue)?);
-                self.forward(now, Finish { queue: v_q })
-            }
-            WaitForEvents { events } => {
-                let v = events
-                    .iter()
-                    .map(|e| Ok(Event::from_raw(self.xlate(e.raw().0, HandleKind::Event)?)))
-                    .collect::<ClResult<Vec<_>>>()?;
-                self.forward(now, WaitForEvents { events: v })
-            }
-            GetEventStatus { event } => {
-                let v = Event::from_raw(self.xlate(event.raw().0, HandleKind::Event)?);
-                self.forward(now, GetEventStatus { event: v })
-            }
-            GetEventProfiling { event } => {
-                let v = Event::from_raw(self.xlate(event.raw().0, HandleKind::Event)?);
-                self.forward(now, GetEventProfiling { event: v })
-            }
-            RetainEvent { event } => {
-                self.retain_common(now, event.raw().0, HandleKind::Event, |v| RetainEvent {
-                    event: Event::from_raw(v),
-                })
-            }
-            ReleaseEvent { event } => {
-                self.release_common(now, event.raw().0, HandleKind::Event, |v| ReleaseEvent {
-                    event: Event::from_raw(v),
-                })
+                ..
+            } => Some((dst.raw().0, *dst_offset, *size)),
+            _ => None,
+        };
+        // `Some(true)` retains, `Some(false)` releases.
+        let refcount = match req {
+            RetainContext { .. }
+            | RetainCommandQueue { .. }
+            | RetainMemObject { .. }
+            | RetainSampler { .. }
+            | RetainProgram { .. }
+            | RetainKernel { .. }
+            | RetainEvent { .. } => Some(true),
+            ReleaseContext { .. }
+            | ReleaseCommandQueue { .. }
+            | ReleaseMemObject { .. }
+            | ReleaseSampler { .. }
+            | ReleaseProgram { .. }
+            | ReleaseKernel { .. }
+            | ReleaseEvent { .. } => Some(false),
+            _ => None,
+        };
+        let build_options = match &req {
+            BuildProgram { options, .. } => Some(options.clone()),
+            _ => None,
+        };
+
+        // 2. Translate every input handle. The first bad one rejects the
+        //    call before it has any effect. The first handle is the
+        //    object a retain, release or build acts on.
+        let mut subject = None;
+        req.try_map_handles(|kind, h| {
+            subject.get_or_insert(h.0);
+            self.xlate(h.0, kind)
+        })?;
+        let record = created.transpose()?;
+
+        // 3. Pre-effects: fork a pending live cut, mark dirty, and keep
+        //    a USE_HOST_PTR cache coherent with the app's write.
+        if let Some((mem, offset, len)) = overwritten {
+            self.overwrite(now, mem, offset, len)?;
+            if let (EnqueueWriteBuffer { data, .. }, Some(e)) = (&req, self.db.get_mut(mem)) {
+                if let ObjectRecord::Mem {
+                    host_cache: Some(c),
+                    ..
+                } = &mut e.record
+                {
+                    let off = offset as usize;
+                    if off + data.len() <= c.len() {
+                        c[off..off + data.len()].copy_from_slice(data);
+                    }
+                }
             }
         }
+        if let (ReleaseMemObject { .. }, Some(mem)) = (&req, subject) {
+            // A released buffer's device copy is gone — fork the whole
+            // object into the pending cut first so the drain never has
+            // to read a dead handle.
+            self.cow_guard(now, mem, 0, u64::MAX)?;
+        }
+
+        // 4. One forward, then the post-effects: mirror the refcount,
+        //    record the build options, wrap the returned handle.
+        let resp = self.forward(now, req)?;
+        if let Some(h) = subject {
+            match refcount {
+                Some(true) => {
+                    self.db.retain(h);
+                }
+                Some(false) => {
+                    self.db.release(h);
+                }
+                None => {}
+            }
+            if let (Some(options), Some(e)) = (build_options, self.db.get_mut(h)) {
+                if let ObjectRecord::Program { build_options, .. } = &mut e.record {
+                    *build_options = Some(options);
+                }
+            }
+        }
+        Ok(self.wrap(resp, record))
     }
 }
 

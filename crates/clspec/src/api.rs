@@ -266,94 +266,69 @@ impl ApiRequest {
         }
     }
 
-    /// Visit every *input* handle in the request so an interposer can
-    /// rewrite it (CheCL handle → vendor handle).
+    /// Map every *input* handle in the request through `f`, in field
+    /// order, so an interposer can rewrite it (CheCL handle → vendor
+    /// handle). Stops at the first `Err`: later handles are neither
+    /// visited nor rewritten, so a call rejected at one handle has done
+    /// no work for the handles after it.
     ///
     /// `SetKernelArg` byte blobs are deliberately **not** visited: the
     /// request does not carry enough information to know whether they
     /// hold a handle. That decision needs the kernel signature
     /// (§III-B), and is made by CheCL's `clSetKernelArg` wrapper before
     /// forwarding.
-    pub fn visit_handles_mut(&mut self, f: &mut dyn FnMut(HandleKind, &mut RawHandle)) {
+    pub fn try_map_handles<E>(
+        &mut self,
+        mut f: impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+    ) -> Result<(), E> {
         use ApiRequest::*;
+        use HandleKind as K;
+        let mut map = |kind: HandleKind, h: &mut RawHandle| -> Result<(), E> {
+            *h = f(kind, *h)?;
+            Ok(())
+        };
         match self {
-            GetPlatformIds => {}
-            GetPlatformInfo { platform } => f(HandleKind::Platform, &mut platform.0),
-            GetDeviceIds { platform, .. } => f(HandleKind::Platform, &mut platform.0),
-            GetDeviceInfo { device } => f(HandleKind::Device, &mut device.0),
-            CreateContext { devices } => {
-                for d in devices {
-                    f(HandleKind::Device, &mut d.0);
-                }
+            GetPlatformIds => Ok(()),
+            GetPlatformInfo { platform } | GetDeviceIds { platform, .. } => {
+                map(K::Platform, &mut platform.0)
             }
-            RetainContext { context } | ReleaseContext { context } => {
-                f(HandleKind::Context, &mut context.0)
-            }
+            GetDeviceInfo { device } => map(K::Device, &mut device.0),
+            CreateContext { devices } => devices
+                .iter_mut()
+                .try_for_each(|d| map(K::Device, &mut d.0)),
+            RetainContext { context }
+            | ReleaseContext { context }
+            | CreateBuffer { context, .. }
+            | CreateImage2D { context, .. }
+            | CreateSampler { context, .. }
+            | CreateProgramWithSource { context, .. } => map(K::Context, &mut context.0),
             CreateCommandQueue {
                 context, device, ..
+            }
+            | CreateProgramWithBinary {
+                context, device, ..
             } => {
-                f(HandleKind::Context, &mut context.0);
-                f(HandleKind::Device, &mut device.0);
+                map(K::Context, &mut context.0)?;
+                map(K::Device, &mut device.0)
             }
-            RetainCommandQueue { queue } | ReleaseCommandQueue { queue } => {
-                f(HandleKind::CommandQueue, &mut queue.0)
-            }
-            CreateBuffer { context, .. } | CreateImage2D { context, .. } => {
-                f(HandleKind::Context, &mut context.0)
-            }
+            RetainCommandQueue { queue }
+            | ReleaseCommandQueue { queue }
+            | EnqueueMarker { queue }
+            | Flush { queue }
+            | Finish { queue } => map(K::CommandQueue, &mut queue.0),
             EnqueueReadImage {
                 queue,
-                image,
+                image: mem,
                 wait_list,
                 ..
             }
             | EnqueueWriteImage {
                 queue,
-                image,
+                image: mem,
                 wait_list,
                 ..
-            } => {
-                f(HandleKind::CommandQueue, &mut queue.0);
-                f(HandleKind::Mem, &mut image.0);
-                for e in wait_list {
-                    f(HandleKind::Event, &mut e.0);
-                }
             }
-            RetainMemObject { mem } | ReleaseMemObject { mem } => f(HandleKind::Mem, &mut mem.0),
-            CreateSampler { context, .. } => f(HandleKind::Context, &mut context.0),
-            RetainSampler { sampler } | ReleaseSampler { sampler } => {
-                f(HandleKind::Sampler, &mut sampler.0)
-            }
-            CreateProgramWithSource { context, .. } => f(HandleKind::Context, &mut context.0),
-            CreateProgramWithBinary {
-                context, device, ..
-            } => {
-                f(HandleKind::Context, &mut context.0);
-                f(HandleKind::Device, &mut device.0);
-            }
-            BuildProgram { program, .. }
-            | GetProgramBuildLog { program }
-            | GetProgramBinary { program }
-            | RetainProgram { program }
-            | ReleaseProgram { program } => f(HandleKind::Program, &mut program.0),
-            CreateKernel { program, .. } => f(HandleKind::Program, &mut program.0),
-            RetainKernel { kernel } | ReleaseKernel { kernel } => {
-                f(HandleKind::Kernel, &mut kernel.0)
-            }
-            SetKernelArg { kernel, .. } => f(HandleKind::Kernel, &mut kernel.0),
-            EnqueueNDRangeKernel {
-                queue,
-                kernel,
-                wait_list,
-                ..
-            } => {
-                f(HandleKind::CommandQueue, &mut queue.0);
-                f(HandleKind::Kernel, &mut kernel.0);
-                for e in wait_list {
-                    f(HandleKind::Event, &mut e.0);
-                }
-            }
-            EnqueueReadBuffer {
+            | EnqueueReadBuffer {
                 queue,
                 mem,
                 wait_list,
@@ -365,11 +340,11 @@ impl ApiRequest {
                 wait_list,
                 ..
             } => {
-                f(HandleKind::CommandQueue, &mut queue.0);
-                f(HandleKind::Mem, &mut mem.0);
-                for e in wait_list {
-                    f(HandleKind::Event, &mut e.0);
-                }
+                map(K::CommandQueue, &mut queue.0)?;
+                map(K::Mem, &mut mem.0)?;
+                wait_list
+                    .iter_mut()
+                    .try_for_each(|e| map(K::Event, &mut e.0))
             }
             EnqueueCopyBuffer {
                 queue,
@@ -378,25 +353,43 @@ impl ApiRequest {
                 wait_list,
                 ..
             } => {
-                f(HandleKind::CommandQueue, &mut queue.0);
-                f(HandleKind::Mem, &mut src.0);
-                f(HandleKind::Mem, &mut dst.0);
-                for e in wait_list {
-                    f(HandleKind::Event, &mut e.0);
-                }
+                map(K::CommandQueue, &mut queue.0)?;
+                map(K::Mem, &mut src.0)?;
+                map(K::Mem, &mut dst.0)?;
+                wait_list
+                    .iter_mut()
+                    .try_for_each(|e| map(K::Event, &mut e.0))
             }
-            EnqueueMarker { queue } | Flush { queue } | Finish { queue } => {
-                f(HandleKind::CommandQueue, &mut queue.0)
+            EnqueueNDRangeKernel {
+                queue,
+                kernel,
+                wait_list,
+                ..
+            } => {
+                map(K::CommandQueue, &mut queue.0)?;
+                map(K::Kernel, &mut kernel.0)?;
+                wait_list
+                    .iter_mut()
+                    .try_for_each(|e| map(K::Event, &mut e.0))
             }
-            WaitForEvents { events } => {
-                for e in events {
-                    f(HandleKind::Event, &mut e.0);
-                }
+            RetainMemObject { mem } | ReleaseMemObject { mem } => map(K::Mem, &mut mem.0),
+            RetainSampler { sampler } | ReleaseSampler { sampler } => {
+                map(K::Sampler, &mut sampler.0)
             }
+            BuildProgram { program, .. }
+            | GetProgramBuildLog { program }
+            | GetProgramBinary { program }
+            | RetainProgram { program }
+            | ReleaseProgram { program }
+            | CreateKernel { program, .. } => map(K::Program, &mut program.0),
+            RetainKernel { kernel } | ReleaseKernel { kernel } | SetKernelArg { kernel, .. } => {
+                map(K::Kernel, &mut kernel.0)
+            }
+            WaitForEvents { events } => events.iter_mut().try_for_each(|e| map(K::Event, &mut e.0)),
             GetEventStatus { event }
             | GetEventProfiling { event }
             | RetainEvent { event }
-            | ReleaseEvent { event } => f(HandleKind::Event, &mut event.0),
+            | ReleaseEvent { event } => map(K::Event, &mut event.0),
         }
     }
 }
@@ -452,6 +445,28 @@ impl ApiResponse {
             Platforms(v) => 8 * v.len() as u64,
             Devices(v) => 8 * v.len() as u64,
             _ => 0,
+        }
+    }
+}
+
+impl ApiResponse {
+    /// The one object handle this response returns — a created object,
+    /// or an enqueue's event — for an interposer to read or rewrite.
+    /// `None` for responses that return no handle, or a list of them.
+    pub fn object_mut(&mut self) -> Option<&mut RawHandle> {
+        use ApiResponse as R;
+        match self {
+            R::Context(Context(h))
+            | R::Queue(CommandQueue(h))
+            | R::Mem(Mem(h))
+            | R::Sampler(Sampler(h))
+            | R::Program(Program(h))
+            | R::Kernel(Kernel(h))
+            | R::Event(Event(h))
+            | R::DataEvent {
+                event: Event(h), ..
+            } => Some(h),
+            _ => None,
         }
     }
 }
@@ -601,9 +616,8 @@ mod tests {
         assert!(big.wire_size() > small.wire_size() + (1 << 20) - 1);
     }
 
-    #[test]
-    fn visit_handles_rewrites_all_inputs() {
-        let mut req = ApiRequest::EnqueueCopyBuffer {
+    fn copy_request() -> ApiRequest {
+        ApiRequest::EnqueueCopyBuffer {
             queue: CommandQueue::from_raw(RawHandle(10)),
             src: Mem::from_raw(RawHandle(20)),
             dst: Mem::from_raw(RawHandle(30)),
@@ -611,12 +625,18 @@ mod tests {
             dst_offset: 0,
             size: 4,
             wait_list: vec![Event::from_raw(RawHandle(40))],
-        };
+        }
+    }
+
+    #[test]
+    fn try_map_handles_rewrites_all_inputs() {
+        let mut req = copy_request();
         let mut seen = Vec::new();
-        req.visit_handles_mut(&mut |kind, h| {
+        req.try_map_handles(|kind, h| {
             seen.push((kind, h.0));
-            h.0 += 1;
-        });
+            Ok::<_, ()>(RawHandle(h.0 + 1))
+        })
+        .unwrap();
         assert_eq!(
             seen,
             vec![
@@ -626,16 +646,45 @@ mod tests {
                 (HandleKind::Event, 40),
             ]
         );
-        match req {
-            ApiRequest::EnqueueCopyBuffer {
-                queue, src, dst, ..
-            } => {
-                assert_eq!(queue.raw().0, 11);
-                assert_eq!(src.raw().0, 21);
-                assert_eq!(dst.raw().0, 31);
-            }
-            _ => unreachable!(),
+        let mut want = copy_request();
+        if let ApiRequest::EnqueueCopyBuffer {
+            queue,
+            src,
+            dst,
+            wait_list,
+            ..
+        } = &mut want
+        {
+            *queue = CommandQueue::from_raw(RawHandle(11));
+            *src = Mem::from_raw(RawHandle(21));
+            *dst = Mem::from_raw(RawHandle(31));
+            wait_list[0] = Event::from_raw(RawHandle(41));
         }
+        assert_eq!(req, want);
+    }
+
+    #[test]
+    fn try_map_handles_stops_at_the_first_error() {
+        // The second handle (`src`) fails: `dst` and the wait list are
+        // neither visited nor rewritten, and only `queue` is.
+        let mut req = copy_request();
+        let mut seen = Vec::new();
+        let err = req
+            .try_map_handles(|kind, h| {
+                seen.push(h.0);
+                match kind {
+                    HandleKind::Mem => Err(h.0),
+                    _ => Ok(RawHandle(h.0 + 1)),
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, 20);
+        assert_eq!(seen, vec![10, 20]);
+        let mut want = copy_request();
+        if let ApiRequest::EnqueueCopyBuffer { queue, .. } = &mut want {
+            *queue = CommandQueue::from_raw(RawHandle(11));
+        }
+        assert_eq!(req, want);
     }
 
     #[test]
@@ -648,7 +697,8 @@ mod tests {
             index: 0,
             value: ArgValue::handle(inner),
         };
-        req.visit_handles_mut(&mut |_, h| h.0 += 100);
+        req.try_map_handles(|_, h| Ok::<_, ()>(RawHandle(h.0 + 100)))
+            .unwrap();
         match req {
             ApiRequest::SetKernelArg { kernel, value, .. } => {
                 assert_eq!(kernel.raw().0, 101);
@@ -656,6 +706,23 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn object_mut_names_the_returned_handle() {
+        let mut resp = ApiResponse::DataEvent {
+            data: vec![1, 2],
+            event: Event::from_raw(RawHandle(7)),
+        };
+        *resp.object_mut().unwrap() = RawHandle(8);
+        assert_eq!(
+            resp,
+            ApiResponse::DataEvent {
+                data: vec![1, 2],
+                event: Event::from_raw(RawHandle(8)),
+            }
+        );
+        assert_eq!(ApiResponse::Platforms(vec![]).object_mut(), None);
     }
 
     #[test]
