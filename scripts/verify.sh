@@ -11,6 +11,14 @@ cd "$(dirname "$0")/.."
 QUICK=0
 [[ "${1:-}" == "--quick" ]] && QUICK=1
 
+# Run one bench binary, writing its stdout over its committed text
+# report, and diff both that report and its JSON golden. Every figure is
+# seeded virtual time, so any diff is a real regression.
+golden() {
+    cargo run -q --release -p checl-bench --bin "$1" >"results/$1.txt"
+    git diff --exit-code -- "results/BENCH_$1.json" "results/$1.txt"
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -53,38 +61,39 @@ cargo run -q --release -p checl-bench --bin ablation_faults -- \
 # JSON must be byte-identical to the committed golden.
 git diff --exit-code -- results/BENCH_ablation_faults.json
 
+echo "==> smoke: API surface — Table I, host pointers, processor selection, CPR modes (golden diff)"
+# The shim's per-call accounting and the §IV-C/§IV-D ablations: each
+# run takes well under a second.
+for b in table1 ablation_hostptr ablation_procsel ablation_modes; do
+    golden "$b"
+done
+
 echo "==> smoke: pipelined checkpoint engine (golden diff)"
-cargo run -q --release -p checl-bench --bin ablation_pipeline >/dev/null
-git diff --exit-code -- results/BENCH_ablation_pipeline.json
+golden ablation_pipeline
 
 echo "==> smoke: migration engines (golden diff)"
 # The bench itself asserts cross-vendor checksum equivalence between
 # the sequential and pipelined dump engines (nimbus → crimson).
-cargo run -q --release -p checl-bench --bin fig8_migration >/dev/null
-git diff --exit-code -- results/BENCH_fig8_migration.json
+golden fig8_migration
 
 echo "==> smoke: self-healing supervisor (golden diff)"
 # Every supervised cell proves bit-exactness against a native run.
-cargo run -q --release -p checl-bench --bin ablation_supervisor >/dev/null
-git diff --exit-code -- results/BENCH_ablation_supervisor.json
+golden ablation_supervisor
 
 echo "==> smoke: dedup chunk store ablation (golden diff)"
 # Every cell restores its last generation and asserts checksum equality
 # with an uninterrupted baseline before a row is written.
-cargo run -q --release -p checl-bench --bin ablation_dedup >/dev/null
-git diff --exit-code -- results/BENCH_ablation_dedup.json
+golden ablation_dedup
 
 echo "==> smoke: incremental (dedup) checkpoint ablation (golden diff)"
 # Full dumps vs the dedup path's clean-buffer fast path on iterative
 # BlackScholes (the paper's §IV-D incremental checkpointing).
-cargo run -q --release -p checl-bench --bin ablation_incremental >/dev/null
-git diff --exit-code -- results/BENCH_ablation_incremental.json
+golden ablation_incremental
 
 echo "==> smoke: live copy-on-write checkpoint ablation (golden diff)"
 # Every cell cuts mid-run, races the drain with further mutation, and
 # asserts the restore is bit-exact against an uninterrupted baseline.
-cargo run -q --release -p checl-bench --bin ablation_live >/dev/null
-git diff --exit-code -- results/BENCH_ablation_live.json
+golden ablation_live
 
 echo "==> smoke: ledger health report + observability ablation (golden diff)"
 # checl_inspect re-derives the supervisor's books from the event ledger
@@ -95,24 +104,28 @@ echo "==> smoke: ledger health report + observability ablation (golden diff)"
 cargo run -q --release -p checl-bench --bin checl_inspect -- \
     --trace /tmp/inspect.trace.json >/dev/null
 git diff --exit-code -- results/BENCH_checl_inspect.json results/checl_inspect.ledger.jsonl
-cargo run -q --release -p checl-bench --bin ablation_obs >/dev/null
-git diff --exit-code -- results/BENCH_ablation_obs.json
+golden ablation_obs
 
 echo "==> smoke: gray-failure resilience + crash-point torture (golden diff)"
 # Every gray-fault supervision cell asserts bit-exactness, the fleet
 # ladder cells assert drift-free accounting, and the torture sweep
 # replays the dump/drain/commit/GC sequence once per obs-event
 # boundary and restores 100% of them before a row is written.
-cargo run -q --release -p checl-bench --bin ablation_gray >/dev/null
-git diff --exit-code -- results/BENCH_ablation_gray.json
+golden ablation_gray
 
 if [[ "$QUICK" -eq 0 ]]; then
+    echo "==> smoke: remote proxy, MPI scaling, Fig. 4 overhead, Fig. 7 restart (golden diff, ~4 min)"
+    # Fig. 4 holds the per-program forwarded-call and translation
+    # counts, Fig. 7 the per-kind restore split of every program.
+    for b in ablation_remote fig6_mpi fig4_overhead fig7_restart; do
+        golden "$b"
+    done
+
     echo "==> smoke: fleet scheduler sweep (golden diff, ~3 min)"
     # Sweeps 100 -> 10,000 admitted jobs; every cell verifies every
     # tenant bit-exact against an uninterrupted solo run, and the
     # scheduler's ops/event counter must stay flat across the sweep.
-    cargo run -q --release -p checl-bench --bin fleet >/dev/null
-    git diff --exit-code -- results/BENCH_fleet.json
+    golden fleet
 fi
 
 echo "==> golden invariants (perf, availability, reconciliation guards)"
