@@ -306,10 +306,10 @@ impl ChunkStore {
     pub fn open(cluster: &mut Cluster, pid: Pid, path: &str) -> Result<ChunkStore, CprError> {
         let index = match cluster.read_file(pid, path) {
             Ok(bytes) => {
-                let scanned = scan(&bytes, false).map_err(CprError::Corrupt)?;
+                let scanned = scan(bytes.body(), false).map_err(CprError::Corrupt)?;
                 if scanned.torn {
-                    let intact = bytes[..scanned.valid_len as usize].to_vec();
-                    let dropped = bytes.len() as u64 - scanned.valid_len;
+                    let intact = bytes.body()[..scanned.valid_len as usize].to_vec();
+                    let dropped = bytes.len() - scanned.valid_len;
                     cluster
                         .write_file(pid, path, intact)
                         .map_err(CprError::Fs)?;
@@ -385,7 +385,7 @@ impl ChunkStore {
             compressed: encoding == Encoding::Rle,
         };
         let cost = cluster
-            .append_file(self.pid, &self.path, &framed)
+            .append_file(self.pid, &self.path, &framed, 0)
             .map_err(CprError::Fs)?;
         self.index.insert(hash, meta);
         Ok((hash, PutOutcome::Stored(meta, cost)))
@@ -402,7 +402,9 @@ impl ChunkStore {
         path: &str,
     ) -> Result<BTreeMap<u64, Vec<u8>>, CprError> {
         let bytes = cluster.read_file(pid, path).map_err(CprError::Fs)?;
-        Ok(scan(&bytes, true).map_err(CprError::Corrupt)?.payloads)
+        Ok(scan(bytes.body(), true)
+            .map_err(CprError::Corrupt)?
+            .payloads)
     }
 
     /// Total on-disk bytes of the records referenced by `segments`
@@ -530,7 +532,7 @@ mod tests {
             payload: vec![5u8; 64],
         };
         let framed = frame_record(&rec);
-        c.append_file(p, "/local/t.cas", &framed[..framed.len() / 2])
+        c.append_file(p, "/local/t.cas", &framed[..framed.len() / 2], 0)
             .unwrap();
         // Reopen: the intact records survive, the tear is truncated
         // away, and the file is byte-identical to the pre-crash state.
@@ -552,14 +554,14 @@ mod tests {
         let mut s = ChunkStore::open(&mut c, p, "/local/u.cas").unwrap();
         let (h, _) = s.put(&mut c, &[8u8; 5_000]).unwrap();
         // The tear cuts inside the 8-byte length prefix itself.
-        c.append_file(p, "/local/u.cas", &[0x10, 0x00, 0x00])
+        c.append_file(p, "/local/u.cas", &[0x10, 0x00, 0x00], 0)
             .unwrap();
         // load_all is read-only tolerant: the intact chunk restores.
         let all = ChunkStore::load_all(&mut c, p, "/local/u.cas").unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[&h], vec![8u8; 5_000]);
         // Mid-file rot is still fatal, not silently truncated.
-        let bytes = c.read_file(p, "/local/u.cas").unwrap();
+        let bytes = c.read_file(p, "/local/u.cas").unwrap().to_vec();
         let mut rotted = bytes.clone();
         rotted[12] ^= 0xFF;
         rotted.extend_from_slice(&bytes); // intact frame *after* the rot

@@ -1,9 +1,10 @@
 //! The on-disk checkpoint file layout.
 //!
 //! ```text
-//! +----------------+----------------------------+------------------+
-//! | frame_len: u64 | framed payload (checksummed) | zero padding …  |
-//! +----------------+----------------------------+------------------+
+//! +----------------+------------------------------+-------------------+
+//! | frame_len: u64 | framed payload (checksummed) | zero padding …    |
+//! +----------------+------------------------------+-------------------+
+//! |<------------ FileBytes::body ---------------->|<- zero_tail: u64 ->|
 //! ```
 //!
 //! The framed payload holds the dumped [`MemImage`] plus metadata. The
@@ -12,11 +13,13 @@
 //! runtime heap outside named segments — sized by
 //! [`simcore::calib::base_process_image`]. Fig. 5 of the paper shows
 //! checkpoint files have exactly this structure: a benchmark-dependent
-//! data part on top of a tens-of-MB process baseline.
+//! data part on top of a tens-of-MB process baseline. The padding is
+//! carried as the file's run of zeros ([`FileBytes`]), a length rather
+//! than bytes: it costs I/O time like data, and no parser reads it.
 
-use osproc::MemImage;
+use osproc::{FileBytes, MemImage};
 use simcore::codec::{decode_framed, encode_framed, Codec, CodecError, Reader};
-use simcore::{calib, impl_codec_struct, ByteSize};
+use simcore::{calib, impl_codec_struct};
 
 /// Magic bytes of a checkpoint frame.
 pub const CKPT_MAGIC: [u8; 4] = *b"BLCR";
@@ -45,17 +48,18 @@ impl_codec_struct!(CheckpointFile {
 });
 
 impl CheckpointFile {
-    /// Serialise to file bytes, appending the process-baseline padding.
-    pub fn to_file_bytes(&self) -> Vec<u8> {
+    /// Serialise to file bytes, the process-baseline padding carried as
+    /// the run of zeros.
+    pub fn to_file_bytes(&self) -> FileBytes {
         let frame = encode_framed(CKPT_MAGIC, CKPT_VERSION, self);
         let mut out = Vec::with_capacity(frame.len() + 16);
         (frame.len() as u64).encode(&mut out);
         out.extend_from_slice(&frame);
-        out.resize(out.len() + calib::base_process_image().as_u64() as usize, 0);
-        out
+        FileBytes::new(out, calib::base_process_image().as_u64())
     }
 
-    /// Parse file bytes written by [`CheckpointFile::to_file_bytes`].
+    /// Parse the body of a file written by
+    /// [`CheckpointFile::to_file_bytes`].
     ///
     /// The leading `frame_len` is untrusted input (the file may be
     /// truncated, corrupted, or lying): it is checked against the bytes
@@ -72,11 +76,6 @@ impl CheckpointFile {
         }
         let frame = r.take(frame_len as usize)?;
         decode_framed(CKPT_MAGIC, CKPT_VERSION, frame)
-    }
-
-    /// The file size this checkpoint will occupy.
-    pub fn file_size(&self) -> ByteSize {
-        ByteSize::bytes(self.to_file_bytes().len() as u64)
     }
 }
 
@@ -98,26 +97,22 @@ mod tests {
     #[test]
     fn roundtrip() {
         let ck = sample();
-        let bytes = ck.to_file_bytes();
-        let back = CheckpointFile::from_file_bytes(&bytes).unwrap();
+        let file = ck.to_file_bytes();
+        let back = CheckpointFile::from_file_bytes(file.body()).unwrap();
         assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn file_includes_process_baseline() {
-        let ck = sample();
-        let sz = ck.file_size();
-        assert!(sz >= calib::base_process_image());
-        // Bigger image → bigger file, byte for byte.
+        // The file carries the process baseline on top of the frame,
+        // and a bigger image makes it bigger, byte for byte.
+        let base = calib::base_process_image().as_u64();
+        assert_eq!(file.len(), file.body().len() as u64 + base);
         let mut big = ck.clone();
         big.image.put("extra", vec![0u8; 1_000_000]);
-        assert!(big.file_size().as_u64() >= sz.as_u64() + 1_000_000);
+        assert!(big.to_file_bytes().len() >= file.len() + 1_000_000);
     }
 
     #[test]
     fn corrupt_frame_detected() {
         let ck = sample();
-        let mut bytes = ck.to_file_bytes();
+        let mut bytes = ck.to_file_bytes().body().to_vec();
         bytes[40] ^= 0xff; // flip a payload byte
         assert!(CheckpointFile::from_file_bytes(&bytes).is_err());
     }
@@ -125,14 +120,14 @@ mod tests {
     #[test]
     fn truncated_file_detected() {
         let ck = sample();
-        let bytes = ck.to_file_bytes();
-        assert!(CheckpointFile::from_file_bytes(&bytes[..16]).is_err());
+        let file = ck.to_file_bytes();
+        assert!(CheckpointFile::from_file_bytes(&file.body()[..16]).is_err());
     }
 
     #[test]
     fn lying_frame_len_detected() {
         let ck = sample();
-        let mut bytes = ck.to_file_bytes();
+        let mut bytes = ck.to_file_bytes().body().to_vec();
         // Claim a frame far bigger than the file (would wrap a 32-bit
         // usize if cast before checking).
         bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -151,7 +146,7 @@ mod tests {
         // apply random byte edits and truncations — the parser must
         // either succeed or return a clean CodecError, never panic or
         // over-read.
-        let base = sample().to_file_bytes();
+        let base = sample().to_file_bytes().to_vec();
         simcore::qcheck::qcheck("ckptfile_mutations_are_safe", 300, |g| {
             let mut bytes = base.clone();
             // Random truncation to any length (including past the

@@ -92,7 +92,7 @@ pub fn checkpoint(cluster: &mut Cluster, pid: Pid, path: &str) -> Result<ByteSiz
         image,
     };
     let bytes = file.to_file_bytes();
-    let size = ByteSize::bytes(bytes.len() as u64);
+    let size = ByteSize::bytes(bytes.len());
     let t0 = cluster.process(pid).clock;
     cluster.write_file(pid, path, bytes)?;
     if telemetry::enabled() {
@@ -153,8 +153,8 @@ pub fn restart(cluster: &mut Cluster, node: NodeId, path: &str) -> Result<Pid, C
             return Err(CprError::Fs(e));
         }
     };
-    let image = CheckpointFile::from_file_bytes(&bytes).map(|file| file.image);
-    finish_restart(cluster, pid, path, t0, bytes.len() as u64, image)?;
+    let image = CheckpointFile::from_file_bytes(bytes.body()).map(|file| file.image);
+    finish_restart(cluster, pid, path, t0, bytes.len(), image)?;
     Ok(pid)
 }
 
@@ -276,6 +276,35 @@ mod tests {
         // Paper's workaround: kill the proxy before checkpointing.
         c.kill(proxy);
         dmtcp_checkpoint(&mut c, app, "/local/a.ckpt").unwrap();
+    }
+
+    #[test]
+    fn dumps_carry_the_baseline_as_a_length() {
+        let mut c = Cluster::with_standard_nodes(1);
+        let n = c.node_ids()[0];
+        let p = c.spawn(n);
+        c.process_mut(p).image.put("data", vec![3u8; 4096]);
+        let base = simcore::calib::base_process_image().as_u64();
+        checkpoint(&mut c, p, "/local/seq.ckpt").unwrap();
+        let mut w = crate::StreamWriter::begin(&mut c, p, "/local/str.ckpt").unwrap();
+        w.append_chunk(&mut c, 1, vec![4u8; 4096]).unwrap();
+        w.finish(&mut c).unwrap();
+        for path in ["/local/seq.ckpt", "/local/str.ckpt"] {
+            let a = c.read_file(p, path).unwrap();
+            let b = c.read_file(p, path).unwrap();
+            assert!(std::sync::Arc::ptr_eq(a.shared_body(), b.shared_body()));
+            assert!(a.body().len() < 64 << 10, "{path}");
+            assert!(a.len() >= base, "{path}");
+        }
+        // The vault's mirror shares the primary's body.
+        let mut vault = crate::DumpVault::new("/local/v", "/nfs/v", 1);
+        let g = vault.commit_at(&mut c, p, "/local/seq.ckpt").unwrap();
+        let primary = c.peek_file_on(n, &g.primary).unwrap();
+        let mirror = c.peek_file_on(n, &g.mirror).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            primary.shared_body(),
+            mirror.shared_body()
+        ));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! ledger entry, and in a trace an instant.
 
 use osproc::{Cluster, FsError, Pid};
-use simcore::{fnv1a64, obs, ByteSize};
+use simcore::{obs, ByteSize};
 
 /// One retained checkpoint generation and its two replicas.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -225,8 +225,8 @@ impl DumpVault {
         let primary = primary.to_string();
         let mirror = format!("{}.gen{}.ckpt", self.mirror_base, self.next_gen);
         let bytes = cluster.read_file(pid, &primary)?;
-        let size = ByteSize::bytes(bytes.len() as u64);
-        let hash = fnv1a64(&bytes);
+        let size = ByteSize::bytes(bytes.len());
+        let hash = bytes.fnv64();
         cluster.write_file(pid, &mirror, bytes)?;
         let generation = Generation {
             gen: self.next_gen,
@@ -422,7 +422,7 @@ impl DumpVault {
     /// `true` if the replica at `path` reads back with the committed
     /// hash.
     fn replica_healthy(cluster: &mut Cluster, pid: Pid, path: &str, hash: u64) -> bool {
-        matches!(cluster.read_file(pid, path), Ok(bytes) if fnv1a64(&bytes) == hash)
+        matches!(cluster.read_file(pid, path), Ok(bytes) if bytes.fnv64() == hash)
     }
 
     /// Rewrite the replica at `to` from the healthy copy at `from`,
@@ -510,7 +510,7 @@ mod tests {
             }
         );
         // Repaired primary reads back with the committed content.
-        assert_eq!(c.read_file(p, &g.primary).unwrap(), vec![7u8; 256]);
+        assert_eq!(c.read_file(p, &g.primary).unwrap().to_vec(), vec![7u8; 256]);
         // A second pass is all-green.
         let report = vault.scrub(&mut c, p);
         assert_eq!(
@@ -545,7 +545,7 @@ mod tests {
             }
         );
         assert_eq!(
-            c.read_file(spare, "/local/app.gen0.ckpt").unwrap(),
+            c.read_file(spare, "/local/app.gen0.ckpt").unwrap().to_vec(),
             vec![3u8; 256]
         );
     }

@@ -73,7 +73,7 @@ mod tests {
         c.process_mut(p).image.put("seg", vec![1, 2, 3]);
         crate::checkpoint(&mut c, p, "/local/seq.ckpt").unwrap();
         let bytes = c.read_file(p, "/local/seq.ckpt").unwrap();
-        let dump = sniff_dump(&bytes).unwrap();
+        let dump = sniff_dump(bytes.body()).unwrap();
         assert!(!dump.is_streamed());
         assert_eq!(dump.image().get("seg"), Some(&[1u8, 2, 3][..]));
     }
@@ -87,7 +87,7 @@ mod tests {
         w.append_chunk(&mut c, 42, vec![9; 64]).unwrap();
         w.finish(&mut c).unwrap();
         let bytes = c.read_file(p, "/local/str.ckpt").unwrap();
-        let dump = sniff_dump(&bytes).unwrap();
+        let dump = sniff_dump(bytes.body()).unwrap();
         assert!(dump.is_streamed());
         assert_eq!(dump.image().get("seg"), Some(&[7u8; 8][..]));
         match dump {

@@ -19,7 +19,8 @@
 //!   own separate host buffers);
 //! * the **trailer** seals the stream with the chunk count and a
 //!   checksum over all chunk payloads, followed by the usual
-//!   process-baseline zero padding.
+//!   process-baseline zero padding, appended as a length (the file's
+//!   run of zeros, see [`osproc::FileBytes`]).
 //!
 //! Every frame reuses the framed+checksummed codec of the sequential
 //! format (distinct magic), so torn or corrupted streams are detected
@@ -244,7 +245,10 @@ pub struct ParsedStream {
     pub map_bytes: Vec<u64>,
     /// On-disk size of each slice frame, parallel to `slices`.
     pub slice_bytes: Vec<u64>,
-    /// On-disk size of the trailer frame plus the baseline padding.
+    /// On-disk size of the trailer frame plus the parsed bytes after it.
+    /// The baseline padding a writer appends as a run of zeros is not
+    /// in a file's body; a caller that parsed the body adds
+    /// [`osproc::FileBytes::zero_tail`].
     pub tail_bytes: u64,
 }
 
@@ -493,15 +497,21 @@ impl StreamWriter {
             source_host: host,
             image,
         });
-        w.append_raw(cluster, &frame_bytes(&header))?;
+        w.append_raw(cluster, &frame_bytes(&header), 0)?;
         Ok(w)
     }
 
-    fn append_raw(&mut self, cluster: &mut Cluster, bytes: &[u8]) -> Result<SimDuration, CprError> {
+    /// Append `bytes` and then `zero_tail` zeros to the tmp file.
+    fn append_raw(
+        &mut self,
+        cluster: &mut Cluster,
+        bytes: &[u8],
+        zero_tail: u64,
+    ) -> Result<SimDuration, CprError> {
         let cost = cluster
-            .append_file(self.pid, &self.tmp, bytes)
+            .append_file(self.pid, &self.tmp, bytes, zero_tail)
             .map_err(CprError::Fs)?;
-        self.written += bytes.len() as u64;
+        self.written += bytes.len() as u64 + zero_tail;
         // Verified append: the cheap size probe catches injected short
         // writes at once; bit corruption is caught by the per-frame
         // checksum at parse time (same guarantee as the sequential
@@ -546,7 +556,7 @@ impl StreamWriter {
             data,
         });
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&chunk))
+        self.append_raw(cluster, &frame_bytes(&chunk), 0)
     }
 
     /// Stream one dedup'd buffer as content-addressed references into
@@ -572,7 +582,7 @@ impl StreamWriter {
         self.hasher.update(&sealed);
         self.data_bytes += sealed.len() as u64;
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&StreamFrame::ChunkMap(map)))
+        self.append_raw(cluster, &frame_bytes(&StreamFrame::ChunkMap(map)), 0)
     }
 
     /// Stream one byte range of a buffer out of order (live drain:
@@ -595,7 +605,7 @@ impl StreamWriter {
             data,
         });
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&slice))
+        self.append_raw(cluster, &frame_bytes(&slice), 0)
     }
 
     /// Seal the stream (trailer + baseline padding) and atomically
@@ -608,12 +618,11 @@ impl StreamWriter {
             data_bytes: self.data_bytes,
             data_checksum: self.hasher.finish(),
         });
-        let mut tail = frame_bytes(&trailer);
-        tail.resize(
-            tail.len() + calib::base_process_image().as_u64() as usize,
-            0,
-        );
-        let cost = self.append_raw(cluster, &tail)?;
+        let cost = self.append_raw(
+            cluster,
+            &frame_bytes(&trailer),
+            calib::base_process_image().as_u64(),
+        )?;
         cluster
             .rename_file(self.pid, &self.tmp, &self.target)
             .map_err(CprError::Fs)?;
@@ -663,9 +672,9 @@ mod tests {
         w.append_chunk(&mut c, 0x61, vec![4; 1000]).unwrap();
         let (size, _) = w.finish(&mut c).unwrap();
         let bytes = c.read_file(p, "/local/s.ckpt").unwrap();
-        assert_eq!(bytes.len() as u64, size.as_u64());
-        assert!(is_stream_file(&bytes));
-        let parsed = parse_stream(&bytes).unwrap();
+        assert_eq!(bytes.len(), size.as_u64());
+        assert!(is_stream_file(bytes.body()));
+        let parsed = parse_stream(bytes.body()).unwrap();
         assert_eq!(parsed.header.image.get("state"), Some(&[9u8; 64][..]));
         assert_eq!(parsed.chunks.len(), 2);
         assert_eq!(parsed.chunks[0].handle, 0x60);
@@ -674,8 +683,8 @@ mod tests {
         // The sequential format is NOT a stream.
         crate::checkpoint(&mut c, p, "/local/seq.ckpt").unwrap();
         let seq = c.read_file(p, "/local/seq.ckpt").unwrap();
-        assert!(!is_stream_file(&seq));
-        assert!(parse_stream(&seq).is_err());
+        assert!(!is_stream_file(seq.body()));
+        assert!(parse_stream(seq.body()).is_err());
     }
 
     #[test]
@@ -694,7 +703,7 @@ mod tests {
         // Never finished: inspect the tmp directly.
         let bytes = c.read_file(p, "/local/s.ckpt.tmp").unwrap();
         assert!(matches!(
-            parse_stream(&bytes),
+            parse_stream(bytes.body()),
             Err(CodecError::Invalid("stream has no trailer"))
         ));
         w.abort(&mut c);
@@ -707,7 +716,7 @@ mod tests {
         let mut w = StreamWriter::begin(&mut c, p, "/local/s.ckpt").unwrap();
         w.append_chunk(&mut c, 0x60, vec![1; 256]).unwrap();
         let (_, _) = w.finish(&mut c).unwrap();
-        let mut bytes = c.read_file(p, "/local/s.ckpt").unwrap();
+        let mut bytes = c.read_file(p, "/local/s.ckpt").unwrap().body().to_vec();
         // Flip a byte inside the chunk frame (right after the header).
         let pos = parse_stream(&bytes).unwrap().header_bytes as usize + 50;
         bytes[pos] ^= 0xff;
@@ -740,7 +749,7 @@ mod tests {
         w.abort(&mut c);
         // The committed generation still parses and holds gen-1 data.
         let bytes = c.read_file(p, "/local/g.ckpt").unwrap();
-        let parsed = parse_stream(&bytes).unwrap();
+        let parsed = parse_stream(bytes.body()).unwrap();
         assert_eq!(parsed.chunks[0].data, vec![1; 128]);
     }
 
@@ -753,7 +762,7 @@ mod tests {
         w.append_chunk(&mut c, 0x60, vec![3; 16]).unwrap();
         let (_, _) = w.finish(&mut c).unwrap();
         let bytes = c.read_file(p, "/local/s.ckpt").unwrap();
-        parse_stream(&bytes).unwrap(); // stale junk did not leak in
+        parse_stream(bytes.body()).unwrap(); // stale junk did not leak in
     }
 
     #[test]
@@ -772,7 +781,7 @@ mod tests {
         ));
         // The published file is untouched by the misuse.
         let bytes = c.read_file(p, "/local/s.ckpt").unwrap();
-        assert_eq!(parse_stream(&bytes).unwrap().chunks.len(), 1);
+        assert_eq!(parse_stream(bytes.body()).unwrap().chunks.len(), 1);
     }
 
     #[test]
@@ -823,7 +832,7 @@ mod tests {
         .unwrap();
         w.append_chunk(&mut c, 0x62, vec![9; 10]).unwrap();
         w.finish(&mut c).unwrap();
-        let bytes = c.read_file(p, "/local/m.ckpt").unwrap();
+        let bytes = c.read_file(p, "/local/m.ckpt").unwrap().body().to_vec();
         let parsed = parse_stream(&bytes).unwrap();
         assert_eq!(parsed.chunks.len(), 2);
         assert_eq!(parsed.maps.len(), 1);
@@ -852,7 +861,7 @@ mod tests {
         w.append_chunk(&mut c, 0x71, vec![1, 2, 3]).unwrap();
         w.append_slice(&mut c, 0x70, 0, vec![8; 4096]).unwrap();
         w.finish(&mut c).unwrap();
-        let bytes = c.read_file(p, "/local/l.ckpt").unwrap();
+        let bytes = c.read_file(p, "/local/l.ckpt").unwrap().body().to_vec();
         let parsed = parse_stream(&bytes).unwrap();
         assert_eq!(parsed.chunks.len(), 1);
         assert_eq!(parsed.slices.len(), 2);

@@ -1738,9 +1738,13 @@ pub fn restore(
             return Err(CheclCprError::Cpr(CprError::Fs(e)));
         }
     };
-    let parsed = match blcr::sniff_dump(&bytes) {
-        Ok(SniffedDump::Streamed(parsed)) => Some(*parsed),
-        Err(e) if blcr::is_stream_file(&bytes) => {
+    let parsed = match blcr::sniff_dump(bytes.body()) {
+        Ok(SniffedDump::Streamed(mut parsed)) => {
+            // The file scan also reads the padding the parser never saw.
+            parsed.tail_bytes += bytes.zero_tail();
+            Some(*parsed)
+        }
+        Err(e) if blcr::is_stream_file(bytes.body()) => {
             cluster.kill(pid);
             return Err(CheclCprError::Cpr(CprError::Corrupt(e)));
         }
@@ -1749,7 +1753,7 @@ pub fn restore(
         // exactly as `blcr::restart` does.
         image => {
             let image = image.map(SniffedDump::into_image);
-            blcr::finish_restart(cluster, pid, path, t0, bytes.len() as u64, image)?;
+            blcr::finish_restart(cluster, pid, path, t0, bytes.len(), image)?;
             None
         }
     };
@@ -2266,10 +2270,11 @@ fn verify_snapshot_file(
     let bytes = cluster
         .read_file(pid, path)
         .map_err(|e| CheclCprError::Cpr(CprError::Fs(e)))?;
-    if bytes.len() as u64 != expected_len {
+    if bytes.len() != expected_len {
         return Err(corrupt("checkpoint read-back length mismatch"));
     }
-    let dump = blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
+    let dump =
+        blcr::sniff_dump(bytes.body()).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
     shim_from_dump_on(cluster, pid, dump)?;
     Ok(())
 }

@@ -11,7 +11,6 @@
 //! costs no virtual time, so verification never perturbs a run.
 
 use osproc::{Cluster, NodeId};
-use simcore::checksum::fnv1a64;
 use simcore::obs::{Event, EventKind, Ledger, ProvenanceGraph};
 use simcore::SimTime;
 use std::fmt;
@@ -155,12 +154,12 @@ fn verify_one(
         let bytes = cluster
             .peek_file_on(node, path)
             .ok_or_else(|| LineageError::Missing(path.to_string()))?;
-        blcr::sniff_dump(bytes).map_err(|e| LineageError::Corrupt {
+        blcr::sniff_dump(bytes.body()).map_err(|e| LineageError::Corrupt {
             path: path.to_string(),
             why: e.to_string(),
         })?;
         report.checked.push(path.to_string());
-        report.bytes_verified += bytes.len() as u64;
+        report.bytes_verified += bytes.len();
         return Ok(());
     };
     if dump.retired {
@@ -179,16 +178,16 @@ fn verify_one(
     let bytes = cluster
         .peek_file_on(node, path)
         .ok_or_else(|| LineageError::Missing(path.to_string()))?;
-    if bytes.len() as u64 != dump.file_bytes {
+    if bytes.len() != dump.file_bytes {
         return Err(LineageError::SizeMismatch {
             path: path.to_string(),
             expected: dump.file_bytes,
-            actual: bytes.len() as u64,
+            actual: bytes.len(),
         });
     }
     match dump.format.as_str() {
         "sequential" | "streamed" => {
-            let sniffed = blcr::sniff_dump(bytes).map_err(|e| LineageError::Corrupt {
+            let sniffed = blcr::sniff_dump(bytes.body()).map_err(|e| LineageError::Corrupt {
                 path: path.to_string(),
                 why: e.to_string(),
             })?;
@@ -217,7 +216,7 @@ fn verify_one(
             let stored = cluster
                 .peek_file_on(node, target)
                 .ok_or_else(|| LineageError::Missing(target.to_string()))?;
-            let actual = fnv1a64(stored);
+            let actual = stored.fnv64();
             if actual != expected {
                 return Err(LineageError::ChecksumMismatch {
                     path: target.to_string(),
@@ -229,7 +228,7 @@ fn verify_one(
         }
     }
     report.checked.push(path.to_string());
-    report.bytes_verified += bytes.len() as u64;
+    report.bytes_verified += bytes.len();
     Ok(())
 }
 

@@ -859,7 +859,7 @@ fn restore_after_db_corruption_is_detected() {
     // frame checksum at restart.
     let reader = cluster.spawn(node);
     let mut bytes = cluster.read_file(reader, "/local/c.ckpt").unwrap();
-    bytes[64] ^= 0xff;
+    bytes.flip(64, 0xff);
     cluster.write_file(reader, "/local/c.ckpt", bytes).unwrap();
     match restore(
         &mut cluster,

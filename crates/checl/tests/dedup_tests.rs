@@ -505,7 +505,7 @@ fn oversized_chunk_map_restores_to_a_typed_error() {
     // Re-seal the same dump with one map claiming a terabyte: every
     // frame checksum holds, only the recorded length lies.
     let bytes = cluster.read_file(app_pid, "/local/ok.ckpt").unwrap();
-    let parsed = blcr::parse_stream(&bytes).unwrap();
+    let parsed = blcr::parse_stream(bytes.body()).unwrap();
     cluster.process_mut(app_pid).image = parsed.header.image.clone();
     let mut w = blcr::StreamWriter::begin(&mut cluster, app_pid, "/local/lying.ckpt").unwrap();
     for (i, map) in parsed.maps.iter().enumerate() {
@@ -583,7 +583,7 @@ fn reseal(
     edit: impl FnOnce(&mut Vec<blcr::StreamChunk>),
 ) {
     let bytes = cluster.read_file(pid, from).unwrap();
-    let mut parsed = blcr::parse_stream(&bytes).unwrap();
+    let mut parsed = blcr::parse_stream(bytes.body()).unwrap();
     let image = std::mem::replace(&mut cluster.process_mut(pid).image, parsed.header.image);
     let mut w = blcr::StreamWriter::begin(cluster, pid, to).unwrap();
     edit(&mut parsed.chunks);

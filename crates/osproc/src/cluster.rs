@@ -1,7 +1,7 @@
 //! The cluster: nodes, mounted filesystems, and the process table.
 
 use crate::fault::{FaultPlan, WriteFault};
-use crate::fs::{Fs, FsError, FsKind};
+use crate::fs::{FileBytes, Fs, FsError, FsKind};
 use crate::ids::{FsId, NodeId, Pid};
 use crate::process::{ProcState, Process, Signal};
 use simcore::{ByteSize, SimDuration, SimTime};
@@ -44,6 +44,21 @@ pub struct Cluster {
     /// Installed fault schedule, if any. `None` (the default) means the
     /// fault hooks are never consulted — zero cost when off.
     faults: Option<FaultPlan>,
+}
+
+/// Apply the fault plan's verdict on a write to the bytes about to be
+/// stored. Offsets and lengths are logical, so a flip or a cut may land
+/// in the run of zeros.
+fn damage(data: &mut FileBytes, fault: WriteFault) {
+    match fault {
+        WriteFault::None | WriteFault::Fail => {}
+        WriteFault::Short(n) => data.truncate(n as u64),
+        WriteFault::Corrupt(flips) => {
+            for (pos, mask) in flips {
+                data.flip(pos as u64, mask);
+            }
+        }
+    }
 }
 
 impl Cluster {
@@ -248,33 +263,13 @@ impl Cluster {
         &mut self,
         pid: Pid,
         path: &str,
-        data: Vec<u8>,
+        data: impl Into<FileBytes>,
     ) -> Result<SimDuration, FsError> {
         let (fs_id, rel, mut clock) = self.resolve_for(pid, path)?;
         let kind = self.filesystems[fs_id.0 as usize].kind();
-        let mut data = data;
-        if let Some(plan) = self.faults.as_mut() {
-            if plan.crash_due(clock) {
-                return Err(FsError::WriteFailed(path.to_string()));
-            }
-            match plan.on_write(kind, path, clock, data.len()) {
-                WriteFault::None => {}
-                WriteFault::Fail => {
-                    // A failed write still pays the submission latency.
-                    clock += kind.write_link().cost_empty();
-                    self.process_mut(pid).clock = clock;
-                    return Err(FsError::WriteFailed(path.to_string()));
-                }
-                WriteFault::Short(n) => data.truncate(n),
-                WriteFault::Corrupt(flips) => {
-                    for (pos, mask) in flips {
-                        if let Some(b) = data.get_mut(pos) {
-                            *b ^= mask;
-                        }
-                    }
-                }
-            }
-        }
+        let mut data = data.into();
+        let fault = self.write_fault(pid, path, kind, clock, data.len())?;
+        damage(&mut data, fault);
         let mut cost = self.filesystems[fs_id.0 as usize].write(&mut clock, &rel, data);
         if let Some(plan) = self.faults.as_mut() {
             // A browned-out mount still stores the bytes — it just
@@ -287,43 +282,32 @@ impl Cluster {
         Ok(cost)
     }
 
-    /// Append to a file at an absolute path as seen by `pid`, charging
-    /// that process's clock. Creates the file if absent. Each chunk
-    /// goes through the same fault hooks as [`Cluster::write_file`], so
-    /// an injected disk fault can hit any individual append of a
-    /// streamed checkpoint.
+    /// Append `data` followed by `zero_tail` zeros to a file at an
+    /// absolute path as seen by `pid`, charging that process's clock.
+    /// Creates the file if absent. Each append goes through the same
+    /// fault hooks as [`Cluster::write_file`], so an injected disk
+    /// fault can hit any individual append of a streamed checkpoint.
+    /// The bytes are copied only when a fault changes them.
     pub fn append_file(
         &mut self,
         pid: Pid,
         path: &str,
         data: &[u8],
+        zero_tail: u64,
     ) -> Result<SimDuration, FsError> {
         let (fs_id, rel, mut clock) = self.resolve_for(pid, path)?;
         let kind = self.filesystems[fs_id.0 as usize].kind();
-        let mut data = data.to_vec();
-        if let Some(plan) = self.faults.as_mut() {
-            if plan.crash_due(clock) {
-                return Err(FsError::WriteFailed(path.to_string()));
+        let len = data.len() as u64 + zero_tail;
+        let fault = self.write_fault(pid, path, kind, clock, len)?;
+        let fs = &mut self.filesystems[fs_id.0 as usize];
+        let mut cost = match fault {
+            WriteFault::None => fs.append(&mut clock, &rel, data, zero_tail),
+            fault => {
+                let mut damaged = FileBytes::new(data.to_vec(), zero_tail);
+                damage(&mut damaged, fault);
+                fs.append(&mut clock, &rel, damaged.body(), damaged.zero_tail())
             }
-            match plan.on_write(kind, path, clock, data.len()) {
-                WriteFault::None => {}
-                WriteFault::Fail => {
-                    // A failed append still pays the submission latency.
-                    clock += kind.write_link().cost_empty();
-                    self.process_mut(pid).clock = clock;
-                    return Err(FsError::WriteFailed(path.to_string()));
-                }
-                WriteFault::Short(n) => data.truncate(n),
-                WriteFault::Corrupt(flips) => {
-                    for (pos, mask) in flips {
-                        if let Some(b) = data.get_mut(pos) {
-                            *b ^= mask;
-                        }
-                    }
-                }
-            }
-        }
-        let mut cost = self.filesystems[fs_id.0 as usize].append(&mut clock, &rel, &data);
+        };
         if let Some(plan) = self.faults.as_mut() {
             let extra = plan.degradation_extra(kind, clock, cost);
             clock += extra;
@@ -333,8 +317,35 @@ impl Cluster {
         Ok(cost)
     }
 
-    /// Read a file at an absolute path as seen by `pid`.
-    pub fn read_file(&mut self, pid: Pid, path: &str) -> Result<Vec<u8>, FsError> {
+    /// Ask the fault plan about a write of `len` logical bytes to
+    /// `path`. A refused write still pays the submission latency; it
+    /// comes back as the error.
+    fn write_fault(
+        &mut self,
+        pid: Pid,
+        path: &str,
+        kind: FsKind,
+        clock: SimTime,
+        len: u64,
+    ) -> Result<WriteFault, FsError> {
+        let Some(plan) = self.faults.as_mut() else {
+            return Ok(WriteFault::None);
+        };
+        if plan.crash_due(clock) {
+            return Err(FsError::WriteFailed(path.to_string()));
+        }
+        match plan.on_write(kind, path, clock, len as usize) {
+            WriteFault::Fail => {
+                self.process_mut(pid).clock = clock + kind.write_link().cost_empty();
+                Err(FsError::WriteFailed(path.to_string()))
+            }
+            fault => Ok(fault),
+        }
+    }
+
+    /// Read a file at an absolute path as seen by `pid`. The body is
+    /// shared with the stored file, not copied.
+    pub fn read_file(&mut self, pid: Pid, path: &str) -> Result<FileBytes, FsError> {
         let (fs_id, rel, mut clock) = self.resolve_for(pid, path)?;
         if let Some(plan) = self.faults.as_mut() {
             let kind = self.filesystems[fs_id.0 as usize].kind();
@@ -356,8 +367,9 @@ impl Cluster {
 
     /// Rename a file as seen by `pid`. Within one mount this is the
     /// cheap atomic commit; across mounts it degrades to copy + delete,
-    /// paying full I/O costs. Rename itself is never fault-injected —
-    /// it models POSIX `rename(2)`, which is atomic.
+    /// paying full I/O costs but sharing the body. Rename itself is
+    /// never fault-injected — it models POSIX `rename(2)`, which is
+    /// atomic.
     pub fn rename_file(&mut self, pid: Pid, from: &str, to: &str) -> Result<(), FsError> {
         let (from_fs, from_rel, mut clock) = self.resolve_for(pid, from)?;
         let (to_fs, to_rel, _) = self.resolve_for(pid, to)?;
@@ -403,7 +415,7 @@ impl Cluster {
     /// Stored bytes of a file as seen from `node`, costing nothing in
     /// virtual time and bypassing fault hooks — an inspection helper
     /// for lineage verification and tests, not a modelled read.
-    pub fn peek_file_on(&self, node: NodeId, path: &str) -> Option<&[u8]> {
+    pub fn peek_file_on(&self, node: NodeId, path: &str) -> Option<&FileBytes> {
         let (fs_id, rel) = self.node(node).resolve(path)?;
         self.fs(fs_id).peek(&rel)
     }
@@ -447,7 +459,10 @@ mod tests {
         let p1 = c.spawn(nodes[1]);
         c.write_file(p0, "/nfs/global.ckpt", vec![42]).unwrap();
         // Visible from the other node through the shared mount.
-        assert_eq!(c.read_file(p1, "/nfs/global.ckpt").unwrap(), vec![42]);
+        assert_eq!(
+            c.read_file(p1, "/nfs/global.ckpt").unwrap().to_vec(),
+            vec![42]
+        );
         // Local disks are private.
         c.write_file(p0, "/local/x", vec![1]).unwrap();
         assert!(c.read_file(p1, "/local/x").is_err());
@@ -554,7 +569,10 @@ mod tests {
         assert!(c.process(other).is_alive());
         // Local disk contents survive the crash for post-mortem restart.
         let p2 = c.spawn(nodes[0]);
-        assert_eq!(c.read_file(p2, "/local/survives").unwrap(), vec![1]);
+        assert_eq!(
+            c.read_file(p2, "/local/survives").unwrap().to_vec(),
+            vec![1]
+        );
     }
 
     #[test]
@@ -576,7 +594,7 @@ mod tests {
         ));
         // The counter is spent; the retry goes through.
         c.write_file(p, "/local/f", vec![1, 2, 3]).unwrap();
-        assert_eq!(c.read_file(p, "/local/f").unwrap(), vec![1, 2, 3]);
+        assert_eq!(c.read_file(p, "/local/f").unwrap().to_vec(), vec![1, 2, 3]);
         assert_eq!(c.faults().unwrap().log().len(), 1);
     }
 
@@ -587,15 +605,18 @@ mod tests {
         let p = c.spawn(n);
         // First chunk lands clean; then arm a one-shot write failure so
         // the *second* append is the one that faults.
-        c.append_file(p, "/local/stream", &[1, 2]).unwrap();
+        c.append_file(p, "/local/stream", &[1, 2], 0).unwrap();
         c.install_faults(FaultPlan::new(7).fail_next_writes(1));
         assert!(matches!(
-            c.append_file(p, "/local/stream", &[3, 4]),
+            c.append_file(p, "/local/stream", &[3, 4], 0),
             Err(FsError::WriteFailed(_))
         ));
         // The earlier chunk is still on disk (partial file; the caller
         // is responsible for discarding the tmp).
-        assert_eq!(c.read_file(p, "/local/stream").unwrap(), vec![1, 2]);
+        assert_eq!(
+            c.read_file(p, "/local/stream").unwrap().to_vec(),
+            vec![1, 2]
+        );
     }
 
     #[test]
@@ -606,7 +627,7 @@ mod tests {
         c.install_faults(FaultPlan::new(2).corrupt_next_writes(1));
         let data = vec![0u8; 64];
         c.write_file(p, "/ram/f", data.clone()).unwrap();
-        assert_ne!(c.read_file(p, "/ram/f").unwrap(), data);
+        assert_ne!(c.read_file(p, "/ram/f").unwrap().to_vec(), data);
     }
 
     #[test]
@@ -633,12 +654,61 @@ mod tests {
         let p = c.spawn(n);
         c.write_file(p, "/local/ck.tmp", vec![9]).unwrap();
         c.rename_file(p, "/local/ck.tmp", "/local/ck").unwrap();
-        assert_eq!(c.read_file(p, "/local/ck").unwrap(), vec![9]);
+        assert_eq!(c.read_file(p, "/local/ck").unwrap().to_vec(), vec![9]);
         assert!(c.read_file(p, "/local/ck.tmp").is_err());
         // Cross-mount rename degrades to copy + delete.
         c.rename_file(p, "/local/ck", "/ram/ck").unwrap();
-        assert_eq!(c.read_file(p, "/ram/ck").unwrap(), vec![9]);
+        assert_eq!(c.read_file(p, "/ram/ck").unwrap().to_vec(), vec![9]);
         assert!(c.read_file(p, "/local/ck").is_err());
+    }
+
+    #[test]
+    fn reads_share_the_stored_body() {
+        let mut c = Cluster::with_standard_nodes(1);
+        let n = c.node_ids()[0];
+        let p = c.spawn(n);
+        // A committed dump of a 4 KiB image: body plus process baseline.
+        let base = simcore::calib::base_process_image().as_u64();
+        c.write_file(p, "/local/d.ckpt.tmp", FileBytes::new(vec![7; 4096], base))
+            .unwrap();
+        c.rename_file(p, "/local/d.ckpt.tmp", "/local/d.ckpt")
+            .unwrap();
+        let a = c.read_file(p, "/local/d.ckpt").unwrap();
+        let b = c.read_file(p, "/local/d.ckpt").unwrap();
+        assert!(std::sync::Arc::ptr_eq(a.shared_body(), b.shared_body()));
+        assert!(a.body().len() < 64 << 10);
+        assert!(a.len() >= base);
+        // Copy + delete across mounts shares the body too.
+        c.rename_file(p, "/local/d.ckpt", "/nfs/d.ckpt").unwrap();
+        let moved = c.read_file(p, "/nfs/d.ckpt").unwrap();
+        assert!(std::sync::Arc::ptr_eq(a.shared_body(), moved.shared_body()));
+        assert_eq!(
+            c.file_size_on(n, "/nfs/d.ckpt"),
+            Some(ByteSize::bytes(a.len()))
+        );
+    }
+
+    #[test]
+    fn faults_on_appends_use_logical_offsets() {
+        let mut c = Cluster::with_standard_nodes(1);
+        let n = c.node_ids()[0];
+        let p = c.spawn(n);
+        c.append_file(p, "/local/s", &[1, 2], 0).unwrap();
+        // A short write keeps 1 or 2 bytes of the body, or part of the
+        // 1000 zeros.
+        c.install_faults(FaultPlan::new(4).short_next_writes(1));
+        c.append_file(p, "/local/s", &[3, 4], 1000).unwrap();
+        let kept = c.read_file(p, "/local/s").unwrap();
+        assert!(kept.len() < 2 + 2 + 1000);
+        assert_eq!(&kept.to_vec()[..2], &[1, 2]);
+        // Every flip of a corrupted append lands inside its logical
+        // span, zeros included, and the length does not move.
+        c.install_faults(FaultPlan::new(9).corrupt_next_writes(1));
+        c.write_file(p, "/local/z", FileBytes::new(vec![], 1 << 20))
+            .unwrap();
+        let z = c.read_file(p, "/local/z").unwrap();
+        assert_eq!(z.len(), 1 << 20);
+        assert_ne!(z, FileBytes::new(vec![], 1 << 20));
     }
 
     #[test]

@@ -5,11 +5,144 @@
 //! disk, and NFS. A write or read charges `latency + size/bandwidth` to
 //! the calling process's clock; contents are held in memory so
 //! checkpoint files can actually be read back and restored from.
+//!
+//! A file is a [`FileBytes`]: a shared body followed by a run of zeros
+//! kept only as a length. A dump's process-baseline padding (tens of
+//! MB, Fig. 5) lives in that run, so it costs time and fills the
+//! [`FsStats`] books like real bytes, but is never allocated, copied or
+//! hashed byte by byte. A read hands out the stored body shared, not a
+//! copy.
 
 use simcore::calib;
-use simcore::{Bandwidth, ByteSize, LinkModel, SimDuration, SimTime};
+use simcore::{Bandwidth, ByteSize, Fnv64, LinkModel, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// The contents of one file: a shared `body` followed by `zero_tail`
+/// zero bytes that are carried as a length.
+///
+/// [`FileBytes::len`] is the logical length, which every cost and
+/// statistic uses. [`FileBytes::body`] is what a parser reads. There is
+/// deliberately no `Deref` to `[u8]`: each caller picks one of the two.
+/// Cloning shares the body; the mutators copy it first only if it is
+/// shared.
+#[derive(Clone, Debug, Default)]
+pub struct FileBytes {
+    body: Arc<Vec<u8>>,
+    zero_tail: u64,
+}
+
+impl FileBytes {
+    /// `body` followed by `zero_tail` zero bytes.
+    pub fn new(body: Vec<u8>, zero_tail: u64) -> Self {
+        FileBytes {
+            body: Arc::new(body),
+            zero_tail,
+        }
+    }
+
+    /// Logical length: the body plus the run of zeros.
+    pub fn len(&self) -> u64 {
+        self.body.len() as u64 + self.zero_tail
+    }
+
+    /// `true` for a zero-length file.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The stored bytes before the run of zeros.
+    pub fn body(&self) -> &[u8] {
+        &self.body
+    }
+
+    /// The body as shared with every other clone of this file.
+    pub fn shared_body(&self) -> &Arc<Vec<u8>> {
+        &self.body
+    }
+
+    /// Length of the run of zeros after the body.
+    pub fn zero_tail(&self) -> u64 {
+        self.zero_tail
+    }
+
+    /// Cut the logical length to `len` (no-op if already shorter): the
+    /// run of zeros goes first, then the body.
+    pub fn truncate(&mut self, len: u64) {
+        let body_len = self.body.len() as u64;
+        if len < body_len {
+            Arc::make_mut(&mut self.body).truncate(len as usize);
+            self.zero_tail = 0;
+        } else {
+            self.zero_tail = self.zero_tail.min(len - body_len);
+        }
+    }
+
+    /// XOR `mask` into the byte at logical offset `pos` (no-op past the
+    /// end). A byte inside the run of zeros is first made real: the
+    /// body grows with zeros up to and including it.
+    pub fn flip(&mut self, pos: u64, mask: u8) {
+        if pos >= self.len() {
+            return;
+        }
+        let body = Arc::make_mut(&mut self.body);
+        let pos = pos as usize;
+        if pos >= body.len() {
+            self.zero_tail -= (pos + 1 - body.len()) as u64;
+            body.resize(pos + 1, 0);
+        }
+        body[pos] ^= mask;
+    }
+
+    /// Append `data` followed by `zero_tail` more zeros. A run of zeros
+    /// that `data` lands behind is made real first.
+    pub(crate) fn append(&mut self, data: &[u8], zero_tail: u64) {
+        if !data.is_empty() {
+            let body = Arc::make_mut(&mut self.body);
+            body.resize(body.len() + self.zero_tail as usize, 0);
+            body.extend_from_slice(data);
+            self.zero_tail = 0;
+        }
+        self.zero_tail += zero_tail;
+    }
+
+    /// FNV-1a 64 of every logical byte, the zeros taken in closed form.
+    pub fn fnv64(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.update(&self.body);
+        h.update_zeros(self.zero_tail);
+        h.finish()
+    }
+
+    /// Every logical byte, the zeros included (inspection and tests).
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len() as usize);
+        out.extend_from_slice(&self.body);
+        out.resize(self.len() as usize, 0);
+        out
+    }
+}
+
+impl From<Vec<u8>> for FileBytes {
+    fn from(body: Vec<u8>) -> Self {
+        FileBytes::new(body, 0)
+    }
+}
+
+/// Equal logical bytes, however each side splits them between body and
+/// run of zeros.
+impl PartialEq for FileBytes {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.body(), other.body());
+        let common = a.len().min(b.len());
+        self.len() == other.len()
+            && a[..common] == b[..common]
+            && a[common..].iter().chain(&b[common..]).all(|&x| x == 0)
+    }
+}
+
+impl Eq for FileBytes {}
 
 /// The kind of storage backing a filesystem.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,7 +220,7 @@ pub struct FsStats {
 pub struct Fs {
     kind: FsKind,
     label: String,
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, FileBytes>,
     stats: FsStats,
 }
 
@@ -118,13 +251,16 @@ impl Fs {
     }
 
     /// Write (create or replace) a file, charging the caller's clock.
-    pub fn write(&mut self, now: &mut SimTime, path: &str, data: Vec<u8>) -> SimDuration {
-        let cost = self
-            .kind
-            .write_link()
-            .cost(ByteSize::bytes(data.len() as u64));
+    pub fn write(
+        &mut self,
+        now: &mut SimTime,
+        path: &str,
+        data: impl Into<FileBytes>,
+    ) -> SimDuration {
+        let data = data.into();
+        let cost = self.kind.write_link().cost(ByteSize::bytes(data.len()));
         *now += cost;
-        self.stats.bytes_written += data.len() as u64;
+        self.stats.bytes_written += data.len();
         self.stats.writes += 1;
         self.files.insert(path.to_string(), data);
         cost
@@ -134,9 +270,18 @@ impl Fs {
     /// clock. The per-operation seek/issue latency is paid once, when
     /// the file is created; subsequent appends stream at the medium's
     /// sequential bandwidth, so a chunked writer pays (asymptotically)
-    /// the same total cost as one large [`Fs::write`].
-    pub fn append(&mut self, now: &mut SimTime, path: &str, data: &[u8]) -> SimDuration {
-        let size = ByteSize::bytes(data.len() as u64);
+    /// the same total cost as one large [`Fs::write`]. The appended
+    /// bytes are `data` followed by `zero_tail` zeros; the body grows in
+    /// place unless a reader still shares it.
+    pub fn append(
+        &mut self,
+        now: &mut SimTime,
+        path: &str,
+        data: &[u8],
+        zero_tail: u64,
+    ) -> SimDuration {
+        let len = data.len() as u64 + zero_tail;
+        let size = ByteSize::bytes(len);
         let link = self.kind.write_link();
         let cost = if self.files.contains_key(path) {
             link.bandwidth.transfer_time(size)
@@ -144,27 +289,25 @@ impl Fs {
             link.cost(size)
         };
         *now += cost;
-        self.stats.bytes_written += data.len() as u64;
+        self.stats.bytes_written += len;
         self.stats.writes += 1;
         self.files
             .entry(path.to_string())
             .or_default()
-            .extend_from_slice(data);
+            .append(data, zero_tail);
         cost
     }
 
-    /// Read a file, charging the caller's clock.
-    pub fn read(&mut self, now: &mut SimTime, path: &str) -> Result<Vec<u8>, FsError> {
+    /// Read a file, charging the caller's clock. The returned body is
+    /// shared with the stored file, not copied.
+    pub fn read(&mut self, now: &mut SimTime, path: &str) -> Result<FileBytes, FsError> {
         let data = self
             .files
             .get(path)
             .cloned()
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        *now += self
-            .kind
-            .read_link()
-            .cost(ByteSize::bytes(data.len() as u64));
-        self.stats.bytes_read += data.len() as u64;
+        *now += self.kind.read_link().cost(ByteSize::bytes(data.len()));
+        self.stats.bytes_read += data.len();
         self.stats.reads += 1;
         Ok(data)
     }
@@ -197,15 +340,13 @@ impl Fs {
 
     /// Stored bytes of a file without charging any clock or touching
     /// the stats — inspection only (lineage verification, tests).
-    pub fn peek(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(Vec::as_slice)
+    pub fn peek(&self, path: &str) -> Option<&FileBytes> {
+        self.files.get(path)
     }
 
     /// Size of a file, if it exists.
     pub fn file_size(&self, path: &str) -> Option<ByteSize> {
-        self.files
-            .get(path)
-            .map(|d| ByteSize::bytes(d.len() as u64))
+        self.files.get(path).map(|d| ByteSize::bytes(d.len()))
     }
 
     /// All paths currently stored, in sorted order.
@@ -229,7 +370,10 @@ mod tests {
         let mut fs = Fs::new(FsKind::RamDisk, "ram");
         let mut now = SimTime::ZERO;
         fs.write(&mut now, "/ckpt/a", vec![1, 2, 3]);
-        assert_eq!(fs.read(&mut now, "/ckpt/a").unwrap(), vec![1, 2, 3]);
+        assert_eq!(
+            fs.read(&mut now, "/ckpt/a").unwrap().to_vec(),
+            vec![1, 2, 3]
+        );
         assert!(fs.exists("/ckpt/a"));
         assert_eq!(fs.file_size("/ckpt/a"), Some(ByteSize::bytes(3)));
     }
@@ -244,7 +388,7 @@ mod tests {
         let mut t_chunked = SimTime::ZERO;
         whole.write(&mut t_whole, "/f", vec![0u8; total]);
         for _ in 0..(total / chunk) {
-            chunked.append(&mut t_chunked, "/f", &vec![0u8; chunk]);
+            chunked.append(&mut t_chunked, "/f", &vec![0u8; chunk], 0);
         }
         // Per-chunk bandwidth costs round down independently, so allow
         // one nanosecond of drift per chunk.
@@ -267,9 +411,63 @@ mod tests {
     fn append_extends_existing_contents() {
         let mut fs = Fs::new(FsKind::RamDisk, "ram");
         let mut now = SimTime::ZERO;
-        fs.append(&mut now, "/a", &[1, 2]);
-        fs.append(&mut now, "/a", &[3]);
-        assert_eq!(fs.read(&mut now, "/a").unwrap(), vec![1, 2, 3]);
+        fs.append(&mut now, "/a", &[1, 2], 0);
+        fs.append(&mut now, "/a", &[3], 0);
+        assert_eq!(fs.read(&mut now, "/a").unwrap().to_vec(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn zero_tail_counts_like_bytes() {
+        let mut sparse = Fs::new(FsKind::LocalDisk, "hd");
+        let mut dense = Fs::new(FsKind::LocalDisk, "hd");
+        let (mut ts, mut td) = (SimTime::ZERO, SimTime::ZERO);
+        sparse.write(&mut ts, "/f", FileBytes::new(vec![5; 100], 1 << 20));
+        let mut bytes = vec![5; 100];
+        bytes.resize(100 + (1 << 20), 0);
+        dense.write(&mut td, "/f", bytes);
+        sparse.read(&mut ts, "/f").unwrap();
+        dense.read(&mut td, "/f").unwrap();
+        assert_eq!(ts, td);
+        assert_eq!(sparse.stats(), dense.stats());
+        assert_eq!(sparse.file_size("/f"), dense.file_size("/f"));
+        assert_eq!(sparse.peek("/f"), dense.peek("/f"));
+    }
+
+    #[test]
+    fn file_bytes_edit_logical_offsets() {
+        let dense = |f: &FileBytes| f.to_vec();
+        let mut f = FileBytes::new(vec![1, 2, 3], 5);
+        assert_eq!(f.len(), 8);
+        assert_eq!(f.fnv64(), simcore::fnv1a64(&dense(&f)));
+        // A flip in the zeros makes the body real up to that byte.
+        f.flip(5, 0x80);
+        assert_eq!(f.body(), &[1, 2, 3, 0, 0, 0x80]);
+        assert_eq!(dense(&f), vec![1, 2, 3, 0, 0, 0x80, 0, 0]);
+        f.flip(99, 1);
+        assert_eq!(f.len(), 8);
+        // Truncation eats the zeros first, then the body.
+        f.truncate(7);
+        assert_eq!(dense(&f), vec![1, 2, 3, 0, 0, 0x80, 0]);
+        f.truncate(2);
+        assert_eq!(dense(&f), vec![1, 2]);
+        // Appending behind a run of zeros makes the run real.
+        let mut g = FileBytes::new(vec![9], 2);
+        g.append(&[], 1);
+        g.append(&[4], 2);
+        assert_eq!(dense(&g), vec![9, 0, 0, 0, 4, 0, 0]);
+        assert_eq!(g, FileBytes::new(vec![9, 0, 0, 0, 4], 2));
+        assert_ne!(g, FileBytes::new(vec![9, 0, 0, 0, 4], 3));
+        assert_eq!(g.fnv64(), simcore::fnv1a64(&dense(&g)));
+    }
+
+    #[test]
+    fn edits_copy_a_shared_body() {
+        let a = FileBytes::new(vec![1, 2], 4);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(a.shared_body(), b.shared_body()));
+        b.flip(0, 1);
+        assert_eq!(a.body(), &[1, 2]);
+        assert_eq!(b.body(), &[0, 2]);
     }
 
     #[test]
@@ -332,7 +530,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         fs.write(&mut now, "/a", vec![1]);
         fs.write(&mut now, "/a", vec![2, 3]);
-        assert_eq!(fs.read(&mut now, "/a").unwrap(), vec![2, 3]);
+        assert_eq!(fs.read(&mut now, "/a").unwrap().to_vec(), vec![2, 3]);
         assert_eq!(fs.list(), vec!["/a"]);
     }
 
@@ -352,7 +550,7 @@ mod tests {
         fs.write(&mut now, "/a.tmp", vec![7, 8]);
         fs.rename(&mut now, "/a.tmp", "/a").unwrap();
         assert!(!fs.exists("/a.tmp"));
-        assert_eq!(fs.read(&mut now, "/a").unwrap(), vec![7, 8]);
+        assert_eq!(fs.read(&mut now, "/a").unwrap().to_vec(), vec![7, 8]);
         assert!(matches!(
             fs.rename(&mut now, "/missing", "/b"),
             Err(FsError::NotFound(_))

@@ -27,7 +27,7 @@ pub mod process;
 
 pub use cluster::{Cluster, Node};
 pub use fault::{FaultKind, FaultPlan, InjectedFault, WriteFault};
-pub use fs::{Fs, FsError, FsKind, FsStats};
+pub use fs::{FileBytes, Fs, FsError, FsKind, FsStats};
 pub use heartbeat::{BeatSource, DetectorPolicy, HeartbeatMonitor};
 pub use ids::{FsId, NodeId, Pid};
 pub use memimage::MemImage;

@@ -27,6 +27,22 @@ impl Fnv64 {
         self.0 = h;
     }
 
+    /// Absorb `n` zero bytes without touching them. FNV-1a's xor step
+    /// is a no-op on a zero byte, so `n` of them multiply the state by
+    /// `Pⁿ mod 2⁶⁴`, taken by square-and-multiply in `O(log n)`.
+    pub fn update_zeros(&mut self, mut n: u64) {
+        let mut factor = FNV_PRIME;
+        let mut h = self.0;
+        while n > 0 {
+            if n & 1 == 1 {
+                h = h.wrapping_mul(factor);
+            }
+            factor = factor.wrapping_mul(factor);
+            n >>= 1;
+        }
+        self.0 = h;
+    }
+
     /// Absorb a little-endian `u64` (handy for hashing lengths/ids).
     pub fn update_u64(&mut self, v: u64) {
         self.update(&v.to_le_bytes());
@@ -69,6 +85,37 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+
+    #[test]
+    fn zero_runs_hash_like_zero_bytes() {
+        for n in [0usize, 1, 2, 255, 256, 4097, 24 << 20] {
+            let mut sparse = Fnv64::new();
+            sparse.update(b"head");
+            sparse.update_zeros(n as u64);
+            let mut dense = Fnv64::new();
+            dense.update(b"head");
+            dense.update(&vec![0; n]);
+            assert_eq!(sparse.finish(), dense.finish(), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn interleaved_zero_runs_match_materialised_bytes() {
+        crate::qcheck::qcheck("interleaved_zero_runs", 64, |g| {
+            let mut sparse = Fnv64::new();
+            let mut dense = Fnv64::new();
+            for _ in 0..g.usize_in(1, 5) {
+                let len = g.usize_in(0, 64);
+                let body = g.bytes(len);
+                sparse.update(&body);
+                dense.update(&body);
+                let zeros = g.usize_in(0, (1 << 20) + 1);
+                sparse.update_zeros(zeros as u64);
+                dense.update(&vec![0; zeros]);
+            }
+            assert_eq!(sparse.finish(), dense.finish());
+        });
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn checkpoint_file_integrity() {
             source_host: "pc0".into(),
             image: img,
         };
-        let bytes = ck.to_file_bytes();
+        let bytes = ck.to_file_bytes().body().to_vec();
         assert_eq!(
             blcr::CheckpointFile::from_file_bytes(&bytes).unwrap(),
             ck.clone()
