@@ -25,8 +25,8 @@
 
 use crate::cpr::CprError;
 use osproc::{Cluster, Pid};
-use simcore::codec::{decode_framed, encode_framed, Codec, CodecError, Reader};
-use simcore::{fnv1a64, impl_codec_struct, obs, SimDuration, SplitMix64};
+use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
+use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, obs, SimDuration, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -89,6 +89,11 @@ pub enum Encoding {
     Rle,
 }
 
+impl_codec_enum!(Encoding, "chunk store encoding tag", {
+    0 => Raw,
+    1 => Rle,
+});
+
 /// Deterministic RLE with raw fallback: returns the smaller of the RLE
 /// form and the input itself, so compression never expands a chunk.
 pub fn compress(data: &[u8]) -> (Encoding, Vec<u8>) {
@@ -141,8 +146,8 @@ struct StoreRecord {
     hash: u64,
     /// Raw (decompressed) length.
     raw_len: u64,
-    /// 0 = raw, 1 = RLE.
-    encoding: u8,
+    /// How `payload` is encoded.
+    encoding: Encoding,
     /// Stored payload.
     payload: Vec<u8>,
 }
@@ -182,14 +187,6 @@ pub struct ChunkStore {
     index: BTreeMap<u64, ChunkMeta>,
 }
 
-fn frame_record(rec: &StoreRecord) -> Vec<u8> {
-    let frame = encode_framed(STORE_MAGIC, STORE_VERSION, rec);
-    let mut out = Vec::with_capacity(frame.len() + 8);
-    (frame.len() as u64).encode(&mut out);
-    out.extend_from_slice(&frame);
-    out
-}
-
 /// What scanning a store file yielded.
 struct ScanResult {
     /// Index of every intact record, keyed by chunk hash.
@@ -219,9 +216,10 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut r = Reader::new(bytes);
     let mut valid_len = 0u64;
     while !r.is_empty() {
-        let frame_len = match u64::decode(&mut r) {
-            Ok(v) => v,
-            // The length prefix itself is cut short: torn tail.
+        let frame = match r.take_frame() {
+            Ok(frame) => frame,
+            // The length prefix or the frame body is cut short: torn
+            // tail.
             Err(CodecError::UnexpectedEof { .. }) => {
                 return Ok(ScanResult {
                     index,
@@ -232,31 +230,16 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
             }
             Err(e) => return Err(e),
         };
-        if frame_len > r.remaining() as u64 {
-            // The frame body is cut short: torn tail.
-            return Ok(ScanResult {
-                index,
-                payloads,
-                valid_len,
-                torn: true,
-            });
-        }
-        let frame = r.take(frame_len as usize)?;
         let parsed = (|| {
             let rec = decode_framed::<StoreRecord>(STORE_MAGIC, STORE_VERSION, frame)?;
-            let encoding = match rec.encoding {
-                0 => Encoding::Raw,
-                1 => Encoding::Rle,
-                _ => return Err(CodecError::Invalid("chunk store encoding tag")),
-            };
             let payload = if keep_payloads {
-                Some(decompress(encoding, &rec.payload, rec.raw_len)?)
+                Some(decompress(rec.encoding, &rec.payload, rec.raw_len)?)
             } else {
                 None
             };
-            Ok((rec, encoding, payload))
+            Ok((rec, payload))
         })();
-        let (rec, encoding, payload) = match parsed {
+        let (rec, payload) = match parsed {
             Ok(p) => p,
             // A garbled *final* frame is a torn append whose length
             // prefix happened to land inside the file; mid-file rot
@@ -280,8 +263,8 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
             rec.hash,
             ChunkMeta {
                 raw_len: rec.raw_len,
-                stored_len: frame_len + 8,
-                compressed: encoding == Encoding::Rle,
+                stored_len: frame.len() as u64 + 8,
+                compressed: rec.encoding == Encoding::Rle,
             },
         );
         valid_len = (bytes.len() - r.remaining()) as u64;
@@ -375,10 +358,10 @@ impl ChunkStore {
         let rec = StoreRecord {
             hash,
             raw_len: data.len() as u64,
-            encoding: if encoding == Encoding::Rle { 1 } else { 0 },
+            encoding,
             payload,
         };
-        let framed = frame_record(&rec);
+        let framed = encode_prefixed_frame(STORE_MAGIC, STORE_VERSION, &rec);
         let meta = ChunkMeta {
             raw_len: rec.raw_len,
             stored_len: framed.len() as u64,
@@ -528,10 +511,10 @@ mod tests {
         let rec = StoreRecord {
             hash: 0xBEEF,
             raw_len: 64,
-            encoding: 0,
+            encoding: Encoding::Raw,
             payload: vec![5u8; 64],
         };
-        let framed = frame_record(&rec);
+        let framed = encode_prefixed_frame(STORE_MAGIC, STORE_VERSION, &rec);
         c.append_file(p, "/local/t.cas", &framed[..framed.len() / 2], 0)
             .unwrap();
         // Reopen: the intact records survive, the tear is truncated

@@ -18,7 +18,7 @@
 //! than bytes: it costs I/O time like data, and no parser reads it.
 
 use osproc::{FileBytes, MemImage};
-use simcore::codec::{decode_framed, encode_framed, Codec, CodecError, Reader};
+use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
 use simcore::{calib, impl_codec_struct};
 
 /// Magic bytes of a checkpoint frame.
@@ -51,30 +51,21 @@ impl CheckpointFile {
     /// Serialise to file bytes, the process-baseline padding carried as
     /// the run of zeros.
     pub fn to_file_bytes(&self) -> FileBytes {
-        let frame = encode_framed(CKPT_MAGIC, CKPT_VERSION, self);
-        let mut out = Vec::with_capacity(frame.len() + 16);
-        (frame.len() as u64).encode(&mut out);
-        out.extend_from_slice(&frame);
-        FileBytes::new(out, calib::base_process_image().as_u64())
+        FileBytes::new(
+            encode_prefixed_frame(CKPT_MAGIC, CKPT_VERSION, self),
+            calib::base_process_image().as_u64(),
+        )
     }
 
     /// Parse the body of a file written by
     /// [`CheckpointFile::to_file_bytes`].
     ///
     /// The leading `frame_len` is untrusted input (the file may be
-    /// truncated, corrupted, or lying): it is checked against the bytes
-    /// actually present *before* any narrowing cast, so a bogus header
-    /// yields a clean [`CodecError`] rather than a panic or over-read.
+    /// truncated, corrupted, or lying): [`Reader::take_frame`] checks it
+    /// against the bytes actually present, so a bogus header yields a
+    /// clean [`CodecError`] rather than a panic or over-read.
     pub fn from_file_bytes(bytes: &[u8]) -> Result<CheckpointFile, CodecError> {
-        let mut r = Reader::new(bytes);
-        let frame_len = u64::decode(&mut r)?;
-        if frame_len > r.remaining() as u64 {
-            return Err(CodecError::UnexpectedEof {
-                needed: frame_len.min(usize::MAX as u64) as usize,
-                remaining: r.remaining(),
-            });
-        }
-        let frame = r.take(frame_len as usize)?;
+        let frame = Reader::new(bytes).take_frame()?;
         decode_framed(CKPT_MAGIC, CKPT_VERSION, frame)
     }
 }

@@ -31,8 +31,8 @@
 
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
-use simcore::codec::{decode_framed, encode_framed, Codec, CodecError, Reader};
-use simcore::{calib, impl_codec_struct, ByteSize, Fnv64, SimDuration};
+use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
+use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDuration};
 
 /// Magic bytes of a streamed-checkpoint frame (the sequential format
 /// uses `BLCR`; the first frame's magic is what tells the two apart).
@@ -169,51 +169,24 @@ enum StreamFrame {
     Slice(StreamSlice),
 }
 
-impl Codec for StreamFrame {
-    fn encode(&self, out: &mut Vec<u8>) {
+impl_codec_enum!(StreamFrame, "stream frame tag", {
+    0 => Header(header),
+    1 => Chunk(chunk),
+    2 => Trailer(trailer),
+    3 => ChunkMap(map),
+    4 => Slice(slice),
+});
+
+impl StreamFrame {
+    /// The `seq` of a payload frame (chunk, chunk map or slice).
+    fn payload_seq(&self) -> Option<u32> {
         match self {
-            StreamFrame::Header(h) => {
-                out.push(0);
-                h.encode(out);
-            }
-            StreamFrame::Chunk(c) => {
-                out.push(1);
-                c.encode(out);
-            }
-            StreamFrame::Trailer(t) => {
-                out.push(2);
-                t.encode(out);
-            }
-            StreamFrame::ChunkMap(m) => {
-                out.push(3);
-                m.encode(out);
-            }
-            StreamFrame::Slice(s) => {
-                out.push(4);
-                s.encode(out);
-            }
+            StreamFrame::Chunk(c) => Some(c.seq),
+            StreamFrame::ChunkMap(m) => Some(m.seq),
+            StreamFrame::Slice(s) => Some(s.seq),
+            StreamFrame::Header(_) | StreamFrame::Trailer(_) => None,
         }
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => StreamFrame::Header(StreamHeader::decode(r)?),
-            1 => StreamFrame::Chunk(StreamChunk::decode(r)?),
-            2 => StreamFrame::Trailer(StreamTrailer::decode(r)?),
-            3 => StreamFrame::ChunkMap(StreamChunkMap::decode(r)?),
-            4 => StreamFrame::Slice(StreamSlice::decode(r)?),
-            _ => return Err(CodecError::Invalid("stream frame tag")),
-        })
-    }
-}
-
-/// Length-prefixed framed bytes of one [`StreamFrame`].
-fn frame_bytes(f: &StreamFrame) -> Vec<u8> {
-    let frame = encode_framed(STREAM_MAGIC, STREAM_VERSION, f);
-    let mut out = Vec::with_capacity(frame.len() + 8);
-    (frame.len() as u64).encode(&mut out);
-    out.extend_from_slice(&frame);
-    out
 }
 
 /// `true` if `bytes` look like a streamed checkpoint (as opposed to the
@@ -245,10 +218,10 @@ pub struct ParsedStream {
     pub map_bytes: Vec<u64>,
     /// On-disk size of each slice frame, parallel to `slices`.
     pub slice_bytes: Vec<u64>,
-    /// On-disk size of the trailer frame plus the parsed bytes after it.
-    /// The baseline padding a writer appends as a run of zeros is not
-    /// in a file's body; a caller that parsed the body adds
-    /// [`osproc::FileBytes::zero_tail`].
+    /// On-disk size of the trailer frame plus every byte after it.
+    /// [`parse_stream`] sees only a file's body, so it counts the body
+    /// bytes; [`crate::sniff_dump`] adds the file's run of zeros (the
+    /// baseline padding, [`osproc::FileBytes::zero_tail`]).
     pub tail_bytes: u64,
 }
 
@@ -273,16 +246,18 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
             // Ran off the end without seeing a trailer: torn stream.
             return Err(CodecError::Invalid("stream has no trailer"));
         }
-        let frame_len = u64::decode(&mut r)?;
-        if frame_len > r.remaining() as u64 {
-            return Err(CodecError::UnexpectedEof {
-                needed: frame_len.min(usize::MAX as u64) as usize,
-                remaining: r.remaining(),
-            });
+        let frame = r.take_frame()?;
+        let on_disk = frame.len() as u64 + 8;
+        let frame = decode_framed::<StreamFrame>(STREAM_MAGIC, STREAM_VERSION, frame)?;
+        if let Some(seq) = frame.payload_seq() {
+            if header.is_none() {
+                return Err(CodecError::Invalid("stream chunk before header"));
+            }
+            if seq as usize != chunks.len() + maps.len() + slices.len() {
+                return Err(CodecError::Invalid("stream chunk out of order"));
+            }
         }
-        let frame = r.take(frame_len as usize)?;
-        let on_disk = frame_len + 8;
-        match decode_framed::<StreamFrame>(STREAM_MAGIC, STREAM_VERSION, frame)? {
+        match frame {
             StreamFrame::Header(h) => {
                 if header.is_some() {
                     return Err(CodecError::Invalid("duplicate stream header"));
@@ -293,24 +268,12 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 header = Some((h, on_disk));
             }
             StreamFrame::Chunk(c) => {
-                if header.is_none() {
-                    return Err(CodecError::Invalid("stream chunk before header"));
-                }
-                if c.seq as usize != chunks.len() + maps.len() + slices.len() {
-                    return Err(CodecError::Invalid("stream chunk out of order"));
-                }
                 hasher.update(&c.data);
                 data_bytes += c.data.len() as u64;
                 chunk_bytes.push(on_disk);
                 chunks.push(c);
             }
             StreamFrame::ChunkMap(m) => {
-                if header.is_none() {
-                    return Err(CodecError::Invalid("stream chunk before header"));
-                }
-                if m.seq as usize != chunks.len() + maps.len() + slices.len() {
-                    return Err(CodecError::Invalid("stream chunk out of order"));
-                }
                 let sealed = m.checksum_bytes();
                 hasher.update(&sealed);
                 data_bytes += sealed.len() as u64;
@@ -318,12 +281,6 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 maps.push(m);
             }
             StreamFrame::Slice(s) => {
-                if header.is_none() {
-                    return Err(CodecError::Invalid("stream chunk before header"));
-                }
-                if s.seq as usize != chunks.len() + maps.len() + slices.len() {
-                    return Err(CodecError::Invalid("stream chunk out of order"));
-                }
                 hasher.update(&s.data);
                 data_bytes += s.data.len() as u64;
                 slice_bytes.push(on_disk);
@@ -497,7 +454,11 @@ impl StreamWriter {
             source_host: host,
             image,
         });
-        w.append_raw(cluster, &frame_bytes(&header), 0)?;
+        w.append_raw(
+            cluster,
+            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &header),
+            0,
+        )?;
         Ok(w)
     }
 
@@ -556,7 +517,11 @@ impl StreamWriter {
             data,
         });
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&chunk), 0)
+        self.append_raw(
+            cluster,
+            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &chunk),
+            0,
+        )
     }
 
     /// Stream one dedup'd buffer as content-addressed references into
@@ -582,7 +547,11 @@ impl StreamWriter {
         self.hasher.update(&sealed);
         self.data_bytes += sealed.len() as u64;
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&StreamFrame::ChunkMap(map)), 0)
+        self.append_raw(
+            cluster,
+            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &StreamFrame::ChunkMap(map)),
+            0,
+        )
     }
 
     /// Stream one byte range of a buffer out of order (live drain:
@@ -605,7 +574,11 @@ impl StreamWriter {
             data,
         });
         self.chunks += 1;
-        self.append_raw(cluster, &frame_bytes(&slice), 0)
+        self.append_raw(
+            cluster,
+            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &slice),
+            0,
+        )
     }
 
     /// Seal the stream (trailer + baseline padding) and atomically
@@ -620,7 +593,7 @@ impl StreamWriter {
         });
         let cost = self.append_raw(
             cluster,
-            &frame_bytes(&trailer),
+            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &trailer),
             calib::base_process_image().as_u64(),
         )?;
         cluster

@@ -1738,12 +1738,8 @@ pub fn restore(
             return Err(CheclCprError::Cpr(CprError::Fs(e)));
         }
     };
-    let parsed = match blcr::sniff_dump(bytes.body()) {
-        Ok(SniffedDump::Streamed(mut parsed)) => {
-            // The file scan also reads the padding the parser never saw.
-            parsed.tail_bytes += bytes.zero_tail();
-            Some(*parsed)
-        }
+    let parsed = match blcr::sniff_dump(&bytes) {
+        Ok(SniffedDump::Streamed(parsed)) => Some(*parsed),
         Err(e) if blcr::is_stream_file(bytes.body()) => {
             cluster.kill(pid);
             return Err(CheclCprError::Cpr(CprError::Corrupt(e)));
@@ -2273,8 +2269,7 @@ fn verify_snapshot_file(
     if bytes.len() != expected_len {
         return Err(corrupt("checkpoint read-back length mismatch"));
     }
-    let dump =
-        blcr::sniff_dump(bytes.body()).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
+    let dump = blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
     shim_from_dump_on(cluster, pid, dump)?;
     Ok(())
 }

@@ -19,8 +19,8 @@ use clspec::error::{ClError, ClResult};
 use clspec::handles::{CommandQueue, Context, DeviceId, HandleKind, Program, RawHandle};
 use clspec::sig::{parse_kernel_sigs, KernelSig};
 use clspec::types::{DeviceType, MemFlags, QueueProps, SamplerDesc};
-use simcore::codec::{decode_bytes, encode_bytes, Codec, CodecError, Reader};
-use simcore::impl_codec_struct;
+use simcore::codec::{Codec, CodecError, Reader};
+use simcore::{impl_codec_enum, impl_codec_struct};
 use std::collections::{BTreeMap, HashMap};
 
 /// A recorded `clSetKernelArg` value, in CheCL-handle space.
@@ -36,32 +36,11 @@ pub enum RecordedArg {
     Local(u64),
 }
 
-impl Codec for RecordedArg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RecordedArg::Handle(h) => {
-                out.push(0);
-                h.encode(out);
-            }
-            RecordedArg::Bytes(b) => {
-                out.push(1);
-                encode_bytes(out, b);
-            }
-            RecordedArg::Local(n) => {
-                out.push(2);
-                n.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => RecordedArg::Handle(u64::decode(r)?),
-            1 => RecordedArg::Bytes(decode_bytes(r)?),
-            2 => RecordedArg::Local(u64::decode(r)?),
-            _ => return Err(CodecError::Invalid("RecordedArg tag")),
-        })
-    }
-}
+impl_codec_enum!(RecordedArg, "RecordedArg tag", {
+    0 => Handle(handle),
+    1 => Bytes(bytes),
+    2 => Local(size),
+});
 
 /// Restore information for one object, by kind.
 ///
@@ -398,153 +377,29 @@ pub fn intersects_regions(regions: &[(u64, u64)], off: u64, len: u64) -> bool {
     regions.iter().any(|&(o, l)| off < o + l && o < off + len)
 }
 
-impl Codec for ObjectRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ObjectRecord::Platform { index } => {
-                out.push(0);
-                index.encode(out);
-            }
-            ObjectRecord::Device {
-                platform,
-                query_type,
-                index,
-            } => {
-                out.push(1);
-                platform.encode(out);
-                query_type.encode(out);
-                index.encode(out);
-            }
-            ObjectRecord::Context { devices } => {
-                out.push(2);
-                devices.encode(out);
-            }
-            ObjectRecord::Queue {
-                context,
-                device,
-                props,
-            } => {
-                out.push(3);
-                context.encode(out);
-                device.encode(out);
-                props.encode(out);
-            }
-            ObjectRecord::Mem {
-                context,
-                flags,
-                size,
-                saved_data,
-                host_cache,
-                dirty,
-                saved_in,
-                image_dims,
-                dirty_regions,
-                saved_chunks,
-                cut_epoch,
-            } => {
-                out.push(4);
-                context.encode(out);
-                flags.encode(out);
-                size.encode(out);
-                saved_data.encode(out);
-                host_cache.encode(out);
-                dirty.encode(out);
-                saved_in.encode(out);
-                image_dims.encode(out);
-                dirty_regions.encode(out);
-                saved_chunks.encode(out);
-                cut_epoch.encode(out);
-            }
-            ObjectRecord::Sampler { context, desc } => {
-                out.push(5);
-                context.encode(out);
-                desc.encode(out);
-            }
-            ObjectRecord::Program {
-                context,
-                source,
-                binary,
-                build_options,
-                sigs,
-            } => {
-                out.push(6);
-                context.encode(out);
-                source.encode(out);
-                binary.encode(out);
-                build_options.encode(out);
-                sigs.encode(out);
-            }
-            ObjectRecord::Kernel {
-                program,
-                name,
-                args,
-            } => {
-                out.push(7);
-                program.encode(out);
-                name.encode(out);
-                args.encode(out);
-            }
-            ObjectRecord::Event { queue } => {
-                out.push(8);
-                queue.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => ObjectRecord::Platform {
-                index: u32::decode(r)?,
-            },
-            1 => ObjectRecord::Device {
-                platform: u64::decode(r)?,
-                query_type: DeviceType::decode(r)?,
-                index: u32::decode(r)?,
-            },
-            2 => ObjectRecord::Context {
-                devices: Vec::decode(r)?,
-            },
-            3 => ObjectRecord::Queue {
-                context: u64::decode(r)?,
-                device: u64::decode(r)?,
-                props: QueueProps::decode(r)?,
-            },
-            4 => ObjectRecord::Mem {
-                context: u64::decode(r)?,
-                flags: MemFlags::decode(r)?,
-                size: u64::decode(r)?,
-                saved_data: Option::decode(r)?,
-                host_cache: Option::decode(r)?,
-                dirty: bool::decode(r)?,
-                saved_in: Option::decode(r)?,
-                image_dims: Option::decode(r)?,
-                dirty_regions: Vec::decode(r)?,
-                saved_chunks: Option::decode(r)?,
-                cut_epoch: u64::decode(r)?,
-            },
-            5 => ObjectRecord::Sampler {
-                context: u64::decode(r)?,
-                desc: SamplerDesc::decode(r)?,
-            },
-            6 => ObjectRecord::Program {
-                context: u64::decode(r)?,
-                source: Option::decode(r)?,
-                binary: Option::decode(r)?,
-                build_options: Option::decode(r)?,
-                sigs: Vec::decode(r)?,
-            },
-            7 => ObjectRecord::Kernel {
-                program: u64::decode(r)?,
-                name: String::decode(r)?,
-                args: BTreeMap::decode(r)?,
-            },
-            8 => ObjectRecord::Event {
-                queue: u64::decode(r)?,
-            },
-            _ => return Err(CodecError::Invalid("ObjectRecord tag")),
-        })
-    }
-}
+impl_codec_enum!(ObjectRecord, "ObjectRecord tag", {
+    0 => Platform { index },
+    1 => Device { platform, query_type, index },
+    2 => Context { devices },
+    3 => Queue { context, device, props },
+    4 => Mem {
+        context,
+        flags,
+        size,
+        saved_data,
+        host_cache,
+        dirty,
+        saved_in,
+        image_dims,
+        dirty_regions,
+        saved_chunks,
+        cut_epoch,
+    },
+    5 => Sampler { context, desc },
+    6 => Program { context, source, binary, build_options, sigs },
+    7 => Kernel { program, name, args },
+    8 => Event { queue },
+});
 
 /// One database entry: a CheCL object.
 #[derive(Clone, Debug, PartialEq)]

@@ -154,7 +154,7 @@ fn verify_one(
         let bytes = cluster
             .peek_file_on(node, path)
             .ok_or_else(|| LineageError::Missing(path.to_string()))?;
-        blcr::sniff_dump(bytes.body()).map_err(|e| LineageError::Corrupt {
+        blcr::sniff_dump(bytes).map_err(|e| LineageError::Corrupt {
             path: path.to_string(),
             why: e.to_string(),
         })?;
@@ -187,7 +187,7 @@ fn verify_one(
     }
     match dump.format.as_str() {
         "sequential" | "streamed" => {
-            let sniffed = blcr::sniff_dump(bytes.body()).map_err(|e| LineageError::Corrupt {
+            let sniffed = blcr::sniff_dump(bytes).map_err(|e| LineageError::Corrupt {
                 path: path.to_string(),
                 why: e.to_string(),
             })?;

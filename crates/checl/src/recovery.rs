@@ -60,8 +60,7 @@ pub fn respawn_proxy_and_restore(
     let bytes = cluster
         .read_file(app_pid, last_ckpt)
         .map_err(|e| CheclCprError::Cpr(CprError::Fs(e)))?;
-    let dump =
-        blcr::sniff_dump(bytes.body()).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
+    let dump = blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(CprError::Corrupt(e)))?;
     *lib = engine::shim_from_dump_on(cluster, app_pid, dump)?;
     refork_proxy(cluster, lib, app_pid, vendor);
     let mut now = cluster.process(app_pid).clock;
@@ -228,7 +227,7 @@ mod tests {
     /// The committed file at `path` sniffs as a well-formed dump.
     fn committed_dump_is_whole(cluster: &mut Cluster, app: Pid, path: &str) -> bool {
         let bytes = cluster.read_file(app, path).unwrap();
-        blcr::sniff_dump(bytes.body()).is_ok()
+        blcr::sniff_dump(&bytes).is_ok()
     }
 
     #[test]

@@ -87,36 +87,17 @@ impl HandleKind {
     }
 }
 
-impl Codec for HandleKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            HandleKind::Platform => 0,
-            HandleKind::Device => 1,
-            HandleKind::Context => 2,
-            HandleKind::CommandQueue => 3,
-            HandleKind::Mem => 4,
-            HandleKind::Sampler => 5,
-            HandleKind::Program => 6,
-            HandleKind::Kernel => 7,
-            HandleKind::Event => 8,
-        };
-        out.push(tag);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => HandleKind::Platform,
-            1 => HandleKind::Device,
-            2 => HandleKind::Context,
-            3 => HandleKind::CommandQueue,
-            4 => HandleKind::Mem,
-            5 => HandleKind::Sampler,
-            6 => HandleKind::Program,
-            7 => HandleKind::Kernel,
-            8 => HandleKind::Event,
-            _ => return Err(CodecError::Invalid("HandleKind tag")),
-        })
-    }
-}
+simcore::impl_codec_enum!(HandleKind, "HandleKind tag", {
+    0 => Platform,
+    1 => Device,
+    2 => Context,
+    3 => CommandQueue,
+    4 => Mem,
+    5 => Sampler,
+    6 => Program,
+    7 => Kernel,
+    8 => Event,
+});
 
 macro_rules! typed_handle {
     ($(#[$doc:meta])* $name:ident, $kind:expr) => {

@@ -591,37 +591,15 @@ pub fn parse_kernel_sigs(source: &str) -> Result<Vec<KernelSig>, ParseError> {
     Ok(sigs)
 }
 
-use simcore::codec::{Codec, CodecError, Reader};
-
-impl Codec for ParamKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ParamKind::GlobalPtr => out.push(0),
-            ParamKind::ConstantPtr => out.push(1),
-            ParamKind::LocalPtr => out.push(2),
-            ParamKind::Image2d => out.push(3),
-            ParamKind::Image3d => out.push(4),
-            ParamKind::Sampler => out.push(5),
-            ParamKind::Scalar(ty) => {
-                out.push(6);
-                ty.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => ParamKind::GlobalPtr,
-            1 => ParamKind::ConstantPtr,
-            2 => ParamKind::LocalPtr,
-            3 => ParamKind::Image2d,
-            4 => ParamKind::Image3d,
-            5 => ParamKind::Sampler,
-            6 => ParamKind::Scalar(String::decode(r)?),
-            _ => return Err(CodecError::Invalid("ParamKind tag")),
-        })
-    }
-}
-
+simcore::impl_codec_enum!(ParamKind, "ParamKind tag", {
+    0 => GlobalPtr,
+    1 => ConstantPtr,
+    2 => LocalPtr,
+    3 => Image2d,
+    4 => Image3d,
+    5 => Sampler,
+    6 => Scalar(ty),
+});
 simcore::impl_codec_struct!(ParamInfo {
     name,
     kind,

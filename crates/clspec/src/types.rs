@@ -5,8 +5,8 @@
 //! checkpoint image.
 
 use crate::handles::RawHandle;
-use simcore::codec::{decode_bytes, encode_bytes, Codec, CodecError, Reader};
-use simcore::{impl_codec_struct, ByteSize};
+use simcore::codec::{Codec, CodecError, Reader};
+use simcore::{impl_codec_enum, impl_codec_struct, ByteSize};
 
 /// `cl_device_type` — the device classes an application can request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -21,25 +21,12 @@ pub enum DeviceType {
     All,
 }
 
-impl Codec for DeviceType {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            DeviceType::Cpu => 0,
-            DeviceType::Gpu => 1,
-            DeviceType::Accelerator => 2,
-            DeviceType::All => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => DeviceType::Cpu,
-            1 => DeviceType::Gpu,
-            2 => DeviceType::Accelerator,
-            3 => DeviceType::All,
-            _ => return Err(CodecError::Invalid("DeviceType tag")),
-        })
-    }
-}
+impl_codec_enum!(DeviceType, "DeviceType tag", {
+    0 => Cpu,
+    1 => Gpu,
+    2 => Accelerator,
+    3 => All,
+});
 
 /// `cl_mem_flags` — buffer creation flags.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
@@ -237,27 +224,10 @@ impl ArgValue {
     }
 }
 
-impl Codec for ArgValue {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ArgValue::Bytes(b) => {
-                out.push(0);
-                encode_bytes(out, b);
-            }
-            ArgValue::LocalMem(n) => {
-                out.push(1);
-                n.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => ArgValue::Bytes(decode_bytes(r)?),
-            1 => ArgValue::LocalMem(u64::decode(r)?),
-            _ => return Err(CodecError::Invalid("ArgValue tag")),
-        })
-    }
-}
+impl_codec_enum!(ArgValue, "ArgValue tag", {
+    0 => Bytes(bytes),
+    1 => LocalMem(size),
+});
 
 /// Plain-old-data types that can be passed by value to kernels.
 pub trait ScalarArg {
@@ -339,25 +309,12 @@ pub enum EventStatus {
     Complete,
 }
 
-impl Codec for EventStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            EventStatus::Queued => 0,
-            EventStatus::Submitted => 1,
-            EventStatus::Running => 2,
-            EventStatus::Complete => 3,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => EventStatus::Queued,
-            1 => EventStatus::Submitted,
-            2 => EventStatus::Running,
-            3 => EventStatus::Complete,
-            _ => return Err(CodecError::Invalid("EventStatus tag")),
-        })
-    }
-}
+impl_codec_enum!(EventStatus, "EventStatus tag", {
+    0 => Queued,
+    1 => Submitted,
+    2 => Running,
+    3 => Complete,
+});
 
 /// `clGetEventProfilingInfo` timestamps (virtual-clock nanoseconds).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -390,23 +347,11 @@ pub enum BuildStatus {
     Error,
 }
 
-impl Codec for BuildStatus {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            BuildStatus::None => 0,
-            BuildStatus::Success => 1,
-            BuildStatus::Error => 2,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => BuildStatus::None,
-            1 => BuildStatus::Success,
-            2 => BuildStatus::Error,
-            _ => return Err(CodecError::Invalid("BuildStatus tag")),
-        })
-    }
-}
+impl_codec_enum!(BuildStatus, "BuildStatus tag", {
+    0 => None,
+    1 => Success,
+    2 => Error,
+});
 
 #[cfg(test)]
 mod tests {

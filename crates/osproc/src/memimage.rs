@@ -7,8 +7,7 @@
 //! is exactly the transparency contract of the paper: CheCL's object
 //! database rides along inside the dumped host memory.
 
-use simcore::codec::{decode_bytes, encode_bytes, Codec, CodecError, Reader};
-use simcore::ByteSize;
+use simcore::{impl_codec_struct, ByteSize};
 use std::collections::BTreeMap;
 
 /// A process's host memory: named, opaque segments.
@@ -66,32 +65,13 @@ impl MemImage {
     }
 }
 
-impl Codec for MemImage {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.segments.len() as u64).encode(out);
-        for (name, data) in &self.segments {
-            name.encode(out);
-            encode_bytes(out, data);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = u64::decode(r)? as usize;
-        if n > r.remaining() {
-            return Err(CodecError::Invalid("segment count exceeds stream"));
-        }
-        let mut segments = BTreeMap::new();
-        for _ in 0..n {
-            let name = String::decode(r)?;
-            let data = decode_bytes(r)?;
-            segments.insert(name, data);
-        }
-        Ok(MemImage { segments })
-    }
-}
+// Laid out as the `BTreeMap<String, Vec<u8>>` it wraps.
+impl_codec_struct!(MemImage { segments });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Codec;
 
     #[test]
     fn put_get_take() {

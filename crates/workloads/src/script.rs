@@ -12,8 +12,7 @@ use clspec::api::{ApiRequest, ClApi};
 use clspec::error::ClResult;
 use clspec::handles::{CommandQueue, Context, DeviceId, Event, Kernel, Mem, Program, RawHandle};
 use clspec::types::{ArgValue, DeviceType, MemFlags, NDRange, QueueProps, SamplerDesc};
-use simcore::codec::{Codec, CodecError, Reader};
-use simcore::{fnv1a64, impl_codec_struct, SimTime, SplitMix64};
+use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, SimTime, SplitMix64};
 
 /// A register index in the application's handle file.
 pub type Reg = u16;
@@ -85,39 +84,12 @@ impl BufInit {
     }
 }
 
-impl Codec for BufInit {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BufInit::Zero => out.push(0),
-            BufInit::RandomF32 { seed, lo, hi } => {
-                out.push(1);
-                seed.encode(out);
-                lo.encode(out);
-                hi.encode(out);
-            }
-            BufInit::RandomU32 { seed } => {
-                out.push(2);
-                seed.encode(out);
-            }
-            BufInit::Ramp => out.push(3),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match u8::decode(r)? {
-            0 => BufInit::Zero,
-            1 => BufInit::RandomF32 {
-                seed: u64::decode(r)?,
-                lo: f32::decode(r)?,
-                hi: f32::decode(r)?,
-            },
-            2 => BufInit::RandomU32 {
-                seed: u64::decode(r)?,
-            },
-            3 => BufInit::Ramp,
-            _ => return Err(CodecError::Invalid("BufInit tag")),
-        })
-    }
-}
+impl_codec_enum!(BufInit, "BufInit tag", {
+    0 => Zero,
+    1 => RandomF32 { seed, lo, hi },
+    2 => RandomU32 { seed },
+    3 => Ramp,
+});
 
 /// One host-code operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -207,30 +179,7 @@ pub enum Op {
     ReadImageChecksum { queue: Reg, image: Reg },
 }
 
-macro_rules! op_codec {
-    ($($tag:literal => $variant:ident { $($field:ident),* }),+ $(,)?) => {
-        impl Codec for Op {
-            fn encode(&self, out: &mut Vec<u8>) {
-                match self {
-                    $(Op::$variant { $($field),* } => {
-                        out.push($tag);
-                        $($field.encode(out);)*
-                    })+
-                }
-            }
-            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok(match u8::decode(r)? {
-                    $($tag => Op::$variant {
-                        $($field: Codec::decode(r)?),*
-                    },)+
-                    _ => return Err(CodecError::Invalid("Op tag")),
-                })
-            }
-        }
-    };
-}
-
-op_codec! {
+impl_codec_enum!(Op, "Op tag", {
     0 => GetPlatform { out },
     1 => GetDevices { platform, dtype, out, count },
     2 => CreateContext { device, out },
@@ -254,7 +203,7 @@ op_codec! {
     20 => ReleaseMem { buf },
     21 => CreateImage { context, width, height, init, out },
     22 => ReadImageChecksum { queue, image },
-}
+});
 
 /// A complete benchmark program.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -273,16 +222,7 @@ impl Script {
     }
 }
 
-impl Codec for Script {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ops.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Script {
-            ops: Vec::decode(r)?,
-        })
-    }
-}
+impl_codec_struct!(Script { ops });
 
 /// The live (and checkpointable) state of a running application.
 #[derive(Clone, Debug, PartialEq)]
@@ -737,6 +677,7 @@ pub enum RunStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Codec;
 
     #[test]
     fn bufinit_deterministic() {

@@ -40,8 +40,8 @@ pub(crate) fn program_from_dump(
     let bytes = cluster
         .read_file(pid, path)
         .map_err(|e| CheclCprError::Cpr(blcr::CprError::Fs(e)))?;
-    let dump = blcr::sniff_dump(bytes.body())
-        .map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?;
+    let dump =
+        blcr::sniff_dump(&bytes).map_err(|e| CheclCprError::Cpr(blcr::CprError::Corrupt(e)))?;
     program_from_image(dump.image())
 }
 
