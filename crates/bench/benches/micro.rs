@@ -74,6 +74,35 @@ fn bench_codec(filter: &str) {
     bench(filter, "codec/memimage_decode_1mib", Some(len), || {
         black_box(osproc::MemImage::from_bytes(&bytes).unwrap());
     });
+
+    // The CheCL object database with one buffer's saved device data:
+    // the state segment every checkpoint encodes and every restore
+    // decodes.
+    let mut db = checl::CheclDb::new();
+    db.insert(
+        clspec::handles::RawHandle(1),
+        checl::ObjectRecord::Mem {
+            context: 0,
+            flags: clspec::types::MemFlags::READ_WRITE,
+            size: 1 << 20,
+            saved_data: Some(vec![0xabu8; 1 << 20]),
+            host_cache: None,
+            dirty: false,
+            saved_in: None,
+            image_dims: None,
+            dirty_regions: Vec::new(),
+            saved_chunks: None,
+            cut_epoch: 0,
+        },
+    );
+    let bytes = db.to_bytes();
+    let len = bytes.len() as u64;
+    bench(filter, "codec/checl_state_encode_1mib", Some(len), || {
+        black_box(db.to_bytes());
+    });
+    bench(filter, "codec/checl_state_decode_1mib", Some(len), || {
+        black_box(checl::CheclDb::from_bytes(&bytes).unwrap());
+    });
 }
 
 fn bench_parser(filter: &str) {

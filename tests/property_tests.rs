@@ -1,6 +1,8 @@
 //! Property-based tests over the core invariants, driven by the
 //! dependency-free `simcore::qcheck` harness.
 
+mod common;
+
 use checl::CprPolicy;
 use checl_repro as _;
 use simcore::codec::Codec;
@@ -72,6 +74,86 @@ fn truncation_always_errors() {
         if cut < bytes.len() {
             assert!(Vec::<u64>::from_bytes(&bytes[..cut]).is_err());
         }
+    });
+}
+
+/// Raw bytes sealed as a frame payload as they are, so a mutated
+/// encoding reaches a frame decoder past the checksum.
+struct Sealed(Vec<u8>);
+
+impl Codec for Sealed {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(_: &mut simcore::Reader<'_>) -> Result<Self, simcore::CodecError> {
+        unreachable!("only encoded")
+    }
+}
+
+/// A pinned encoding with random bits flipped, cut short, or spliced
+/// onto random bytes.
+fn mutate(g: &mut Gen, base: &[u8]) -> Vec<u8> {
+    let mut bytes = base.to_vec();
+    match g.range(0, 3) {
+        0 => {
+            for _ in 0..g.usize_in(1, 9) {
+                if !bytes.is_empty() {
+                    let at = g.usize_in(0, bytes.len());
+                    bytes[at] ^= 1 << g.range(0, 8);
+                }
+            }
+        }
+        1 => bytes.truncate(g.usize_in(0, bytes.len() + 1)),
+        _ => {
+            bytes.truncate(g.usize_in(0, bytes.len() + 1));
+            let n = g.usize_in(0, 64);
+            bytes.extend(g.bytes(n));
+        }
+    }
+    bytes
+}
+
+/// Every enum decoder declared with `impl_codec_enum!`, the CheCL state
+/// segment and the application program each decode mutated pinned
+/// encodings to `Ok` or `Err`, never a panic.
+#[test]
+fn generated_decoders_are_total() {
+    use blcr::chunkstore::Encoding;
+    use checl::{ChecLib, ObjectRecord, RecordedArg};
+    use clspec::handles::HandleKind;
+    use clspec::sig::ParamKind;
+    use clspec::types::{ArgValue, BuildStatus, DeviceType, EventStatus};
+    use workloads::{AppProgram, BufInit, Op};
+
+    let mut seeds = common::pinned_encodings();
+    let mut state = common::checl_db().to_bytes();
+    true.encode(&mut state);
+    seeds.push(("CheCL state", state));
+    qcheck("generated_decoders_are_total", 512, |g| {
+        let (_, base) = &seeds[g.usize_in(0, seeds.len())];
+        let bytes = mutate(g, base);
+        let _ = ObjectRecord::from_bytes(&bytes);
+        let _ = RecordedArg::from_bytes(&bytes);
+        let _ = ParamKind::from_bytes(&bytes);
+        let _ = HandleKind::from_bytes(&bytes);
+        let _ = DeviceType::from_bytes(&bytes);
+        let _ = ArgValue::from_bytes(&bytes);
+        let _ = EventStatus::from_bytes(&bytes);
+        let _ = BuildStatus::from_bytes(&bytes);
+        let _ = BufInit::from_bytes(&bytes);
+        let _ = Op::from_bytes(&bytes);
+        let _ = Encoding::from_bytes(&bytes);
+        let _ = ChecLib::decode_state(&bytes);
+        let _ = AppProgram::from_bytes(&bytes);
+        let _ = blcr::parse_stream(&bytes);
+        let _ = blcr::CheckpointFile::from_file_bytes(&bytes);
+        // The stream frame decoder itself, behind a valid seal.
+        let sealed = simcore::codec::encode_prefixed_frame(
+            blcr::STREAM_MAGIC,
+            blcr::STREAM_VERSION,
+            &Sealed(bytes),
+        );
+        assert!(blcr::parse_stream(&sealed).is_err());
     });
 }
 
