@@ -679,3 +679,98 @@ fn image2d_end_to_end_with_sampler() {
     let _ = ocl;
     assert!(drv.device_mem_used(0) >= w * h * 4);
 }
+
+/// Launch `kernel` of `program` over fresh `f32` buffers holding
+/// `bufs`: kernel arg `i` is bound to buffer `binds[i]`, and the args
+/// after those take `scalars`. Returns the launch result and every
+/// buffer's contents afterwards.
+fn launch_over(
+    program: &str,
+    kernel: &str,
+    bufs: &[&[f32]],
+    binds: &[usize],
+    scalars: &[ArgValue],
+) -> (Result<(), ClError>, Vec<Vec<f32>>) {
+    let mut drv = Driver::new(nimbus());
+    let mut now = SimTime::ZERO;
+    let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let mems: Vec<Mem> = bufs
+        .iter()
+        .map(|b| {
+            let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+            ocl.create_buffer(ctx, flags, b.len() as u64 * 4, Some(f32s(b)))
+                .unwrap()
+        })
+        .collect();
+    let src = clkernels::program_source(program).unwrap().source;
+    let prog = ocl.create_program_with_source(ctx, &src).unwrap();
+    ocl.build_program(prog, "").unwrap();
+    let k = ocl.create_kernel(prog, kernel).unwrap();
+    for (i, &b) in binds.iter().enumerate() {
+        ocl.set_arg_mem(k, i as u32, mems[b]).unwrap();
+    }
+    for (i, v) in scalars.iter().enumerate() {
+        ocl.set_kernel_arg(k, (binds.len() + i) as u32, v.clone())
+            .unwrap();
+    }
+    let launched = ocl
+        .enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+        .map(|_| ());
+    ocl.finish(q).unwrap();
+    let after = mems
+        .iter()
+        .zip(bufs)
+        .map(|(&m, b)| {
+            let len = b.len() as u64 * 4;
+            to_f32(&ocl.enqueue_read_buffer(q, m, true, 0, len, &[]).unwrap().0)
+        })
+        .collect();
+    (launched, after)
+}
+
+#[test]
+fn output_aliasing_an_input_gets_the_result() {
+    // `vec_add(a, b, a)`: the one buffer ends as `a + b`.
+    let (r, after) = launch_over(
+        "vector_add",
+        "vec_add",
+        &[&[1.0, 2.0, 3.0, 4.0], &[10.0, 20.0, 30.0, 40.0]],
+        &[0, 1, 0],
+        &[ArgValue::scalar(4u32)],
+    );
+    r.unwrap();
+    assert_eq!(after[0], vec![11.0, 22.0, 33.0, 44.0]);
+    assert_eq!(after[1], vec![10.0, 20.0, 30.0, 40.0]);
+}
+
+#[test]
+fn a_later_aliased_input_wins_over_an_earlier_output() {
+    // `triad(x, x, c)` writes `x + s*c` into arg 0, but arg 1 is the
+    // same `cl_mem` and the later index's (unchanged) bytes win.
+    let x: &[f32] = &[1.0, 2.0, 3.0, 4.0];
+    let (r, after) = launch_over(
+        "triad",
+        "triad",
+        &[x, &[10.0, 20.0, 30.0, 40.0]],
+        &[0, 0, 1],
+        &[ArgValue::scalar(0.5f32), ArgValue::scalar(4u32)],
+    );
+    r.unwrap();
+    assert_eq!(after[0], x);
+}
+
+#[test]
+fn a_failed_launch_leaves_every_buffer_intact() {
+    // `c` is too small for n = 4; args 0 and 1 pass their checks first.
+    let bufs: [&[f32]; 3] = [&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0], &[9.0, 9.5]];
+    let (r, after) = launch_over(
+        "vector_add",
+        "vec_add",
+        &bufs,
+        &[0, 1, 2],
+        &[ArgValue::scalar(4u32)],
+    );
+    assert_eq!(r, Err(ClError::InvalidArgSize));
+    assert_eq!(after, bufs.map(<[f32]>::to_vec));
+}
