@@ -15,6 +15,7 @@ use clspec::types::{
 use simcore::codec::{decode_framed, encode_framed};
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Each driver instance salts its handles so that re-creating an object
@@ -129,9 +130,9 @@ enum EngineKind {
     Dma,
 }
 
-/// `(argument index, vendor buffer handle)` pairs whose mutated data
-/// must be copied back to device memory after a launch.
-type WritebackList = Vec<(usize, u64)>;
+/// `(argument index, vendor buffer handle)` pairs whose device bytes
+/// are lent to the engine for a launch and returned after it.
+type LentList = Vec<(usize, u64)>;
 
 /// A vendor OpenCL driver instance.
 ///
@@ -724,17 +725,23 @@ impl Driver {
     }
 
     /// Resolve bound arguments against the kernel signature, returning
-    /// engine-ready data plus the list of buffer handles to write back
-    /// (as `(arg index, vendor buffer handle)` pairs).
+    /// engine-ready data plus the buffers lent to it (as
+    /// `(arg index, vendor buffer handle)` pairs, in argument order).
     ///
-    /// Buffer contents are copied in and out of the engine per launch.
-    /// That is O(buffer size) of memcpy on the simulator's hot path —
-    /// accepted deliberately: it keeps the engine free of aliasing
-    /// concerns (the same buffer may be bound to several parameters)
-    /// and failed launches can never leave device memory half-moved.
-    fn resolve_args(&self, k: &KernelObj) -> ClResult<(Vec<ArgData>, WritebackList)> {
+    /// Every argument is validated before any buffer moves. Each bound
+    /// buffer's bytes are then lent to the engine with `mem::take`, not
+    /// copied, and `enqueue_nd_range` puts them back after the launch,
+    /// whether it ran or failed. A `cl_mem` bound to several arguments
+    /// is lent to the first and copied for each later one, so every
+    /// argument sees the pre-launch bytes and, on return, the last
+    /// index's bytes win, as if each argument had its own copy.
+    fn resolve_args(&mut self, kernel: Kernel) -> ClResult<(Vec<ArgData>, LentList)> {
+        let k = self
+            .kernels
+            .get(&kernel.raw().0)
+            .ok_or(ClError::InvalidKernel)?;
         let mut out = Vec::with_capacity(k.sig.params.len());
-        let mut writeback = Vec::new();
+        let mut lent: LentList = Vec::new();
         for (i, p) in k.sig.params.iter().enumerate() {
             let v = k.args.get(&(i as u32)).ok_or(ClError::InvalidKernelArgs)?;
             match &p.kind {
@@ -751,8 +758,8 @@ impl Driver {
                     if wants_image != buf.image_dims.is_some() {
                         return Err(ClError::InvalidArgValue);
                     }
-                    writeback.push((i, h.0));
-                    out.push(ArgData::Buffer(buf.data.clone()));
+                    lent.push((i, h.0));
+                    out.push(ArgData::Buffer(Vec::new()));
                 }
                 ParamKind::Sampler => {
                     let h = v.as_handle().ok_or(ClError::InvalidArgValue)?;
@@ -787,7 +794,16 @@ impl Driver {
                 },
             }
         }
-        Ok((out, writeback))
+        for (n, &(i, h)) in lent.iter().enumerate() {
+            out[i] = match lent[..n].iter().find(|&&(_, earlier)| earlier == h) {
+                Some(&(first, _)) => out[first].clone(),
+                None => {
+                    let buf = self.buffers.get_mut(&h).expect("validated above");
+                    ArgData::Buffer(mem::take(&mut buf.data))
+                }
+            };
+        }
+        Ok((out, lent))
     }
 
     fn enqueue_nd_range(
@@ -809,24 +825,23 @@ impl Driver {
                 return Err(ClError::InvalidWorkGroupSize);
             }
         }
-        let k = self.kernel(kernel)?;
-        let name = k.sig.name.clone();
-        let (mut args, writeback) = self.resolve_args(k)?;
-
-        execute(&name, global.sizes, &mut args).map_err(|e| match e {
+        let name = self.kernel(kernel)?.sig.name.clone();
+        let (mut args, lent) = self.resolve_args(kernel)?;
+        let ran = execute(&name, global.sizes, &mut args);
+        // Put every lent buffer back, in argument order, on success and
+        // failure alike.
+        for (arg_idx, buf_h) in lent {
+            if let ArgData::Buffer(data) = &mut args[arg_idx] {
+                let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
+                buf.data = mem::take(data);
+            }
+        }
+        ran.map_err(|e| match e {
             clkernels::ExecError::UnknownKernel(_) => ClError::InvalidKernelName,
             clkernels::ExecError::ArgCount { .. } => ClError::InvalidKernelArgs,
             clkernels::ExecError::ArgType { .. } => ClError::InvalidArgValue,
             clkernels::ExecError::BufferTooSmall { .. } => ClError::InvalidArgSize,
         })?;
-
-        // Write mutated buffer args back to device memory.
-        for (arg_idx, buf_h) in writeback {
-            if let ArgData::Buffer(data) = &args[arg_idx] {
-                let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
-                buf.data.clone_from(data);
-            }
-        }
 
         let spec = kernel_cost_spec(&name);
         let items = global.total();

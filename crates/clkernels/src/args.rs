@@ -1,8 +1,12 @@
 //! Resolved kernel arguments as the execution engine sees them.
 //!
 //! By the time a launch reaches the engine, the driver has resolved
-//! every `cl_mem` handle to buffer bytes. The engine mutates buffer
-//! args in place; the driver copies results back to device memory.
+//! every `cl_mem` handle to buffer bytes. A buffer argument holds the
+//! device buffer's own bytes, lent by the driver for the launch and
+//! returned afterwards, so the engine reads and writes device memory
+//! in place. Only a `cl_mem` bound to more than one argument is copied,
+//! once per later binding. The engine can change a buffer's bytes but
+//! never its length.
 
 use std::fmt;
 
@@ -32,8 +36,8 @@ impl ArgData {
         }
     }
 
-    /// Mutably borrow buffer bytes.
-    pub fn buffer_mut(&mut self) -> Result<&mut Vec<u8>, ExecError> {
+    /// Mutably borrow buffer bytes; their length is fixed.
+    pub fn buffer_mut(&mut self) -> Result<&mut [u8], ExecError> {
         match self {
             ArgData::Buffer(b) => Ok(b),
             other => Err(ExecError::ArgType {
@@ -77,7 +81,7 @@ impl ArgData {
         }
     }
 
-    fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             ArgData::Buffer(_) => "buffer",
             ArgData::Scalar(_) => "scalar",
@@ -150,8 +154,8 @@ mod tests {
     fn buffer_accessors_validate() {
         let mut b = ArgData::Buffer(vec![1, 2]);
         assert_eq!(b.buffer().unwrap(), &[1, 2]);
-        b.buffer_mut().unwrap().push(3);
-        assert_eq!(b.buffer().unwrap(), &[1, 2, 3]);
+        b.buffer_mut().unwrap()[1] = 3;
+        assert_eq!(b.buffer().unwrap(), &[1, 3]);
         assert!(ArgData::Local(64).buffer().is_err());
     }
 }

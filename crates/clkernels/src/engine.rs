@@ -9,10 +9,13 @@
 //! Implementations are sequential and in a fixed order, so
 //! floating-point results are reproducible across runs and platforms
 //! (`f32` arithmetic on the host is IEEE-754 and unaffected by the
-//! virtual-time model).
+//! virtual-time model). Each kernel reads its inputs through
+//! little-endian lane views and writes each output lane straight into
+//! its buffer's bytes. Every argument is validated before the first
+//! write, so a failed launch leaves every buffer as it was.
 
 use crate::args::{ArgData, ExecError};
-use crate::f32util::{to_f32_vec, to_u32_vec, write_f32s, write_u32s};
+use crate::f32util::{f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s};
 
 /// Execute `name` over `global` work items with the given arguments.
 ///
@@ -62,14 +65,12 @@ pub fn execute(name: &str, global: [u64; 3], args: &mut [ArgData]) -> Result<(),
     }
 }
 
-fn expect_args(args: &[ArgData], n: usize) -> Result<(), ExecError> {
-    if args.len() != n {
-        return Err(ExecError::ArgCount {
-            expected: n,
-            got: args.len(),
-        });
-    }
-    Ok(())
+/// The arguments of a kernel that takes exactly `N`, each borrowable
+/// on its own.
+fn arity<const N: usize>(args: &mut [ArgData]) -> Result<&mut [ArgData; N], ExecError> {
+    let got = args.len();
+    args.try_into()
+        .map_err(|_| ExecError::ArgCount { expected: N, got })
 }
 
 fn check_len(arg_index: usize, buf: &[u8], needed: usize) -> Result<(), ExecError> {
@@ -83,67 +84,80 @@ fn check_len(arg_index: usize, buf: &[u8], needed: usize) -> Result<(), ExecErro
     Ok(())
 }
 
+/// The first `needed` bytes of buffer argument `arg_index`, to read.
+fn input(arg_index: usize, arg: &ArgData, needed: usize) -> Result<&[u8], ExecError> {
+    let buf = arg.buffer()?;
+    check_len(arg_index, buf, needed)?;
+    Ok(&buf[..needed])
+}
+
+/// The first `needed` bytes of buffer argument `arg_index`, to write.
+fn output(arg_index: usize, arg: &mut ArgData, needed: usize) -> Result<&mut [u8], ExecError> {
+    let buf = arg.buffer_mut()?;
+    check_len(arg_index, buf, needed)?;
+    Ok(&mut buf[..needed])
+}
+
+/// Require an opaque by-value argument of exactly `len` bytes.
+fn expect_blob(arg: &ArgData, len: usize, expected: &'static str) -> Result<(), ExecError> {
+    match arg {
+        ArgData::Scalar(b) if b.len() == len => Ok(()),
+        _ => Err(ExecError::ArgType {
+            expected,
+            got: "other",
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------
 // Streaming / memory kernels
 // ---------------------------------------------------------------------
 
 fn k_vec_add(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let c: Vec<f32> = (0..n).map(|i| a[i] + b[i]).collect();
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let (a, b) = (input(0, a, n * 4)?, input(1, b, n * 4)?);
+    let c = output(2, c, n * 4)?;
+    put_f32s(c, f32s(a).zip(f32s(b)).map(|(a, b)| a + b));
     Ok(())
 }
 
 fn k_triad(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let s = args[3].scalar_f32()?;
-    let n = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let b = to_f32_vec(args[1].buffer()?);
-    let c = to_f32_vec(args[2].buffer()?);
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let a: Vec<f32> = (0..n).map(|i| b[i] + s * c[i]).collect();
-    write_f32s(args[0].buffer_mut()?, &a);
+    let [a, b, c, s, n] = arity(args)?;
+    let s = s.scalar_f32()?;
+    let n = n.scalar_u32()? as usize;
+    let a = output(0, a, n * 4)?;
+    let (b, c) = (input(1, b, n * 4)?, input(2, c, n * 4)?);
+    put_f32s(a, f32s(b).zip(f32s(c)).map(|(b, c)| b + s * c));
     Ok(())
 }
 
 fn k_copy_buf(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let src = args[0].buffer()?[..n * 4].to_vec();
-    args[1].buffer_mut()?[..n * 4].copy_from_slice(&src);
+    let [src, dst, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let src = input(0, src, n * 4)?;
+    output(1, dst, n * 4)?.copy_from_slice(src);
     Ok(())
 }
 
 fn k_null(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 1)?;
-    args[0].buffer()?;
+    let [buf] = arity(args)?;
+    buf.buffer()?;
     Ok(())
 }
 
 fn k_max_flops(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[1].scalar_u32()? as usize;
-    let iters = args[2].scalar_u32()?;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut data = to_f32_vec(args[0].buffer()?);
-    for x in data.iter_mut().take(n) {
-        let mut v = *x;
+    let [data, n, iters] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let iters = iters.scalar_u32()?;
+    let data = output(0, data, n * 4)?;
+    for i in 0..n {
+        let mut v = f32_at(data, i);
         for _ in 0..iters {
             v = v * 1.000_001 + 0.000_000_1;
         }
-        *x = v;
+        set_f32(data, i, v);
     }
-    write_f32s(args[0].buffer_mut()?, &data);
     Ok(())
 }
 
@@ -152,42 +166,34 @@ fn k_max_flops(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_reduce_sum(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, 4)?;
-    match &args[2] {
-        ArgData::Local(_) => {}
-        other => {
-            return Err(ExecError::ArgType {
-                expected: "local scratch",
-                got: match other {
-                    ArgData::Buffer(_) => "buffer",
-                    ArgData::Scalar(_) => "scalar",
-                    ArgData::Local(_) => unreachable!(),
-                },
-            })
-        }
+    let [input_arg, out, scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(0, input_arg, n * 4)?;
+    let out = output(1, out, 4)?;
+    if !matches!(scratch, ArgData::Local(_)) {
+        return Err(ExecError::ArgType {
+            expected: "local scratch",
+            got: scratch.kind_name(),
+        });
     }
-    let input = to_f32_vec(args[0].buffer()?);
-    let sum: f32 = input[..n].iter().sum();
-    write_f32s(args[1].buffer_mut()?, &[sum]);
+    set_f32(out, 0, f32s(data).sum());
     Ok(())
 }
 
 fn k_scan_exclusive(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = Vec::with_capacity(n);
+    let [input_arg, out, _scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(0, input_arg, n * 4)?;
+    let out = output(1, out, n * 4)?;
     let mut acc = 0.0f32;
-    for v in input.iter().take(n) {
-        out.push(acc);
-        acc += v;
-    }
-    write_f32s(args[1].buffer_mut()?, &out);
+    put_f32s(
+        out,
+        f32s(data).map(|v| {
+            let before = acc;
+            acc += v;
+            before
+        }),
+    );
     Ok(())
 }
 
@@ -195,37 +201,36 @@ fn k_bitonic_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
     // One compare-exchange pass of the bitonic network; the benchmark
     // launches O(log² n) of these — making oclSortingNetworks one of the
     // "API-chatty" programs whose proxy overhead Fig. 4 highlights.
-    expect_args(args, 4)?;
-    let n = args[1].scalar_u32()? as usize;
-    let stage = args[2].scalar_u32()?;
-    let pass = args[3].scalar_u32()?;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut keys = to_u32_vec(args[0].buffer()?);
+    let [keys, n, stage, pass] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let stage = stage.scalar_u32()?;
+    let pass = pass.scalar_u32()?;
+    let keys = output(0, keys, n * 4)?;
     let block = 1usize << (stage + 1);
     let dist = 1usize << pass;
     for i in 0..n {
         let partner = i ^ dist;
         if partner > i && partner < n {
             let ascending = (i & block) == 0;
-            if (keys[i] > keys[partner]) == ascending {
-                keys.swap(i, partner);
+            if (u32_at(keys, i) > u32_at(keys, partner)) == ascending {
+                swap_lanes(keys, i, partner);
             }
         }
     }
-    write_u32s(args[0].buffer_mut()?, &keys);
     Ok(())
 }
 
 fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 2)?;
-    let n = args[1].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    let mut keys = to_u32_vec(args[0].buffer()?);
+    let [buf, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let buf = output(0, buf, n * 4)?;
     // LSD radix, 8 bits per pass — the actual algorithm, not a stand-in.
+    // Every pass permutes the whole array, so the keys are decoded once.
+    let mut keys: Vec<u32> = u32s(buf).collect();
     let mut aux = vec![0u32; n];
     for shift in [0u32, 8, 16, 24] {
         let mut counts = [0usize; 256];
-        for &k in keys.iter().take(n) {
+        for &k in &keys {
             counts[((k >> shift) & 0xff) as usize] += 1;
         }
         let mut offsets = [0usize; 256];
@@ -234,14 +239,14 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
             *o = acc;
             acc += c;
         }
-        for &k in keys.iter().take(n) {
+        for &k in &keys {
             let d = ((k >> shift) & 0xff) as usize;
             aux[offsets[d]] = k;
             offsets[d] += 1;
         }
-        keys[..n].copy_from_slice(&aux[..n]);
+        std::mem::swap(&mut keys, &mut aux);
     }
-    write_u32s(args[0].buffer_mut()?, &keys);
+    put_u32s(buf, keys);
     Ok(())
 }
 
@@ -250,27 +255,25 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_transpose(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(0, src, w * h * 4)?;
+    let dst = output(1, dst, w * h * 4)?;
     for y in 0..h {
         for x in 0..w {
-            out[x * h + y] = input[y * w + x];
+            set_f32(dst, x * h + y, f32_at(src, y * w + x));
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
+/// `c = alpha * a·b + beta * c`, with `c` read and written in place.
 #[allow(clippy::too_many_arguments)] // the BLAS gemm signature
 fn gemm_core(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
+    a: &[u8],
+    b: &[u8],
+    c: &mut [u8],
     m: usize,
     n: usize,
     k: usize,
@@ -281,60 +284,54 @@ fn gemm_core(
         for col in 0..n {
             let mut acc = 0.0f32;
             for l in 0..k {
-                acc += a[row * k + l] * b[l * n + col];
+                acc += f32_at(a, row * k + l) * f32_at(b, l * n + col);
             }
-            c[row * n + col] = alpha * acc + beta * c[row * n + col];
+            let i = row * n + col;
+            set_f32(c, i, alpha * acc + beta * f32_at(c, i));
         }
     }
 }
 
 fn k_matmul(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 6)?;
-    let m = args[3].scalar_u32()? as usize;
-    let n = args[4].scalar_u32()? as usize;
-    let k = args[5].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, m * k * 4)?;
-    check_len(1, args[1].buffer()?, k * n * 4)?;
-    check_len(2, args[2].buffer()?, m * n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let mut c = vec![0.0f32; m * n];
-    gemm_core(&a, &b, &mut c, m, n, k, 1.0, 0.0);
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, m, n, k] = arity(args)?;
+    let m = m.scalar_u32()? as usize;
+    let n = n.scalar_u32()? as usize;
+    let k = k.scalar_u32()? as usize;
+    let (a, b) = (input(0, a, m * k * 4)?, input(1, b, k * n * 4)?);
+    let c = output(2, c, m * n * 4)?;
+    // Zeroed first, so `0.0 * c` adds nothing whatever `c` held.
+    c.fill(0);
+    gemm_core(a, b, c, m, n, k, 1.0, 0.0);
     Ok(())
 }
 
 fn k_sgemm(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 8)?;
-    let m = args[3].scalar_u32()? as usize;
-    let n = args[4].scalar_u32()? as usize;
-    let k = args[5].scalar_u32()? as usize;
-    let alpha = args[6].scalar_f32()?;
-    let beta = args[7].scalar_f32()?;
-    check_len(0, args[0].buffer()?, m * k * 4)?;
-    check_len(1, args[1].buffer()?, k * n * 4)?;
-    check_len(2, args[2].buffer()?, m * n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let mut c = to_f32_vec(args[2].buffer()?);
-    gemm_core(&a, &b, &mut c[..m * n], m, n, k, alpha, beta);
-    write_f32s(args[2].buffer_mut()?, &c[..m * n]);
+    let [a, b, c, m, n, k, alpha, beta] = arity(args)?;
+    let m = m.scalar_u32()? as usize;
+    let n = n.scalar_u32()? as usize;
+    let k = k.scalar_u32()? as usize;
+    let alpha = alpha.scalar_f32()?;
+    let beta = beta.scalar_f32()?;
+    let (a, b) = (input(0, a, m * k * 4)?, input(1, b, k * n * 4)?);
+    let c = output(2, c, m * n * 4)?;
+    gemm_core(a, b, c, m, n, k, alpha, beta);
     Ok(())
 }
 
 fn k_matvec(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let rows = args[3].scalar_u32()? as usize;
-    let cols = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, rows * cols * 4)?;
-    check_len(1, args[1].buffer()?, cols * 4)?;
-    check_len(2, args[2].buffer()?, rows * 4)?;
-    let mat = to_f32_vec(args[0].buffer()?);
-    let vec = to_f32_vec(args[1].buffer()?);
-    let out: Vec<f32> = (0..rows)
-        .map(|r| (0..cols).map(|c| mat[r * cols + c] * vec[c]).sum())
-        .collect();
-    write_f32s(args[2].buffer_mut()?, &out);
+    let [mat, vec, out, rows, cols] = arity(args)?;
+    let rows = rows.scalar_u32()? as usize;
+    let cols = cols.scalar_u32()? as usize;
+    let mat = input(0, mat, rows * cols * 4)?;
+    let vec = input(1, vec, cols * 4)?;
+    let out = output(2, out, rows * 4)?;
+    put_f32s(
+        out,
+        (0..rows).map(|r| {
+            let row = &mat[r * cols * 4..(r + 1) * cols * 4];
+            f32s(row).zip(f32s(vec)).map(|(m, v)| m * v).sum()
+        }),
+    );
     Ok(())
 }
 
@@ -359,45 +356,36 @@ fn cnd(d: f32) -> f32 {
 }
 
 fn k_black_scholes(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 8)?;
-    let r = args[5].scalar_f32()?;
-    let v = args[6].scalar_f32()?;
-    let n = args[7].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    check_len(3, args[3].buffer()?, n * 4)?;
-    check_len(4, args[4].buffer()?, n * 4)?;
-    let s = to_f32_vec(args[2].buffer()?);
-    let x = to_f32_vec(args[3].buffer()?);
-    let t = to_f32_vec(args[4].buffer()?);
-    let mut call = vec![0.0f32; n];
-    let mut put = vec![0.0f32; n];
-    for i in 0..n {
-        let sq = t[i].sqrt();
-        let d1 = ((s[i] / x[i]).ln() + (r + 0.5 * v * v) * t[i]) / (v * sq);
+    let [call, put, s, x, t, r, v, n] = arity(args)?;
+    let r = r.scalar_f32()?;
+    let v = v.scalar_f32()?;
+    let n = n.scalar_u32()? as usize;
+    let call = output(0, call, n * 4)?;
+    let put = output(1, put, n * 4)?;
+    let s = input(2, s, n * 4)?;
+    let x = input(3, x, n * 4)?;
+    let t = input(4, t, n * 4)?;
+    for (i, ((s, x), t)) in f32s(s).zip(f32s(x)).zip(f32s(t)).enumerate() {
+        let sq = t.sqrt();
+        let d1 = ((s / x).ln() + (r + 0.5 * v * v) * t) / (v * sq);
         let d2 = d1 - v * sq;
-        let e = x[i] * (-r * t[i]).exp();
-        call[i] = s[i] * cnd(d1) - e * cnd(d2);
-        put[i] = e * cnd(-d2) - s[i] * cnd(-d1);
+        let e = x * (-r * t).exp();
+        set_f32(call, i, s * cnd(d1) - e * cnd(d2));
+        set_f32(put, i, e * cnd(-d2) - s * cnd(-d1));
     }
-    write_f32s(args[0].buffer_mut()?, &call);
-    write_f32s(args[1].buffer_mut()?, &put);
     Ok(())
 }
 
 fn k_dot_product(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 16)?;
-    check_len(1, args[1].buffer()?, n * 16)?;
-    check_len(2, args[2].buffer()?, n * 4)?;
-    let a = to_f32_vec(args[0].buffer()?);
-    let b = to_f32_vec(args[1].buffer()?);
-    let c: Vec<f32> = (0..n)
-        .map(|i| (0..4).map(|j| a[4 * i + j] * b[4 * i + j]).sum())
-        .collect();
-    write_f32s(args[2].buffer_mut()?, &c);
+    let [a, b, c, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let (a, b) = (input(0, a, n * 16)?, input(1, b, n * 16)?);
+    let c = output(2, c, n * 4)?;
+    let dots = a.chunks_exact(16).zip(b.chunks_exact(16));
+    put_f32s(
+        c,
+        dots.map(|(a, b)| f32s(a).zip(f32s(b)).map(|(a, b)| a * b).sum()),
+    );
     Ok(())
 }
 
@@ -406,16 +394,13 @@ fn k_dot_product(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_conv(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
-    expect_args(args, 6)?;
-    let w = args[3].scalar_u32()? as usize;
-    let h = args[4].scalar_u32()? as usize;
-    let radius = args[5].scalar_u32()? as i64;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    check_len(2, args[2].buffer()?, (2 * radius as usize + 1) * 4)?;
-    let srcv = to_f32_vec(args[0].buffer()?);
-    let filter = to_f32_vec(args[2].buffer()?);
-    let mut dst = vec![0.0f32; w * h];
+    let [src, dst, filter, w, h, radius] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let radius = radius.scalar_u32()? as i64;
+    let src = input(0, src, w * h * 4)?;
+    let dst = output(1, dst, w * h * 4)?;
+    let filter = input(2, filter, (2 * radius as usize + 1) * 4)?;
     for y in 0..h as i64 {
         for x in 0..w as i64 {
             let mut acc = 0.0f32;
@@ -425,23 +410,23 @@ fn k_conv(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
                 } else {
                     (x, (y + k).clamp(0, h as i64 - 1))
                 };
-                acc += srcv[(yy * w as i64 + xx) as usize] * filter[(k + radius) as usize];
+                acc += f32_at(src, (yy * w as i64 + xx) as usize)
+                    * f32_at(filter, (k + radius) as usize);
             }
-            dst[(y * w as i64 + x) as usize] = acc;
+            set_f32(dst, (y * w as i64 + x) as usize, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_dct8x8(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let src = to_f32_vec(args[0].buffer()?);
-    let mut dst = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(0, src, w * h * 4)?;
+    let dst = output(1, dst, w * h * 4)?;
+    // Pixels outside whole 8x8 blocks come out zero.
+    dst.fill(0);
     let bw = w / 8;
     let bh = h / 8;
     let pi = std::f32::consts::PI;
@@ -454,98 +439,91 @@ fn k_dct8x8(args: &mut [ArgData]) -> Result<(), ExecError> {
                     let mut acc = 0.0f32;
                     for iy in 0..8 {
                         for ix in 0..8 {
-                            let px = src[(by * 8 + iy) * w + bx * 8 + ix];
+                            let px = f32_at(src, (by * 8 + iy) * w + bx * 8 + ix);
                             acc += px
                                 * ((2 * ix + 1) as f32 * u as f32 * pi / 16.0).cos()
                                 * ((2 * iy + 1) as f32 * v as f32 * pi / 16.0).cos();
                         }
                     }
-                    dst[(by * 8 + v) * w + bx * 8 + u] = 0.25 * cu * cv * acc;
+                    set_f32(dst, (by * 8 + v) * w + bx * 8 + u, 0.25 * cu * cv * acc);
                 }
             }
         }
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_dxt_compress(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
     let n = w * h;
     let blocks = n / 16;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, blocks * 8)?;
-    let src = to_f32_vec(args[0].buffer()?);
-    let mut dst = vec![0.0f32; blocks * 2];
-    for b in 0..blocks {
-        let block = &src[b * 16..b * 16 + 16];
+    let src = input(0, src, n * 4)?;
+    let dst = output(1, dst, blocks * 8)?;
+    for (block, ends) in src.chunks_exact(64).zip(dst.chunks_exact_mut(8)) {
         let mut lo = f32::INFINITY;
         let mut hi = f32::NEG_INFINITY;
-        for &px in block {
+        for px in f32s(block) {
             lo = lo.min(px);
             hi = hi.max(px);
         }
-        dst[b * 2] = lo;
-        dst[b * 2 + 1] = hi;
+        put_f32s(ends, [lo, hi]);
     }
-    write_f32s(args[1].buffer_mut()?, &dst);
     Ok(())
 }
 
 fn k_histogram64(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, 64 * 4)?;
-    let data = to_f32_vec(args[0].buffer()?);
+    let [data, out, _scratch, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let data = input(0, data, n * 4)?;
+    let out = output(1, out, 64 * 4)?;
     let mut hist = [0u32; 64];
-    for &v in data.iter().take(n) {
+    for v in f32s(data) {
         let bin = ((v * 64.0) as i64).clamp(0, 63) as usize;
         hist[bin] += 1;
     }
-    write_u32s(args[1].buffer_mut()?, &hist);
+    put_u32s(out, hist);
     Ok(())
 }
 
 fn k_fdtd3d(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let dx = args[2].scalar_u32()? as usize;
-    let dy = args[3].scalar_u32()? as usize;
-    let dz = args[4].scalar_u32()? as usize;
+    let [src, dst, dx, dy, dz] = arity(args)?;
+    let dx = dx.scalar_u32()? as usize;
+    let dy = dy.scalar_u32()? as usize;
+    let dz = dz.scalar_u32()? as usize;
     let n = dx * dy * dz;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; n];
+    let src = input(0, src, n * 4)?;
+    let dst = output(1, dst, n * 4)?;
     let idx = |x: usize, y: usize, z: usize| (z * dy + y) * dx + x;
+    let at = |x, y, z| f32_at(src, idx(x, y, z));
     for z in 0..dz {
         for y in 0..dy {
             for x in 0..dx {
-                let c = input[idx(x, y, z)];
-                let xm = input[idx(x.saturating_sub(1), y, z)];
-                let xp = input[idx((x + 1).min(dx - 1), y, z)];
-                let ym = input[idx(x, y.saturating_sub(1), z)];
-                let yp = input[idx(x, (y + 1).min(dy - 1), z)];
-                let zm = input[idx(x, y, z.saturating_sub(1))];
-                let zp = input[idx(x, y, (z + 1).min(dz - 1))];
-                out[idx(x, y, z)] = 0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp);
+                let c = at(x, y, z);
+                let xm = at(x.saturating_sub(1), y, z);
+                let xp = at((x + 1).min(dx - 1), y, z);
+                let ym = at(x, y.saturating_sub(1), z);
+                let yp = at(x, (y + 1).min(dy - 1), z);
+                let zm = at(x, y, z.saturating_sub(1));
+                let zp = at(x, y, (z + 1).min(dz - 1));
+                set_f32(
+                    dst,
+                    idx(x, y, z),
+                    0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp),
+                );
             }
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
 fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let w = args[2].scalar_u32()? as usize;
-    let h = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(1, args[1].buffer()?, w * h * 4)?;
-    let input = to_f32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; w * h];
+    let [src, dst, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    let src = input(0, src, w * h * 4)?;
+    let dst = output(1, dst, w * h * 4)?;
     for y in 0..h {
         for x in 0..w {
             let mut acc = 0.0f32;
@@ -554,13 +532,12 @@ fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
                     let xx = (x as i64 + dx).clamp(0, w as i64 - 1) as usize;
                     let yy = (y as i64 + dy).clamp(0, h as i64 - 1) as usize;
                     let wgt = if dx == 0 && dy == 0 { 0.5 } else { 0.0625 };
-                    acc += input[yy * w + xx] * wgt;
+                    acc += f32_at(src, yy * w + xx) * wgt;
                 }
             }
-            out[y * w + x] = acc;
+            set_f32(dst, y * w + x, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
@@ -569,27 +546,28 @@ fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_md_forces(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[2].scalar_u32()? as usize;
-    let cutoff = args[3].scalar_f32()?;
-    check_len(0, args[0].buffer()?, n * 12)?;
-    check_len(1, args[1].buffer()?, n * 12)?;
-    let pos = to_f32_vec(args[0].buffer()?);
-    let mut force = vec![0.0f32; n * 3];
+    let [pos, force, n, cutoff] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let cutoff = cutoff.scalar_f32()?;
+    let pos = input(0, pos, n * 12)?;
+    let force = output(1, force, n * 12)?;
     let cutoff2 = cutoff * cutoff;
     // Neighbour-window Lennard-Jones: deterministic and O(n).
-    const WINDOW: i64 = 8;
-    for i in 0..n as i64 {
+    const WINDOW: usize = 8;
+    for i in 0..n {
         let (mut fx, mut fy, mut fz) = (0.0f32, 0.0f32, 0.0f32);
-        let lo = (i - WINDOW).max(0);
-        let hi = (i + WINDOW).min(n as i64 - 1);
-        for j in lo..=hi {
+        let (xi, yi, zi) = (
+            f32_at(pos, 3 * i),
+            f32_at(pos, 3 * i + 1),
+            f32_at(pos, 3 * i + 2),
+        );
+        for j in i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1) {
             if j == i {
                 continue;
             }
-            let dx = pos[3 * i as usize] - pos[3 * j as usize];
-            let dy = pos[3 * i as usize + 1] - pos[3 * j as usize + 1];
-            let dz = pos[3 * i as usize + 2] - pos[3 * j as usize + 2];
+            let dx = xi - f32_at(pos, 3 * j);
+            let dy = yi - f32_at(pos, 3 * j + 1);
+            let dz = zi - f32_at(pos, 3 * j + 2);
             let r2 = (dx * dx + dy * dy + dz * dz).max(0.01);
             if r2 > cutoff2 {
                 continue;
@@ -601,34 +579,29 @@ fn k_md_forces(args: &mut [ArgData]) -> Result<(), ExecError> {
             fy += f * dy;
             fz += f * dz;
         }
-        force[3 * i as usize] = fx;
-        force[3 * i as usize + 1] = fy;
-        force[3 * i as usize + 2] = fz;
+        put_f32s(&mut force[12 * i..], [fx, fy, fz]);
     }
-    write_f32s(args[1].buffer_mut()?, &force);
     Ok(())
 }
 
 fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
+    let [re, im, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
     if n == 0 || !n.is_power_of_two() {
         return Err(ExecError::ArgType {
             expected: "power-of-two n",
             got: "non-power-of-two n",
         });
     }
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let mut re = to_f32_vec(args[0].buffer()?);
-    let mut im = to_f32_vec(args[1].buffer()?);
+    let re = output(0, re, n * 4)?;
+    let im = output(1, im, n * 4)?;
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
         if j > i {
-            re.swap(i, j);
-            im.swap(i, j);
+            swap_lanes(re, i, j);
+            swap_lanes(im, i, j);
         }
     }
     // Iterative Cooley-Tukey.
@@ -639,131 +612,101 @@ fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
             for k in 0..len / 2 {
                 let (wr, wi) = ((ang * k as f32).cos(), (ang * k as f32).sin());
                 let (i, j) = (start + k, start + k + len / 2);
-                let (tr, ti) = (re[j] * wr - im[j] * wi, re[j] * wi + im[j] * wr);
-                re[j] = re[i] - tr;
-                im[j] = im[i] - ti;
-                re[i] += tr;
-                im[i] += ti;
+                let (rj, ij) = (f32_at(re, j), f32_at(im, j));
+                let (tr, ti) = (rj * wr - ij * wi, rj * wi + ij * wr);
+                let (ri, ii) = (f32_at(re, i), f32_at(im, i));
+                set_f32(re, j, ri - tr);
+                set_f32(im, j, ii - ti);
+                set_f32(re, i, ri + tr);
+                set_f32(im, i, ii + ti);
             }
         }
         len <<= 1;
     }
-    write_f32s(args[0].buffer_mut()?, &re);
-    write_f32s(args[1].buffer_mut()?, &im);
     Ok(())
 }
 
 fn k_s3d_rate(k: u32, args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * 4)?;
-    let state = to_f32_vec(args[0].buffer()?);
+    let [state, rates, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let state = input(0, state, n * 4)?;
+    let rates = output(1, rates, n * 4)?;
     let (c0, c1, c2) = ((k + 1) as f32, (k + 2) as f32, (k + 3) as f32);
-    let rates: Vec<f32> = state[..n]
-        .iter()
-        .map(|&t| c0 + c1 * t + c2 * t * t)
-        .collect();
-    write_f32s(args[1].buffer_mut()?, &rates);
+    put_f32s(rates, f32s(state).map(|t| c0 + c1 * t + c2 * t * t));
     Ok(())
 }
 
 fn k_cp_potential(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let natoms = args[2].scalar_u32()? as usize;
-    let gw = args[3].scalar_u32()? as usize;
-    let gh = args[4].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, natoms * 16)?;
-    check_len(1, args[1].buffer()?, gw * gh * 4)?;
-    let atoms = to_f32_vec(args[0].buffer()?);
-    let mut grid = vec![0.0f32; gw * gh];
+    let [atoms, grid, natoms, gw, gh] = arity(args)?;
+    let natoms = natoms.scalar_u32()? as usize;
+    let gw = gw.scalar_u32()? as usize;
+    let gh = gh.scalar_u32()? as usize;
+    let atoms = input(0, atoms, natoms * 16)?;
+    let grid = output(1, grid, gw * gh * 4)?;
     for gy in 0..gh {
         for gx in 0..gw {
             let mut acc = 0.0f32;
-            for a in 0..natoms {
-                let dx = atoms[4 * a] - gx as f32;
-                let dy = atoms[4 * a + 1] - gy as f32;
-                let dz = atoms[4 * a + 2];
-                acc += atoms[4 * a + 3] / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
+            for atom in atoms.chunks_exact(16) {
+                let dx = f32_at(atom, 0) - gx as f32;
+                let dy = f32_at(atom, 1) - gy as f32;
+                let dz = f32_at(atom, 2);
+                acc += f32_at(atom, 3) / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
             }
-            grid[gy * gw + gx] = acc;
+            set_f32(grid, gy * gw + gx, acc);
         }
     }
-    write_f32s(args[1].buffer_mut()?, &grid);
     Ok(())
 }
 
-fn mri_core(args: &mut [ArgData], fhd: bool) -> Result<(), ExecError> {
-    let (nk_idx, nx_idx) = if fhd { (10, 11) } else { (9, 10) };
-    let nk = args[nk_idx].scalar_u32()? as usize;
-    let nx = args[nx_idx].scalar_u32()? as usize;
+/// MRI reconstruction over `p` phase inputs (real and imaginary for
+/// FHd, one magnitude for Q), then kx, ky, kz (nk long) and x, y, z (nx
+/// long), two nx-long outputs, nk and nx.
+fn mri_core(args: &mut [ArgData], p: usize) -> Result<(), ExecError> {
+    let nk = args[p + 8].scalar_u32()? as usize;
+    let nx = args[p + 9].scalar_u32()? as usize;
+    let (ins, outs) = args.split_at_mut(p + 6);
+    let ins: Vec<&[u8]> = (ins.iter().enumerate())
+        .map(|(i, a)| input(i, a, if i < p + 3 { nk * 4 } else { nx * 4 }))
+        .collect::<Result<_, _>>()?;
+    let [re_out, im_out, ..] = outs else {
+        unreachable!("arity checked by the caller")
+    };
+    let re_out = output(p + 6, re_out, nx * 4)?;
+    let im_out = output(p + 7, im_out, nx * 4)?;
+    let [kx, ky, kz, x, y, z] = ins[p..] else {
+        unreachable!("six coordinate inputs")
+    };
     let tau = 2.0 * std::f32::consts::PI;
-    if fhd {
-        // k-space inputs are nk long, spatial inputs and outputs nx.
-        for (idx, arg) in args.iter().enumerate().take(10) {
-            check_len(idx, arg.buffer()?, if idx < 5 { nk * 4 } else { nx * 4 })?;
-        }
-        let rphi = to_f32_vec(args[0].buffer()?);
-        let iphi = to_f32_vec(args[1].buffer()?);
-        let kx = to_f32_vec(args[2].buffer()?);
-        let ky = to_f32_vec(args[3].buffer()?);
-        let kz = to_f32_vec(args[4].buffer()?);
-        let x = to_f32_vec(args[5].buffer()?);
-        let y = to_f32_vec(args[6].buffer()?);
-        let z = to_f32_vec(args[7].buffer()?);
-        let mut rr_out = vec![0.0f32; nx];
-        let mut ii_out = vec![0.0f32; nx];
-        for i in 0..nx {
-            let (mut rr, mut ii) = (0.0f32, 0.0f32);
-            for k in 0..nk {
-                let e = tau * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
-                let (s, c) = e.sin_cos();
-                rr += rphi[k] * c - iphi[k] * s;
-                ii += iphi[k] * c + rphi[k] * s;
+    for i in 0..nx {
+        let (mut rr, mut ii) = (0.0f32, 0.0f32);
+        for k in 0..nk {
+            let e = tau
+                * (f32_at(kx, k) * f32_at(x, i)
+                    + f32_at(ky, k) * f32_at(y, i)
+                    + f32_at(kz, k) * f32_at(z, i));
+            let (s, c) = e.sin_cos();
+            let re = f32_at(ins[0], k);
+            if p == 2 {
+                let im = f32_at(ins[1], k);
+                rr += re * c - im * s;
+                ii += im * c + re * s;
+            } else {
+                rr += re * c;
+                ii += re * s;
             }
-            rr_out[i] = rr;
-            ii_out[i] = ii;
         }
-        write_f32s(args[8].buffer_mut()?, &rr_out);
-        write_f32s(args[9].buffer_mut()?, &ii_out);
-    } else {
-        for (idx, arg) in args.iter().enumerate().take(9) {
-            check_len(idx, arg.buffer()?, if idx < 4 { nk * 4 } else { nx * 4 })?;
-        }
-        let phi = to_f32_vec(args[0].buffer()?);
-        let kx = to_f32_vec(args[1].buffer()?);
-        let ky = to_f32_vec(args[2].buffer()?);
-        let kz = to_f32_vec(args[3].buffer()?);
-        let x = to_f32_vec(args[4].buffer()?);
-        let y = to_f32_vec(args[5].buffer()?);
-        let z = to_f32_vec(args[6].buffer()?);
-        let mut qr = vec![0.0f32; nx];
-        let mut qi = vec![0.0f32; nx];
-        for i in 0..nx {
-            let (mut rr, mut ii) = (0.0f32, 0.0f32);
-            for k in 0..nk {
-                let e = tau * (kx[k] * x[i] + ky[k] * y[i] + kz[k] * z[i]);
-                let (s, c) = e.sin_cos();
-                rr += phi[k] * c;
-                ii += phi[k] * s;
-            }
-            qr[i] = rr;
-            qi[i] = ii;
-        }
-        write_f32s(args[7].buffer_mut()?, &qr);
-        write_f32s(args[8].buffer_mut()?, &qi);
+        set_f32(re_out, i, rr);
+        set_f32(im_out, i, ii);
     }
     Ok(())
 }
 
 fn k_mri_fhd(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 12)?;
-    mri_core(args, true)
+    mri_core(arity::<12>(args)?, 2)
 }
 
 fn k_mri_q(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 11)?;
-    mri_core(args, false)
+    mri_core(arity::<11>(args)?, 1)
 }
 
 // ---------------------------------------------------------------------
@@ -771,97 +714,66 @@ fn k_mri_q(args: &mut [ArgData]) -> Result<(), ExecError> {
 // ---------------------------------------------------------------------
 
 fn k_mersenne_twister(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 4)?;
-    let n = args[2].scalar_u32()? as usize;
-    let per = args[3].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
-    check_len(1, args[1].buffer()?, n * per * 4)?;
-    let seeds = to_u32_vec(args[0].buffer()?);
-    let mut out = vec![0.0f32; n * per];
-    for i in 0..n {
-        let mut state = seeds[i];
-        for (j, slot) in out[i * per..(i + 1) * per].iter_mut().enumerate() {
-            let _ = j;
+    let [seeds, out, n, per] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let per = per.scalar_u32()? as usize;
+    let seeds = input(0, seeds, n * 4)?;
+    let out = output(1, out, n * per * 4)?;
+    let mut lanes = out.chunks_exact_mut(4);
+    for mut state in u32s(seeds) {
+        for lane in lanes.by_ref().take(per) {
             state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            *slot = (state >> 8) as f32 / 16_777_216.0;
+            lane.copy_from_slice(&((state >> 8) as f32 / 16_777_216.0).to_le_bytes());
         }
     }
-    write_f32s(args[1].buffer_mut()?, &out);
     Ok(())
 }
 
 fn k_quasirandom(args: &mut [ArgData], _global: [u64; 3]) -> Result<(), ExecError> {
-    expect_args(args, 2)?;
-    let n = args[1].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
+    let [out, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let out = output(0, out, n * 4)?;
     const PHI: f64 = 0.618_033_988_749_894_9;
-    let out: Vec<f32> = (0..n)
-        .map(|i| {
+    put_f32s(
+        out,
+        (0..n).map(|i| {
             let v = i as f64 * PHI;
             (v - v.floor()) as f32
-        })
-        .collect();
-    write_f32s(args[0].buffer_mut()?, &out);
+        }),
+    );
     Ok(())
 }
 
 fn k_sampler_scale(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 3)?;
-    let n = args[2].scalar_u32()? as usize;
-    check_len(0, args[0].buffer()?, n * 4)?;
+    let [out, sampler, n] = arity(args)?;
+    let n = n.scalar_u32()? as usize;
+    let out = output(0, out, n * 4)?;
     // The sampler handle arrives as an 8-byte opaque scalar; its value
     // does not affect the computation (as with a real const sampler).
-    match &args[1] {
-        ArgData::Scalar(b) if b.len() == 8 => {}
-        _ => {
-            return Err(ExecError::ArgType {
-                expected: "8-byte sampler handle",
-                got: "other",
-            })
-        }
-    }
-    let out: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
-    write_f32s(args[0].buffer_mut()?, &out);
+    expect_blob(sampler, 8, "8-byte sampler handle")?;
+    put_f32s(out, (0..n).map(|i| i as f32 * 0.5));
     Ok(())
 }
 
 fn k_image_scale(args: &mut [ArgData]) -> Result<(), ExecError> {
-    expect_args(args, 5)?;
-    let w = args[3].scalar_u32()? as usize;
-    let h = args[4].scalar_u32()? as usize;
-    match &args[1] {
-        ArgData::Scalar(b) if b.len() == 8 => {} // the sampler handle
-        _ => {
-            return Err(ExecError::ArgType {
-                expected: "8-byte sampler handle",
-                got: "other",
-            })
-        }
-    }
-    check_len(0, args[0].buffer()?, w * h * 4)?;
-    check_len(2, args[2].buffer()?, w * h * 4)?;
-    let img = to_f32_vec(args[0].buffer()?);
-    let out: Vec<f32> = img[..w * h].iter().map(|v| v * 2.0).collect();
-    write_f32s(args[2].buffer_mut()?, &out);
+    let [img, sampler, out, w, h] = arity(args)?;
+    let w = w.scalar_u32()? as usize;
+    let h = h.scalar_u32()? as usize;
+    expect_blob(sampler, 8, "8-byte sampler handle")?;
+    let img = input(0, img, w * h * 4)?;
+    let out = output(2, out, w * h * 4)?;
+    put_f32s(out, f32s(img).map(|v| v * 2.0));
     Ok(())
 }
 
 fn k_consume(args: &mut [ArgData]) -> Result<(), ExecError> {
     // Takes a by-value struct (opaque 16-byte blob holding a device
     // pointer the driver has already validated) plus an output buffer.
-    expect_args(args, 2)?;
-    match &args[0] {
-        ArgData::Scalar(b) if b.len() == 16 => {}
-        _ => {
-            return Err(ExecError::ArgType {
-                expected: "16-byte struct",
-                got: "other",
-            })
-        }
-    }
-    let out = args[1].buffer_mut()?;
+    let [blob, out] = arity(args)?;
+    expect_blob(blob, 16, "16-byte struct")?;
+    let out = out.buffer_mut()?;
     if out.len() >= 4 {
-        out[..4].copy_from_slice(&1.0f32.to_le_bytes());
+        set_f32(out, 0, 1.0);
     }
     Ok(())
 }
@@ -869,14 +781,13 @@ fn k_consume(args: &mut [ArgData]) -> Result<(), ExecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::f32util::{f32s_to_bytes, u32s_to_bytes};
 
     fn buf_f32(v: &[f32]) -> ArgData {
-        ArgData::Buffer(f32s_to_bytes(v))
+        ArgData::Buffer(v.iter().flat_map(|x| x.to_le_bytes()).collect())
     }
 
     fn buf_u32(v: &[u32]) -> ArgData {
-        ArgData::Buffer(u32s_to_bytes(v))
+        ArgData::Buffer(v.iter().flat_map(|x| x.to_le_bytes()).collect())
     }
 
     fn scalar_u32(v: u32) -> ArgData {
@@ -888,7 +799,7 @@ mod tests {
     }
 
     fn out_f32(args: &[ArgData], idx: usize) -> Vec<f32> {
-        to_f32_vec(args[idx].buffer().unwrap())
+        f32s(args[idx].buffer().unwrap()).collect()
     }
 
     #[test]
@@ -959,7 +870,7 @@ mod tests {
                 buf = args.swap_remove(0);
             }
         }
-        keys = to_u32_vec(buf.buffer().unwrap());
+        keys = u32s(buf.buffer().unwrap()).collect();
         assert_eq!(keys, expected);
     }
 
@@ -970,7 +881,10 @@ mod tests {
         expected.sort_unstable();
         let mut args = vec![buf_u32(&keys), scalar_u32(200)];
         execute("radix_sort", [200, 1, 1], &mut args).unwrap();
-        assert_eq!(to_u32_vec(args[0].buffer().unwrap()), expected);
+        assert_eq!(
+            u32s(args[0].buffer().unwrap()).collect::<Vec<_>>(),
+            expected
+        );
     }
 
     #[test]
@@ -1068,7 +982,7 @@ mod tests {
             scalar_u32(128),
         ];
         execute("histogram64", [128, 1, 1], &mut args).unwrap();
-        let hist = to_u32_vec(args[1].buffer().unwrap());
+        let hist: Vec<u32> = u32s(args[1].buffer().unwrap()).collect();
         assert_eq!(hist.iter().sum::<u32>(), 128);
         assert!(hist.iter().all(|&c| c == 2));
     }

@@ -67,10 +67,18 @@ Invariants guarded:
                uninterrupted baseline, the stall stays within 1.1x the
                pipelined D2H capture window (the file write is off the
                critical path), and the headline 4-buffer/4-MiB point
-               stalls for <= 10% of the pipelined stop-the-world total.
+               stalls for <= 10% of the pipelined stop-the-world total;
+* text       — every text report `results/<bench>.txt` agrees with its
+               `results/BENCH_<bench>.json`, section by section and cell
+               by cell: text and integer cells exactly, each numeric
+               cell to within half a unit of the last digit the text
+               prints. (`text=<dir>` checks the pairs in another
+               directory.)
 """
 
+import glob
 import json
+import os
 import sys
 
 ADAPTIVE = "daly-adaptive"
@@ -736,6 +744,90 @@ def check_gray(doc: dict) -> str:
 # registry + entry point
 # ---------------------------------------------------------------------
 
+# ---------------------------------------------------------------------
+# text — each results/<bench>.txt against its BENCH_<bench>.json
+# ---------------------------------------------------------------------
+
+
+def text_cell_matches(text: str, value) -> bool:
+    """Does a printed cell show this JSON value at its printed precision?"""
+    if isinstance(value, str):
+        return text == value
+    if value is None:  # `n/a`, or a non-finite number (JSON has no NaN)
+        return text == "n/a" or text.lower().lstrip("-") in ("nan", "inf")
+    if isinstance(value, int):
+        return text == str(value)
+    digits = text.rstrip("%")
+    try:
+        printed = float(digits)
+    except ValueError:
+        return False
+    decimals = len(digits.partition(".")[2])
+    return abs(printed - value) <= 0.5 * 10.0**-decimals * (1 + 1e-9)
+
+
+def check_text_pair(name: str, text: str, doc: dict) -> int:
+    """Match every JSON section against the text report; returns cells checked."""
+    lines = text.split("\n")
+    at = 0
+    cells = 0
+    for section in doc["sections"]:
+        title = f"=== {section['title']} ==="
+        try:
+            at = lines.index(title, at)
+        except ValueError:
+            fail("text", f"{name}: section {section['title']!r} not in the text report")
+        cols, rows = section["columns"], section["rows"]
+        header = lines[at + 1]
+        # Column 0 is left-aligned and every other column right-aligned,
+        # so each header name after the first ends where its column ends;
+        # the last column runs to the end of the line.
+        ends, pos = [], len(cols[0])
+        for col in cols[1:]:
+            pos = header.find(col, pos)
+            if pos < 0:
+                fail("text", f"{name}: column {col!r} missing from {section['title']!r}")
+            pos += len(col)
+            ends.append(pos)
+        if ends:
+            ends[-1] = None
+        body = lines[at + 3 : at + 3 + len(rows)]
+        if len(body) < len(rows):
+            fail("text", f"{name}: {section['title']!r} is missing rows")
+        for row, line in zip(rows, body):
+            first = row[0] if isinstance(row[0], str) else line.split()[0]
+            printed = [first] + [
+                line[start:end].strip()
+                for start, end in zip([len(first)] + ends[:-1], ends)
+            ]
+            for col, shown, value in zip(cols, printed, row):
+                if not text_cell_matches(shown, value):
+                    fail(
+                        "text",
+                        f"{name}: {section['title']!r} column {col!r} prints "
+                        f"{shown!r} but the JSON holds {value!r}",
+                    )
+                cells += 1
+        at += 3 + len(rows)
+    return cells
+
+
+def check_text(results_dir: str) -> str:
+    pairs = 0
+    cells = 0
+    for path in sorted(glob.glob(os.path.join(results_dir, "BENCH_*.json"))):
+        bench = os.path.basename(path)[len("BENCH_") : -len(".json")]
+        txt = os.path.join(results_dir, f"{bench}.txt")
+        if not os.path.exists(txt):
+            fail("text", f"{path} has no text report {txt}")
+        with open(txt, encoding="utf-8") as f:
+            cells += check_text_pair(bench, f.read(), load("text", path))
+        pairs += 1
+    if pairs == 0:
+        fail("text", f"no BENCH_*.json in {results_dir}")
+    return f"{pairs} reports, {cells} cells match their JSON"
+
+
 SPECS = {
     "pipeline": ("results/BENCH_ablation_pipeline.json", check_pipeline),
     "migration": ("results/BENCH_fig8_migration.json", check_migration),
@@ -747,6 +839,7 @@ SPECS = {
     "obs": ("results/BENCH_ablation_obs.json", check_obs),
     "fleet": ("results/BENCH_fleet.json", check_fleet),
     "gray": ("results/BENCH_ablation_gray.json", check_gray),
+    "text": ("results", None),
 }
 
 
@@ -757,7 +850,10 @@ def main() -> None:
         if bench not in SPECS:
             fail(bench, f"unknown bench (choose from {', '.join(SPECS)})")
         path, checker = SPECS[bench]
-        summary = checker(load(bench, override or path))
+        if checker is None:
+            summary = check_text(override or path)
+        else:
+            summary = checker(load(bench, override or path))
         print(f"check_goldens[{bench}]: OK ({summary})")
 
 

@@ -133,8 +133,9 @@ echo "==> golden invariants (perf, availability, reconciliation guards)"
 # the adaptive interval policy wins, the health report reconciles
 # faults 1:1, incremental (dedup) checkpoints undercut full dumps from
 # the second on, the ledger stays free in virtual time, and the fleet
-# sweep stays flat in ops/event with monotone node-count throughput.
-python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray
+# sweep stays flat in ops/event with monotone node-count throughput;
+# and every text report prints what its JSON holds.
+python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray text
 
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> smoke: micro-benches (codec filter)"
