@@ -3,13 +3,15 @@
 //! over its read-back checksums must keep its exact value: the engine's
 //! arithmetic, including its order of operations, is what every
 //! restart and migration is verified against. A program with no
-//! read-backs pins the FNV offset basis, `0xcbf29ce484222325`.
+//! read-backs pins the FNV offset basis, `0xcbf29ce484222325`, so the
+//! programs that read nothing back are named, and the mri `_large`
+//! sizes, which match `_small` at 1/256, are pinned again at 1/128.
 
 use checl_bench::eval_targets;
 use checl_repro as _;
 use osproc::Cluster;
 use simcore::fnv1a64;
-use workloads::{all_workloads, NativeSession, StopCondition};
+use workloads::{all_workloads, NativeSession, StopCondition, Workload};
 
 /// `(program, fnv1a64 of its checksums on each of `eval_targets()`)`.
 const PINNED: [(&str, [u64; 3]); 39] = [
@@ -171,34 +173,77 @@ const PINNED: [(&str, [u64; 3]); 39] = [
     ),
 ];
 
+/// The two mri programs whose `_small` and `_large` sizes collapse to
+/// one problem at 1/256, pinned at 1/128, the smallest scale where the
+/// large size differs.
+const LARGE_AT_1_128: [(&str, [u64; 3]); 2] = [
+    (
+        "mri-fhd_large",
+        [0x0488d2ab9c9f08dd, 0x0488d2ab9c9f08dd, 0x0488d2ab9c9f08dd],
+    ),
+    (
+        "mri-q_large",
+        [0x99cc5c399f54e0f5, 0x99cc5c399f54e0f5, 0x99cc5c399f54e0f5],
+    ),
+];
+
+/// The only programs that read nothing back.
+const NO_READ_BACKS: [&str; 3] = ["BusSpeedDownload", "KernelCompile", "QueueDelay"];
+
+/// Run `w` natively at `scale` on each evaluation target: the FNV-1a
+/// 64 of its checksums per target, and whether it read anything back.
+fn outputs(w: &Workload, scale: f64) -> ([u64; 3], bool) {
+    let targets = eval_targets();
+    let mut read_back = false;
+    let per_target = std::array::from_fn(|t| {
+        let target = &targets[t];
+        let mut cluster = Cluster::with_standard_nodes(1);
+        let node = cluster.node_ids()[0];
+        let mut s = NativeSession::launch(
+            &mut cluster,
+            node,
+            (target.vendor)(),
+            w.script(&target.cfg(scale)),
+        );
+        s.run(&mut cluster, StopCondition::Completion)
+            .unwrap_or_else(|e| panic!("{} on {}: {e:?}", w.name, target.label));
+        read_back |= !s.program.checksums.is_empty();
+        let bytes: Vec<u8> = s
+            .program
+            .checksums
+            .iter()
+            .flat_map(|c| c.to_le_bytes())
+            .collect();
+        fnv1a64(&bytes)
+    });
+    (per_target, read_back)
+}
+
 #[test]
 fn catalog_kernel_outputs_match_the_pins() {
-    let targets = eval_targets();
+    let mut silent = Vec::new();
     let got: Vec<(&str, [u64; 3])> = all_workloads()
         .iter()
         .map(|w| {
-            let per_target = std::array::from_fn(|t| {
-                let target = &targets[t];
-                let mut cluster = Cluster::with_standard_nodes(1);
-                let node = cluster.node_ids()[0];
-                let mut s = NativeSession::launch(
-                    &mut cluster,
-                    node,
-                    (target.vendor)(),
-                    w.script(&target.cfg(1.0 / 256.0)),
-                );
-                s.run(&mut cluster, StopCondition::Completion)
-                    .unwrap_or_else(|e| panic!("{} on {}: {e:?}", w.name, target.label));
-                let bytes: Vec<u8> = s
-                    .program
-                    .checksums
-                    .iter()
-                    .flat_map(|c| c.to_le_bytes())
-                    .collect();
-                fnv1a64(&bytes)
-            });
+            let (per_target, read_back) = outputs(w, 1.0 / 256.0);
+            if !read_back {
+                silent.push(w.name);
+            }
             (w.name, per_target)
         })
         .collect();
     assert_eq!(got, PINNED);
+    assert_eq!(silent, NO_READ_BACKS);
+
+    let got: Vec<(&str, [u64; 3])> = all_workloads()
+        .iter()
+        .filter(|w| LARGE_AT_1_128.iter().any(|(name, _)| *name == w.name))
+        .map(|w| (w.name, outputs(w, 1.0 / 128.0).0))
+        .collect();
+    assert_eq!(got, LARGE_AT_1_128);
+    for (large, pins) in LARGE_AT_1_128 {
+        let small = large.replace("_large", "_small");
+        let (_, small_pins) = PINNED.iter().find(|(name, _)| *name == small).unwrap();
+        assert_ne!(&pins, small_pins, "{large} collapses to {small}");
+    }
 }
