@@ -31,7 +31,7 @@
 
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
-use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
+use simcore::codec::{decode_framed_folding, encode_prefixed_frame_folding, CodecError, Reader};
 use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDuration};
 
 /// Magic bytes of a streamed-checkpoint frame (the sequential format
@@ -177,7 +177,34 @@ impl_codec_enum!(StreamFrame, "stream frame tag", {
     4 => Slice(slice),
 });
 
+/// Where a chunk's and a slice's data start in an encoded frame body:
+/// after the tag, `seq`, `handle`, a slice's `offset`, and the data's
+/// length. The data is the body's trailing run, the part the trailer
+/// checksum covers.
+const CHUNK_DATA_AT: usize = 1 + 4 + 8 + 8;
+const SLICE_DATA_AT: usize = 1 + 4 + 8 + 8 + 8;
+
 impl StreamFrame {
+    /// Where this body's trailing payload data starts, read from its
+    /// tag; the body's end for a frame without inline data.
+    fn data_at(body: &[u8]) -> usize {
+        match body.first() {
+            Some(1) => CHUNK_DATA_AT,
+            Some(4) => SLICE_DATA_AT,
+            _ => body.len(),
+        }
+    }
+
+    /// The inline payload a chunk or slice carries, which the trailer
+    /// checksum covers; empty for every other frame.
+    fn data(&self) -> &[u8] {
+        match self {
+            StreamFrame::Chunk(c) => &c.data,
+            StreamFrame::Slice(s) => &s.data,
+            _ => &[],
+        }
+    }
+
     /// The `seq` of a payload frame (chunk, chunk map or slice).
     fn payload_seq(&self) -> Option<u32> {
         match self {
@@ -248,7 +275,23 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
         }
         let frame = r.take_frame()?;
         let on_disk = frame.len() as u64 + 8;
-        let frame = decode_framed::<StreamFrame>(STREAM_MAGIC, STREAM_VERSION, frame)?;
+        // The seal check folds a chunk's or slice's data into the
+        // trailer checksum as it goes. Should the tag's offset ever miss
+        // the decoded data, fold it again from the state before.
+        let unfolded = hasher;
+        let (frame, folded) = decode_framed_folding::<StreamFrame>(
+            STREAM_MAGIC,
+            STREAM_VERSION,
+            frame,
+            StreamFrame::data_at,
+            &mut hasher,
+        )?;
+        let data = frame.data();
+        if folded != data.len() {
+            hasher = unfolded;
+            hasher.update(data);
+        }
+        data_bytes += data.len() as u64;
         if let Some(seq) = frame.payload_seq() {
             if header.is_none() {
                 return Err(CodecError::Invalid("stream chunk before header"));
@@ -268,8 +311,6 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 header = Some((h, on_disk));
             }
             StreamFrame::Chunk(c) => {
-                hasher.update(&c.data);
-                data_bytes += c.data.len() as u64;
                 chunk_bytes.push(on_disk);
                 chunks.push(c);
             }
@@ -281,8 +322,6 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 maps.push(m);
             }
             StreamFrame::Slice(s) => {
-                hasher.update(&s.data);
-                data_bytes += s.data.len() as u64;
                 slice_bytes.push(on_disk);
                 slices.push(s);
             }
@@ -454,23 +493,30 @@ impl StreamWriter {
             source_host: host,
             image,
         });
-        w.append_raw(
-            cluster,
-            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &header),
-            0,
-        )?;
+        w.append_frame(cluster, &header, 0)?;
         Ok(w)
     }
 
-    /// Append `bytes` and then `zero_tail` zeros to the tmp file.
-    fn append_raw(
+    /// Append `frame` and then `zero_tail` zeros to the tmp file. A
+    /// chunk's or slice's data is counted into the trailer and folded
+    /// into its checksum during the frame seal's pass over it.
+    fn append_frame(
         &mut self,
         cluster: &mut Cluster,
-        bytes: &[u8],
+        frame: &StreamFrame,
         zero_tail: u64,
     ) -> Result<SimDuration, CprError> {
+        let run = frame.data().len();
+        self.data_bytes += run as u64;
+        let bytes = encode_prefixed_frame_folding(
+            STREAM_MAGIC,
+            STREAM_VERSION,
+            frame,
+            run,
+            &mut self.hasher,
+        );
         let cost = cluster
-            .append_file(self.pid, &self.tmp, bytes, zero_tail)
+            .append_file(self.pid, &self.tmp, &bytes, zero_tail)
             .map_err(CprError::Fs)?;
         self.written += bytes.len() as u64 + zero_tail;
         // Verified append: the cheap size probe catches injected short
@@ -509,19 +555,13 @@ impl StreamWriter {
         data: Vec<u8>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
-        self.hasher.update(&data);
-        self.data_bytes += data.len() as u64;
         let chunk = StreamFrame::Chunk(StreamChunk {
             seq: self.chunks,
             handle,
             data,
         });
         self.chunks += 1;
-        self.append_raw(
-            cluster,
-            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &chunk),
-            0,
-        )
+        self.append_frame(cluster, &chunk, 0)
     }
 
     /// Stream one dedup'd buffer as content-addressed references into
@@ -547,11 +587,7 @@ impl StreamWriter {
         self.hasher.update(&sealed);
         self.data_bytes += sealed.len() as u64;
         self.chunks += 1;
-        self.append_raw(
-            cluster,
-            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &StreamFrame::ChunkMap(map)),
-            0,
-        )
+        self.append_frame(cluster, &StreamFrame::ChunkMap(map), 0)
     }
 
     /// Stream one byte range of a buffer out of order (live drain:
@@ -565,8 +601,6 @@ impl StreamWriter {
         data: Vec<u8>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
-        self.hasher.update(&data);
-        self.data_bytes += data.len() as u64;
         let slice = StreamFrame::Slice(StreamSlice {
             seq: self.chunks,
             handle,
@@ -574,11 +608,7 @@ impl StreamWriter {
             data,
         });
         self.chunks += 1;
-        self.append_raw(
-            cluster,
-            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &slice),
-            0,
-        )
+        self.append_frame(cluster, &slice, 0)
     }
 
     /// Seal the stream (trailer + baseline padding) and atomically
@@ -591,11 +621,7 @@ impl StreamWriter {
             data_bytes: self.data_bytes,
             data_checksum: self.hasher.finish(),
         });
-        let cost = self.append_raw(
-            cluster,
-            &encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, &trailer),
-            calib::base_process_image().as_u64(),
-        )?;
+        let cost = self.append_frame(cluster, &trailer, calib::base_process_image().as_u64())?;
         cluster
             .rename_file(self.pid, &self.tmp, &self.target)
             .map_err(CprError::Fs)?;
@@ -628,6 +654,7 @@ impl StreamWriter {
 mod tests {
     use super::*;
     use osproc::FaultPlan;
+    use simcore::Codec;
 
     fn setup() -> (Cluster, Pid) {
         let mut c = Cluster::with_standard_nodes(1);
@@ -851,6 +878,42 @@ mod tests {
         let pos = parsed.header_bytes as usize + 40;
         bad[pos] ^= 0xff;
         assert!(parse_stream(&bad).is_err());
+    }
+
+    #[test]
+    fn payload_data_is_where_the_tag_says() {
+        let chunk = StreamFrame::Chunk(StreamChunk {
+            seq: 3,
+            handle: 0x60,
+            data: vec![7; 19],
+        });
+        let slice = StreamFrame::Slice(StreamSlice {
+            seq: 4,
+            handle: 0x61,
+            offset: 4096,
+            data: vec![8; 23],
+        });
+        for frame in [chunk, slice] {
+            let body = frame.to_bytes();
+            assert_eq!(&body[StreamFrame::data_at(&body)..], frame.data());
+        }
+        for frame in [
+            StreamFrame::Trailer(StreamTrailer {
+                chunks: 1,
+                data_bytes: 2,
+                data_checksum: 3,
+            }),
+            StreamFrame::ChunkMap(StreamChunkMap {
+                seq: 0,
+                handle: 1,
+                store: "s".into(),
+                total_len: 9,
+                segments: vec![(1, 9)],
+            }),
+        ] {
+            let body = frame.to_bytes();
+            assert_eq!(StreamFrame::data_at(&body), body.len());
+        }
     }
 
     #[test]

@@ -138,8 +138,9 @@ echo "==> golden invariants (perf, availability, reconciliation guards)"
 python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray text
 
 if [[ "$QUICK" -eq 0 ]]; then
-    echo "==> smoke: micro-benches (codec filter)"
+    echo "==> smoke: micro-benches (codec and checksum filters)"
     cargo bench -q -p checl-bench -- codec >/dev/null
+    cargo bench -q -p checl-bench -- checksum >/dev/null
 fi
 
 echo "verify: OK"
