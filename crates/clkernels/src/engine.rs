@@ -226,13 +226,16 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
     let buf = output(0, buf, n * 4)?;
     // LSD radix, 8 bits per pass — the actual algorithm, not a stand-in.
     // Every pass permutes the whole array, so the keys are decoded once.
+    // A pass only permutes, so one sweep counts all four digits.
     let mut keys: Vec<u32> = u32s(buf).collect();
     let mut aux = vec![0u32; n];
-    for shift in [0u32, 8, 16, 24] {
-        let mut counts = [0usize; 256];
-        for &k in &keys {
-            counts[((k >> shift) & 0xff) as usize] += 1;
+    let mut counts = [[0usize; 256]; 4];
+    for &k in &keys {
+        for (pass, c) in counts.iter_mut().enumerate() {
+            c[((k >> (8 * pass)) & 0xff) as usize] += 1;
         }
+    }
+    for (shift, counts) in [0u32, 8, 16, 24].into_iter().zip(&counts) {
         let mut offsets = [0usize; 256];
         let mut acc = 0;
         for (o, c) in offsets.iter_mut().zip(counts.iter()) {
@@ -339,7 +342,11 @@ fn k_matvec(args: &mut [ArgData]) -> Result<(), ExecError> {
 // Finance / math kernels
 // ---------------------------------------------------------------------
 
-fn cnd(d: f32) -> f32 {
+/// `(cnd(d), cnd(-d))` of the cumulative normal distribution, from one
+/// `exp`: `k`, `poly` and `w` depend on `d` only through `|d|` and
+/// `d * d`, so both values share them bit for bit, and only the sign
+/// of `d` picks which one is `1 - w`.
+fn cnd_pair(d: f32) -> (f32, f32) {
     const A1: f32 = 0.319_381_53;
     const A2: f32 = -0.356_563_78;
     const A3: f32 = 1.781_477_9;
@@ -349,9 +356,12 @@ fn cnd(d: f32) -> f32 {
     let poly = k * (A1 + k * (A2 + k * (A3 + k * (A4 + k * A5))));
     let w = 1.0 - 0.398_942_3 * (-0.5 * d * d).exp() * poly;
     if d < 0.0 {
-        1.0 - w
+        (1.0 - w, w)
+    } else if d > 0.0 {
+        (w, 1.0 - w)
     } else {
-        w
+        // ±0 and NaN: neither `d` nor `-d` is below zero.
+        (w, w)
     }
 }
 
@@ -370,8 +380,9 @@ fn k_black_scholes(args: &mut [ArgData]) -> Result<(), ExecError> {
         let d1 = ((s / x).ln() + (r + 0.5 * v * v) * t) / (v * sq);
         let d2 = d1 - v * sq;
         let e = x * (-r * t).exp();
-        set_f32(call, i, s * cnd(d1) - e * cnd(d2));
-        set_f32(put, i, e * cnd(-d2) - s * cnd(-d1));
+        let ((cnd_d1, cnd_neg_d1), (cnd_d2, cnd_neg_d2)) = (cnd_pair(d1), cnd_pair(d2));
+        set_f32(call, i, s * cnd_d1 - e * cnd_d2);
+        set_f32(put, i, e * cnd_neg_d2 - s * cnd_neg_d1);
     }
     Ok(())
 }
@@ -872,6 +883,72 @@ mod tests {
         }
         keys = u32s(buf.buffer().unwrap()).collect();
         assert_eq!(keys, expected);
+    }
+
+    #[test]
+    fn radix_sort_matches_sort_unstable() {
+        let seeded: Vec<u32> = (0..4096u32)
+            .map(|i| i.wrapping_mul(2_654_435_761))
+            .collect();
+        let sorted: Vec<u32> = (0..4096u32).map(|i| i * 1_000_003).collect();
+        let cases: [(&str, Vec<u32>); 7] = [
+            ("n = 0", vec![]),
+            ("n = 1", vec![0xdead_beef]),
+            ("duplicates", seeded.iter().map(|k| k % 37).collect()),
+            ("already sorted", sorted.clone()),
+            ("reversed", sorted.into_iter().rev().collect()),
+            ("below 2^16", seeded.iter().map(|k| k >> 16).collect()),
+            ("seeded", seeded),
+        ];
+        for (name, keys) in cases {
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            let n = keys.len() as u32;
+            let mut args = vec![buf_u32(&keys), scalar_u32(n)];
+            execute("radix_sort", [n.max(1) as u64, 1, 1], &mut args).unwrap();
+            let got: Vec<u32> = u32s(args[0].buffer().unwrap()).collect();
+            assert_eq!(got, expected, "{name}");
+        }
+    }
+
+    /// The cumulative normal distribution, one `exp` per value.
+    fn cnd(d: f32) -> f32 {
+        const A1: f32 = 0.319_381_53;
+        const A2: f32 = -0.356_563_78;
+        const A3: f32 = 1.781_477_9;
+        const A4: f32 = -1.821_256;
+        const A5: f32 = 1.330_274_4;
+        let k = 1.0 / (1.0 + 0.231_641_9 * d.abs());
+        let poly = k * (A1 + k * (A2 + k * (A3 + k * (A4 + k * A5))));
+        let w = 1.0 - 0.398_942_3 * (-0.5 * d * d).exp() * poly;
+        if d < 0.0 {
+            1.0 - w
+        } else {
+            w
+        }
+    }
+
+    #[test]
+    fn cnd_pair_is_two_cnds_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xb1ac);
+        let edges = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-30,
+            -1e-30,
+        ];
+        let drawn = (0..16384).map(|_| g.f32_in(-12.0, 12.0));
+        for d in edges.into_iter().chain(drawn) {
+            let (pos, neg) = cnd_pair(d);
+            assert_eq!(
+                (pos.to_bits(), neg.to_bits()),
+                (cnd(d).to_bits(), cnd(-d).to_bits()),
+                "d = {d}"
+            );
+        }
     }
 
     #[test]
