@@ -56,7 +56,7 @@ fn bench(filter: &str, name: &str, bytes: Option<u64>, mut f: impl FnMut()) {
             format!("  {mib_s:>10.1} MiB/s")
         })
         .unwrap_or_default();
-    println!("{name:<36}{:>14.1} ns/iter{thpt}   ({iters} iters)", ns);
+    println!("{name:<40}{:>14.1} ns/iter{thpt}   ({iters} iters)", ns);
 }
 
 /// One FNV-1a state over 1 MiB, against two states advanced in one
@@ -173,6 +173,37 @@ fn bench_forward_path(filter: &str) {
                 .unwrap(),
         );
     });
+    // A data call: a queue, a buffer and a 2-event wait list translated,
+    // 4 KiB carried. Each write's event is released again, so the object
+    // tables stay the same size however long the bench runs.
+    const PAYLOAD: u64 = 4096;
+    let mut ocl = clspec::Ocl::new(&mut booted.lib, &mut now);
+    let dev = ocl
+        .get_device_ids(platforms[0], clspec::DeviceType::Gpu)
+        .unwrap()[0];
+    let ctx = ocl.create_context(&[dev]).unwrap();
+    let q = ocl
+        .create_command_queue(ctx, dev, clspec::QueueProps::default())
+        .unwrap();
+    let mem = ocl
+        .create_buffer(ctx, clspec::MemFlags::READ_WRITE, PAYLOAD, None)
+        .unwrap();
+    let waits = [
+        ocl.enqueue_marker(q).unwrap(),
+        ocl.enqueue_marker(q).unwrap(),
+    ];
+    let data = vec![7u8; PAYLOAD as usize];
+    bench(
+        filter,
+        "forward/enqueue_write_buffer_interposed",
+        Some(PAYLOAD),
+        || {
+            let ev = ocl
+                .enqueue_write_buffer(q, mem, false, 0, data.clone(), &waits)
+                .unwrap();
+            ocl.release_event(black_box(ev)).unwrap();
+        },
+    );
 }
 
 fn bench_workload_run(filter: &str) {

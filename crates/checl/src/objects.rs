@@ -18,7 +18,7 @@ use clspec::api::ApiRequest;
 use clspec::error::{ClError, ClResult};
 use clspec::handles::{CommandQueue, Context, DeviceId, HandleKind, Program, RawHandle};
 use clspec::sig::{parse_kernel_sigs, KernelSig};
-use clspec::types::{DeviceType, MemFlags, QueueProps, SamplerDesc};
+use clspec::types::{image2d_bytes, DeviceType, MemFlags, QueueProps, SamplerDesc};
 use simcore::codec::{Codec, CodecError, Reader};
 use simcore::{impl_codec_enum, impl_codec_struct};
 use std::collections::{BTreeMap, HashMap};
@@ -205,9 +205,10 @@ impl ObjectRecord {
                 ..
             } => {
                 let (size, image_dims) = match *req {
-                    CreateImage2D { width, height, .. } => {
-                        (width * height * 4, Some((width, height)))
-                    }
+                    CreateImage2D { width, height, .. } => match image2d_bytes(width, height) {
+                        Some(size) => (size, Some((width, height))),
+                        None => return Some(Err(ClError::InvalidValue)),
+                    },
                     CreateBuffer { size, .. } => (size, None),
                     _ => unreachable!("matched a buffer or an image above"),
                 };

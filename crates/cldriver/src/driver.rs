@@ -3,14 +3,16 @@
 use crate::device::DeviceProfile;
 use crate::vendor::{VendorConfig, VendorKind};
 use clkernels::{execute, kernel_cost_spec, ArgData};
-use clspec::api::{ApiRequest, ApiResponse, ClApi};
+use clspec::api::{ApiRequest, ApiResponse, ClApi, RefOp};
 use clspec::error::{ClError, ClResult};
 use clspec::handles::{
-    CommandQueue, Context, DeviceId, Event, Kernel, Mem, PlatformId, Program, RawHandle, Sampler,
+    CommandQueue, Context, DeviceId, Event, HandleKind, Kernel, Mem, PlatformId, Program,
+    RawHandle, Sampler,
 };
 use clspec::sig::{parse_kernel_sigs, KernelSig, ParamKind};
 use clspec::types::{
-    ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo, QueueProps, SamplerDesc,
+    image2d_bytes, ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo, QueueProps,
+    SamplerDesc,
 };
 use simcore::codec::{decode_framed, encode_framed};
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
@@ -286,17 +288,18 @@ impl Driver {
         (h.0 >> 4) & 0xffff_ffff
     }
 
-    /// Place a command on a queue's timeline and mint its event.
+    /// Place a command on a queue's timeline and mint its event. `deps`
+    /// is its wait list's [`Self::wait_list_end`], resolved by the
+    /// caller before the command has any effect.
     fn schedule(
         &mut self,
         queue_h: CommandQueue,
         now: SimTime,
         engine: EngineKind,
         duration: SimDuration,
-        wait_list: &[Event],
+        deps: SimTime,
         cmd: &'static str,
     ) -> ClResult<(Event, SimTime)> {
-        let deps = self.wait_list_end(wait_list)?;
         let q = self.queue(queue_h)?;
         let device = q.device;
         // An out-of-order queue (CL_QUEUE_OUT_OF_ORDER_EXEC_MODE_ENABLE)
@@ -488,11 +491,7 @@ impl Driver {
             }
         }
         let slot = self.ctx(context)?.devices[0];
-        let dev = &mut self.devices[slot];
-        if dev.mem_used + size > dev.profile.memory.as_u64() {
-            return Err(ClError::MemObjectAllocationFailure);
-        }
-        dev.mem_used += size;
+        let dev = self.allocate(slot, size)?;
         let data = match host_data {
             Some(d) => {
                 // Initialising from host memory costs an HtoD transfer.
@@ -518,6 +517,18 @@ impl Driver {
         Ok(ApiResponse::Mem(Mem::from_raw(h)))
     }
 
+    /// Charge `size` bytes to device `slot`'s memory, or fail with
+    /// `MemObjectAllocationFailure` when they do not fit.
+    fn allocate(&mut self, slot: usize, size: u64) -> ClResult<&mut DeviceState> {
+        let dev = &mut self.devices[slot];
+        dev.mem_used = dev
+            .mem_used
+            .checked_add(size)
+            .filter(|&used| used <= dev.profile.memory.as_u64())
+            .ok_or(ClError::MemObjectAllocationFailure)?;
+        Ok(dev)
+    }
+
     /// `clCreateImage2D`: an image is a `cl_mem` with a 2-D layout; we
     /// model single-channel float texels (4 bytes each).
     fn create_image2d(
@@ -532,18 +543,14 @@ impl Driver {
         if width == 0 || height == 0 {
             return Err(ClError::InvalidValue);
         }
-        let size = width * height * 4;
+        let size = image2d_bytes(width, height).ok_or(ClError::InvalidValue)?;
         if let Some(d) = &host_data {
             if d.len() as u64 != size {
                 return Err(ClError::InvalidValue);
             }
         }
         let slot = self.ctx(context)?.devices[0];
-        let dev = &mut self.devices[slot];
-        if dev.mem_used + size > dev.profile.memory.as_u64() {
-            return Err(ClError::MemObjectAllocationFailure);
-        }
-        dev.mem_used += size;
+        let dev = self.allocate(slot, size)?;
         let data = match host_data {
             Some(d) => {
                 *now += dev.profile.htod.cost(ByteSize::bytes(size));
@@ -826,6 +833,7 @@ impl Driver {
             }
         }
         let name = self.kernel(kernel)?.sig.name.clone();
+        let deps = self.wait_list_end(wait_list)?;
         let (mut args, lent) = self.resolve_args(kernel)?;
         let ran = execute(&name, global.sizes, &mut args);
         // Put every lent buffer back, in argument order, on success and
@@ -847,17 +855,20 @@ impl Driver {
         let items = global.total();
         let duration = profile.kernel_time(spec.total_flops(items), spec.total_bytes(items))
             + profile.launch_overhead;
-        let (event, _end) = self.schedule(
-            queue,
-            *now,
-            EngineKind::Compute,
-            duration,
-            wait_list,
-            "kernel",
-        )?;
+        let (event, _end) =
+            self.schedule(queue, *now, EngineKind::Compute, duration, deps, "kernel")?;
         *now += self.enqueue_cost();
         self.stats.kernels_launched += 1;
         Ok(ApiResponse::Event(event))
+    }
+
+    /// The byte range `[offset, offset + size)` of `buf`, or
+    /// `InvalidValue` when any of it lies outside the buffer.
+    fn span(offset: u64, size: u64, buf: &BufObj) -> ClResult<std::ops::Range<usize>> {
+        match offset.checked_add(size) {
+            Some(end) if end <= buf.size => Ok(offset as usize..end as usize),
+            _ => Err(ClError::InvalidValue),
+        }
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the clEnqueue* C signature
@@ -873,14 +884,11 @@ impl Driver {
     ) -> ClResult<ApiResponse> {
         let dev_slot = self.queue(queue)?.device;
         let link = self.devices[dev_slot].profile.dtoh;
-        let buf = self.buffer(mem)?;
-        if offset + size > buf.size {
-            return Err(ClError::InvalidValue);
-        }
-        let data = buf.data[offset as usize..(offset + size) as usize].to_vec();
+        let range = Self::span(offset, size, self.buffer(mem)?)?;
+        let deps = self.wait_list_end(wait_list)?;
+        let data = self.buffer(mem)?.data[range].to_vec();
         let duration = link.cost(ByteSize::bytes(size));
-        let (event, end) =
-            self.schedule(queue, *now, EngineKind::Dma, duration, wait_list, "read")?;
+        let (event, end) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "read")?;
         *now += self.enqueue_cost();
         if blocking {
             *now = (*now).max(end);
@@ -903,16 +911,11 @@ impl Driver {
         let dev_slot = self.queue(queue)?.device;
         let link = self.devices[dev_slot].profile.htod;
         let size = data.len() as u64;
-        {
-            let buf = self.buffer_mut(mem)?;
-            if offset + size > buf.size {
-                return Err(ClError::InvalidValue);
-            }
-            buf.data[offset as usize..(offset + size) as usize].copy_from_slice(&data);
-        }
+        let range = Self::span(offset, size, self.buffer(mem)?)?;
+        let deps = self.wait_list_end(wait_list)?;
+        self.buffer_mut(mem)?.data[range].copy_from_slice(&data);
         let duration = link.cost(ByteSize::bytes(size));
-        let (event, end) =
-            self.schedule(queue, *now, EngineKind::Dma, duration, wait_list, "write")?;
+        let (event, end) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "write")?;
         *now += self.enqueue_cost();
         if blocking {
             *now = (*now).max(end);
@@ -935,26 +938,13 @@ impl Driver {
     ) -> ClResult<ApiResponse> {
         let dev_slot = self.queue(queue)?.device;
         let bw = self.devices[dev_slot].profile.mem_bandwidth;
-        {
-            let s = self.buffer(src)?;
-            if src_offset + size > s.size {
-                return Err(ClError::InvalidValue);
-            }
-        }
-        let chunk = {
-            let s = self.buffer(src)?;
-            s.data[src_offset as usize..(src_offset + size) as usize].to_vec()
-        };
-        {
-            let d = self.buffer_mut(dst)?;
-            if dst_offset + size > d.size {
-                return Err(ClError::InvalidValue);
-            }
-            d.data[dst_offset as usize..(dst_offset + size) as usize].copy_from_slice(&chunk);
-        }
+        let src_range = Self::span(src_offset, size, self.buffer(src)?)?;
+        let dst_range = Self::span(dst_offset, size, self.buffer(dst)?)?;
+        let deps = self.wait_list_end(wait_list)?;
+        let chunk = self.buffer(src)?.data[src_range].to_vec();
+        self.buffer_mut(dst)?.data[dst_range].copy_from_slice(&chunk);
         let duration = bw.transfer_time(ByteSize::bytes(size));
-        let (event, _) =
-            self.schedule(queue, *now, EngineKind::Dma, duration, wait_list, "copy")?;
+        let (event, _) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "copy")?;
         *now += self.enqueue_cost();
         Ok(ApiResponse::Event(event))
     }
@@ -968,7 +958,7 @@ impl Driver {
             *now,
             EngineKind::Compute,
             SimDuration::ZERO,
-            &[],
+            SimTime::ZERO,
             "marker",
         )?;
         *now += self.enqueue_cost();
@@ -1003,17 +993,6 @@ impl Driver {
         Ok(ApiResponse::EventStatus(status))
     }
 
-    fn release_mem(&mut self, mem: Mem) -> ClResult<ApiResponse> {
-        let buf = self.buffer_mut(mem)?;
-        buf.refs -= 1;
-        if buf.refs == 0 {
-            let (slot, size) = (buf.device, buf.size);
-            self.buffers.remove(&mem.raw().0);
-            self.devices[slot].mem_used -= size;
-        }
-        Ok(ApiResponse::Unit)
-    }
-
     /// Used-memory gauge of a device slot (tests, capacity planning).
     pub fn device_mem_used(&self, slot: usize) -> u64 {
         self.devices[slot].mem_used
@@ -1033,31 +1012,51 @@ impl Driver {
         ]
     }
 
-    fn release_generic<T>(
-        table: &mut BTreeMap<u64, T>,
-        h: u64,
-        err: ClError,
-        refs: impl Fn(&mut T) -> &mut u32,
-    ) -> ClResult<ApiResponse> {
-        let obj = table.get_mut(&h).ok_or(err)?;
-        let r = refs(obj);
-        *r -= 1;
-        if *r == 0 {
-            table.remove(&h);
+    /// `clRetain*` / `clRelease*` on the object `h` of `kind`. The last
+    /// release destroys the object, and a buffer's bytes leave its
+    /// device's `mem_used` with it.
+    fn adjust_refs(&mut self, kind: HandleKind, h: RawHandle, op: RefOp) -> ClResult<ApiResponse> {
+        let h = h.0;
+        let found = match kind {
+            HandleKind::Context => step_refs(&mut self.contexts, h, op, |o| &mut o.refs).is_some(),
+            HandleKind::CommandQueue => {
+                step_refs(&mut self.queues, h, op, |o| &mut o.refs).is_some()
+            }
+            HandleKind::Mem => match step_refs(&mut self.buffers, h, op, |o| &mut o.refs) {
+                Some(Some(buf)) => {
+                    self.devices[buf.device].mem_used -= buf.size;
+                    true
+                }
+                step => step.is_some(),
+            },
+            HandleKind::Sampler => step_refs(&mut self.samplers, h, op, |o| &mut o.refs).is_some(),
+            HandleKind::Program => step_refs(&mut self.programs, h, op, |o| &mut o.refs).is_some(),
+            HandleKind::Kernel => step_refs(&mut self.kernels, h, op, |o| &mut o.refs).is_some(),
+            HandleKind::Event => step_refs(&mut self.events, h, op, |o| &mut o.refs).is_some(),
+            // OpenCL 1.0 has no refcount on platforms and devices.
+            HandleKind::Platform | HandleKind::Device => false,
+        };
+        if !found {
+            return Err(ClError::invalid_handle(kind));
         }
         Ok(ApiResponse::Unit)
     }
+}
 
-    fn retain_generic<T>(
-        table: &mut BTreeMap<u64, T>,
-        h: u64,
-        err: ClError,
-        refs: impl Fn(&mut T) -> &mut u32,
-    ) -> ClResult<ApiResponse> {
-        let obj = table.get_mut(&h).ok_or(err)?;
-        *refs(obj) += 1;
-        Ok(ApiResponse::Unit)
+/// Apply `op` to the refcount of `table[h]`: `None` for an unknown
+/// handle, `Some(Some(obj))` when the last release removes the object.
+fn step_refs<T>(
+    table: &mut BTreeMap<u64, T>,
+    h: u64,
+    op: RefOp,
+    refs: impl Fn(&mut T) -> &mut u32,
+) -> Option<Option<T>> {
+    let r = refs(table.get_mut(&h)?);
+    match op {
+        RefOp::Retain => *r += 1,
+        RefOp::Release => *r -= 1,
     }
+    Some(if *r == 0 { table.remove(&h) } else { None })
 }
 
 impl ClApi for Driver {
@@ -1085,35 +1084,11 @@ impl ClApi for Driver {
                 )))
             }
             CreateContext { devices } => self.create_context(&devices),
-            RetainContext { context } => Self::retain_generic(
-                &mut self.contexts,
-                context.raw().0,
-                ClError::InvalidContext,
-                |o| &mut o.refs,
-            ),
-            ReleaseContext { context } => Self::release_generic(
-                &mut self.contexts,
-                context.raw().0,
-                ClError::InvalidContext,
-                |o| &mut o.refs,
-            ),
             CreateCommandQueue {
                 context,
                 device,
                 props,
             } => self.create_queue(context, device, props),
-            RetainCommandQueue { queue } => Self::retain_generic(
-                &mut self.queues,
-                queue.raw().0,
-                ClError::InvalidCommandQueue,
-                |o| &mut o.refs,
-            ),
-            ReleaseCommandQueue { queue } => Self::release_generic(
-                &mut self.queues,
-                queue.raw().0,
-                ClError::InvalidCommandQueue,
-                |o| &mut o.refs,
-            ),
             CreateBuffer {
                 context,
                 flags,
@@ -1148,26 +1123,7 @@ impl ClApi for Driver {
                 }
                 self.enqueue_write(now, queue, image, blocking, 0, data, &wait_list)
             }
-            RetainMemObject { mem } => Self::retain_generic(
-                &mut self.buffers,
-                mem.raw().0,
-                ClError::InvalidMemObject,
-                |o| &mut o.refs,
-            ),
-            ReleaseMemObject { mem } => self.release_mem(mem),
             CreateSampler { context, desc } => self.create_sampler(context, desc),
-            RetainSampler { sampler } => Self::retain_generic(
-                &mut self.samplers,
-                sampler.raw().0,
-                ClError::InvalidSampler,
-                |o| &mut o.refs,
-            ),
-            ReleaseSampler { sampler } => Self::release_generic(
-                &mut self.samplers,
-                sampler.raw().0,
-                ClError::InvalidSampler,
-                |o| &mut o.refs,
-            ),
             CreateProgramWithSource { context, source } => {
                 self.create_program_source(context, &source)
             }
@@ -1181,31 +1137,7 @@ impl ClApi for Driver {
                 self.program(program)?.build_log.clone(),
             )),
             GetProgramBinary { program } => self.get_program_binary(program),
-            RetainProgram { program } => Self::retain_generic(
-                &mut self.programs,
-                program.raw().0,
-                ClError::InvalidProgram,
-                |o| &mut o.refs,
-            ),
-            ReleaseProgram { program } => Self::release_generic(
-                &mut self.programs,
-                program.raw().0,
-                ClError::InvalidProgram,
-                |o| &mut o.refs,
-            ),
             CreateKernel { program, name } => self.create_kernel(program, &name),
-            RetainKernel { kernel } => Self::retain_generic(
-                &mut self.kernels,
-                kernel.raw().0,
-                ClError::InvalidKernel,
-                |o| &mut o.refs,
-            ),
-            ReleaseKernel { kernel } => Self::release_generic(
-                &mut self.kernels,
-                kernel.raw().0,
-                ClError::InvalidKernel,
-                |o| &mut o.refs,
-            ),
             SetKernelArg {
                 kernel,
                 index,
@@ -1254,18 +1186,11 @@ impl ClApi for Driver {
             WaitForEvents { events } => self.wait_for_events(now, &events),
             GetEventStatus { event } => self.event_status(*now, event),
             GetEventProfiling { event } => Ok(ApiResponse::Profiling(self.event(event)?.profiling)),
-            RetainEvent { event } => Self::retain_generic(
-                &mut self.events,
-                event.raw().0,
-                ClError::InvalidEvent,
-                |o| &mut o.refs,
-            ),
-            ReleaseEvent { event } => Self::release_generic(
-                &mut self.events,
-                event.raw().0,
-                ClError::InvalidEvent,
-                |o| &mut o.refs,
-            ),
+            // Every call left is a retain or a release.
+            _ => match req.refcount() {
+                Some((kind, h, op)) => self.adjust_refs(kind, h, op),
+                None => unreachable!("{} has no driver arm", req.api_name()),
+            },
         }
     }
 

@@ -10,6 +10,12 @@
 //! [`ClApi::call`] by interpreting requests directly; CheCL implements
 //! it by recording + forwarding. Applications never see this layer —
 //! they use the typed wrappers in [`crate::ocl`].
+//!
+//! The `cl_api!` table below declares each call once: its variant, its
+//! C name, its refcount role and its fields. The request's name, wire
+//! size, handle visitor and [`ApiRequest::refcount`] are all generated
+//! from it, and each field's type says what it costs on the wire and
+//! which handles it carries, through the `ApiField` trait.
 
 use crate::error::{ClError, ClResult};
 use crate::handles::{
@@ -22,121 +28,288 @@ use crate::types::{
 };
 use simcore::SimTime;
 
-/// One OpenCL API call, with all by-reference arguments inlined.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ApiRequest {
-    /// `clGetPlatformIDs`.
-    GetPlatformIds,
-    /// `clGetPlatformInfo`.
-    GetPlatformInfo { platform: PlatformId },
-    /// `clGetDeviceIDs`.
-    GetDeviceIds {
-        platform: PlatformId,
-        device_type: DeviceType,
-    },
-    /// `clGetDeviceInfo`.
-    GetDeviceInfo { device: DeviceId },
-    /// `clCreateContext`.
-    CreateContext { devices: Vec<DeviceId> },
-    /// `clRetainContext`.
-    RetainContext { context: Context },
-    /// `clReleaseContext`.
-    ReleaseContext { context: Context },
-    /// `clCreateCommandQueue`.
-    CreateCommandQueue {
+/// What a retain or release call does to its object's reference count.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RefOp {
+    /// `clRetain*`: one more reference.
+    Retain,
+    /// `clRelease*`: one fewer; the last one destroys the object.
+    Release,
+}
+
+/// One field of an [`ApiRequest`]: the payload bytes it adds on the
+/// app↔proxy pipe, and the handles it carries. Plain data costs nothing
+/// and carries none, so its impl is empty.
+pub(crate) trait ApiField {
+    /// Bytes this field adds to [`ApiRequest::wire_size`].
+    fn wire_bytes(&self) -> u64 {
+        0
+    }
+
+    /// Map each handle this field carries through `f`, in order,
+    /// stopping at the first `Err`.
+    fn try_map_handles<E>(
+        &mut self,
+        _f: &mut impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+    ) -> Result<(), E> {
+        Ok(())
+    }
+}
+
+impl<T: ApiField> ApiField for Option<T> {
+    fn wire_bytes(&self) -> u64 {
+        self.as_ref().map_or(0, T::wire_bytes)
+    }
+
+    fn try_map_handles<E>(
+        &mut self,
+        f: &mut impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+    ) -> Result<(), E> {
+        self.as_mut().map_or(Ok(()), |v| v.try_map_handles(f))
+    }
+}
+
+/// Buffer data and program binaries: bulk payload, byte for byte.
+impl ApiField for Vec<u8> {
+    fn wire_bytes(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// A wait list costs one pointer per event.
+impl ApiField for Vec<Event> {
+    fn wire_bytes(&self) -> u64 {
+        8 * self.len() as u64
+    }
+
+    fn try_map_handles<E>(
+        &mut self,
+        f: &mut impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+    ) -> Result<(), E> {
+        self.iter_mut().try_for_each(|e| e.try_map_handles(f))
+    }
+}
+
+/// A context's device list rides in the fixed header.
+impl ApiField for Vec<DeviceId> {
+    fn try_map_handles<E>(
+        &mut self,
+        f: &mut impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+    ) -> Result<(), E> {
+        self.iter_mut().try_for_each(|d| d.try_map_handles(f))
+    }
+}
+
+/// A `clSetKernelArg` blob costs its bytes, a local size one word. The
+/// bytes are never visited: whether they hold a handle needs the kernel
+/// signature (§III-B), and CheCL's `clSetKernelArg` wrapper decides it.
+impl ApiField for ArgValue {
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            ArgValue::Bytes(b) => b.len() as u64,
+            ArgValue::LocalMem(_) => 8,
+        }
+    }
+}
+
+/// Kernel names and build options ride in the fixed header; a field
+/// marked `#[payload]` in the table (program source) costs its bytes.
+impl ApiField for String {}
+
+// Plain data carries no handle and rides in the fixed header.
+impl ApiField for bool {}
+impl ApiField for u32 {}
+impl ApiField for u64 {}
+impl ApiField for DeviceType {}
+impl ApiField for MemFlags {}
+impl ApiField for QueueProps {}
+impl ApiField for SamplerDesc {}
+impl ApiField for NDRange {}
+
+/// Declares the OpenCL call table once. Each entry is
+/// `Variant = "clName" [Role] { field: Type, .. }`; the role (`Retain`
+/// or `Release`) and the fields are optional. A variant's doc opens
+/// with its C name, and any doc lines before the entry follow it. A
+/// role's entry has one field, the handle it acts on. A field marked
+/// `#[payload]` costs its length on the wire in place of its type's
+/// [`ApiField::wire_bytes`].
+macro_rules! cl_api {
+    (@wire [] $field:ident) => {
+        ApiField::wire_bytes($field)
+    };
+    (@wire [payload] $field:ident) => {
+        $field.len() as u64
+    };
+    (@subject $variant:ident [] $($field:ident),*) => {
+        ApiRequest::$variant { .. }
+    };
+    (@subject $variant:ident [$op:ident] $field:ident) => {
+        ApiRequest::$variant { $field }
+    };
+    (@refcount [] $($field:ident : $ty:ty),*) => {
+        None
+    };
+    (@refcount [$op:ident] $field:ident : $ty:ty) => {
+        Some((<$ty>::kind(), $field.raw(), RefOp::$op))
+    };
+    ($(
+        $(#[$attr:meta])*
+        $variant:ident = $name:literal $([$op:ident])?
+            $({ $($(#[$mark:ident])? $field:ident : $ty:ty),* $(,)? })?
+    ),* $(,)?) => {
+        /// One OpenCL API call, with all by-reference arguments inlined.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum ApiRequest {
+            $(
+                #[doc = concat!("`", $name, "`.")]
+                $(#[$attr])*
+                $variant $({ $($field: $ty),* })?,
+            )*
+        }
+
+        impl ApiRequest {
+            /// The OpenCL entry-point name of this request, for tracing
+            /// and per-call statistics.
+            pub fn api_name(&self) -> &'static str {
+                match self {
+                    $(ApiRequest::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Approximate size of the request on the app↔proxy pipe, in
+            /// bytes: a 64-byte header plus each field's payload.
+            ///
+            /// Fixed arguments ride in the header; bulk payloads (buffer
+            /// data, program source) dominate — they are what makes
+            /// proxied data transfers slower than native ones (§IV-A).
+            pub fn wire_size(&self) -> u64 {
+                match self {
+                    $(ApiRequest::$variant { $($($field),*)? } => {
+                        64 $($(+ cl_api!(@wire [$($mark)?] $field))*)?
+                    })*
+                }
+            }
+
+            /// Map every *input* handle in the request through `f`, in
+            /// field order, so an interposer can rewrite it (CheCL handle →
+            /// vendor handle). Stops at the first `Err`: later handles are
+            /// neither visited nor rewritten, so a call rejected at one
+            /// handle has done no work for the handles after it.
+            ///
+            /// `SetKernelArg` byte blobs are deliberately **not** visited:
+            /// the request does not carry enough information to know
+            /// whether they hold a handle. That decision needs the kernel
+            /// signature (§III-B), and is made by CheCL's `clSetKernelArg`
+            /// wrapper before forwarding.
+            pub fn try_map_handles<E>(
+                &mut self,
+                mut f: impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+            ) -> Result<(), E> {
+                match self {
+                    $(ApiRequest::$variant { $($($field),*)? } => {
+                        $($(ApiField::try_map_handles($field, &mut f)?;)*)?
+                    })*
+                }
+                Ok(())
+            }
+
+            /// The object a retain or release acts on, with its kind and
+            /// the refcount step; `None` for every other call.
+            pub fn refcount(&self) -> Option<(HandleKind, RawHandle, RefOp)> {
+                match self {
+                    $(cl_api!(@subject $variant [$($op)?] $($($field),*)?) => {
+                        cl_api!(@refcount [$($op)?] $($($field: $ty),*)?)
+                    })*
+                }
+            }
+        }
+    };
+}
+
+cl_api! {
+    GetPlatformIds = "clGetPlatformIDs",
+    GetPlatformInfo = "clGetPlatformInfo" { platform: PlatformId },
+    GetDeviceIds = "clGetDeviceIDs" { platform: PlatformId, device_type: DeviceType },
+    GetDeviceInfo = "clGetDeviceInfo" { device: DeviceId },
+    CreateContext = "clCreateContext" { devices: Vec<DeviceId> },
+    RetainContext = "clRetainContext" [Retain] { context: Context },
+    ReleaseContext = "clReleaseContext" [Release] { context: Context },
+    CreateCommandQueue = "clCreateCommandQueue" {
         context: Context,
         device: DeviceId,
         props: QueueProps,
     },
-    /// `clRetainCommandQueue`.
-    RetainCommandQueue { queue: CommandQueue },
-    /// `clReleaseCommandQueue`.
-    ReleaseCommandQueue { queue: CommandQueue },
-    /// `clCreateBuffer`. `host_data` carries the `host_ptr` contents for
-    /// `COPY_HOST_PTR` / `USE_HOST_PTR`.
-    CreateBuffer {
+    RetainCommandQueue = "clRetainCommandQueue" [Retain] { queue: CommandQueue },
+    ReleaseCommandQueue = "clReleaseCommandQueue" [Release] { queue: CommandQueue },
+    /// `host_data` carries the `host_ptr` contents for `COPY_HOST_PTR` /
+    /// `USE_HOST_PTR`.
+    CreateBuffer = "clCreateBuffer" {
         context: Context,
         flags: MemFlags,
         size: u64,
         host_data: Option<Vec<u8>>,
     },
-    /// `clCreateImage2D` — a single-channel float image (CL_R /
-    /// CL_FLOAT), the format every image workload here uses.
-    CreateImage2D {
+    /// A single-channel float image (CL_R / CL_FLOAT), the format every
+    /// image workload here uses.
+    CreateImage2D = "clCreateImage2D" {
         context: Context,
         flags: MemFlags,
         width: u64,
         height: u64,
         host_data: Option<Vec<u8>>,
     },
-    /// `clEnqueueReadImage` (whole image).
-    EnqueueReadImage {
+    /// The whole image.
+    EnqueueReadImage = "clEnqueueReadImage" {
         queue: CommandQueue,
         image: Mem,
         blocking: bool,
         wait_list: Vec<Event>,
     },
-    /// `clEnqueueWriteImage` (whole image).
-    EnqueueWriteImage {
+    /// The whole image.
+    EnqueueWriteImage = "clEnqueueWriteImage" {
         queue: CommandQueue,
         image: Mem,
         blocking: bool,
         data: Vec<u8>,
         wait_list: Vec<Event>,
     },
-    /// `clRetainMemObject`.
-    RetainMemObject { mem: Mem },
-    /// `clReleaseMemObject`.
-    ReleaseMemObject { mem: Mem },
-    /// `clCreateSampler`.
-    CreateSampler { context: Context, desc: SamplerDesc },
-    /// `clRetainSampler`.
-    RetainSampler { sampler: Sampler },
-    /// `clReleaseSampler`.
-    ReleaseSampler { sampler: Sampler },
-    /// `clCreateProgramWithSource`.
-    CreateProgramWithSource { context: Context, source: String },
-    /// `clCreateProgramWithBinary` (deprecated under CheCL, §IV-D).
-    CreateProgramWithBinary {
+    RetainMemObject = "clRetainMemObject" [Retain] { mem: Mem },
+    ReleaseMemObject = "clReleaseMemObject" [Release] { mem: Mem },
+    CreateSampler = "clCreateSampler" { context: Context, desc: SamplerDesc },
+    RetainSampler = "clRetainSampler" [Retain] { sampler: Sampler },
+    ReleaseSampler = "clReleaseSampler" [Release] { sampler: Sampler },
+    CreateProgramWithSource = "clCreateProgramWithSource" {
+        context: Context,
+        #[payload] source: String,
+    },
+    /// Deprecated under CheCL (§IV-D).
+    CreateProgramWithBinary = "clCreateProgramWithBinary" {
         context: Context,
         device: DeviceId,
         binary: Vec<u8>,
     },
-    /// `clBuildProgram`. Callback functions are not modelled; CheCL
-    /// ignores them (§IV-D).
-    BuildProgram { program: Program, options: String },
-    /// `clGetProgramBuildInfo(CL_PROGRAM_BUILD_LOG)`.
-    GetProgramBuildLog { program: Program },
-    /// `clGetProgramInfo(CL_PROGRAM_BINARIES)`.
-    GetProgramBinary { program: Program },
-    /// `clRetainProgram`.
-    RetainProgram { program: Program },
-    /// `clReleaseProgram`.
-    ReleaseProgram { program: Program },
-    /// `clCreateKernel`.
-    CreateKernel { program: Program, name: String },
-    /// `clRetainKernel`.
-    RetainKernel { kernel: Kernel },
-    /// `clReleaseKernel`.
-    ReleaseKernel { kernel: Kernel },
-    /// `clSetKernelArg`. The value is an opaque byte blob or a
-    /// local-memory size — whether the blob is a handle is *not*
-    /// recoverable from the call itself.
-    SetKernelArg {
-        kernel: Kernel,
-        index: u32,
-        value: ArgValue,
-    },
-    /// `clEnqueueNDRangeKernel`.
-    EnqueueNDRangeKernel {
+    /// Callback functions are not modelled; CheCL ignores them (§IV-D).
+    BuildProgram = "clBuildProgram" { program: Program, options: String },
+    /// The `CL_PROGRAM_BUILD_LOG` query.
+    GetProgramBuildLog = "clGetProgramBuildInfo" { program: Program },
+    /// The `CL_PROGRAM_BINARIES` query.
+    GetProgramBinary = "clGetProgramInfo" { program: Program },
+    RetainProgram = "clRetainProgram" [Retain] { program: Program },
+    ReleaseProgram = "clReleaseProgram" [Release] { program: Program },
+    CreateKernel = "clCreateKernel" { program: Program, name: String },
+    RetainKernel = "clRetainKernel" [Retain] { kernel: Kernel },
+    ReleaseKernel = "clReleaseKernel" [Release] { kernel: Kernel },
+    /// The value is an opaque byte blob or a local-memory size — whether
+    /// the blob is a handle is *not* recoverable from the call itself.
+    SetKernelArg = "clSetKernelArg" { kernel: Kernel, index: u32, value: ArgValue },
+    EnqueueNDRangeKernel = "clEnqueueNDRangeKernel" {
         queue: CommandQueue,
         kernel: Kernel,
         global: NDRange,
         local: Option<NDRange>,
         wait_list: Vec<Event>,
     },
-    /// `clEnqueueReadBuffer`.
-    EnqueueReadBuffer {
+    EnqueueReadBuffer = "clEnqueueReadBuffer" {
         queue: CommandQueue,
         mem: Mem,
         blocking: bool,
@@ -144,8 +317,7 @@ pub enum ApiRequest {
         size: u64,
         wait_list: Vec<Event>,
     },
-    /// `clEnqueueWriteBuffer`.
-    EnqueueWriteBuffer {
+    EnqueueWriteBuffer = "clEnqueueWriteBuffer" {
         queue: CommandQueue,
         mem: Mem,
         blocking: bool,
@@ -153,8 +325,7 @@ pub enum ApiRequest {
         data: Vec<u8>,
         wait_list: Vec<Event>,
     },
-    /// `clEnqueueCopyBuffer`.
-    EnqueueCopyBuffer {
+    EnqueueCopyBuffer = "clEnqueueCopyBuffer" {
         queue: CommandQueue,
         src: Mem,
         dst: Mem,
@@ -163,235 +334,17 @@ pub enum ApiRequest {
         size: u64,
         wait_list: Vec<Event>,
     },
-    /// `clEnqueueMarker` — the dummy-event source used by the restart
-    /// procedure (§III-C, Fig. 3).
-    EnqueueMarker { queue: CommandQueue },
-    /// `clFlush`.
-    Flush { queue: CommandQueue },
-    /// `clFinish`.
-    Finish { queue: CommandQueue },
-    /// `clWaitForEvents`.
-    WaitForEvents { events: Vec<Event> },
-    /// `clGetEventInfo(CL_EVENT_COMMAND_EXECUTION_STATUS)`.
-    GetEventStatus { event: Event },
-    /// `clGetEventProfilingInfo`.
-    GetEventProfiling { event: Event },
-    /// `clRetainEvent`.
-    RetainEvent { event: Event },
-    /// `clReleaseEvent`.
-    ReleaseEvent { event: Event },
-}
-
-impl ApiRequest {
-    /// The OpenCL entry-point name of this request, for tracing and
-    /// per-call statistics.
-    pub fn api_name(&self) -> &'static str {
-        use ApiRequest::*;
-        match self {
-            GetPlatformIds => "clGetPlatformIDs",
-            GetPlatformInfo { .. } => "clGetPlatformInfo",
-            GetDeviceIds { .. } => "clGetDeviceIDs",
-            GetDeviceInfo { .. } => "clGetDeviceInfo",
-            CreateContext { .. } => "clCreateContext",
-            RetainContext { .. } => "clRetainContext",
-            ReleaseContext { .. } => "clReleaseContext",
-            CreateCommandQueue { .. } => "clCreateCommandQueue",
-            RetainCommandQueue { .. } => "clRetainCommandQueue",
-            ReleaseCommandQueue { .. } => "clReleaseCommandQueue",
-            CreateBuffer { .. } => "clCreateBuffer",
-            CreateImage2D { .. } => "clCreateImage2D",
-            EnqueueReadImage { .. } => "clEnqueueReadImage",
-            EnqueueWriteImage { .. } => "clEnqueueWriteImage",
-            RetainMemObject { .. } => "clRetainMemObject",
-            ReleaseMemObject { .. } => "clReleaseMemObject",
-            CreateSampler { .. } => "clCreateSampler",
-            RetainSampler { .. } => "clRetainSampler",
-            ReleaseSampler { .. } => "clReleaseSampler",
-            CreateProgramWithSource { .. } => "clCreateProgramWithSource",
-            CreateProgramWithBinary { .. } => "clCreateProgramWithBinary",
-            BuildProgram { .. } => "clBuildProgram",
-            GetProgramBuildLog { .. } => "clGetProgramBuildInfo",
-            GetProgramBinary { .. } => "clGetProgramInfo",
-            RetainProgram { .. } => "clRetainProgram",
-            ReleaseProgram { .. } => "clReleaseProgram",
-            CreateKernel { .. } => "clCreateKernel",
-            RetainKernel { .. } => "clRetainKernel",
-            ReleaseKernel { .. } => "clReleaseKernel",
-            SetKernelArg { .. } => "clSetKernelArg",
-            EnqueueNDRangeKernel { .. } => "clEnqueueNDRangeKernel",
-            EnqueueReadBuffer { .. } => "clEnqueueReadBuffer",
-            EnqueueWriteBuffer { .. } => "clEnqueueWriteBuffer",
-            EnqueueCopyBuffer { .. } => "clEnqueueCopyBuffer",
-            EnqueueMarker { .. } => "clEnqueueMarker",
-            Flush { .. } => "clFlush",
-            Finish { .. } => "clFinish",
-            WaitForEvents { .. } => "clWaitForEvents",
-            GetEventStatus { .. } => "clGetEventInfo",
-            GetEventProfiling { .. } => "clGetEventProfilingInfo",
-            RetainEvent { .. } => "clRetainEvent",
-            ReleaseEvent { .. } => "clReleaseEvent",
-        }
-    }
-
-    /// Approximate size of the request on the app↔proxy pipe, in bytes.
-    ///
-    /// Fixed arguments cost a small constant; bulk payloads (buffer
-    /// data, program source) dominate — they are what makes proxied data
-    /// transfers slower than native ones (§IV-A).
-    pub fn wire_size(&self) -> u64 {
-        const HDR: u64 = 64;
-        use ApiRequest::*;
-        HDR + match self {
-            CreateBuffer { host_data, .. } | CreateImage2D { host_data, .. } => {
-                host_data.as_ref().map_or(0, |d| d.len() as u64)
-            }
-            EnqueueWriteImage {
-                data, wait_list, ..
-            } => data.len() as u64 + 8 * wait_list.len() as u64,
-            EnqueueReadImage { wait_list, .. } => 8 * wait_list.len() as u64,
-            CreateProgramWithSource { source, .. } => source.len() as u64,
-            CreateProgramWithBinary { binary, .. } => binary.len() as u64,
-            SetKernelArg { value, .. } => match value {
-                ArgValue::Bytes(b) => b.len() as u64,
-                ArgValue::LocalMem(_) => 8,
-            },
-            EnqueueWriteBuffer {
-                data, wait_list, ..
-            } => data.len() as u64 + 8 * wait_list.len() as u64,
-            EnqueueNDRangeKernel { wait_list, .. }
-            | EnqueueReadBuffer { wait_list, .. }
-            | EnqueueCopyBuffer { wait_list, .. } => 8 * wait_list.len() as u64,
-            WaitForEvents { events } => 8 * events.len() as u64,
-            _ => 0,
-        }
-    }
-
-    /// Map every *input* handle in the request through `f`, in field
-    /// order, so an interposer can rewrite it (CheCL handle → vendor
-    /// handle). Stops at the first `Err`: later handles are neither
-    /// visited nor rewritten, so a call rejected at one handle has done
-    /// no work for the handles after it.
-    ///
-    /// `SetKernelArg` byte blobs are deliberately **not** visited: the
-    /// request does not carry enough information to know whether they
-    /// hold a handle. That decision needs the kernel signature
-    /// (§III-B), and is made by CheCL's `clSetKernelArg` wrapper before
-    /// forwarding.
-    pub fn try_map_handles<E>(
-        &mut self,
-        mut f: impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
-    ) -> Result<(), E> {
-        use ApiRequest::*;
-        use HandleKind as K;
-        let mut map = |kind: HandleKind, h: &mut RawHandle| -> Result<(), E> {
-            *h = f(kind, *h)?;
-            Ok(())
-        };
-        match self {
-            GetPlatformIds => Ok(()),
-            GetPlatformInfo { platform } | GetDeviceIds { platform, .. } => {
-                map(K::Platform, &mut platform.0)
-            }
-            GetDeviceInfo { device } => map(K::Device, &mut device.0),
-            CreateContext { devices } => devices
-                .iter_mut()
-                .try_for_each(|d| map(K::Device, &mut d.0)),
-            RetainContext { context }
-            | ReleaseContext { context }
-            | CreateBuffer { context, .. }
-            | CreateImage2D { context, .. }
-            | CreateSampler { context, .. }
-            | CreateProgramWithSource { context, .. } => map(K::Context, &mut context.0),
-            CreateCommandQueue {
-                context, device, ..
-            }
-            | CreateProgramWithBinary {
-                context, device, ..
-            } => {
-                map(K::Context, &mut context.0)?;
-                map(K::Device, &mut device.0)
-            }
-            RetainCommandQueue { queue }
-            | ReleaseCommandQueue { queue }
-            | EnqueueMarker { queue }
-            | Flush { queue }
-            | Finish { queue } => map(K::CommandQueue, &mut queue.0),
-            EnqueueReadImage {
-                queue,
-                image: mem,
-                wait_list,
-                ..
-            }
-            | EnqueueWriteImage {
-                queue,
-                image: mem,
-                wait_list,
-                ..
-            }
-            | EnqueueReadBuffer {
-                queue,
-                mem,
-                wait_list,
-                ..
-            }
-            | EnqueueWriteBuffer {
-                queue,
-                mem,
-                wait_list,
-                ..
-            } => {
-                map(K::CommandQueue, &mut queue.0)?;
-                map(K::Mem, &mut mem.0)?;
-                wait_list
-                    .iter_mut()
-                    .try_for_each(|e| map(K::Event, &mut e.0))
-            }
-            EnqueueCopyBuffer {
-                queue,
-                src,
-                dst,
-                wait_list,
-                ..
-            } => {
-                map(K::CommandQueue, &mut queue.0)?;
-                map(K::Mem, &mut src.0)?;
-                map(K::Mem, &mut dst.0)?;
-                wait_list
-                    .iter_mut()
-                    .try_for_each(|e| map(K::Event, &mut e.0))
-            }
-            EnqueueNDRangeKernel {
-                queue,
-                kernel,
-                wait_list,
-                ..
-            } => {
-                map(K::CommandQueue, &mut queue.0)?;
-                map(K::Kernel, &mut kernel.0)?;
-                wait_list
-                    .iter_mut()
-                    .try_for_each(|e| map(K::Event, &mut e.0))
-            }
-            RetainMemObject { mem } | ReleaseMemObject { mem } => map(K::Mem, &mut mem.0),
-            RetainSampler { sampler } | ReleaseSampler { sampler } => {
-                map(K::Sampler, &mut sampler.0)
-            }
-            BuildProgram { program, .. }
-            | GetProgramBuildLog { program }
-            | GetProgramBinary { program }
-            | RetainProgram { program }
-            | ReleaseProgram { program }
-            | CreateKernel { program, .. } => map(K::Program, &mut program.0),
-            RetainKernel { kernel } | ReleaseKernel { kernel } | SetKernelArg { kernel, .. } => {
-                map(K::Kernel, &mut kernel.0)
-            }
-            WaitForEvents { events } => events.iter_mut().try_for_each(|e| map(K::Event, &mut e.0)),
-            GetEventStatus { event }
-            | GetEventProfiling { event }
-            | RetainEvent { event }
-            | ReleaseEvent { event } => map(K::Event, &mut event.0),
-        }
-    }
+    /// The dummy-event source used by the restart procedure (§III-C,
+    /// Fig. 3).
+    EnqueueMarker = "clEnqueueMarker" { queue: CommandQueue },
+    Flush = "clFlush" { queue: CommandQueue },
+    Finish = "clFinish" { queue: CommandQueue },
+    WaitForEvents = "clWaitForEvents" { events: Vec<Event> },
+    /// The `CL_EVENT_COMMAND_EXECUTION_STATUS` query.
+    GetEventStatus = "clGetEventInfo" { event: Event },
+    GetEventProfiling = "clGetEventProfilingInfo" { event: Event },
+    RetainEvent = "clRetainEvent" [Retain] { event: Event },
+    ReleaseEvent = "clReleaseEvent" [Release] { event: Event },
 }
 
 /// The result payload of a successful API call.
@@ -447,9 +400,7 @@ impl ApiResponse {
             _ => 0,
         }
     }
-}
 
-impl ApiResponse {
     /// The one object handle this response returns — a created object,
     /// or an enqueue's event — for an interposer to read or rewrite.
     /// `None` for responses that return no handle, or a list of them.
@@ -471,81 +422,44 @@ impl ApiResponse {
     }
 }
 
-macro_rules! response_accessor {
-    ($(#[$doc:meta])* $fn_name:ident, $variant:ident, $ty:ty) => {
-        $(#[$doc])*
-        pub fn $fn_name(self) -> ClResult<$ty> {
-            match self {
-                ApiResponse::$variant(v) => Ok(v),
-                other => panic!(
-                    concat!(
-                        "API contract violation: expected ",
-                        stringify!($variant),
-                        " response, got {:?}"
-                    ),
-                    other
-                ),
-            }
+/// One `into_*` accessor per response variant that wraps one value:
+/// the value, or a panic naming the broken API contract.
+macro_rules! response_accessors {
+    ($($fn_name:ident: $variant:ident => $ty:ty),* $(,)?) => {
+        impl ApiResponse {
+            $(
+                #[doc = concat!("Unwrap [`ApiResponse::", stringify!($variant), "`].")]
+                pub fn $fn_name(self) -> ClResult<$ty> {
+                    match self {
+                        ApiResponse::$variant(v) => Ok(v),
+                        other => panic!(
+                            concat!(
+                                "API contract violation: expected ",
+                                stringify!($variant),
+                                " response, got {:?}"
+                            ),
+                            other
+                        ),
+                    }
+                }
+            )*
         }
     };
 }
 
-impl ApiResponse {
-    response_accessor!(
-        /// Unwrap a `Platforms` response.
-        into_platforms,
-        Platforms,
-        Vec<PlatformId>
-    );
-    response_accessor!(
-        /// Unwrap a `Devices` response.
-        into_devices,
-        Devices,
-        Vec<DeviceId>
-    );
-    response_accessor!(
-        /// Unwrap a `Context` response.
-        into_context,
-        Context,
-        Context
-    );
-    response_accessor!(
-        /// Unwrap a `Queue` response.
-        into_queue,
-        Queue,
-        CommandQueue
-    );
-    response_accessor!(
-        /// Unwrap a `Mem` response.
-        into_mem,
-        Mem,
-        Mem
-    );
-    response_accessor!(
-        /// Unwrap a `Sampler` response.
-        into_sampler,
-        Sampler,
-        Sampler
-    );
-    response_accessor!(
-        /// Unwrap a `Program` response.
-        into_program,
-        Program,
-        Program
-    );
-    response_accessor!(
-        /// Unwrap a `Kernel` response.
-        into_kernel,
-        Kernel,
-        Kernel
-    );
-    response_accessor!(
-        /// Unwrap an `Event` response.
-        into_event,
-        Event,
-        Event
-    );
+response_accessors! {
+    into_platforms: Platforms => Vec<PlatformId>,
+    into_devices: Devices => Vec<DeviceId>,
+    into_context: Context => Context,
+    into_queue: Queue => CommandQueue,
+    into_mem: Mem => Mem,
+    into_sampler: Sampler => Sampler,
+    into_program: Program => Program,
+    into_kernel: Kernel => Kernel,
+    into_event: Event => Event,
+}
 
+impl ApiResponse {
     /// Unwrap a `DataEvent` response.
     pub fn into_data_event(self) -> ClResult<(Vec<u8>, Event)> {
         match self {
@@ -706,6 +620,68 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn refcount_names_the_object_of_each_retain_and_release() {
+        use ApiRequest::*;
+        let h = RawHandle(7);
+        let calls = [
+            RetainContext {
+                context: Context(h),
+            },
+            ReleaseContext {
+                context: Context(h),
+            },
+            RetainCommandQueue {
+                queue: CommandQueue(h),
+            },
+            ReleaseCommandQueue {
+                queue: CommandQueue(h),
+            },
+            RetainMemObject { mem: Mem(h) },
+            ReleaseMemObject { mem: Mem(h) },
+            RetainSampler {
+                sampler: Sampler(h),
+            },
+            ReleaseSampler {
+                sampler: Sampler(h),
+            },
+            RetainProgram {
+                program: Program(h),
+            },
+            ReleaseProgram {
+                program: Program(h),
+            },
+            RetainKernel { kernel: Kernel(h) },
+            ReleaseKernel { kernel: Kernel(h) },
+            RetainEvent { event: Event(h) },
+            ReleaseEvent { event: Event(h) },
+        ];
+        for mut req in calls {
+            let mut kinds = Vec::new();
+            req.try_map_handles(|kind, h| {
+                kinds.push(kind);
+                Ok::<_, ()>(h)
+            })
+            .unwrap();
+            let op = if req.api_name().starts_with("clRetain") {
+                RefOp::Retain
+            } else {
+                RefOp::Release
+            };
+            assert_eq!(req.refcount(), Some((kinds[0], h, op)), "{req:?}");
+        }
+        assert_eq!(GetPlatformIds.refcount(), None);
+        assert_eq!(copy_request().refcount(), None);
+        assert_eq!(
+            BuildProgram {
+                program: Program(h),
+                options: String::new(),
+            }
+            .refcount(),
+            None
+        );
     }
 
     #[test]

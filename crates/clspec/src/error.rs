@@ -1,182 +1,95 @@
 //! OpenCL error codes.
 
+use crate::handles::HandleKind;
 use simcore::codec::{Codec, CodecError, Reader};
 use std::fmt;
 
-/// The subset of OpenCL 1.0 error codes the simulated stack can raise.
-///
-/// Numeric values match `CL/cl.h` so diagnostics read like real driver
-/// output.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum ClError {
-    /// CL_DEVICE_NOT_FOUND (-1)
-    DeviceNotFound,
-    /// CL_DEVICE_NOT_AVAILABLE (-2)
-    DeviceNotAvailable,
-    /// CL_COMPILER_NOT_AVAILABLE (-3)
-    CompilerNotAvailable,
-    /// CL_MEM_OBJECT_ALLOCATION_FAILURE (-4)
-    MemObjectAllocationFailure,
-    /// CL_OUT_OF_RESOURCES (-5)
-    OutOfResources,
-    /// CL_OUT_OF_HOST_MEMORY (-6)
-    OutOfHostMemory,
-    /// CL_BUILD_PROGRAM_FAILURE (-11)
-    BuildProgramFailure,
-    /// CL_INVALID_VALUE (-30)
-    InvalidValue,
-    /// CL_INVALID_DEVICE_TYPE (-31)
-    InvalidDeviceType,
-    /// CL_INVALID_PLATFORM (-32)
-    InvalidPlatform,
-    /// CL_INVALID_DEVICE (-33)
-    InvalidDevice,
-    /// CL_INVALID_CONTEXT (-34)
-    InvalidContext,
-    /// CL_INVALID_QUEUE_PROPERTIES (-35)
-    InvalidQueueProperties,
-    /// CL_INVALID_COMMAND_QUEUE (-36)
-    InvalidCommandQueue,
-    /// CL_INVALID_MEM_OBJECT (-38)
-    InvalidMemObject,
-    /// CL_INVALID_SAMPLER (-41)
-    InvalidSampler,
-    /// CL_INVALID_BINARY (-42)
-    InvalidBinary,
-    /// CL_INVALID_BUILD_OPTIONS (-43)
-    InvalidBuildOptions,
-    /// CL_INVALID_PROGRAM (-44)
-    InvalidProgram,
-    /// CL_INVALID_PROGRAM_EXECUTABLE (-45)
-    InvalidProgramExecutable,
-    /// CL_INVALID_KERNEL_NAME (-46)
-    InvalidKernelName,
-    /// CL_INVALID_KERNEL (-48)
-    InvalidKernel,
-    /// CL_INVALID_ARG_INDEX (-49)
-    InvalidArgIndex,
-    /// CL_INVALID_ARG_VALUE (-50)
-    InvalidArgValue,
-    /// CL_INVALID_ARG_SIZE (-51)
-    InvalidArgSize,
-    /// CL_INVALID_KERNEL_ARGS (-52)
-    InvalidKernelArgs,
-    /// CL_INVALID_WORK_GROUP_SIZE (-54)
-    InvalidWorkGroupSize,
-    /// CL_INVALID_EVENT_WAIT_LIST (-57)
-    InvalidEventWaitList,
-    /// CL_INVALID_EVENT (-58)
-    InvalidEvent,
-    /// CL_INVALID_BUFFER_SIZE (-61)
-    InvalidBufferSize,
+/// Declares the error table once: each entry is `Variant = code,
+/// "CL_NAME"`, with the numeric code and symbolic name of `CL/cl.h`.
+macro_rules! cl_errors {
+    ($($variant:ident = $code:literal, $name:literal,)*) => {
+        /// The subset of OpenCL 1.0 error codes the simulated stack can raise.
+        ///
+        /// Numeric values match `CL/cl.h` so diagnostics read like real driver
+        /// output.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+        pub enum ClError {
+            $(
+                #[doc = concat!($name, " (", stringify!($code), ")")]
+                $variant,
+            )*
+        }
+
+        impl ClError {
+            /// The `CL/cl.h` numeric code.
+            pub fn code(self) -> i32 {
+                match self {
+                    $(ClError::$variant => $code,)*
+                }
+            }
+
+            /// The `CL/cl.h` symbolic name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(ClError::$variant => $name,)*
+                }
+            }
+
+            fn all() -> &'static [ClError] {
+                &[$(ClError::$variant),*]
+            }
+        }
+    };
+}
+
+cl_errors! {
+    DeviceNotFound = -1, "CL_DEVICE_NOT_FOUND",
+    DeviceNotAvailable = -2, "CL_DEVICE_NOT_AVAILABLE",
+    CompilerNotAvailable = -3, "CL_COMPILER_NOT_AVAILABLE",
+    MemObjectAllocationFailure = -4, "CL_MEM_OBJECT_ALLOCATION_FAILURE",
+    OutOfResources = -5, "CL_OUT_OF_RESOURCES",
+    OutOfHostMemory = -6, "CL_OUT_OF_HOST_MEMORY",
+    BuildProgramFailure = -11, "CL_BUILD_PROGRAM_FAILURE",
+    InvalidValue = -30, "CL_INVALID_VALUE",
+    InvalidDeviceType = -31, "CL_INVALID_DEVICE_TYPE",
+    InvalidPlatform = -32, "CL_INVALID_PLATFORM",
+    InvalidDevice = -33, "CL_INVALID_DEVICE",
+    InvalidContext = -34, "CL_INVALID_CONTEXT",
+    InvalidQueueProperties = -35, "CL_INVALID_QUEUE_PROPERTIES",
+    InvalidCommandQueue = -36, "CL_INVALID_COMMAND_QUEUE",
+    InvalidMemObject = -38, "CL_INVALID_MEM_OBJECT",
+    InvalidSampler = -41, "CL_INVALID_SAMPLER",
+    InvalidBinary = -42, "CL_INVALID_BINARY",
+    InvalidBuildOptions = -43, "CL_INVALID_BUILD_OPTIONS",
+    InvalidProgram = -44, "CL_INVALID_PROGRAM",
+    InvalidProgramExecutable = -45, "CL_INVALID_PROGRAM_EXECUTABLE",
+    InvalidKernelName = -46, "CL_INVALID_KERNEL_NAME",
+    InvalidKernel = -48, "CL_INVALID_KERNEL",
+    InvalidArgIndex = -49, "CL_INVALID_ARG_INDEX",
+    InvalidArgValue = -50, "CL_INVALID_ARG_VALUE",
+    InvalidArgSize = -51, "CL_INVALID_ARG_SIZE",
+    InvalidKernelArgs = -52, "CL_INVALID_KERNEL_ARGS",
+    InvalidWorkGroupSize = -54, "CL_INVALID_WORK_GROUP_SIZE",
+    InvalidEventWaitList = -57, "CL_INVALID_EVENT_WAIT_LIST",
+    InvalidEvent = -58, "CL_INVALID_EVENT",
+    InvalidBufferSize = -61, "CL_INVALID_BUFFER_SIZE",
 }
 
 impl ClError {
-    /// The `CL/cl.h` numeric code.
-    pub fn code(self) -> i32 {
-        match self {
-            ClError::DeviceNotFound => -1,
-            ClError::DeviceNotAvailable => -2,
-            ClError::CompilerNotAvailable => -3,
-            ClError::MemObjectAllocationFailure => -4,
-            ClError::OutOfResources => -5,
-            ClError::OutOfHostMemory => -6,
-            ClError::BuildProgramFailure => -11,
-            ClError::InvalidValue => -30,
-            ClError::InvalidDeviceType => -31,
-            ClError::InvalidPlatform => -32,
-            ClError::InvalidDevice => -33,
-            ClError::InvalidContext => -34,
-            ClError::InvalidQueueProperties => -35,
-            ClError::InvalidCommandQueue => -36,
-            ClError::InvalidMemObject => -38,
-            ClError::InvalidSampler => -41,
-            ClError::InvalidBinary => -42,
-            ClError::InvalidBuildOptions => -43,
-            ClError::InvalidProgram => -44,
-            ClError::InvalidProgramExecutable => -45,
-            ClError::InvalidKernelName => -46,
-            ClError::InvalidKernel => -48,
-            ClError::InvalidArgIndex => -49,
-            ClError::InvalidArgValue => -50,
-            ClError::InvalidArgSize => -51,
-            ClError::InvalidKernelArgs => -52,
-            ClError::InvalidWorkGroupSize => -54,
-            ClError::InvalidEventWaitList => -57,
-            ClError::InvalidEvent => -58,
-            ClError::InvalidBufferSize => -61,
+    /// The error a call gets for a bad handle of `kind`: dead, unknown,
+    /// or of another kind.
+    pub fn invalid_handle(kind: HandleKind) -> ClError {
+        match kind {
+            HandleKind::Platform => ClError::InvalidPlatform,
+            HandleKind::Device => ClError::InvalidDevice,
+            HandleKind::Context => ClError::InvalidContext,
+            HandleKind::CommandQueue => ClError::InvalidCommandQueue,
+            HandleKind::Mem => ClError::InvalidMemObject,
+            HandleKind::Sampler => ClError::InvalidSampler,
+            HandleKind::Program => ClError::InvalidProgram,
+            HandleKind::Kernel => ClError::InvalidKernel,
+            HandleKind::Event => ClError::InvalidEvent,
         }
-    }
-
-    /// The `CL/cl.h` symbolic name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClError::DeviceNotFound => "CL_DEVICE_NOT_FOUND",
-            ClError::DeviceNotAvailable => "CL_DEVICE_NOT_AVAILABLE",
-            ClError::CompilerNotAvailable => "CL_COMPILER_NOT_AVAILABLE",
-            ClError::MemObjectAllocationFailure => "CL_MEM_OBJECT_ALLOCATION_FAILURE",
-            ClError::OutOfResources => "CL_OUT_OF_RESOURCES",
-            ClError::OutOfHostMemory => "CL_OUT_OF_HOST_MEMORY",
-            ClError::BuildProgramFailure => "CL_BUILD_PROGRAM_FAILURE",
-            ClError::InvalidValue => "CL_INVALID_VALUE",
-            ClError::InvalidDeviceType => "CL_INVALID_DEVICE_TYPE",
-            ClError::InvalidPlatform => "CL_INVALID_PLATFORM",
-            ClError::InvalidDevice => "CL_INVALID_DEVICE",
-            ClError::InvalidContext => "CL_INVALID_CONTEXT",
-            ClError::InvalidQueueProperties => "CL_INVALID_QUEUE_PROPERTIES",
-            ClError::InvalidCommandQueue => "CL_INVALID_COMMAND_QUEUE",
-            ClError::InvalidMemObject => "CL_INVALID_MEM_OBJECT",
-            ClError::InvalidSampler => "CL_INVALID_SAMPLER",
-            ClError::InvalidBinary => "CL_INVALID_BINARY",
-            ClError::InvalidBuildOptions => "CL_INVALID_BUILD_OPTIONS",
-            ClError::InvalidProgram => "CL_INVALID_PROGRAM",
-            ClError::InvalidProgramExecutable => "CL_INVALID_PROGRAM_EXECUTABLE",
-            ClError::InvalidKernelName => "CL_INVALID_KERNEL_NAME",
-            ClError::InvalidKernel => "CL_INVALID_KERNEL",
-            ClError::InvalidArgIndex => "CL_INVALID_ARG_INDEX",
-            ClError::InvalidArgValue => "CL_INVALID_ARG_VALUE",
-            ClError::InvalidArgSize => "CL_INVALID_ARG_SIZE",
-            ClError::InvalidKernelArgs => "CL_INVALID_KERNEL_ARGS",
-            ClError::InvalidWorkGroupSize => "CL_INVALID_WORK_GROUP_SIZE",
-            ClError::InvalidEventWaitList => "CL_INVALID_EVENT_WAIT_LIST",
-            ClError::InvalidEvent => "CL_INVALID_EVENT",
-            ClError::InvalidBufferSize => "CL_INVALID_BUFFER_SIZE",
-        }
-    }
-
-    fn all() -> &'static [ClError] {
-        &[
-            ClError::DeviceNotFound,
-            ClError::DeviceNotAvailable,
-            ClError::CompilerNotAvailable,
-            ClError::MemObjectAllocationFailure,
-            ClError::OutOfResources,
-            ClError::OutOfHostMemory,
-            ClError::BuildProgramFailure,
-            ClError::InvalidValue,
-            ClError::InvalidDeviceType,
-            ClError::InvalidPlatform,
-            ClError::InvalidDevice,
-            ClError::InvalidContext,
-            ClError::InvalidQueueProperties,
-            ClError::InvalidCommandQueue,
-            ClError::InvalidMemObject,
-            ClError::InvalidSampler,
-            ClError::InvalidBinary,
-            ClError::InvalidBuildOptions,
-            ClError::InvalidProgram,
-            ClError::InvalidProgramExecutable,
-            ClError::InvalidKernelName,
-            ClError::InvalidKernel,
-            ClError::InvalidArgIndex,
-            ClError::InvalidArgValue,
-            ClError::InvalidArgSize,
-            ClError::InvalidKernelArgs,
-            ClError::InvalidWorkGroupSize,
-            ClError::InvalidEventWaitList,
-            ClError::InvalidEvent,
-            ClError::InvalidBufferSize,
-        ]
     }
 
     /// Inverse of [`ClError::code`].

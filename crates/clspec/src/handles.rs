@@ -136,6 +136,16 @@ macro_rules! typed_handle {
                 Ok($name(RawHandle::decode(r)?))
             }
         }
+
+        impl crate::api::ApiField for $name {
+            fn try_map_handles<E>(
+                &mut self,
+                f: &mut impl FnMut(HandleKind, RawHandle) -> Result<RawHandle, E>,
+            ) -> Result<(), E> {
+                self.0 = f($kind, self.0)?;
+                Ok(())
+            }
+        }
     };
 }
 

@@ -25,7 +25,7 @@ pub mod ocl;
 pub mod sig;
 pub mod types;
 
-pub use api::{ApiRequest, ApiResponse, ClApi};
+pub use api::{ApiRequest, ApiResponse, ClApi, RefOp};
 pub use error::{ClError, ClResult};
 pub use handles::{
     CommandQueue, Context, DeviceId, Event, HandleKind, Kernel, Mem, PlatformId, Program,

@@ -115,6 +115,12 @@ impl_codec_struct!(SamplerDesc {
     filter_mode
 });
 
+/// Bytes of a `width × height` 2-D image of single-channel float texels
+/// (CL_R / CL_FLOAT, 4 bytes each); `None` when the size overflows.
+pub fn image2d_bytes(width: u64, height: u64) -> Option<u64> {
+    width.checked_mul(height)?.checked_mul(4)
+}
+
 /// An N-dimensional range for kernel launches (`global_work_size` /
 /// `local_work_size`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
