@@ -15,7 +15,12 @@
 //! never dangle — a dump aborted mid-write leaves at most unreferenced
 //! (harmless) records behind, never a missing one. Records carry the
 //! same framed+checksummed codec as the stream format, so bit-rot is
-//! caught when the store is scanned.
+//! caught when the store is scanned. This is format v2
+//! ([`STORE_VERSION`]): each record is sealed with a four-lane
+//! [`simcore::Seal64`], while chunk addresses stay plain FNV-1a content
+//! hashes. A record of any other version or magic is refused with a
+//! typed error wherever it sits in the file, never dropped as a torn
+//! tail.
 //!
 //! Compression is a deterministic byte-level RLE with a raw fallback
 //! (never expands). It is a *model* of a real codec: the simulator
@@ -33,7 +38,7 @@ use std::sync::OnceLock;
 /// Magic bytes of one chunk-store record frame.
 pub const STORE_MAGIC: [u8; 4] = *b"BLCC";
 /// Chunk-store format version.
-pub const STORE_VERSION: u32 = 1;
+pub const STORE_VERSION: u32 = 2;
 
 /// Content-defined chunking bounds: no chunk smaller than this…
 pub const CDC_MIN_CHUNK: usize = 2 << 10;
@@ -200,6 +205,12 @@ struct ScanResult {
     torn: bool,
 }
 
+/// `true` for the errors of a frame that is intact but not this
+/// build's: the wrong magic or a format version it does not read.
+fn is_foreign(e: &CodecError) -> bool {
+    matches!(e, CodecError::BadMagic | CodecError::BadVersion(_))
+}
+
 /// Scan the raw bytes of a store file; `keep_payloads` controls whether
 /// chunk bytes are materialised (restore) or only indexed (dump).
 ///
@@ -209,7 +220,8 @@ struct ScanResult {
 /// `torn`, because an append-only store's committed references only
 /// ever point at earlier, intact records. Corruption *before* the final
 /// frame is still fatal (that is bit-rot, not a torn append, and
-/// dropping mid-file records would dangle committed references).
+/// dropping mid-file records would dangle committed references), and a
+/// foreign magic or version is fatal at any position.
 fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut index = BTreeMap::new();
     let mut payloads = BTreeMap::new();
@@ -243,8 +255,11 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
             Ok(p) => p,
             // A garbled *final* frame is a torn append whose length
             // prefix happened to land inside the file; mid-file rot
-            // stays fatal.
-            Err(_) if r.is_empty() => {
+            // stays fatal. So is a frame of another magic or version
+            // anywhere: those lead the frame, where a tear cannot reach,
+            // and dropping it would throw away a store this build cannot
+            // read.
+            Err(e) if r.is_empty() && !is_foreign(&e) => {
                 return Ok(ScanResult {
                     index,
                     payloads,

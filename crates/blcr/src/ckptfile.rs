@@ -16,6 +16,11 @@
 //! data part on top of a tens-of-MB process baseline. The padding is
 //! carried as the file's run of zeros ([`FileBytes`]), a length rather
 //! than bytes: it costs I/O time like data, and no parser reads it.
+//!
+//! This is format v2 ([`CKPT_VERSION`]): the frame is sealed with a
+//! four-lane [`simcore::Seal64`]. A v1 file, sealed with one-lane
+//! FNV-1a, is refused with [`CodecError::BadVersion`]; no v1 reader is
+//! kept.
 
 use osproc::{FileBytes, MemImage};
 use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
@@ -24,7 +29,7 @@ use simcore::{calib, impl_codec_struct};
 /// Magic bytes of a checkpoint frame.
 pub const CKPT_MAGIC: [u8; 4] = *b"BLCR";
 /// Format version.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// Decoded checkpoint contents.
 #[derive(Clone, Debug, PartialEq)]

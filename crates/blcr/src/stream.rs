@@ -24,21 +24,25 @@
 //!
 //! Every frame reuses the framed+checksummed codec of the sequential
 //! format (distinct magic), so torn or corrupted streams are detected
-//! at parse time. The commit protocol is unchanged from the robust
-//! sequential path: everything is appended to `<target>.tmp` and a
-//! single atomic rename publishes the checkpoint — a fault during any
-//! streamed chunk leaves the previous generation at `target` intact.
+//! at parse time. This is format v2 ([`STREAM_VERSION`]): every frame
+//! seal and the trailer's checksum are a four-lane [`Seal64`]. A v1
+//! stream, sealed with one-lane FNV-1a, is refused with
+//! [`CodecError::BadVersion`]; no v1 reader is kept. The commit
+//! protocol is unchanged from the robust sequential path: everything is
+//! appended to `<target>.tmp` and a single atomic rename publishes the
+//! checkpoint — a fault during any streamed chunk leaves the previous
+//! generation at `target` intact.
 
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
 use simcore::codec::{decode_framed_folding, encode_prefixed_frame_folding, CodecError, Reader};
-use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDuration};
+use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Seal64, SimDuration};
 
 /// Magic bytes of a streamed-checkpoint frame (the sequential format
 /// uses `BLCR`; the first frame's magic is what tells the two apart).
 pub const STREAM_MAGIC: [u8; 4] = *b"BLCS";
 /// Streamed format version.
-pub const STREAM_VERSION: u32 = 1;
+pub const STREAM_VERSION: u32 = 2;
 
 /// First frame of a stream: everything the sequential
 /// [`crate::CheckpointFile`] holds, minus the buffer payloads that
@@ -149,7 +153,8 @@ pub struct StreamTrailer {
     pub chunks: u32,
     /// Total chunk payload bytes.
     pub data_bytes: u64,
-    /// FNV-64 over every chunk payload, in stream order.
+    /// [`Seal64`] over every chunk and slice payload and every chunk
+    /// map's references, in stream order.
     pub data_checksum: u64,
 }
 
@@ -266,7 +271,7 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
     let mut map_bytes: Vec<u64> = Vec::new();
     let mut slices: Vec<StreamSlice> = Vec::new();
     let mut slice_bytes: Vec<u64> = Vec::new();
-    let mut hasher = Fnv64::new();
+    let mut hasher = Seal64::new();
     let mut data_bytes: u64 = 0;
     loop {
         if r.is_empty() {
@@ -442,7 +447,7 @@ pub struct StreamWriter {
     written: u64,
     chunks: u32,
     data_bytes: u64,
-    hasher: Fnv64,
+    hasher: Seal64,
     state: WriterState,
 }
 
@@ -485,7 +490,7 @@ impl StreamWriter {
             written: 0,
             chunks: 0,
             data_bytes: 0,
-            hasher: Fnv64::new(),
+            hasher: Seal64::new(),
             state: WriterState::Open,
         };
         let header = StreamFrame::Header(StreamHeader {

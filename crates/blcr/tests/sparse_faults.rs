@@ -143,52 +143,52 @@ fn write_faults_on_dump_files_replay_byte_identically() {
 }
 
 const EXPECTED: &[&str] = &[
-    "seq corrupt_all seed=1 ok(25169995) len=25169995 fnv=cd3ccb431b489b89 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=2 ok(25169995) len=25169995 fnv=e13f62beb33eb495 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=3 ok(25169995) len=25169995 fnv=83745db111cb6ac8 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=5 ok(25169995) len=25169995 fnv=9b52346106d5e41e log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=8 ok(25169995) len=25169995 fnv=b4c1e4640bdba5e5 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
-    "seq corrupt_all seed=13 ok(25169995) len=25169995 fnv=9141f6f803b5505d log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
-    "seq corrupt_all seed=21 ok(25169995) len=25169995 fnv=913cb524e9531520 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=34 ok(25169995) len=25169995 fnv=dceed83b99b83e4b log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq short_tail seed=1 ok(25169995) len=14260352 fnv=e930612c4f0d0ed3 log=[short_write@0:/local/seq.ckpt: 14260352/25169995 bytes]",
-    "seq short_tail seed=2 ok(25169995) len=14880242 fnv=5f7b0fab6e8da00b log=[short_write@0:/local/seq.ckpt: 14880242/25169995 bytes]",
-    "seq short_tail seed=3 ok(25169995) len=2855544 fnv=c3a01390c015ba73 log=[short_write@0:/local/seq.ckpt: 2855544/25169995 bytes]",
-    "seq short_tail seed=5 ok(25169995) len=9734949 fnv=5bca7f24f7d16019 log=[short_write@0:/local/seq.ckpt: 9734949/25169995 bytes]",
-    "seq short_tail seed=8 ok(25169995) len=15567758 fnv=5d871d1c6672705b log=[short_write@0:/local/seq.ckpt: 15567758/25169995 bytes]",
-    "seq short_tail seed=13 ok(25169995) len=19348441 fnv=10615e5b5749b2e9 log=[short_write@0:/local/seq.ckpt: 19348441/25169995 bytes]",
-    "seq short_tail seed=21 ok(25169995) len=667518 fnv=2c2042931f6db19b log=[short_write@0:/local/seq.ckpt: 667518/25169995 bytes]",
-    "seq short_tail seed=34 ok(25169995) len=13483774 fnv=f8274c15823bbb9b log=[short_write@0:/local/seq.ckpt: 13483774/25169995 bytes]",
-    "seq corrupt_prefix seed=1 ok(25169995) len=25169995 fnv=bf138e8d8e05f949 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=2 ok(25169995) len=25169995 fnv=280b83a9a928a7ed log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=3 ok(25169995) len=25169995 fnv=cb3b4591f5db4104 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=5 ok(25169995) len=25169995 fnv=ebddfb5bacfaa23a log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=8 ok(25169995) len=25169995 fnv=798ca2135b178115 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
-    "seq corrupt_prefix seed=13 ok(25169995) len=25169995 fnv=2b12e905c4a15cc5 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
-    "seq corrupt_prefix seed=21 ok(25169995) len=25169995 fnv=a6d685815db73d56 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=34 ok(25169995) len=25169995 fnv=66cfdd2a240f0113 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=2db827accad46eac log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=5375ba88d3342a48 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=7bb7b7e9f917f89c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=22789178422595c8 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=897fceac9a8a6570 log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=66033c0963adbd08 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=0af7f183d5f96847 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=9310a1bc1a6457af log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
-    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=528628696ce20d8c log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
-    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=b2a1b5934b37f9ac log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
-    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=d32ae4a57a318884 log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
-    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=36021192edb80504 log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
-    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=4b39b42a579f9464 log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
-    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=71622a3b102fcfec log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
-    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=5fbc262a59df0944 log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
-    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=3435e72e32f68eac log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
-    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=99d430f7c8677598 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=b100f4e29b864f0c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=0e3cc43d5462328a log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=3cc8f1ec024bbd8c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=bc864c7561693618 log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=e59fd7b3f07a8a78 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=cef80559fd754be5 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=165c9f812f26b333 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "seq corrupt_all seed=1 ok(25169995) len=25169995 fnv=63967b4a0e245bb4 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=2 ok(25169995) len=25169995 fnv=7fb77d7c1f5a68e8 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=3 ok(25169995) len=25169995 fnv=4a8da44bbfd6a775 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=5 ok(25169995) len=25169995 fnv=9581122c2297131f log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=8 ok(25169995) len=25169995 fnv=083618064d34b278 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
+    "seq corrupt_all seed=13 ok(25169995) len=25169995 fnv=9f914f9525b7a6e0 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
+    "seq corrupt_all seed=21 ok(25169995) len=25169995 fnv=513d37e0094303cd log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=34 ok(25169995) len=25169995 fnv=2cbdde23d8070852 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq short_tail seed=1 ok(25169995) len=14260352 fnv=5887e39312646904 log=[short_write@0:/local/seq.ckpt: 14260352/25169995 bytes]",
+    "seq short_tail seed=2 ok(25169995) len=14880242 fnv=b737d6d97105eca4 log=[short_write@0:/local/seq.ckpt: 14880242/25169995 bytes]",
+    "seq short_tail seed=3 ok(25169995) len=2855544 fnv=f1dca2bebb17d084 log=[short_write@0:/local/seq.ckpt: 2855544/25169995 bytes]",
+    "seq short_tail seed=5 ok(25169995) len=9734949 fnv=cf45628165c6028c log=[short_write@0:/local/seq.ckpt: 9734949/25169995 bytes]",
+    "seq short_tail seed=8 ok(25169995) len=15567758 fnv=19fcbbc1fadf4e64 log=[short_write@0:/local/seq.ckpt: 15567758/25169995 bytes]",
+    "seq short_tail seed=13 ok(25169995) len=19348441 fnv=13e7d6e52466724c log=[short_write@0:/local/seq.ckpt: 19348441/25169995 bytes]",
+    "seq short_tail seed=21 ok(25169995) len=667518 fnv=003961469a24d564 log=[short_write@0:/local/seq.ckpt: 667518/25169995 bytes]",
+    "seq short_tail seed=34 ok(25169995) len=13483774 fnv=cbd2461253410d64 log=[short_write@0:/local/seq.ckpt: 13483774/25169995 bytes]",
+    "seq corrupt_prefix seed=1 ok(25169995) len=25169995 fnv=f9b65d11a028b1c4 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=2 ok(25169995) len=25169995 fnv=35be283adfe43308 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=3 ok(25169995) len=25169995 fnv=a6393b5fe7e51b49 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=5 ok(25169995) len=25169995 fnv=9bfd643c6349f90f log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=8 ok(25169995) len=25169995 fnv=3ae8976d6a5f8d80 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
+    "seq corrupt_prefix seed=13 ok(25169995) len=25169995 fnv=9054ce40b5aedfb8 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
+    "seq corrupt_prefix seed=21 ok(25169995) len=25169995 fnv=331a795de270c873 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=34 ok(25169995) len=25169995 fnv=efd7a51581272b0e log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=7e3de8c1f3e88344 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=bcc8181a7183aa98 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=66a826f10cc2b084 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=d7604c2ea7a3b778 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=96b194cdfca3711c log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=ed685e7bf61d195c log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=420c64889295099f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=60ec049cbfd73767 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=f05d480b80494f50 log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
+    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=4b75127c1efc02d0 log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
+    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=b058af4f80e18a70 log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
+    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=af11631e415ea870 log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
+    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=6b9a43ba1165f6f0 log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
+    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=62858205ab2331d0 log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
+    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=d7d0a3f23770df70 log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
+    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=20c918b82ba74ed0 log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
+    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=979590b0eda2dc5c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=d80a57ad8e2154f0 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=3d33c6f4d78abca6 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=645e7142856f8078 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=cef4f3b4fc23e8cc log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=a1785e4100814d64 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=f818df184700e2cd log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=1f4fbdc2f5a768cb log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
 ];

@@ -5,12 +5,15 @@
 //!
 //! 1. **noted** — the CheCL-space facts are read off the request while
 //!    its handles are still CheCL handles: the record a creation call or
-//!    an enqueue leaves ([`ObjectRecord::created_by`]), the buffer span a
-//!    write overwrites, the program a build configures, and the object a
-//!    retain or release acts on ([`ApiRequest::refcount`]);
+//!    an enqueue leaves ([`ObjectRecord::created_by`]), the buffer spans
+//!    a write or copy reads and overwrites, the program a build
+//!    configures, and the object a retain or release acts on
+//!    ([`ApiRequest::refcount`]);
 //! 2. **translated** — [`ApiRequest::try_map_handles`] swaps each CheCL
 //!    handle for the vendor handle the database wraps, checking liveness
-//!    and kind. The first bad handle rejects the call before any effect;
+//!    and kind. The first bad handle rejects the call before any effect,
+//!    and so does a span past its buffer's end (`InvalidValue`, by the
+//!    driver's own [`byte_span`] rule);
 //! 3. **forwarded** — after the pre-effects (fork a pending live cut,
 //!    mark the buffer dirty, keep a `USE_HOST_PTR` cache coherent), one
 //!    trip over the app↔proxy pipe, paying the IPC latency plus an extra
@@ -43,7 +46,7 @@ use clspec::api::{ApiRequest, ApiResponse, ClApi, RefOp};
 use clspec::error::{ClError, ClResult};
 use clspec::handles::{CommandQueue, DeviceId, HandleKind, Kernel, Mem, PlatformId, RawHandle};
 use clspec::sig::{parse_struct_defs, ParamKind};
-use clspec::types::{ArgValue, NDRange};
+use clspec::types::{byte_span, ArgValue, NDRange};
 use osproc::{Pid, Pipe};
 use simcore::codec::Codec;
 use simcore::{telemetry, SimTime};
@@ -344,6 +347,18 @@ impl ChecLib {
         }
         self.stats.handle_translations += 1;
         Ok(entry.vendor)
+    }
+
+    /// `InvalidValue` unless `[offset, offset + len)` lies inside
+    /// buffer `checl_mem`, checked against its record's size with the
+    /// driver's own [`byte_span`] rule.
+    fn check_span(&self, checl_mem: u64, offset: u64, len: u64) -> ClResult<()> {
+        match self.db.get(checl_mem).map(|e| &e.record) {
+            Some(ObjectRecord::Mem { size, .. }) if byte_span(offset, len, *size).is_none() => {
+                Err(ClError::InvalidValue)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Dirty-region lists longer than this collapse to one whole-buffer
@@ -851,20 +866,25 @@ impl ChecLib {
         }
         // 1. The CheCL-space facts, noted before translation rewrites the
         //    handles they name: the record the call creates, the buffer
-        //    span it overwrites, and the refcount it moves.
+        //    spans it reads and overwrites, and the refcount it moves.
         let created = ObjectRecord::created_by(&req);
-        let overwritten = match &req {
+        let (copied, overwritten) = match &req {
             EnqueueWriteBuffer {
                 mem, offset, data, ..
-            } => Some((mem.raw().0, *offset, data.len() as u64)),
-            EnqueueWriteImage { image, .. } => Some((image.raw().0, 0, u64::MAX)),
+            } => (None, Some((mem.raw().0, *offset, data.len() as u64))),
+            EnqueueWriteImage { image, .. } => (None, Some((image.raw().0, 0, u64::MAX))),
             EnqueueCopyBuffer {
+                src,
                 dst,
+                src_offset,
                 dst_offset,
                 size,
                 ..
-            } => Some((dst.raw().0, *dst_offset, *size)),
-            _ => None,
+            } => (
+                Some((src.raw().0, *src_offset, *size)),
+                Some((dst.raw().0, *dst_offset, *size)),
+            ),
+            _ => (None, None),
         };
         let refcount = req.refcount();
         let build_options = match &req {
@@ -876,6 +896,13 @@ impl ChecLib {
         //    call before it has any effect.
         req.try_map_handles(|kind, h| self.xlate(h.0, kind))?;
         let record = created.transpose()?;
+        //    So does a span past its buffer's end, the driver's
+        //    `InvalidValue` (a whole-object write, `u64::MAX`, has none).
+        for (mem, offset, len) in copied.into_iter().chain(overwritten) {
+            if len != u64::MAX {
+                self.check_span(mem, offset, len)?;
+            }
+        }
 
         // 3. Pre-effects: fork a pending live cut, mark dirty, and keep
         //    a USE_HOST_PTR cache coherent with the app's write.

@@ -3,13 +3,13 @@
 //! wrapped size. A rejected enqueue does no work. Each case runs on a
 //! native driver and through the CheCL shim, and both must agree.
 
-use checl::{boot_checl, CheclConfig};
+use checl::{boot_checl, ChecLib, CheclConfig, CprPolicy, ObjectRecord};
 use cldriver::vendor::nimbus;
 use cldriver::Driver;
 use clspec::api::ClApi;
 use clspec::error::ClError;
 use clspec::types::{DeviceType, MemFlags, NDRange, QueueProps};
-use clspec::{CommandQueue, Context, Event, Ocl};
+use clspec::{CommandQueue, Context, Event, Mem, Ocl};
 use osproc::Cluster;
 
 /// Run `check` natively and through the shim, each on a fresh nimbus
@@ -23,17 +23,23 @@ fn on_both(check: impl Fn(&mut Ocl<'_>, Context, CommandQueue)) {
     for api in apis {
         let mut now = cluster.process(app).clock;
         let mut ocl = Ocl::new(api, &mut now);
-        let platforms = ocl.get_platform_ids().unwrap();
-        let dev = ocl.get_device_ids(platforms[0], DeviceType::Gpu).unwrap()[0];
-        let ctx = ocl.create_context(&[dev]).unwrap();
-        let q = ocl
-            .create_command_queue(ctx, dev, QueueProps::default())
-            .unwrap();
+        let (ctx, q) = gpu_queue(&mut ocl);
         check(&mut ocl, ctx, q);
     }
 }
 
-fn buffer(ocl: &mut Ocl<'_>, ctx: Context, bytes: &[u8]) -> clspec::Mem {
+/// A context and an in-order queue on the first GPU.
+fn gpu_queue(ocl: &mut Ocl<'_>) -> (Context, CommandQueue) {
+    let platforms = ocl.get_platform_ids().unwrap();
+    let dev = ocl.get_device_ids(platforms[0], DeviceType::Gpu).unwrap()[0];
+    let ctx = ocl.create_context(&[dev]).unwrap();
+    let q = ocl
+        .create_command_queue(ctx, dev, QueueProps::default())
+        .unwrap();
+    (ctx, q)
+}
+
+fn buffer(ocl: &mut Ocl<'_>, ctx: Context, bytes: &[u8]) -> Mem {
     let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
     ocl.create_buffer(ctx, flags, bytes.len() as u64, Some(bytes.to_vec()))
         .unwrap()
@@ -81,6 +87,73 @@ fn a_copy_past_u64_max_is_invalid_value() {
         let (data, _) = ocl.enqueue_read_buffer(q, dst, true, 0, 16, &[]).unwrap();
         assert_eq!(data, vec![2; 16]);
     });
+}
+
+/// A write into 16-byte `dst` and copies between `src` and `dst`, each
+/// ending 4 bytes past a buffer's end: all `InvalidValue`.
+fn refuse_spans_past_the_end(ocl: &mut Ocl<'_>, q: CommandQueue, src: Mem, dst: Mem) {
+    let err = ocl.enqueue_write_buffer(q, dst, true, 12, vec![7; 8], &[]);
+    assert_eq!(err.unwrap_err(), ClError::InvalidValue);
+    for (src_offset, dst_offset) in [(12, 0), (0, 12)] {
+        let err = ocl.enqueue_copy_buffer(q, src, dst, src_offset, dst_offset, 8, &[]);
+        assert_eq!(err.unwrap_err(), ClError::InvalidValue);
+    }
+}
+
+/// A write or copy whose span passes its buffer's end is refused before
+/// it does any work. Natively and through the shim both buffers keep
+/// their bytes; in the shim the destination also stays clean with its
+/// regions as they were, and a pending live cut forks nothing for it.
+#[test]
+fn a_span_past_the_buffer_end_does_no_work() {
+    on_both(|ocl, ctx, q| {
+        let src = buffer(ocl, ctx, &[1; 16]);
+        let dst = buffer(ocl, ctx, &[2; 16]);
+        refuse_spans_past_the_end(ocl, q, src, dst);
+        for (mem, fill) in [(src, 1), (dst, 2)] {
+            let (data, _) = ocl.enqueue_read_buffer(q, mem, true, 0, 16, &[]).unwrap();
+            assert_eq!(data, vec![fill; 16]);
+        }
+    });
+
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let app = cluster.spawn(cluster.node_ids()[0]);
+    let mut shim = boot_checl(&mut cluster, app, nimbus(), CheclConfig::default());
+    let mut now = cluster.process(app).clock;
+    let (q, src, dst) = {
+        let mut ocl = Ocl::new(&mut shim.lib, &mut now);
+        let (ctx, q) = gpu_queue(&mut ocl);
+        (
+            q,
+            buffer(&mut ocl, ctx, &[1; 16]),
+            buffer(&mut ocl, ctx, &[2; 16]),
+        )
+    };
+    cluster.process_mut(app).clock = now;
+    let live = CprPolicy::sequential().live(true);
+    checl::snapshot(&mut shim.lib, &mut cluster, app, "/local/span.ckpt", &live).unwrap();
+    let dirt = |lib: &ChecLib| match &lib.db.get(dst.raw().0).unwrap().record {
+        ObjectRecord::Mem {
+            dirty,
+            dirty_regions,
+            ..
+        } => (*dirty, dirty_regions.clone()),
+        other => panic!("not a buffer: {other:?}"),
+    };
+    let before = dirt(&shim.lib);
+    assert!(!before.0, "the snapshot leaves the destination clean");
+    let mut now = cluster.process(app).clock;
+    refuse_spans_past_the_end(&mut Ocl::new(&mut shim.lib, &mut now), q, src, dst);
+    assert_eq!(
+        dirt(&shim.lib),
+        before,
+        "a refused call dirtied its destination"
+    );
+    cluster.process_mut(app).clock = now;
+    let drained = checl::complete_live_drain(&mut shim.lib, &mut cluster, app)
+        .unwrap()
+        .expect("the live cut was pending");
+    assert_eq!((drained.forked_chunks, drained.forked_bytes), (0, 0));
 }
 
 #[test]

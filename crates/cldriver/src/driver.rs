@@ -1,7 +1,7 @@
 //! The vendor driver: a full `ClApi` implementation.
 
 use crate::device::DeviceProfile;
-use crate::vendor::{VendorConfig, VendorKind};
+use crate::vendor::{VendorConfig, VendorKind, BINARY_VERSION};
 use clkernels::{execute, kernel_cost_spec, ArgData};
 use clspec::api::{ApiRequest, ApiResponse, ClApi, RefOp};
 use clspec::error::{ClError, ClResult};
@@ -11,19 +11,23 @@ use clspec::handles::{
 };
 use clspec::sig::{parse_kernel_sigs, KernelSig, ParamKind};
 use clspec::types::{
-    image2d_bytes, ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo, QueueProps,
-    SamplerDesc,
+    byte_span, image2d_bytes, ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo,
+    QueueProps, SamplerDesc,
 };
 use simcore::codec::{decode_framed, encode_framed};
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Each driver instance salts its handles so that re-creating an object
-/// after restart yields a *different* handle value — the behaviour that
-/// forces CheCL to keep its own stable handles (§III-B).
-static INSTANCE_SALT: AtomicU64 = AtomicU64::new(1);
+std::thread_local! {
+    /// Each driver instance salts its handles so that re-creating an
+    /// object after restart yields a *different* handle value — the
+    /// behaviour that forces CheCL to keep its own stable handles
+    /// (§III-B). The count is per thread, so a run's handles (and the
+    /// dump bytes that hold them) do not depend on how many drivers
+    /// other threads, such as concurrent tests, loaded first.
+    static INSTANCE_SALT: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
+}
 
 /// Cumulative driver statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,7 +165,7 @@ pub struct Driver {
 impl Driver {
     /// Load a driver instance for the given vendor.
     pub fn new(cfg: VendorConfig) -> Self {
-        let salt = INSTANCE_SALT.fetch_add(1, Ordering::Relaxed) & 0xffff;
+        let salt = INSTANCE_SALT.with(|n| n.replace(n.get() + 1)) & 0xffff;
         let mut d = Driver {
             salt,
             platform: RawHandle::NULL,
@@ -282,8 +286,8 @@ impl Driver {
     }
 
     /// Salt-free 32-bit serial of a vendor handle, stable across runs
-    /// (the instance salt in the upper bits is process-global and would
-    /// break trace determinism).
+    /// (the instance salt in the upper bits counts the drivers loaded
+    /// before, and would break trace determinism).
     fn stable_id(h: RawHandle) -> u64 {
         (h.0 >> 4) & 0xffff_ffff
     }
@@ -622,7 +626,7 @@ impl Driver {
         self.ctx(context)?;
         self.device_slot(device)?;
         let (source_len, sigs): (u64, Vec<KernelSig>) =
-            decode_framed(self.cfg.kind.binary_magic(), 1, binary)
+            decode_framed(self.cfg.kind.binary_magic(), BINARY_VERSION, binary)
                 .map_err(|_| ClError::InvalidBinary)?;
         let h = self.fresh_handle();
         self.programs.insert(
@@ -676,7 +680,7 @@ impl Driver {
         let payload = (p.source_len as u64, p.sigs.clone());
         Ok(ApiResponse::Binary(encode_framed(
             self.cfg.kind.binary_magic(),
-            1,
+            BINARY_VERSION,
             &payload,
         )))
     }
@@ -865,10 +869,8 @@ impl Driver {
     /// The byte range `[offset, offset + size)` of `buf`, or
     /// `InvalidValue` when any of it lies outside the buffer.
     fn span(offset: u64, size: u64, buf: &BufObj) -> ClResult<std::ops::Range<usize>> {
-        match offset.checked_add(size) {
-            Some(end) if end <= buf.size => Ok(offset as usize..end as usize),
-            _ => Err(ClError::InvalidValue),
-        }
+        let span = byte_span(offset, size, buf.size).ok_or(ClError::InvalidValue)?;
+        Ok(span.start as usize..span.end as usize)
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the clEnqueue* C signature

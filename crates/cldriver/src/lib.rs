@@ -26,4 +26,4 @@ pub mod vendor;
 
 pub use device::DeviceProfile;
 pub use driver::{Driver, DriverStats};
-pub use vendor::{VendorConfig, VendorKind};
+pub use vendor::{VendorConfig, VendorKind, BINARY_VERSION};

@@ -15,6 +15,12 @@ pub enum VendorKind {
     Crimson,
 }
 
+/// Format version of a program binary's frame (behind the vendor's
+/// [`binary_magic`](VendorKind::binary_magic)). Version 2 is sealed
+/// with a four-lane [`simcore::Seal64`]; a binary of any other version
+/// is `InvalidBinary`.
+pub const BINARY_VERSION: u32 = 2;
+
 impl VendorKind {
     /// Stable numeric id embedded in handles and binaries.
     pub fn id(self) -> u8 {

@@ -121,6 +121,14 @@ pub fn image2d_bytes(width: u64, height: u64) -> Option<u64> {
     width.checked_mul(height)?.checked_mul(4)
 }
 
+/// The byte range `[offset, offset + len)` of a `size`-byte buffer;
+/// `None` when any of it lies outside, the end overflowing included.
+#[inline]
+pub fn byte_span(offset: u64, len: u64, size: u64) -> Option<std::ops::Range<u64>> {
+    let end = offset.checked_add(len)?;
+    (end <= size).then_some(offset..end)
+}
+
 /// An N-dimensional range for kernel launches (`global_work_size` /
 /// `local_work_size`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]

@@ -5,7 +5,7 @@
 //! runtime state living inside the process — into a compact, framed,
 //! checksummed binary stream. This module defines that stream format:
 //! little-endian fixed-width primitives, `u64` length prefixes, and a
-//! `magic | version | payload | fnv64` frame.
+//! `magic | version | payload | seal64` frame.
 //!
 //! The format is deliberately hand-rolled rather than pulled from an
 //! external serialisation crate: the checkpoint file layout is part of
@@ -29,7 +29,7 @@
 //! something: `NDRange`'s dimension count, `ClError`'s code, and
 //! `CheclDb`'s index rebuild (plus the newtype wrappers).
 
-use crate::checksum::Fnv64;
+use crate::checksum::Seal64;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -455,20 +455,20 @@ fn put_prefixed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The seal of a frame body: FNV-1a 64 over all of `body`, whose bytes
-/// from `split` on (clamped to the body) are folded into `fold` in the
-/// same pass. FNV-1a is bound by the latency of its multiply, so a run
-/// folded into a second hasher here costs almost nothing beside the
-/// seal, where a separate `update` would be a second full pass.
-fn seal(body: &[u8], split: usize, fold: &mut Fnv64) -> u64 {
+/// The seal of a frame body: a [`Seal64`] over all of `body`, whose
+/// bytes from `split` on (clamped to the body) are folded into `fold`
+/// in the same pass. The seal is bound by the latency of its
+/// multiplies, so a run folded into a second seal here costs little
+/// beside it, where a separate `update` would be a second full pass.
+fn seal(body: &[u8], split: usize, fold: &mut Seal64) -> u64 {
     let (head, run) = body.split_at(split.min(body.len()));
-    let mut sum = Fnv64::new();
+    let mut sum = Seal64::new();
     sum.update(head);
     sum.update_with(fold, run);
     sum.finish()
 }
 
-/// Append a `magic | version | len | payload | fnv64` frame to `out`,
+/// Append a `magic | version | len | payload | seal64` frame to `out`,
 /// folding the last `run` bytes of the encoded payload (all of it, if
 /// `run` is longer) into `fold`.
 fn put_framed<T: Codec>(
@@ -477,7 +477,7 @@ fn put_framed<T: Codec>(
     version: u32,
     payload: &T,
     run: usize,
-    fold: &mut Fnv64,
+    fold: &mut Seal64,
 ) {
     out.extend_from_slice(&magic);
     version.encode(out);
@@ -488,10 +488,10 @@ fn put_framed<T: Codec>(
     sum.encode(out);
 }
 
-/// Wrap a payload in a `magic | version | len | payload | fnv64` frame.
+/// Wrap a payload in a `magic | version | len | payload | seal64` frame.
 pub fn encode_framed<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    put_framed(&mut out, magic, version, payload, 0, &mut Fnv64::new());
+    put_framed(&mut out, magic, version, payload, 0, &mut Seal64::new());
     out
 }
 
@@ -499,7 +499,7 @@ pub fn encode_framed<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec
 /// file, a stream or a chunk store appends, read back with
 /// [`Reader::take_frame`].
 pub fn encode_prefixed_frame<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
-    encode_prefixed_frame_folding(magic, version, payload, 0, &mut Fnv64::new())
+    encode_prefixed_frame_folding(magic, version, payload, 0, &mut Seal64::new())
 }
 
 /// [`encode_prefixed_frame`], folding the last `run` bytes of the
@@ -511,7 +511,7 @@ pub fn encode_prefixed_frame_folding<T: Codec>(
     version: u32,
     payload: &T,
     run: usize,
-    fold: &mut Fnv64,
+    fold: &mut Seal64,
 ) -> Vec<u8> {
     let mut out = Vec::new();
     put_prefixed(&mut out, |out| {
@@ -527,7 +527,7 @@ pub fn decode_framed<T: Codec>(
     version: u32,
     bytes: &[u8],
 ) -> Result<T, CodecError> {
-    decode_framed_folding(magic, version, bytes, <[u8]>::len, &mut Fnv64::new()).map(|(t, _)| t)
+    decode_framed_folding(magic, version, bytes, <[u8]>::len, &mut Seal64::new()).map(|(t, _)| t)
 }
 
 /// [`decode_framed`], folding the payload body from `run_at(body)` on
@@ -541,7 +541,7 @@ pub fn decode_framed_folding<T: Codec>(
     version: u32,
     bytes: &[u8],
     run_at: impl FnOnce(&[u8]) -> usize,
-    fold: &mut Fnv64,
+    fold: &mut Seal64,
 ) -> Result<(T, usize), CodecError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != magic {
@@ -682,12 +682,18 @@ mod tests {
         assert!(res.is_err());
     }
 
+    fn sealed(data: &[u8]) -> u64 {
+        let mut s = Seal64::new();
+        s.update(data);
+        s.finish()
+    }
+
     #[test]
     fn folding_encode_is_the_plain_frame_plus_a_separate_hash() {
         crate::qcheck::qcheck("folding_frame", 64, |g| {
             let (head, len, prior_len) = (g.u32(), g.usize_in(0, 300), g.usize_in(0, 16));
             let payload = (head, g.bytes(len));
-            let mut fold = Fnv64::new();
+            let mut fold = Seal64::new();
             fold.update(&g.bytes(prior_len));
             let mut want = fold;
             want.update(&payload.1);
@@ -698,7 +704,7 @@ mod tests {
             // The read side folds the same run back out of the frame,
             // from any start the caller names.
             let framed = &frame[8..];
-            let mut back = Fnv64::new();
+            let mut back = Seal64::new();
             let (decoded, folded) = decode_framed_folding::<(u32, Vec<u8>)>(
                 *b"FOLD",
                 3,
@@ -708,18 +714,16 @@ mod tests {
             )
             .unwrap();
             assert_eq!((decoded, folded), (payload.clone(), run));
-            assert_eq!(back.finish(), crate::checksum::fnv1a64(&payload.1));
+            assert_eq!(back.finish(), sealed(&payload.1));
             let at = g.usize_in(0, 400);
-            let mut any = Fnv64::new();
+            let mut any = Seal64::new();
             let (_, folded) =
                 decode_framed_folding::<(u32, Vec<u8>)>(*b"FOLD", 3, framed, |_| at, &mut any)
                     .unwrap();
-            let body = &framed[16..framed.len() - 8];
+            let (body, sum) = framed[16..].split_at(framed.len() - 24);
+            assert_eq!(u64::from_bytes(sum).unwrap(), sealed(body));
             assert_eq!(folded, body.len() - at.min(body.len()));
-            assert_eq!(
-                any.finish(),
-                crate::checksum::fnv1a64(&body[body.len() - folded..])
-            );
+            assert_eq!(any.finish(), sealed(&body[body.len() - folded..]));
         });
     }
 

@@ -33,7 +33,7 @@ pub mod time;
 
 pub use bandwidth::{Bandwidth, LinkModel};
 pub use bytesize::ByteSize;
-pub use checksum::{fnv1a64, Fnv64};
+pub use checksum::{fnv1a64, Fnv64, Seal64};
 pub use codec::{Codec, CodecError, Reader};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

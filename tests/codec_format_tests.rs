@@ -21,9 +21,9 @@ use workloads::{BufInit, Op};
 const PINNED: [(&str, usize, u64); 12] = [
     ("CheclDb", 954, 0xbcd78c5019c24321),
     ("AppProgram", 1165, 0x960ae9ba6a4b0743),
-    ("chunk store file", 738, 0x4a8f7300588bc1f7),
-    ("stream file", 528, 0xcbb44abde99f1fdb),
-    ("checkpoint file", 300, 0xa9c504e8168054cd),
+    ("chunk store file", 738, 0xba6193c98fec0873),
+    ("stream file", 528, 0x3db90a8b469c03be),
+    ("checkpoint file", 300, 0xa1c44e42600c7768),
     ("DeviceType", 4, 0x4475327f98e05411),
     ("HandleKind", 9, 0xb11d013568a3b7cf),
     ("EventStatus", 4, 0x4475327f98e05411),
@@ -99,7 +99,11 @@ fn unknown_tags_keep_their_messages() {
             encoding,
             payload: vec![1],
         };
-        let frame = encode_framed(blcr::chunkstore::STORE_MAGIC, 1, &rec);
+        let frame = encode_framed(
+            blcr::chunkstore::STORE_MAGIC,
+            blcr::chunkstore::STORE_VERSION,
+            &rec,
+        );
         (frame.len() as u64).encode(&mut file);
         file.extend_from_slice(&frame);
     }
@@ -215,8 +219,8 @@ fn seeded_stream_dumps_match_the_pinned_lengths_and_hashes() {
     assert_eq!(
         got,
         [
-            ("pipelined", 26052628, 0x1280_842f_f0d9_9f6e),
-            ("live", 26052782, 0x342f_3c07_655d_a8da),
+            ("pipelined", 26052628, 0x66f3_47fc_1a77_4eed),
+            ("live", 26052782, 0xc01d_ece5_acbf_519c),
         ]
     );
 }
@@ -284,7 +288,7 @@ fn flipped_stream_bytes_keep_their_errors() {
         ("chunk data length", CodecError::ChecksumMismatch),
         ("slice offset", CodecError::ChecksumMismatch),
         ("chunk magic", CodecError::BadMagic),
-        ("chunk version", CodecError::BadVersion(33)),
+        ("chunk version", CodecError::BadVersion(34)),
         ("chunk body length", eof(327733, 327709)),
         ("chunk frame length", eof(327701, 327677)),
     ];
@@ -316,4 +320,210 @@ fn a_resealed_trailer_with_a_lying_checksum_is_refused() {
         good.extend_from_slice(&frame);
         assert_eq!(good, body);
     }
+}
+
+/// `body`'s length-prefixed frames as format v1 wrote them: the same
+/// magic and payload, version 1 and a one-lane FNV-1a seal.
+fn as_v1(body: &[u8]) -> Vec<u8> {
+    let mut r = simcore::codec::Reader::new(body);
+    let mut out = Vec::new();
+    while !r.is_empty() {
+        let frame = r.take_frame().unwrap();
+        let payload = simcore::codec::Reader::new(&frame[8..])
+            .take_frame()
+            .unwrap();
+        let mut v1 = frame[..4].to_vec();
+        1u32.encode(&mut v1);
+        payload.to_vec().encode(&mut v1);
+        fnv1a64(payload).encode(&mut v1);
+        v1.encode(&mut out);
+    }
+    out
+}
+
+#[test]
+fn version_1_dumps_and_binaries_are_refused_by_version() {
+    let mut image = osproc::MemImage::new();
+    image.put("seg", vec![5; 64]);
+    let sequential = blcr::CheckpointFile {
+        source_pid: 7,
+        source_host: "node0".into(),
+        image,
+    }
+    .to_file_bytes();
+    for dump in [sequential, pipelined_dump()] {
+        assert!(blcr::sniff_dump(&dump).is_ok());
+        let v1 = osproc::FileBytes::new(as_v1(dump.body()), dump.zero_tail());
+        assert_eq!(blcr::sniff_dump(&v1), Err(CodecError::BadVersion(1)));
+    }
+
+    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus());
+    let mut now = simcore::SimTime::ZERO;
+    let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
+    let platforms = ocl.get_platform_ids().unwrap();
+    let dev = ocl.get_device_ids(platforms[0], DeviceType::Gpu).unwrap()[0];
+    let ctx = ocl.create_context(&[dev]).unwrap();
+    let program = ocl
+        .create_program_with_source(ctx, "__kernel void k(__global float* a){}")
+        .unwrap();
+    ocl.build_program(program, "").unwrap();
+    let binary = ocl.get_program_binary(program).unwrap();
+    let v1 = as_v1(&binary.to_bytes())[8..].to_vec();
+    assert_eq!(v1.len(), binary.len());
+    assert!(ocl.create_program_with_binary(ctx, dev, binary).is_ok());
+    assert_eq!(
+        ocl.create_program_with_binary(ctx, dev, v1).unwrap_err(),
+        clspec::error::ClError::InvalidBinary
+    );
+}
+
+#[test]
+fn a_version_1_chunk_store_is_refused_and_left_as_it_was() {
+    let mut c = osproc::Cluster::with_standard_nodes(1);
+    let p = c.spawn(c.node_ids()[0]);
+    let mut store = blcr::ChunkStore::open(&mut c, p, "/local/v2.cas").unwrap();
+    store.put(&mut c, &[3; 5000]).unwrap();
+    let v2 = c.read_file(p, "/local/v2.cas").unwrap();
+    let v1 = osproc::FileBytes::new(as_v1(v2.body()), 0);
+    assert_eq!(v1.len(), v2.len());
+    c.write_file(p, "/local/v1.cas", v1.body().to_vec())
+        .unwrap();
+    let want = CodecError::BadVersion(1);
+    match blcr::ChunkStore::open(&mut c, p, "/local/v1.cas") {
+        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(s) => panic!("a v1 store opened with {} chunks", s.len()),
+    }
+    match blcr::ChunkStore::load_all(&mut c, p, "/local/v1.cas") {
+        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
+        other => panic!("wrong result: {:?}", other.map(|all| all.len())),
+    }
+    assert_eq!(c.read_file(p, "/local/v1.cas").unwrap(), v1);
+}
+
+/// A frame body carried as it is, so an edited body can be resealed.
+struct RawBody(Vec<u8>);
+
+impl Codec for RawBody {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(r: &mut simcore::codec::Reader<'_>) -> Result<Self, CodecError> {
+        Ok(RawBody(r.take(r.remaining())?.to_vec()))
+    }
+}
+
+/// The payload body of every frame of a stream body, in order.
+fn stream_bodies(body: &[u8]) -> Vec<Vec<u8>> {
+    let mut r = simcore::codec::Reader::new(body);
+    let mut out = Vec::new();
+    while !r.is_empty() {
+        let frame = r.take_frame().unwrap();
+        let payload = simcore::codec::Reader::new(&frame[8..])
+            .take_frame()
+            .unwrap();
+        out.push(payload.to_vec());
+    }
+    out
+}
+
+/// Where a map body's `total_len` sits: after the tag, `seq`, `handle`
+/// and the store path.
+fn map_total_len_at(body: &[u8]) -> usize {
+    21 + u64::from_le_bytes(body[13..21].try_into().unwrap()) as usize
+}
+
+/// The stream body of `bodies`, every seal recomputed: the trailer's
+/// count, byte total and checksum over what the payload frames now
+/// carry, then each frame's own seal.
+fn resealed(bodies: &[Vec<u8>]) -> Vec<u8> {
+    let (mut sum, mut data_bytes, mut payloads) = (simcore::Seal64::new(), 0u64, 0u32);
+    let mut out = Vec::new();
+    for body in bodies {
+        let mut body = body.clone();
+        let sealed: Vec<&[u8]> = match body[0] {
+            1 => vec![&body[21..]],
+            4 => vec![&body[29..]],
+            3 => {
+                let at = map_total_len_at(&body);
+                vec![&body[at..at + 8], &body[at + 16..]]
+            }
+            _ => Vec::new(),
+        };
+        payloads += u32::from(body[0] != 0 && body[0] != 2);
+        for run in sealed {
+            sum.update(run);
+            data_bytes += run.len() as u64;
+        }
+        if body[0] == 2 {
+            body = (2u8, payloads, (data_bytes, sum.finish())).to_bytes();
+        }
+        let frame = simcore::codec::encode_prefixed_frame(
+            blcr::STREAM_MAGIC,
+            blcr::STREAM_VERSION,
+            &RawBody(body),
+        );
+        out.extend_from_slice(&frame);
+    }
+    out
+}
+
+/// Every "lying but sealed" edit of a payload frame's body: a field
+/// (`seq`, a slice's `offset`, the data length or a map's `total_len`)
+/// set to a neighbour or an extreme of its value.
+fn lying_edits(body: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
+    let fields: Vec<(&str, usize, usize)> = match body[0] {
+        1 => vec![("seq", 1, 4), ("data length", 13, 8)],
+        4 => vec![("seq", 1, 4), ("offset", 13, 8), ("data length", 21, 8)],
+        3 => vec![("seq", 1, 4), ("total_len", map_total_len_at(body), 8)],
+        _ => Vec::new(),
+    };
+    let mut edits = Vec::new();
+    for (what, at, width) in fields {
+        let mut old = [0u8; 8];
+        old[..width].copy_from_slice(&body[at..at + width]);
+        let old = u64::from_le_bytes(old);
+        let max = u64::MAX >> (64 - 8 * width);
+        for new in [old.wrapping_add(1), old.wrapping_sub(1), 0, max, 1 << 31] {
+            let new = new & max;
+            if new != old {
+                let mut edited = body.to_vec();
+                edited[at..at + width].copy_from_slice(&new.to_le_bytes()[..width]);
+                edits.push((what, edited));
+            }
+        }
+    }
+    edits
+}
+
+#[test]
+fn lying_but_sealed_stream_edits_get_typed_errors() {
+    let dedup = seeded_dump(&checl::CprPolicy::pipelined().dedup(true));
+    let mut kinds = std::collections::BTreeSet::new();
+    for dump in [pipelined_dump(), live_dump(), dedup] {
+        let bodies = stream_bodies(dump.body());
+        assert_eq!(resealed(&bodies), dump.body(), "resealing is the identity");
+        for (i, body) in bodies.iter().enumerate() {
+            for (what, edited) in lying_edits(body) {
+                kinds.insert((body[0], what));
+                let mut lie = bodies.clone();
+                lie[i] = edited;
+                let file = osproc::FileBytes::new(resealed(&lie), dump.zero_tail());
+                let parsed = blcr::parse_stream(file.body()).map(|_| ());
+                let sniffed = blcr::sniff_dump(&file).map(|_| ());
+                assert_eq!(parsed, sniffed, "frame {i} {what}");
+                assert_ne!(
+                    parsed,
+                    Err(CodecError::ChecksumMismatch),
+                    "frame {i} {what}"
+                );
+                if what == "seq" {
+                    let out_of_order = CodecError::Invalid("stream chunk out of order");
+                    assert_eq!(parsed, Err(out_of_order), "frame {i}");
+                }
+            }
+        }
+    }
+    // Every field of every payload frame kind was lied about.
+    assert_eq!(kinds.len(), 7, "{kinds:?}");
 }
