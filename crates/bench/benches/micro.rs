@@ -2,9 +2,10 @@
 //!
 //! Unlike the `fig*` harnesses (which report *virtual-clock* results),
 //! these measure real wall-clock performance of the implementation:
-//! the checkpoint codec, its FNV-1a checksums and frame seals, the kernel-signature
-//! parser, the handle translation layer, the forwarding path, and a
-//! full checkpoint/restart cycle.
+//! the checkpoint codec, its FNV-1a checksums and frame seals, the
+//! costliest catalog kernels, the kernel-signature parser, the handle
+//! translation layer, the forwarding path, and a full
+//! checkpoint/restart cycle.
 //!
 //! The harness is dependency-free (`harness = false`): each benchmark
 //! is warmed up, then timed over enough iterations to fill a fixed
@@ -79,6 +80,75 @@ fn bench_checksum(filter: &str) {
         let (mut seal, mut trailer) = (simcore::Seal64::new(), simcore::Seal64::new());
         seal.update_with(&mut trailer, black_box(&data));
         black_box((seal.finish(), trailer.finish()));
+    });
+}
+
+fn u32_buf(v: impl IntoIterator<Item = u32>) -> clkernels::ArgData {
+    clkernels::ArgData::Buffer(v.into_iter().flat_map(u32::to_le_bytes).collect())
+}
+
+fn f32_buf(v: impl IntoIterator<Item = f32>) -> clkernels::ArgData {
+    clkernels::ArgData::Buffer(v.into_iter().flat_map(f32::to_le_bytes).collect())
+}
+
+fn scalar(v: u32) -> clkernels::ArgData {
+    clkernels::ArgData::Scalar(v.to_le_bytes().to_vec())
+}
+
+/// The kernels that cost `interpose` the most host time, at the sizes
+/// its 1/16-scale programs launch them, called the way the driver
+/// calls them. A kernel that works in place gets its input back before
+/// every launch (a copy of well under a tenth of its cost), so each
+/// iteration sorts or transforms the same data.
+fn bench_kernels(filter: &str) {
+    fn launch(name: &str, args: &mut [clkernels::ArgData]) {
+        clkernels::execute(name, [1, 1, 1], black_box(args)).unwrap();
+    }
+    const N: u32 = 262_144;
+    let mut g = simcore::qcheck::Gen::new(0x50_47);
+    let random = u32_buf((0..N).map(|_| g.u32()));
+    let mut args = [random.clone(), scalar(N)];
+    bench(filter, "kernel/radix_sort_random_262144", None, || {
+        args[0].clone_from(&random);
+        launch("radix_sort", &mut args);
+    });
+    let mut args = [u32_buf(0..N), scalar(N)];
+    bench(filter, "kernel/radix_sort_sorted_262144", None, || {
+        launch("radix_sort", &mut args);
+    });
+    let mut args = [u32_buf((0..N).map(|_| 0)), scalar(N)];
+    bench(filter, "kernel/quasirandom_262144", None, || {
+        launch("quasirandom", &mut args);
+    });
+    let mut args = [
+        f32_buf((0..N).map(|_| g.f32_in(0.0, 1.0))),
+        u32_buf([0; 64]),
+        clkernels::ArgData::Local(256),
+        scalar(N),
+    ];
+    bench(filter, "kernel/histogram64_262144", None, || {
+        launch("histogram64", &mut args);
+    });
+    const FFT_N: u32 = 4096;
+    let signal = [
+        f32_buf((0..FFT_N).map(|_| g.f32_in(-1.0, 1.0))),
+        f32_buf((0..FFT_N).map(|_| g.f32_in(-1.0, 1.0))),
+        scalar(FFT_N),
+    ];
+    let mut args = signal.clone();
+    bench(filter, "kernel/fft_radix2_4096", None, || {
+        args.clone_from(&signal);
+        launch("fft_radix2", &mut args);
+    });
+    const SIDE: u32 = 512;
+    let mut args = [
+        f32_buf((0..SIDE * SIDE).map(|_| g.f32_in(0.0, 255.0))),
+        f32_buf((0..SIDE * SIDE).map(|_| 0.0)),
+        scalar(SIDE),
+        scalar(SIDE),
+    ];
+    bench(filter, "kernel/dct8x8_512x512", None, || {
+        launch("dct8x8", &mut args);
     });
 }
 
@@ -288,6 +358,7 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .unwrap_or_default();
     bench_checksum(&filter);
+    bench_kernels(&filter);
     bench_codec(&filter);
     bench_parser(&filter);
     bench_forward_path(&filter);

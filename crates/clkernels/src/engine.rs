@@ -13,15 +13,24 @@
 //! little-endian lane views and writes each output lane straight into
 //! its buffer's bytes. Every argument is validated before the first
 //! write, so a failed launch leaves every buffer as it was.
+//!
+//! A kernel rewritten for speed keeps each output lane's floating-point
+//! operations and their order, so its output stays bit-exact: a value
+//! hoisted out of a loop into a table (the FFT's twiddles, the DCT's
+//! cosines) comes from the same expression, and a work skip (a sorted
+//! buffer is its own sort) or an integer shortcut (`quasirandom`'s
+//! truncation for `floor`) holds for every input. Each rewrite is
+//! tested against a copy of the loop it replaced.
 
 use crate::args::{ArgData, ExecError};
 use crate::f32util::{f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s};
 
-/// Execute `name` over `global` work items with the given arguments.
+/// Execute kernel `name` with the given arguments.
 ///
-/// `global` is `[x, y, z]` work-item counts. Buffer arguments are
-/// mutated in place.
-pub fn execute(name: &str, global: [u64; 3], args: &mut [ArgData]) -> Result<(), ExecError> {
+/// `_global` is the launch's `[x, y, z]` work-item count. No kernel
+/// here reads it: each takes its problem size from its arguments.
+/// Buffer arguments are mutated in place.
+pub fn execute(name: &str, _global: [u64; 3], args: &mut [ArgData]) -> Result<(), ExecError> {
     if let Some(idx) = name.strip_prefix("rate_") {
         let k: u32 = idx
             .parse()
@@ -50,7 +59,7 @@ pub fn execute(name: &str, global: [u64; 3], args: &mut [ArgData]) -> Result<(),
         "dxt_compress" => k_dxt_compress(args),
         "histogram64" => k_histogram64(args),
         "mersenne_twister" => k_mersenne_twister(args),
-        "quasirandom" => k_quasirandom(args, global),
+        "quasirandom" => k_quasirandom(args),
         "fdtd3d" => k_fdtd3d(args),
         "stencil2d" => k_stencil2d(args),
         "md_forces" => k_md_forces(args),
@@ -224,10 +233,15 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
     let [buf, n] = arity(args)?;
     let n = n.scalar_u32()? as usize;
     let buf = output(0, buf, n * 4)?;
+    // oclRadixSort and SHOC Sort launch the sort repeatedly on one
+    // buffer, so most launches find it sorted already, and a sorted
+    // buffer is its own sort.
+    let Some(mut keys) = unsorted_keys(buf) else {
+        return Ok(());
+    };
     // LSD radix, 8 bits per pass — the actual algorithm, not a stand-in.
     // Every pass permutes the whole array, so the keys are decoded once.
     // A pass only permutes, so one sweep counts all four digits.
-    let mut keys: Vec<u32> = u32s(buf).collect();
     let mut aux = vec![0u32; n];
     let mut counts = [[0usize; 256]; 4];
     for &k in &keys {
@@ -251,6 +265,16 @@ fn k_radix_sort(args: &mut [ArgData]) -> Result<(), ExecError> {
     }
     put_u32s(buf, keys);
     Ok(())
+}
+
+/// The `u32` keys of `buf`, or `None` when they are already in
+/// non-decreasing order. The order check stops at the first descent,
+/// so unsorted keys cost it a few lanes and sorted ones no allocation.
+fn unsorted_keys(buf: &[u8]) -> Option<Vec<u32>> {
+    let mut lanes = u32s(buf);
+    let first = lanes.next()?;
+    let sorted = lanes.try_fold(first, |prev, k| (prev <= k).then_some(k));
+    sorted.is_none().then(|| u32s(buf).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -441,19 +465,25 @@ fn k_dct8x8(args: &mut [ArgData]) -> Result<(), ExecError> {
     let bw = w / 8;
     let bh = h / 8;
     let pi = std::f32::consts::PI;
+    // `cos[u][x]`, the DCT-II basis. The sums multiply
+    // `px * cos[u][ix] * cos[v][iy]` left to right; that order fixes
+    // their rounding.
+    let cos: [[f32; 8]; 8] = std::array::from_fn(|u| {
+        std::array::from_fn(|x| ((2 * x + 1) as f32 * u as f32 * pi / 16.0).cos())
+    });
     for by in 0..bh {
         for bx in 0..bw {
+            let block: [[f32; 8]; 8] = std::array::from_fn(|iy| {
+                std::array::from_fn(|ix| f32_at(src, (by * 8 + iy) * w + bx * 8 + ix))
+            });
             for u in 0..8 {
                 for v in 0..8 {
                     let cu = if u == 0 { 1.0 / 2f32.sqrt() } else { 1.0 };
                     let cv = if v == 0 { 1.0 / 2f32.sqrt() } else { 1.0 };
                     let mut acc = 0.0f32;
-                    for iy in 0..8 {
-                        for ix in 0..8 {
-                            let px = f32_at(src, (by * 8 + iy) * w + bx * 8 + ix);
-                            acc += px
-                                * ((2 * ix + 1) as f32 * u as f32 * pi / 16.0).cos()
-                                * ((2 * iy + 1) as f32 * v as f32 * pi / 16.0).cos();
+                    for (iy, row) in block.iter().enumerate() {
+                        for (ix, &px) in row.iter().enumerate() {
+                            acc += px * cos[u][ix] * cos[v][iy];
                         }
                     }
                     set_f32(dst, (by * 8 + v) * w + bx * 8 + u, 0.25 * cu * cv * acc);
@@ -606,22 +636,28 @@ fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
     }
     let re = output(0, re, n * 4)?;
     let im = output(1, im, n * 4)?;
-    // Bit-reversal permutation.
+    // Bit-reversal permutation. At n = 1 an index has no bits, and
+    // the shift by the full word width is checked, not wrapped.
     let bits = n.trailing_zeros();
     for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
+        let j = i
+            .reverse_bits()
+            .checked_shr(usize::BITS - bits)
+            .unwrap_or(0);
         if j > i {
             swap_lanes(re, i, j);
             swap_lanes(im, i, j);
         }
     }
-    // Iterative Cooley-Tukey.
+    // Iterative Cooley-Tukey, each stage's twiddles computed once.
+    let mut twiddles = Vec::with_capacity(n / 2);
     let mut len = 2;
     while len <= n {
         let ang = -2.0 * std::f32::consts::PI / len as f32;
+        twiddles.clear();
+        twiddles.extend((0..len / 2).map(|k| ((ang * k as f32).cos(), (ang * k as f32).sin())));
         for start in (0..n).step_by(len) {
-            for k in 0..len / 2 {
-                let (wr, wi) = ((ang * k as f32).cos(), (ang * k as f32).sin());
+            for (k, &(wr, wi)) in twiddles.iter().enumerate() {
                 let (i, j) = (start + k, start + k + len / 2);
                 let (rj, ij) = (f32_at(re, j), f32_at(im, j));
                 let (tr, ti) = (rj * wr - ij * wi, rj * wi + ij * wr);
@@ -740,19 +776,21 @@ fn k_mersenne_twister(args: &mut [ArgData]) -> Result<(), ExecError> {
     Ok(())
 }
 
-fn k_quasirandom(args: &mut [ArgData], _global: [u64; 3]) -> Result<(), ExecError> {
+fn k_quasirandom(args: &mut [ArgData]) -> Result<(), ExecError> {
     let [out, n] = arity(args)?;
-    let n = n.scalar_u32()? as usize;
-    let out = output(0, out, n * 4)?;
-    const PHI: f64 = 0.618_033_988_749_894_9;
-    put_f32s(
-        out,
-        (0..n).map(|i| {
-            let v = i as f64 * PHI;
-            (v - v.floor()) as f32
-        }),
-    );
+    let n = n.scalar_u32()?;
+    let out = output(0, out, n as usize * 4)?;
+    put_f32s(out, (0..n).map(quasirandom_lane));
     Ok(())
+}
+
+/// Lane `i` of the golden-ratio sequence: the fractional part of
+/// `i * PHI`. `v` lies in `[0, 2^32)`, where truncation to `i64` is
+/// exact and equals `v.floor()`, without a libm call.
+fn quasirandom_lane(i: u32) -> f32 {
+    const PHI: f64 = 0.618_033_988_749_894_9;
+    let v = i as f64 * PHI;
+    (v - (v as i64) as f64) as f32
 }
 
 fn k_sampler_scale(args: &mut [ArgData]) -> Result<(), ExecError> {
@@ -891,9 +929,16 @@ mod tests {
             .map(|i| i.wrapping_mul(2_654_435_761))
             .collect();
         let sorted: Vec<u32> = (0..4096u32).map(|i| i * 1_000_003).collect();
-        let cases: [(&str, Vec<u32>); 7] = [
+        let mut last_descends = sorted.clone();
+        last_descends[4095] = last_descends[4094] - 1;
+        let cases: [(&str, Vec<u32>); 12] = [
             ("n = 0", vec![]),
             ("n = 1", vec![0xdead_beef]),
+            ("n = 2, ascending", vec![3, 0xdead_beef]),
+            ("n = 2, equal", vec![7, 7]),
+            ("n = 2, descending", vec![0xdead_beef, 3]),
+            ("all equal", vec![0x5a5a_5a5a; 4096]),
+            ("one descent at the end", last_descends),
             ("duplicates", seeded.iter().map(|k| k % 37).collect()),
             ("already sorted", sorted.clone()),
             ("reversed", sorted.into_iter().rev().collect()),
@@ -905,9 +950,20 @@ mod tests {
             expected.sort_unstable();
             let n = keys.len() as u32;
             let mut args = vec![buf_u32(&keys), scalar_u32(n)];
+            // The sort is skipped exactly when the keys are in order, and
+            // then the buffer comes back byte for byte as it went in.
+            let in_order = keys == expected;
+            assert_eq!(
+                unsorted_keys(args[0].buffer().unwrap()).is_none(),
+                in_order,
+                "{name}"
+            );
             execute("radix_sort", [n.max(1) as u64, 1, 1], &mut args).unwrap();
             let got: Vec<u32> = u32s(args[0].buffer().unwrap()).collect();
             assert_eq!(got, expected, "{name}");
+            if in_order {
+                assert_eq!(args[0], buf_u32(&keys), "{name}");
+            }
         }
     }
 
@@ -1081,6 +1137,56 @@ mod tests {
         }
     }
 
+    /// The FFT as it was before its twiddles were tabled: each
+    /// butterfly computes its own.
+    fn fft_with_twiddles_per_butterfly(re: &mut [u8], im: &mut [u8], n: usize) {
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = i
+                .reverse_bits()
+                .checked_shr(usize::BITS - bits)
+                .unwrap_or(0);
+            if j > i {
+                swap_lanes(re, i, j);
+                swap_lanes(im, i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f32::consts::PI / len as f32;
+            for start in (0..n).step_by(len) {
+                for k in 0..len / 2 {
+                    let (wr, wi) = ((ang * k as f32).cos(), (ang * k as f32).sin());
+                    let (i, j) = (start + k, start + k + len / 2);
+                    let (rj, ij) = (f32_at(re, j), f32_at(im, j));
+                    let (tr, ti) = (rj * wr - ij * wi, rj * wi + ij * wr);
+                    let (ri, ii) = (f32_at(re, i), f32_at(im, i));
+                    set_f32(re, j, ri - tr);
+                    set_f32(im, j, ii - ti);
+                    set_f32(re, i, ri + tr);
+                    set_f32(im, i, ii + ti);
+                }
+            }
+            len <<= 1;
+        }
+    }
+
+    #[test]
+    fn fft_matches_per_butterfly_twiddles_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xff7);
+        for n in [1usize, 2, 4096] {
+            let re: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
+            let im: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
+            let mut args = vec![buf_f32(&re), buf_f32(&im), scalar_u32(n as u32)];
+            execute("fft_radix2", [n as u64, 1, 1], &mut args).unwrap();
+            let [mut re, mut im] = [buf_f32(&re), buf_f32(&im)];
+            let (re, im) = (re.buffer_mut().unwrap(), im.buffer_mut().unwrap());
+            fft_with_twiddles_per_butterfly(re, im, n);
+            assert_eq!(args[0].buffer().unwrap(), re, "re, n = {n}");
+            assert_eq!(args[1].buffer().unwrap(), im, "im, n = {n}");
+        }
+    }
+
     #[test]
     fn fft_rejects_non_power_of_two() {
         let mut args = vec![buf_f32(&[0.0; 12]), buf_f32(&[0.0; 12]), scalar_u32(12)];
@@ -1125,6 +1231,17 @@ mod tests {
         assert!(out.iter().all(|&v| (0.0..1.0).contains(&v)));
         assert_eq!(out[0], 0.0);
         assert!(out[1] > 0.6 && out[1] < 0.63);
+    }
+
+    #[test]
+    fn quasirandom_lane_is_the_fractional_part_bit_for_bit() {
+        const PHI: f64 = 0.618_033_988_749_894_9;
+        let edges = (1..32).flat_map(|k| [(1u32 << k) - 1, 1 << k, (1 << k) + 1]);
+        for i in [0, u32::MAX].into_iter().chain(edges) {
+            let v = i as f64 * PHI;
+            let floored = (v - v.floor()) as f32;
+            assert_eq!(quasirandom_lane(i).to_bits(), floored.to_bits(), "i = {i}");
+        }
     }
 
     #[test]
@@ -1173,6 +1290,51 @@ mod tests {
         let out = out_f32(&args, 1);
         assert!((out[0] - 8.0).abs() < 1e-4, "DC {}", out[0]);
         assert!(out[1..].iter().all(|&v| v.abs() < 1e-4));
+    }
+
+    /// The DCT as it was before its basis was tabled: each product
+    /// computes both of its cosines.
+    fn dct_with_cosines_per_product(src: &[u8], dst: &mut [u8], w: usize, h: usize) {
+        dst.fill(0);
+        let pi = std::f32::consts::PI;
+        for by in 0..h / 8 {
+            for bx in 0..w / 8 {
+                for u in 0..8 {
+                    for v in 0..8 {
+                        let cu = if u == 0 { 1.0 / 2f32.sqrt() } else { 1.0 };
+                        let cv = if v == 0 { 1.0 / 2f32.sqrt() } else { 1.0 };
+                        let mut acc = 0.0f32;
+                        for iy in 0..8 {
+                            for ix in 0..8 {
+                                let px = f32_at(src, (by * 8 + iy) * w + bx * 8 + ix);
+                                acc += px
+                                    * ((2 * ix + 1) as f32 * u as f32 * pi / 16.0).cos()
+                                    * ((2 * iy + 1) as f32 * v as f32 * pi / 16.0).cos();
+                            }
+                        }
+                        set_f32(dst, (by * 8 + v) * w + bx * 8 + u, 0.25 * cu * cv * acc);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dct_matches_per_product_cosines_bit_for_bit() {
+        // Neither side a multiple of 8: the partial blocks come out zero.
+        let (w, h) = (37usize, 21usize);
+        let mut g = simcore::qcheck::Gen::new(0xdc7);
+        let src: Vec<f32> = (0..w * h).map(|_| g.f32_in(0.0, 255.0)).collect();
+        let mut args = vec![
+            buf_f32(&src),
+            buf_f32(&vec![1.0; w * h]),
+            scalar_u32(w as u32),
+            scalar_u32(h as u32),
+        ];
+        execute("dct8x8", [w as u64, h as u64, 1], &mut args).unwrap();
+        let mut expected = vec![0u8; w * h * 4];
+        dct_with_cosines_per_product(args[0].buffer().unwrap(), &mut expected, w, h);
+        assert_eq!(args[1].buffer().unwrap(), &expected[..]);
     }
 
     #[test]

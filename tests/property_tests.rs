@@ -157,6 +157,25 @@ fn generated_decoders_are_total() {
     });
 }
 
+/// The ledger parser meets a real run's JSONL (`checl_inspect`'s
+/// committed ledger) with random bit flips, truncation and trailing
+/// garbage. It returns `Ok` or a typed `ObsError`, never a panic, and
+/// whatever it accepts exports and parses back to the same JSONL.
+#[test]
+fn ledger_parser_is_total() {
+    use simcore::obs::Ledger;
+    let real = include_str!("../results/checl_inspect.ledger.jsonl");
+    assert_eq!(Ledger::from_jsonl(real).unwrap().to_jsonl(), real);
+    qcheck("ledger_parser_is_total", 512, |g| {
+        let bytes = mutate(g, real.as_bytes());
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(ledger) = Ledger::from_jsonl(&text) {
+            let export = ledger.to_jsonl();
+            assert_eq!(Ledger::from_jsonl(&export).unwrap().to_jsonl(), export);
+        }
+    });
+}
+
 // ---------------------------------------------------------------------
 // Signature parser invariants
 // ---------------------------------------------------------------------
