@@ -23,15 +23,13 @@
 use blcr::RetryPolicy;
 use checl::{restart_checl_chain, CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
 use checl_bench::{
-    eval_targets, session_at_first_kernel, Cell, EvalTarget, FigureWriter, TraceSession,
+    eval_targets, native_checksums, session_at_first_kernel, Cell, EvalTarget, FigureWriter,
+    TraceSession, SEED,
 };
 use mpisim::{coordinated_checkpoint_with_retry, restart_world, MpiWorld};
 use osproc::{Cluster, FaultKind, FaultPlan, Pid};
 use simcore::SimDuration;
-use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition};
-
-/// Base seed for every scenario's plan; scenario k uses `SEED + k`.
-const SEED: u64 = 20110704;
+use workloads::{workload_by_name, CheclSession, StopCondition};
 
 /// Problem scale: small enough for a smoke-test, large enough that a
 /// checkpoint spans several virtual milliseconds of writing.
@@ -101,7 +99,8 @@ fn main() {
             "outcome",
         ],
     );
-    let golden = golden_checksums(target);
+    let w = workload_by_name("oclVectorAdd").unwrap();
+    let golden = native_checksums(target, w.script(&target.cfg(SCALE)));
     proxy_death_scenario(&mut fig, target, &golden);
     restart_chain_scenario(&mut fig, target);
     node_crash_scenario(&mut fig, target, &golden);
@@ -219,22 +218,6 @@ fn nfs_outage_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
         out.path.into(),
         Cell::secs(out.elapsed),
     ]);
-}
-
-/// Final buffer checksums of an undisturbed native run — the ground
-/// truth every recovered run must reproduce.
-fn golden_checksums(target: &EvalTarget) -> Vec<u64> {
-    let w = workload_by_name("oclVectorAdd").unwrap();
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let mut s = NativeSession::launch(
-        &mut cluster,
-        node,
-        (target.vendor)(),
-        w.script(&target.cfg(SCALE)),
-    );
-    s.run(&mut cluster, StopCondition::Completion).unwrap();
-    s.program.checksums
 }
 
 /// The API proxy dies mid-run (and the pipe breaks a little later);

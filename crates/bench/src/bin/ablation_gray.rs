@@ -33,34 +33,27 @@
 //!    bit-exact, across the sequential / pipelined / dedup / live
 //!    engine paths.
 
-use std::collections::BTreeSet;
-
-use checl::{CheclConfig, CprPolicy, RecoveryPolicy, RestoreTarget};
-use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
-use clspec::types::DeviceType;
-use fleet::{default_job_mix, run_fleet, FleetConfig};
-use osproc::{Cluster, DetectorPolicy, FaultPlan, FsKind, NodeId};
-use simcore::{obs, SimDuration, SimTime};
-use workloads::catalog::B;
-use workloads::{
-    run_supervised, BufInit, CheclSession, NativeSession, Op, Reg, Script, StopCondition,
-    SuperviseSetup,
+use checl::{CheclConfig, CprPolicy};
+use checl_bench::torture::{engine_paths, torture_sweep, TortureBed};
+use checl_bench::{
+    eval_targets, iterative_md, md_setup, native_checksums, Cell, EvalTarget, FigureWriter,
+    TraceSession, SEED,
 };
+use fleet::{default_job_mix, run_fleet, FleetConfig};
+use osproc::{Cluster, FaultPlan, FsKind, NodeId};
+use simcore::{SimDuration, SimTime};
+use workloads::{run_supervised, CheclSession};
 
-/// Base seed; each scenario derives its own plan from it.
-const SEED: u64 = 20110704;
-
-/// Particles in the iterative MD job (two 12-byte vectors each).
-const PARTICLES: u64 = 1 << 16;
-
-/// Relaxation steps, one `clFinish` sync per step.
+/// Relaxation steps of this ablation's MD job, one `clFinish` sync per
+/// step: fewer than the supervisor sweep's, still enough boundaries
+/// for the interval policy and the detector to act on.
 const STEPS: usize = 24;
 
 fn main() {
     let trace = TraceSession::from_args();
     let target = &eval_targets()[0];
     let mut fig = FigureWriter::new("ablation_gray");
-    let golden = golden_checksums(target);
+    let golden = native_checksums(target, iterative_md(target, STEPS));
 
     fig.section(
         "Supervision under gray faults (iterative MD, Daly-adaptive interval)",
@@ -157,12 +150,7 @@ fn main() {
             "bit-exact",
         ],
     );
-    for (label, policy) in [
-        ("sequential", CprPolicy::sequential()),
-        ("pipelined", CprPolicy::pipelined()),
-        ("dedup", CprPolicy::pipelined().dedup(true)),
-        ("live", CprPolicy::pipelined().live(true)),
-    ] {
+    for (label, policy) in engine_paths() {
         torture_cell(&mut fig, label, &policy);
     }
     fig.note(
@@ -182,58 +170,6 @@ fn main() {
 // ---------------------------------------------------------------------
 // Section 1: supervision under gray faults
 // ---------------------------------------------------------------------
-
-/// The iterative job: `STEPS` MD force evaluations with a `clFinish`
-/// sync per step — enough boundaries for the interval policy and the
-/// detector to act on.
-fn iterative_md(target: &EvalTarget) -> Script {
-    let cfg = target.cfg(1.0);
-    let n = PARTICLES;
-    let mut b = B::new(&cfg);
-    let pos = b.buffer(
-        n * 12,
-        Some(BufInit::RandomF32 {
-            seed: 7,
-            lo: 0.0,
-            hi: 20.0,
-        }),
-    );
-    let force = b.buffer(n * 12, None);
-    let k = b.prog_kernel("md", "md_forces");
-    b.arg_mem(k, 0, pos);
-    b.arg_mem(k, 1, force);
-    b.arg_u32(k, 2, n as u32);
-    b.arg_f32(k, 3, 5.0);
-    for _ in 0..STEPS {
-        b.launch1(k, n);
-        b.finish();
-    }
-    b.read_checksum(force, n * 12);
-    b.build()
-}
-
-fn golden_checksums(target: &EvalTarget) -> Vec<u64> {
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let mut s = NativeSession::launch(&mut cluster, node, (target.vendor)(), iterative_md(target));
-    s.run(&mut cluster, StopCondition::Completion).unwrap();
-    s.program.checksums
-}
-
-fn gray_setup(target: &EvalTarget) -> SuperviseSetup {
-    let mut setup = SuperviseSetup::new((target.vendor)(), "/local/gray", "/nfs/gray");
-    setup.config.detector = DetectorPolicy::Timeout(SimDuration::from_millis(400));
-    setup.config.heartbeat_every = SimDuration::from_millis(50);
-    setup.config.min_interval = SimDuration::from_millis(300);
-    setup.config.max_interval = SimDuration::from_secs(8);
-    setup.config.initial_mtbf = SimDuration::from_secs(5);
-    setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
-        retry: blcr::RetryPolicy::default(),
-        fallback_targets: Vec::new(),
-    });
-    setup
-}
 
 /// Run one supervised scenario and emit its row. `plan` receives the
 /// session's origin clock and the cluster's node list.
@@ -256,13 +192,13 @@ fn gray_cell(
         node_ids[0],
         (target.vendor)(),
         CheclConfig::default(),
-        iterative_md(target),
+        iterative_md(target, STEPS),
     );
     let origin = cluster.process(session.pid).clock;
     if let Some(p) = plan(origin, &node_ids) {
         cluster.install_faults(p);
     }
-    let mut setup = gray_setup(target);
+    let mut setup = md_setup(target, "/local/gray", "/nfs/gray");
     setup.spares = spare_idx.iter().map(|&i| node_ids[i]).collect();
     setup.quorum_restore = quorum;
     setup.scrub_budget = scrub_budget;
@@ -453,7 +389,6 @@ fn fleet_cell(
         } else {
             Vec::new()
         },
-        ..FleetConfig::default()
     };
     let specs = default_job_mix(24, SEED + 5, gap);
     let report = run_fleet(&cfg, specs);
@@ -483,193 +418,28 @@ fn fleet_cell(
 // Section 3: crash-point torture sweep
 // ---------------------------------------------------------------------
 
-const KIB: u64 = 1 << 10;
-
-/// Three mutation waves over three buffers; the torture loop commits a
-/// generation after each wave boundary.
-fn torture_script() -> (Script, [u64; 3]) {
-    let sizes: [u64; 3] = [256 * KIB, 192 * KIB, 128 * KIB];
-    let mut ops = vec![
-        Op::GetPlatform { out: 0 },
-        Op::GetDevices {
-            platform: 0,
-            dtype: DeviceType::Gpu,
-            out: 1,
-            count: 1,
-        },
-        Op::CreateContext { device: 1, out: 2 },
-        Op::CreateQueue {
-            context: 2,
-            device: 1,
-            out: 3,
-        },
-    ];
-    let buf0: Reg = 4;
-    for (i, &size) in sizes.iter().enumerate() {
-        ops.push(Op::CreateBuffer {
-            context: 2,
-            flags: clspec::types::MemFlags::READ_WRITE,
-            size,
-            init: Some(BufInit::RandomU32 {
-                seed: 0x70_70 + i as u64,
-            }),
-            out: buf0 + i as Reg,
-        });
-    }
-    let mut bounds = [0u64; 3];
-    bounds[0] = ops.len() as u64;
-    for wave in 1..3u64 {
-        for (i, &size) in sizes.iter().enumerate() {
-            ops.push(Op::WriteBuffer {
-                queue: 3,
-                buf: buf0 + i as Reg,
-                size,
-                init: BufInit::RandomU32 {
-                    seed: 0xbad0 * wave + i as u64,
-                },
-            });
-        }
-        bounds[wave as usize] = ops.len() as u64;
-    }
-    for (i, &size) in sizes.iter().enumerate() {
-        ops.push(Op::ReadBufferChecksum {
-            queue: 3,
-            buf: buf0 + i as Reg,
-            size,
-        });
-    }
-    (Script { ops }, bounds)
-}
-
-struct Wreckage {
-    cluster: Cluster,
-    vault: blcr::DumpVault,
-    node: NodeId,
-    outcome: Result<Vec<u64>, String>,
-    ledger: Option<obs::Ledger>,
-}
-
-fn torture_run(policy: &CprPolicy, crash_after: Option<u64>) -> Wreckage {
-    let (script, bounds) = torture_script();
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let mut session = CheclSession::launch(
-        &mut cluster,
-        node,
-        cldriver::vendor::nimbus(),
-        CheclConfig::default(),
-        script,
-    );
-    let mut vault = blcr::DumpVault::new("/local/graytorture", "/nfs/graytorture", 2);
-
-    session
-        .checkpoint_with_policy(&mut cluster, &vault.stage_path(), policy)
-        .expect("gen 0 stage");
-    if policy.live {
-        session
-            .complete_live_drain(&mut cluster)
-            .expect("gen 0 drain")
-            .expect("gen 0 drain parked");
-    }
-    vault
-        .commit(&mut cluster, session.pid)
-        .expect("gen 0 commit");
-
-    obs::start_recording();
-    if let Some(k) = crash_after {
-        cluster.install_faults(FaultPlan::new(SEED + 6).crash_after_events(k));
-    }
-    let outcome = (|| {
-        for &bound in &bounds {
-            session
-                .run(&mut cluster, StopCondition::AfterOps(bound))
-                .map_err(|e| format!("run: {e:?}"))?;
-            let stage = vault.stage_path();
-            let out = session
-                .checkpoint_with_policy(&mut cluster, &stage, policy)
-                .map_err(|e| format!("checkpoint: {e:?}"))?;
-            if policy.live {
-                session
-                    .run(&mut cluster, StopCondition::AfterOps(bound + 1))
-                    .map_err(|e| format!("run: {e:?}"))?;
-                session
-                    .complete_live_drain(&mut cluster)
-                    .map_err(|e| format!("drain: {e:?}"))?;
-            }
-            vault
-                .commit_at(&mut cluster, session.pid, &out.path)
-                .map_err(|e| format!("commit: {e:?}"))?;
-        }
-        session
-            .run(&mut cluster, StopCondition::Completion)
-            .map_err(|e| format!("run: {e:?}"))?;
-        Ok(session.program.checksums.clone())
-    })();
-    let ledger = obs::stop_recording();
-    Wreckage {
-        cluster,
-        vault,
-        node,
-        outcome,
-        ledger,
-    }
-}
-
-fn restore_and_finish(wreck: &mut Wreckage, context: &str) -> Vec<u64> {
-    let chain = wreck.vault.restore_chain();
-    for path in &chain {
-        let restored = CheclSession::restart(
-            &mut wreck.cluster,
-            wreck.node,
-            path,
-            cldriver::vendor::nimbus(),
-            RestoreTarget::default(),
-        );
-        if let Ok(mut s) = restored {
-            s.run(&mut wreck.cluster, StopCondition::Completion)
-                .unwrap_or_else(|e| panic!("{context}: restored run failed: {e:?}"));
-            let sums = s.program.checksums.clone();
-            s.kill(&mut wreck.cluster);
-            return sums;
-        }
-    }
-    panic!("{context}: no generation in {chain:?} restored");
-}
-
 fn torture_cell(fig: &mut FigureWriter, label: &str, policy: &CprPolicy) {
-    let baseline = torture_run(policy, None);
-    let golden = baseline
-        .outcome
-        .unwrap_or_else(|e| panic!("{label}: baseline failed: {e}"));
-    let ledger = baseline.ledger.expect("baseline ledger");
-    let total = ledger.len() as u64;
-    let kinds: BTreeSet<&'static str> = ledger.events().iter().map(|e| e.kind.name()).collect();
-    let mut survivors = 0u64;
-    let mut restores = 0u64;
-    for k in 1..=total {
-        let ctx = format!("{label} @ boundary {k}/{total}");
-        let mut wreck = torture_run(policy, Some(k));
-        wreck.cluster.take_faults();
-        match std::mem::replace(&mut wreck.outcome, Err(String::new())) {
-            Ok(sums) => {
-                assert_eq!(sums, golden, "{ctx}: survivor diverged");
-                survivors += 1;
-            }
-            Err(_) => {
-                let sums = restore_and_finish(&mut wreck, &ctx);
-                assert_eq!(sums, golden, "{ctx}: restore diverged");
-                restores += 1;
-            }
-        }
-    }
-    assert_eq!(survivors + restores, total, "{label}: a boundary was lost");
-    assert!(restores > 0, "{label}: no boundary tripped the crash gate");
+    let bed = TortureBed {
+        primary: "/local/graytorture",
+        mirror: "/nfs/graytorture",
+        seed: SEED + 6,
+    };
+    let tally = torture_sweep(bed, label, policy);
+    assert_eq!(
+        tally.survivors + tally.restores,
+        tally.crash_points,
+        "{label}: a boundary was lost"
+    );
+    assert!(
+        tally.restores > 0,
+        "{label}: no boundary tripped the crash gate"
+    );
     fig.row(vec![
         label.into(),
-        total.into(),
-        survivors.into(),
-        restores.into(),
-        (kinds.len() as u64).into(),
+        tally.crash_points.into(),
+        tally.survivors.into(),
+        tally.restores.into(),
+        (tally.kinds.len() as u64).into(),
         "100%".into(),
     ]);
 }

@@ -11,28 +11,11 @@
 //! emission sites — an instrumented path that stops emitting (or
 //! double-emits) moves a count here before it breaks a dashboard.
 
-use checl::supervisor::SupervisorReport;
-use checl::{CheclConfig, CprPolicy, RecoveryPolicy};
-use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
-use osproc::{Cluster, DetectorPolicy, FaultPlan};
-use simcore::obs::{self, EventKind, Ledger};
-use simcore::SimDuration;
-use workloads::catalog::B;
-use workloads::{run_supervised, BufInit, CheclSession, Script, SuperviseSetup};
-
-/// Base seed; regime k uses `SEED + k` (the `ablation_supervisor`
-/// plans, so all three goldens describe the same virtual history).
-const SEED: u64 = 20110704;
-
-/// Particles in the iterative MD job (two 12-byte vectors each).
-const PARTICLES: u64 = 1 << 16;
-
-/// Relaxation steps, one `clFinish` sync per step.
-const STEPS: usize = 30;
-
-/// The failure regimes swept: label + mean time between injected proxy
-/// deaths.
-const REGIMES: [(&str, u64); 3] = [("mild", 10_000), ("harsh", 5_000), ("severe", 4_000)];
+use checl::IntervalPolicy::DalyAdaptive;
+use checl_bench::{
+    eval_targets, quantile_secs, supervised_cell, Cell, FigureWriter, TraceSession, REGIMES, SEED,
+};
+use simcore::obs::EventKind;
 
 fn main() {
     let trace = TraceSession::from_args();
@@ -57,8 +40,11 @@ fn main() {
         ],
     );
     for (k, (regime, mtbf_ms)) in REGIMES.iter().enumerate() {
-        let bare = supervised_cell(target, SEED + k as u64, *mtbf_ms, false).1;
-        let (ledger, recorded) = supervised_cell(target, SEED + k as u64, *mtbf_ms, true);
+        let adaptive = |record| {
+            supervised_cell(target, SEED + k as u64, *mtbf_ms, DalyAdaptive, record).completed()
+        };
+        let (_, bare, _) = adaptive(false);
+        let (_, recorded, ledger) = adaptive(true);
         let ledger = ledger.expect("recording was on");
 
         // The ledger must be invisible in virtual time: identical
@@ -106,90 +92,4 @@ fn main() {
 
     fig.finish().unwrap();
     trace.finish().unwrap();
-}
-
-/// Render a digest quantile of nanosecond observations in seconds.
-fn quantile_secs(h: &simcore::telemetry::Histogram, p: f64) -> Cell {
-    match h.percentile(p) {
-        Some(ns) => Cell::num(ns as f64 / 1e9, 3),
-        None => Cell::Na,
-    }
-}
-
-/// The iterative job under supervision (identical to
-/// `ablation_supervisor`).
-fn iterative_md(target: &EvalTarget) -> Script {
-    let cfg = target.cfg(1.0);
-    let n = PARTICLES;
-    let mut b = B::new(&cfg);
-    let pos = b.buffer(
-        n * 12,
-        Some(BufInit::RandomF32 {
-            seed: 7,
-            lo: 0.0,
-            hi: 20.0,
-        }),
-    );
-    let force = b.buffer(n * 12, None);
-    let k = b.prog_kernel("md", "md_forces");
-    b.arg_mem(k, 0, pos);
-    b.arg_mem(k, 1, force);
-    b.arg_u32(k, 2, n as u32);
-    b.arg_f32(k, 3, 5.0);
-    for _ in 0..STEPS {
-        b.launch1(k, n);
-        b.finish();
-    }
-    b.read_checksum(force, n * 12);
-    b.build()
-}
-
-/// The supervisor knobs of the `ablation_supervisor` sweep with the
-/// adaptive interval policy.
-fn sweep_setup(target: &EvalTarget) -> SuperviseSetup {
-    let mut setup = SuperviseSetup::new((target.vendor)(), "/local/md", "/nfs/md");
-    setup.config.detector = DetectorPolicy::Timeout(SimDuration::from_millis(400));
-    setup.config.heartbeat_every = SimDuration::from_millis(50);
-    setup.config.min_interval = SimDuration::from_millis(300);
-    setup.config.max_interval = SimDuration::from_secs(8);
-    setup.config.initial_mtbf = SimDuration::from_secs(5);
-    setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
-        retry: blcr::RetryPolicy::default(),
-        fallback_targets: Vec::new(),
-    });
-    setup
-}
-
-/// One supervised cell, optionally with the ledger recording.
-fn supervised_cell(
-    target: &EvalTarget,
-    seed: u64,
-    mtbf_ms: u64,
-    record: bool,
-) -> (Option<Ledger>, SupervisorReport) {
-    let mut cluster = Cluster::with_standard_nodes(2);
-    let nodes = cluster.node_ids();
-    let session = CheclSession::launch(
-        &mut cluster,
-        nodes[0],
-        (target.vendor)(),
-        CheclConfig::default(),
-        iterative_md(target),
-    );
-    cluster.install_faults(
-        FaultPlan::new(seed).with_proxy_death_rate(SimDuration::from_millis(mtbf_ms)),
-    );
-    let mut setup = sweep_setup(target);
-    setup.spares = vec![nodes[1]];
-    if record {
-        obs::start_recording();
-    }
-    let report = match run_supervised(&mut cluster, session, &setup) {
-        Ok((_s, report)) => report,
-        Err(e) => panic!("the adaptive policy completes at every swept regime: {e:?}"),
-    };
-    let ledger = if record { obs::stop_recording() } else { None };
-    assert!(report.completed);
-    (ledger, report)
 }

@@ -21,40 +21,27 @@
 //!
 //! The figure the policy is trying to minimize is **total overhead** —
 //! re-executed (wasted) work + checkpoint overhead + detection/repair
-//! downtime. `scripts/check_supervisor_golden.py` guards the headline:
+//! downtime. `scripts/check_goldens.py supervisor` guards the headline:
 //! the adaptive policy beats both fixed baselines at two or more
 //! failure rates. Every supervised run is also proven bit-exact
 //! against an undisturbed native run.
 
-use blcr::{DumpVault, RetryPolicy};
-use checl::supervisor::SupervisorReport;
-use checl::{CheclConfig, CprPolicy, IntervalPolicy, RecoveryPolicy};
-use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
-use osproc::{Cluster, DetectorPolicy, FaultPlan};
-use simcore::SimDuration;
-use workloads::catalog::B;
-use workloads::{
-    run_supervised, BufInit, CheclSession, NativeSession, Script, StopCondition, SuperviseSetup,
+use blcr::DumpVault;
+use checl::supervisor::{SupervisorError, KEEP_GENERATIONS};
+use checl::{CheclConfig, CprPolicy, IntervalPolicy};
+use checl_bench::{
+    eval_targets, iterative_md, md_setup, native_checksums, supervised_cell, Cell, EvalTarget,
+    FigureWriter, TraceSession, MD_STEPS, REGIMES, SEED,
 };
-
-/// Base seed; regime k uses `SEED + k` so plans stay independent.
-const SEED: u64 = 20110704;
-
-/// Particles in the iterative MD job (two 12-byte vectors each).
-const PARTICLES: u64 = 1 << 16;
-
-/// Relaxation steps, one `clFinish` sync per step (≈ 0.21 s each).
-const STEPS: usize = 30;
-
-/// The failure regimes swept: label + mean time between injected proxy
-/// deaths.
-const REGIMES: [(&str, u64); 3] = [("mild", 10_000), ("harsh", 5_000), ("severe", 4_000)];
+use osproc::{Cluster, FaultPlan};
+use simcore::SimDuration;
+use workloads::{run_supervised, CheclSession, StopCondition};
 
 fn main() {
     let trace = TraceSession::from_args();
     let target = &eval_targets()[0]; // NVIDIA column, as in Fig. 5
     let mut fig = FigureWriter::new("ablation_supervisor");
-    let golden = golden_checksums(target);
+    let golden = native_checksums(target, iterative_md(target, MD_STEPS));
 
     fig.section(
         "Self-healing supervisor: interval policy × failure rate (iterative MD)",
@@ -85,8 +72,14 @@ fn main() {
             ),
             ("daly-adaptive", IntervalPolicy::DalyAdaptive),
         ] {
-            let row = match supervised_cell(target, SEED + k as u64, *mtbf_ms, policy, &golden) {
-                Some(report) => {
+            let cell = supervised_cell(target, SEED + k as u64, *mtbf_ms, policy, false);
+            let row = match cell.result {
+                Ok((s, report)) => {
+                    assert!(report.completed);
+                    assert_eq!(
+                        s.program.checksums, golden,
+                        "supervised result must be bit-exact"
+                    );
                     let final_interval = *report
                         .interval_history
                         .last()
@@ -110,7 +103,7 @@ fn main() {
                 // the job across this failure rate (a finding, not a
                 // crash — the escalation is typed and the job state is
                 // still intact in the vault).
-                None => vec![
+                Err(SupervisorError::Escalated { .. }) => vec![
                     (*regime).into(),
                     Cell::num(*mtbf_ms as f64 / 1000.0, 1),
                     policy_name.into(),
@@ -163,97 +156,6 @@ fn main() {
     trace.finish().unwrap();
 }
 
-/// The iterative job under supervision: `STEPS` MD force evaluations
-/// over `PARTICLES` particles, one `clFinish` sync point per step.
-fn iterative_md(target: &EvalTarget) -> Script {
-    let cfg = target.cfg(1.0);
-    let n = PARTICLES;
-    let mut b = B::new(&cfg);
-    let pos = b.buffer(
-        n * 12,
-        Some(BufInit::RandomF32 {
-            seed: 7,
-            lo: 0.0,
-            hi: 20.0,
-        }),
-    );
-    let force = b.buffer(n * 12, None);
-    let k = b.prog_kernel("md", "md_forces");
-    b.arg_mem(k, 0, pos);
-    b.arg_mem(k, 1, force);
-    b.arg_u32(k, 2, n as u32);
-    b.arg_f32(k, 3, 5.0);
-    for _ in 0..STEPS {
-        b.launch1(k, n);
-        b.finish();
-    }
-    b.read_checksum(force, n * 12);
-    b.build()
-}
-
-/// Final buffer checksums of an undisturbed native run — ground truth.
-fn golden_checksums(target: &EvalTarget) -> Vec<u64> {
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let mut s = NativeSession::launch(&mut cluster, node, (target.vendor)(), iterative_md(target));
-    s.run(&mut cluster, StopCondition::Completion).unwrap();
-    s.program.checksums
-}
-
-/// The supervisor knobs shared by every cell of the sweep; only the
-/// interval policy varies.
-fn sweep_setup(target: &EvalTarget, policy: IntervalPolicy) -> SuperviseSetup {
-    let mut setup = SuperviseSetup::new((target.vendor)(), "/local/md", "/nfs/md");
-    setup.config.detector = DetectorPolicy::Timeout(SimDuration::from_millis(400));
-    setup.config.heartbeat_every = SimDuration::from_millis(50);
-    setup.config.min_interval = SimDuration::from_millis(300);
-    setup.config.max_interval = SimDuration::from_secs(8);
-    setup.config.initial_mtbf = SimDuration::from_secs(5);
-    setup.config.max_failures = 200;
-    setup.interval = policy;
-    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
-        retry: RetryPolicy::default(),
-        fallback_targets: Vec::new(),
-    });
-    setup
-}
-
-/// One cell of the sweep: the iterative job supervised to completion
-/// under a recurring proxy-death process with the given mean.
-fn supervised_cell(
-    target: &EvalTarget,
-    seed: u64,
-    mtbf_ms: u64,
-    policy: IntervalPolicy,
-    golden: &[u64],
-) -> Option<SupervisorReport> {
-    let mut cluster = Cluster::with_standard_nodes(2);
-    let nodes = cluster.node_ids();
-    let session = CheclSession::launch(
-        &mut cluster,
-        nodes[0],
-        (target.vendor)(),
-        CheclConfig::default(),
-        iterative_md(target),
-    );
-    cluster.install_faults(
-        FaultPlan::new(seed).with_proxy_death_rate(SimDuration::from_millis(mtbf_ms)),
-    );
-    let mut setup = sweep_setup(target, policy);
-    setup.spares = vec![nodes[1]];
-    match run_supervised(&mut cluster, session, &setup) {
-        Ok((s, report)) => {
-            assert!(report.completed);
-            assert_eq!(
-                s.program.checksums, golden,
-                "supervised result must be bit-exact"
-            );
-            Some(report)
-        }
-        Err(checl::supervisor::SupervisorError::Escalated { .. }) => None,
-    }
-}
-
 /// A corrupt local primary is caught by the scrub's checksum pass and
 /// repaired from the NFS mirror.
 fn scrub_repair_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
@@ -264,7 +166,7 @@ fn scrub_repair_scenario(fig: &mut FigureWriter, target: &EvalTarget) {
         node,
         (target.vendor)(),
         CheclConfig::default(),
-        iterative_md(target),
+        iterative_md(target, MD_STEPS),
     );
     session
         .run(&mut cluster, StopCondition::AfterKernel(1))
@@ -306,13 +208,13 @@ fn failover_scrub_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: 
         nodes[0],
         (target.vendor)(),
         CheclConfig::default(),
-        iterative_md(target),
+        iterative_md(target, MD_STEPS),
     );
     let origin = cluster.process(session.pid).clock;
     cluster.install_faults(
         FaultPlan::new(SEED + 9).schedule_node_crash(origin + SimDuration::from_secs(2), nodes[0]),
     );
-    let mut setup = sweep_setup(target, IntervalPolicy::DalyAdaptive);
+    let mut setup = md_setup(target, "/local/md", "/nfs/md");
     setup.spares = vec![nodes[1]];
     let (s, report) =
         run_supervised(&mut cluster, session, &setup).expect("failover to the spare must succeed");
@@ -320,7 +222,7 @@ fn failover_scrub_scenario(fig: &mut FigureWriter, target: &EvalTarget, golden: 
     assert_eq!(s.program.checksums, golden, "failover must be bit-exact");
     fig.row(vec![
         "node-crash-failover".into(),
-        (setup.config.keep_generations).into(),
+        KEEP_GENERATIONS.into(),
         Cell::Na,
         Cell::Na,
         Cell::Na,

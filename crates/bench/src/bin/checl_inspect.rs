@@ -29,29 +29,18 @@
 //! the ledger replays bit-exactly under its seed.
 
 use checl::obs::{generation_table, incident_timeline, reconcile_faults, verify_all};
-use checl::supervisor::SupervisorReport;
-use checl::{CheclConfig, CprPolicy, RecoveryPolicy};
-use checl_bench::{eval_targets, Cell, EvalTarget, FigureWriter, TraceSession};
-use osproc::{Cluster, DetectorPolicy, FaultPlan};
+use checl::IntervalPolicy::DalyAdaptive;
+use checl::{CheclConfig, CprPolicy};
+use checl_bench::{
+    eval_targets, iterative_md, quantile_secs, supervised_cell, Cell, EvalTarget, FigureWriter,
+    TraceSession, MD_STEPS, REGIMES, SEED,
+};
+use osproc::Cluster;
 use simcore::obs::{self, EventKind, Ledger, ProvenanceGraph, SloSummary};
 use simcore::SimDuration;
 use std::collections::BTreeMap;
-use workloads::catalog::{live_mutating, md_mutating, B};
-use workloads::{run_supervised, BufInit, CheclSession, Script, StopCondition, SuperviseSetup};
-
-/// Base seed; regime k uses `SEED + k` (same plans as the supervisor
-/// ablation, so the two goldens describe the same virtual history).
-const SEED: u64 = 20110704;
-
-/// Particles in the iterative MD job (two 12-byte vectors each).
-const PARTICLES: u64 = 1 << 16;
-
-/// Relaxation steps, one `clFinish` sync per step.
-const STEPS: usize = 30;
-
-/// The failure regimes swept: label + mean time between injected proxy
-/// deaths.
-const REGIMES: [(&str, u64); 3] = [("mild", 10_000), ("harsh", 5_000), ("severe", 4_000)];
+use workloads::catalog::{live_mutating, md_mutating};
+use workloads::{CheclSession, StopCondition};
 
 fn main() {
     let trace = TraceSession::from_args();
@@ -79,7 +68,10 @@ fn main() {
     );
     let mut harsh: Option<(Cluster, Ledger)> = None;
     for (k, (regime, mtbf_ms)) in REGIMES.iter().enumerate() {
-        let (cluster, ledger, report) = supervised_cell(target, SEED + k as u64, *mtbf_ms);
+        // The adaptive policy is the one that completes at every regime.
+        let (cluster, report, ledger) =
+            supervised_cell(target, SEED + k as u64, *mtbf_ms, DalyAdaptive, true).completed();
+        let ledger = ledger.expect("recording was on");
         let slo = SloSummary::from_ledger(&ledger, report.wall_clock);
         // The ledger is an independent witness: its sums must equal
         // the supervisor's books to the nanosecond.
@@ -487,90 +479,6 @@ fn fleet_tenants() -> (Vec<TenantRow>, String) {
     (rows, note)
 }
 
-/// Render a digest quantile of nanosecond observations in seconds.
-fn quantile_secs(h: &simcore::telemetry::Histogram, p: f64) -> Cell {
-    match h.percentile(p) {
-        Some(ns) => Cell::num(ns as f64 / 1e9, 3),
-        None => Cell::Na,
-    }
-}
-
-/// The iterative job under supervision (identical to
-/// `ablation_supervisor`).
-fn iterative_md(target: &EvalTarget) -> Script {
-    let cfg = target.cfg(1.0);
-    let n = PARTICLES;
-    let mut b = B::new(&cfg);
-    let pos = b.buffer(
-        n * 12,
-        Some(BufInit::RandomF32 {
-            seed: 7,
-            lo: 0.0,
-            hi: 20.0,
-        }),
-    );
-    let force = b.buffer(n * 12, None);
-    let k = b.prog_kernel("md", "md_forces");
-    b.arg_mem(k, 0, pos);
-    b.arg_mem(k, 1, force);
-    b.arg_u32(k, 2, n as u32);
-    b.arg_f32(k, 3, 5.0);
-    for _ in 0..STEPS {
-        b.launch1(k, n);
-        b.finish();
-    }
-    b.read_checksum(force, n * 12);
-    b.build()
-}
-
-/// The supervisor knobs of the `ablation_supervisor` sweep, with the
-/// adaptive interval policy (the one that completes at every regime).
-fn sweep_setup(target: &EvalTarget) -> SuperviseSetup {
-    let mut setup = SuperviseSetup::new((target.vendor)(), "/local/md", "/nfs/md");
-    setup.config.detector = DetectorPolicy::Timeout(SimDuration::from_millis(400));
-    setup.config.heartbeat_every = SimDuration::from_millis(50);
-    setup.config.min_interval = SimDuration::from_millis(300);
-    setup.config.max_interval = SimDuration::from_secs(8);
-    setup.config.initial_mtbf = SimDuration::from_secs(5);
-    setup.config.max_failures = 200;
-    setup.policy = CprPolicy::sequential().with_recovery(RecoveryPolicy {
-        retry: blcr::RetryPolicy::default(),
-        fallback_targets: Vec::new(),
-    });
-    setup
-}
-
-/// One supervised cell with the ledger recording; the cluster comes
-/// back too so provenance can be verified against its filesystems.
-fn supervised_cell(
-    target: &EvalTarget,
-    seed: u64,
-    mtbf_ms: u64,
-) -> (Cluster, Ledger, SupervisorReport) {
-    let mut cluster = Cluster::with_standard_nodes(2);
-    let nodes = cluster.node_ids();
-    let session = CheclSession::launch(
-        &mut cluster,
-        nodes[0],
-        (target.vendor)(),
-        CheclConfig::default(),
-        iterative_md(target),
-    );
-    cluster.install_faults(
-        FaultPlan::new(seed).with_proxy_death_rate(SimDuration::from_millis(mtbf_ms)),
-    );
-    let mut setup = sweep_setup(target);
-    setup.spares = vec![nodes[1]];
-    obs::start_recording();
-    let report = match run_supervised(&mut cluster, session, &setup) {
-        Ok((_s, report)) => report,
-        Err(e) => panic!("the adaptive policy completes at every swept regime: {e:?}"),
-    };
-    let ledger = obs::stop_recording().unwrap();
-    assert!(report.completed);
-    (cluster, ledger, report)
-}
-
 /// One pipelined snapshot of the MD session with the ledger on;
 /// returns the per-channel (busy, ops) rows, sorted by channel name.
 fn pipelined_channels(target: &EvalTarget) -> Vec<(String, u64, u64)> {
@@ -581,7 +489,7 @@ fn pipelined_channels(target: &EvalTarget) -> Vec<(String, u64, u64)> {
         node,
         (target.vendor)(),
         CheclConfig::default(),
-        iterative_md(target),
+        iterative_md(target, MD_STEPS),
     );
     s.run(&mut cluster, StopCondition::AfterKernel(1)).unwrap();
     obs::start_recording();

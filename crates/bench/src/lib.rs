@@ -7,28 +7,52 @@
 //! |-------------------------|----------|
 //! | `table1`                | Table I system specifications |
 //! | `fig4_overhead`         | Fig. 4 runtime overhead of CheCL vs native |
-//! | `fig5_checkpoint`       | Fig. 5 checkpoint phase breakdown + file sizes |
+//! | `fig5_fig7`             | Fig. 5 checkpoint phase breakdown + file sizes, and Fig. 7 object-recreation breakdown, from one checkpoint and restart per program |
 //! | `fig6_mpi`              | Fig. 6 MPI MD global-snapshot times |
-//! | `fig7_restart`          | Fig. 7 object-recreation breakdown |
 //! | `fig8_migration`        | Fig. 8 migration cost, actual vs predicted |
 //! | `ablation_modes`        | §III-C delayed vs immediate checkpointing |
 //! | `ablation_incremental`  | §IV-D incremental checkpointing (future work) |
 //! | `ablation_procsel`      | §IV-C runtime processor selection via RAM disk |
 //! | `ablation_hostptr`      | §IV-D CL_MEM_USE_HOST_PTR degradation |
+//! | `ablation_remote`       | §V local vs remote API proxy |
 //! | `ablation_faults`       | fault injection + recovery, one scenario per fault class |
+//! | `ablation_pipeline`     | pipelined vs sequential checkpoint engine |
+//! | `ablation_dedup`        | content-addressed dedup in the streamed dump path |
+//! | `ablation_live`         | live copy-on-write checkpointing: stall vs drain |
+//! | `ablation_supervisor`   | self-healing supervisor: interval policy × failure rate, vault scrub |
+//! | `ablation_obs`          | the event ledger costs zero virtual time; event census |
+//! | `ablation_gray`         | gray and correlated faults, fleet backpressure, crash-point torture |
+//! | `checl_inspect`         | fleet health report folded from the event ledger alone |
+//! | `fleet`                 | multi-tenant scheduler sweep, 100 → 10,000 jobs |
 //!
 //! All timings are virtual-clock measurements, deterministic across
-//! runs. Every binary prints an aligned table and writes the same data
-//! as `results/BENCH_<figure>.json`; passing `--trace <file>` records
+//! runs. Every figure prints an aligned table and writes it to
+//! `results/<figure>.txt`, with the same data as
+//! `results/BENCH_<figure>.json`; passing `--trace <file>` records
 //! the run's telemetry and exports it as Chrome trace-event JSON
 //! (loadable in Perfetto). `cargo bench` additionally runs wall-clock
 //! micro-benchmarks of the simulator's own hot paths
 //! (`benches/micro.rs`).
+//!
+//! The fixtures several binaries share live here once: the supervised
+//! iterative-MD job ([`supervised`]) and the crash-point torture run
+//! ([`torture`], also driven by `tests/torture_tests.rs`).
+
+pub mod supervised;
+pub mod torture;
+
+pub use supervised::{
+    iterative_md, md_setup, native_checksums, supervised_cell, SupervisedCell, MD_STEPS, REGIMES,
+    SEED,
+};
+
+use std::fmt::Write as _;
 
 use checl::CheclConfig;
 use clspec::error::ClResult;
 use clspec::types::DeviceType;
 use osproc::Cluster;
+use simcore::telemetry::{json_escape, json_f64};
 use simcore::{ByteSize, SimDuration};
 use workloads::{CheclSession, NativeSession, StopCondition, Workload, WorkloadCfg};
 
@@ -227,10 +251,18 @@ impl Cell {
     fn to_json(&self) -> String {
         match self {
             Cell::Text(s) => json_string(s),
-            Cell::Num { v, .. } | Cell::Pct(v) => json_number(*v),
+            Cell::Num { v, .. } | Cell::Pct(v) => json_f64(*v),
             Cell::Int(v) => v.to_string(),
             Cell::Na => "null".into(),
         }
+    }
+}
+
+/// Render a digest quantile of nanosecond observations in seconds.
+pub fn quantile_secs(h: &simcore::telemetry::Histogram, p: f64) -> Cell {
+    match h.percentile(p) {
+        Some(ns) => Cell::num(ns as f64 / 1e9, 3),
+        None => Cell::Na,
     }
 }
 
@@ -259,34 +291,7 @@ impl From<usize> for Cell {
 }
 
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".into();
-    }
-    let s = format!("{v}");
-    // Bare integral floats need a fraction to read back as floats.
-    if s.contains(['.', 'e', 'E']) {
-        s
-    } else {
-        format!("{s}.0")
-    }
+    format!("\"{}\"", json_escape(s))
 }
 
 struct Section {
@@ -297,8 +302,9 @@ struct Section {
 }
 
 /// Collects one figure's tables and emits them twice on
-/// [`FigureWriter::finish`]: an aligned text report on stdout, and a
-/// machine-readable `results/BENCH_<figure>.json`.
+/// [`FigureWriter::finish`]: an aligned text report, printed and
+/// written to `results/<figure>.txt`, and a machine-readable
+/// `results/BENCH_<figure>.json`.
 pub struct FigureWriter {
     figure: String,
     sections: Vec<Section>,
@@ -345,11 +351,13 @@ impl FigureWriter {
             .push(text.into());
     }
 
-    /// Print the aligned text report and write
+    /// Print the aligned text report and write it to
+    /// `results/<figure>.txt`, and write the same data as
     /// `results/BENCH_<figure>.json`. Returns the JSON path.
     pub fn finish(self) -> std::io::Result<std::path::PathBuf> {
+        let mut text = String::new();
         for section in &self.sections {
-            println!("\n=== {} ===", section.title);
+            writeln!(text, "\n=== {} ===", section.title).unwrap();
             let mut widths: Vec<usize> = section.columns.iter().map(|c| c.len()).collect();
             let rendered: Vec<Vec<String>> = section
                 .rows
@@ -372,16 +380,18 @@ impl FigureWriter {
                 }
                 out
             };
-            println!("{}", line(&section.columns));
-            println!(
+            writeln!(text, "{}", line(&section.columns)).unwrap();
+            writeln!(
+                text,
                 "{}",
                 "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-            );
+            )
+            .unwrap();
             for row in &rendered {
-                println!("{}", line(row));
+                writeln!(text, "{}", line(row)).unwrap();
             }
             for note in &section.notes {
-                println!("{note}");
+                writeln!(text, "{note}").unwrap();
             }
         }
 
@@ -419,7 +429,9 @@ impl FigureWriter {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("BENCH_{}.json", self.figure));
         std::fs::write(&path, json)?;
-        println!("\nwrote {}", path.display());
+        writeln!(text, "\nwrote {}", path.display()).unwrap();
+        print!("{text}");
+        std::fs::write(dir.join(format!("{}.txt", self.figure)), text)?;
         Ok(path)
     }
 }
@@ -517,6 +529,23 @@ mod tests {
         let native = run_native(&w, t, 1.0 / 128.0).unwrap();
         let checl = run_checl(&w, t, 1.0 / 128.0).unwrap();
         assert!(checl > native);
+    }
+
+    #[test]
+    fn cell_json_bytes_are_pinned() {
+        let text = Cell::from("q\"b\\n\nt\tc\u{1}r\r é");
+        assert_eq!(text.to_json(), r#""q\"b\\n\nt\tc\u0001r\r é""#);
+        assert_eq!(Cell::num(3.0, 1).to_json(), "3.0");
+        assert_eq!(Cell::num(0.125, 3).to_json(), "0.125");
+        assert_eq!(Cell::secs(SimDuration::from_millis(1500)).to_json(), "1.5");
+        assert_eq!(Cell::Pct(97.25).to_json(), "97.25");
+        assert_eq!(Cell::num(-2.0, 0).to_json(), "-2.0");
+        assert_eq!(Cell::num(1e21, 0).to_json(), "1000000000000000000000.0");
+        assert_eq!(Cell::num(f64::NAN, 3).to_json(), "null");
+        assert_eq!(Cell::num(f64::INFINITY, 3).to_json(), "null");
+        assert_eq!(Cell::Pct(f64::NEG_INFINITY).to_json(), "null");
+        assert_eq!(Cell::Int(42).to_json(), "42");
+        assert_eq!(Cell::Na.to_json(), "null");
     }
 
     #[test]

@@ -40,6 +40,13 @@ use crate::cpr::CheclCprError;
 use osproc::{BeatSource, DetectorPolicy, HeartbeatMonitor};
 use simcore::{obs, telemetry, SimDuration, SimTime};
 
+/// Backoff before an incident's second repair attempt; it doubles per
+/// further attempt.
+pub const REPAIR_BACKOFF: SimDuration = SimDuration::from_millis(100);
+
+/// Verified dump generations a supervised run's vault retains.
+pub const KEEP_GENERATIONS: usize = 2;
+
 /// Knobs for a supervised run.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
@@ -53,9 +60,6 @@ pub struct SupervisorConfig {
     /// backstop against fault storms that arrive faster than the
     /// re-execution they force can make progress.
     pub max_failures: u32,
-    /// Backoff before the second repair attempt; doubles per further
-    /// attempt.
-    pub repair_backoff: SimDuration,
     /// MTBF prior used by the Daly interval before any failure has been
     /// observed.
     pub initial_mtbf: SimDuration,
@@ -63,8 +67,6 @@ pub struct SupervisorConfig {
     pub min_interval: SimDuration,
     /// Upper clamp on the checkpoint interval.
     pub max_interval: SimDuration,
-    /// Verified dump generations the vault retains.
-    pub keep_generations: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -74,11 +76,9 @@ impl Default for SupervisorConfig {
             heartbeat_every: SimDuration::from_millis(25),
             max_repairs: 4,
             max_failures: 64,
-            repair_backoff: SimDuration::from_millis(100),
             initial_mtbf: SimDuration::from_secs(30),
             min_interval: SimDuration::from_millis(50),
             max_interval: SimDuration::from_secs(120),
-            keep_generations: 2,
         }
     }
 }
@@ -470,7 +470,7 @@ impl Supervisor {
         let backoff = if self.incident_repairs == 1 {
             SimDuration::ZERO
         } else {
-            self.cfg.repair_backoff * (1u64 << (self.incident_repairs - 2).min(16))
+            REPAIR_BACKOFF * (1u64 << (self.incident_repairs - 2).min(16))
         };
         self.now += backoff;
         self.report.downtime += backoff;
@@ -619,7 +619,6 @@ mod tests {
         let mut sup = Supervisor::new(
             SupervisorConfig {
                 max_repairs: 3,
-                repair_backoff: SimDuration::from_millis(100),
                 ..cfg()
             },
             IntervalPolicy::DalyAdaptive,

@@ -16,7 +16,6 @@ fn main() {
         .unwrap_or(50);
     let cfg = FleetConfig {
         nodes,
-        check_bit_exact: true,
         ..FleetConfig::default()
     };
     let t0 = std::time::Instant::now();

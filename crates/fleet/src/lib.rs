@@ -82,32 +82,35 @@ impl JobSpec {
     }
 }
 
-/// Scheduler knobs.
+/// Slice quantum: the most virtual time a tenant runs between yields
+/// (it may overshoot to the end of the op in flight).
+pub const QUANTUM: SimDuration = SimDuration::from_micros(500);
+
+/// SLO budget: a job should finish within this of its arrival.
+pub const SLO: SimDuration = SimDuration::from_millis(250);
+
+/// Checkpoint-channel backlog at which a node counts as hot and sheds
+/// its least important solo tenant by live migration.
+pub const HOT_BACKLOG: SimDuration = SimDuration::from_millis(2);
+
+/// Preemption hysteresis: a tenant is immune until it has held its slot
+/// this long since its last (re)start. Without it the fleet thrashes —
+/// a resumed victim is re-flagged before it amortizes its own restore.
+pub const PREEMPT_COOLDOWN: SimDuration = SimDuration::from_millis(60);
+
+/// Hard cap on preemptions per job: past it the job runs to
+/// completion, bounding its dump chain and guaranteeing progress.
+pub const MAX_PREEMPTIONS_PER_JOB: u64 = 4;
+
+/// Scheduler knobs. Every finished job's checksums are verified
+/// against an uninterrupted solo run of the same spec (cached per
+/// distinct spec).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Cluster width ([`Cluster::with_standard_nodes`]).
     pub nodes: usize,
     /// Device slots per node (concurrent tenants a node hosts).
     pub slots_per_node: usize,
-    /// Slice quantum: the most virtual time a tenant runs between
-    /// yields (it may overshoot to the end of the op in flight).
-    pub quantum: SimDuration,
-    /// SLO budget: a job should finish within `slo` of its arrival.
-    pub slo: SimDuration,
-    /// Checkpoint-channel backlog at which a node counts as hot and
-    /// sheds its least important solo tenant by live migration.
-    pub hot_backlog: SimDuration,
-    /// Preemption hysteresis: a tenant is immune until it has held its
-    /// slot this long since its last (re)start. Without it the fleet
-    /// thrashes — a resumed victim is re-flagged before it amortizes
-    /// its own restore.
-    pub preempt_cooldown: SimDuration,
-    /// Hard cap on preemptions per job: past it the job runs to
-    /// completion, bounding its dump chain and guaranteeing progress.
-    pub max_preemptions_per_job: u64,
-    /// Verify every finished job's checksums against an uninterrupted
-    /// solo run of the same spec (cached per distinct spec).
-    pub check_bit_exact: bool,
     /// Backpressure rung 1 — *stretch*: while any node's `ckpt.disk`
     /// backlog sits at or above this, the preemption cooldown is
     /// multiplied by `backlog / threshold` (clamped to 8×). Young/Daly
@@ -143,12 +146,6 @@ impl Default for FleetConfig {
         FleetConfig {
             nodes: 4,
             slots_per_node: 4,
-            quantum: SimDuration::from_micros(500),
-            slo: SimDuration::from_millis(250),
-            hot_backlog: SimDuration::from_millis(2),
-            preempt_cooldown: SimDuration::from_millis(60),
-            max_preemptions_per_job: 4,
-            check_bit_exact: true,
             stretch_backlog: None,
             shed_backlog: None,
             reject_backlog: None,
@@ -530,7 +527,7 @@ impl Sched {
     /// to 8×) — checkpointing is exactly the I/O the hot channel does
     /// not have, so the cadence stretches instead of piling on.
     fn effective_cooldown(&self, now: SimTime) -> SimDuration {
-        let base = self.cfg.preempt_cooldown;
+        let base = PREEMPT_COOLDOWN;
         let Some(threshold) = self.cfg.stretch_backlog else {
             return base;
         };
@@ -563,14 +560,13 @@ impl Sched {
     /// Run one slice of every rank and align gangs at a barrier.
     /// Returns the post-slice frontier (event time of the yield).
     fn run_slice(&mut self, idx: u32) -> SimTime {
-        let quantum = self.cfg.quantum;
         let job = &mut self.jobs[idx as usize];
         let tenant = job.active.as_mut().expect("slice without tenant");
         let mut yp = YieldPoint::Done;
         for (r, session) in tenant.sessions.iter_mut().enumerate() {
             let before = self.cluster.process(session.pid).clock;
             let rank_yp = session
-                .run_step(&mut self.cluster, quantum)
+                .run_step(&mut self.cluster, QUANTUM)
                 .expect("fleet workload step failed");
             let after = self.cluster.process(session.pid).clock;
             let (node, slot) = tenant.slots[r];
@@ -785,7 +781,7 @@ impl Sched {
                 let job = &self.jobs[j as usize];
                 p > wait_prio
                     && !job.preempt_req
-                    && job.preemptions < self.cfg.max_preemptions_per_job
+                    && job.preemptions < MAX_PREEMPTIONS_PER_JOB
                     && now.since(job.last_start) >= cooldown
             })
             .copied();
@@ -819,7 +815,7 @@ impl Sched {
             .find(|&&(_, j)| {
                 let job = &self.jobs[j as usize];
                 !job.preempt_req
-                    && job.preemptions < self.cfg.max_preemptions_per_job
+                    && job.preemptions < MAX_PREEMPTIONS_PER_JOB
                     && now.since(job.last_start) >= cooldown
                     && job.last_nodes.contains(&hot_n)
             })
@@ -955,7 +951,7 @@ impl Sched {
         let mut cool: Option<(SimDuration, usize)> = None;
         for n in 0..self.cfg.nodes {
             let b = backlog(self.chans.try_node(n), now);
-            if b >= self.cfg.hot_backlog
+            if b >= HOT_BACKLOG
                 && self.free[n] < self.cfg.slots_per_node
                 && hot.map(|(hb, _)| b > hb).unwrap_or(true)
             {
@@ -1018,23 +1014,12 @@ impl Sched {
             .active
             .take()
             .expect("complete idle");
-        let was_disturbed = {
-            let job = &self.jobs[idx as usize];
-            job.preemptions > 0 || job.migrations > 0
-        };
-        let bit_exact = if self.cfg.check_bit_exact {
-            let spec = self.jobs[idx as usize].spec.clone();
-            let expect = self.baseline(&spec);
-            Some(
-                tenant
-                    .sessions
-                    .iter()
-                    .all(|s| s.program.checksums == expect),
-            )
-        } else {
-            None
-        };
-        let _ = was_disturbed;
+        let spec = self.jobs[idx as usize].spec.clone();
+        let expect = self.baseline(&spec);
+        let bit_exact = tenant
+            .sessions
+            .iter()
+            .all(|s| s.program.checksums == expect);
         if self.jobs[idx as usize].preempt_req {
             self.jobs[idx as usize].preempt_req = false;
             self.pending_preempts -= 1;
@@ -1057,11 +1042,11 @@ impl Sched {
         let job = &mut self.jobs[idx as usize];
         job.phase = JobPhase::Done;
         job.completed_at = Some(now);
-        job.bit_exact = bit_exact;
+        job.bit_exact = Some(bit_exact);
         job.final_node = job.last_nodes[0];
         let proc = job.proc.expect("admitted job has proc");
         let deadline = job.deadline.take();
-        let deadline_at = job.spec.arrival + self.cfg.slo;
+        let deadline_at = job.spec.arrival + SLO;
         self.procs.set_state(proc, ProcState::Done);
         // Timely completion revokes the pending deadline event — the
         // common case, so `cancel` is as hot as `push` here. A late
@@ -1074,7 +1059,7 @@ impl Sched {
             }
         }
         let job = &mut self.jobs[idx as usize];
-        let slo_ok = !job.slo_missed && now.since(job.spec.arrival) <= self.cfg.slo;
+        let slo_ok = !job.slo_missed && now.since(job.spec.arrival) <= SLO;
         obs::emit(
             "fleet",
             now,
@@ -1085,10 +1070,7 @@ impl Sched {
                 preemptions: job.preemptions,
                 migrations: job.migrations,
                 generations: job.generations,
-                bit_exact: match job.bit_exact {
-                    Some(true) => 1,
-                    _ => 0,
-                },
+                bit_exact: bit_exact as u64,
                 slo_ok: slo_ok as u64,
             },
         );
@@ -1119,7 +1101,7 @@ impl Sched {
                 return;
             }
         }
-        let ev = self.queue.push(now + self.cfg.slo, Ev::Deadline(idx));
+        let ev = self.queue.push(now + SLO, Ev::Deadline(idx));
         let job = &mut self.jobs[idx as usize];
         job.deadline = Some(ev);
         let k = key(&self.jobs[idx as usize], idx);
@@ -1248,7 +1230,7 @@ impl Sched {
                     bit_ok += 1;
                 }
             }
-            let slo_ok = !job.slo_missed && latency <= self.cfg.slo;
+            let slo_ok = !job.slo_missed && latency <= SLO;
             if slo_ok {
                 slo_attained += 1;
             } else {

@@ -882,9 +882,9 @@ pub fn span_durations(events: &[TraceEvent]) -> BTreeMap<String, SimDuration> {
 // Chrome trace-event export
 // ---------------------------------------------------------------------
 
-/// Escape `s` for a JSON string literal (the trace export and the
-/// ledger's JSONL share it).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape `s` for a JSON string literal, without the quotes (the trace
+/// export, the ledger's JSONL and the bench figures share it).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -902,17 +902,19 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's shortest-roundtrip Display is deterministic.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-            s
-        } else {
-            format!("{s}.0")
-        }
+/// A JSON number for `v`: Rust's shortest round-trip form, with `.0`
+/// appended to an integral value so it reads back as a float; `null`
+/// for NaN and ±inf, which JSON cannot hold.
+pub fn json_f64(v: f64) -> String {
+    if !v.is_finite() {
+        return "null".to_string();
+    }
+    // Rust's shortest-roundtrip Display is deterministic.
+    let s = format!("{v}");
+    if s.contains(['.', 'e']) {
+        s
     } else {
-        "null".to_string()
+        format!("{s}.0")
     }
 }
 

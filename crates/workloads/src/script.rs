@@ -289,18 +289,8 @@ impl AppProgram {
     ) -> ClResult<RunStatus> {
         while !self.is_done() {
             self.step(api, now)?;
-            match stop {
-                StopCondition::Completion => {}
-                StopCondition::AfterKernel(n) => {
-                    if self.kernels_launched >= n {
-                        return Ok(RunStatus::Paused);
-                    }
-                }
-                StopCondition::AfterOps(n) => {
-                    if self.pc >= n {
-                        return Ok(RunStatus::Paused);
-                    }
-                }
+            if stop.reached(self) {
+                return Ok(RunStatus::Paused);
             }
         }
         Ok(RunStatus::Done)
@@ -663,6 +653,18 @@ pub enum StopCondition {
     AfterKernel(u64),
     /// Stop after `n` ops.
     AfterOps(u64),
+}
+
+impl StopCondition {
+    /// Whether `program` has reached this stop point
+    /// ([`StopCondition::Completion`] never pauses).
+    pub fn reached(&self, program: &AppProgram) -> bool {
+        match *self {
+            StopCondition::Completion => false,
+            StopCondition::AfterKernel(n) => program.kernels_launched >= n,
+            StopCondition::AfterOps(n) => program.pc >= n,
+        }
+    }
 }
 
 /// Result of a `run_until`.

@@ -137,6 +137,36 @@ impl CheclSession {
         status
     }
 
+    /// Execute one op on this process's telemetry track, keeping the
+    /// cluster clock coherent. A failed op leaves the program counter
+    /// where it was, so the op can be retried after a recovery.
+    pub(crate) fn step(&mut self, cluster: &mut Cluster) -> ClResult<()> {
+        let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
+        let mut now = cluster.process(self.pid).clock;
+        let step = self.program.step(&mut self.lib, &mut now);
+        cluster.process_mut(self.pid).clock = now;
+        step
+    }
+
+    /// Deliver the proxy-death and pipe-break faults of the cluster's
+    /// [`FaultPlan`](osproc::FaultPlan) that are due at `now`: a dead
+    /// proxy is killed and its pipe broken.
+    pub(crate) fn deliver_proxy_faults(&mut self, cluster: &mut Cluster, now: SimTime) {
+        let (proxy_dies, pipe_breaks) = match cluster.faults_mut() {
+            Some(plan) => (plan.proxy_death_due(now), plan.pipe_break_due(now)),
+            None => (false, false),
+        };
+        if proxy_dies {
+            if let Some(proxy) = self.lib.proxy_pid() {
+                cluster.kill(proxy);
+            }
+            self.lib.break_pipe();
+        }
+        if pipe_breaks {
+            self.lib.break_pipe();
+        }
+    }
+
     /// Virtual time elapsed since process start.
     pub fn elapsed(&self, cluster: &Cluster) -> SimDuration {
         cluster.process(self.pid).clock.since(SimTime::ZERO)
@@ -313,13 +343,7 @@ impl CheclSession {
                     return Ok(YieldPoint::Quantum);
                 }
             }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            step?;
+            self.step(cluster)?;
             executed = true;
         }
     }
@@ -385,13 +409,7 @@ impl CheclSession {
                     return Ok(PolicyRunOutcome::Checkpointed(outcome));
                 }
             }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            step.map_err(CheclCprError::Cl)?;
+            self.step(cluster).map_err(CheclCprError::Cl)?;
         }
     }
 }
@@ -442,19 +460,7 @@ impl CheclSession {
             }
             // Deliver scheduled process faults that have come due.
             let now = cluster.process(self.pid).clock;
-            let (proxy_dies, pipe_breaks) = match cluster.faults_mut() {
-                Some(plan) => (plan.proxy_death_due(now), plan.pipe_break_due(now)),
-                None => (false, false),
-            };
-            if proxy_dies {
-                if let Some(proxy) = self.lib.proxy_pid() {
-                    cluster.kill(proxy);
-                }
-                self.lib.break_pipe();
-            }
-            if pipe_breaks {
-                self.lib.break_pipe();
-            }
+            self.deliver_proxy_faults(cluster, now);
             if self.lib.pipe_broken() || !self.lib.has_proxy() {
                 if respawns >= max_respawns {
                     return Err(CheclCprError::Cl(
@@ -465,13 +471,7 @@ impl CheclSession {
                 self.recover(cluster, last_ckpt, vendor.clone())?;
                 continue;
             }
-            let mut now = cluster.process(self.pid).clock;
-            let step = {
-                let _track = telemetry::track_scope(telemetry::Track::process(self.pid.0 as u64));
-                self.program.step(&mut self.lib, &mut now)
-            };
-            cluster.process_mut(self.pid).clock = now;
-            match step {
+            match self.step(cluster) {
                 Ok(()) => {}
                 Err(clspec::error::ClError::DeviceNotAvailable) => {
                     // The proxy died under the op (pc not advanced: a
@@ -487,24 +487,11 @@ impl CheclSession {
                 }
                 Err(e) => return Err(CheclCprError::Cl(e)),
             }
-            match stop {
-                StopCondition::Completion => {}
-                StopCondition::AfterKernel(n) => {
-                    if self.program.kernels_launched >= n {
-                        return Ok(RecoveryRunReport {
-                            status: RunStatus::Paused,
-                            respawns,
-                        });
-                    }
-                }
-                StopCondition::AfterOps(n) => {
-                    if self.program.pc >= n {
-                        return Ok(RecoveryRunReport {
-                            status: RunStatus::Paused,
-                            respawns,
-                        });
-                    }
-                }
+            if stop.reached(&self.program) {
+                return Ok(RecoveryRunReport {
+                    status: RunStatus::Paused,
+                    respawns,
+                });
             }
         }
     }

@@ -24,11 +24,13 @@
 use crate::session::{program_from_dump, CheclSession};
 use blcr::DumpVault;
 use checl::cpr::{CheclCprError, RestoreTarget};
-use checl::supervisor::{Supervisor, SupervisorConfig, SupervisorError, SupervisorReport};
+use checl::supervisor::{
+    Supervisor, SupervisorConfig, SupervisorError, SupervisorReport, KEEP_GENERATIONS,
+};
 use checl::{CprPolicy, IntervalPolicy};
 use cldriver::VendorConfig;
 use osproc::{BeatSource, Cluster, NodeId};
-use simcore::{telemetry, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 
 /// Everything a supervised run needs beyond the session itself.
 #[derive(Clone, Debug)]
@@ -188,11 +190,7 @@ pub fn run_supervised(
 ) -> Result<(CheclSession, SupervisorReport), SupervisorError> {
     let start = cluster.process(session.pid).clock;
     let mut sup = Supervisor::new(setup.config.clone(), setup.interval, start);
-    let mut vault = DumpVault::new(
-        &setup.primary_base,
-        &setup.mirror_base,
-        setup.config.keep_generations,
-    );
+    let mut vault = DumpVault::new(&setup.primary_base, &setup.mirror_base, KEEP_GENERATIONS);
     let mut spares = setup.spares.clone();
     let mut node = cluster.process(session.pid).node;
     sup.monitor_mut().watch(BeatSource::Node(node), start);
@@ -250,19 +248,7 @@ pub fn run_supervised(
         spares.retain(|s| !crashed.contains(s));
         let node_dead = crashed.contains(&node) || !cluster.process(session.pid).is_alive();
         if !node_dead {
-            let (proxy_dies, pipe_breaks) = match cluster.faults_mut() {
-                Some(plan) => (plan.proxy_death_due(now), plan.pipe_break_due(now)),
-                None => (false, false),
-            };
-            if proxy_dies {
-                if let Some(proxy) = session.lib.proxy_pid() {
-                    cluster.kill(proxy);
-                }
-                session.lib.break_pipe();
-            }
-            if pipe_breaks {
-                session.lib.break_pipe();
-            }
+            session.deliver_proxy_faults(cluster, now);
         }
 
         if node_dead || partition_fenced {
@@ -515,13 +501,7 @@ pub fn run_supervised(
             }
         }
 
-        let mut op_clock = cluster.process(session.pid).clock;
-        let step = {
-            let _track = telemetry::track_scope(telemetry::Track::process(session.pid.0 as u64));
-            session.program.step(&mut session.lib, &mut op_clock)
-        };
-        cluster.process_mut(session.pid).clock = op_clock;
-        match step {
+        match session.step(cluster) {
             Ok(()) => {}
             Err(clspec::error::ClError::DeviceNotAvailable) => {
                 // The proxy died under the op; the pc did not advance.

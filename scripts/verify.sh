@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: format, lints, docs, build, tests, and a smoke
-# run of one figure harness with trace recording + validation.
+# Full offline verification: format, lints, docs, build, tests, and golden
+# runs of the figure harnesses, some with trace recording + validation.
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick   type-check every target instead of running clippy, and skip
@@ -11,12 +11,22 @@ cd "$(dirname "$0")/.."
 QUICK=0
 [[ "${1:-}" == "--quick" ]] && QUICK=1
 
-# Run one bench binary, writing its stdout over its committed text
-# report, and diff both that report and its JSON golden. Every figure is
-# seeded virtual time, so any diff is a real regression.
+# Run one bench binary once (any further arguments, such as --trace, go
+# to the binary) and diff every file it wrote under results/: each
+# figure writes its own results/<figure>.txt and BENCH_<figure>.json. A
+# file the binary adds there is a failure too. Every figure is seeded
+# virtual time, so any diff is a real regression.
 golden() {
-    cargo run -q --release -p checl-bench --bin "$1" >"results/$1.txt"
-    git diff --exit-code -- "results/BENCH_$1.json" "results/$1.txt"
+    local bin="$1"
+    shift
+    cargo run -q --release -p checl-bench --bin "$bin" -- "$@" >/dev/null
+    git diff --exit-code -- results/
+    local untracked
+    untracked="$(git ls-files --others --exclude-standard -- results/)"
+    if [[ -n "$untracked" ]]; then
+        echo "untracked files under results/: $untracked" >&2
+        return 1
+    fi
 }
 
 echo "==> cargo fmt --check"
@@ -46,20 +56,18 @@ cargo test --workspace -q
 echo "==> perfbench tests (reads results/BENCH_fleet.json)"
 cargo test --manifest-path perfbench/Cargo.toml -q
 
-echo "==> smoke: fig5_checkpoint with trace recording"
-cargo run -q --release -p checl-bench --bin fig5_checkpoint -- \
-    --trace results/fig5.trace.json >/dev/null
-# TraceSession::finish panics unless telemetry::validate accepts the
-# trace, so reaching here means the export is structurally sound.
-test -s results/fig5.trace.json
-test -s results/BENCH_fig5_checkpoint.json
+echo "==> smoke: Fig. 5 + Fig. 7 with trace recording (golden diff)"
+# One checkpoint and one restart per program and target feed both
+# figures. TraceSession::finish panics unless telemetry::validate
+# accepts the trace, so reaching the diff means the export is
+# structurally sound.
+golden fig5_fig7 --trace results/fig5_fig7.trace.json
+test -s results/fig5_fig7.trace.json
 
-echo "==> smoke: fault-injection matrix (fixed seed, diffed against golden)"
-cargo run -q --release -p checl-bench --bin ablation_faults -- \
-    --trace /tmp/faults.trace.json >/dev/null
+echo "==> smoke: fault-injection matrix (fixed seed, golden diff)"
 # Fault schedules are seeded and virtual-time-driven, so the regenerated
-# JSON must be byte-identical to the committed golden.
-git diff --exit-code -- results/BENCH_ablation_faults.json
+# report and JSON must be byte-identical to the committed goldens.
+golden ablation_faults --trace /tmp/faults.trace.json
 
 echo "==> smoke: API surface — Table I, host pointers, processor selection, CPR modes (golden diff)"
 # The shim's per-call accounting and the §IV-C/§IV-D ablations: each
@@ -101,9 +109,7 @@ echo "==> smoke: ledger health report + observability ablation (golden diff)"
 # ledger costs zero virtual time. Both exports are seeded goldens. The
 # trace projection of the same run (spans and records) must validate:
 # TraceSession::finish panics otherwise.
-cargo run -q --release -p checl-bench --bin checl_inspect -- \
-    --trace /tmp/inspect.trace.json >/dev/null
-git diff --exit-code -- results/BENCH_checl_inspect.json results/checl_inspect.ledger.jsonl
+golden checl_inspect --trace /tmp/inspect.trace.json
 golden ablation_obs
 
 echo "==> smoke: gray-failure resilience + crash-point torture (golden diff)"
@@ -114,10 +120,10 @@ echo "==> smoke: gray-failure resilience + crash-point torture (golden diff)"
 golden ablation_gray
 
 if [[ "$QUICK" -eq 0 ]]; then
-    echo "==> smoke: remote proxy, MPI scaling, Fig. 4 overhead, Fig. 7 restart (golden diff, ~4 min)"
+    echo "==> smoke: remote proxy, MPI scaling, Fig. 4 overhead (golden diff, ~2 min)"
     # Fig. 4 holds the per-program forwarded-call and translation
-    # counts, Fig. 7 the per-kind restore split of every program.
-    for b in ablation_remote fig6_mpi fig4_overhead fig7_restart; do
+    # counts.
+    for b in ablation_remote fig6_mpi fig4_overhead; do
         golden "$b"
     done
 

@@ -23,7 +23,6 @@ fn fleet_schedule_replays_bit_identically() {
         let cfg = fleet::FleetConfig {
             nodes: g.usize_in(2, 4),
             slots_per_node: 2,
-            check_bit_exact: true,
             ..fleet::FleetConfig::default()
         };
         let jobs = g.usize_in(12, 25);

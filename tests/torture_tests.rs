@@ -11,254 +11,46 @@
 //! deleted the old dump but died before the new one sealed — the vault
 //! chain must still restore a generation that runs to the bit-exact
 //! baseline checksums. Swept across the sequential, pipelined, dedup
-//! and live engine paths.
+//! and live engine paths. The run and the sweep are
+//! `checl_bench::torture`, which `ablation_gray` drives too.
 //!
 //! A qcheck property closes the fencing story: under any random
 //! partition-heal schedule, exactly one writer commits each generation
 //! (stale-epoch writers are fenced and their staged dumps deleted), at
 //! every point of the [`CprPolicy`] lattice.
 
-use std::collections::BTreeSet;
-
 use blcr::{CommitError, DumpVault};
-use checl::{CheclConfig, CprPolicy, RestoreTarget};
+use checl::CprPolicy;
+use checl_bench::torture::{
+    engine_paths, launch_nimbus, torture_script, torture_sweep, TortureBed,
+};
 use checl_repro as _;
-use clspec::types::DeviceType;
-use osproc::{Cluster, FaultPlan, NodeId};
-use simcore::obs;
+use osproc::Cluster;
 use simcore::qcheck::{qcheck, Gen};
-use workloads::{BufInit, CheclSession, Op, Reg, Script, StopCondition};
-
-const KIB: u64 = 1 << 10;
-
-/// Three mutation waves over three buffers, with checksums at the end.
-/// Returns the script and the op-count boundaries after each wave —
-/// the torture loop cuts a generation at each boundary, so every
-/// committed generation snapshots genuinely different buffer bytes.
-fn torture_script() -> (Script, [u64; 3]) {
-    let sizes: [u64; 3] = [256 * KIB, 192 * KIB, 128 * KIB];
-    let mut ops = vec![
-        Op::GetPlatform { out: 0 },
-        Op::GetDevices {
-            platform: 0,
-            dtype: DeviceType::Gpu,
-            out: 1,
-            count: 1,
-        },
-        Op::CreateContext { device: 1, out: 2 },
-        Op::CreateQueue {
-            context: 2,
-            device: 1,
-            out: 3,
-        },
-    ];
-    let buf0: Reg = 4;
-    for (i, &size) in sizes.iter().enumerate() {
-        ops.push(Op::CreateBuffer {
-            context: 2,
-            flags: clspec::types::MemFlags::READ_WRITE,
-            size,
-            init: Some(BufInit::RandomU32 {
-                seed: 0x70_70 + i as u64,
-            }),
-            out: buf0 + i as Reg,
-        });
-    }
-    let mut bounds = [0u64; 3];
-    bounds[0] = ops.len() as u64;
-    for wave in 1..3u64 {
-        for (i, &size) in sizes.iter().enumerate() {
-            ops.push(Op::WriteBuffer {
-                queue: 3,
-                buf: buf0 + i as Reg,
-                size,
-                init: BufInit::RandomU32 {
-                    seed: 0xbad0 * wave + i as u64,
-                },
-            });
-        }
-        bounds[wave as usize] = ops.len() as u64;
-    }
-    for (i, &size) in sizes.iter().enumerate() {
-        ops.push(Op::ReadBufferChecksum {
-            queue: 3,
-            buf: buf0 + i as Reg,
-            size,
-        });
-    }
-    (Script { ops }, bounds)
-}
-
-fn launch(cluster: &mut Cluster, node: NodeId, script: Script) -> CheclSession {
-    CheclSession::launch(
-        cluster,
-        node,
-        cldriver::vendor::nimbus(),
-        CheclConfig::default(),
-        script,
-    )
-}
-
-/// What one torture run leaves behind: the cluster (with whatever the
-/// crash tore), the vault metadata, and either the completed run's
-/// checksums or the error that surfaced the crash.
-struct Wreckage {
-    cluster: Cluster,
-    vault: DumpVault,
-    node: NodeId,
-    outcome: Result<Vec<u64>, String>,
-    ledger: Option<obs::Ledger>,
-}
-
-/// Drive one full dump/drain/commit/GC sequence under `policy`,
-/// optionally armed to crash after the `crash_after`-th obs event.
-///
-/// Generation 0 is committed *before* recording starts (and before the
-/// fault arms), mirroring supervised runs: a job under supervision
-/// always has a restore point, so "crash at the very first boundary"
-/// restores gen 0 rather than having nowhere to go. The torture loop
-/// then cuts three more generations at the wave boundaries; with
-/// `keep = 2` the later commits GC the early ones, putting delete
-/// boundaries in the sweep too.
-fn torture_run(policy: &CprPolicy, crash_after: Option<u64>) -> Wreckage {
-    let (script, bounds) = torture_script();
-    let mut cluster = Cluster::with_standard_nodes(1);
-    let node = cluster.node_ids()[0];
-    let mut session = launch(&mut cluster, node, script);
-    let mut vault = DumpVault::new("/local/torture", "/nfs/torture", 2);
-
-    session
-        .checkpoint_with_policy(&mut cluster, &vault.stage_path(), policy)
-        .expect("gen 0 stage");
-    if policy.live {
-        session
-            .complete_live_drain(&mut cluster)
-            .expect("gen 0 drain")
-            .expect("gen 0 drain parked");
-    }
-    vault
-        .commit(&mut cluster, session.pid)
-        .expect("gen 0 commit");
-
-    obs::start_recording();
-    if let Some(k) = crash_after {
-        cluster.install_faults(FaultPlan::new(0xD0C).crash_after_events(k));
-    }
-
-    let outcome = (|| {
-        for &bound in &bounds {
-            session
-                .run(&mut cluster, StopCondition::AfterOps(bound))
-                .map_err(|e| format!("run: {e:?}"))?;
-            let stage = vault.stage_path();
-            let out = session
-                .checkpoint_with_policy(&mut cluster, &stage, policy)
-                .map_err(|e| format!("checkpoint: {e:?}"))?;
-            if policy.live {
-                // Let the drain race a slice of the next wave before
-                // sealing, as a real live cut would.
-                session
-                    .run(&mut cluster, StopCondition::AfterOps(bound + 1))
-                    .map_err(|e| format!("run: {e:?}"))?;
-                session
-                    .complete_live_drain(&mut cluster)
-                    .map_err(|e| format!("drain: {e:?}"))?;
-            }
-            vault
-                .commit_at(&mut cluster, session.pid, &out.path)
-                .map_err(|e| format!("commit: {e:?}"))?;
-        }
-        session
-            .run(&mut cluster, StopCondition::Completion)
-            .map_err(|e| format!("run: {e:?}"))?;
-        Ok(session.program.checksums.clone())
-    })();
-
-    let ledger = obs::stop_recording();
-    Wreckage {
-        cluster,
-        vault,
-        node,
-        outcome,
-        ledger,
-    }
-}
-
-/// Walk the vault chain newest-first and restore the first generation
-/// that still restarts, then run it to completion.
-fn restore_and_finish(wreck: &mut Wreckage, context: &str) -> Vec<u64> {
-    let chain = wreck.vault.restore_chain();
-    assert!(!chain.is_empty(), "{context}: empty restore chain");
-    for path in &chain {
-        let restored = CheclSession::restart(
-            &mut wreck.cluster,
-            wreck.node,
-            path,
-            cldriver::vendor::nimbus(),
-            RestoreTarget::default(),
-        );
-        if let Ok(mut s) = restored {
-            s.run(&mut wreck.cluster, StopCondition::Completion)
-                .unwrap_or_else(|e| panic!("{context}: restored run failed: {e:?}"));
-            let sums = s.program.checksums.clone();
-            s.kill(&mut wreck.cluster);
-            return sums;
-        }
-    }
-    panic!("{context}: no generation in {chain:?} restored");
-}
-
-fn torture_policies() -> Vec<(&'static str, CprPolicy)> {
-    vec![
-        ("sequential", CprPolicy::sequential()),
-        ("pipelined", CprPolicy::pipelined()),
-        ("dedup", CprPolicy::pipelined().dedup(true)),
-        ("live", CprPolicy::pipelined().live(true)),
-    ]
-}
 
 /// The tentpole sweep: for every engine path, kill the run at *every*
 /// obs-event boundary of the baseline ledger and prove a committed
 /// generation restores to the bit-exact baseline checksums.
 #[test]
 fn every_crash_point_restores_bit_exact() {
-    for (label, policy) in torture_policies() {
-        let baseline = torture_run(&policy, None);
-        let golden = baseline
-            .outcome
-            .unwrap_or_else(|e| panic!("{label}: baseline failed: {e}"));
-        let ledger = baseline.ledger.expect("baseline ledger");
-        let total = ledger.len() as u64;
-        assert!(total > 0, "{label}: baseline emitted no events");
-        let kinds: BTreeSet<String> = ledger
-            .events()
-            .iter()
-            .map(|e| e.kind.name().to_string())
-            .collect();
+    let bed = TortureBed {
+        primary: "/local/torture",
+        mirror: "/nfs/torture",
+        seed: 0xD0C,
+    };
+    for (label, policy) in engine_paths() {
+        let tally = torture_sweep(bed, label, &policy);
         assert!(
-            kinds.len() >= 2,
-            "{label}: ledger too uniform to be a real boundary sweep: {kinds:?}"
+            tally.crash_points > 0,
+            "{label}: baseline emitted no events"
         );
-
-        let mut crashed = 0u64;
-        for k in 1..=total {
-            let ctx = format!("{label} @ boundary {k}/{total}");
-            let mut wreck = torture_run(&policy, Some(k));
-            // Disarm: the node is "replaced", the filesystem works again.
-            wreck.cluster.take_faults();
-            match std::mem::replace(&mut wreck.outcome, Err(String::new())) {
-                // The boundary fell after the last filesystem write —
-                // the run outlived the arming point and must be clean.
-                Ok(sums) => assert_eq!(sums, golden, "{ctx}: survivor diverged"),
-                Err(_) => {
-                    crashed += 1;
-                    let sums = restore_and_finish(&mut wreck, &ctx);
-                    assert_eq!(sums, golden, "{ctx}: restore diverged");
-                }
-            }
-        }
         assert!(
-            crashed > 0,
+            tally.kinds.len() >= 2,
+            "{label}: ledger too uniform to be a real boundary sweep: {:?}",
+            tally.kinds
+        );
+        assert!(
+            tally.restores > 0,
             "{label}: no boundary actually tripped the crash gate"
         );
     }
@@ -289,7 +81,7 @@ fn partition_heal_commits_each_generation_exactly_once() {
             let (script, _bounds) = torture_script();
             let mut cluster = Cluster::with_standard_nodes(1);
             let node = cluster.node_ids()[0];
-            let mut session = launch(&mut cluster, node, script);
+            let mut session = launch_nimbus(&mut cluster, node, script);
             let mut vault = DumpVault::new("/local/fence", "/nfs/fence", 3);
 
             // The writer's view of the vault epoch: refreshed when it
