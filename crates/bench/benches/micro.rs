@@ -3,8 +3,9 @@
 //! Unlike the `fig*` harnesses (which report *virtual-clock* results),
 //! these measure real wall-clock performance of the implementation:
 //! the checkpoint codec, its FNV-1a checksums and frame seals, the
-//! costliest catalog kernels, the kernel-signature parser, the handle
-//! translation layer, the forwarding path, and a full
+//! costliest catalog kernels, the workload model's memoised input
+//! generation and read-back checksum, the kernel-signature parser, the
+//! handle translation layer, the forwarding path, and a full
 //! checkpoint/restart cycle.
 //!
 //! The harness is dependency-free (`harness = false`): each benchmark
@@ -19,7 +20,10 @@ use simcore::codec::Codec;
 use simcore::SimTime;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use workloads::{workload_by_name, CheclSession, NativeSession, StopCondition, WorkloadCfg};
+use workloads::{
+    readback_checksum, workload_by_name, BufInit, CheclSession, NativeSession, StopCondition,
+    WorkloadCfg,
+};
 
 const WARMUP: Duration = Duration::from_millis(150);
 const MEASURE: Duration = Duration::from_millis(500);
@@ -150,6 +154,68 @@ fn bench_kernels(filter: &str) {
     bench(filter, "kernel/dct8x8_512x512", None, || {
         launch("dct8x8", &mut args);
     });
+    // `fleet`'s two costliest kernels, at its jobs' sizes.
+    const FLEET_N: u32 = 524_288;
+    let mut args = [
+        f32_buf((0..FLEET_N).map(|_| g.f32_in(0.0, 1.0))),
+        f32_buf((0..FLEET_N).map(|_| g.f32_in(0.0, 1.0))),
+        f32_buf((0..FLEET_N).map(|_| 0.0)),
+        scalar(FLEET_N),
+    ];
+    bench(filter, "kernel/vec_add_524288", None, || {
+        launch("vec_add", &mut args);
+    });
+    let mut args = [
+        f32_buf((0..FLEET_N).map(|_| g.f32_in(0.0, 1.0))),
+        f32_buf([0.0]),
+        clkernels::ArgData::Local(1024),
+        scalar(FLEET_N),
+    ];
+    bench(filter, "kernel/reduce_sum_524288", None, || {
+        launch("reduce_sum", &mut args);
+    });
+}
+
+/// The workload model's two memoised byte functions over 1 MiB. A miss
+/// computes the bytes and files a copy in the thread's memo, evicting
+/// the oldest entries once it is full; a hit returns the memo's copy
+/// (`generate`) or compares the bytes with it (`readback_checksum`).
+fn bench_workload_memos(filter: &str) {
+    const MIB: u64 = 1 << 20;
+    let f32_init = |seed| BufInit::RandomF32 {
+        seed,
+        lo: -1.0,
+        hi: 1.0,
+    };
+    let mut seed = 0;
+    bench(filter, "workload/generate_f32_1mib_miss", Some(MIB), || {
+        seed += 1;
+        black_box(f32_init(seed).generate(MIB));
+    });
+    bench(filter, "workload/generate_f32_1mib_hit", Some(MIB), || {
+        black_box(f32_init(0).generate(MIB));
+    });
+    let mut data = f32_init(0).generate(MIB);
+    let mut fresh = 0u64;
+    bench(
+        filter,
+        "workload/readback_checksum_1mib_miss",
+        Some(MIB),
+        || {
+            // The first 8 bytes are in every fingerprint: a new key.
+            fresh += 1;
+            data[..8].copy_from_slice(&fresh.to_le_bytes());
+            black_box(readback_checksum(black_box(&data)));
+        },
+    );
+    bench(
+        filter,
+        "workload/readback_checksum_1mib_hit",
+        Some(MIB),
+        || {
+            black_box(readback_checksum(black_box(&data)));
+        },
+    );
 }
 
 fn bench_codec(filter: &str) {
@@ -359,6 +425,7 @@ fn main() {
         .unwrap_or_default();
     bench_checksum(&filter);
     bench_kernels(&filter);
+    bench_workload_memos(&filter);
     bench_codec(&filter);
     bench_parser(&filter);
     bench_forward_path(&filter);

@@ -10,11 +10,13 @@
 //!
 //! Every cell restores its *last* generation and runs to completion;
 //! the final pos/force checksums must be identical across both
-//! policies and an uninterrupted baseline (bit-exactness of the dedup
-//! path is asserted here, not just eyeballed).
+//! policies and a native run (bit-exactness of the dedup path is
+//! asserted here, not just eyeballed).
 
 use checl::{CheclConfig, CprPolicy, RestoreTarget};
-use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession, HARNESS_SCALE};
+use checl_bench::{
+    eval_targets, native_checksums, Cell, FigureWriter, TraceSession, HARNESS_SCALE,
+};
 use osproc::Cluster;
 use simcore::{fnv1a64, ByteSize};
 use workloads::catalog::md_mutating;
@@ -65,21 +67,9 @@ fn main() {
     for (rate_label, rate) in RATES {
         let script = || md_mutating(&cfg, rate, STEPS);
 
-        // Ground truth: the same program, never checkpointed.
-        let golden = {
-            let mut cluster = Cluster::with_standard_nodes(1);
-            let node = cluster.node_ids()[0];
-            let mut s = CheclSession::launch(
-                &mut cluster,
-                node,
-                (target.vendor)(),
-                CheclConfig::default(),
-                script(),
-            );
-            s.run(&mut cluster, StopCondition::Completion).unwrap();
-            s.program.checksums.clone()
-        };
-        assert!(!golden.is_empty(), "baseline recorded no checksums");
+        // Ground truth: the same program, run natively.
+        let golden = native_checksums((target.vendor)(), script());
+        assert!(!golden.is_empty(), "the native run recorded no checksums");
 
         for mode in ["full", "dedup"] {
             let policy = policy_for(mode);
@@ -130,7 +120,7 @@ fn main() {
             assert_eq!(
                 restored.program.checksums, golden,
                 "{mode} restore at mutation {rate_label} diverged from the \
-                 uninterrupted baseline"
+                 native run"
             );
 
             let (raw_cell, stored_cell, ratio_cell) = if mode == "dedup" {

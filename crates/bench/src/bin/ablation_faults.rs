@@ -100,7 +100,7 @@ fn main() {
         ],
     );
     let w = workload_by_name("oclVectorAdd").unwrap();
-    let golden = native_checksums(target, w.script(&target.cfg(SCALE)));
+    let golden = native_checksums((target.vendor)(), w.script(&target.cfg(SCALE)));
     proxy_death_scenario(&mut fig, target, &golden);
     restart_chain_scenario(&mut fig, target);
     node_crash_scenario(&mut fig, target, &golden);

@@ -53,7 +53,7 @@ fn main() {
     let trace = TraceSession::from_args();
     let target = &eval_targets()[0];
     let mut fig = FigureWriter::new("ablation_gray");
-    let golden = native_checksums(target, iterative_md(target, STEPS));
+    let golden = native_checksums((target.vendor)(), iterative_md(target, STEPS));
 
     fig.section(
         "Supervision under gray faults (iterative MD, Daly-adaptive interval)",

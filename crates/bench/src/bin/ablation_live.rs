@@ -17,16 +17,18 @@
 //!
 //! Every live cell kills the source after the drain seals, restores
 //! from the live stream, runs to completion and asserts the final
-//! checksums equal an uninterrupted baseline — the cut is consistent
+//! checksums equal a native run's — the cut is consistent
 //! even though most of its bytes left the device after the
 //! application had moved on.
 
 use checl::{CheclConfig, CprPolicy, RestoreTarget};
-use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession, HARNESS_SCALE};
+use checl_bench::{
+    eval_targets, native_checksums, Cell, EvalTarget, FigureWriter, TraceSession, HARNESS_SCALE,
+};
 use osproc::Cluster;
 use simcore::ByteSize;
 use workloads::catalog::live_mutating;
-use workloads::{CheclSession, StopCondition};
+use workloads::{CheclSession, Script, StopCondition};
 
 /// Steps before the cut (they dirty every buffer at least once).
 const PRE_STEPS: u32 = 4;
@@ -36,20 +38,28 @@ const POST_STEPS: u32 = 8;
 /// (buffer count, MiB per buffer) sweep; (4, 4) is the headline point.
 const SWEEP: [(usize, u64); 6] = [(1, 4), (2, 4), (4, 4), (8, 4), (4, 1), (4, 16)];
 
+fn script(target: &EvalTarget, bufs: usize, bytes_each: u64) -> Script {
+    live_mutating(
+        &target.cfg(HARNESS_SCALE),
+        bufs,
+        bytes_each,
+        PRE_STEPS + POST_STEPS,
+    )
+}
+
 fn launch(
     cluster: &mut Cluster,
-    target: &checl_bench::EvalTarget,
+    target: &EvalTarget,
     bufs: usize,
     bytes_each: u64,
 ) -> CheclSession {
-    let cfg = target.cfg(HARNESS_SCALE);
     let node = cluster.node_ids()[0];
     CheclSession::launch(
         cluster,
         node,
         (target.vendor)(),
         CheclConfig::default(),
-        live_mutating(&cfg, bufs, bytes_each, PRE_STEPS + POST_STEPS),
+        script(target, bufs, bytes_each),
     )
 }
 
@@ -77,14 +87,9 @@ fn main() {
     for (bufs, mib) in SWEEP {
         let bytes_each = mib << 20;
 
-        // Ground truth: the same program, never checkpointed.
-        let golden = {
-            let mut cluster = Cluster::with_standard_nodes(1);
-            let mut s = launch(&mut cluster, target, bufs, bytes_each);
-            s.run(&mut cluster, StopCondition::Completion).unwrap();
-            s.program.checksums.clone()
-        };
-        assert!(!golden.is_empty(), "baseline recorded no checksums");
+        // Ground truth: the same program, run natively.
+        let golden = native_checksums((target.vendor)(), script(target, bufs, bytes_each));
+        assert!(!golden.is_empty(), "the native run recorded no checksums");
 
         // Stop-the-world baselines: the whole dump is a stall.
         let baseline = |policy: CprPolicy| {
@@ -137,8 +142,8 @@ fn main() {
         let bit_exact = restored.program.checksums == golden;
         assert!(
             bit_exact,
-            "live restore at {bufs}x{mib} MiB diverged from the uninterrupted \
-             baseline — the consistent cut leaked a post-cut write"
+            "live restore at {bufs}x{mib} MiB diverged from the native run — \
+             the consistent cut leaked a post-cut write"
         );
 
         let stall = drained.stall.total() + drained.fork_stall;

@@ -10,12 +10,13 @@
 //! * `sequential` — copy everything, then write one dump.
 //! * `pipelined` — overlapped copies + streamed chunk writes.
 //!
-//! Every scenario then proves bit-exactness: the run is resumed from
-//! the sequential dump and the streamed dump, and each resumed run must
-//! reproduce the checksums of the undisturbed session.
+//! Every scenario then proves bit-exactness: the checkpointed session
+//! runs on, the run is resumed from the sequential dump and the
+//! streamed dump, and all three must reproduce a native run's
+//! checksums.
 
 use checl::{CheclConfig, CprPolicy, RestoreTarget};
-use checl_bench::{eval_targets, Cell, FigureWriter, TraceSession};
+use checl_bench::{eval_targets, native_checksums, Cell, FigureWriter, TraceSession};
 use clspec::types::{DeviceType, MemFlags};
 use osproc::Cluster;
 use workloads::{BufInit, CheclSession, Op, Reg, Script, StopCondition};
@@ -176,6 +177,7 @@ fn main() {
     let mut equivalence: Vec<(String, &'static str, bool)> = Vec::new();
     for (i, &(bufs, size)) in scenarios.iter().enumerate() {
         let (script, stop_create, stop_dirty) = sweep_script(bufs, size);
+        let golden = native_checksums((target.vendor)(), script.clone());
         let mut cluster = Cluster::with_standard_nodes(1);
         let node = cluster.node_ids()[0];
         let mut s = CheclSession::launch(
@@ -225,10 +227,13 @@ fn main() {
             );
         }
 
-        // Bit-exactness: resume from each file kind and compare the
-        // checksum log against the undisturbed session.
+        // Bit-exactness: the checkpointed session and a resume from each
+        // file kind reproduce the native checksum log.
         s.run(&mut cluster, StopCondition::Completion).unwrap();
-        let golden = s.program.checksums.clone();
+        assert_eq!(
+            s.program.checksums, golden,
+            "checkpointing perturbed {bufs}x{size}"
+        );
         s.kill(&mut cluster);
         let label = format!("{bufs}x{}MiB", size / MIB);
         for (kind, path) in [("sequential", &seq_path), ("pipelined", &pipe_path)] {
@@ -252,6 +257,7 @@ fn main() {
     );
     for devices in 1..=4u16 {
         let (script, stop_setup) = multi_gpu_script(devices, 8 * MIB);
+        let golden = native_checksums(multi_gpu_vendor(devices as usize), script.clone());
         let mut cluster = Cluster::with_standard_nodes(1);
         let node = cluster.node_ids()[0];
         let mut s = CheclSession::launch(
@@ -290,7 +296,10 @@ fn main() {
         );
 
         s.run(&mut cluster, StopCondition::Completion).unwrap();
-        let golden = s.program.checksums.clone();
+        assert_eq!(
+            s.program.checksums, golden,
+            "checkpointing perturbed {devices} GPUs"
+        );
         s.kill(&mut cluster);
         let label = format!("{devices}gpu");
         for (kind, path) in [("sequential", &seq_path), ("pipelined", &pipe_path)] {

@@ -41,7 +41,7 @@ fn main() {
     let trace = TraceSession::from_args();
     let target = &eval_targets()[0]; // NVIDIA column, as in Fig. 5
     let mut fig = FigureWriter::new("ablation_supervisor");
-    let golden = native_checksums(target, iterative_md(target, MD_STEPS));
+    let golden = native_checksums((target.vendor)(), iterative_md(target, MD_STEPS));
 
     fig.section(
         "Self-healing supervisor: interval policy × failure rate (iterative MD)",

@@ -63,11 +63,11 @@ pub fn iterative_md(target: &EvalTarget, steps: usize) -> Script {
 }
 
 /// Final buffer checksums of an undisturbed native run of `script` on
-/// `target` — the ground truth every recovered run must reproduce.
-pub fn native_checksums(target: &EvalTarget, script: Script) -> Vec<u64> {
+/// `vendor` — the ground truth every recovered run must reproduce.
+pub fn native_checksums(vendor: cldriver::VendorConfig, script: Script) -> Vec<u64> {
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
-    let mut s = NativeSession::launch(&mut cluster, node, (target.vendor)(), script);
+    let mut s = NativeSession::launch(&mut cluster, node, vendor, script);
     s.run(&mut cluster, StopCondition::Completion).unwrap();
     s.program.checksums
 }

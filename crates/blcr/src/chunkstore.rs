@@ -30,7 +30,7 @@
 
 use crate::cpr::CprError;
 use osproc::{Cluster, Pid};
-use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
+use simcore::codec::{decode_framed, encode_prefixed_frame, Codec, CodecError, Reader};
 use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, obs, SimDuration, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -131,7 +131,9 @@ pub fn decompress(encoding: Encoding, payload: &[u8], raw_len: u64) -> Result<Ve
             Ok(payload.to_vec())
         }
         Encoding::Rle => {
-            let mut out = Vec::with_capacity(raw_len as usize);
+            // Two payload bytes expand to at most 255, so a lying
+            // `raw_len` reserves no more than the payload can fill.
+            let mut out = Vec::with_capacity(raw_len.min(payload.len() as u64 / 2 * 255) as usize);
             let mut it = payload.chunks_exact(2);
             for pair in &mut it {
                 out.extend(std::iter::repeat_n(pair[1], pair[0] as usize));
@@ -211,6 +213,35 @@ fn is_foreign(e: &CodecError) -> bool {
     matches!(e, CodecError::BadMagic | CodecError::BadVersion(_))
 }
 
+/// A frame body left unread: decoding one checks only the frame.
+struct Unread;
+
+impl Codec for Unread {
+    fn encode(&self, _: &mut Vec<u8>) {}
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.take(r.remaining())?;
+        Ok(Unread)
+    }
+}
+
+/// `true` when `frame` is a store record frame whose seal holds: it was
+/// written whole, so a record it fails to yield is a lie, not a tear.
+fn sealed_whole(frame: &[u8]) -> bool {
+    decode_framed::<Unread>(STORE_MAGIC, STORE_VERSION, frame).is_ok()
+}
+
+/// The length `payload` decodes to under `encoding`, counted without
+/// decoding it; `None` for an RLE payload of odd length.
+fn decoded_len(encoding: Encoding, payload: &[u8]) -> Option<u64> {
+    match encoding {
+        Encoding::Raw => Some(payload.len() as u64),
+        Encoding::Rle => payload
+            .len()
+            .is_multiple_of(2)
+            .then(|| payload.chunks_exact(2).map(|pair| u64::from(pair[0])).sum()),
+    }
+}
+
 /// Scan the raw bytes of a store file; `keep_payloads` controls whether
 /// chunk bytes are materialised (restore) or only indexed (dump).
 ///
@@ -221,7 +252,10 @@ fn is_foreign(e: &CodecError) -> bool {
 /// ever point at earlier, intact records. Corruption *before* the final
 /// frame is still fatal (that is bit-rot, not a torn append, and
 /// dropping mid-file records would dangle committed references), and a
-/// foreign magic or version is fatal at any position.
+/// foreign magic or version is fatal at any position. So is a record
+/// whose seal holds but whose raw length disagrees with its payload,
+/// or, when payloads are materialised, whose address is not the FNV-1a
+/// of its bytes: a sealed record was written whole, so it lies.
 fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut index = BTreeMap::new();
     let mut payloads = BTreeMap::new();
@@ -244,12 +278,17 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
         };
         let parsed = (|| {
             let rec = decode_framed::<StoreRecord>(STORE_MAGIC, STORE_VERSION, frame)?;
-            let payload = if keep_payloads {
-                Some(decompress(rec.encoding, &rec.payload, rec.raw_len)?)
-            } else {
-                None
-            };
-            Ok((rec, payload))
+            if decoded_len(rec.encoding, &rec.payload) != Some(rec.raw_len) {
+                return Err(CodecError::Invalid("chunk raw length mismatch"));
+            }
+            if !keep_payloads {
+                return Ok((rec, None));
+            }
+            let payload = decompress(rec.encoding, &rec.payload, rec.raw_len)?;
+            if fnv1a64(&payload) != rec.hash {
+                return Err(CodecError::Invalid("chunk address mismatch"));
+            }
+            Ok((rec, Some(payload)))
         })();
         let (rec, payload) = match parsed {
             Ok(p) => p,
@@ -258,8 +297,8 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
             // stays fatal. So is a frame of another magic or version
             // anywhere: those lead the frame, where a tear cannot reach,
             // and dropping it would throw away a store this build cannot
-            // read.
-            Err(e) if r.is_empty() && !is_foreign(&e) => {
+            // read. A final frame whose seal holds is no tear either.
+            Err(e) if r.is_empty() && !is_foreign(&e) && !sealed_whole(frame) => {
                 return Ok(ScanResult {
                     index,
                     payloads,
@@ -487,6 +526,11 @@ mod tests {
             let (enc, payload) = compress(&data);
             assert!(payload.len() <= data.len().max(1));
             assert_eq!(decompress(enc, &payload, data.len() as u64).unwrap(), data);
+            // A lying raw length is refused, and reserves no more than
+            // the payload can fill.
+            for lie in [data.len() as u64 + 1, u64::MAX] {
+                assert!(decompress(enc, &payload, lie).is_err());
+            }
         });
     }
 

@@ -25,7 +25,9 @@ pub mod session;
 pub mod supervise;
 
 pub use catalog::{all_workloads, workload_by_name, Suite, Workload, WorkloadCfg};
-pub use script::{AppProgram, BufInit, Op, Reg, RunStatus, Script, StopCondition};
+pub use script::{
+    readback_checksum, AppProgram, BufInit, Op, Reg, RunStatus, Script, StopCondition,
+};
 pub use session::{
     CheclSession, NativeSession, PolicyRunOutcome, RecoveryRunReport, YieldPoint, APP_SEGMENT,
 };

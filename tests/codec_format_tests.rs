@@ -413,8 +413,9 @@ impl Codec for RawBody {
     }
 }
 
-/// The payload body of every frame of a stream body, in order.
-fn stream_bodies(body: &[u8]) -> Vec<Vec<u8>> {
+/// The payload body of every frame of a stream or chunk-store body, in
+/// order.
+fn frame_bodies(body: &[u8]) -> Vec<Vec<u8>> {
     let mut r = simcore::codec::Reader::new(body);
     let mut out = Vec::new();
     while !r.is_empty() {
@@ -472,12 +473,21 @@ fn resealed(bodies: &[Vec<u8>]) -> Vec<u8> {
 /// (`seq`, a slice's `offset`, the data length or a map's `total_len`)
 /// set to a neighbour or an extreme of its value.
 fn lying_edits(body: &[u8]) -> Vec<(&'static str, Vec<u8>)> {
-    let fields: Vec<(&str, usize, usize)> = match body[0] {
+    let fields = match body[0] {
         1 => vec![("seq", 1, 4), ("data length", 13, 8)],
         4 => vec![("seq", 1, 4), ("offset", 13, 8), ("data length", 21, 8)],
         3 => vec![("seq", 1, 4), ("total_len", map_total_len_at(body), 8)],
         _ => Vec::new(),
     };
+    field_lies(body, fields)
+}
+
+/// Each `(name, offset, width)` field of `body` set to a neighbour or
+/// an extreme of its value, one edit at a time.
+fn field_lies(
+    body: &[u8],
+    fields: Vec<(&'static str, usize, usize)>,
+) -> Vec<(&'static str, Vec<u8>)> {
     let mut edits = Vec::new();
     for (what, at, width) in fields {
         let mut old = [0u8; 8];
@@ -501,7 +511,7 @@ fn lying_but_sealed_stream_edits_get_typed_errors() {
     let dedup = seeded_dump(&checl::CprPolicy::pipelined().dedup(true));
     let mut kinds = std::collections::BTreeSet::new();
     for dump in [pipelined_dump(), live_dump(), dedup] {
-        let bodies = stream_bodies(dump.body());
+        let bodies = frame_bodies(dump.body());
         assert_eq!(resealed(&bodies), dump.body(), "resealing is the identity");
         for (i, body) in bodies.iter().enumerate() {
             for (what, edited) in lying_edits(body) {
@@ -526,4 +536,81 @@ fn lying_but_sealed_stream_edits_get_typed_errors() {
     }
     // Every field of every payload frame kind was lied about.
     assert_eq!(kinds.len(), 7, "{kinds:?}");
+}
+
+/// Chunk-store record bodies framed and sealed again, so that an edited
+/// body reads as a record written whole.
+fn resealed_store(bodies: &[Vec<u8>]) -> Vec<u8> {
+    let (magic, version) = (
+        blcr::chunkstore::STORE_MAGIC,
+        blcr::chunkstore::STORE_VERSION,
+    );
+    bodies
+        .iter()
+        .flat_map(|b| simcore::codec::encode_prefixed_frame(magic, version, &RawBody(b.clone())))
+        .collect()
+}
+
+#[test]
+fn lying_but_sealed_store_records_get_typed_errors() {
+    let mut c = osproc::Cluster::with_standard_nodes(1);
+    let p = c.spawn(c.node_ids()[0]);
+    let mut store = blcr::ChunkStore::open(&mut c, p, "/local/s.cas").unwrap();
+    let mut runs = vec![3u8; 5000];
+    runs.extend([9u8; 3000]);
+    let noise = simcore::qcheck::Gen::new(0x11e5).bytes(5000);
+    for chunk in [noise, vec![3; 5000], runs] {
+        store.put(&mut c, &chunk).unwrap();
+    }
+    let file = c.read_file(p, "/local/s.cas").unwrap();
+    let bodies = frame_bodies(file.body());
+    assert_eq!(
+        resealed_store(&bodies),
+        file.body(),
+        "resealing is the identity"
+    );
+    let corrupt = |what: &str, r: Result<(), blcr::CprError>| match r {
+        Err(blcr::CprError::Corrupt(e)) => assert_ne!(e, CodecError::ChecksumMismatch, "{what}"),
+        other => panic!("{what}: {other:?}"),
+    };
+    let mut kinds = std::collections::BTreeSet::new();
+    for (i, body) in bodies.iter().enumerate() {
+        // hash | raw_len | encoding tag | payload length | payload
+        let payload_len = u64::from_le_bytes(body[17..25].try_into().unwrap());
+        assert_eq!(payload_len as usize, body.len() - 25);
+        let fields = vec![
+            ("address", 0, 8),
+            ("raw length", 8, 8),
+            ("payload length", 17, 8),
+        ];
+        for (what, edited) in field_lies(body, fields) {
+            kinds.insert((body[16], what));
+            let mut lie = bodies.clone();
+            lie[i] = edited;
+            let lie = resealed_store(&lie);
+            c.write_file(p, "/local/lie.cas", lie.clone()).unwrap();
+            let what = format!("record {i} {what}");
+            corrupt(
+                &what,
+                blcr::ChunkStore::load_all(&mut c, p, "/local/lie.cas").map(|_| ()),
+            );
+            let opened = blcr::ChunkStore::open(&mut c, p, "/local/lie.cas").map(|_| ());
+            // Only a restore, which decodes every chunk, hashes them:
+            // opening a store to dump into indexes its addresses as
+            // they stand.
+            if what.ends_with("address") {
+                assert!(opened.is_ok(), "{what}: {opened:?}");
+            } else {
+                corrupt(&what, opened);
+            }
+            // No sealed record is mistaken for a torn append and cut.
+            assert_eq!(
+                c.read_file(p, "/local/lie.cas").unwrap().body(),
+                &lie[..],
+                "{what}"
+            );
+        }
+    }
+    // Every field of a raw and of an RLE record was lied about.
+    assert_eq!(kinds.len(), 6, "{kinds:?}");
 }
