@@ -216,6 +216,32 @@ fn bench_workload_memos(filter: &str) {
             black_box(readback_checksum(black_box(&data)));
         },
     );
+    // Working sets that come back in a cycle, as `interpose`'s do one
+    // target pass later. Each fits its memo's ring, and hits after the
+    // first lap; a 20 MiB FIFO would miss every time.
+    let mut turn = 0;
+    bench(
+        filter,
+        "workload/generate_f32_2mib_cycle_48mib",
+        Some(2 * MIB),
+        || {
+            turn = (turn + 1) % 24;
+            black_box(f32_init(1 << 20 | turn).generate(2 * MIB));
+        },
+    );
+    let cycle: Vec<Vec<u8>> = (0..12)
+        .map(|i| f32_init(2 << 20 | i).generate(2 * MIB))
+        .collect();
+    let mut turn = 0;
+    bench(
+        filter,
+        "workload/readback_checksum_2mib_cycle_24mib",
+        Some(2 * MIB),
+        || {
+            turn = (turn + 1) % cycle.len();
+            black_box(readback_checksum(black_box(&cycle[turn])));
+        },
+    );
 }
 
 fn bench_codec(filter: &str) {

@@ -11,7 +11,7 @@
 //! costs no virtual time, so verification never perturbs a run.
 
 use osproc::{Cluster, NodeId};
-use simcore::obs::{Event, EventKind, Ledger, ProvenanceGraph};
+use simcore::obs::{EventKind, Ledger, ProvenanceGraph};
 use simcore::SimTime;
 use std::fmt;
 
@@ -385,11 +385,6 @@ pub fn generation_table(graph: &ProvenanceGraph) -> Vec<&simcore::obs::DumpNode>
     let mut nodes: Vec<_> = graph.nodes().collect();
     nodes.sort_by_key(|n| (n.committed_at, n.path.clone()));
     nodes
-}
-
-/// Events of one kind, sorted, for ad-hoc walks.
-pub fn events_of<'a>(ledger: &'a Ledger, kind: &str) -> Vec<&'a Event> {
-    ledger.query(Some(kind), None, None)
 }
 
 /// One live generation's overlap accounting, folded from the ledger:

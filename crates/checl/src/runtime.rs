@@ -215,43 +215,6 @@ impl ChecLib {
         &self.call_histogram
     }
 
-    /// The `top_n` busiest entry points, most-called first (ties break
-    /// alphabetically for deterministic output).
-    pub fn top_calls(&self, top_n: usize) -> Vec<(&'static str, u64)> {
-        let mut entries: Vec<(&'static str, u64)> =
-            self.call_histogram.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        entries.truncate(top_n);
-        entries
-    }
-
-    /// Human-readable statistics summary: the cumulative
-    /// [`CheclStats`] plus the `top_n` busiest entry points out of the
-    /// call histogram.
-    pub fn stats_summary(&self, top_n: usize) -> String {
-        use std::fmt::Write as _;
-        let s = self.stats;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "forwarded {} call(s), {} IPC byte(s), {} handle translation(s), \
-             {} guessed arg(s), {} callback(s) ignored",
-            s.forwarded_calls,
-            s.ipc_bytes,
-            s.handle_translations,
-            s.guessed_args,
-            s.callbacks_ignored
-        );
-        let shown = self.top_calls(top_n);
-        if !shown.is_empty() {
-            let _ = writeln!(out, "top {} entry point(s):", shown.len());
-            for (name, count) in shown {
-                let _ = writeln!(out, "  {name:<28}{count:>10}");
-            }
-        }
-        out
-    }
-
     /// Configuration in force.
     pub fn config(&self) -> CheclConfig {
         self.config

@@ -36,7 +36,6 @@
 //! trace shows as a `supervisor.repair` instant in
 //! [`telemetry::SUPERVISOR_CATEGORY`].
 
-use crate::cpr::CheclCprError;
 use osproc::{BeatSource, DetectorPolicy, HeartbeatMonitor};
 use simcore::{obs, telemetry, SimDuration, SimTime};
 
@@ -264,16 +263,6 @@ impl std::fmt::Display for SupervisorError {
 }
 
 impl std::error::Error for SupervisorError {}
-
-impl SupervisorError {
-    /// Wrap an unrecoverable session error as an escalation.
-    pub fn from_cpr(repairs: u32, err: &CheclCprError) -> SupervisorError {
-        SupervisorError::Escalated {
-            repairs,
-            detail: err.to_string(),
-        }
-    }
-}
 
 /// The supervision decision machinery: detector + interval controller +
 /// repair ladder + accounting. Holds no session state — the workload

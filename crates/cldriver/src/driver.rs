@@ -1000,20 +1000,6 @@ impl Driver {
         self.devices[slot].mem_used
     }
 
-    /// Number of live objects of each kind, in restore order. Used by
-    /// tests to prove the proxy really is the only owner of GPU state.
-    pub fn live_object_counts(&self) -> [usize; 7] {
-        [
-            self.contexts.len(),
-            self.queues.len(),
-            self.buffers.len(),
-            self.samplers.len(),
-            self.programs.len(),
-            self.kernels.len(),
-            self.events.len(),
-        ]
-    }
-
     /// `clRetain*` / `clRelease*` on the object `h` of `kind`. The last
     /// release destroys the object, and a buffer's bytes leave its
     /// device's `mem_used` with it.

@@ -124,11 +124,6 @@ impl Cluster {
         &self.filesystems[id.0 as usize]
     }
 
-    /// Mutable filesystem accessor.
-    pub fn fs_mut(&mut self, id: FsId) -> &mut Fs {
-        &mut self.filesystems[id.0 as usize]
-    }
-
     /// Spawn a fresh process on `node`.
     pub fn spawn(&mut self, node: NodeId) -> Pid {
         assert!(

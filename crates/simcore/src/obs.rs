@@ -1073,24 +1073,6 @@ impl SloSummary {
     pub fn downtime_budget_left(&self, budget: SimDuration) -> SimDuration {
         budget.saturating_sub(self.downtime)
     }
-
-    /// Wasted (rolled-back) work as a fraction of the horizon.
-    pub fn wasted_ratio(&self) -> f64 {
-        if self.horizon.is_zero() {
-            0.0
-        } else {
-            self.wasted.as_secs_f64() / self.horizon.as_secs_f64()
-        }
-    }
-
-    /// Checkpoint overhead as a fraction of the horizon.
-    pub fn overhead_ratio(&self) -> f64 {
-        if self.horizon.is_zero() {
-            0.0
-        } else {
-            self.overhead.as_secs_f64() / self.horizon.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]

@@ -68,8 +68,8 @@ impl BufInit {
             BufInit::Ramp => (3, 0, 0, 0, size),
         };
         MEMOS.with_borrow_mut(|m| {
-            if let Some((bytes, ())) = m.inputs.map.get(&key) {
-                return bytes.clone();
+            if let Some((bytes, ())) = m.inputs.get(&key) {
+                return bytes.to_vec();
             }
             let bytes = self.materialise(size);
             m.inputs.insert(key, &bytes, ());
@@ -120,10 +120,14 @@ impl_codec_enum!(BufInit, "BufInit tag", {
     3 => Ramp,
 });
 
-/// Byte budget of each of a thread's two memos. At 32 MiB a memo,
-/// `interpose`'s peak memory grew by 75 MiB; at 20 MiB, `fleet` runs
-/// as fast as at 32.
-const MEMO_BUDGET: usize = 20 << 20;
+/// Byte budget of the input memo. `interpose` generates each program's
+/// inputs again one target pass (39 programs) later: a FIFO of 48 MiB
+/// hits none of them and one of 64 MiB hits all.
+const INPUT_MEMO_BUDGET: usize = 64 << 20;
+
+/// Byte budget of the read-back memo. `interpose`'s read-backs come
+/// back after the same pass, and every one hits from 24 MiB up.
+const READBACK_MEMO_BUDGET: usize = 32 << 20;
 
 /// Read-backs shorter than this are hashed directly: hashing them costs
 /// little more than the lookup would.
@@ -132,49 +136,123 @@ const MEMO_MIN_READBACK: usize = 4 << 10;
 /// Words of a read-back that [`fingerprint`] samples.
 const FINGERPRINT_WORDS: usize = 32;
 
-/// A map from `K` to a byte string and a tag, holding at most
-/// [`MEMO_BUDGET`] bytes of strings. Each key fixes its string's length,
-/// and the oldest entries are evicted first.
-#[derive(Default)]
-struct ByteMemo<K, T> {
-    map: HashMap<K, (Vec<u8>, T)>,
-    order: VecDeque<K>,
-    bytes: usize,
+/// Where a [`ByteRing`] entry's bytes lie, and its tag.
+struct Slot<T> {
+    at: usize,
+    len: usize,
+    tag: T,
 }
 
-impl<K: Copy + Eq + Hash, T> ByteMemo<K, T> {
-    /// Hold a copy of `bytes` under `key`, replacing what it held, unless
-    /// `bytes` alone is over the budget.
+/// A map from `K` to a byte string and a tag, whose strings lie in one
+/// ring of at most `budget` bytes. The ring's allocation is reserved
+/// once and is written front to back, so its pages become resident as
+/// it fills. A string that does not fit before the end wraps to the
+/// front, and each write evicts the entries it overlaps: the oldest,
+/// since entries lie in filing order. A string longer than a quarter of
+/// the budget, or empty, is never filed, so one oversize working set
+/// cannot flush the ring.
+struct ByteRing<K, T> {
+    budget: usize,
+    ring: Vec<u8>,
+    /// Where the next string goes, unless it must wrap.
+    head: usize,
+    index: HashMap<K, Slot<T>>,
+    /// Every entry whose bytes are not yet overwritten, as (key, offset,
+    /// length), oldest first. It also lists a re-filed key's earlier
+    /// entry, which [`ByteRing::index`] no longer points at.
+    order: VecDeque<(K, usize, usize)>,
+}
+
+impl<K: Copy + Eq + Hash, T> ByteRing<K, T> {
+    fn new(budget: usize) -> Self {
+        ByteRing {
+            budget,
+            ring: Vec::new(),
+            head: 0,
+            index: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// The bytes and tag filed under `key`.
+    fn get(&self, key: &K) -> Option<(&[u8], &T)> {
+        self.index
+            .get(key)
+            .map(|s| (&self.ring[s.at..s.at + s.len], &s.tag))
+    }
+
+    /// File a copy of `bytes` under `key` at the ring's tail, in place of
+    /// what `key` held. A string the admission rule turns away only
+    /// drops `key`'s earlier entry.
     fn insert(&mut self, key: K, bytes: &[u8], tag: T) {
-        if let Some(slot) = self.map.get_mut(&key) {
-            debug_assert_eq!(slot.0.len(), bytes.len(), "a key fixes its length");
-            slot.0.copy_from_slice(bytes);
-            slot.1 = tag;
+        self.index.remove(&key);
+        let len = bytes.len();
+        if len == 0 || len > self.budget / 4 {
             return;
         }
-        if bytes.len() > MEMO_BUDGET {
-            return;
+        let at = if self.head + len <= self.budget {
+            self.head
+        } else {
+            // Whatever lies past the head is from the previous lap, and
+            // older than anything at the front.
+            let head = self.head;
+            self.evict_while(|at, _| at >= head);
+            0
+        };
+        self.evict_while(|e_at, e_len| e_at < at + len && at < e_at + e_len);
+        if at + len > self.ring.len() {
+            if self.ring.capacity() == 0 {
+                self.ring.reserve_exact(self.budget);
+            }
+            // Every entry past `at` overlapped this one and is gone.
+            self.ring.truncate(at);
+            self.ring.extend_from_slice(bytes);
+        } else {
+            self.ring[at..at + len].copy_from_slice(bytes);
         }
-        while self.bytes + bytes.len() > MEMO_BUDGET {
-            let oldest = self.order.pop_front().expect("held bytes have an entry");
-            let (evicted, _) = self.map.remove(&oldest).expect("order lists held keys");
-            self.bytes -= evicted.len();
+        self.head = at + len;
+        self.order.push_back((key, at, len));
+        self.index.insert(key, Slot { at, len, tag });
+    }
+
+    /// Drop the oldest entries while `hit(offset, length)` holds for the
+    /// oldest.
+    fn evict_while(&mut self, hit: impl Fn(usize, usize) -> bool) {
+        while let Some(&(key, at, len)) = self.order.front() {
+            if !hit(at, len) {
+                return;
+            }
+            self.order.pop_front();
+            if self.index.get(&key).is_some_and(|s| s.at == at) {
+                self.index.remove(&key);
+            }
         }
-        self.bytes += bytes.len();
-        self.order.push_back(key);
-        self.map.insert(key, (bytes.to_vec(), tag));
+    }
+
+    /// Bytes held by the entries that [`ByteRing::get`] can return.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.index.values().map(|s| s.len).sum()
     }
 }
 
 /// This thread's memos of the model's two pure byte functions.
-#[derive(Default)]
 struct Memos {
     /// [`BufInit::generate`] on (variant, seed, `lo` bits, `hi` bits,
     /// size).
-    inputs: ByteMemo<(u8, u64, u32, u32, u64), ()>,
+    inputs: ByteRing<(u8, u64, u32, u32, u64), ()>,
     /// [`readback_checksum`] on (length, [`fingerprint`]), tagged with
     /// the FNV-1a of the bytes held.
-    readbacks: ByteMemo<(usize, u64), u64>,
+    readbacks: ByteRing<(usize, u64), u64>,
+}
+
+impl Default for Memos {
+    fn default() -> Self {
+        Memos {
+            inputs: ByteRing::new(INPUT_MEMO_BUDGET),
+            readbacks: ByteRing::new(READBACK_MEMO_BUDGET),
+        }
+    }
 }
 
 thread_local! {
@@ -210,8 +288,8 @@ pub fn readback_checksum(data: &[u8]) -> u64 {
     }
     let key = (data.len(), fingerprint(data));
     MEMOS.with_borrow_mut(|m| {
-        if let Some((bytes, hash)) = m.readbacks.map.get(&key) {
-            if bytes.as_slice() == data {
+        if let Some((bytes, hash)) = m.readbacks.get(&key) {
+            if bytes == data {
                 return *hash;
             }
         }
@@ -937,16 +1015,133 @@ mod tests {
 
     #[test]
     fn readback_checksum_after_eviction() {
-        let len = 8 << 20;
+        // Quarter-budget buffers, the largest the memo admits, one more
+        // than the ring holds.
+        let len = READBACK_MEMO_BUDGET / 4;
         let bufs: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; len]).collect();
         for buf in bufs.iter().chain(&bufs) {
             assert_eq!(readback_checksum(buf), fnv1a64(buf));
         }
         MEMOS.with_borrow(|m| {
             let r = &m.readbacks;
-            assert!(r.bytes <= MEMO_BUDGET);
-            assert_eq!(r.map.len(), r.order.len());
-            assert_eq!(r.bytes, r.map.values().map(|(b, _)| b.len()).sum());
+            assert!(r.held() <= READBACK_MEMO_BUDGET);
+            assert!(r.ring.len() <= READBACK_MEMO_BUDGET);
+            assert!(r.index.len() < bufs.len());
+            for (key, slot) in &r.index {
+                assert!(r.order.contains(&(*key, slot.at, slot.len)));
+            }
+        });
+    }
+
+    /// A read-back over a quarter of the budget is hashed and returned,
+    /// and the full ring it would have flushed stays as it was.
+    #[test]
+    fn an_oversize_readback_evicts_nothing() {
+        let len = READBACK_MEMO_BUDGET / 4;
+        let held: Vec<Vec<u8>> = (1..5u8).map(|i| vec![i; len]).collect();
+        for buf in &held {
+            assert_eq!(readback_checksum(buf), fnv1a64(buf));
+        }
+        let state = || {
+            MEMOS.with_borrow(|m| {
+                let r = &m.readbacks;
+                let mut keys: Vec<_> = r.index.keys().copied().collect();
+                keys.sort_unstable();
+                (r.head, r.order.len(), keys)
+            })
+        };
+        let before = state();
+        assert_eq!(before.2.len(), held.len(), "the ring is full");
+        let oversize = vec![9u8; len + 1];
+        for _ in 0..2 {
+            assert_eq!(readback_checksum(&oversize), fnv1a64(&oversize));
+            assert_eq!(state(), before);
+        }
+        for buf in &held {
+            let key = (buf.len(), fingerprint(buf));
+            MEMOS.with_borrow(|m| {
+                let (bytes, hash) = m.readbacks.get(&key).expect("still held");
+                assert_eq!(bytes, buf.as_slice());
+                assert_eq!(*hash, fnv1a64(buf));
+            });
+            assert_eq!(readback_checksum(buf), fnv1a64(buf));
+        }
+    }
+
+    /// A ring driven through random filings, re-filings (some turned
+    /// away) and wrap-arounds, against a plain FIFO of every admitted
+    /// filing and a map of each key's latest. The ring lists the newest
+    /// filings in order, so eviction takes the oldest first. Once it has
+    /// evicted, they span more than the budget less two admission limits
+    /// (the gap left before a wrap and the one in front of the head).
+    /// Each key hits exactly when its latest filing is listed, and a hit
+    /// equals a fresh computation.
+    #[test]
+    fn byte_ring_matches_a_fifo_model() {
+        simcore::qcheck::qcheck("byte_ring_matches_a_fifo_model", 64, |g| {
+            let budget = g.usize_in(64, 4096);
+            let limit = budget / 4;
+            let mut ring: ByteRing<u8, u64> = ByteRing::new(budget);
+            let keys = g.usize_in(1, 16) as u8;
+            // Admitted filings, oldest first, as (key, length), and each
+            // key's latest as (version, length, filing number).
+            let mut fifo: VecDeque<(u8, usize)> = VecDeque::new();
+            let mut latest: HashMap<u8, (u64, usize, usize)> = HashMap::new();
+            let (mut filed, mut evicted) = (0, 0);
+            let bytes_of = |key: u8, version: u64, len: usize| {
+                let seed = (key as u64) << 32 | version;
+                BufInit::RandomU32 { seed }.materialise(len as u64)
+            };
+            for version in 0..g.range(1, 300) {
+                let key = g.range(0, keys as u64) as u8;
+                // A re-filed key may change its length, as neither memo's
+                // keys can.
+                let len = match g.range(0, 8) {
+                    0 => limit + g.usize_in(1, limit + 2),
+                    1 => limit,
+                    _ => g.usize_in(0, limit + 1),
+                };
+                let bytes = bytes_of(key, version, len);
+                ring.insert(key, &bytes, fnv1a64(&bytes));
+                latest.remove(&key);
+                if len > 0 && len <= limit {
+                    fifo.push_back((key, len));
+                    latest.insert(key, (version, len, filed));
+                    filed += 1;
+                }
+
+                let listed: Vec<(u8, usize)> = ring.order.iter().map(|&(k, _, l)| (k, l)).collect();
+                let dropped = fifo
+                    .len()
+                    .checked_sub(listed.len())
+                    .expect("listed ⊆ filed");
+                assert!(
+                    fifo.iter().skip(dropped).eq(listed.iter()),
+                    "not the newest filings"
+                );
+                fifo.drain(..dropped);
+                evicted += dropped;
+                let span: usize = listed.iter().map(|&(_, l)| l).sum();
+                assert!(span <= budget && ring.ring.capacity() <= budget);
+                assert!(ring.held() <= span);
+                if evicted > 0 {
+                    assert!(
+                        span + 2 * limit > budget,
+                        "evicted early: {span} of {budget}"
+                    );
+                }
+                for k in 0..keys {
+                    let want = latest.get(&k).filter(|&&(_, _, n)| n >= evicted);
+                    match (ring.get(&k), want) {
+                        (None, None) => {}
+                        (Some((bytes, &hash)), Some(&(v, len, _))) => {
+                            assert_eq!(bytes, bytes_of(k, v, len));
+                            assert_eq!(hash, fnv1a64(bytes));
+                        }
+                        (got, _) => panic!("key {k}: hit {} against {want:?}", got.is_some()),
+                    }
+                }
+            }
         });
     }
 

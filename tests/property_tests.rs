@@ -114,8 +114,9 @@ fn mutate(g: &mut Gen, base: &[u8]) -> Vec<u8> {
 }
 
 /// Every enum decoder declared with `impl_codec_enum!`, the CheCL state
-/// segment and the application program each decode mutated pinned
-/// encodings to `Ok` or `Err`, never a panic.
+/// segment, the application program, the process image and the dump
+/// sniffer each decode mutated pinned encodings to `Ok` or `Err`, never
+/// a panic.
 #[test]
 fn generated_decoders_are_total() {
     use blcr::chunkstore::Encoding;
@@ -129,6 +130,8 @@ fn generated_decoders_are_total() {
     let mut state = common::checl_db().to_bytes();
     true.encode(&mut state);
     seeds.push(("CheCL state", state));
+    let dump = blcr::CheckpointFile::from_file_bytes(&common::checkpoint_file()).unwrap();
+    seeds.push(("process image", dump.image.to_bytes()));
     qcheck("generated_decoders_are_total", 512, |g| {
         let (_, base) = &seeds[g.usize_in(0, seeds.len())];
         let bytes = mutate(g, base);
@@ -147,6 +150,9 @@ fn generated_decoders_are_total() {
         let _ = AppProgram::from_bytes(&bytes);
         let _ = blcr::parse_stream(&bytes);
         let _ = blcr::CheckpointFile::from_file_bytes(&bytes);
+        let _ = osproc::MemImage::from_bytes(&bytes);
+        let zeros = g.range(0, 64);
+        let _ = blcr::sniff_dump(&osproc::FileBytes::new(bytes.clone(), zeros));
         // The stream frame decoder itself, behind a valid seal.
         let sealed = simcore::codec::encode_prefixed_frame(
             blcr::STREAM_MAGIC,
