@@ -165,6 +165,7 @@ fn bench_kernels(filter: &str) {
     bench(filter, "kernel/vec_add_524288", None, || {
         launch("vec_add", &mut args);
     });
+    bench_relaunch(filter, &args);
     let mut args = [
         f32_buf((0..FLEET_N).map(|_| g.f32_in(0.0, 1.0))),
         f32_buf([0.0]),
@@ -174,6 +175,50 @@ fn bench_kernels(filter: &str) {
     bench(filter, "kernel/reduce_sum_524288", None, || {
         launch("reduce_sum", &mut args);
     });
+}
+
+/// `vec_add` over `args` (`a`, `b`, `c`, `n`) launched through a
+/// driver, then relaunched over buffers nothing has written since: the
+/// driver validates, schedules and charges each relaunch, and skips
+/// executing it.
+fn bench_relaunch(filter: &str, args: &[clkernels::ArgData]) {
+    use clspec::types::{MemFlags, NDRange, QueueProps};
+    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus());
+    let mut now = SimTime::ZERO;
+    let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
+    let platform = ocl.get_platform_ids().unwrap()[0];
+    let dev = ocl
+        .get_device_ids(platform, clspec::DeviceType::Gpu)
+        .unwrap()[0];
+    let ctx = ocl.create_context(&[dev]).unwrap();
+    let q = ocl
+        .create_command_queue(ctx, dev, QueueProps::default())
+        .unwrap();
+    let src = clkernels::program_source("vector_add").unwrap().source;
+    let prog = ocl.create_program_with_source(ctx, &src).unwrap();
+    ocl.build_program(prog, "").unwrap();
+    let k = ocl.create_kernel(prog, "vec_add").unwrap();
+    for (i, arg) in args[..3].iter().enumerate() {
+        let bytes = arg.buffer().unwrap().to_vec();
+        let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+        let mem = ocl
+            .create_buffer(ctx, flags, bytes.len() as u64, Some(bytes))
+            .unwrap();
+        ocl.set_arg_mem(k, i as u32, mem).unwrap();
+    }
+    let n = args[3].scalar_u32().unwrap();
+    ocl.set_arg_scalar(k, 3, n).unwrap();
+    let global = NDRange::d1(n as u64);
+    ocl.enqueue_nd_range(q, k, global, None, &[]).unwrap();
+    bench(
+        filter,
+        "kernel/vec_add_524288_relaunch_unchanged",
+        None,
+        || {
+            let ev = ocl.enqueue_nd_range(q, k, global, None, &[]).unwrap();
+            ocl.release_event(black_box(ev)).unwrap();
+        },
+    );
 }
 
 /// The workload model's two memoised byte functions over 1 MiB. A miss

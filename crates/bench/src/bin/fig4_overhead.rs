@@ -5,7 +5,9 @@
 //! vendor library and against CheCL — with no checkpoint taken. The
 //! reported value is CheCL time normalised to native time (1.00 = no
 //! overhead). Non-portable combinations print `n/a`, like
-//! oclSortingNetworks on the AMD GPU in the paper.
+//! oclSortingNetworks on the AMD GPU in the paper. Wherever both runs
+//! complete, CheCL must read back what the native run read back: the
+//! binary panics on any checksum that differs.
 
 use checl_bench::{
     eval_targets, run_checl, run_native, Cell, FigureWriter, TraceSession, HARNESS_SCALE,
@@ -37,7 +39,12 @@ fn main() {
                 run_checl(w, t, HARNESS_SCALE),
             ) {
                 (Ok(native), Ok(checl)) => {
-                    let ratio = checl.as_secs_f64() / native.as_secs_f64();
+                    assert_eq!(
+                        checl.checksums, native.checksums,
+                        "{} on {}: CheCL read back other bytes than the native run",
+                        w.name, t.label
+                    );
+                    let ratio = checl.elapsed.as_secs_f64() / native.elapsed.as_secs_f64();
                     sums[i] += ratio;
                     counts[i] += 1;
                     row.push(Cell::num(ratio, 3));

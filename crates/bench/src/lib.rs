@@ -107,10 +107,19 @@ pub fn eval_targets() -> Vec<EvalTarget> {
 /// Default problem scale for the harnesses: paper-proportional sizes.
 pub const HARNESS_SCALE: f64 = 1.0;
 
-/// Run a workload natively; returns the total virtual execution time,
-/// or the OpenCL error for non-portable combinations (the paper also
-/// reports those, e.g. oclSortingNetworks on the Radeon).
-pub fn run_native(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<SimDuration> {
+/// A workload run to completion.
+#[derive(Debug)]
+pub struct Completed {
+    /// Total virtual execution time.
+    pub elapsed: SimDuration,
+    /// Checksums of the buffers the program read back, in order.
+    pub checksums: Vec<u64>,
+}
+
+/// Run a workload natively to completion, or fail with the OpenCL
+/// error for non-portable combinations (the paper also reports those,
+/// e.g. oclSortingNetworks on the Radeon).
+pub fn run_native(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<Completed> {
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let mut s = NativeSession::launch(
@@ -120,12 +129,14 @@ pub fn run_native(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<Sim
         w.script(&target.cfg(scale)),
     );
     s.run(&mut cluster, StopCondition::Completion)?;
-    Ok(s.elapsed(&cluster))
+    Ok(Completed {
+        elapsed: s.elapsed(&cluster),
+        checksums: s.program.checksums,
+    })
 }
 
-/// Run a workload under CheCL; returns the total virtual execution
-/// time.
-pub fn run_checl(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<SimDuration> {
+/// Run a workload under CheCL to completion.
+pub fn run_checl(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<Completed> {
     let mut cluster = Cluster::with_standard_nodes(1);
     let node = cluster.node_ids()[0];
     let mut s = CheclSession::launch(
@@ -136,7 +147,10 @@ pub fn run_checl(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<SimD
         w.script(&target.cfg(scale)),
     );
     s.run(&mut cluster, StopCondition::Completion)?;
-    Ok(s.elapsed(&cluster))
+    Ok(Completed {
+        elapsed: s.elapsed(&cluster),
+        checksums: s.program.checksums,
+    })
 }
 
 /// A CheCL session paused right after its first kernel launch,
@@ -528,7 +542,8 @@ mod tests {
         let t = &eval_targets()[0];
         let native = run_native(&w, t, 1.0 / 128.0).unwrap();
         let checl = run_checl(&w, t, 1.0 / 128.0).unwrap();
-        assert!(checl > native);
+        assert!(checl.elapsed > native.elapsed);
+        assert_eq!(checl.checksums, native.checksums);
     }
 
     #[test]

@@ -243,7 +243,7 @@ fn decoded_len(encoding: Encoding, payload: &[u8]) -> Option<u64> {
 }
 
 /// Scan the raw bytes of a store file; `keep_payloads` controls whether
-/// chunk bytes are materialised (restore) or only indexed (dump).
+/// chunk bytes are kept (restore) or only hashed and indexed (dump).
 ///
 /// A *torn final frame* — the file ends inside a length prefix or
 /// inside the last frame's bytes, the signature of a crash mid-append —
@@ -253,9 +253,9 @@ fn decoded_len(encoding: Encoding, payload: &[u8]) -> Option<u64> {
 /// frame is still fatal (that is bit-rot, not a torn append, and
 /// dropping mid-file records would dangle committed references), and a
 /// foreign magic or version is fatal at any position. So is a record
-/// whose seal holds but whose raw length disagrees with its payload,
-/// or, when payloads are materialised, whose address is not the FNV-1a
-/// of its bytes: a sealed record was written whole, so it lies.
+/// whose seal holds but whose raw length disagrees with its payload or
+/// whose address is not the FNV-1a of its bytes: a sealed record was
+/// written whole, so it lies.
 fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut index = BTreeMap::new();
     let mut payloads = BTreeMap::new();
@@ -277,18 +277,19 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
             Err(e) => return Err(e),
         };
         let parsed = (|| {
-            let rec = decode_framed::<StoreRecord>(STORE_MAGIC, STORE_VERSION, frame)?;
+            let mut rec = decode_framed::<StoreRecord>(STORE_MAGIC, STORE_VERSION, frame)?;
             if decoded_len(rec.encoding, &rec.payload) != Some(rec.raw_len) {
                 return Err(CodecError::Invalid("chunk raw length mismatch"));
             }
-            if !keep_payloads {
-                return Ok((rec, None));
-            }
-            let payload = decompress(rec.encoding, &rec.payload, rec.raw_len)?;
+            let payload = match rec.encoding {
+                // Its length is the raw length, checked above.
+                Encoding::Raw => std::mem::take(&mut rec.payload),
+                Encoding::Rle => decompress(rec.encoding, &rec.payload, rec.raw_len)?,
+            };
             if fnv1a64(&payload) != rec.hash {
                 return Err(CodecError::Invalid("chunk address mismatch"));
             }
-            Ok((rec, Some(payload)))
+            Ok((rec, keep_payloads.then_some(payload)))
         })();
         let (rec, payload) = match parsed {
             Ok(p) => p,
@@ -334,7 +335,10 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
 impl ChunkStore {
     /// Open (or create) the store at `path`, rebuilding the hash index
     /// by scanning any existing records. Reading the existing file
-    /// charges `pid`'s clock like any other read.
+    /// charges `pid`'s clock like any other read. Every record's chunk
+    /// is hashed against its address, so a sealed record that lies
+    /// about it is refused here, before a [`put`](Self::put) can dedup
+    /// against it.
     /// A store whose file ends in a *torn* final frame (crash
     /// mid-append) is recovered, not refused: the file is truncated
     /// back to the last intact frame — every committed reference points

@@ -30,7 +30,6 @@ pub use replica::{CommitError, DumpVault, Generation, ScrubReport};
 pub use robust::{drive_recovery, recovery_event, RecoveryAttempt, RecoveryOutcome, RetryPolicy};
 pub use sniff::{sniff_dump, SniffedDump};
 pub use stream::{
-    is_stream_file, parse_stream, sweep_orphaned_tmps, take_orphaned_tmps, ParsedStream,
-    StreamChunk, StreamChunkMap, StreamError, StreamHeader, StreamSlice, StreamTrailer,
-    StreamWriter, STREAM_MAGIC, STREAM_VERSION,
+    is_stream_file, parse_stream, ParsedStream, StreamChunk, StreamChunkMap, StreamError,
+    StreamHeader, StreamSlice, StreamTrailer, StreamWriter, STREAM_MAGIC, STREAM_VERSION,
 };

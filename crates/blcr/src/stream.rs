@@ -398,36 +398,6 @@ enum WriterState {
     Aborted,
 }
 
-std::thread_local! {
-    /// Temp files abandoned by [`StreamWriter`]s dropped while still
-    /// open. `Drop` has no cluster access, so the path is parked here
-    /// for [`take_orphaned_tmps`] / [`sweep_orphaned_tmps`] — the same
-    /// no-orphaned-`.tmp` discipline the robust sequential path audits.
-    static ORPHANED_TMPS: std::cell::RefCell<Vec<(Pid, String)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Drain the registry of `.tmp` paths left behind by stream writers
-/// dropped without `finish`/`abort`. Each entry is the owning pid and
-/// the temporary path.
-pub fn take_orphaned_tmps() -> Vec<(Pid, String)> {
-    ORPHANED_TMPS.with(|o| std::mem::take(&mut *o.borrow_mut()))
-}
-
-/// Delete every registered orphan tmp from the cluster filesystem.
-/// Returns how many paths were swept (missing files count — the goal
-/// is an empty registry, not I/O).
-pub fn sweep_orphaned_tmps(cluster: &mut Cluster) -> usize {
-    let orphans = take_orphaned_tmps();
-    let n = orphans.len();
-    for (pid, tmp) in orphans {
-        if cluster.process(pid).is_alive() {
-            let _ = cluster.delete_file(pid, &tmp);
-        }
-    }
-    n
-}
-
 /// Double-buffered streamed checkpoint writer.
 ///
 /// Appends verified (framed + checksummed) chunks to `<target>.tmp` as
@@ -435,8 +405,8 @@ pub fn sweep_orphaned_tmps(cluster: &mut Cluster) -> usize {
 /// [`finish`](StreamWriter::finish). Any error leaves the previous
 /// generation at `target` untouched; call [`abort`](StreamWriter::abort)
 /// to clean up the temporary file. A writer dropped while still open
-/// registers its tmp with the orphan audit ([`take_orphaned_tmps`])
-/// instead of leaking it silently.
+/// leaves its tmp behind, and the next [`begin`](StreamWriter::begin)
+/// for the same target deletes it.
 #[derive(Debug)]
 pub struct StreamWriter {
     pid: Pid,
@@ -449,14 +419,6 @@ pub struct StreamWriter {
     data_bytes: u64,
     hasher: Seal64,
     state: WriterState,
-}
-
-impl Drop for StreamWriter {
-    fn drop(&mut self) {
-        if self.state == WriterState::Open {
-            ORPHANED_TMPS.with(|o| o.borrow_mut().push((self.pid, self.tmp.clone())));
-        }
-    }
 }
 
 impl StreamWriter {
@@ -801,25 +763,31 @@ mod tests {
     }
 
     #[test]
-    fn dropped_open_writer_routes_tmp_through_orphan_audit() {
+    fn finish_and_abort_leave_no_tmp() {
         let (mut c, p) = setup();
-        let _ = take_orphaned_tmps(); // isolate from other tests
-        {
-            let mut w = StreamWriter::begin(&mut c, p, "/local/orphan.ckpt").unwrap();
-            w.append_chunk(&mut c, 0x60, vec![5; 64]).unwrap();
-            // Dropped without finish/abort.
-        }
-        assert!(c.read_file(p, "/local/orphan.ckpt.tmp").is_ok());
-        assert_eq!(sweep_orphaned_tmps(&mut c), 1);
-        assert!(c.read_file(p, "/local/orphan.ckpt.tmp").is_err());
-        // A finished or aborted writer does NOT register an orphan.
+        let node = c.node_ids()[0];
+        let tmps = |c: &Cluster| -> Vec<String> {
+            c.paths_on(node)
+                .into_iter()
+                .filter(|path| path.ends_with(".tmp"))
+                .collect()
+        };
         let mut w = StreamWriter::begin(&mut c, p, "/local/ok.ckpt").unwrap();
+        w.append_chunk(&mut c, 0x60, vec![5; 64]).unwrap();
+        assert_eq!(tmps(&c), ["/local/ok.ckpt.tmp"]);
         w.finish(&mut c).unwrap();
-        drop(w);
+        assert!(tmps(&c).is_empty());
         let mut w = StreamWriter::begin(&mut c, p, "/local/ab.ckpt").unwrap();
+        w.append_chunk(&mut c, 0x60, vec![5; 64]).unwrap();
         w.abort(&mut c);
-        drop(w);
-        assert!(take_orphaned_tmps().is_empty());
+        assert!(tmps(&c).is_empty());
+        // A writer dropped open leaves its tmp, and the next attempt at
+        // the same target replaces it and cleans up after itself.
+        drop(StreamWriter::begin(&mut c, p, "/local/re.ckpt").unwrap());
+        assert_eq!(tmps(&c), ["/local/re.ckpt.tmp"]);
+        let mut w = StreamWriter::begin(&mut c, p, "/local/re.ckpt").unwrap();
+        w.finish(&mut c).unwrap();
+        assert!(tmps(&c).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::device::DeviceProfile;
 use crate::vendor::{VendorConfig, VendorKind, BINARY_VERSION};
-use clkernels::{execute, kernel_cost_spec, ArgData};
+use clkernels::{execute, kernel_cost_spec, rerun_safe, ArgData};
 use clspec::api::{ApiRequest, ApiResponse, ClApi, RefOp};
 use clspec::error::{ClError, ClResult};
 use clspec::handles::{
@@ -36,6 +36,10 @@ pub struct DriverStats {
     pub api_calls: u64,
     /// Kernels launched.
     pub kernels_launched: u64,
+    /// Of those, the launches whose execution was skipped: relaunches
+    /// of a rerun-safe kernel over buffers unchanged since its last
+    /// launch.
+    pub kernels_elided: u64,
     /// Bytes moved host→device.
     pub bytes_htod: u64,
     /// Bytes moved device→host.
@@ -85,7 +89,21 @@ struct BufObj {
     /// `Some((w, h))` when this mem object is a 2-D image (single
     /// channel, f32 texels); `None` for plain buffers.
     image_dims: Option<(u64, u64)>,
+    /// The driver's write clock when `data` last changed.
+    version: u64,
     refs: u32,
+}
+
+impl BufObj {
+    /// Hand out the bytes to change, stamping the buffer with the next
+    /// tick of the driver's write clock. Every change to a buffer's
+    /// bytes goes through here, so an unchanged `version` means
+    /// unchanged bytes.
+    fn written(&mut self, clock: &mut u64) -> &mut Vec<u8> {
+        *clock += 1;
+        self.version = *clock;
+        &mut self.data
+    }
 }
 
 #[derive(Debug)]
@@ -119,7 +137,18 @@ struct KernelObj {
     sig: KernelSig,
     handle_structs: Vec<String>,
     args: BTreeMap<u32, ArgValue>,
+    /// The last successful launch of a rerun-safe kernel, cleared when
+    /// an argument is set.
+    last_launch: Option<LaunchStamp>,
     refs: u32,
+}
+
+/// What a launch ran over: its global size and each bound buffer's
+/// `(handle, version)` after it, in argument order.
+#[derive(Debug)]
+struct LaunchStamp {
+    global: [u64; 3],
+    buffers: Vec<(u64, u64)>,
 }
 
 #[derive(Debug)]
@@ -158,6 +187,8 @@ pub struct Driver {
     programs: BTreeMap<u64, ProgObj>,
     kernels: BTreeMap<u64, KernelObj>,
     events: BTreeMap<u64, EventObj>,
+    /// Ticks once per change to any buffer's bytes ([`BufObj::written`]).
+    write_clock: u64,
     stats: DriverStats,
     initialized: bool,
 }
@@ -177,6 +208,7 @@ impl Driver {
             programs: BTreeMap::new(),
             kernels: BTreeMap::new(),
             events: BTreeMap::new(),
+            write_clock: 0,
             stats: DriverStats::default(),
             next_serial: 0,
             initialized: false,
@@ -255,12 +287,6 @@ impl Driver {
     fn buffer(&self, h: Mem) -> ClResult<&BufObj> {
         self.buffers
             .get(&h.raw().0)
-            .ok_or(ClError::InvalidMemObject)
-    }
-
-    fn buffer_mut(&mut self, h: Mem) -> ClResult<&mut BufObj> {
-        self.buffers
-            .get_mut(&h.raw().0)
             .ok_or(ClError::InvalidMemObject)
     }
 
@@ -505,20 +531,32 @@ impl Driver {
             }
             None => vec![0u8; size as usize],
         };
+        Ok(self.insert_buffer(context, slot, flags, data, None))
+    }
+
+    /// Register a new `cl_mem` on device `slot`, holding `data`.
+    fn insert_buffer(
+        &mut self,
+        context: Context,
+        slot: usize,
+        flags: MemFlags,
+        data: Vec<u8>,
+        image_dims: Option<(u64, u64)>,
+    ) -> ApiResponse {
         let h = self.fresh_handle();
-        self.buffers.insert(
-            h.0,
-            BufObj {
-                ctx: context.raw().0,
-                device: slot,
-                flags,
-                size,
-                data,
-                image_dims: None,
-                refs: 1,
-            },
-        );
-        Ok(ApiResponse::Mem(Mem::from_raw(h)))
+        let mut buf = BufObj {
+            ctx: context.raw().0,
+            device: slot,
+            flags,
+            size: data.len() as u64,
+            data: Vec::new(),
+            image_dims,
+            version: 0,
+            refs: 1,
+        };
+        *buf.written(&mut self.write_clock) = data;
+        self.buffers.insert(h.0, buf);
+        ApiResponse::Mem(Mem::from_raw(h))
     }
 
     /// Charge `size` bytes to device `slot`'s memory, or fail with
@@ -563,20 +601,7 @@ impl Driver {
             }
             None => vec![0u8; size as usize],
         };
-        let h = self.fresh_handle();
-        self.buffers.insert(
-            h.0,
-            BufObj {
-                ctx: context.raw().0,
-                device: slot,
-                flags,
-                size,
-                data,
-                image_dims: Some((width, height)),
-                refs: 1,
-            },
-        );
-        Ok(ApiResponse::Mem(Mem::from_raw(h)))
+        Ok(self.insert_buffer(context, slot, flags, data, Some((width, height))))
     }
 
     fn create_sampler(&mut self, context: Context, desc: SamplerDesc) -> ClResult<ApiResponse> {
@@ -705,6 +730,7 @@ impl Driver {
                 sig,
                 handle_structs,
                 args: BTreeMap::new(),
+                last_launch: None,
                 refs: 1,
             },
         );
@@ -732,21 +758,16 @@ impl Driver {
             _ => {}
         }
         k.args.insert(index, value);
+        k.last_launch = None;
         Ok(ApiResponse::Unit)
     }
 
-    /// Resolve bound arguments against the kernel signature, returning
-    /// engine-ready data plus the buffers lent to it (as
+    /// Validate the bound arguments against the kernel signature,
+    /// returning engine-ready data plus the buffers to lend it (as
     /// `(arg index, vendor buffer handle)` pairs, in argument order).
-    ///
-    /// Every argument is validated before any buffer moves. Each bound
-    /// buffer's bytes are then lent to the engine with `mem::take`, not
-    /// copied, and `enqueue_nd_range` puts them back after the launch,
-    /// whether it ran or failed. A `cl_mem` bound to several arguments
-    /// is lent to the first and copied for each later one, so every
-    /// argument sees the pre-launch bytes and, on return, the last
-    /// index's bytes win, as if each argument had its own copy.
-    fn resolve_args(&mut self, kernel: Kernel) -> ClResult<(Vec<ArgData>, LentList)> {
+    /// Each buffer argument is an empty placeholder until
+    /// [`Self::execute_kernel`] lends the buffer's bytes.
+    fn resolve_args(&self, kernel: Kernel) -> ClResult<(Vec<ArgData>, LentList)> {
         let k = self
             .kernels
             .get(&kernel.raw().0)
@@ -805,16 +826,86 @@ impl Driver {
                 },
             }
         }
+        Ok((out, lent))
+    }
+
+    /// Whether `kernel`'s last launch stamp still holds for a launch
+    /// over `global` and the buffers `lent`: each bound buffer is the
+    /// one stamped and has not been written since.
+    fn unchanged_since_last_launch(
+        &self,
+        kernel: Kernel,
+        global: [u64; 3],
+        lent: &LentList,
+    ) -> bool {
+        let Some(stamp) = self
+            .kernels
+            .get(&kernel.raw().0)
+            .and_then(|k| k.last_launch.as_ref())
+        else {
+            return false;
+        };
+        stamp.global == global
+            && stamp.buffers.len() == lent.len()
+            && stamp
+                .buffers
+                .iter()
+                .zip(lent)
+                .all(|(&(h, version), &(_, lent_h))| {
+                    h == lent_h && self.buffers.get(&h).is_some_and(|b| b.version == version)
+                })
+    }
+
+    /// Run kernel `name` over validated `args`, lending it the bytes of
+    /// the buffers in `lent`, and stamp the kernel with the launch when
+    /// it ran and is rerun-safe.
+    ///
+    /// Each bound buffer's bytes are lent to the engine with
+    /// `mem::take`, not copied, and put back after the launch, whether
+    /// it ran or failed; putting them back stamps the buffer written. A
+    /// `cl_mem` bound to several arguments is lent to the first and
+    /// copied for each later one, so every argument sees the pre-launch
+    /// bytes and, on return, the last index's bytes win, as if each
+    /// argument had its own copy. Such a buffer is stamped written once
+    /// per binding, so the version its first binding records is stale
+    /// at once, and a relaunch over it always runs.
+    fn execute_kernel(
+        &mut self,
+        kernel: Kernel,
+        name: &str,
+        global: [u64; 3],
+        mut args: Vec<ArgData>,
+        lent: LentList,
+    ) -> Result<(), clkernels::ExecError> {
         for (n, &(i, h)) in lent.iter().enumerate() {
-            out[i] = match lent[..n].iter().find(|&&(_, earlier)| earlier == h) {
-                Some(&(first, _)) => out[first].clone(),
+            args[i] = match lent[..n].iter().find(|&&(_, earlier)| earlier == h) {
+                Some(&(first, _)) => args[first].clone(),
                 None => {
                     let buf = self.buffers.get_mut(&h).expect("validated above");
                     ArgData::Buffer(mem::take(&mut buf.data))
                 }
             };
         }
-        Ok((out, lent))
+        let ran = execute(name, global, &mut args);
+        // Put every lent buffer back, in argument order, on success and
+        // failure alike.
+        let mut stamped = Vec::with_capacity(lent.len());
+        for (arg_idx, buf_h) in lent {
+            if let ArgData::Buffer(data) = &mut args[arg_idx] {
+                let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
+                *buf.written(&mut self.write_clock) = mem::take(data);
+                stamped.push((buf_h, buf.version));
+            }
+        }
+        let stamp = (ran.is_ok() && rerun_safe(name)).then_some(LaunchStamp {
+            global,
+            buffers: stamped,
+        });
+        self.kernels
+            .get_mut(&kernel.raw().0)
+            .expect("validated above")
+            .last_launch = stamp;
+        ran
     }
 
     fn enqueue_nd_range(
@@ -838,22 +929,22 @@ impl Driver {
         }
         let name = self.kernel(kernel)?.sig.name.clone();
         let deps = self.wait_list_end(wait_list)?;
-        let (mut args, lent) = self.resolve_args(kernel)?;
-        let ran = execute(&name, global.sizes, &mut args);
-        // Put every lent buffer back, in argument order, on success and
-        // failure alike.
-        for (arg_idx, buf_h) in lent {
-            if let ArgData::Buffer(data) = &mut args[arg_idx] {
-                let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
-                buf.data = mem::take(data);
-            }
+        let (args, lent) = self.resolve_args(kernel)?;
+        // A rerun-safe kernel relaunched over buffers nothing has written
+        // since its last launch would write the bytes they hold: only
+        // the execution is skipped, and the launch is validated,
+        // scheduled and charged as any other.
+        if self.unchanged_since_last_launch(kernel, global.sizes, &lent) {
+            self.stats.kernels_elided += 1;
+        } else {
+            self.execute_kernel(kernel, &name, global.sizes, args, lent)
+                .map_err(|e| match e {
+                    clkernels::ExecError::UnknownKernel(_) => ClError::InvalidKernelName,
+                    clkernels::ExecError::ArgCount { .. } => ClError::InvalidKernelArgs,
+                    clkernels::ExecError::ArgType { .. } => ClError::InvalidArgValue,
+                    clkernels::ExecError::BufferTooSmall { .. } => ClError::InvalidArgSize,
+                })?;
         }
-        ran.map_err(|e| match e {
-            clkernels::ExecError::UnknownKernel(_) => ClError::InvalidKernelName,
-            clkernels::ExecError::ArgCount { .. } => ClError::InvalidKernelArgs,
-            clkernels::ExecError::ArgType { .. } => ClError::InvalidArgValue,
-            clkernels::ExecError::BufferTooSmall { .. } => ClError::InvalidArgSize,
-        })?;
 
         let spec = kernel_cost_spec(&name);
         let items = global.total();
@@ -915,7 +1006,8 @@ impl Driver {
         let size = data.len() as u64;
         let range = Self::span(offset, size, self.buffer(mem)?)?;
         let deps = self.wait_list_end(wait_list)?;
-        self.buffer_mut(mem)?.data[range].copy_from_slice(&data);
+        let buf = self.buffers.get_mut(&mem.raw().0).expect("validated above");
+        buf.written(&mut self.write_clock)[range].copy_from_slice(&data);
         let duration = link.cost(ByteSize::bytes(size));
         let (event, end) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "write")?;
         *now += self.enqueue_cost();
@@ -944,7 +1036,8 @@ impl Driver {
         let dst_range = Self::span(dst_offset, size, self.buffer(dst)?)?;
         let deps = self.wait_list_end(wait_list)?;
         let chunk = self.buffer(src)?.data[src_range].to_vec();
-        self.buffer_mut(dst)?.data[dst_range].copy_from_slice(&chunk);
+        let dst = self.buffers.get_mut(&dst.raw().0).expect("validated above");
+        dst.written(&mut self.write_clock)[dst_range].copy_from_slice(&chunk);
         let duration = bw.transfer_time(ByteSize::bytes(size));
         let (event, _) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "copy")?;
         *now += self.enqueue_cost();

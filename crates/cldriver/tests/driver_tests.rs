@@ -774,3 +774,283 @@ fn a_failed_launch_leaves_every_buffer_intact() {
     assert_eq!(r, Err(ClError::InvalidArgSize));
     assert_eq!(after, bufs.map(<[f32]>::to_vec));
 }
+
+/// A kernel of a freshly built program of the corpus.
+fn kernel_of(ocl: &mut Ocl, ctx: Context, program: &str, kernel: &str) -> clspec::Kernel {
+    let src = clkernels::program_source(program).unwrap().source;
+    let prog = ocl.create_program_with_source(ctx, &src).unwrap();
+    ocl.build_program(prog, "").unwrap();
+    ocl.create_kernel(prog, kernel).unwrap()
+}
+
+/// A fresh driver with `vec_add(a, b, c)` bound over 4 lanes and
+/// launched once: the driver, its clock, the context, the queue, the
+/// kernel and `[a, b, c]`.
+fn vec_add_launched_once() -> (
+    Driver,
+    SimTime,
+    Context,
+    clspec::CommandQueue,
+    clspec::Kernel,
+    [Mem; 3],
+) {
+    let mut drv = Driver::new(nimbus());
+    let mut now = SimTime::ZERO;
+    let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+    let mems = [[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0], [0.0; 4]]
+        .map(|v| ocl.create_buffer(ctx, flags, 16, Some(f32s(&v))).unwrap());
+    let k = kernel_of(&mut ocl, ctx, "vector_add", "vec_add");
+    for (i, m) in mems.iter().enumerate() {
+        ocl.set_arg_mem(k, i as u32, *m).unwrap();
+    }
+    ocl.set_arg_scalar(k, 3, 4u32).unwrap();
+    ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+        .unwrap();
+    (drv, now, ctx, q, k, mems)
+}
+
+fn read_f32(ocl: &mut Ocl, q: clspec::CommandQueue, m: Mem) -> Vec<f32> {
+    to_f32(&ocl.enqueue_read_buffer(q, m, true, 0, 16, &[]).unwrap().0)
+}
+
+#[test]
+fn an_unchanged_relaunch_is_elided_and_still_scheduled() {
+    let (mut drv, mut now, ctx, q, k, [_, _, c]) = vec_add_launched_once();
+    assert_eq!(drv.stats().kernels_elided, 0);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let events: Vec<_> = (0..3)
+        .map(|_| {
+            ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+                .unwrap()
+        })
+        .collect();
+    ocl.finish(q).unwrap();
+    assert_eq!(read_f32(&mut ocl, q, c), [11.0, 22.0, 33.0, 44.0]);
+    // Each elided launch takes its place on the queue for the time the
+    // cost model gives it, after the one before.
+    let spans: Vec<_> = events
+        .iter()
+        .map(|&e| ocl.get_event_profiling(e).unwrap())
+        .collect();
+    for pair in spans.windows(2) {
+        assert!(pair[1].start >= pair[0].end);
+        assert_eq!(pair[1].end - pair[1].start, pair[0].end - pair[0].start);
+    }
+    // A kernel that is not rerun-safe runs every time: `max_flops`
+    // iterates its buffer in place.
+    let data = ocl
+        .create_buffer(ctx, MemFlags::READ_WRITE, 16, Some(f32s(&[1.0; 4])))
+        .unwrap();
+    let flops = kernel_of(&mut ocl, ctx, "max_flops", "max_flops");
+    ocl.set_arg_mem(flops, 0, data).unwrap();
+    ocl.set_arg_scalar(flops, 1, 4u32).unwrap();
+    ocl.set_arg_scalar(flops, 2, 1u32).unwrap();
+    let mut seen = Vec::new();
+    for _ in 0..2 {
+        ocl.enqueue_nd_range(q, flops, NDRange::d1(4), None, &[])
+            .unwrap();
+        seen.push(read_f32(&mut ocl, q, data));
+    }
+    assert_ne!(seen[0], seen[1]);
+    let stats = drv.stats();
+    assert_eq!((stats.kernels_launched, stats.kernels_elided), (6, 3));
+}
+
+#[test]
+fn a_relaunch_runs_again_after_anything_touches_its_buffers() {
+    type Touch = fn(&mut Ocl, Context, clspec::CommandQueue, clspec::Kernel, [Mem; 3]);
+    let touches: [(&str, Touch, [f32; 4]); 5] = [
+        (
+            "a write into an input",
+            |ocl, _, q, _, [a, ..]| {
+                ocl.enqueue_write_buffer(q, a, true, 4, f32s(&[5.0]), &[])
+                    .unwrap();
+            },
+            [11.0, 25.0, 33.0, 44.0],
+        ),
+        (
+            "a copy into an input",
+            |ocl, _, q, _, [a, b, _]| {
+                ocl.enqueue_copy_buffer(q, a, b, 0, 0, 16, &[]).unwrap();
+            },
+            [2.0, 4.0, 6.0, 8.0],
+        ),
+        (
+            "another kernel writing an input",
+            |ocl, ctx, q, _, [a, b, _]| {
+                let copy = kernel_of(ocl, ctx, "device_copy", "copy_buf");
+                ocl.set_arg_mem(copy, 0, a).unwrap();
+                ocl.set_arg_mem(copy, 1, b).unwrap();
+                ocl.set_arg_scalar(copy, 2, 4u32).unwrap();
+                ocl.enqueue_nd_range(q, copy, NDRange::d1(4), None, &[])
+                    .unwrap();
+            },
+            [2.0, 4.0, 6.0, 8.0],
+        ),
+        (
+            "clSetKernelArg, even to the value it held",
+            |ocl, _, _, k, _| ocl.set_arg_scalar(k, 3, 4u32).unwrap(),
+            [11.0, 22.0, 33.0, 44.0],
+        ),
+        (
+            // `vec_add(a, b, a)` accumulates: each run adds `b` again.
+            "a double binding",
+            |ocl, _, q, k, [a, ..]| {
+                ocl.set_arg_mem(k, 2, a).unwrap();
+                ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+                    .unwrap();
+            },
+            [21.0, 42.0, 63.0, 84.0],
+        ),
+    ];
+    for (what, touch, want) in touches {
+        let (mut drv, mut now, ctx, q, k, mems) = vec_add_launched_once();
+        let mut ocl = Ocl::new(&mut drv, &mut now);
+        touch(&mut ocl, ctx, q, k, mems);
+        ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+            .unwrap();
+        let out = if what == "a double binding" {
+            mems[0]
+        } else {
+            mems[2]
+        };
+        assert_eq!(read_f32(&mut ocl, q, out), want, "{what}");
+        assert_eq!(drv.stats().kernels_elided, 0, "{what}");
+    }
+}
+
+#[test]
+fn an_elidable_relaunch_still_validates_its_sampler() {
+    let mut drv = Driver::new(nimbus());
+    let mut now = SimTime::ZERO;
+    let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let out = ocl
+        .create_buffer(ctx, MemFlags::WRITE_ONLY, 16, None)
+        .unwrap();
+    let sampler = ocl
+        .create_sampler(
+            ctx,
+            clspec::types::SamplerDesc {
+                normalized_coords: false,
+                addressing_mode: 0,
+                filter_mode: 0,
+            },
+        )
+        .unwrap();
+    let k = kernel_of(&mut ocl, ctx, "sampler_demo", "sampler_scale");
+    ocl.set_arg_mem(k, 0, out).unwrap();
+    ocl.set_arg_sampler(k, 1, sampler).unwrap();
+    ocl.set_arg_scalar(k, 2, 4u32).unwrap();
+    for _ in 0..2 {
+        ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+            .unwrap();
+    }
+    let _ = ocl;
+    assert_eq!(drv.stats().kernels_elided, 1);
+    drv.call(&mut now, clspec::ApiRequest::ReleaseSampler { sampler })
+        .unwrap();
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    assert_eq!(
+        ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[]),
+        Err(ClError::InvalidSampler)
+    );
+    let stats = drv.stats();
+    assert_eq!((stats.kernels_launched, stats.kernels_elided), (2, 1));
+}
+
+#[test]
+fn elided_relaunches_leave_what_running_every_launch_leaves() {
+    // (program, kernel, buffer arguments first, then these scalars).
+    let u = |v: u32| ArgValue::scalar(v);
+    let f = |v: f32| ArgValue::scalar(v);
+    let specs = [
+        ("vector_add", "vec_add", 3, vec![u(4)]),
+        ("device_copy", "copy_buf", 2, vec![u(4)]),
+        ("triad", "triad", 3, vec![f(0.5), u(4)]),
+        ("max_flops", "max_flops", 1, vec![u(4), u(2)]),
+        ("sgemm", "sgemm", 3, vec![u(2), u(2), u(2), f(1.5), f(0.5)]),
+    ];
+    const BUFS: usize = 4;
+    let mut elided = 0;
+    simcore::qcheck::qcheck("elision_model", 48, |g| {
+        let mut drv = Driver::new(nimbus());
+        let mut now = SimTime::ZERO;
+        let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+        let mut ocl = Ocl::new(&mut drv, &mut now);
+        let lanes = |g: &mut simcore::qcheck::Gen| {
+            f32s(&std::array::from_fn::<f32, 4, _>(|_| g.f32_in(-2.0, 2.0)))
+        };
+        // The model: each buffer's bytes, and every launch executed.
+        let mut model: Vec<Vec<u8>> = (0..BUFS).map(|_| lanes(g)).collect();
+        let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+        let mems: Vec<Mem> = model
+            .iter()
+            .map(|b| ocl.create_buffer(ctx, flags, 16, Some(b.clone())).unwrap())
+            .collect();
+        let mut kernels: Vec<(clspec::Kernel, Vec<usize>)> = specs
+            .iter()
+            .map(|(program, name, bufs, scalars)| {
+                let k = kernel_of(&mut ocl, ctx, program, name);
+                let binds: Vec<usize> = (0..*bufs).map(|_| g.usize_in(0, BUFS)).collect();
+                for (i, &b) in binds.iter().enumerate() {
+                    ocl.set_arg_mem(k, i as u32, mems[b]).unwrap();
+                }
+                for (j, v) in scalars.iter().enumerate() {
+                    ocl.set_kernel_arg(k, (bufs + j) as u32, v.clone()).unwrap();
+                }
+                (k, binds)
+            })
+            .collect();
+        for _ in 0..40 {
+            let ki = g.usize_in(0, specs.len());
+            match g.usize_in(0, 8) {
+                0 => {
+                    let (b, data) = (g.usize_in(0, BUFS), lanes(g));
+                    ocl.enqueue_write_buffer(q, mems[b], true, 0, data.clone(), &[])
+                        .unwrap();
+                    model[b] = data;
+                }
+                1 => {
+                    let (s, d) = (g.usize_in(0, BUFS), g.usize_in(0, BUFS));
+                    ocl.enqueue_copy_buffer(q, mems[s], mems[d], 0, 0, 16, &[])
+                        .unwrap();
+                    model[d] = model[s].clone();
+                }
+                2 => {
+                    let (arg, b) = (g.usize_in(0, specs[ki].2), g.usize_in(0, BUFS));
+                    ocl.set_arg_mem(kernels[ki].0, arg as u32, mems[b]).unwrap();
+                    kernels[ki].1[arg] = b;
+                }
+                _ => {
+                    let (k, binds) = &kernels[ki];
+                    ocl.enqueue_nd_range(q, *k, NDRange::d1(4), None, &[])
+                        .unwrap();
+                    // Each binding sees the pre-launch bytes; on return
+                    // the last binding of a buffer wins.
+                    let mut args: Vec<clkernels::ArgData> = binds
+                        .iter()
+                        .map(|&b| clkernels::ArgData::Buffer(model[b].clone()))
+                        .collect();
+                    args.extend(specs[ki].3.iter().map(|v| match v {
+                        ArgValue::Bytes(b) => clkernels::ArgData::Scalar(b.clone()),
+                        other => panic!("not a scalar: {other:?}"),
+                    }));
+                    clkernels::execute(specs[ki].1, [4, 1, 1], &mut args).unwrap();
+                    for (i, &b) in binds.iter().enumerate() {
+                        model[b] = args[i].buffer().unwrap().to_vec();
+                    }
+                }
+            }
+        }
+        for (&m, want) in mems.iter().zip(&model) {
+            let (got, _) = ocl.enqueue_read_buffer(q, m, true, 0, 16, &[]).unwrap();
+            assert_eq!(&got, want);
+        }
+        let _ = ocl;
+        elided += drv.stats().kernels_elided;
+    });
+    assert!(elided > 0);
+}

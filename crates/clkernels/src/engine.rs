@@ -25,6 +25,71 @@
 use crate::args::{ArgData, ExecError};
 use crate::f32util::{f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s};
 
+/// A kernel's body: it validates its arguments, then writes its
+/// outputs in place.
+type Body = fn(&mut [ArgData]) -> Result<(), ExecError>;
+
+/// Whether a second run of a kernel over the buffers its first run left
+/// behind, with the same scalars, leaves every buffer as the first run
+/// did. The driver skips such a relaunch when nothing has written any
+/// of its buffers since (`cldriver`'s kernel launch).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Rerun {
+    /// Rerun-safe: every output lane is computed from buffers the
+    /// kernel does not write (or a constant), or the kernel is an
+    /// in-place pass whose result is its own fixpoint (a sort, one
+    /// bitonic compare-exchange pass).
+    Safe,
+    /// The kernel reads lanes it writes, so a second run moves them.
+    Unsafe,
+}
+
+use Rerun::{Safe, Unsafe};
+
+/// Every kernel of the corpus but the `rate_<k>` family, whose bodies
+/// (one per `k`) all compute their rates from a state they only read,
+/// and so are rerun-safe.
+const KERNELS: &[(&str, Body, Rerun)] = &[
+    ("vec_add", k_vec_add, Safe),
+    ("triad", k_triad, Safe),
+    ("copy_buf", k_copy_buf, Safe),
+    ("null_kernel", k_null, Safe),
+    // Iterates each lane from its own value.
+    ("max_flops", k_max_flops, Unsafe),
+    ("reduce_sum", k_reduce_sum, Safe),
+    ("scan_exclusive", k_scan_exclusive, Safe),
+    // After one pass every pair is in order, so a second swaps none but
+    // equal keys.
+    ("bitonic_sort", k_bitonic_sort, Safe),
+    ("radix_sort", k_radix_sort, Safe),
+    ("transpose", k_transpose, Safe),
+    // Zeroes `c` before it accumulates into it.
+    ("matmul", k_matmul, Safe),
+    // Adds `beta * c` to a product it writes back into `c`.
+    ("sgemm", k_sgemm, Unsafe),
+    ("matvec", k_matvec, Safe),
+    ("black_scholes", k_black_scholes, Safe),
+    ("dot_product", k_dot_product, Safe),
+    ("conv_rows", |args| k_conv(args, true), Safe),
+    ("conv_cols", |args| k_conv(args, false), Safe),
+    ("dct8x8", k_dct8x8, Safe),
+    ("dxt_compress", k_dxt_compress, Safe),
+    ("histogram64", k_histogram64, Safe),
+    ("mersenne_twister", k_mersenne_twister, Safe),
+    ("quasirandom", k_quasirandom, Safe),
+    ("fdtd3d", k_fdtd3d, Safe),
+    ("stencil2d", k_stencil2d, Safe),
+    ("md_forces", k_md_forces, Safe),
+    // Transforms its signal in place.
+    ("fft_radix2", k_fft_radix2, Unsafe),
+    ("cp_potential", k_cp_potential, Safe),
+    ("mri_fhd", k_mri_fhd, Safe),
+    ("mri_q", k_mri_q, Safe),
+    ("sampler_scale", k_sampler_scale, Safe),
+    ("consume", k_consume, Safe),
+    ("image_scale", k_image_scale, Safe),
+];
+
 /// Execute kernel `name` with the given arguments.
 ///
 /// `_global` is the launch's `[x, y, z]` work-item count. No kernel
@@ -37,41 +102,19 @@ pub fn execute(name: &str, _global: [u64; 3], args: &mut [ArgData]) -> Result<()
             .map_err(|_| ExecError::UnknownKernel(name.to_string()))?;
         return k_s3d_rate(k, args);
     }
-    match name {
-        "vec_add" => k_vec_add(args),
-        "triad" => k_triad(args),
-        "copy_buf" => k_copy_buf(args),
-        "null_kernel" => k_null(args),
-        "max_flops" => k_max_flops(args),
-        "reduce_sum" => k_reduce_sum(args),
-        "scan_exclusive" => k_scan_exclusive(args),
-        "bitonic_sort" => k_bitonic_sort(args),
-        "radix_sort" => k_radix_sort(args),
-        "transpose" => k_transpose(args),
-        "matmul" => k_matmul(args),
-        "sgemm" => k_sgemm(args),
-        "matvec" => k_matvec(args),
-        "black_scholes" => k_black_scholes(args),
-        "dot_product" => k_dot_product(args),
-        "conv_rows" => k_conv(args, true),
-        "conv_cols" => k_conv(args, false),
-        "dct8x8" => k_dct8x8(args),
-        "dxt_compress" => k_dxt_compress(args),
-        "histogram64" => k_histogram64(args),
-        "mersenne_twister" => k_mersenne_twister(args),
-        "quasirandom" => k_quasirandom(args),
-        "fdtd3d" => k_fdtd3d(args),
-        "stencil2d" => k_stencil2d(args),
-        "md_forces" => k_md_forces(args),
-        "fft_radix2" => k_fft_radix2(args),
-        "cp_potential" => k_cp_potential(args),
-        "mri_fhd" => k_mri_fhd(args),
-        "mri_q" => k_mri_q(args),
-        "sampler_scale" => k_sampler_scale(args),
-        "consume" => k_consume(args),
-        "image_scale" => k_image_scale(args),
-        _ => Err(ExecError::UnknownKernel(name.to_string())),
+    match KERNELS.iter().find(|&&(n, ..)| n == name) {
+        Some((_, body, _)) => body(args),
+        None => Err(ExecError::UnknownKernel(name.to_string())),
     }
+}
+
+/// Whether kernel `name` is rerun-safe: two successful runs over the
+/// same buffers and scalars, each buffer bound once, leave every buffer
+/// byte as one run does. A relaunch of such a kernel over buffers
+/// nothing has written since its last run may be skipped, bit-exact.
+/// `false` for an unknown name.
+pub fn rerun_safe(name: &str) -> bool {
+    name.starts_with("rate_") || KERNELS.iter().any(|&(n, _, r)| n == name && r == Safe)
 }
 
 /// The arguments of a kernel that takes exactly `N`, each borrowable
@@ -1488,5 +1531,187 @@ mod tests {
         assert_eq!(out_f32(&ok, 0), vec![0.0, 0.5, 1.0, 1.5]);
         let mut bad = vec![buf_f32(&[0.0; 4]), scalar_u32(1), scalar_u32(4)];
         assert!(execute("sampler_scale", [4, 1, 1], &mut bad).is_err());
+    }
+
+    /// Seeded arguments for one launch of kernel `name`: buffers of
+    /// random lanes in `[-4, 4)`, each a few lanes longer than the
+    /// kernel needs, and sizes that fit them. Panics for a name it does
+    /// not know, so every kernel in the table needs a case here.
+    fn rerun_args(name: &str, g: &mut simcore::qcheck::Gen) -> Vec<ArgData> {
+        let buf = |g: &mut simcore::qcheck::Gen, lanes: u32| {
+            let slack = g.usize_in(0, 3) as u32;
+            ArgData::Buffer(
+                (0..lanes + slack)
+                    .flat_map(|_| g.f32_in(-4.0, 4.0).to_le_bytes())
+                    .collect(),
+            )
+        };
+        let u = scalar_u32;
+        let n = g.usize_in(1, 48) as u32;
+        // Sides of a 2-D problem: whole 8x8 blocks for the DCT, 4x4
+        // for DXT.
+        let (w, h) = (8 * g.usize_in(1, 4) as u32, 8 * g.usize_in(1, 4) as u32);
+        let (nk, nx) = (g.usize_in(1, 16) as u32, g.usize_in(1, 16) as u32);
+        match name {
+            "vec_add" => vec![buf(g, n), buf(g, n), buf(g, n), u(n)],
+            "triad" => vec![buf(g, n), buf(g, n), buf(g, n), scalar_f32(1.5), u(n)],
+            "copy_buf" => vec![buf(g, n), buf(g, n), u(n)],
+            "null_kernel" => vec![buf(g, n)],
+            "max_flops" => vec![buf(g, n), u(n), u(3)],
+            "reduce_sum" | "scan_exclusive" => {
+                let out = if name == "reduce_sum" { 1 } else { n };
+                vec![buf(g, n), buf(g, out), ArgData::Local(256), u(n)]
+            }
+            "bitonic_sort" => {
+                let (stage, pass) = (g.usize_in(0, 5) as u32, g.usize_in(0, 5) as u32);
+                vec![buf(g, n), u(n), u(stage), u(pass.min(stage))]
+            }
+            "radix_sort" | "quasirandom" => vec![buf(g, n), u(n)],
+            "transpose" | "dct8x8" | "stencil2d" => vec![buf(g, w * h), buf(g, w * h), u(w), u(h)],
+            "matmul" | "sgemm" => {
+                let (m, k) = (g.usize_in(1, 8) as u32, g.usize_in(1, 8) as u32);
+                let mut args = vec![
+                    buf(g, m * k),
+                    buf(g, k * n),
+                    buf(g, m * n),
+                    u(m),
+                    u(n),
+                    u(k),
+                ];
+                if name == "sgemm" {
+                    args.extend([scalar_f32(0.5), scalar_f32(0.25)]);
+                }
+                args
+            }
+            "matvec" => vec![buf(g, w * h), buf(g, h), buf(g, w), u(w), u(h)],
+            "black_scholes" => {
+                let mut args = vec![buf(g, n), buf(g, n)];
+                // Spot, strike and expiry: positive, as real options are.
+                args.extend((0..3).map(|_| f32_lanes((0..n).map(|_| g.f32_in(0.5, 4.0)))));
+                args.extend([scalar_f32(0.02), scalar_f32(0.3), u(n)]);
+                args
+            }
+            "dot_product" => vec![buf(g, 4 * n), buf(g, 4 * n), buf(g, n), u(n)],
+            "conv_rows" | "conv_cols" => {
+                let radius = g.usize_in(0, 4) as u32;
+                let filter = buf(g, 2 * radius + 1);
+                vec![buf(g, w * h), buf(g, w * h), filter, u(w), u(h), u(radius)]
+            }
+            "dxt_compress" => vec![buf(g, w * h), buf(g, w * h / 8), u(w), u(h)],
+            "histogram64" => vec![buf(g, n), buf(g, 64), ArgData::Local(256), u(n)],
+            "mersenne_twister" => {
+                let per = g.usize_in(1, 6) as u32;
+                vec![buf(g, n), buf(g, n * per), u(n), u(per)]
+            }
+            "fdtd3d" => {
+                let d = g.usize_in(1, 6) as u32;
+                vec![buf(g, w * h * d), buf(g, w * h * d), u(w), u(h), u(d)]
+            }
+            "md_forces" => vec![buf(g, 3 * n), buf(g, 3 * n), u(n), scalar_f32(2.5)],
+            "fft_radix2" => {
+                let len = 1 << g.usize_in(0, 6);
+                vec![buf(g, len), buf(g, len), u(len)]
+            }
+            "cp_potential" => vec![buf(g, 4 * n), buf(g, w * h), u(n), u(w), u(h)],
+            "mri_fhd" | "mri_q" => {
+                let phases = if name == "mri_fhd" { 2 } else { 1 };
+                let mut args: Vec<ArgData> = (0..phases + 3).map(|_| buf(g, nk)).collect();
+                args.extend((0..5).map(|_| buf(g, nx)));
+                args.extend([u(nk), u(nx)]);
+                args
+            }
+            "sampler_scale" => vec![buf(g, n), ArgData::Scalar(vec![7; 8]), u(n)],
+            "image_scale" => vec![
+                buf(g, w * h),
+                ArgData::Scalar(vec![7; 8]),
+                buf(g, w * h),
+                u(w),
+                u(h),
+            ],
+            "consume" => vec![ArgData::Scalar(vec![7; 16]), buf(g, n)],
+            _ if name.starts_with("rate_") => vec![buf(g, n), buf(g, n), u(n)],
+            _ => panic!("no seeded arguments for kernel {name}"),
+        }
+    }
+
+    fn f32_lanes(v: impl IntoIterator<Item = f32>) -> ArgData {
+        ArgData::Buffer(v.into_iter().flat_map(f32::to_le_bytes).collect())
+    }
+
+    /// Every buffer argument's bytes, in argument order.
+    fn buffers(args: &[ArgData]) -> Vec<Vec<u8>> {
+        args.iter()
+            .filter_map(|a| a.buffer().ok().map(<[u8]>::to_vec))
+            .collect()
+    }
+
+    /// The rerun-safe names: every table entry marked so, and two of
+    /// the `rate_<k>` family.
+    fn rerun_safe_names() -> Vec<&'static str> {
+        let mut names: Vec<&str> = KERNELS
+            .iter()
+            .filter(|&&(_, _, r)| r == Safe)
+            .map(|&(n, ..)| n)
+            .collect();
+        names.extend(["rate_0", "rate_21"]);
+        names
+    }
+
+    #[test]
+    fn a_rerun_safe_kernel_run_twice_leaves_what_one_run_leaves() {
+        for name in rerun_safe_names() {
+            assert!(rerun_safe(name), "{name}");
+            simcore::qcheck::qcheck(&format!("rerun_{name}"), 24, |g| {
+                let mut once = rerun_args(name, g);
+                execute(name, [1, 1, 1], &mut once).unwrap();
+                let mut twice = once.clone();
+                execute(name, [1, 1, 1], &mut twice).unwrap();
+                assert!(buffers(&once) == buffers(&twice), "{name}");
+            });
+        }
+    }
+
+    #[test]
+    fn the_kernels_left_off_the_rerun_list_move_on_a_second_run() {
+        let unsafe_names: Vec<&str> = KERNELS
+            .iter()
+            .filter(|&&(_, _, r)| r == Unsafe)
+            .map(|&(n, ..)| n)
+            .collect();
+        assert_eq!(unsafe_names, ["max_flops", "sgemm", "fft_radix2"]);
+        assert!(!rerun_safe("no_such_kernel"));
+        let cases = [
+            (
+                "max_flops",
+                vec![buf_f32(&[1.0]), scalar_u32(1), scalar_u32(1)],
+            ),
+            // [1, 0] transforms to [1, 1], and that to [2, 0].
+            (
+                "fft_radix2",
+                vec![buf_f32(&[1.0, 0.0]), buf_f32(&[0.0, 0.0]), scalar_u32(2)],
+            ),
+            // beta = 1: c = a·b + c.
+            (
+                "sgemm",
+                vec![
+                    buf_f32(&[1.0]),
+                    buf_f32(&[2.0]),
+                    buf_f32(&[0.0]),
+                    scalar_u32(1),
+                    scalar_u32(1),
+                    scalar_u32(1),
+                    scalar_f32(1.0),
+                    scalar_f32(1.0),
+                ],
+            ),
+        ];
+        for (name, args) in cases {
+            assert!(!rerun_safe(name), "{name}");
+            let mut once = args;
+            execute(name, [1, 1, 1], &mut once).unwrap();
+            let mut twice = once.clone();
+            execute(name, [1, 1, 1], &mut twice).unwrap();
+            assert!(buffers(&once) != buffers(&twice), "{name}");
+        }
     }
 }

@@ -26,4 +26,4 @@ pub mod f32util;
 pub use args::{ArgData, ExecError};
 pub use corpus::{program_source, ProgramSource};
 pub use cost::{kernel_cost_spec, CostSpec};
-pub use engine::execute;
+pub use engine::{execute, rerun_safe};

@@ -4,7 +4,8 @@
 #
 # Usage: scripts/verify.sh [--quick]
 #   --quick   type-check every target instead of running clippy, and skip
-#             the fleet sweep and micro-bench smoke (CI uses the full run)
+#             the remote-proxy and MPI goldens and the micro-bench smoke
+#             (CI uses the full run)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,19 +120,23 @@ echo "==> smoke: gray-failure resilience + crash-point torture (golden diff)"
 # boundary and restores 100% of them before a row is written.
 golden ablation_gray
 
+echo "==> smoke: Fig. 4 overhead (golden diff, ~30 s)"
+# Fig. 4 holds the per-program forwarded-call and translation counts;
+# the binary asserts that every CheCL run reads back what its native
+# run reads back.
+golden fig4_overhead
+
+echo "==> smoke: fleet scheduler sweep (golden diff, ~10 s)"
+# Sweeps 100 -> 10,000 admitted jobs; every cell verifies every
+# tenant bit-exact against an uninterrupted solo run, and the
+# scheduler's ops/event counter must stay flat across the sweep.
+golden fleet
+
 if [[ "$QUICK" -eq 0 ]]; then
-    echo "==> smoke: remote proxy, MPI scaling, Fig. 4 overhead (golden diff, ~2 min)"
-    # Fig. 4 holds the per-program forwarded-call and translation
-    # counts.
-    for b in ablation_remote fig6_mpi fig4_overhead; do
+    echo "==> smoke: remote proxy, MPI scaling (golden diff)"
+    for b in ablation_remote fig6_mpi; do
         golden "$b"
     done
-
-    echo "==> smoke: fleet scheduler sweep (golden diff, ~3 min)"
-    # Sweeps 100 -> 10,000 admitted jobs; every cell verifies every
-    # tenant bit-exact against an uninterrupted solo run, and the
-    # scheduler's ops/event counter must stay flat across the sweep.
-    golden fleet
 fi
 
 echo "==> golden invariants (perf, availability, reconciliation guards)"
