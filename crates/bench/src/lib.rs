@@ -6,10 +6,9 @@
 //! | binary                  | artifact |
 //! |-------------------------|----------|
 //! | `table1`                | Table I system specifications |
-//! | `fig4_overhead`         | Fig. 4 runtime overhead of CheCL vs native |
+//! | `fig4_fig8`             | Fig. 4 runtime overhead of CheCL vs native, and Fig. 8 migration cost, actual vs predicted, from one CheCL run and one migration per program |
 //! | `fig5_fig7`             | Fig. 5 checkpoint phase breakdown + file sizes, and Fig. 7 object-recreation breakdown, from one checkpoint and restart per program |
 //! | `fig6_mpi`              | Fig. 6 MPI MD global-snapshot times |
-//! | `fig8_migration`        | Fig. 8 migration cost, actual vs predicted |
 //! | `ablation_modes`        | §III-C delayed vs immediate checkpointing |
 //! | `ablation_incremental`  | §IV-D incremental checkpointing (future work) |
 //! | `ablation_procsel`      | §IV-C runtime processor selection via RAM disk |
@@ -108,7 +107,7 @@ pub fn eval_targets() -> Vec<EvalTarget> {
 pub const HARNESS_SCALE: f64 = 1.0;
 
 /// A workload run to completion.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Completed {
     /// Total virtual execution time.
     pub elapsed: SimDuration,
@@ -135,22 +134,19 @@ pub fn run_native(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<Com
     })
 }
 
-/// Run a workload under CheCL to completion.
-pub fn run_checl(w: &Workload, target: &EvalTarget, scale: f64) -> ClResult<Completed> {
-    let mut cluster = Cluster::with_standard_nodes(1);
+/// A workload launched under CheCL on node 0 of a 2-node cluster,
+/// before its first op; node 1 is free to restart or migrate it onto.
+pub fn launch_checl(w: &Workload, target: &EvalTarget, scale: f64) -> (Cluster, CheclSession) {
+    let mut cluster = Cluster::with_standard_nodes(2);
     let node = cluster.node_ids()[0];
-    let mut s = CheclSession::launch(
+    let s = CheclSession::launch(
         &mut cluster,
         node,
         (target.vendor)(),
         CheclConfig::default(),
         w.script(&target.cfg(scale)),
     );
-    s.run(&mut cluster, StopCondition::Completion)?;
-    Ok(Completed {
-        elapsed: s.elapsed(&cluster),
-        checksums: s.program.checksums,
-    })
+    (cluster, s)
 }
 
 /// A CheCL session paused right after its first kernel launch,
@@ -192,15 +188,7 @@ fn session_at_kernel(
     scale: f64,
     nth: u64,
 ) -> ClResult<(Cluster, CheclSession)> {
-    let mut cluster = Cluster::with_standard_nodes(2);
-    let node = cluster.node_ids()[0];
-    let mut s = CheclSession::launch(
-        &mut cluster,
-        node,
-        (target.vendor)(),
-        CheclConfig::default(),
-        w.script(&target.cfg(scale)),
-    );
+    let (mut cluster, mut s) = launch_checl(w, target, scale);
     s.run(&mut cluster, StopCondition::AfterKernel(nth))?;
     Ok((cluster, s))
 }
@@ -536,14 +524,70 @@ mod tests {
         assert!(t[1].device_mem < t[0].device_mem);
     }
 
+    /// Run a launched CheCL session to completion.
+    fn complete((mut cluster, mut s): (Cluster, CheclSession)) -> ClResult<Completed> {
+        s.run(&mut cluster, StopCondition::Completion)?;
+        Ok(Completed {
+            elapsed: s.elapsed(&cluster),
+            checksums: s.program.checksums,
+        })
+    }
+
     #[test]
     fn native_and_checl_runners_work() {
         let w = workload_by_name("oclVectorAdd").unwrap();
         let t = &eval_targets()[0];
         let native = run_native(&w, t, 1.0 / 128.0).unwrap();
-        let checl = run_checl(&w, t, 1.0 / 128.0).unwrap();
+        let checl = complete(launch_checl(&w, t, 1.0 / 128.0)).unwrap();
         assert!(checl.elapsed > native.elapsed);
         assert_eq!(checl.checksums, native.checksums);
+    }
+
+    /// A CheCL run alone on a 1-node cluster and one on node 0 of a
+    /// 2-node cluster ([`launch_checl`]) take the same virtual time and
+    /// read back the same bytes, or fail with the same error. Returns
+    /// whether they completed.
+    fn checl_runs_alike(w: &Workload, t: &EvalTarget, scale: f64) -> bool {
+        let mut cluster = Cluster::with_standard_nodes(1);
+        let node = cluster.node_ids()[0];
+        let s = CheclSession::launch(
+            &mut cluster,
+            node,
+            (t.vendor)(),
+            CheclConfig::default(),
+            w.script(&t.cfg(scale)),
+        );
+        let one = complete((cluster, s));
+        assert_eq!(
+            one,
+            complete(launch_checl(w, t, scale)),
+            "{} on {}",
+            w.name,
+            t.label
+        );
+        one.is_ok()
+    }
+
+    /// `fig4_fig8` takes Fig. 4's CheCL time from the run it then
+    /// migrates, on node 0 of a 2-node cluster; the figure means a run
+    /// alone on one node.
+    #[test]
+    fn checl_runs_alike_on_one_node_and_on_node_0_of_two() {
+        let targets = eval_targets();
+        for t in &targets {
+            for w in workloads::all_workloads() {
+                assert!(
+                    checl_runs_alike(&w, t, 1.0 / 128.0),
+                    "{} on {}",
+                    w.name,
+                    t.label
+                );
+            }
+        }
+        // At paper scale oclSortingNetworks's 512-wide work groups do
+        // not fit the Radeon, so both sides fail.
+        let sorting = workload_by_name("oclSortingNetworks").unwrap();
+        assert!(!checl_runs_alike(&sorting, &targets[1], HARNESS_SCALE));
     }
 
     #[test]

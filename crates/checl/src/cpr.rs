@@ -86,15 +86,6 @@ pub struct DedupStats {
     pub compress_ns: u64,
 }
 
-impl DedupStats {
-    /// Raw payload bytes per byte that hit storage this generation
-    /// (stream maps excluded). `None` while nothing was stored — a
-    /// fully deduplicated generation has no finite ratio.
-    pub fn dedup_ratio(&self) -> Option<f64> {
-        (self.stored_bytes > 0).then(|| self.raw_bytes as f64 / self.stored_bytes as f64)
-    }
-}
-
 /// Per-phase timing of one checkpoint — the Fig. 5 breakdown.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CheckpointReport {

@@ -287,11 +287,6 @@ impl<'a> Ocl<'a> {
         self.set_kernel_arg(kernel, index, ArgValue::scalar(v))
     }
 
-    /// `clSetKernelArg` declaring `__local` scratch memory.
-    pub fn set_arg_local(&mut self, kernel: Kernel, index: u32, size: u64) -> ClResult<()> {
-        self.set_kernel_arg(kernel, index, ArgValue::LocalMem(size))
-    }
-
     /// `clEnqueueNDRangeKernel`.
     pub fn enqueue_nd_range(
         &mut self,

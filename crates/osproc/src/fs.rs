@@ -14,7 +14,7 @@
 //! copy.
 
 use simcore::calib;
-use simcore::{Bandwidth, ByteSize, Fnv64, LinkModel, SimDuration, SimTime};
+use simcore::{ByteSize, Fnv64, LinkModel, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -352,12 +352,6 @@ impl Fs {
     /// All paths currently stored, in sorted order.
     pub fn list(&self) -> Vec<&str> {
         self.files.keys().map(String::as_str).collect()
-    }
-
-    /// The effective sequential write bandwidth (for cost prediction,
-    /// e.g. the α of the migration model in §IV-C).
-    pub fn write_bandwidth(&self) -> Bandwidth {
-        self.kind.write_link().bandwidth
     }
 }
 

@@ -71,14 +71,6 @@ impl LinkModel {
         LinkModel { latency, bandwidth }
     }
 
-    /// A link with no fixed latency.
-    pub fn pure_bandwidth(bandwidth: Bandwidth) -> Self {
-        LinkModel {
-            latency: SimDuration::ZERO,
-            bandwidth,
-        }
-    }
-
     /// Cost of one operation moving `size` bytes.
     pub fn cost(&self, size: ByteSize) -> SimDuration {
         self.latency + self.bandwidth.transfer_time(size)

@@ -161,19 +161,6 @@ impl B {
         r
     }
 
-    /// Buffer with explicit flags.
-    pub fn buffer_flags(&mut self, size: u64, flags: MemFlags, init: Option<BufInit>) -> Reg {
-        let r = self.alloc();
-        self.ops.push(Op::CreateBuffer {
-            context: self.ctx,
-            flags,
-            size,
-            init,
-            out: r,
-        });
-        r
-    }
-
     /// Create and build a corpus program.
     pub fn program(&mut self, name: &str) -> Reg {
         let r = self.alloc();

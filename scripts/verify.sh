@@ -80,11 +80,6 @@ done
 echo "==> smoke: pipelined checkpoint engine (golden diff)"
 golden ablation_pipeline
 
-echo "==> smoke: migration engines (golden diff)"
-# The bench itself asserts cross-vendor checksum equivalence between
-# the sequential and pipelined dump engines (nimbus → crimson).
-golden fig8_migration
-
 echo "==> smoke: self-healing supervisor (golden diff)"
 # Every supervised cell proves bit-exactness against a native run.
 golden ablation_supervisor
@@ -120,11 +115,14 @@ echo "==> smoke: gray-failure resilience + crash-point torture (golden diff)"
 # boundary and restores 100% of them before a row is written.
 golden ablation_gray
 
-echo "==> smoke: Fig. 4 overhead (golden diff, ~30 s)"
-# Fig. 4 holds the per-program forwarded-call and translation counts;
-# the binary asserts that every CheCL run reads back what its native
-# run reads back.
-golden fig4_overhead
+echo "==> smoke: Fig. 4 overhead + Fig. 8 migration (golden diff, ~40 s)"
+# One native run, one CheCL run and one migration of that CheCL run per
+# program and target feed both figures. The binary asserts that every
+# CheCL run reads back what its native run reads back, and that the
+# sequential and pipelined migration engines land the same checksums
+# across vendors (nimbus → crimson), pipelined faster on every
+# multi-buffer scenario.
+golden fig4_fig8
 
 echo "==> smoke: fleet scheduler sweep (golden diff, ~10 s)"
 # Sweeps 100 -> 10,000 admitted jobs; every cell verifies every
