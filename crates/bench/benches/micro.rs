@@ -106,7 +106,7 @@ fn scalar(v: u32) -> clkernels::ArgData {
 /// iteration sorts or transforms the same data.
 fn bench_kernels(filter: &str) {
     fn launch(name: &str, args: &mut [clkernels::ArgData]) {
-        clkernels::execute(name, [1, 1, 1], black_box(args)).unwrap();
+        clkernels::execute(name, black_box(args)).unwrap();
     }
     const N: u32 = 262_144;
     let mut g = simcore::qcheck::Gen::new(0x50_47);
@@ -183,7 +183,7 @@ fn bench_kernels(filter: &str) {
 /// executing it.
 fn bench_relaunch(filter: &str, args: &[clkernels::ArgData]) {
     use clspec::types::{MemFlags, NDRange, QueueProps};
-    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus());
+    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
     let mut now = SimTime::ZERO;
     let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
     let platform = ocl.get_platform_ids().unwrap()[0];

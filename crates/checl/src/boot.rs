@@ -13,23 +13,52 @@ use clspec::api::ClApi as _;
 use osproc::{Cluster, Pid, Pipe};
 use simcore::{calib, telemetry};
 
-/// Name the app and proxy tracks for trace exports.
-fn name_tracks(app_pid: Pid, proxy_pid: Pid, vendor_name: &str, flavor: &str) {
-    if telemetry::enabled() {
-        telemetry::name_process(app_pid.0 as u64, &format!("app {app_pid} ({flavor})"));
-        telemetry::name_process(
-            proxy_pid.0 as u64,
-            &format!("api-proxy {proxy_pid} ({vendor_name})"),
-        );
-    }
-}
-
 /// A CheCL shim bound to an application process, with its proxy forked.
 pub struct BootedChecl {
     /// The shim (implements `ClApi`).
     pub lib: ChecLib,
     /// The application process.
     pub app_pid: Pid,
+}
+
+/// Load the vendor driver into process `host`: its handles carry the
+/// host's pid, and its device regions are mapped into the host's
+/// address space.
+fn load_driver(cluster: &mut Cluster, host: Pid, vendor: VendorConfig) -> Driver {
+    let driver = Driver::new(vendor, host);
+    let p = cluster.process_mut(host);
+    p.bound_opencl = Some("native".to_string());
+    for (device, size) in driver.device_files() {
+        p.map_device(device, size);
+    }
+    driver
+}
+
+/// Load the vendor driver into the proxy at `pipe`'s far end and attach
+/// it to `lib`, which the application at the near end has loaded as
+/// `flavor`.
+fn attach(
+    cluster: &mut Cluster,
+    lib: &mut ChecLib,
+    pipe: Pipe,
+    vendor: VendorConfig,
+    flavor: &str,
+) {
+    let (app_pid, proxy_pid) = (pipe.a, pipe.b);
+    let driver = load_driver(cluster, proxy_pid, vendor);
+    cluster.process_mut(app_pid).bound_opencl = Some(flavor.to_string());
+    if telemetry::enabled() {
+        telemetry::name_process(app_pid.0 as u64, &format!("app {app_pid} ({flavor})"));
+        telemetry::name_process(
+            proxy_pid.0 as u64,
+            &format!("api-proxy {proxy_pid} ({})", driver.impl_name()),
+        );
+    }
+    lib.attach_proxy(ProxyLink {
+        driver,
+        pipe,
+        proxy_pid,
+    });
 }
 
 /// Simulate the application process loading the CheCL `libOpenCL.so`:
@@ -46,23 +75,9 @@ pub fn boot_checl(
     config: CheclConfig,
 ) -> BootedChecl {
     let proxy_pid = cluster.fork(app_pid, calib::checl_init_overhead());
-    let driver = Driver::new(vendor);
-    {
-        let proxy = cluster.process_mut(proxy_pid);
-        proxy.bound_opencl = Some("native".to_string());
-        for (device, size) in driver.device_files() {
-            proxy.map_device(device, size);
-        }
-    }
-    cluster.process_mut(app_pid).bound_opencl = Some("checl".to_string());
-    name_tracks(app_pid, proxy_pid, driver.impl_name().as_str(), "checl");
-    let pipe = Pipe::new(app_pid, proxy_pid);
     let mut lib = ChecLib::new(config);
-    lib.attach_proxy(ProxyLink {
-        driver,
-        pipe,
-        proxy_pid,
-    });
+    let pipe = Pipe::new(app_pid, proxy_pid);
+    attach(cluster, &mut lib, pipe, vendor, "checl");
     BootedChecl { lib, app_pid }
 }
 
@@ -86,28 +101,9 @@ pub fn boot_checl_remote(
     // than forked; connection setup replaces the fork cost.
     let proxy_pid = cluster.spawn(gpu_node);
     cluster.process_mut(app_pid).clock += calib::checl_init_overhead();
-    let driver = Driver::new(vendor);
-    {
-        let proxy = cluster.process_mut(proxy_pid);
-        proxy.bound_opencl = Some("native".to_string());
-        for (device, size) in driver.device_files() {
-            proxy.map_device(device, size);
-        }
-    }
-    cluster.process_mut(app_pid).bound_opencl = Some("checl-remote".to_string());
-    name_tracks(
-        app_pid,
-        proxy_pid,
-        driver.impl_name().as_str(),
-        "checl-remote",
-    );
-    let pipe = Pipe::with_link(app_pid, proxy_pid, calib::gige_link());
     let mut lib = ChecLib::new(config);
-    lib.attach_proxy(ProxyLink {
-        driver,
-        pipe,
-        proxy_pid,
-    });
+    let pipe = Pipe::with_link(app_pid, proxy_pid, calib::gige_link());
+    attach(cluster, &mut lib, pipe, vendor, "checl-remote");
     BootedChecl { lib, app_pid }
 }
 
@@ -117,34 +113,14 @@ pub fn boot_checl_remote(
 pub fn refork_proxy(cluster: &mut Cluster, lib: &mut ChecLib, app_pid: Pid, vendor: VendorConfig) {
     assert!(!lib.has_proxy(), "refork with a live proxy");
     let proxy_pid = cluster.fork(app_pid, calib::checl_init_overhead());
-    let driver = Driver::new(vendor);
-    {
-        let proxy = cluster.process_mut(proxy_pid);
-        proxy.bound_opencl = Some("native".to_string());
-        for (device, size) in driver.device_files() {
-            proxy.map_device(device, size);
-        }
-    }
-    name_tracks(app_pid, proxy_pid, driver.impl_name().as_str(), "checl");
-    let pipe = Pipe::new(app_pid, proxy_pid);
-    lib.attach_proxy(ProxyLink {
-        driver,
-        pipe,
-        proxy_pid,
-    });
+    attach(cluster, lib, Pipe::new(app_pid, proxy_pid), vendor, "checl");
 }
 
 /// Simulate the application loading the *native* vendor library
 /// directly (no CheCL): the device mappings land in the application
 /// process itself, which is exactly why plain BLCR then fails (§II).
 pub fn boot_native(cluster: &mut Cluster, app_pid: Pid, vendor: VendorConfig) -> Driver {
-    let driver = Driver::new(vendor);
-    let p = cluster.process_mut(app_pid);
-    p.bound_opencl = Some("native".to_string());
-    for (device, size) in driver.device_files() {
-        p.map_device(device, size);
-    }
-    driver
+    load_driver(cluster, app_pid, vendor)
 }
 
 /// Kill the API proxy process and drop its driver (all vendor objects

@@ -107,9 +107,6 @@ pub struct ChecLib {
     pub db: CheclDb,
     config: CheclConfig,
     stats: CheclStats,
-    /// Forwarded calls per OpenCL entry point (for overhead analysis:
-    /// the "API-chatty" programs of Fig. 4 show up here).
-    call_histogram: std::collections::BTreeMap<&'static str, u64>,
     proxy: Option<ProxyLink>,
     /// The app↔proxy pipe has failed (SIGPIPE territory). Set by fault
     /// injection; cleared when a fresh proxy is attached. Not part of
@@ -157,7 +154,6 @@ impl ChecLib {
             db: CheclDb::new(),
             config,
             stats: CheclStats::default(),
-            call_histogram: std::collections::BTreeMap::new(),
             proxy: None,
             pipe_broken: false,
             sig_cache: std::collections::HashMap::new(),
@@ -210,11 +206,6 @@ impl ChecLib {
         self.stats
     }
 
-    /// Forwarded calls per OpenCL entry point.
-    pub fn call_histogram(&self) -> &std::collections::BTreeMap<&'static str, u64> {
-        &self.call_histogram
-    }
-
     /// Configuration in force.
     pub fn config(&self) -> CheclConfig {
         self.config
@@ -252,7 +243,6 @@ impl ChecLib {
                 },
             },
             stats: CheclStats::default(),
-            call_histogram: std::collections::BTreeMap::new(),
             proxy: None,
             pipe_broken: false,
             sig_cache: std::collections::HashMap::new(),
@@ -275,14 +265,10 @@ impl ChecLib {
             return Err(ClError::DeviceNotAvailable);
         }
         let link = self.proxy.as_mut().ok_or(ClError::DeviceNotAvailable)?;
-        // Single bookkeeping site for the per-entry-point histogram:
-        // the in-process map is always on, and the same increment is
-        // mirrored into the telemetry counter registry when a sink is
-        // installed.
-        let api = req.api_name();
-        *self.call_histogram.entry(api).or_insert(0) += 1;
+        // Forwarded calls per OpenCL entry point (the "API-chatty"
+        // programs of Fig. 4 show up here), counted while recording.
         if telemetry::enabled() {
-            telemetry::counter_add(&format!("checl.calls.{api}"), 1);
+            telemetry::counter_add(&format!("checl.calls.{}", req.api_name()), 1);
         }
         let req_size = req.wire_size();
         link.pipe.transfer(now, req_size);

@@ -18,7 +18,7 @@ fn on_both(check: impl Fn(&mut Ocl<'_>, Context, CommandQueue)) {
     let mut cluster = Cluster::with_standard_nodes(1);
     let app = cluster.spawn(cluster.node_ids()[0]);
     let mut shim = boot_checl(&mut cluster, app, nimbus(), CheclConfig::default());
-    let mut native = Driver::new(nimbus());
+    let mut native = Driver::new(nimbus(), app);
     let apis: [&mut dyn ClApi; 2] = [&mut native, &mut shim.lib];
     for api in apis {
         let mut now = cluster.process(app).clock;

@@ -374,14 +374,6 @@ fn patch(lib: &mut ChecLib, now: &mut simcore::SimTime, app: &App, mem: Mem) {
     ocl.finish(app.queue).unwrap();
 }
 
-/// Device reads the shim forwarded so far.
-fn reads(lib: &ChecLib) -> u64 {
-    lib.call_histogram()
-        .get("clEnqueueReadBuffer")
-        .copied()
-        .unwrap_or(0)
-}
-
 /// Take one dedup snapshot at `path`, returning the dedup stats and
 /// how many device reads it forwarded.
 fn dedup_gen(
@@ -390,10 +382,14 @@ fn dedup_gen(
     pid: osproc::Pid,
     path: &str,
 ) -> (checl::DedupStats, u64) {
-    let before = reads(lib);
+    simcore::telemetry::start_recording();
     let out = checl::snapshot(lib, cluster, pid, path, &CprPolicy::pipelined().dedup(true))
         .unwrap_or_else(|e| panic!("dedup snapshot at {path} failed: {e}"));
-    (out.report.dedup.expect("dedup stats"), reads(lib) - before)
+    let calls = simcore::telemetry::stop_recording().unwrap().metrics;
+    (
+        out.report.dedup.expect("dedup stats"),
+        calls.counter("checl.calls.clEnqueueReadBuffer"),
+    )
 }
 
 /// Kill the app, restore `path` and return its device-state checksum.

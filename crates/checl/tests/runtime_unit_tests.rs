@@ -180,18 +180,18 @@ fn ipc_accounting_scales_with_transfer_size() {
 }
 
 #[test]
-fn call_histogram_names_forwarded_entry_points() {
+fn call_counters_name_forwarded_entry_points() {
     let mut cluster = Cluster::with_standard_nodes(1);
     let (mut b, app) = booted(&mut cluster);
     let mut now = cluster.process(app).clock;
+    simcore::telemetry::start_recording();
     let mut ocl = Ocl::new(&mut b.lib, &mut now);
     let p = ocl.get_platform_ids().unwrap();
     ocl.get_platform_info(p[0]).unwrap();
     ocl.get_platform_info(p[0]).unwrap();
-    let _ = ocl;
-    let hist = b.lib.call_histogram();
-    assert_eq!(hist["clGetPlatformIDs"], 1);
-    assert_eq!(hist["clGetPlatformInfo"], 2);
+    let calls = simcore::telemetry::stop_recording().unwrap().metrics;
+    assert_eq!(calls.counter("checl.calls.clGetPlatformIDs"), 1);
+    assert_eq!(calls.counter("checl.calls.clGetPlatformInfo"), 2);
 }
 
 // ---------------------------------------------------------------------

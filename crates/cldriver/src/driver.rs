@@ -2,7 +2,7 @@
 
 use crate::device::DeviceProfile;
 use crate::vendor::{VendorConfig, VendorKind, BINARY_VERSION};
-use clkernels::{execute, kernel_cost_spec, rerun_safe, ArgData};
+use clkernels::{ArgData, KernelEntry};
 use clspec::api::{ApiRequest, ApiResponse, ClApi, RefOp};
 use clspec::error::{ClError, ClResult};
 use clspec::handles::{
@@ -14,20 +14,11 @@ use clspec::types::{
     byte_span, image2d_bytes, ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo,
     QueueProps, SamplerDesc,
 };
+use osproc::Pid;
 use simcore::codec::{decode_framed, encode_framed};
 use simcore::{telemetry, ByteSize, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::mem;
-
-std::thread_local! {
-    /// Each driver instance salts its handles so that re-creating an
-    /// object after restart yields a *different* handle value — the
-    /// behaviour that forces CheCL to keep its own stable handles
-    /// (§III-B). The count is per thread, so a run's handles (and the
-    /// dump bytes that hold them) do not depend on how many drivers
-    /// other threads, such as concurrent tests, loaded first.
-    static INSTANCE_SALT: std::cell::Cell<u64> = const { std::cell::Cell::new(1) };
-}
 
 /// Cumulative driver statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -194,11 +185,13 @@ pub struct Driver {
 }
 
 impl Driver {
-    /// Load a driver instance for the given vendor.
-    pub fn new(cfg: VendorConfig) -> Self {
-        let salt = INSTANCE_SALT.with(|n| n.replace(n.get() + 1)) & 0xffff;
+    /// Load a driver for the given vendor into process `host`. Its
+    /// handles carry the low 16 bits of `host`'s pid, so an object that
+    /// a restart re-creates through a new proxy (§III-C) gets a
+    /// *different* handle value: why CheCL keeps its own (§III-B).
+    pub fn new(cfg: VendorConfig, host: Pid) -> Self {
         let mut d = Driver {
-            salt,
+            salt: u64::from(host.0) & 0xffff,
             platform: RawHandle::NULL,
             devices: Vec::new(),
             contexts: BTreeMap::new(),
@@ -255,8 +248,8 @@ impl Driver {
 
     fn fresh_handle(&mut self) -> RawHandle {
         self.next_serial += 1;
-        // vendor id | instance salt | scrambled serial: distinct across
-        // instances and never equal to a small scalar.
+        // vendor id | host pid salt | scrambled serial: distinct across
+        // processes and never equal to a small scalar.
         let scrambled = self.next_serial.wrapping_mul(0x9e37_79b9) & 0xffff_ffff;
         RawHandle(((self.cfg.kind.id() as u64) << 56) | (self.salt << 40) | (scrambled << 4) | 0x8)
     }
@@ -311,9 +304,10 @@ impl Driver {
         Ok(end)
     }
 
-    /// Salt-free 32-bit serial of a vendor handle, stable across runs
-    /// (the instance salt in the upper bits counts the drivers loaded
-    /// before, and would break trace determinism).
+    /// The 32-bit serial of a vendor handle, without the host-pid salt.
+    /// The trace track already names the application process; without
+    /// the salt, a queue that a restarted proxy re-creates in the same
+    /// order keeps its tid.
     fn stable_id(h: RawHandle) -> u64 {
         (h.0 >> 4) & 0xffff_ffff
     }
@@ -856,7 +850,7 @@ impl Driver {
                 })
     }
 
-    /// Run kernel `name` over validated `args`, lending it the bytes of
+    /// Run kernel `entry` over validated `args`, lending it the bytes of
     /// the buffers in `lent`, and stamp the kernel with the launch when
     /// it ran and is rerun-safe.
     ///
@@ -872,7 +866,7 @@ impl Driver {
     fn execute_kernel(
         &mut self,
         kernel: Kernel,
-        name: &str,
+        entry: KernelEntry,
         global: [u64; 3],
         mut args: Vec<ArgData>,
         lent: LentList,
@@ -886,7 +880,7 @@ impl Driver {
                 }
             };
         }
-        let ran = execute(name, global, &mut args);
+        let ran = entry.run(&mut args);
         // Put every lent buffer back, in argument order, on success and
         // failure alike.
         let mut stamped = Vec::with_capacity(lent.len());
@@ -897,7 +891,7 @@ impl Driver {
                 stamped.push((buf_h, buf.version));
             }
         }
-        let stamp = (ran.is_ok() && rerun_safe(name)).then_some(LaunchStamp {
+        let stamp = (ran.is_ok() && entry.rerun_safe).then_some(LaunchStamp {
             global,
             buffers: stamped,
         });
@@ -927,9 +921,10 @@ impl Driver {
                 return Err(ClError::InvalidWorkGroupSize);
             }
         }
-        let name = self.kernel(kernel)?.sig.name.clone();
+        let entry = clkernels::lookup(&self.kernel(kernel)?.sig.name);
         let deps = self.wait_list_end(wait_list)?;
         let (args, lent) = self.resolve_args(kernel)?;
+        let entry = entry.ok_or(ClError::InvalidKernelName)?;
         // A rerun-safe kernel relaunched over buffers nothing has written
         // since its last launch would write the bytes they hold: only
         // the execution is skipped, and the launch is validated,
@@ -937,7 +932,7 @@ impl Driver {
         if self.unchanged_since_last_launch(kernel, global.sizes, &lent) {
             self.stats.kernels_elided += 1;
         } else {
-            self.execute_kernel(kernel, &name, global.sizes, args, lent)
+            self.execute_kernel(kernel, entry, global.sizes, args, lent)
                 .map_err(|e| match e {
                     clkernels::ExecError::UnknownKernel(_) => ClError::InvalidKernelName,
                     clkernels::ExecError::ArgCount { .. } => ClError::InvalidKernelArgs,
@@ -946,9 +941,9 @@ impl Driver {
                 })?;
         }
 
-        let spec = kernel_cost_spec(&name);
         let items = global.total();
-        let duration = profile.kernel_time(spec.total_flops(items), spec.total_bytes(items))
+        let cost = entry.cost;
+        let duration = profile.kernel_time(cost.total_flops(items), cost.total_bytes(items))
             + profile.launch_overhead;
         let (event, _end) =
             self.schedule(queue, *now, EngineKind::Compute, duration, deps, "kernel")?;

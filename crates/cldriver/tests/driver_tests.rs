@@ -6,6 +6,7 @@ use clspec::api::ClApi;
 use clspec::error::ClError;
 use clspec::types::{ArgValue, DeviceType, EventStatus, MemFlags, NDRange, QueueProps};
 use clspec::{Context, DeviceId, Mem, Ocl};
+use osproc::Pid;
 use simcore::{SimDuration, SimTime};
 
 /// Standard setup: platform → device → context → queue.
@@ -39,7 +40,7 @@ fn to_f32(bytes: &[u8]) -> Vec<f32> {
 
 #[test]
 fn end_to_end_vector_add() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -92,7 +93,7 @@ fn end_to_end_vector_add() {
 
 #[test]
 fn clock_advances_with_work() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let after_setup = now;
@@ -111,7 +112,7 @@ fn clock_advances_with_work() {
 
 #[test]
 fn queue_serializes_kernels() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -151,7 +152,7 @@ fn queue_serializes_kernels() {
 
 #[test]
 fn wait_list_orders_across_queues() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, dev, q1) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -186,7 +187,7 @@ fn wait_list_orders_across_queues() {
 
 #[test]
 fn marker_completes_with_queue() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (_ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -197,21 +198,21 @@ fn marker_completes_with_queue() {
 
 #[test]
 fn handles_differ_between_driver_instances() {
-    let mut d1 = Driver::new(nimbus());
-    let mut d2 = Driver::new(nimbus());
+    let mut d1 = Driver::new(nimbus(), Pid(1));
+    let mut d2 = Driver::new(nimbus(), Pid(2));
     let mut t1 = SimTime::ZERO;
     let mut t2 = SimTime::ZERO;
     let (ctx1, ..) = setup(&mut d1, &mut t1, DeviceType::Gpu);
     let (ctx2, ..) = setup(&mut d2, &mut t2, DeviceType::Gpu);
-    // Same creation sequence, different handle values: the reason CheCL
-    // cannot hand vendor handles to the application.
+    // Same creation sequence in two processes, different handle values:
+    // the reason CheCL cannot hand vendor handles to the application.
     assert_ne!(ctx1.raw(), ctx2.raw());
 }
 
 #[test]
 fn crimson_exposes_cpu_device_nimbus_does_not() {
-    let mut nim = Driver::new(nimbus());
-    let mut cri = Driver::new(crimson());
+    let mut nim = Driver::new(nimbus(), Pid(1));
+    let mut cri = Driver::new(crimson(), Pid(1));
     let mut now = SimTime::ZERO;
     let mut ocl = Ocl::new(&mut nim, &mut now);
     let p = ocl.get_platform_ids().unwrap()[0];
@@ -234,7 +235,7 @@ fn radeon_rejects_oversized_work_groups() {
     // oclSortingNetworks "can run on the CPU but not on the AMD GPU,
     // because the number of work items in the x-dimension of a work
     // group is limited to 256 in the AMD GPU and to 1024 in the CPU".
-    let mut drv = Driver::new(crimson());
+    let mut drv = Driver::new(crimson(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -256,7 +257,7 @@ fn radeon_rejects_oversized_work_groups() {
         .unwrap_err();
     assert_eq!(err, ClError::InvalidWorkGroupSize);
     // The CPU device accepts the same launch.
-    let mut drv2 = Driver::new(crimson());
+    let mut drv2 = Driver::new(crimson(), Pid(1));
     let mut now2 = SimTime::ZERO;
     let (ctx2, _d2, q2) = setup(&mut drv2, &mut now2, DeviceType::Cpu);
     let mut ocl2 = Ocl::new(&mut drv2, &mut now2);
@@ -278,7 +279,7 @@ fn radeon_rejects_oversized_work_groups() {
 fn device_memory_capacity_enforced() {
     // Radeon HD5870 has 1 GB: a 1.5 GB buffer must fail, and the
     // failure is how oclFDTD3d sizes itself down on the AMD GPU.
-    let mut drv = Driver::new(crimson());
+    let mut drv = Driver::new(crimson(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, ..) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -301,7 +302,7 @@ fn device_memory_capacity_enforced() {
 
 #[test]
 fn program_binary_roundtrip_same_vendor_only() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, dev, _q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -321,7 +322,7 @@ fn program_binary_roundtrip_same_vendor_only() {
     ocl.create_kernel(prog2, "vec_add").unwrap();
 
     // Other vendor: rejected as an invalid binary.
-    let mut other = Driver::new(crimson());
+    let mut other = Driver::new(crimson(), Pid(1));
     let mut now2 = SimTime::ZERO;
     let (ctx2, dev2, _) = setup(&mut other, &mut now2, DeviceType::Gpu);
     let mut ocl2 = Ocl::new(&mut other, &mut now2);
@@ -336,7 +337,7 @@ fn program_binary_roundtrip_same_vendor_only() {
 fn crimson_builds_slower_than_nimbus() {
     let src = clkernels::program_source("mri_fhd").unwrap().source;
     let time_build = |cfg: cldriver::VendorConfig| {
-        let mut drv = Driver::new(cfg);
+        let mut drv = Driver::new(cfg, Pid(1));
         let mut now = SimTime::ZERO;
         let (ctx, ..) = setup(&mut drv, &mut now, DeviceType::Gpu);
         let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -352,7 +353,7 @@ fn crimson_builds_slower_than_nimbus() {
 
 #[test]
 fn stale_handles_are_rejected() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -375,7 +376,7 @@ fn stale_handles_are_rejected() {
 
 #[test]
 fn kernel_arg_validation() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -410,7 +411,7 @@ fn kernel_arg_validation() {
 
 #[test]
 fn unbuilt_program_cannot_make_kernels() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, ..) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -424,7 +425,7 @@ fn unbuilt_program_cannot_make_kernels() {
 
 #[test]
 fn profiling_timestamps_are_ordered() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -442,17 +443,17 @@ fn profiling_timestamps_are_ordered() {
 
 #[test]
 fn device_files_reported_for_mapping() {
-    let drv = Driver::new(nimbus());
+    let drv = Driver::new(nimbus(), Pid(1));
     let files = drv.device_files();
     assert_eq!(files.len(), 1);
     assert_eq!(files[0].0, "/dev/nimbus0");
-    let crim = Driver::new(crimson());
+    let crim = Driver::new(crimson(), Pid(1));
     assert_eq!(crim.device_files().len(), 2);
 }
 
 #[test]
 fn stats_track_activity() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -470,7 +471,7 @@ fn stats_track_activity() {
 
 #[test]
 fn offset_reads_and_writes() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -492,7 +493,7 @@ fn offset_reads_and_writes() {
 
 #[test]
 fn copy_buffer_moves_device_data() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -520,7 +521,7 @@ fn cpu_device_transfers_have_no_pcie_cost() {
     // PCIe round trip; assert CPU is faster.
     let size = 8 * 1024 * 1024u64;
     let run = |dt: DeviceType| {
-        let mut drv = Driver::new(crimson());
+        let mut drv = Driver::new(crimson(), Pid(1));
         let mut now = SimTime::ZERO;
         let (ctx, _dev, q) = setup(&mut drv, &mut now, dt);
         let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -542,7 +543,7 @@ fn out_of_order_queue_overlaps_compute_and_dma() {
     // the read (DMA engine) overlaps the kernel (compute engine)
     // because nothing orders them.
     let run = |ooo: bool| {
-        let mut drv = Driver::new(nimbus());
+        let mut drv = Driver::new(nimbus(), Pid(1));
         let mut now = SimTime::ZERO;
         let (ctx, dev, _q0) = setup(&mut drv, &mut now, DeviceType::Gpu);
         let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -589,7 +590,7 @@ fn out_of_order_queue_overlaps_compute_and_dma() {
     // clFinish still waited for both.
     assert!(finish >= k_ooo.end && finish >= r_ooo.end);
     // And an explicit wait list restores ordering even on an OOO queue.
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, dev, _q0) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -619,7 +620,7 @@ fn out_of_order_queue_overlaps_compute_and_dma() {
 
 #[test]
 fn image2d_end_to_end_with_sampler() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -691,7 +692,7 @@ fn launch_over(
     binds: &[usize],
     scalars: &[ArgValue],
 ) -> (Result<(), ClError>, Vec<Vec<f32>>) {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -794,7 +795,7 @@ fn vec_add_launched_once() -> (
     clspec::Kernel,
     [Mem; 3],
 ) {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -923,7 +924,7 @@ fn a_relaunch_runs_again_after_anything_touches_its_buffers() {
 
 #[test]
 fn an_elidable_relaunch_still_validates_its_sampler() {
-    let mut drv = Driver::new(nimbus());
+    let mut drv = Driver::new(nimbus(), Pid(1));
     let mut now = SimTime::ZERO;
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -976,7 +977,7 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
     const BUFS: usize = 4;
     let mut elided = 0;
     simcore::qcheck::qcheck("elision_model", 48, |g| {
-        let mut drv = Driver::new(nimbus());
+        let mut drv = Driver::new(nimbus(), Pid(1));
         let mut now = SimTime::ZERO;
         let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
         let mut ocl = Ocl::new(&mut drv, &mut now);
@@ -1038,7 +1039,7 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
                         ArgValue::Bytes(b) => clkernels::ArgData::Scalar(b.clone()),
                         other => panic!("not a scalar: {other:?}"),
                     }));
-                    clkernels::execute(specs[ki].1, [4, 1, 1], &mut args).unwrap();
+                    clkernels::execute(specs[ki].1, &mut args).unwrap();
                     for (i, &b) in binds.iter().enumerate() {
                         model[b] = args[i].buffer().unwrap().to_vec();
                     }

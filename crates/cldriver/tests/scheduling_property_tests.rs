@@ -5,6 +5,7 @@ use cldriver::vendor::nimbus;
 use cldriver::Driver;
 use clspec::types::{DeviceType, MemFlags, NDRange, QueueProps};
 use clspec::Ocl;
+use osproc::Pid;
 use simcore::qcheck::{qcheck, Gen};
 use simcore::SimTime;
 
@@ -22,7 +23,7 @@ fn gen_launches(g: &mut Gen) -> Vec<u32> {
 fn in_order_queue_never_overlaps() {
     qcheck("in_order_queue_never_overlaps", 32, |g| {
         let sizes = gen_launches(g);
-        let mut drv = Driver::new(nimbus());
+        let mut drv = Driver::new(nimbus(), Pid(1));
         let mut now = SimTime::ZERO;
         let mut ocl = Ocl::new(&mut drv, &mut now);
         let p = ocl.get_platform_ids().unwrap();
@@ -74,7 +75,7 @@ fn memory_accounting_balances() {
         let plan: Vec<(u64, bool)> = (0..g.usize_in(1, 30))
             .map(|_| (g.range(1, 512), g.bool()))
             .collect();
-        let mut drv = Driver::new(nimbus());
+        let mut drv = Driver::new(nimbus(), Pid(1));
         let mut now = SimTime::ZERO;
         let mut ocl = Ocl::new(&mut drv, &mut now);
         let p = ocl.get_platform_ids().unwrap();
@@ -112,7 +113,7 @@ fn memory_accounting_balances() {
 fn wait_list_chains() {
     qcheck("wait_list_chains", 48, |g| {
         let hops: Vec<u8> = (0..g.usize_in(1, 8)).map(|_| g.range(0, 2) as u8).collect();
-        let mut drv = Driver::new(nimbus());
+        let mut drv = Driver::new(nimbus(), Pid(1));
         let mut now = SimTime::ZERO;
         let mut ocl = Ocl::new(&mut drv, &mut now);
         let p = ocl.get_platform_ids().unwrap();

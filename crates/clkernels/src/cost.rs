@@ -3,8 +3,8 @@
 //! A launch's duration is derived from the kernel's arithmetic
 //! intensity and the device's capability profile (the roofline model):
 //! `time = max(flops/device_flops, bytes/device_bw) + launch_overhead`.
-//! Devices live in `cldriver`; this module only knows the per-work-item
-//! demands of each kernel.
+//! Devices live in `cldriver`; each kernel's per-work-item demands sit
+//! in its row of the engine's kernel table, next to its body.
 //!
 //! Calibration note: the per-item numbers model the *paper-scale*
 //! problem sizes and achieved (not peak) device efficiency, so that
@@ -25,6 +25,15 @@ pub struct CostSpec {
 }
 
 impl CostSpec {
+    /// A work item that does `flops` (scaled by [`PAPER_FLOP_SCALE`])
+    /// and touches `bytes`.
+    pub(crate) fn scaled(flops: f64, bytes: f64) -> Self {
+        CostSpec {
+            flops_per_item: flops * PAPER_FLOP_SCALE,
+            bytes_per_item: bytes,
+        }
+    }
+
     /// Total flops for a launch of `items` work items.
     pub fn total_flops(&self, items: u64) -> f64 {
         self.flops_per_item * items as f64
@@ -36,61 +45,6 @@ impl CostSpec {
     }
 }
 
-/// Look up the cost spec of a kernel by name. Unknown kernels get a
-/// conservative default so experimental kernels still schedule.
-pub fn kernel_cost_spec(name: &str) -> CostSpec {
-    if name.starts_with("rate_") {
-        // S3D reaction-rate kernels: a short polynomial per item, but
-        // evaluated for a full chemistry grid.
-        return CostSpec {
-            flops_per_item: 200_000.0 * PAPER_FLOP_SCALE,
-            bytes_per_item: 64.0,
-        };
-    }
-    let (flops, bytes) = match name {
-        "vec_add" => (2_500.0, 192.0),
-        "triad" => (2_000.0, 256.0),
-        "copy_buf" => (0.0, 2_000.0),
-        "null_kernel" => (0.0, 0.0),
-        // MaxFlops is deliberately compute-bound and long-running: the
-        // benchmark whose checkpoint is dominated by the
-        // synchronisation phase in Fig. 5.
-        "max_flops" => (100_000.0, 8.0),
-        "reduce_sum" => (14_000.0, 64.0),
-        "scan_exclusive" => (140_000.0, 128.0),
-        "bitonic_sort" => (900_000.0, 256.0),
-        "radix_sort" => (40_000.0, 512.0),
-        "transpose" => (0.0, 2_000.0),
-        "matmul" => (2_300_000.0, 4_096.0),
-        "sgemm" => (2_300_000.0, 4_096.0),
-        "matvec" => (36_000_000.0, 8_192.0),
-        "black_scholes" => (110_000.0, 448.0),
-        "dot_product" => (300_000.0, 576.0),
-        "conv_rows" => (110_000.0, 320.0),
-        "conv_cols" => (110_000.0, 320.0),
-        "dct8x8" => (430_000.0, 128.0),
-        "dxt_compress" => (4_500_000.0, 1_152.0),
-        "histogram64" => (20_000.0, 128.0),
-        "mersenne_twister" => (7_000_000.0, 1_088.0),
-        "quasirandom" => (15_000.0, 64.0),
-        "fdtd3d" => (40_000.0, 512.0),
-        "stencil2d" => (50_000.0, 640.0),
-        "md_forces" => (1_500_000.0, 3_520.0),
-        "fft_radix2" => (350_000.0, 256.0),
-        "cp_potential" => (400_000.0, 64.0),
-        "mri_fhd" => (50_000_000.0, 128.0),
-        "mri_q" => (40_000_000.0, 128.0),
-        "sampler_scale" => (1_000.0, 64.0),
-        "consume" => (100.0, 16.0),
-        "image_scale" => (2_000.0, 512.0),
-        _ => (16_000.0, 256.0),
-    };
-    CostSpec {
-        flops_per_item: flops * PAPER_FLOP_SCALE,
-        bytes_per_item: bytes,
-    }
-}
-
 /// Uniform factor applied to per-item flops so kernel phases dominate
 /// the fixed CheCL costs the way the paper's full-size runs do.
 const PAPER_FLOP_SCALE: f64 = 2.0;
@@ -99,35 +53,33 @@ const PAPER_FLOP_SCALE: f64 = 2.0;
 mod tests {
     use super::*;
 
+    fn cost_of(name: &str) -> CostSpec {
+        crate::engine::lookup(name).unwrap().cost
+    }
+
     #[test]
     fn totals_scale_linearly() {
-        let s = kernel_cost_spec("vec_add");
+        let s = cost_of("vec_add");
         assert_eq!(s.total_flops(1000), 2_500_000.0 * PAPER_FLOP_SCALE);
         assert_eq!(s.total_bytes(1000), 192_000.0);
     }
 
     #[test]
     fn max_flops_is_compute_bound() {
-        let s = kernel_cost_spec("max_flops");
+        let s = cost_of("max_flops");
         assert!(s.flops_per_item / s.bytes_per_item > 100.0);
     }
 
     #[test]
     fn copy_is_memory_bound() {
-        let s = kernel_cost_spec("copy_buf");
+        let s = cost_of("copy_buf");
         assert_eq!(s.flops_per_item, 0.0);
         assert!(s.bytes_per_item > 0.0);
     }
 
     #[test]
     fn s3d_rates_share_spec() {
-        assert_eq!(kernel_cost_spec("rate_0"), kernel_cost_spec("rate_26"));
-    }
-
-    #[test]
-    fn unknown_kernel_gets_default() {
-        let s = kernel_cost_spec("mystery");
-        assert!(s.flops_per_item > 0.0 && s.bytes_per_item > 0.0);
+        assert_eq!(cost_of("rate_0"), cost_of("rate_26"));
     }
 
     #[test]
@@ -135,7 +87,7 @@ mod tests {
         // A 256x256 matmul launch (65536 items) should land in the
         // tens-of-ms range on a ~1 Tflop/s device: kernels dwarf the
         // 80 ms CheCL init in aggregate, as in the paper's programs.
-        let s = kernel_cost_spec("matmul");
+        let s = cost_of("matmul");
         let secs = s.total_flops(16384) / 933e9;
         assert!((0.01..0.2).contains(&secs), "matmul launch {secs}s");
     }

@@ -23,16 +23,14 @@
 //! tested against a copy of the loop it replaced.
 
 use crate::args::{ArgData, ExecError};
+use crate::cost::CostSpec;
 use crate::f32util::{f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s};
 
 /// A kernel's body: it validates its arguments, then writes its
 /// outputs in place.
 type Body = fn(&mut [ArgData]) -> Result<(), ExecError>;
 
-/// Whether a second run of a kernel over the buffers its first run left
-/// behind, with the same scalars, leaves every buffer as the first run
-/// did. The driver skips such a relaunch when nothing has written any
-/// of its buffers since (`cldriver`'s kernel launch).
+/// A kernel's rerun safety, as [`KernelEntry::rerun_safe`] gives it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Rerun {
     /// Rerun-safe: every output lane is computed from buffers the
@@ -46,75 +44,112 @@ enum Rerun {
 
 use Rerun::{Safe, Unsafe};
 
-/// Every kernel of the corpus but the `rate_<k>` family, whose bodies
-/// (one per `k`) all compute their rates from a state they only read,
-/// and so are rerun-safe.
-const KERNELS: &[(&str, Body, Rerun)] = &[
-    ("vec_add", k_vec_add, Safe),
-    ("triad", k_triad, Safe),
-    ("copy_buf", k_copy_buf, Safe),
-    ("null_kernel", k_null, Safe),
-    // Iterates each lane from its own value.
-    ("max_flops", k_max_flops, Unsafe),
-    ("reduce_sum", k_reduce_sum, Safe),
-    ("scan_exclusive", k_scan_exclusive, Safe),
+/// Every kernel of the corpus but the `rate_<k>` family: its name, its
+/// body, whether it is rerun-safe, and its per-work-item `(flops,
+/// bytes)` before [`CostSpec::scaled`].
+#[rustfmt::skip]
+const KERNELS: &[(&str, Body, Rerun, (f64, f64))] = &[
+    ("vec_add", k_vec_add, Safe, (2_500.0, 192.0)),
+    ("triad", k_triad, Safe, (2_000.0, 256.0)),
+    ("copy_buf", k_copy_buf, Safe, (0.0, 2_000.0)),
+    ("null_kernel", k_null, Safe, (0.0, 0.0)),
+    // Iterates each lane from its own value. Deliberately compute-bound
+    // and long-running: the benchmark whose checkpoint is dominated by
+    // the synchronisation phase in Fig. 5.
+    ("max_flops", k_max_flops, Unsafe, (100_000.0, 8.0)),
+    ("reduce_sum", k_reduce_sum, Safe, (14_000.0, 64.0)),
+    ("scan_exclusive", k_scan_exclusive, Safe, (140_000.0, 128.0)),
     // After one pass every pair is in order, so a second swaps none but
     // equal keys.
-    ("bitonic_sort", k_bitonic_sort, Safe),
-    ("radix_sort", k_radix_sort, Safe),
-    ("transpose", k_transpose, Safe),
+    ("bitonic_sort", k_bitonic_sort, Safe, (900_000.0, 256.0)),
+    ("radix_sort", k_radix_sort, Safe, (40_000.0, 512.0)),
+    ("transpose", k_transpose, Safe, (0.0, 2_000.0)),
     // Zeroes `c` before it accumulates into it.
-    ("matmul", k_matmul, Safe),
+    ("matmul", k_matmul, Safe, (2_300_000.0, 4_096.0)),
     // Adds `beta * c` to a product it writes back into `c`.
-    ("sgemm", k_sgemm, Unsafe),
-    ("matvec", k_matvec, Safe),
-    ("black_scholes", k_black_scholes, Safe),
-    ("dot_product", k_dot_product, Safe),
-    ("conv_rows", |args| k_conv(args, true), Safe),
-    ("conv_cols", |args| k_conv(args, false), Safe),
-    ("dct8x8", k_dct8x8, Safe),
-    ("dxt_compress", k_dxt_compress, Safe),
-    ("histogram64", k_histogram64, Safe),
-    ("mersenne_twister", k_mersenne_twister, Safe),
-    ("quasirandom", k_quasirandom, Safe),
-    ("fdtd3d", k_fdtd3d, Safe),
-    ("stencil2d", k_stencil2d, Safe),
-    ("md_forces", k_md_forces, Safe),
+    ("sgemm", k_sgemm, Unsafe, (2_300_000.0, 4_096.0)),
+    ("matvec", k_matvec, Safe, (36_000_000.0, 8_192.0)),
+    ("black_scholes", k_black_scholes, Safe, (110_000.0, 448.0)),
+    ("dot_product", k_dot_product, Safe, (300_000.0, 576.0)),
+    ("conv_rows", |args| k_conv(args, true), Safe, (110_000.0, 320.0)),
+    ("conv_cols", |args| k_conv(args, false), Safe, (110_000.0, 320.0)),
+    ("dct8x8", k_dct8x8, Safe, (430_000.0, 128.0)),
+    ("dxt_compress", k_dxt_compress, Safe, (4_500_000.0, 1_152.0)),
+    ("histogram64", k_histogram64, Safe, (20_000.0, 128.0)),
+    ("mersenne_twister", k_mersenne_twister, Safe, (7_000_000.0, 1_088.0)),
+    ("quasirandom", k_quasirandom, Safe, (15_000.0, 64.0)),
+    ("fdtd3d", k_fdtd3d, Safe, (40_000.0, 512.0)),
+    ("stencil2d", k_stencil2d, Safe, (50_000.0, 640.0)),
+    ("md_forces", k_md_forces, Safe, (1_500_000.0, 3_520.0)),
     // Transforms its signal in place.
-    ("fft_radix2", k_fft_radix2, Unsafe),
-    ("cp_potential", k_cp_potential, Safe),
-    ("mri_fhd", k_mri_fhd, Safe),
-    ("mri_q", k_mri_q, Safe),
-    ("sampler_scale", k_sampler_scale, Safe),
-    ("consume", k_consume, Safe),
-    ("image_scale", k_image_scale, Safe),
+    ("fft_radix2", k_fft_radix2, Unsafe, (350_000.0, 256.0)),
+    ("cp_potential", k_cp_potential, Safe, (400_000.0, 64.0)),
+    ("mri_fhd", k_mri_fhd, Safe, (50_000_000.0, 128.0)),
+    ("mri_q", k_mri_q, Safe, (40_000_000.0, 128.0)),
+    ("sampler_scale", k_sampler_scale, Safe, (1_000.0, 64.0)),
+    ("consume", k_consume, Safe, (100.0, 16.0)),
+    ("image_scale", k_image_scale, Safe, (2_000.0, 512.0)),
 ];
 
-/// Execute kernel `name` with the given arguments.
-///
-/// `_global` is the launch's `[x, y, z]` work-item count. No kernel
-/// here reads it: each takes its problem size from its arguments.
-/// Buffer arguments are mutated in place.
-pub fn execute(name: &str, _global: [u64; 3], args: &mut [ArgData]) -> Result<(), ExecError> {
-    if let Some(idx) = name.strip_prefix("rate_") {
-        let k: u32 = idx
-            .parse()
-            .map_err(|_| ExecError::UnknownKernel(name.to_string()))?;
-        return k_s3d_rate(k, args);
-    }
-    match KERNELS.iter().find(|&&(n, ..)| n == name) {
-        Some((_, body, _)) => body(args),
-        None => Err(ExecError::UnknownKernel(name.to_string())),
+/// A corpus kernel, looked up by name: how to run it, whether a
+/// relaunch may be skipped, and what one work item costs.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelEntry {
+    body: Run,
+    /// Whether the kernel is rerun-safe: two successful runs over the
+    /// same buffers and scalars, each buffer bound once, leave every
+    /// buffer byte as one run does. A relaunch of such a kernel over
+    /// buffers nothing has written since its last run may be skipped,
+    /// bit-exact.
+    pub rerun_safe: bool,
+    /// What one work item costs.
+    pub cost: CostSpec,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Run {
+    Table(Body),
+    /// S3D's reaction-rate kernel `rate_<k>`.
+    Rate(u32),
+}
+
+impl KernelEntry {
+    /// Run the kernel over `args`. Buffer arguments are mutated in
+    /// place.
+    pub fn run(&self, args: &mut [ArgData]) -> Result<(), ExecError> {
+        match self.body {
+            Run::Table(body) => body(args),
+            Run::Rate(k) => k_s3d_rate(k, args),
+        }
     }
 }
 
-/// Whether kernel `name` is rerun-safe: two successful runs over the
-/// same buffers and scalars, each buffer bound once, leave every buffer
-/// byte as one run does. A relaunch of such a kernel over buffers
-/// nothing has written since its last run may be skipped, bit-exact.
-/// `false` for an unknown name.
-pub fn rerun_safe(name: &str) -> bool {
-    name.starts_with("rate_") || KERNELS.iter().any(|&(n, _, r)| n == name && r == Safe)
+/// The corpus kernel called `name`, or `None` for an unknown name.
+pub fn lookup(name: &str) -> Option<KernelEntry> {
+    let (body, rerun, (flops, bytes)) = match name.strip_prefix("rate_") {
+        // A short polynomial per item, but evaluated for a full
+        // chemistry grid; every `k` computes its rates from a state it
+        // only reads.
+        Some(k) => (Run::Rate(k.parse().ok()?), Safe, (200_000.0, 64.0)),
+        None => {
+            let &(_, body, rerun, cost) = KERNELS.iter().find(|&&(n, ..)| n == name)?;
+            (Run::Table(body), rerun, cost)
+        }
+    };
+    Some(KernelEntry {
+        body,
+        rerun_safe: rerun == Safe,
+        cost: CostSpec::scaled(flops, bytes),
+    })
+}
+
+/// Execute kernel `name` with the given arguments. Each kernel takes
+/// its problem size from its arguments; buffer arguments are mutated in
+/// place.
+pub fn execute(name: &str, args: &mut [ArgData]) -> Result<(), ExecError> {
+    lookup(name)
+        .ok_or_else(|| ExecError::UnknownKernel(name.to_string()))?
+        .run(args)
 }
 
 /// The arguments of a kernel that takes exactly `N`, each borrowable
@@ -902,7 +937,7 @@ mod tests {
             buf_f32(&[0.0; 3]),
             scalar_u32(3),
         ];
-        execute("vec_add", [3, 1, 1], &mut args).unwrap();
+        execute("vec_add", &mut args).unwrap();
         assert_eq!(out_f32(&args, 2), vec![11.0, 22.0, 33.0]);
     }
 
@@ -915,7 +950,7 @@ mod tests {
             scalar_f32(0.5),
             scalar_u32(2),
         ];
-        execute("triad", [2, 1, 1], &mut args).unwrap();
+        execute("triad", &mut args).unwrap();
         assert_eq!(out_f32(&args, 0), vec![6.0, 12.0]);
     }
 
@@ -927,7 +962,7 @@ mod tests {
             ArgData::Local(64),
             scalar_u32(4),
         ];
-        execute("reduce_sum", [4, 1, 1], &mut args).unwrap();
+        execute("reduce_sum", &mut args).unwrap();
         assert_eq!(out_f32(&args, 1), vec![10.0]);
 
         let mut args = vec![
@@ -936,7 +971,7 @@ mod tests {
             ArgData::Local(64),
             scalar_u32(4),
         ];
-        execute("scan_exclusive", [4, 1, 1], &mut args).unwrap();
+        execute("scan_exclusive", &mut args).unwrap();
         assert_eq!(out_f32(&args, 1), vec![0.0, 1.0, 3.0, 6.0]);
     }
 
@@ -958,7 +993,7 @@ mod tests {
                     scalar_u32(stage),
                     scalar_u32(pass),
                 ];
-                execute("bitonic_sort", [n as u64, 1, 1], &mut args).unwrap();
+                execute("bitonic_sort", &mut args).unwrap();
                 buf = args.swap_remove(0);
             }
         }
@@ -1001,7 +1036,7 @@ mod tests {
                 in_order,
                 "{name}"
             );
-            execute("radix_sort", [n.max(1) as u64, 1, 1], &mut args).unwrap();
+            execute("radix_sort", &mut args).unwrap();
             let got: Vec<u32> = u32s(args[0].buffer().unwrap()).collect();
             assert_eq!(got, expected, "{name}");
             if in_order {
@@ -1056,7 +1091,7 @@ mod tests {
         let mut expected = keys.clone();
         expected.sort_unstable();
         let mut args = vec![buf_u32(&keys), scalar_u32(200)];
-        execute("radix_sort", [200, 1, 1], &mut args).unwrap();
+        execute("radix_sort", &mut args).unwrap();
         assert_eq!(
             u32s(args[0].buffer().unwrap()).collect::<Vec<_>>(),
             expected
@@ -1074,7 +1109,7 @@ mod tests {
             scalar_u32(w as u32),
             scalar_u32(h as u32),
         ];
-        execute("transpose", [w as u64, h as u64, 1], &mut args).unwrap();
+        execute("transpose", &mut args).unwrap();
         let t = out_f32(&args, 1);
         // Transpose of transpose restores the original.
         let mut args2 = vec![
@@ -1083,7 +1118,7 @@ mod tests {
             scalar_u32(h as u32),
             scalar_u32(w as u32),
         ];
-        execute("transpose", [h as u64, w as u64, 1], &mut args2).unwrap();
+        execute("transpose", &mut args2).unwrap();
         assert_eq!(out_f32(&args2, 1), input);
     }
 
@@ -1103,7 +1138,7 @@ mod tests {
             scalar_u32(m as u32),
             scalar_u32(m as u32),
         ];
-        execute("matmul", [m as u64, m as u64, 1], &mut args).unwrap();
+        execute("matmul", &mut args).unwrap();
         assert_eq!(out_f32(&args, 2), a);
     }
 
@@ -1120,7 +1155,7 @@ mod tests {
             scalar_f32(2.0),
             scalar_f32(0.5),
         ];
-        execute("sgemm", [1, 1, 1], &mut args).unwrap();
+        execute("sgemm", &mut args).unwrap();
         assert_eq!(out_f32(&args, 2), vec![17.0]);
     }
 
@@ -1138,7 +1173,7 @@ mod tests {
             scalar_f32(0.2),
             scalar_u32(1),
         ];
-        execute("black_scholes", [1, 1, 1], &mut args).unwrap();
+        execute("black_scholes", &mut args).unwrap();
         let call = out_f32(&args, 0)[0];
         let put = out_f32(&args, 1)[0];
         assert!(call > 5.0 && call < 20.0, "call {call}");
@@ -1157,7 +1192,7 @@ mod tests {
             ArgData::Local(256),
             scalar_u32(128),
         ];
-        execute("histogram64", [128, 1, 1], &mut args).unwrap();
+        execute("histogram64", &mut args).unwrap();
         let hist: Vec<u32> = u32s(args[1].buffer().unwrap()).collect();
         assert_eq!(hist.iter().sum::<u32>(), 128);
         assert!(hist.iter().all(|&c| c == 2));
@@ -1171,7 +1206,7 @@ mod tests {
         re[0] = 1.0;
         let im = vec![0.0f32; n];
         let mut args = vec![buf_f32(&re), buf_f32(&im), scalar_u32(n as u32)];
-        execute("fft_radix2", [n as u64, 1, 1], &mut args).unwrap();
+        execute("fft_radix2", &mut args).unwrap();
         let re_out = out_f32(&args, 0);
         let im_out = out_f32(&args, 1);
         for k in 0..n {
@@ -1221,7 +1256,7 @@ mod tests {
             let re: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
             let im: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
             let mut args = vec![buf_f32(&re), buf_f32(&im), scalar_u32(n as u32)];
-            execute("fft_radix2", [n as u64, 1, 1], &mut args).unwrap();
+            execute("fft_radix2", &mut args).unwrap();
             let [mut re, mut im] = [buf_f32(&re), buf_f32(&im)];
             let (re, im) = (re.buffer_mut().unwrap(), im.buffer_mut().unwrap());
             fft_with_twiddles_per_butterfly(re, im, n);
@@ -1233,16 +1268,16 @@ mod tests {
     #[test]
     fn fft_rejects_non_power_of_two() {
         let mut args = vec![buf_f32(&[0.0; 12]), buf_f32(&[0.0; 12]), scalar_u32(12)];
-        assert!(execute("fft_radix2", [12, 1, 1], &mut args).is_err());
+        assert!(execute("fft_radix2", &mut args).is_err());
     }
 
     #[test]
     fn s3d_rates_differ_by_program() {
         let state = vec![2.0f32];
         let mut a0 = vec![buf_f32(&state), buf_f32(&[0.0]), scalar_u32(1)];
-        execute("rate_0", [1, 1, 1], &mut a0).unwrap();
+        execute("rate_0", &mut a0).unwrap();
         let mut a5 = vec![buf_f32(&state), buf_f32(&[0.0]), scalar_u32(1)];
-        execute("rate_5", [1, 1, 1], &mut a5).unwrap();
+        execute("rate_5", &mut a5).unwrap();
         // rate_0: 1 + 2t + 3t² = 17; rate_5: 6 + 7t + 8t² = 52.
         assert_eq!(out_f32(&a0, 1), vec![17.0]);
         assert_eq!(out_f32(&a5, 1), vec![52.0]);
@@ -1258,7 +1293,7 @@ mod tests {
             scalar_u32(2),
             scalar_f32(3.0),
         ];
-        execute("md_forces", [2, 1, 1], &mut args).unwrap();
+        execute("md_forces", &mut args).unwrap();
         let f = out_f32(&args, 1);
         assert!((f[0] + f[3]).abs() < 1e-5);
         assert_eq!(f[1], 0.0);
@@ -1269,7 +1304,7 @@ mod tests {
     #[test]
     fn quasirandom_in_unit_interval() {
         let mut args = vec![buf_f32(&vec![0.0; 100]), scalar_u32(100)];
-        execute("quasirandom", [100, 1, 1], &mut args).unwrap();
+        execute("quasirandom", &mut args).unwrap();
         let out = out_f32(&args, 0);
         assert!(out.iter().all(|&v| (0.0..1.0).contains(&v)));
         assert_eq!(out[0], 0.0);
@@ -1297,7 +1332,7 @@ mod tests {
                 scalar_u32(2),
                 scalar_u32(4),
             ];
-            execute("mersenne_twister", [2, 1, 1], &mut args).unwrap();
+            execute("mersenne_twister", &mut args).unwrap();
             out_f32(&args, 1)
         };
         let a = run();
@@ -1315,7 +1350,7 @@ mod tests {
             scalar_u32(4),
             scalar_u32(4),
         ];
-        execute("dxt_compress", [1, 1, 1], &mut args).unwrap();
+        execute("dxt_compress", &mut args).unwrap();
         assert_eq!(out_f32(&args, 1), vec![0.0, 15.0]);
     }
 
@@ -1329,7 +1364,7 @@ mod tests {
             scalar_u32(8),
             scalar_u32(8),
         ];
-        execute("dct8x8", [8, 8, 1], &mut args).unwrap();
+        execute("dct8x8", &mut args).unwrap();
         let out = out_f32(&args, 1);
         assert!((out[0] - 8.0).abs() < 1e-4, "DC {}", out[0]);
         assert!(out[1..].iter().all(|&v| v.abs() < 1e-4));
@@ -1374,7 +1409,7 @@ mod tests {
             scalar_u32(w as u32),
             scalar_u32(h as u32),
         ];
-        execute("dct8x8", [w as u64, h as u64, 1], &mut args).unwrap();
+        execute("dct8x8", &mut args).unwrap();
         let mut expected = vec![0u8; w * h * 4];
         dct_with_cosines_per_product(args[0].buffer().unwrap(), &mut expected, w, h);
         assert_eq!(args[1].buffer().unwrap(), &expected[..]);
@@ -1391,7 +1426,7 @@ mod tests {
             scalar_u32(3),
             scalar_u32(1),
         ];
-        execute("conv_rows", [4, 3, 1], &mut args).unwrap();
+        execute("conv_rows", &mut args).unwrap();
         assert_eq!(out_f32(&args, 1), src);
         let mut args = vec![
             buf_f32(&src),
@@ -1401,7 +1436,7 @@ mod tests {
             scalar_u32(3),
             scalar_u32(1),
         ];
-        execute("conv_cols", [4, 3, 1], &mut args).unwrap();
+        execute("conv_cols", &mut args).unwrap();
         assert_eq!(out_f32(&args, 1), src);
     }
 
@@ -1414,7 +1449,7 @@ mod tests {
             scalar_u32(4),
             scalar_u32(4),
         ];
-        execute("stencil2d", [4, 4, 1], &mut args).unwrap();
+        execute("stencil2d", &mut args).unwrap();
         for v in out_f32(&args, 1) {
             assert!((v - 2.0).abs() < 1e-5);
         }
@@ -1427,7 +1462,7 @@ mod tests {
             scalar_u32(3),
             scalar_u32(3),
         ];
-        execute("fdtd3d", [3, 3, 3], &mut args).unwrap();
+        execute("fdtd3d", &mut args).unwrap();
         for v in out_f32(&args, 1) {
             assert!((v - 3.0).abs() < 1e-5);
         }
@@ -1449,7 +1484,7 @@ mod tests {
             scalar_u32(1),
             scalar_u32(1),
         ];
-        execute("mri_q", [1, 1, 1], &mut args).unwrap();
+        execute("mri_q", &mut args).unwrap();
         assert_eq!(out_f32(&args, 7), vec![2.0]);
         assert_eq!(out_f32(&args, 8), vec![0.0]);
     }
@@ -1464,7 +1499,7 @@ mod tests {
             scalar_u32(2),
             scalar_u32(2),
         ];
-        execute("cp_potential", [2, 2, 1], &mut args).unwrap();
+        execute("cp_potential", &mut args).unwrap();
         let grid = out_f32(&args, 1);
         assert!(grid.iter().all(|&v| v > 0.0));
         // Closest grid point (0,0) sees the highest potential.
@@ -1488,7 +1523,7 @@ mod tests {
             scalar_u32(1),
         ];
         assert!(matches!(
-            execute("mri_q", [1, 1, 1], &mut args),
+            execute("mri_q", &mut args),
             Err(ExecError::BufferTooSmall { .. })
         ));
     }
@@ -1496,12 +1531,12 @@ mod tests {
     #[test]
     fn errors_for_bad_launches() {
         assert!(matches!(
-            execute("no_such_kernel", [1, 1, 1], &mut []),
+            execute("no_such_kernel", &mut []),
             Err(ExecError::UnknownKernel(_))
         ));
         let mut args = vec![buf_f32(&[1.0])];
         assert!(matches!(
-            execute("vec_add", [1, 1, 1], &mut args),
+            execute("vec_add", &mut args),
             Err(ExecError::ArgCount {
                 expected: 4,
                 got: 1
@@ -1515,7 +1550,7 @@ mod tests {
             scalar_u32(100),
         ];
         assert!(matches!(
-            execute("vec_add", [100, 1, 1], &mut args),
+            execute("vec_add", &mut args),
             Err(ExecError::BufferTooSmall { .. })
         ));
     }
@@ -1527,10 +1562,10 @@ mod tests {
             ArgData::Scalar(vec![0u8; 8]),
             scalar_u32(4),
         ];
-        execute("sampler_scale", [4, 1, 1], &mut ok).unwrap();
+        execute("sampler_scale", &mut ok).unwrap();
         assert_eq!(out_f32(&ok, 0), vec![0.0, 0.5, 1.0, 1.5]);
         let mut bad = vec![buf_f32(&[0.0; 4]), scalar_u32(1), scalar_u32(4)];
-        assert!(execute("sampler_scale", [4, 1, 1], &mut bad).is_err());
+        assert!(execute("sampler_scale", &mut bad).is_err());
     }
 
     /// Seeded arguments for one launch of kernel `name`: buffers of
@@ -1650,7 +1685,7 @@ mod tests {
     fn rerun_safe_names() -> Vec<&'static str> {
         let mut names: Vec<&str> = KERNELS
             .iter()
-            .filter(|&&(_, _, r)| r == Safe)
+            .filter(|&&(_, _, r, _)| r == Safe)
             .map(|&(n, ..)| n)
             .collect();
         names.extend(["rate_0", "rate_21"]);
@@ -1660,12 +1695,12 @@ mod tests {
     #[test]
     fn a_rerun_safe_kernel_run_twice_leaves_what_one_run_leaves() {
         for name in rerun_safe_names() {
-            assert!(rerun_safe(name), "{name}");
+            assert!(lookup(name).unwrap().rerun_safe, "{name}");
             simcore::qcheck::qcheck(&format!("rerun_{name}"), 24, |g| {
                 let mut once = rerun_args(name, g);
-                execute(name, [1, 1, 1], &mut once).unwrap();
+                execute(name, &mut once).unwrap();
                 let mut twice = once.clone();
-                execute(name, [1, 1, 1], &mut twice).unwrap();
+                execute(name, &mut twice).unwrap();
                 assert!(buffers(&once) == buffers(&twice), "{name}");
             });
         }
@@ -1675,11 +1710,12 @@ mod tests {
     fn the_kernels_left_off_the_rerun_list_move_on_a_second_run() {
         let unsafe_names: Vec<&str> = KERNELS
             .iter()
-            .filter(|&&(_, _, r)| r == Unsafe)
+            .filter(|&&(_, _, r, _)| r == Unsafe)
             .map(|&(n, ..)| n)
             .collect();
         assert_eq!(unsafe_names, ["max_flops", "sgemm", "fft_radix2"]);
-        assert!(!rerun_safe("no_such_kernel"));
+        assert!(lookup("no_such_kernel").is_none());
+        assert!(lookup("rate_x").is_none());
         let cases = [
             (
                 "max_flops",
@@ -1706,11 +1742,11 @@ mod tests {
             ),
         ];
         for (name, args) in cases {
-            assert!(!rerun_safe(name), "{name}");
+            assert!(!lookup(name).unwrap().rerun_safe, "{name}");
             let mut once = args;
-            execute(name, [1, 1, 1], &mut once).unwrap();
+            execute(name, &mut once).unwrap();
             let mut twice = once.clone();
-            execute(name, [1, 1, 1], &mut twice).unwrap();
+            execute(name, &mut twice).unwrap();
             assert!(buffers(&once) != buffers(&twice), "{name}");
         }
     }

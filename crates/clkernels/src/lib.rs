@@ -25,5 +25,5 @@ pub mod f32util;
 
 pub use args::{ArgData, ExecError};
 pub use corpus::{program_source, ProgramSource};
-pub use cost::{kernel_cost_spec, CostSpec};
-pub use engine::{execute, rerun_safe};
+pub use cost::CostSpec;
+pub use engine::{execute, lookup, KernelEntry};

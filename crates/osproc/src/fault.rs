@@ -575,17 +575,6 @@ impl FaultPlan {
         self.log.iter().filter(|f| f.kind == kind).count()
     }
 
-    /// `true` while scheduled (non-probabilistic) faults remain armed.
-    pub fn has_pending(&self) -> bool {
-        self.fail_next_writes > 0
-            || self.short_next_writes > 0
-            || self.corrupt_next_writes > 0
-            || !self.node_crashes.is_empty()
-            || !self.domain_crashes.is_empty()
-            || !self.proxy_deaths.is_empty()
-            || !self.pipe_breaks.is_empty()
-    }
-
     fn record(&mut self, kind: FaultKind, at: SimTime, detail: String) {
         // Every injection site funnels through here, so the ledger sees
         // one FaultInjected record per fault — the invariant that lets
@@ -817,7 +806,6 @@ mod tests {
         );
         assert_eq!(plan.count(FaultKind::DiskWriteFail), 1);
         assert_eq!(plan.count(FaultKind::ShortWrite), 1);
-        assert!(!plan.has_pending());
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl HeartbeatMonitor {
         self.streams.remove(&src);
     }
 
-    /// `true` if `src` is currently watched.
-    pub fn watches(&self, src: BeatSource) -> bool {
-        self.streams.contains_key(&src)
-    }
-
     /// Record a beat from `src` at `now`. Unwatched sources are
     /// ignored; beats never move time backwards.
     pub fn beat(&mut self, src: BeatSource, now: SimTime) {

@@ -42,11 +42,6 @@ impl MemImage {
         self.segments.contains_key(name)
     }
 
-    /// Names of all segments, sorted.
-    pub fn segment_names(&self) -> Vec<&str> {
-        self.segments.keys().map(String::as_str).collect()
-    }
-
     /// Total bytes across all segments — what the CPR system will have
     /// to write. Checkpoint file size is this plus the fixed process
     /// baseline (text, stacks, libc; see `simcore::calib`).
@@ -79,7 +74,6 @@ mod tests {
         img.put("heap", vec![1, 2, 3]);
         img.put("script", vec![9]);
         assert_eq!(img.get("heap"), Some(&[1u8, 2, 3][..]));
-        assert_eq!(img.segment_names(), vec!["heap", "script"]);
         assert_eq!(img.total_size(), ByteSize::bytes(4));
         assert_eq!(img.take("heap"), Some(vec![1, 2, 3]));
         assert!(!img.contains("heap"));

@@ -1068,11 +1068,6 @@ impl SloSummary {
             1.0 - self.downtime.as_secs_f64() / self.horizon.as_secs_f64()
         }
     }
-
-    /// Downtime left under `budget` (zero when overspent).
-    pub fn downtime_budget_left(&self, budget: SimDuration) -> SimDuration {
-        budget.saturating_sub(self.downtime)
-    }
 }
 
 #[cfg(test)]
@@ -1355,10 +1350,6 @@ mod tests {
         assert_eq!(slo.checkpoints, 1);
         assert_eq!(slo.unresolved, 0);
         assert!((slo.availability() - 0.89).abs() < 1e-9);
-        assert_eq!(
-            slo.downtime_budget_left(SimDuration::from_nanos(200)),
-            SimDuration::from_nanos(90)
-        );
     }
 
     #[test]

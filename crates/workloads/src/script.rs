@@ -1204,7 +1204,7 @@ mod tests {
 
     #[test]
     fn runs_against_a_driver() {
-        let mut drv = cldriver::Driver::new(cldriver::vendor::nimbus());
+        let mut drv = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
         let mut now = SimTime::ZERO;
         let mut app = AppProgram::new(Script {
             ops: vec![
@@ -1245,7 +1245,7 @@ mod tests {
 
     #[test]
     fn pause_after_kernel_leaves_work_in_flight() {
-        let mut drv = cldriver::Driver::new(cldriver::vendor::nimbus());
+        let mut drv = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
         let mut now = SimTime::ZERO;
         let mut app = AppProgram::new(Script {
             ops: vec![

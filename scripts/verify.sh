@@ -33,6 +33,19 @@ golden() {
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> thread_local! only in the recording state and the workload memos"
+# Output bytes must depend only on a run's own history, not on what ran
+# on its thread before it. Two thread-locals are allowed: telemetry's
+# recording state, which decides what is recorded but never what is
+# computed, and the workload memos, which are exact, so only their hit
+# rate depends on the thread.
+stray="$(grep -rl --include='*.rs' 'thread_local!' src crates/*/src examples |
+    grep -v -x -e crates/simcore/src/telemetry.rs -e crates/workloads/src/script.rs || true)"
+if [[ -n "$stray" ]]; then
+    echo "thread_local! outside the allowed files: $stray" >&2
+    exit 1
+fi
+
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> cargo clippy (deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings

@@ -219,10 +219,27 @@ fn seeded_stream_dumps_match_the_pinned_lengths_and_hashes() {
     assert_eq!(
         got,
         [
-            ("pipelined", 26052628, 0x66f3_47fc_1a77_4eed),
+            ("pipelined", 26052628, 0x71bf_2459_ab40_f96b),
             ("live", 26052782, 0xc01d_ece5_acbf_519c),
         ]
     );
+}
+
+/// A dump's bytes depend only on its own cluster's history, not on
+/// what ran on the thread before it: the driver salts its handles with
+/// its host process's pid.
+#[test]
+fn seeded_dumps_do_not_depend_on_what_ran_before_them() {
+    let (pipelined_first, live_second) = (pipelined_dump(), live_dump());
+    let (live_first, pipelined_second) = (live_dump(), pipelined_dump());
+    let same = |a: &osproc::FileBytes, b: &osproc::FileBytes| {
+        (a.body(), a.zero_tail()) == (b.body(), b.zero_tail())
+    };
+    assert!(
+        same(&pipelined_first, &pipelined_second),
+        "pipelined dump moved"
+    );
+    assert!(same(&live_first, &live_second), "live dump moved");
 }
 
 /// `(offset, tag)` of every frame in a stream body: where its length
@@ -357,7 +374,7 @@ fn version_1_dumps_and_binaries_are_refused_by_version() {
         assert_eq!(blcr::sniff_dump(&v1), Err(CodecError::BadVersion(1)));
     }
 
-    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus());
+    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
     let mut now = simcore::SimTime::ZERO;
     let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
     let platforms = ocl.get_platform_ids().unwrap();

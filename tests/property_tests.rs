@@ -275,7 +275,7 @@ fn radix_sort_correct() {
             clkernels::ArgData::Buffer(u32s_to_bytes(&keys)),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
-        clkernels::execute("radix_sort", [n as u64, 1, 1], &mut args).unwrap();
+        clkernels::execute("radix_sort", &mut args).unwrap();
         keys.sort_unstable();
         assert_eq!(bytes_to_u32s(args[0].buffer().unwrap()), keys);
     });
@@ -297,7 +297,7 @@ fn bitonic_schedule_correct() {
                     clkernels::ArgData::Scalar(stage.to_le_bytes().to_vec()),
                     clkernels::ArgData::Scalar(pass.to_le_bytes().to_vec()),
                 ];
-                clkernels::execute("bitonic_sort", [n as u64, 1, 1], &mut args).unwrap();
+                clkernels::execute("bitonic_sort", &mut args).unwrap();
                 buf = args.swap_remove(0);
             }
         }
@@ -323,14 +323,14 @@ fn scan_reduce_consistent() {
             clkernels::ArgData::Local(64),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
-        clkernels::execute("scan_exclusive", [n as u64, 1, 1], &mut scan_args).unwrap();
+        clkernels::execute("scan_exclusive", &mut scan_args).unwrap();
         let mut red_args = vec![
             clkernels::ArgData::Buffer(bytes),
             clkernels::ArgData::Buffer(vec![0u8; 4]),
             clkernels::ArgData::Local(64),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
-        clkernels::execute("reduce_sum", [n as u64, 1, 1], &mut red_args).unwrap();
+        clkernels::execute("reduce_sum", &mut red_args).unwrap();
 
         let scan_out = scan_args[1].buffer().unwrap();
         let last_scan = f32::from_le_bytes(
