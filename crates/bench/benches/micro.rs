@@ -3,10 +3,10 @@
 //! Unlike the `fig*` harnesses (which report *virtual-clock* results),
 //! these measure real wall-clock performance of the implementation:
 //! the checkpoint codec, its FNV-1a checksums and frame seals, the
-//! costliest catalog kernels, the workload model's memoised input
-//! generation and read-back checksum, the kernel-signature parser, the
-//! handle translation layer, the forwarding path, and a full
-//! checkpoint/restart cycle.
+//! costliest catalog kernels, a driver's whole-buffer write and read,
+//! the workload model's memoised input generation and read-back
+//! checksum, the kernel-signature parser, the handle translation
+//! layer, the forwarding path, and a full checkpoint/restart cycle.
 //!
 //! The harness is dependency-free (`harness = false`): each benchmark
 //! is warmed up, then timed over enough iterations to fill a fixed
@@ -17,7 +17,7 @@
 use checl::{CheclConfig, CprPolicy, RestoreTarget};
 use osproc::Cluster;
 use simcore::codec::Codec;
-use simcore::SimTime;
+use simcore::{Payload, SimTime};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use workloads::{
@@ -88,11 +88,19 @@ fn bench_checksum(filter: &str) {
 }
 
 fn u32_buf(v: impl IntoIterator<Item = u32>) -> clkernels::ArgData {
-    clkernels::ArgData::Buffer(v.into_iter().flat_map(u32::to_le_bytes).collect())
+    clkernels::ArgData::buffer_of(
+        v.into_iter()
+            .flat_map(u32::to_le_bytes)
+            .collect::<Vec<u8>>(),
+    )
 }
 
 fn f32_buf(v: impl IntoIterator<Item = f32>) -> clkernels::ArgData {
-    clkernels::ArgData::Buffer(v.into_iter().flat_map(f32::to_le_bytes).collect())
+    clkernels::ArgData::buffer_of(
+        v.into_iter()
+            .flat_map(f32::to_le_bytes)
+            .collect::<Vec<u8>>(),
+    )
 }
 
 fn scalar(v: u32) -> clkernels::ArgData {
@@ -175,6 +183,55 @@ fn bench_kernels(filter: &str) {
     bench(filter, "kernel/reduce_sum_524288", None, || {
         launch("reduce_sum", &mut args);
     });
+    // The paper-scale figures' costliest kernels that the sizes above
+    // leave out, at the sizes those programs launch them.
+    const CONV: u32 = 1024;
+    let taps = f32_buf((0..17).map(|_| g.f32_in(0.0, 0.1)));
+    for name in ["conv_rows", "conv_cols"] {
+        let mut args = [
+            f32_buf((0..CONV * CONV).map(|_| g.f32_in(0.0, 1.0))),
+            f32_buf((0..CONV * CONV).map(|_| 0.0)),
+            taps.clone(),
+            scalar(CONV),
+            scalar(CONV),
+            scalar(8),
+        ];
+        bench(filter, &format!("kernel/{name}_1024x1024_r8"), None, || {
+            launch(name, &mut args);
+        });
+    }
+    const ATOMS: u32 = 256;
+    const GRID: u32 = 512;
+    let mut args = [
+        f32_buf((0..ATOMS * 4).map(|_| g.f32_in(0.0, 64.0))),
+        f32_buf((0..GRID * GRID).map(|_| 0.0)),
+        scalar(ATOMS),
+        scalar(GRID),
+        scalar(GRID),
+    ];
+    bench(filter, "kernel/cp_potential_256_512x512", None, || {
+        launch("cp_potential", &mut args);
+    });
+    const MD_N: u32 = 131_072;
+    let mut args = [
+        f32_buf((0..MD_N * 3).map(|_| g.f32_in(0.0, 20.0))),
+        f32_buf((0..MD_N * 3).map(|_| 0.0)),
+        scalar(MD_N),
+        clkernels::ArgData::Scalar(5.0f32.to_le_bytes().to_vec()),
+    ];
+    bench(filter, "kernel/md_forces_131072", None, || {
+        launch("md_forces", &mut args);
+    });
+    let (nk, nx) = (1024u32, 4096u32);
+    let mut args: Vec<clkernels::ArgData> = [nk, nk, nk, nk, nk, nx, nx, nx]
+        .into_iter()
+        .map(|n| f32_buf((0..n).map(|_| g.f32_in(-1.0, 1.0))))
+        .chain([f32_buf((0..nx).map(|_| 0.0)), f32_buf((0..nx).map(|_| 0.0))])
+        .chain([scalar(nk), scalar(nx)])
+        .collect();
+    bench(filter, "kernel/mri_fhd_1024x4096", None, || {
+        launch("mri_fhd", &mut args);
+    });
 }
 
 /// `vec_add` over `args` (`a`, `b`, `c`, `n`) launched through a
@@ -182,24 +239,17 @@ fn bench_kernels(filter: &str) {
 /// driver validates, schedules and charges each relaunch, and skips
 /// executing it.
 fn bench_relaunch(filter: &str, args: &[clkernels::ArgData]) {
-    use clspec::types::{MemFlags, NDRange, QueueProps};
+    use clspec::types::{MemFlags, NDRange};
     let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
     let mut now = SimTime::ZERO;
     let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
-    let platform = ocl.get_platform_ids().unwrap()[0];
-    let dev = ocl
-        .get_device_ids(platform, clspec::DeviceType::Gpu)
-        .unwrap()[0];
-    let ctx = ocl.create_context(&[dev]).unwrap();
-    let q = ocl
-        .create_command_queue(ctx, dev, QueueProps::default())
-        .unwrap();
+    let (ctx, q) = gpu_queue(&mut ocl);
     let src = clkernels::program_source("vector_add").unwrap().source;
     let prog = ocl.create_program_with_source(ctx, &src).unwrap();
     ocl.build_program(prog, "").unwrap();
     let k = ocl.create_kernel(prog, "vec_add").unwrap();
     for (i, arg) in args[..3].iter().enumerate() {
-        let bytes = arg.buffer().unwrap().to_vec();
+        let bytes = Payload::from(arg.buffer().unwrap().to_vec());
         let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
         let mem = ocl
             .create_buffer(ctx, flags, bytes.len() as u64, Some(bytes))
@@ -221,10 +271,53 @@ fn bench_relaunch(filter: &str, args: &[clkernels::ArgData]) {
     );
 }
 
+/// A context and an in-order queue on the first GPU behind `ocl`.
+fn gpu_queue(ocl: &mut clspec::Ocl) -> (clspec::Context, clspec::CommandQueue) {
+    let platform = ocl.get_platform_ids().unwrap()[0];
+    let dev = ocl
+        .get_device_ids(platform, clspec::DeviceType::Gpu)
+        .unwrap()[0];
+    let ctx = ocl.create_context(&[dev]).unwrap();
+    let queue = ocl
+        .create_command_queue(ctx, dev, clspec::types::QueueProps::default())
+        .unwrap();
+    (ctx, queue)
+}
+
+/// One whole-buffer write of 1 MiB and one whole-buffer read of it,
+/// straight into a driver: the write hands the payload to the device
+/// and the read shares the device's bytes, so neither copies them.
+fn bench_driver(filter: &str) {
+    const MIB: u64 = 1 << 20;
+    let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
+    let mut now = SimTime::ZERO;
+    let mut ocl = clspec::Ocl::new(&mut driver, &mut now);
+    let (ctx, q) = gpu_queue(&mut ocl);
+    let mem = ocl
+        .create_buffer(ctx, clspec::MemFlags::READ_WRITE, MIB, None)
+        .unwrap();
+    let data = Payload::from(vec![7u8; MIB as usize]);
+    bench(
+        filter,
+        "driver/write_read_whole_1mib",
+        Some(2 * MIB),
+        || {
+            let ev = ocl
+                .enqueue_write_buffer(q, mem, true, 0, data.clone(), &[])
+                .unwrap();
+            ocl.release_event(ev).unwrap();
+            let (back, ev) = ocl.enqueue_read_buffer(q, mem, true, 0, MIB, &[]).unwrap();
+            ocl.release_event(ev).unwrap();
+            black_box(back);
+        },
+    );
+}
+
 /// The workload model's two memoised byte functions over 1 MiB. A miss
-/// computes the bytes and files a copy in the thread's memo, evicting
-/// the oldest entries once it is full; a hit returns the memo's copy
-/// (`generate`) or compares the bytes with it (`readback_checksum`).
+/// computes the bytes and files them in the thread's memo, evicting the
+/// oldest entries once it is full; a hit shares the memo's bytes
+/// (`generate`) or compares the bytes with its copy
+/// (`readback_checksum`).
 fn bench_workload_memos(filter: &str) {
     const MIB: u64 = 1 << 20;
     let f32_init = |seed| BufInit::RandomF32 {
@@ -240,7 +333,7 @@ fn bench_workload_memos(filter: &str) {
     bench(filter, "workload/generate_f32_1mib_hit", Some(MIB), || {
         black_box(f32_init(0).generate(MIB));
     });
-    let mut data = f32_init(0).generate(MIB);
+    let mut data = f32_init(0).generate(MIB).into_vec();
     let mut fresh = 0u64;
     bench(
         filter,
@@ -274,7 +367,7 @@ fn bench_workload_memos(filter: &str) {
             black_box(f32_init(1 << 20 | turn).generate(2 * MIB));
         },
     );
-    let cycle: Vec<Vec<u8>> = (0..12)
+    let cycle: Vec<Payload> = (0..12)
         .map(|i| f32_init(2 << 20 | i).generate(2 * MIB))
         .collect();
     let mut turn = 0;
@@ -406,7 +499,7 @@ fn bench_forward_path(filter: &str) {
         ocl.enqueue_marker(q).unwrap(),
         ocl.enqueue_marker(q).unwrap(),
     ];
-    let data = vec![7u8; PAYLOAD as usize];
+    let data = Payload::from(vec![7u8; PAYLOAD as usize]);
     bench(
         filter,
         "forward/enqueue_write_buffer_interposed",
@@ -496,6 +589,7 @@ fn main() {
         .unwrap_or_default();
     bench_checksum(&filter);
     bench_kernels(&filter);
+    bench_driver(&filter);
     bench_workload_memos(&filter);
     bench_codec(&filter);
     bench_parser(&filter);

@@ -46,7 +46,7 @@ fn main() {
             .unwrap();
         let n = ((4 << 20) as f64 * HARNESS_SCALE) as u64 & !3;
         let buf = ocl
-            .create_buffer(ctx, flags, n, Some(vec![0u8; n as usize]))
+            .create_buffer(ctx, flags, n, Some(vec![0u8; n as usize].into()))
             .unwrap();
         let src = clkernels::program_source("null").unwrap().source;
         let prog = ocl.create_program_with_source(ctx, &src).unwrap();

@@ -27,7 +27,6 @@ pub struct BootedChecl {
 fn load_driver(cluster: &mut Cluster, host: Pid, vendor: VendorConfig) -> Driver {
     let driver = Driver::new(vendor, host);
     let p = cluster.process_mut(host);
-    p.bound_opencl = Some("native".to_string());
     for (device, size) in driver.device_files() {
         p.map_device(device, size);
     }
@@ -46,7 +45,6 @@ fn attach(
 ) {
     let (app_pid, proxy_pid) = (pipe.a, pipe.b);
     let driver = load_driver(cluster, proxy_pid, vendor);
-    cluster.process_mut(app_pid).bound_opencl = Some(flavor.to_string());
     if telemetry::enabled() {
         telemetry::name_process(app_pid.0 as u64, &format!("app {app_pid} ({flavor})"));
         telemetry::name_process(
@@ -159,7 +157,6 @@ mod tests {
         let proxy = booted.lib.proxy_pid().unwrap();
         assert!(cluster.process(proxy).has_device_mappings());
         assert_eq!(cluster.process(proxy).parent, Some(app));
-        assert_eq!(cluster.process(app).bound_opencl.as_deref(), Some("checl"));
     }
 
     #[test]
@@ -277,7 +274,7 @@ mod remote_tests {
                 ctx,
                 MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR,
                 (n * 4) as u64,
-                Some(data.clone()),
+                Some(data.clone().into()),
             )
             .unwrap();
         let src = clkernels::program_source("null").unwrap().source;
@@ -291,7 +288,7 @@ mod remote_tests {
         let (back, _) = ocl
             .enqueue_read_buffer(q, buf, true, 0, (n * 4) as u64, &[])
             .unwrap();
-        assert_eq!(back, data);
+        assert_eq!(&back[..], &data[..]);
     }
 
     /// Remote forwarding costs more than local forwarding for bulk
@@ -331,7 +328,7 @@ mod remote_tests {
                 .create_buffer(ctx, MemFlags::READ_WRITE, size, None)
                 .unwrap();
             let t0 = ocl.now();
-            ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; size as usize], &[])
+            ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; size as usize].into(), &[])
                 .unwrap();
             ocl.now().since(t0)
         };

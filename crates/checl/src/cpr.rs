@@ -408,7 +408,7 @@ fn restore_one(
                             mem: Mem::from_raw(vendor),
                             blocking: true,
                             offset: 0,
-                            data,
+                            data: data.into(),
                             wait_list: vec![],
                         },
                     )?

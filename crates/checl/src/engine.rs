@@ -1231,6 +1231,8 @@ fn read_device(
             },
         )?
         .into_data_event()?;
+    // The dump owns its bytes, and the buffer keeps its payload: a copy.
+    let data = data.into_vec();
     let landed = land(t.since(start));
     let mut released = landed;
     lib.forward(&mut released, ApiRequest::ReleaseEvent { event })?;
@@ -2032,7 +2034,7 @@ impl StreamRestore {
                     mem: Mem::from_raw(vendor_mem),
                     blocking: true,
                     offset: 0,
-                    data,
+                    data: data.into(),
                     wait_list: vec![],
                 },
             )?

@@ -220,7 +220,7 @@ impl ObjectRecord {
                     host_cache: host_data
                         .as_ref()
                         .filter(|_| flags.contains(MemFlags::USE_HOST_PTR))
-                        .cloned(),
+                        .map(|d| d.to_vec()),
                     dirty: true,
                     saved_in: None,
                     image_dims,

@@ -500,7 +500,7 @@ mod tests {
                 ctx,
                 MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR,
                 64 << 10,
-                Some(vec![7u8; 64 << 10]),
+                Some(vec![7u8; 64 << 10].into()),
             )
             .unwrap();
         }

@@ -171,7 +171,7 @@ mod tests {
                 ctx,
                 MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR,
                 data.len() as u64,
-                Some(data.to_vec()),
+                Some(data.to_vec().into()),
             )
             .unwrap()
         };
@@ -212,7 +212,7 @@ mod tests {
             .unwrap()
             .into_data_event()
             .unwrap();
-        data
+        data.into_vec()
     }
 
     /// Temp files left anywhere on `app`'s node.
@@ -524,7 +524,7 @@ mod tests {
                 clspec::handles::Mem::from_raw(clspec::RawHandle(buf)),
                 true,
                 0,
-                vec![7u8; 64],
+                vec![7u8; 64].into(),
                 &[],
             )
             .unwrap();

@@ -752,7 +752,7 @@ impl ChecLib {
                     mem: vendor_mem,
                     blocking: true,
                     offset: 0,
-                    data: cache,
+                    data: cache.into(),
                     wait_list: vec![],
                 },
             )?;
@@ -777,7 +777,7 @@ impl ChecLib {
                 .into_data_event()?;
             if let Some(e) = self.db.get_mut(*mem_checl) {
                 if let ObjectRecord::Mem { host_cache, .. } = &mut e.record {
-                    *host_cache = Some(data);
+                    *host_cache = Some(data.into_vec());
                 }
             }
         }

@@ -41,7 +41,7 @@ fn gpu_queue(ocl: &mut Ocl<'_>) -> (Context, CommandQueue) {
 
 fn buffer(ocl: &mut Ocl<'_>, ctx: Context, bytes: &[u8]) -> Mem {
     let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
-    ocl.create_buffer(ctx, flags, bytes.len() as u64, Some(bytes.to_vec()))
+    ocl.create_buffer(ctx, flags, bytes.len() as u64, Some(bytes.to_vec().into()))
         .unwrap()
 }
 
@@ -67,10 +67,10 @@ fn a_read_past_u64_max_is_invalid_value() {
 fn a_write_past_u64_max_is_invalid_value() {
     on_both(|ocl, ctx, q| {
         let b = buffer(ocl, ctx, &[1; 16]);
-        let err = ocl.enqueue_write_buffer(q, b, true, u64::MAX, vec![7; 8], &[]);
+        let err = ocl.enqueue_write_buffer(q, b, true, u64::MAX, vec![7; 8].into(), &[]);
         assert_eq!(err.unwrap_err(), ClError::InvalidValue);
         let (data, _) = ocl.enqueue_read_buffer(q, b, true, 0, 16, &[]).unwrap();
-        assert_eq!(data, vec![1; 16]);
+        assert_eq!(data, vec![1; 16].into());
     });
 }
 
@@ -85,14 +85,14 @@ fn a_copy_past_u64_max_is_invalid_value() {
             assert_eq!(err.unwrap_err(), ClError::InvalidValue);
         }
         let (data, _) = ocl.enqueue_read_buffer(q, dst, true, 0, 16, &[]).unwrap();
-        assert_eq!(data, vec![2; 16]);
+        assert_eq!(data, vec![2; 16].into());
     });
 }
 
 /// A write into 16-byte `dst` and copies between `src` and `dst`, each
 /// ending 4 bytes past a buffer's end: all `InvalidValue`.
 fn refuse_spans_past_the_end(ocl: &mut Ocl<'_>, q: CommandQueue, src: Mem, dst: Mem) {
-    let err = ocl.enqueue_write_buffer(q, dst, true, 12, vec![7; 8], &[]);
+    let err = ocl.enqueue_write_buffer(q, dst, true, 12, vec![7; 8].into(), &[]);
     assert_eq!(err.unwrap_err(), ClError::InvalidValue);
     for (src_offset, dst_offset) in [(12, 0), (0, 12)] {
         let err = ocl.enqueue_copy_buffer(q, src, dst, src_offset, dst_offset, 8, &[]);
@@ -112,7 +112,7 @@ fn a_span_past_the_buffer_end_does_no_work() {
         refuse_spans_past_the_end(ocl, q, src, dst);
         for (mem, fill) in [(src, 1), (dst, 2)] {
             let (data, _) = ocl.enqueue_read_buffer(q, mem, true, 0, 16, &[]).unwrap();
-            assert_eq!(data, vec![fill; 16]);
+            assert_eq!(data, vec![fill; 16].into());
         }
     });
 
@@ -182,10 +182,10 @@ fn a_write_rejected_for_its_wait_list_changes_nothing() {
     on_both(|ocl, ctx, q| {
         let b = buffer(ocl, ctx, &[0; 8]);
         let dead = dead_event(ocl, q);
-        let err = ocl.enqueue_write_buffer(q, b, true, 0, vec![7; 8], &[dead]);
+        let err = ocl.enqueue_write_buffer(q, b, true, 0, vec![7; 8].into(), &[dead]);
         assert_eq!(err.unwrap_err(), ClError::InvalidEvent);
         let (data, _) = ocl.enqueue_read_buffer(q, b, true, 0, 8, &[]).unwrap();
-        assert_eq!(data, vec![0; 8]);
+        assert_eq!(data, vec![0; 8].into());
     });
 }
 
@@ -198,7 +198,7 @@ fn a_copy_rejected_for_its_wait_list_changes_nothing() {
         let err = ocl.enqueue_copy_buffer(q, src, dst, 0, 0, 8, &[dead]);
         assert_eq!(err.unwrap_err(), ClError::InvalidEvent);
         let (data, _) = ocl.enqueue_read_buffer(q, dst, true, 0, 8, &[]).unwrap();
-        assert_eq!(data, vec![0; 8]);
+        assert_eq!(data, vec![0; 8].into());
     });
 }
 
@@ -220,6 +220,6 @@ fn a_launch_rejected_for_its_wait_list_changes_nothing() {
         let err = ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[dead]);
         assert_eq!(err.unwrap_err(), ClError::InvalidEvent);
         let (data, _) = ocl.enqueue_read_buffer(q, c, true, 0, 16, &[]).unwrap();
-        assert_eq!(data, vec![0; 16]);
+        assert_eq!(data, vec![0; 16].into());
     });
 }

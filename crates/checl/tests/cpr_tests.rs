@@ -52,7 +52,7 @@ fn build_app(lib: &mut ChecLib, now: &mut simcore::SimTime, n: u32) -> App {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&av)),
+            Some(f32s(&av).into()),
         )
         .unwrap();
     let b = ocl
@@ -60,7 +60,7 @@ fn build_app(lib: &mut ChecLib, now: &mut simcore::SimTime, n: u32) -> App {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&bv)),
+            Some(f32s(&bv).into()),
         )
         .unwrap();
     let c = ocl
@@ -93,7 +93,7 @@ fn run_kernel_and_read(lib: &mut ChecLib, now: &mut simcore::SimTime, app: &App)
     let (data, _) = ocl
         .enqueue_read_buffer(app.queue, app.c, true, 0, (app.n * 4) as u64, &[])
         .unwrap();
-    data
+    data.into_vec()
 }
 
 #[test]
@@ -154,7 +154,7 @@ fn checkpoint_restart_preserves_results_bit_exactly() {
         .unwrap();
     assert_eq!(
         a_data,
-        f32s(&(0..app.n).map(|i| i as f32).collect::<Vec<_>>())
+        f32s(&(0..app.n).map(|i| i as f32).collect::<Vec<_>>()).into()
     );
 }
 
@@ -705,7 +705,7 @@ fn use_host_ptr_works_but_degrades_performance() {
         let n = 1u32 << 20; // 4 MiB
         let init = vec![0u8; (n * 4) as usize];
         let buf = ocl
-            .create_buffer(ctx, flags, (n * 4) as u64, Some(init))
+            .create_buffer(ctx, flags, (n * 4) as u64, Some(init.into()))
             .unwrap();
         // null_kernel does no device work, so the redundant
         // host↔device traffic of USE_HOST_PTR is fully exposed.
@@ -790,7 +790,7 @@ fn images_survive_checkpoint_and_cross_vendor_restart() {
     let (w, h) = (64u64, 32u64);
     let texels: Vec<u8> = (0..w * h * 4).map(|i| (i % 251) as u8).collect();
     let img = ocl
-        .create_image2d(ctx, MemFlags::READ_WRITE, w, h, Some(texels.clone()))
+        .create_image2d(ctx, MemFlags::READ_WRITE, w, h, Some(texels.clone().into()))
         .unwrap();
     // A plain buffer handle must not bind to an image2d_t parameter.
     let buf = ocl
@@ -834,7 +834,11 @@ __kernel void peek(image2d_t img, __global float* out) { }
     let mut now2 = cluster.process(pid2).clock;
     let mut ocl2 = Ocl::new(&mut lib2, &mut now2);
     let (back, _) = ocl2.enqueue_read_image(q, img, true, &[]).unwrap();
-    assert_eq!(back, texels, "texels must survive cross-vendor migration");
+    assert_eq!(
+        back,
+        texels.into(),
+        "texels must survive cross-vendor migration"
+    );
 }
 
 #[test]

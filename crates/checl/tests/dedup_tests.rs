@@ -46,7 +46,7 @@ fn build_app(lib: &mut ChecLib, now: &mut simcore::SimTime, n: u32) -> App {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&av)),
+            Some(f32s(&av).into()),
         )
         .unwrap();
     let b = ocl
@@ -54,7 +54,7 @@ fn build_app(lib: &mut ChecLib, now: &mut simcore::SimTime, n: u32) -> App {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&bv)),
+            Some(f32s(&bv).into()),
         )
         .unwrap();
     let c = ocl
@@ -86,7 +86,7 @@ fn run_kernel_and_read(lib: &mut ChecLib, now: &mut simcore::SimTime, app: &App)
     let (data, _) = ocl
         .enqueue_read_buffer(app.queue, app.c, true, 0, (app.n * 4) as u64, &[])
         .unwrap();
-    data
+    data.into_vec()
 }
 
 /// Read every live buffer's device contents — the state a checkpoint
@@ -191,7 +191,7 @@ fn unchanged_buffers_cost_near_zero_bytes_across_generations() {
     let mut now = cluster.process(app_pid).clock;
     {
         let mut ocl = Ocl::new(&mut booted.lib, &mut now);
-        ocl.enqueue_write_buffer(app.queue, app.a, true, 0, vec![0xA5u8; 512], &[])
+        ocl.enqueue_write_buffer(app.queue, app.a, true, 0, vec![0xA5u8; 512].into(), &[])
             .unwrap();
         ocl.finish(app.queue).unwrap();
     }
@@ -326,7 +326,7 @@ fn mid_dump_abort_leaves_previous_generation_intact() {
     let mut now = cluster.process(app_pid).clock;
     {
         let mut ocl = Ocl::new(&mut booted.lib, &mut now);
-        ocl.enqueue_write_buffer(app.queue, app.a, true, 0, vec![0x5Au8; 4096], &[])
+        ocl.enqueue_write_buffer(app.queue, app.a, true, 0, vec![0x5Au8; 4096].into(), &[])
             .unwrap();
         ocl.finish(app.queue).unwrap();
     }
@@ -369,7 +369,7 @@ fn mid_dump_abort_leaves_previous_generation_intact() {
 /// Overwrite the first 512 bytes of `mem` from the host.
 fn patch(lib: &mut ChecLib, now: &mut simcore::SimTime, app: &App, mem: Mem) {
     let mut ocl = Ocl::new(lib, now);
-    ocl.enqueue_write_buffer(app.queue, mem, true, 0, vec![0xA5u8; 512], &[])
+    ocl.enqueue_write_buffer(app.queue, mem, true, 0, vec![0xA5u8; 512].into(), &[])
         .unwrap();
     ocl.finish(app.queue).unwrap();
 }

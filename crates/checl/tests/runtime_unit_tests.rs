@@ -172,7 +172,7 @@ fn ipc_accounting_scales_with_transfer_size() {
     let _ = ocl;
     let before = b.lib.stats().ipc_bytes;
     let mut ocl = Ocl::new(&mut b.lib, &mut now);
-    ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; 1 << 20], &[])
+    ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; 1 << 20].into(), &[])
         .unwrap();
     let _ = ocl;
     let after = b.lib.stats().ipc_bytes;
@@ -238,7 +238,7 @@ fn objects(ocl: &mut Ocl<'_>, plat: clspec::PlatformId, dev: clspec::DeviceId) -
             ctx,
             MemFlags::READ_WRITE | MemFlags::USE_HOST_PTR,
             64,
-            Some(vec![1u8; 64]),
+            Some(vec![1u8; 64].into()),
         )
         .unwrap();
     let b = ocl
@@ -567,7 +567,7 @@ fn contract_table() -> Vec<(&'static str, Row)> {
                     context: s.ctx,
                     flags: MemFlags::READ_WRITE | MemFlags::USE_HOST_PTR,
                     size: 256,
-                    host_data: Some(vec![7; 256]),
+                    host_data: Some(vec![7; 256].into()),
                 },
                 (1, 1, 352),
                 &[(K::Mem, 1)],
@@ -613,7 +613,7 @@ fn contract_table() -> Vec<(&'static str, Row)> {
                     queue: s.q,
                     image: s.img,
                     blocking: true,
-                    data: vec![3; 64],
+                    data: vec![3; 64].into(),
                     wait_list: vec![s.ev],
                 },
                 (1, 3, 168),
@@ -861,7 +861,7 @@ fn contract_table() -> Vec<(&'static str, Row)> {
                     mem: s.a,
                     blocking: true,
                     offset: 8,
-                    data: vec![9; 16],
+                    data: vec![9; 16].into(),
                     wait_list: vec![s.ev],
                 },
                 (1, 3, 120),
@@ -1072,7 +1072,7 @@ fn first_bad_handle_wins() {
                 mem: f.wrong.a,
                 blocking: true,
                 offset: 0,
-                data: vec![0; 8],
+                data: vec![0; 8].into(),
                 wait_list: vec![f.dead.ev],
             },
             InvalidMemObject,

@@ -12,11 +12,11 @@ use clspec::handles::{
 use clspec::sig::{parse_kernel_sigs, KernelSig, ParamKind};
 use clspec::types::{
     byte_span, image2d_bytes, ArgValue, DeviceType, EventStatus, MemFlags, NDRange, ProfilingInfo,
-    QueueProps, SamplerDesc,
+    QueueProps,
 };
 use osproc::Pid;
 use simcore::codec::{decode_framed, encode_framed};
-use simcore::{telemetry, ByteSize, SimDuration, SimTime};
+use simcore::{telemetry, ByteSize, Payload, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::mem;
 
@@ -58,8 +58,6 @@ struct CtxObj {
 
 #[derive(Debug)]
 struct QueueObj {
-    #[allow(dead_code)]
-    ctx: u64,
     device: usize,
     props: QueueProps,
     /// Completion time of the last command enqueued here (in-order
@@ -70,13 +68,11 @@ struct QueueObj {
 
 #[derive(Debug)]
 struct BufObj {
-    #[allow(dead_code)]
-    ctx: u64,
     device: usize,
-    #[allow(dead_code)]
-    flags: MemFlags,
     size: u64,
-    data: Vec<u8>,
+    /// The device memory, shared with whoever else holds these bytes (a
+    /// memo, a request, a read-back) until one of them writes.
+    data: Payload,
     /// `Some((w, h))` when this mem object is a 2-D image (single
     /// channel, f32 texels); `None` for plain buffers.
     image_dims: Option<(u64, u64)>,
@@ -86,11 +82,11 @@ struct BufObj {
 }
 
 impl BufObj {
-    /// Hand out the bytes to change, stamping the buffer with the next
-    /// tick of the driver's write clock. Every change to a buffer's
-    /// bytes goes through here, so an unchanged `version` means
-    /// unchanged bytes.
-    fn written(&mut self, clock: &mut u64) -> &mut Vec<u8> {
+    /// Hand out the bytes to change or replace, stamping the buffer with
+    /// the next tick of the driver's write clock. Every change to a
+    /// buffer's bytes goes through here, so an unchanged `version`
+    /// means unchanged bytes.
+    fn written(&mut self, clock: &mut u64) -> &mut Payload {
         *clock += 1;
         self.version = *clock;
         &mut self.data
@@ -99,17 +95,11 @@ impl BufObj {
 
 #[derive(Debug)]
 struct SamplerObj {
-    #[allow(dead_code)]
-    ctx: u64,
-    #[allow(dead_code)]
-    desc: SamplerDesc,
     refs: u32,
 }
 
 #[derive(Debug)]
 struct ProgObj {
-    #[allow(dead_code)]
-    ctx: u64,
     source_len: usize,
     sigs: Vec<KernelSig>,
     /// User-defined struct types whose members contain handles: a real
@@ -123,13 +113,11 @@ struct ProgObj {
 
 #[derive(Debug)]
 struct KernelObj {
-    #[allow(dead_code)]
-    prog: u64,
     sig: KernelSig,
     handle_structs: Vec<String>,
     args: BTreeMap<u32, ArgValue>,
     /// The last successful launch of a rerun-safe kernel, cleared when
-    /// an argument is set.
+    /// an argument is set to a value it did not hold.
     last_launch: Option<LaunchStamp>,
     refs: u32,
 }
@@ -144,8 +132,6 @@ struct LaunchStamp {
 
 #[derive(Debug)]
 struct EventObj {
-    #[allow(dead_code)]
-    queue: u64,
     profiling: ProfilingInfo,
     end: SimTime,
     refs: u32,
@@ -354,7 +340,6 @@ impl Driver {
         self.events.insert(
             eh.0,
             EventObj {
-                queue: queue_h.raw().0,
                 profiling: ProfilingInfo {
                     queued: submit.as_nanos(),
                     submit: submit.as_nanos(),
@@ -483,7 +468,6 @@ impl Driver {
         self.queues.insert(
             h.0,
             QueueObj {
-                ctx: context.raw().0,
                 device: slot,
                 props,
                 busy_until: SimTime::ZERO,
@@ -499,7 +483,7 @@ impl Driver {
         context: Context,
         flags: MemFlags,
         size: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     ) -> ClResult<ApiResponse> {
         if size == 0 {
             return Err(ClError::InvalidBufferSize);
@@ -523,27 +507,23 @@ impl Driver {
                 self.stats.bytes_htod += size;
                 d
             }
-            None => vec![0u8; size as usize],
+            None => vec![0u8; size as usize].into(),
         };
-        Ok(self.insert_buffer(context, slot, flags, data, None))
+        Ok(self.insert_buffer(slot, data, None))
     }
 
     /// Register a new `cl_mem` on device `slot`, holding `data`.
     fn insert_buffer(
         &mut self,
-        context: Context,
         slot: usize,
-        flags: MemFlags,
-        data: Vec<u8>,
+        data: Payload,
         image_dims: Option<(u64, u64)>,
     ) -> ApiResponse {
         let h = self.fresh_handle();
         let mut buf = BufObj {
-            ctx: context.raw().0,
             device: slot,
-            flags,
             size: data.len() as u64,
-            data: Vec::new(),
+            data: Payload::default(),
             image_dims,
             version: 0,
             refs: 1,
@@ -571,10 +551,9 @@ impl Driver {
         &mut self,
         now: &mut SimTime,
         context: Context,
-        flags: MemFlags,
         width: u64,
         height: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     ) -> ClResult<ApiResponse> {
         if width == 0 || height == 0 {
             return Err(ClError::InvalidValue);
@@ -593,22 +572,15 @@ impl Driver {
                 self.stats.bytes_htod += size;
                 d
             }
-            None => vec![0u8; size as usize],
+            None => vec![0u8; size as usize].into(),
         };
-        Ok(self.insert_buffer(context, slot, flags, data, Some((width, height))))
+        Ok(self.insert_buffer(slot, data, Some((width, height))))
     }
 
-    fn create_sampler(&mut self, context: Context, desc: SamplerDesc) -> ClResult<ApiResponse> {
+    fn create_sampler(&mut self, context: Context) -> ClResult<ApiResponse> {
         self.ctx(context)?;
         let h = self.fresh_handle();
-        self.samplers.insert(
-            h.0,
-            SamplerObj {
-                ctx: context.raw().0,
-                desc,
-                refs: 1,
-            },
-        );
+        self.samplers.insert(h.0, SamplerObj { refs: 1 });
         Ok(ApiResponse::Sampler(Sampler::from_raw(h)))
     }
 
@@ -624,7 +596,6 @@ impl Driver {
         self.programs.insert(
             h.0,
             ProgObj {
-                ctx: context.raw().0,
                 source_len: source.len(),
                 sigs,
                 handle_structs,
@@ -651,7 +622,6 @@ impl Driver {
         self.programs.insert(
             h.0,
             ProgObj {
-                ctx: context.raw().0,
                 source_len: source_len as usize,
                 sigs,
                 handle_structs: Vec::new(),
@@ -720,7 +690,6 @@ impl Driver {
         self.kernels.insert(
             h.0,
             KernelObj {
-                prog: program.raw().0,
                 sig,
                 handle_structs,
                 args: BTreeMap::new(),
@@ -751,8 +720,12 @@ impl Driver {
             (_, ArgValue::LocalMem(_)) => return Err(ClError::InvalidArgValue),
             _ => {}
         }
-        k.args.insert(index, value);
-        k.last_launch = None;
+        // The stamp does not record scalars: a new value voids it, and the
+        // value an argument already holds leaves it.
+        if k.args.get(&index) != Some(&value) {
+            k.args.insert(index, value);
+            k.last_launch = None;
+        }
         Ok(ApiResponse::Unit)
     }
 
@@ -785,7 +758,7 @@ impl Driver {
                         return Err(ClError::InvalidArgValue);
                     }
                     lent.push((i, h.0));
-                    out.push(ArgData::Buffer(Vec::new()));
+                    out.push(ArgData::buffer_of(Payload::default()));
                 }
                 ParamKind::Sampler => {
                     let h = v.as_handle().ok_or(ClError::InvalidArgValue)?;
@@ -856,13 +829,16 @@ impl Driver {
     ///
     /// Each bound buffer's bytes are lent to the engine with
     /// `mem::take`, not copied, and put back after the launch, whether
-    /// it ran or failed; putting them back stamps the buffer written. A
-    /// `cl_mem` bound to several arguments is lent to the first and
-    /// copied for each later one, so every argument sees the pre-launch
-    /// bytes and, on return, the last index's bytes win, as if each
-    /// argument had its own copy. Such a buffer is stamped written once
-    /// per binding, so the version its first binding records is stale
-    /// at once, and a relaunch over it always runs.
+    /// it ran or failed. Putting back an argument the engine asked to
+    /// write ([`ArgData::buffer_mut`]) stamps its buffer written; a
+    /// buffer the kernel only read keeps its version. A `cl_mem` bound
+    /// to several arguments is lent to the first and shared with each
+    /// later one, so every argument sees the pre-launch bytes, a write
+    /// through one copies them, and, on return, the last index's bytes
+    /// win, as if each argument had its own copy. Once one binding of
+    /// such a buffer is stamped, every later binding is too, so the
+    /// version a written buffer's earlier binding records is stale at
+    /// once, and a relaunch over it always runs.
     fn execute_kernel(
         &mut self,
         kernel: Kernel,
@@ -876,18 +852,25 @@ impl Driver {
                 Some(&(first, _)) => args[first].clone(),
                 None => {
                     let buf = self.buffers.get_mut(&h).expect("validated above");
-                    ArgData::Buffer(mem::take(&mut buf.data))
+                    ArgData::buffer_of(mem::take(&mut buf.data))
                 }
             };
         }
         let ran = entry.run(&mut args);
         // Put every lent buffer back, in argument order, on success and
-        // failure alike.
+        // failure alike. A version past the clock at launch marks a
+        // buffer an earlier binding of this launch has stamped.
+        let clock_at_launch = self.write_clock;
         let mut stamped = Vec::with_capacity(lent.len());
         for (arg_idx, buf_h) in lent {
-            if let ArgData::Buffer(data) = &mut args[arg_idx] {
+            if let ArgData::Buffer { bytes, written } = &mut args[arg_idx] {
                 let buf = self.buffers.get_mut(&buf_h).expect("buffer vanished");
-                *buf.written(&mut self.write_clock) = mem::take(data);
+                let bytes = mem::take(bytes);
+                if *written || buf.version > clock_at_launch {
+                    *buf.written(&mut self.write_clock) = bytes;
+                } else {
+                    buf.data = bytes;
+                }
                 stamped.push((buf_h, buf.version));
             }
         }
@@ -972,9 +955,15 @@ impl Driver {
     ) -> ClResult<ApiResponse> {
         let dev_slot = self.queue(queue)?.device;
         let link = self.devices[dev_slot].profile.dtoh;
-        let range = Self::span(offset, size, self.buffer(mem)?)?;
+        let buf = self.buffer(mem)?;
+        let range = Self::span(offset, size, buf)?;
         let deps = self.wait_list_end(wait_list)?;
-        let data = self.buffer(mem)?.data[range].to_vec();
+        // A whole-buffer read shares the device bytes; a part is copied.
+        let data = if range.len() as u64 == buf.size {
+            buf.data.clone()
+        } else {
+            buf.data[range].to_vec().into()
+        };
         let duration = link.cost(ByteSize::bytes(size));
         let (event, end) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "read")?;
         *now += self.enqueue_cost();
@@ -993,7 +982,7 @@ impl Driver {
         mem: Mem,
         blocking: bool,
         offset: u64,
-        data: Vec<u8>,
+        data: Payload,
         wait_list: &[Event],
     ) -> ClResult<ApiResponse> {
         let dev_slot = self.queue(queue)?.device;
@@ -1002,7 +991,13 @@ impl Driver {
         let range = Self::span(offset, size, self.buffer(mem)?)?;
         let deps = self.wait_list_end(wait_list)?;
         let buf = self.buffers.get_mut(&mem.raw().0).expect("validated above");
-        buf.written(&mut self.write_clock)[range].copy_from_slice(&data);
+        // A whole-buffer write takes the payload in; only a part is
+        // copied into the bytes the buffer holds.
+        if size == buf.size {
+            *buf.written(&mut self.write_clock) = data;
+        } else {
+            buf.written(&mut self.write_clock).make_mut()[range].copy_from_slice(&data);
+        }
         let duration = link.cost(ByteSize::bytes(size));
         let (event, end) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "write")?;
         *now += self.enqueue_cost();
@@ -1032,7 +1027,7 @@ impl Driver {
         let deps = self.wait_list_end(wait_list)?;
         let chunk = self.buffer(src)?.data[src_range].to_vec();
         let dst = self.buffers.get_mut(&dst.raw().0).expect("validated above");
-        dst.written(&mut self.write_clock)[dst_range].copy_from_slice(&chunk);
+        dst.written(&mut self.write_clock).make_mut()[dst_range].copy_from_slice(&chunk);
         let duration = bw.transfer_time(ByteSize::bytes(size));
         let (event, _) = self.schedule(queue, *now, EngineKind::Dma, duration, deps, "copy")?;
         *now += self.enqueue_cost();
@@ -1173,11 +1168,11 @@ impl ClApi for Driver {
             } => self.create_buffer(now, context, flags, size, host_data),
             CreateImage2D {
                 context,
-                flags,
                 width,
                 height,
                 host_data,
-            } => self.create_image2d(now, context, flags, width, height, host_data),
+                ..
+            } => self.create_image2d(now, context, width, height, host_data),
             EnqueueReadImage {
                 queue,
                 image,
@@ -1199,7 +1194,7 @@ impl ClApi for Driver {
                 }
                 self.enqueue_write(now, queue, image, blocking, 0, data, &wait_list)
             }
-            CreateSampler { context, desc } => self.create_sampler(context, desc),
+            CreateSampler { context, .. } => self.create_sampler(context),
             CreateProgramWithSource { context, source } => {
                 self.create_program_source(context, &source)
             }

@@ -7,7 +7,7 @@ use clspec::error::ClError;
 use clspec::types::{ArgValue, DeviceType, EventStatus, MemFlags, NDRange, QueueProps};
 use clspec::{Context, DeviceId, Mem, Ocl};
 use osproc::Pid;
-use simcore::{SimDuration, SimTime};
+use simcore::{Payload, SimDuration, SimTime};
 
 /// Standard setup: platform → device → context → queue.
 fn setup(
@@ -53,7 +53,7 @@ fn end_to_end_vector_add() {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&a)),
+            Some(f32s(&a).into()),
         )
         .unwrap();
     let buf_b = ocl
@@ -61,7 +61,7 @@ fn end_to_end_vector_add() {
             ctx,
             MemFlags::READ_ONLY | MemFlags::COPY_HOST_PTR,
             (n * 4) as u64,
-            Some(f32s(&b)),
+            Some(f32s(&b).into()),
         )
         .unwrap();
     let buf_c = ocl
@@ -104,7 +104,7 @@ fn clock_advances_with_work() {
     let buf = ocl
         .create_buffer(ctx, MemFlags::READ_WRITE, size, None)
         .unwrap();
-    ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; size as usize], &[])
+    ocl.enqueue_write_buffer(q, buf, true, 0, vec![0u8; size as usize].into(), &[])
         .unwrap();
     let took = now.since(after_setup).as_secs_f64();
     assert!((0.004..0.012).contains(&took), "HtoD took {took}s");
@@ -433,7 +433,7 @@ fn profiling_timestamps_are_ordered() {
         .create_buffer(ctx, MemFlags::READ_WRITE, 1 << 20, None)
         .unwrap();
     let ev = ocl
-        .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 20], &[])
+        .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 20].into(), &[])
         .unwrap();
     let p = ocl.get_event_profiling(ev).unwrap();
     assert!(p.queued <= p.submit);
@@ -460,7 +460,7 @@ fn stats_track_activity() {
     let buf = ocl
         .create_buffer(ctx, MemFlags::READ_WRITE, 1024, None)
         .unwrap();
-    ocl.enqueue_write_buffer(q, buf, true, 0, vec![1u8; 1024], &[])
+    ocl.enqueue_write_buffer(q, buf, true, 0, vec![1u8; 1024].into(), &[])
         .unwrap();
     ocl.enqueue_read_buffer(q, buf, true, 0, 1024, &[]).unwrap();
     let s = drv.stats();
@@ -478,7 +478,7 @@ fn offset_reads_and_writes() {
     let buf = ocl
         .create_buffer(ctx, MemFlags::READ_WRITE, 16, None)
         .unwrap();
-    ocl.enqueue_write_buffer(q, buf, true, 4, vec![7u8; 4], &[])
+    ocl.enqueue_write_buffer(q, buf, true, 4, vec![7u8; 4].into(), &[])
         .unwrap();
     let (data, _) = ocl.enqueue_read_buffer(q, buf, true, 0, 16, &[]).unwrap();
     assert_eq!(&data[4..8], &[7, 7, 7, 7]);
@@ -502,7 +502,7 @@ fn copy_buffer_moves_device_data() {
             ctx,
             MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR,
             8,
-            Some(vec![1, 2, 3, 4, 5, 6, 7, 8]),
+            Some(vec![1, 2, 3, 4, 5, 6, 7, 8].into()),
         )
         .unwrap();
     let dst = ocl
@@ -511,7 +511,7 @@ fn copy_buffer_moves_device_data() {
     ocl.enqueue_copy_buffer(q, src, dst, 2, 0, 4, &[]).unwrap();
     ocl.finish(q).unwrap();
     let (data, _) = ocl.enqueue_read_buffer(q, dst, true, 0, 8, &[]).unwrap();
-    assert_eq!(data, vec![3, 4, 5, 6, 0, 0, 0, 0]);
+    assert_eq!(data, vec![3, 4, 5, 6, 0, 0, 0, 0].into());
 }
 
 #[test]
@@ -608,7 +608,7 @@ fn out_of_order_queue_overlaps_compute_and_dma() {
         .create_buffer(ctx, MemFlags::READ_WRITE, 1 << 20, None)
         .unwrap();
     let e1 = ocl
-        .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 20], &[])
+        .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 20].into(), &[])
         .unwrap();
     let (_, e2) = ocl
         .enqueue_read_buffer(q, buf, false, 0, 1 << 20, &[e1])
@@ -627,7 +627,7 @@ fn image2d_end_to_end_with_sampler() {
     let (w, h) = (16u64, 8u64);
     let texels: Vec<f32> = (0..w * h).map(|i| i as f32).collect();
     let img = ocl
-        .create_image2d(ctx, MemFlags::READ_ONLY, w, h, Some(f32s(&texels)))
+        .create_image2d(ctx, MemFlags::READ_ONLY, w, h, Some(f32s(&texels).into()))
         .unwrap();
     let out = ocl
         .create_buffer(ctx, MemFlags::WRITE_ONLY, w * h * 4, None)
@@ -663,16 +663,16 @@ fn image2d_end_to_end_with_sampler() {
     }
     // Whole-image read returns the original texels.
     let (back, _) = ocl.enqueue_read_image(q, img, true, &[]).unwrap();
-    assert_eq!(back, f32s(&texels));
+    assert_eq!(back, f32s(&texels).into());
     // Image write replaces them.
     let new_texels: Vec<f32> = (0..w * h).map(|i| -(i as f32)).collect();
-    ocl.enqueue_write_image(q, img, true, f32s(&new_texels), &[])
+    ocl.enqueue_write_image(q, img, true, f32s(&new_texels).into(), &[])
         .unwrap();
     let (back, _) = ocl.enqueue_read_image(q, img, true, &[]).unwrap();
-    assert_eq!(back, f32s(&new_texels));
+    assert_eq!(back, f32s(&new_texels).into());
     // Size-mismatched write rejected.
     assert_eq!(
-        ocl.enqueue_write_image(q, img, true, vec![0u8; 4], &[])
+        ocl.enqueue_write_image(q, img, true, vec![0u8; 4].into(), &[])
             .unwrap_err(),
         ClError::InvalidValue
     );
@@ -700,7 +700,7 @@ fn launch_over(
         .iter()
         .map(|b| {
             let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
-            ocl.create_buffer(ctx, flags, b.len() as u64 * 4, Some(f32s(b)))
+            ocl.create_buffer(ctx, flags, b.len() as u64 * 4, Some(f32s(b).into()))
                 .unwrap()
         })
         .collect();
@@ -800,8 +800,10 @@ fn vec_add_launched_once() -> (
     let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
     let mut ocl = Ocl::new(&mut drv, &mut now);
     let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
-    let mems = [[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0], [0.0; 4]]
-        .map(|v| ocl.create_buffer(ctx, flags, 16, Some(f32s(&v))).unwrap());
+    let mems = [[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0], [0.0; 4]].map(|v| {
+        ocl.create_buffer(ctx, flags, 16, Some(f32s(&v).into()))
+            .unwrap()
+    });
     let k = kernel_of(&mut ocl, ctx, "vector_add", "vec_add");
     for (i, m) in mems.iter().enumerate() {
         ocl.set_arg_mem(k, i as u32, *m).unwrap();
@@ -818,9 +820,12 @@ fn read_f32(ocl: &mut Ocl, q: clspec::CommandQueue, m: Mem) -> Vec<f32> {
 
 #[test]
 fn an_unchanged_relaunch_is_elided_and_still_scheduled() {
-    let (mut drv, mut now, ctx, q, k, [_, _, c]) = vec_add_launched_once();
+    let (mut drv, mut now, ctx, q, k, [a, _, c]) = vec_add_launched_once();
     assert_eq!(drv.stats().kernels_elided, 0);
     let mut ocl = Ocl::new(&mut drv, &mut now);
+    // Setting an argument to the value it holds keeps the stamp.
+    ocl.set_arg_mem(k, 0, a).unwrap();
+    ocl.set_arg_scalar(k, 3, 4u32).unwrap();
     let events: Vec<_> = (0..3)
         .map(|_| {
             ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
@@ -842,7 +847,7 @@ fn an_unchanged_relaunch_is_elided_and_still_scheduled() {
     // A kernel that is not rerun-safe runs every time: `max_flops`
     // iterates its buffer in place.
     let data = ocl
-        .create_buffer(ctx, MemFlags::READ_WRITE, 16, Some(f32s(&[1.0; 4])))
+        .create_buffer(ctx, MemFlags::READ_WRITE, 16, Some(f32s(&[1.0; 4]).into()))
         .unwrap();
     let flops = kernel_of(&mut ocl, ctx, "max_flops", "max_flops");
     ocl.set_arg_mem(flops, 0, data).unwrap();
@@ -866,7 +871,7 @@ fn a_relaunch_runs_again_after_anything_touches_its_buffers() {
         (
             "a write into an input",
             |ocl, _, q, _, [a, ..]| {
-                ocl.enqueue_write_buffer(q, a, true, 4, f32s(&[5.0]), &[])
+                ocl.enqueue_write_buffer(q, a, true, 4, f32s(&[5.0]).into(), &[])
                     .unwrap();
             },
             [11.0, 25.0, 33.0, 44.0],
@@ -891,8 +896,8 @@ fn a_relaunch_runs_again_after_anything_touches_its_buffers() {
             [2.0, 4.0, 6.0, 8.0],
         ),
         (
-            "clSetKernelArg, even to the value it held",
-            |ocl, _, _, k, _| ocl.set_arg_scalar(k, 3, 4u32).unwrap(),
+            "clSetKernelArg to a value it did not hold",
+            |ocl, _, _, k, _| ocl.set_arg_scalar(k, 3, 2u32).unwrap(),
             [11.0, 22.0, 33.0, 44.0],
         ),
         (
@@ -989,7 +994,10 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
         let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
         let mems: Vec<Mem> = model
             .iter()
-            .map(|b| ocl.create_buffer(ctx, flags, 16, Some(b.clone())).unwrap())
+            .map(|b| {
+                ocl.create_buffer(ctx, flags, 16, Some(b.clone().into()))
+                    .unwrap()
+            })
             .collect();
         let mut kernels: Vec<(clspec::Kernel, Vec<usize>)> = specs
             .iter()
@@ -1010,7 +1018,7 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
             match g.usize_in(0, 8) {
                 0 => {
                     let (b, data) = (g.usize_in(0, BUFS), lanes(g));
-                    ocl.enqueue_write_buffer(q, mems[b], true, 0, data.clone(), &[])
+                    ocl.enqueue_write_buffer(q, mems[b], true, 0, data.clone().into(), &[])
                         .unwrap();
                     model[b] = data;
                 }
@@ -1033,7 +1041,7 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
                     // the last binding of a buffer wins.
                     let mut args: Vec<clkernels::ArgData> = binds
                         .iter()
-                        .map(|&b| clkernels::ArgData::Buffer(model[b].clone()))
+                        .map(|&b| clkernels::ArgData::buffer_of(model[b].clone()))
                         .collect();
                     args.extend(specs[ki].3.iter().map(|v| match v {
                         ArgValue::Bytes(b) => clkernels::ArgData::Scalar(b.clone()),
@@ -1048,10 +1056,357 @@ fn elided_relaunches_leave_what_running_every_launch_leaves() {
         }
         for (&m, want) in mems.iter().zip(&model) {
             let (got, _) = ocl.enqueue_read_buffer(q, m, true, 0, 16, &[]).unwrap();
-            assert_eq!(&got, want);
+            assert_eq!(*got, **want);
         }
         let _ = ocl;
         elided += drv.stats().kernels_elided;
     });
     assert!(elided > 0);
+}
+
+/// oclConvolutionSeparable's loop: each round sets all six arguments of
+/// `conv_rows` (`src` into `tmp`) and of `conv_cols` (`tmp` into `dst`)
+/// to the values they hold, then launches both. Neither kernel writes
+/// what the other's stamp records, so every round after the first
+/// elides both, and the outputs are those of one run of each.
+#[test]
+fn a_convolution_relaunch_pair_elides_bit_identical() {
+    let (w, h, radius) = (16u32, 8u32, 2u32);
+    let size = (w * h) as u64 * 4;
+    let src: Vec<f32> = (0..w * h).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+    let filter: Vec<f32> = (0..2 * radius + 1).map(|i| 0.1 * (i + 1) as f32).collect();
+    let mut drv = Driver::new(nimbus(), Pid(1));
+    let mut now = SimTime::ZERO;
+    let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+    let src_m = ocl
+        .create_buffer(ctx, flags, size, Some(f32s(&src).into()))
+        .unwrap();
+    let [tmp, dst] = [(); 2].map(|_| {
+        ocl.create_buffer(ctx, MemFlags::READ_WRITE, size, None)
+            .unwrap()
+    });
+    let filter_m = ocl
+        .create_buffer(
+            ctx,
+            flags,
+            filter.len() as u64 * 4,
+            Some(f32s(&filter).into()),
+        )
+        .unwrap();
+    let rows = kernel_of(&mut ocl, ctx, "convolution_separable", "conv_rows");
+    let cols = kernel_of(&mut ocl, ctx, "convolution_separable", "conv_cols");
+    for _ in 0..3 {
+        for (k, s, d) in [(rows, src_m, tmp), (cols, tmp, dst)] {
+            ocl.set_arg_mem(k, 0, s).unwrap();
+            ocl.set_arg_mem(k, 1, d).unwrap();
+            ocl.set_arg_mem(k, 2, filter_m).unwrap();
+            for (index, value) in [(3, w), (4, h), (5, radius)] {
+                ocl.set_arg_scalar(k, index, value).unwrap();
+            }
+            ocl.enqueue_nd_range(q, k, NDRange::d2(w as u64, h as u64), None, &[])
+                .unwrap();
+        }
+    }
+    let read = |ocl: &mut Ocl, m| {
+        ocl.enqueue_read_buffer(q, m, true, 0, size, &[])
+            .unwrap()
+            .0
+            .to_vec()
+    };
+    let (got_tmp, got_dst) = (read(&mut ocl, tmp), read(&mut ocl, dst));
+    let _ = ocl;
+    let stats = drv.stats();
+    assert_eq!((stats.kernels_launched, stats.kernels_elided), (6, 4));
+
+    // One run of each, straight through the engine.
+    let scalar = |v: u32| clkernels::ArgData::Scalar(v.to_le_bytes().to_vec());
+    let zeros = || clkernels::ArgData::buffer_of(vec![0u8; size as usize]);
+    let conv = |name, input: Vec<u8>| {
+        let mut args = [
+            clkernels::ArgData::buffer_of(input),
+            zeros(),
+            clkernels::ArgData::buffer_of(f32s(&filter)),
+            scalar(w),
+            scalar(h),
+            scalar(radius),
+        ];
+        clkernels::execute(name, &mut args).unwrap();
+        args[1].buffer().unwrap().to_vec()
+    };
+    let want_tmp = conv("conv_rows", f32s(&src));
+    assert_eq!(got_tmp, want_tmp);
+    assert_eq!(got_dst, conv("conv_cols", want_tmp));
+}
+
+/// A launch stamps only the buffers the kernel wrote; a buffer bound
+/// twice and written through either binding always runs again, and one
+/// bound twice and only read may elide.
+#[test]
+fn a_written_double_binding_never_elides() {
+    let relaunch = |program: &str, kernel: &str, binds: &[usize], scalars: &[ArgValue]| {
+        let mut drv = Driver::new(nimbus(), Pid(1));
+        let mut now = SimTime::ZERO;
+        let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+        let mut ocl = Ocl::new(&mut drv, &mut now);
+        let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+        let mems = [[1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0]].map(|v| {
+            ocl.create_buffer(ctx, flags, 16, Some(f32s(&v).into()))
+                .unwrap()
+        });
+        let k = kernel_of(&mut ocl, ctx, program, kernel);
+        for (i, &b) in binds.iter().enumerate() {
+            ocl.set_arg_mem(k, i as u32, mems[b]).unwrap();
+        }
+        for (i, v) in scalars.iter().enumerate() {
+            ocl.set_kernel_arg(k, (binds.len() + i) as u32, v.clone())
+                .unwrap();
+        }
+        for _ in 0..2 {
+            ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+                .unwrap();
+        }
+        let out = mems.map(|m| read_f32(&mut ocl, q, m));
+        let _ = ocl;
+        (drv.stats().kernels_elided, out)
+    };
+    let n = || ArgValue::scalar(4u32);
+    // `triad(x, x, c)`: the write through the first binding is undone
+    // by the second, yet it stamps `x` twice.
+    let (elided, [x, _]) = relaunch(
+        "triad",
+        "triad",
+        &[0, 0, 1],
+        &[ArgValue::scalar(0.5f32), n()],
+    );
+    assert_eq!((elided, x), (0, vec![1.0, 2.0, 3.0, 4.0]));
+    // `vec_add(a, b, a)` accumulates.
+    let (elided, [a, _]) = relaunch("vector_add", "vec_add", &[0, 1, 0], &[n()]);
+    assert_eq!((elided, a), (0, vec![21.0, 42.0, 63.0, 84.0]));
+    // `vec_add(a, a, b)` only reads `a`.
+    let (elided, [a, b]) = relaunch("vector_add", "vec_add", &[0, 0, 1], &[n()]);
+    assert_eq!(elided, 1);
+    assert_eq!((a, b), (vec![1.0, 2.0, 3.0, 4.0], vec![2.0, 4.0, 6.0, 8.0]));
+}
+
+/// A whole read shares the device bytes, and a whole write hands its
+/// payload to the device: neither copy the caller holds changes when a
+/// kernel, a whole write or a partial write then changes the buffer.
+#[test]
+fn held_payloads_are_unchanged_by_later_writes() {
+    let (mut drv, mut now, _ctx, q, k, [a, b, c]) = vec_add_launched_once();
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let read = |ocl: &mut Ocl, m| ocl.enqueue_read_buffer(q, m, true, 0, 16, &[]).unwrap().0;
+    let held_read = read(&mut ocl, c);
+    let written = Payload::from(f32s(&[5.0, 6.0, 7.0, 8.0]));
+    ocl.enqueue_write_buffer(q, a, true, 0, written.clone(), &[])
+        .unwrap();
+    let held_a = read(&mut ocl, a);
+    type Step = fn(&mut Ocl, clspec::CommandQueue, clspec::Kernel, [Mem; 3]);
+    let steps: [(&str, Step); 3] = [
+        ("a kernel launch", |ocl, q, k, _| {
+            ocl.enqueue_nd_range(q, k, NDRange::d1(4), None, &[])
+                .map(|_| ())
+                .unwrap()
+        }),
+        ("a whole write", |ocl, q, _, [a, _, c]| {
+            for m in [a, c] {
+                ocl.enqueue_write_buffer(q, m, true, 0, f32s(&[9.0; 4]).into(), &[])
+                    .unwrap();
+            }
+        }),
+        ("a partial write", |ocl, q, _, [a, _, c]| {
+            for m in [a, c] {
+                ocl.enqueue_write_buffer(q, m, true, 4, f32s(&[-1.0]).into(), &[])
+                    .unwrap();
+            }
+        }),
+    ];
+    for (what, step) in steps {
+        step(&mut ocl, q, k, [a, b, c]);
+        assert_eq!(to_f32(&held_read), [11.0, 22.0, 33.0, 44.0], "{what}");
+        assert_eq!(to_f32(&written), [5.0, 6.0, 7.0, 8.0], "{what}");
+        assert_eq!(held_a, written, "{what}");
+    }
+    assert_eq!(read_f32(&mut ocl, q, a), [9.0, -1.0, 9.0, 9.0]);
+    assert_eq!(read_f32(&mut ocl, q, c), [9.0, -1.0, 9.0, 9.0]);
+}
+
+/// The image path under the same checks: an image created from a
+/// payload the caller holds, read whole, read by a kernel and then
+/// written whole leaves both held payloads as they were.
+#[test]
+fn held_image_payloads_are_unchanged_by_later_writes() {
+    let mut drv = Driver::new(nimbus(), Pid(1));
+    let mut now = SimTime::ZERO;
+    let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+    let mut ocl = Ocl::new(&mut drv, &mut now);
+    let (w, h) = (4u64, 2u64);
+    let texels: Vec<f32> = (0..w * h).map(|i| i as f32).collect();
+    let created = Payload::from(f32s(&texels));
+    let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+    let img = ocl
+        .create_image2d(ctx, flags, w, h, Some(created.clone()))
+        .unwrap();
+    let (held_read, _) = ocl.enqueue_read_image(q, img, true, &[]).unwrap();
+    assert_eq!(held_read, created);
+    let out = ocl
+        .create_buffer(ctx, MemFlags::WRITE_ONLY, w * h * 4, None)
+        .unwrap();
+    let smp = ocl
+        .create_sampler(
+            ctx,
+            clspec::types::SamplerDesc {
+                normalized_coords: false,
+                addressing_mode: 0,
+                filter_mode: 0,
+            },
+        )
+        .unwrap();
+    let k = kernel_of(&mut ocl, ctx, "image_demo", "image_scale");
+    ocl.set_arg_mem(k, 0, img).unwrap();
+    ocl.set_arg_sampler(k, 1, smp).unwrap();
+    ocl.set_arg_mem(k, 2, out).unwrap();
+    ocl.set_arg_scalar(k, 3, w as u32).unwrap();
+    ocl.set_arg_scalar(k, 4, h as u32).unwrap();
+    let new_texels: Vec<f32> = texels.iter().map(|t| -t).collect();
+    for data in [f32s(&new_texels), f32s(&texels)] {
+        ocl.enqueue_nd_range(q, k, NDRange::d2(w, h), None, &[])
+            .unwrap();
+        ocl.enqueue_write_image(q, img, true, data.into(), &[])
+            .unwrap();
+    }
+    ocl.enqueue_write_image(q, img, true, f32s(&new_texels).into(), &[])
+        .unwrap();
+    let (back, _) = ocl.enqueue_read_image(q, img, true, &[]).unwrap();
+    assert_eq!(to_f32(&back), new_texels);
+    let (scaled, _) = ocl
+        .enqueue_read_buffer(q, out, true, 0, w * h * 4, &[])
+        .unwrap();
+    assert_eq!(
+        to_f32(&scaled),
+        texels.iter().map(|t| -2.0 * t).collect::<Vec<_>>()
+    );
+    assert_eq!(to_f32(&created), texels);
+    assert_eq!(to_f32(&held_read), texels);
+}
+
+/// Random sequences of creates (some from one shared payload, as input
+/// memo hits are), whole and partial writes (whole ones from shared
+/// payloads too), reads held to the end, copies and kernel launches,
+/// against a model that copies every `Vec`. Every buffer reads back as
+/// the model says, and no payload the caller shares with the device,
+/// read or written, ever changes.
+#[test]
+fn shared_payloads_match_a_model_that_copies_everything() {
+    let specs = [
+        ("vector_add", "vec_add", 3, vec![ArgValue::scalar(4u32)]),
+        ("device_copy", "copy_buf", 2, vec![ArgValue::scalar(4u32)]),
+        (
+            "max_flops",
+            "max_flops",
+            1,
+            vec![ArgValue::scalar(4u32), ArgValue::scalar(2u32)],
+        ),
+        ("null", "null_kernel", 1, vec![]),
+    ];
+    simcore::qcheck::qcheck("shared_payloads_model", 48, |g| {
+        let mut drv = Driver::new(nimbus(), Pid(1));
+        let mut now = SimTime::ZERO;
+        let (ctx, _dev, q) = setup(&mut drv, &mut now, DeviceType::Gpu);
+        let mut ocl = Ocl::new(&mut drv, &mut now);
+        let lanes = |g: &mut simcore::qcheck::Gen| {
+            f32s(&std::array::from_fn::<f32, 4, _>(|_| g.f32_in(-2.0, 2.0)))
+        };
+        // Payloads the caller shares with the device, each with the
+        // bytes it must keep.
+        let sources: Vec<Payload> = (0..3).map(|_| Payload::from(lanes(g))).collect();
+        let mut held: Vec<(Payload, Vec<u8>)> =
+            sources.iter().map(|p| (p.clone(), p.to_vec())).collect();
+        let mut mems: Vec<Mem> = Vec::new();
+        let mut model: Vec<Vec<u8>> = Vec::new();
+        let kernels: Vec<clspec::Kernel> = specs
+            .iter()
+            .map(|(program, name, ..)| kernel_of(&mut ocl, ctx, program, name))
+            .collect();
+        for _ in 0..40 {
+            let from = |g: &mut simcore::qcheck::Gen| match g.usize_in(0, 2) {
+                0 => sources[g.usize_in(0, sources.len())].clone(),
+                _ => Payload::from(lanes(g)),
+            };
+            match g.usize_in(0, if mems.is_empty() { 1 } else { 6 }) {
+                0 => {
+                    let data = from(g);
+                    let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+                    mems.push(
+                        ocl.create_buffer(ctx, flags, 16, Some(data.clone()))
+                            .unwrap(),
+                    );
+                    model.push(data.to_vec());
+                }
+                1 => {
+                    let (b, data) = (g.usize_in(0, mems.len()), from(g));
+                    ocl.enqueue_write_buffer(q, mems[b], true, 0, data.clone(), &[])
+                        .unwrap();
+                    model[b] = data.to_vec();
+                    held.push((data.clone(), data.to_vec()));
+                }
+                2 => {
+                    let (b, at) = (g.usize_in(0, mems.len()), g.usize_in(0, 4) * 4);
+                    let data = f32s(&[g.f32_in(-2.0, 2.0)]);
+                    ocl.enqueue_write_buffer(q, mems[b], true, at as u64, data.clone().into(), &[])
+                        .unwrap();
+                    model[b][at..at + 4].copy_from_slice(&data);
+                }
+                3 => {
+                    let b = g.usize_in(0, mems.len());
+                    let (got, _) = ocl
+                        .enqueue_read_buffer(q, mems[b], true, 0, 16, &[])
+                        .unwrap();
+                    assert_eq!(*got, *model[b]);
+                    held.push((got, model[b].clone()));
+                }
+                4 => {
+                    let (s, d) = (g.usize_in(0, mems.len()), g.usize_in(0, mems.len()));
+                    ocl.enqueue_copy_buffer(q, mems[s], mems[d], 0, 0, 16, &[])
+                        .unwrap();
+                    model[d] = model[s].clone();
+                }
+                _ => {
+                    let ki = g.usize_in(0, specs.len());
+                    let (_, name, bufs, scalars) = &specs[ki];
+                    let binds: Vec<usize> = (0..*bufs).map(|_| g.usize_in(0, mems.len())).collect();
+                    for (i, &b) in binds.iter().enumerate() {
+                        ocl.set_arg_mem(kernels[ki], i as u32, mems[b]).unwrap();
+                    }
+                    for (j, v) in scalars.iter().enumerate() {
+                        ocl.set_kernel_arg(kernels[ki], (bufs + j) as u32, v.clone())
+                            .unwrap();
+                    }
+                    ocl.enqueue_nd_range(q, kernels[ki], NDRange::d1(4), None, &[])
+                        .unwrap();
+                    let mut args: Vec<clkernels::ArgData> = binds
+                        .iter()
+                        .map(|&b| clkernels::ArgData::buffer_of(model[b].clone()))
+                        .collect();
+                    args.extend(scalars.iter().map(|v| match v {
+                        ArgValue::Bytes(b) => clkernels::ArgData::Scalar(b.clone()),
+                        other => panic!("not a scalar: {other:?}"),
+                    }));
+                    clkernels::execute(name, &mut args).unwrap();
+                    for (i, &b) in binds.iter().enumerate() {
+                        model[b] = args[i].buffer().unwrap().to_vec();
+                    }
+                }
+            }
+        }
+        for (&m, want) in mems.iter().zip(&model) {
+            let (got, _) = ocl.enqueue_read_buffer(q, m, true, 0, 16, &[]).unwrap();
+            assert_eq!(*got, **want);
+        }
+        for (payload, bytes) in &held {
+            assert_eq!(**payload, **bytes);
+        }
+    });
 }

@@ -135,7 +135,7 @@ fn wait_list_chains() {
             let q = if hop == 0 { q1 } else { q2 };
             let wait: Vec<clspec::Event> = prev.into_iter().collect();
             let ev = ocl
-                .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 16], &wait)
+                .enqueue_write_buffer(q, buf, false, 0, vec![0u8; 1 << 16].into(), &wait)
                 .unwrap();
             let prof = ocl.get_event_profiling(ev).unwrap();
             assert!(prof.start >= prev_end, "dependency violated");

@@ -2,19 +2,29 @@
 //!
 //! By the time a launch reaches the engine, the driver has resolved
 //! every `cl_mem` handle to buffer bytes. A buffer argument holds the
-//! device buffer's own bytes, lent by the driver for the launch and
-//! returned afterwards, so the engine reads and writes device memory
-//! in place. Only a `cl_mem` bound to more than one argument is copied,
-//! once per later binding. The engine can change a buffer's bytes but
+//! device buffer's own [`Payload`], lent by the driver for the launch
+//! and returned afterwards, so the engine reads and writes device
+//! memory in place. Those bytes may be shared, with the input memo or
+//! with another binding of the same `cl_mem`: reading them copies
+//! nothing, and only [`ArgData::buffer_mut`] copies them, and only
+//! while they are shared. The engine can change a buffer's bytes but
 //! never its length.
 
+use simcore::Payload;
 use std::fmt;
 
 /// One resolved kernel argument.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArgData {
     /// A global-memory buffer (device memory contents).
-    Buffer(Vec<u8>),
+    Buffer {
+        /// The bytes, shared until written.
+        bytes: Payload,
+        /// Whether the engine asked for the bytes to write, through
+        /// [`ArgData::buffer_mut`]; the driver stamps only such a
+        /// buffer as changed.
+        written: bool,
+    },
     /// A by-value scalar, as raw little-endian bytes.
     Scalar(Vec<u8>),
     /// A `__local` scratch allocation of the given size. Scratch is
@@ -25,10 +35,18 @@ pub enum ArgData {
 }
 
 impl ArgData {
+    /// A buffer argument over `bytes`, not yet written.
+    pub fn buffer_of(bytes: impl Into<Payload>) -> Self {
+        ArgData::Buffer {
+            bytes: bytes.into(),
+            written: false,
+        }
+    }
+
     /// Borrow buffer bytes; error if the argument is not a buffer.
     pub fn buffer(&self) -> Result<&[u8], ExecError> {
         match self {
-            ArgData::Buffer(b) => Ok(b),
+            ArgData::Buffer { bytes, .. } => Ok(bytes),
             other => Err(ExecError::ArgType {
                 expected: "buffer",
                 got: other.kind_name(),
@@ -36,10 +54,14 @@ impl ArgData {
         }
     }
 
-    /// Mutably borrow buffer bytes; their length is fixed.
+    /// Mutably borrow buffer bytes, copying them first while they are
+    /// shared, and mark the argument written; their length is fixed.
     pub fn buffer_mut(&mut self) -> Result<&mut [u8], ExecError> {
         match self {
-            ArgData::Buffer(b) => Ok(b),
+            ArgData::Buffer { bytes, written } => {
+                *written = true;
+                Ok(bytes.make_mut())
+            }
             other => Err(ExecError::ArgType {
                 expected: "buffer",
                 got: other.kind_name(),
@@ -83,7 +105,7 @@ impl ArgData {
 
     pub(crate) fn kind_name(&self) -> &'static str {
         match self {
-            ArgData::Buffer(_) => "buffer",
+            ArgData::Buffer { .. } => "buffer",
             ArgData::Scalar(_) => "scalar",
             ArgData::Local(_) => "local",
         }
@@ -144,7 +166,7 @@ mod tests {
         assert_eq!(s.scalar_u32().unwrap(), 7);
         let f = ArgData::Scalar(1.5f32.to_le_bytes().to_vec());
         assert_eq!(f.scalar_f32().unwrap(), 1.5);
-        let b = ArgData::Buffer(vec![0; 4]);
+        let b = ArgData::buffer_of(vec![0; 4]);
         assert!(b.scalar_u32().is_err());
         let bad = ArgData::Scalar(vec![0; 8]);
         assert!(bad.scalar_u32().is_err());
@@ -152,10 +174,14 @@ mod tests {
 
     #[test]
     fn buffer_accessors_validate() {
-        let mut b = ArgData::Buffer(vec![1, 2]);
+        let shared = Payload::from(vec![1, 2]);
+        let mut b = ArgData::buffer_of(shared.clone());
         assert_eq!(b.buffer().unwrap(), &[1, 2]);
+        assert!(matches!(b, ArgData::Buffer { written: false, .. }));
         b.buffer_mut().unwrap()[1] = 3;
         assert_eq!(b.buffer().unwrap(), &[1, 3]);
+        assert!(matches!(b, ArgData::Buffer { written: true, .. }));
+        assert_eq!(&shared[..], &[1, 2], "a write leaves shared bytes alone");
         assert!(ArgData::Local(64).buffer().is_err());
     }
 }

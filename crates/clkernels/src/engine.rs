@@ -910,11 +910,11 @@ mod tests {
     use super::*;
 
     fn buf_f32(v: &[f32]) -> ArgData {
-        ArgData::Buffer(v.iter().flat_map(|x| x.to_le_bytes()).collect())
+        ArgData::buffer_of(v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>())
     }
 
     fn buf_u32(v: &[u32]) -> ArgData {
-        ArgData::Buffer(v.iter().flat_map(|x| x.to_le_bytes()).collect())
+        ArgData::buffer_of(v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>())
     }
 
     fn scalar_u32(v: u32) -> ArgData {
@@ -1040,7 +1040,7 @@ mod tests {
             let got: Vec<u32> = u32s(args[0].buffer().unwrap()).collect();
             assert_eq!(got, expected, "{name}");
             if in_order {
-                assert_eq!(args[0], buf_u32(&keys), "{name}");
+                assert_eq!(args[0].buffer(), buf_u32(&keys).buffer(), "{name}");
             }
         }
     }
@@ -1575,10 +1575,10 @@ mod tests {
     fn rerun_args(name: &str, g: &mut simcore::qcheck::Gen) -> Vec<ArgData> {
         let buf = |g: &mut simcore::qcheck::Gen, lanes: u32| {
             let slack = g.usize_in(0, 3) as u32;
-            ArgData::Buffer(
+            ArgData::buffer_of(
                 (0..lanes + slack)
                     .flat_map(|_| g.f32_in(-4.0, 4.0).to_le_bytes())
-                    .collect(),
+                    .collect::<Vec<u8>>(),
             )
         };
         let u = scalar_u32;
@@ -1670,7 +1670,11 @@ mod tests {
     }
 
     fn f32_lanes(v: impl IntoIterator<Item = f32>) -> ArgData {
-        ArgData::Buffer(v.into_iter().flat_map(f32::to_le_bytes).collect())
+        ArgData::buffer_of(
+            v.into_iter()
+                .flat_map(f32::to_le_bytes)
+                .collect::<Vec<u8>>(),
+        )
     }
 
     /// Every buffer argument's bytes, in argument order.

@@ -26,7 +26,7 @@ use crate::types::{
     ArgValue, DeviceInfo, DeviceType, EventStatus, MemFlags, NDRange, PlatformInfo, ProfilingInfo,
     QueueProps, SamplerDesc,
 };
-use simcore::SimTime;
+use simcore::{Payload, SimTime};
 
 /// What a retain or release call does to its object's reference count.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -69,8 +69,16 @@ impl<T: ApiField> ApiField for Option<T> {
     }
 }
 
-/// Buffer data and program binaries: bulk payload, byte for byte.
+/// Program binaries: bulk payload, byte for byte.
 impl ApiField for Vec<u8> {
+    fn wire_bytes(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// Buffer and image data: bulk payload, byte for byte, though the host
+/// shares the bytes rather than copying them.
+impl ApiField for Payload {
     fn wire_bytes(&self) -> u64 {
         self.len() as u64
     }
@@ -247,7 +255,7 @@ cl_api! {
         context: Context,
         flags: MemFlags,
         size: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     },
     /// A single-channel float image (CL_R / CL_FLOAT), the format every
     /// image workload here uses.
@@ -256,7 +264,7 @@ cl_api! {
         flags: MemFlags,
         width: u64,
         height: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     },
     /// The whole image.
     EnqueueReadImage = "clEnqueueReadImage" {
@@ -270,7 +278,7 @@ cl_api! {
         queue: CommandQueue,
         image: Mem,
         blocking: bool,
-        data: Vec<u8>,
+        data: Payload,
         wait_list: Vec<Event>,
     },
     RetainMemObject = "clRetainMemObject" [Retain] { mem: Mem },
@@ -322,7 +330,7 @@ cl_api! {
         mem: Mem,
         blocking: bool,
         offset: u64,
-        data: Vec<u8>,
+        data: Payload,
         wait_list: Vec<Event>,
     },
     EnqueueCopyBuffer = "clEnqueueCopyBuffer" {
@@ -375,7 +383,7 @@ pub enum ApiResponse {
     /// Enqueue operations that return an event.
     Event(Event),
     /// `clEnqueueReadBuffer`: the bytes read plus the completion event.
-    DataEvent { data: Vec<u8>, event: Event },
+    DataEvent { data: Payload, event: Event },
     /// `clGetProgramBuildInfo`.
     BuildLog(String),
     /// `clGetProgramInfo(CL_PROGRAM_BINARIES)`.
@@ -461,7 +469,7 @@ response_accessors! {
 
 impl ApiResponse {
     /// Unwrap a `DataEvent` response.
-    pub fn into_data_event(self) -> ClResult<(Vec<u8>, Event)> {
+    pub fn into_data_event(self) -> ClResult<(Payload, Event)> {
         match self {
             ApiResponse::DataEvent { data, event } => Ok((data, event)),
             other => panic!("API contract violation: expected DataEvent, got {other:?}"),
@@ -524,7 +532,7 @@ mod tests {
             mem: Mem::from_raw(RawHandle(2)),
             blocking: true,
             offset: 0,
-            data: vec![0u8; 1 << 20],
+            data: vec![0u8; 1 << 20].into(),
             wait_list: vec![],
         };
         assert!(big.wire_size() > small.wire_size() + (1 << 20) - 1);
@@ -687,14 +695,14 @@ mod tests {
     #[test]
     fn object_mut_names_the_returned_handle() {
         let mut resp = ApiResponse::DataEvent {
-            data: vec![1, 2],
+            data: vec![1, 2].into(),
             event: Event::from_raw(RawHandle(7)),
         };
         *resp.object_mut().unwrap() = RawHandle(8);
         assert_eq!(
             resp,
             ApiResponse::DataEvent {
-                data: vec![1, 2],
+                data: vec![1, 2].into(),
                 event: Event::from_raw(RawHandle(8)),
             }
         );

@@ -15,7 +15,7 @@ use crate::types::{
     ArgValue, DeviceInfo, DeviceType, EventStatus, MemFlags, NDRange, PlatformInfo, ProfilingInfo,
     QueueProps, SamplerDesc,
 };
-use simcore::SimTime;
+use simcore::{Payload, SimTime};
 
 /// A borrowed view of "this process linked against some libOpenCL",
 /// pairing the API implementation with the process's virtual clock.
@@ -115,7 +115,7 @@ impl<'a> Ocl<'a> {
         context: Context,
         flags: MemFlags,
         size: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     ) -> ClResult<Mem> {
         self.call(ApiRequest::CreateBuffer {
             context,
@@ -133,7 +133,7 @@ impl<'a> Ocl<'a> {
         flags: MemFlags,
         width: u64,
         height: u64,
-        host_data: Option<Vec<u8>>,
+        host_data: Option<Payload>,
     ) -> ClResult<Mem> {
         self.call(ApiRequest::CreateImage2D {
             context,
@@ -152,7 +152,7 @@ impl<'a> Ocl<'a> {
         image: Mem,
         blocking: bool,
         wait_list: &[Event],
-    ) -> ClResult<(Vec<u8>, Event)> {
+    ) -> ClResult<(Payload, Event)> {
         self.call(ApiRequest::EnqueueReadImage {
             queue,
             image,
@@ -168,7 +168,7 @@ impl<'a> Ocl<'a> {
         queue: CommandQueue,
         image: Mem,
         blocking: bool,
-        data: Vec<u8>,
+        data: Payload,
         wait_list: &[Event],
     ) -> ClResult<Event> {
         self.call(ApiRequest::EnqueueWriteImage {
@@ -315,7 +315,7 @@ impl<'a> Ocl<'a> {
         offset: u64,
         size: u64,
         wait_list: &[Event],
-    ) -> ClResult<(Vec<u8>, Event)> {
+    ) -> ClResult<(Payload, Event)> {
         self.call(ApiRequest::EnqueueReadBuffer {
             queue,
             mem,
@@ -334,7 +334,7 @@ impl<'a> Ocl<'a> {
         mem: Mem,
         blocking: bool,
         offset: u64,
-        data: Vec<u8>,
+        data: Payload,
         wait_list: &[Event],
     ) -> ClResult<Event> {
         self.call(ApiRequest::EnqueueWriteBuffer {

@@ -61,9 +61,6 @@ pub struct Process {
     pub state: ProcState,
     /// Signals delivered but not yet consumed by the program.
     pub pending_signals: VecDeque<Signal>,
-    /// Name of the `libOpenCL.so` variant the loader bound, if any
-    /// (`"native"` or `"checl"`).
-    pub bound_opencl: Option<String>,
 }
 
 impl Process {
@@ -78,7 +75,6 @@ impl Process {
             device_mappings: Vec::new(),
             state: ProcState::Running,
             pending_signals: VecDeque::new(),
-            bound_opencl: None,
         }
     }
 

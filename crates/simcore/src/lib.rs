@@ -15,8 +15,9 @@
 //!   format, not an incidental dependency.
 //!
 //! Helpers for deterministic pseudo-randomness ([`rng`]), content
-//! checksums ([`checksum`]), virtual-clock tracing ([`telemetry`]) and
-//! an offline property-test harness ([`qcheck`]) round out the crate.
+//! checksums ([`checksum`]), copy-on-write bulk bytes ([`payload`]),
+//! virtual-clock tracing ([`telemetry`]) and an offline property-test
+//! harness ([`qcheck`]) round out the crate.
 
 pub mod bandwidth;
 pub mod bytesize;
@@ -26,6 +27,7 @@ pub mod checksum;
 pub mod codec;
 pub mod des;
 pub mod obs;
+pub mod payload;
 pub mod qcheck;
 pub mod rng;
 pub mod telemetry;
@@ -35,5 +37,6 @@ pub use bandwidth::{Bandwidth, LinkModel};
 pub use bytesize::ByteSize;
 pub use checksum::{fnv1a64, Fnv64, Seal64};
 pub use codec::{Codec, CodecError, Reader};
+pub use payload::Payload;
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -12,7 +12,9 @@
 //! [`readback_checksum`], go through per-thread memos: a suite or a
 //! fleet runs the same few scripts many times, so most of their inputs
 //! and read-backs repeat byte for byte. A memo hit returns what a fresh
-//! computation would, bit for bit (see [`readback_checksum`]).
+//! computation would, bit for bit (see [`readback_checksum`]). An input
+//! hit shares the memo's [`Payload`], which a buffer created or written
+//! from it shares in turn until a kernel writes it.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -22,7 +24,7 @@ use clspec::api::{ApiRequest, ClApi};
 use clspec::error::ClResult;
 use clspec::handles::{CommandQueue, Context, DeviceId, Event, Kernel, Mem, Program, RawHandle};
 use clspec::types::{ArgValue, DeviceType, MemFlags, NDRange, QueueProps, SamplerDesc};
-use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, SimTime, SplitMix64};
+use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, Payload, SimTime, SplitMix64};
 
 /// A register index in the application's handle file.
 pub type Reg = u16;
@@ -58,21 +60,21 @@ pub enum BufInit {
 }
 
 impl BufInit {
-    /// `size` bytes of data, from this thread's input memo when the same
-    /// descriptor and size were generated before.
-    pub fn generate(&self, size: u64) -> Vec<u8> {
+    /// `size` bytes of data, shared with this thread's input memo when
+    /// the same descriptor and size were generated before.
+    pub fn generate(&self, size: u64) -> Payload {
         let key = match *self {
-            BufInit::Zero => return vec![0u8; size as usize],
+            BufInit::Zero => return vec![0u8; size as usize].into(),
             BufInit::RandomF32 { seed, lo, hi } => (1, seed, lo.to_bits(), hi.to_bits(), size),
             BufInit::RandomU32 { seed } => (2, seed, 0, 0, size),
             BufInit::Ramp => (3, 0, 0, 0, size),
         };
         MEMOS.with_borrow_mut(|m| {
-            if let Some((bytes, ())) = m.inputs.get(&key) {
-                return bytes.to_vec();
+            if let Some(bytes) = m.inputs.get(&key) {
+                return bytes.clone();
             }
-            let bytes = self.materialise(size);
-            m.inputs.insert(key, &bytes, ());
+            let bytes = Payload::from(self.materialise(size));
+            m.inputs.insert(key, bytes.clone());
             bytes
         })
     }
@@ -125,6 +127,58 @@ impl_codec_enum!(BufInit, "BufInit tag", {
 /// hits none of them and one of 64 MiB hits all.
 const INPUT_MEMO_BUDGET: usize = 64 << 20;
 
+/// A map from `K` to shared byte strings of at most `budget` bytes in
+/// all, evicted oldest first. A string longer than a quarter of the
+/// budget, or empty, is never filed, so one oversize working set cannot
+/// flush the memo. An entry is shared, never copied, in and out; an
+/// evicted one lives on in whatever still holds it.
+struct PayloadFifo<K> {
+    budget: usize,
+    /// Bytes of the entries in `index`.
+    held: usize,
+    index: HashMap<K, Payload>,
+    /// The keys of `index`, oldest first.
+    order: VecDeque<K>,
+}
+
+impl<K: Copy + Eq + Hash> PayloadFifo<K> {
+    fn new(budget: usize) -> Self {
+        PayloadFifo {
+            budget,
+            held: 0,
+            index: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// The bytes filed under `key`.
+    fn get(&self, key: &K) -> Option<&Payload> {
+        self.index.get(key)
+    }
+
+    /// File `bytes` under `key` as the newest entry, in place of what
+    /// `key` held, evicting the oldest entries it does not fit beside. A
+    /// string the admission rule turns away only drops `key`'s earlier
+    /// entry.
+    fn insert(&mut self, key: K, bytes: Payload) {
+        if let Some(old) = self.index.remove(&key) {
+            self.held -= old.len();
+            self.order.retain(|k| *k != key);
+        }
+        let len = bytes.len();
+        if len == 0 || len > self.budget / 4 {
+            return;
+        }
+        while self.held + len > self.budget {
+            let oldest = self.order.pop_front().expect("held bytes have an entry");
+            self.held -= self.index.remove(&oldest).expect("listed").len();
+        }
+        self.held += len;
+        self.order.push_back(key);
+        self.index.insert(key, bytes);
+    }
+}
+
 /// Byte budget of the read-back memo. `interpose`'s read-backs come
 /// back after the same pass, and every one hits from 24 MiB up.
 const READBACK_MEMO_BUDGET: usize = 32 << 20;
@@ -137,33 +191,33 @@ const MEMO_MIN_READBACK: usize = 4 << 10;
 const FINGERPRINT_WORDS: usize = 32;
 
 /// Where a [`ByteRing`] entry's bytes lie, and its tag.
-struct Slot<T> {
+struct Slot {
     at: usize,
     len: usize,
-    tag: T,
+    tag: u64,
 }
 
-/// A map from `K` to a byte string and a tag, whose strings lie in one
-/// ring of at most `budget` bytes. The ring's allocation is reserved
-/// once and is written front to back, so its pages become resident as
-/// it fills. A string that does not fit before the end wraps to the
+/// A map from `K` to a byte string and a `u64` tag, whose strings lie
+/// in one ring of at most `budget` bytes. The ring's allocation is
+/// reserved once and is written front to back, so its pages become
+/// resident as it fills. A string that does not fit before the end wraps to the
 /// front, and each write evicts the entries it overlaps: the oldest,
 /// since entries lie in filing order. A string longer than a quarter of
 /// the budget, or empty, is never filed, so one oversize working set
 /// cannot flush the ring.
-struct ByteRing<K, T> {
+struct ByteRing<K> {
     budget: usize,
     ring: Vec<u8>,
     /// Where the next string goes, unless it must wrap.
     head: usize,
-    index: HashMap<K, Slot<T>>,
+    index: HashMap<K, Slot>,
     /// Every entry whose bytes are not yet overwritten, as (key, offset,
     /// length), oldest first. It also lists a re-filed key's earlier
     /// entry, which [`ByteRing::index`] no longer points at.
     order: VecDeque<(K, usize, usize)>,
 }
 
-impl<K: Copy + Eq + Hash, T> ByteRing<K, T> {
+impl<K: Copy + Eq + Hash> ByteRing<K> {
     fn new(budget: usize) -> Self {
         ByteRing {
             budget,
@@ -175,7 +229,7 @@ impl<K: Copy + Eq + Hash, T> ByteRing<K, T> {
     }
 
     /// The bytes and tag filed under `key`.
-    fn get(&self, key: &K) -> Option<(&[u8], &T)> {
+    fn get(&self, key: &K) -> Option<(&[u8], &u64)> {
         self.index
             .get(key)
             .map(|s| (&self.ring[s.at..s.at + s.len], &s.tag))
@@ -184,7 +238,7 @@ impl<K: Copy + Eq + Hash, T> ByteRing<K, T> {
     /// File a copy of `bytes` under `key` at the ring's tail, in place of
     /// what `key` held. A string the admission rule turns away only
     /// drops `key`'s earlier entry.
-    fn insert(&mut self, key: K, bytes: &[u8], tag: T) {
+    fn insert(&mut self, key: K, bytes: &[u8], tag: u64) {
         self.index.remove(&key);
         let len = bytes.len();
         if len == 0 || len > self.budget / 4 {
@@ -240,16 +294,18 @@ impl<K: Copy + Eq + Hash, T> ByteRing<K, T> {
 struct Memos {
     /// [`BufInit::generate`] on (variant, seed, `lo` bits, `hi` bits,
     /// size).
-    inputs: ByteRing<(u8, u64, u32, u32, u64), ()>,
+    inputs: PayloadFifo<(u8, u64, u32, u32, u64)>,
     /// [`readback_checksum`] on (length, [`fingerprint`]), tagged with
-    /// the FNV-1a of the bytes held.
-    readbacks: ByteRing<(usize, u64), u64>,
+    /// the FNV-1a of the bytes held. It keeps a copy of its own: were it
+    /// to share the read-back's payload, which is the device buffer's,
+    /// the next kernel to write that buffer would have to copy it.
+    readbacks: ByteRing<(usize, u64)>,
 }
 
 impl Default for Memos {
     fn default() -> Self {
         Memos {
-            inputs: ByteRing::new(INPUT_MEMO_BUDGET),
+            inputs: PayloadFifo::new(INPUT_MEMO_BUDGET),
             readbacks: ByteRing::new(READBACK_MEMO_BUDGET),
         }
     }
@@ -911,7 +967,7 @@ mod tests {
         }
         .generate(64);
         assert_ne!(a, c);
-        assert_eq!(BufInit::Zero.generate(16), vec![0u8; 16]);
+        assert_eq!(*BufInit::Zero.generate(16), [0u8; 16]);
         let ramp = BufInit::Ramp.generate(12);
         assert_eq!(f32::from_le_bytes(ramp[4..8].try_into().unwrap()), 1.0);
     }
@@ -945,8 +1001,8 @@ mod tests {
             for size in [0, 1, 6, 4097, 4099, 65536, 65538] {
                 let fresh = init.materialise(size);
                 assert_eq!(fresh.len(), size as usize);
-                assert_eq!(init.generate(size), fresh, "{init:?} at {size} (miss)");
-                assert_eq!(init.generate(size), fresh, "{init:?} at {size} (hit)");
+                assert_eq!(*init.generate(size), *fresh, "{init:?} at {size} (miss)");
+                assert_eq!(*init.generate(size), *fresh, "{init:?} at {size} (hit)");
             }
         }
     }
@@ -968,7 +1024,7 @@ mod tests {
                 },
             };
             let size = g.range(0, 20_000);
-            assert_eq!(init.generate(size), init.materialise(size));
+            assert_eq!(*init.generate(size), *init.materialise(size));
         });
     }
 
@@ -1081,7 +1137,7 @@ mod tests {
         simcore::qcheck::qcheck("byte_ring_matches_a_fifo_model", 64, |g| {
             let budget = g.usize_in(64, 4096);
             let limit = budget / 4;
-            let mut ring: ByteRing<u8, u64> = ByteRing::new(budget);
+            let mut ring: ByteRing<u8> = ByteRing::new(budget);
             let keys = g.usize_in(1, 16) as u8;
             // Admitted filings, oldest first, as (key, length), and each
             // key's latest as (version, length, filing number).
@@ -1241,6 +1297,195 @@ mod tests {
         assert_eq!(status, RunStatus::Done);
         assert_eq!(app.checksums.len(), 1);
         assert_eq!(app.checksums[0], fnv1a64(&BufInit::Ramp.generate(64)));
+    }
+
+    /// A buffer created from an input-memo hit, and one written from
+    /// another, are each written in place by a kernel; an image created
+    /// from a hit is read by one. Every read-back is the kernels'
+    /// result, and the memo still holds, unchanged, the bytes it filed.
+    #[test]
+    fn kernel_writes_leave_the_input_memo_intact() {
+        let (n, w, h) = (1024u32, 32u32, 16u32);
+        let (size, image_size) = (n as u64 * 4, (w * h) as u64 * 4);
+        let buf_init = BufInit::RandomF32 {
+            seed: 0x3e30,
+            lo: -1.0,
+            hi: 1.0,
+        };
+        let image_init = BufInit::RandomF32 {
+            seed: 0x3e31,
+            lo: 0.0,
+            hi: 4.0,
+        };
+        // Filed now, so that every generate of the script hits.
+        let filed =
+            [(buf_init, size), (image_init, image_size)].map(|(i, s)| (i, s, i.generate(s)));
+        let u32_arg = |kernel, index, value| Op::SetArgU32 {
+            kernel,
+            index,
+            value,
+        };
+        let mut ops = vec![
+            Op::GetPlatform { out: 0 },
+            Op::GetDevices {
+                platform: 0,
+                dtype: DeviceType::Gpu,
+                out: 1,
+                count: 1,
+            },
+            Op::CreateContext { device: 1, out: 2 },
+            Op::CreateQueue {
+                context: 2,
+                device: 1,
+                out: 3,
+            },
+            Op::CreateBuffer {
+                context: 2,
+                flags: MemFlags::READ_WRITE,
+                size,
+                init: Some(buf_init),
+                out: 4,
+            },
+            Op::CreateBuffer {
+                context: 2,
+                flags: MemFlags::READ_WRITE,
+                size,
+                init: None,
+                out: 5,
+            },
+            Op::WriteBuffer {
+                queue: 3,
+                buf: 5,
+                size,
+                init: buf_init,
+            },
+            Op::CreateProgram {
+                name: "max_flops".into(),
+                context: 2,
+                out: 6,
+            },
+            Op::BuildProgram { prog: 6 },
+            Op::CreateKernel {
+                prog: 6,
+                name: "max_flops".into(),
+                out: 7,
+            },
+        ];
+        for buf in [4, 5] {
+            ops.extend([
+                Op::SetArgMem {
+                    kernel: 7,
+                    index: 0,
+                    buf,
+                },
+                u32_arg(7, 1, n),
+                u32_arg(7, 2, 3),
+                Op::Launch {
+                    kernel: 7,
+                    queue: 3,
+                    global: [n as u64, 1, 1],
+                    local: None,
+                },
+                Op::ReadBufferChecksum {
+                    queue: 3,
+                    buf,
+                    size,
+                },
+            ]);
+        }
+        ops.extend([
+            Op::CreateImage {
+                context: 2,
+                width: w as u64,
+                height: h as u64,
+                init: Some(image_init),
+                out: 8,
+            },
+            Op::CreateBuffer {
+                context: 2,
+                flags: MemFlags::READ_WRITE,
+                size: image_size,
+                init: None,
+                out: 9,
+            },
+            Op::CreateProgram {
+                name: "image_demo".into(),
+                context: 2,
+                out: 10,
+            },
+            Op::BuildProgram { prog: 10 },
+            Op::CreateKernel {
+                prog: 10,
+                name: "image_scale".into(),
+                out: 11,
+            },
+            Op::CreateSampler {
+                context: 2,
+                out: 12,
+            },
+            Op::SetArgMem {
+                kernel: 11,
+                index: 0,
+                buf: 8,
+            },
+            Op::SetArgSampler {
+                kernel: 11,
+                index: 1,
+                sampler: 12,
+            },
+            Op::SetArgMem {
+                kernel: 11,
+                index: 2,
+                buf: 9,
+            },
+            u32_arg(11, 3, w),
+            u32_arg(11, 4, h),
+            Op::Launch {
+                kernel: 11,
+                queue: 3,
+                global: [w as u64, h as u64, 1],
+                local: None,
+            },
+            Op::ReadImageChecksum { queue: 3, image: 8 },
+            Op::ReadBufferChecksum {
+                queue: 3,
+                buf: 9,
+                size: image_size,
+            },
+        ]);
+        let mut drv = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
+        let mut now = SimTime::ZERO;
+        let mut app = AppProgram::new(Script { ops });
+        let status = app
+            .run_until(&mut drv, &mut now, StopCondition::Completion)
+            .unwrap();
+        assert_eq!(status, RunStatus::Done);
+
+        let scalar = |v: u32| clkernels::ArgData::Scalar(v.to_le_bytes().to_vec());
+        let mut flops = [
+            clkernels::ArgData::buffer_of(buf_init.materialise(size)),
+            scalar(n),
+            scalar(3),
+        ];
+        clkernels::execute("max_flops", &mut flops).unwrap();
+        let flopped = fnv1a64(flops[0].buffer().unwrap());
+        assert_ne!(flopped, fnv1a64(&filed[0].2), "the kernel wrote");
+        let image = image_init.materialise(image_size);
+        let mut scale = [
+            clkernels::ArgData::buffer_of(image.clone()),
+            clkernels::ArgData::Scalar(vec![0; 8]),
+            clkernels::ArgData::buffer_of(vec![0u8; image_size as usize]),
+            scalar(w),
+            scalar(h),
+        ];
+        clkernels::execute("image_scale", &mut scale).unwrap();
+        let scaled = fnv1a64(scale[2].buffer().unwrap());
+        assert_eq!(app.checksums, [flopped, flopped, fnv1a64(&image), scaled]);
+        for (init, size, bytes) in &filed {
+            let again = init.generate(*size);
+            assert!(again.ptr_eq(bytes), "{init:?}: still filed");
+            assert_eq!(*again, *init.materialise(*size), "{init:?}");
+        }
     }
 
     #[test]

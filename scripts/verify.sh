@@ -160,10 +160,11 @@ echo "==> golden invariants (perf, availability, reconciliation guards)"
 python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray text
 
 if [[ "$QUICK" -eq 0 ]]; then
-    echo "==> smoke: micro-benches (codec, checksum, kernel, workload and forward filters)"
+    echo "==> smoke: micro-benches (codec, checksum, kernel, driver, workload and forward filters)"
     cargo bench -q -p checl-bench -- codec >/dev/null
     cargo bench -q -p checl-bench -- checksum >/dev/null
     cargo bench -q -p checl-bench -- kernel >/dev/null
+    cargo bench -q -p checl-bench -- driver >/dev/null
     cargo bench -q -p checl-bench -- workload >/dev/null
     cargo bench -q -p checl-bench -- forward >/dev/null
 fi

@@ -12,6 +12,7 @@ use clspec::handles::{
 };
 use clspec::types::{ArgValue, DeviceType, MemFlags, NDRange, QueueProps, SamplerDesc};
 use clspec::ApiRequest;
+use simcore::Payload;
 use std::collections::BTreeSet;
 use HandleKind as K;
 
@@ -78,7 +79,7 @@ fn pins() -> Vec<Pin> {
     // 36 bytes of source, 12 of binary, 16 of host data.
     let source = "__kernel void k(__global float* a){}".to_string();
     let binary = vec![0xb1; 12];
-    let host = Some(vec![1u8; 16]);
+    let host = Some(Payload::from(vec![1u8; 16]));
     vec![
         pin(GetPlatformIds, "clGetPlatformIDs", 64, &[]),
         pin(
@@ -212,7 +213,7 @@ fn pins() -> Vec<Pin> {
                 queue: q,
                 image: m,
                 blocking: false,
-                data: vec![2; 16],
+                data: vec![2; 16].into(),
                 wait_list: waits(),
             },
             "clEnqueueWriteImage",
@@ -392,7 +393,7 @@ fn pins() -> Vec<Pin> {
                 mem: m,
                 blocking: false,
                 offset: 4,
-                data: vec![3; 8],
+                data: vec![3; 8].into(),
                 wait_list: waits(),
             },
             "clEnqueueWriteBuffer",

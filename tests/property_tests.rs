@@ -272,7 +272,7 @@ fn radix_sort_correct() {
         let mut keys: Vec<u32> = (0..g.usize_in(1, 300)).map(|_| g.u32()).collect();
         let n = keys.len() as u32;
         let mut args = vec![
-            clkernels::ArgData::Buffer(u32s_to_bytes(&keys)),
+            clkernels::ArgData::buffer_of(u32s_to_bytes(&keys)),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
         clkernels::execute("radix_sort", &mut args).unwrap();
@@ -288,7 +288,7 @@ fn bitonic_schedule_correct() {
         let log_n = g.range(2, 9) as u32;
         let n = 1usize << log_n;
         let keys: Vec<u32> = (0..n).map(|_| g.u32()).collect();
-        let mut buf = clkernels::ArgData::Buffer(u32s_to_bytes(&keys));
+        let mut buf = clkernels::ArgData::buffer_of(u32s_to_bytes(&keys));
         for stage in 0..log_n {
             for pass in (0..=stage).rev() {
                 let mut args = vec![
@@ -318,15 +318,15 @@ fn scan_reduce_consistent() {
         let n = values.len() as u32;
         let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
         let mut scan_args = vec![
-            clkernels::ArgData::Buffer(bytes.clone()),
-            clkernels::ArgData::Buffer(vec![0u8; bytes.len()]),
+            clkernels::ArgData::buffer_of(bytes.clone()),
+            clkernels::ArgData::buffer_of(vec![0u8; bytes.len()]),
             clkernels::ArgData::Local(64),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
         clkernels::execute("scan_exclusive", &mut scan_args).unwrap();
         let mut red_args = vec![
-            clkernels::ArgData::Buffer(bytes),
-            clkernels::ArgData::Buffer(vec![0u8; 4]),
+            clkernels::ArgData::buffer_of(bytes),
+            clkernels::ArgData::buffer_of(vec![0u8; 4]),
             clkernels::ArgData::Local(64),
             clkernels::ArgData::Scalar(n.to_le_bytes().to_vec()),
         ];
@@ -388,7 +388,7 @@ fn arbitrary_buffers_survive_cpr() {
                 ctx,
                 MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR,
                 size,
-                Some(data.clone()),
+                Some(data.clone().into()),
             )
             .unwrap();
         let _ = ocl;
@@ -418,6 +418,6 @@ fn arbitrary_buffers_survive_cpr() {
         let (back, _) = ocl2
             .enqueue_read_buffer(q, buf, true, 0, size, &[])
             .unwrap();
-        assert_eq!(back, data);
+        assert_eq!(*back, *data);
     });
 }
