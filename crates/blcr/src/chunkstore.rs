@@ -17,7 +17,7 @@
 //! same framed+checksummed codec as the stream format, so bit-rot is
 //! caught when the store is scanned. This is format v2
 //! ([`STORE_VERSION`]): each record is sealed with a four-lane
-//! [`simcore::Seal64`], while chunk addresses stay plain FNV-1a content
+//! [`simcore::seal64`], while chunk addresses stay plain FNV-1a content
 //! hashes. A record of any other version or magic is refused with a
 //! typed error wherever it sits in the file, never dropped as a torn
 //! tail.

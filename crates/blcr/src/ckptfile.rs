@@ -18,7 +18,7 @@
 //! than bytes: it costs I/O time like data, and no parser reads it.
 //!
 //! This is format v2 ([`CKPT_VERSION`]): the frame is sealed with a
-//! four-lane [`simcore::Seal64`]. A v1 file, sealed with one-lane
+//! four-lane [`simcore::seal64`]. A v1 file, sealed with one-lane
 //! FNV-1a, is refused with [`CodecError::BadVersion`]; no v1 reader is
 //! kept.
 

@@ -17,17 +17,19 @@
 //!   handle it belongs to, appended in completion order (the writer is
 //!   double-buffered: the chunk being written and the copy in flight
 //!   own separate host buffers);
-//! * the **trailer** seals the stream with the chunk count and a
-//!   checksum over all chunk payloads, followed by the usual
-//!   process-baseline zero padding, appended as a length (the file's
-//!   run of zeros, see [`osproc::FileBytes`]).
+//! * the **trailer** seals the stream with the chunk count and an
+//!   FNV-1a over the seals of every frame before it, followed by the
+//!   usual process-baseline zero padding, appended as a length (the
+//!   file's run of zeros, see [`osproc::FileBytes`]).
 //!
 //! Every frame reuses the framed+checksummed codec of the sequential
 //! format (distinct magic), so torn or corrupted streams are detected
-//! at parse time. This is format v2 ([`STREAM_VERSION`]): every frame
-//! seal and the trailer's checksum are a four-lane [`Seal64`]. A v1
-//! stream, sealed with one-lane FNV-1a, is refused with
-//! [`CodecError::BadVersion`]; no v1 reader is kept. The commit
+//! at parse time. Each frame's bytes are sealed once, by its own
+//! [`simcore::seal64`]; the trailer chains those seals, so a frame
+//! edited and resealed alone still breaks the stream. This is format v3
+//! ([`STREAM_VERSION`]). A v2 stream (whose trailer re-hashed the chunk
+//! payloads) and a v1 stream (sealed with one-lane FNV-1a) are refused
+//! with [`CodecError::BadVersion`]; no older reader is kept. The commit
 //! protocol is unchanged from the robust sequential path: everything is
 //! appended to `<target>.tmp` and a single atomic rename publishes the
 //! checkpoint — a fault during any streamed chunk leaves the previous
@@ -35,14 +37,14 @@
 
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
-use simcore::codec::{decode_framed_folding, encode_prefixed_frame_folding, CodecError, Reader};
-use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Seal64, SimDuration};
+use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
+use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDuration};
 
 /// Magic bytes of a streamed-checkpoint frame (the sequential format
 /// uses `BLCR`; the first frame's magic is what tells the two apart).
 pub const STREAM_MAGIC: [u8; 4] = *b"BLCS";
 /// Streamed format version.
-pub const STREAM_VERSION: u32 = 2;
+pub const STREAM_VERSION: u32 = 3;
 
 /// First frame of a stream: everything the sequential
 /// [`crate::CheckpointFile`] holds, minus the buffer payloads that
@@ -104,22 +106,6 @@ impl_codec_struct!(StreamChunkMap {
     segments
 });
 
-impl StreamChunkMap {
-    /// The bytes this map contributes to the trailer checksum: the
-    /// references themselves, not the payload (which lives in the
-    /// store). Deterministic, so the trailer still seals the stream
-    /// without the store being readable at parse time.
-    fn checksum_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 * self.segments.len() + 8);
-        out.extend_from_slice(&self.total_len.to_le_bytes());
-        for (hash, len) in &self.segments {
-            out.extend_from_slice(&hash.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
-        out
-    }
-}
-
 /// A byte range of one buffer, streamed out of order by the live-dump
 /// background drain. Unlike [`StreamChunk`] (always a whole buffer), a
 /// slice covers `[offset, offset + data.len())` of its owner; restore
@@ -151,10 +137,11 @@ impl_codec_struct!(StreamSlice {
 pub struct StreamTrailer {
     /// Number of chunk frames that must precede this trailer.
     pub chunks: u32,
-    /// Total chunk payload bytes.
+    /// Total inline chunk and slice payload bytes (a chunk map's bytes
+    /// are in its store).
     pub data_bytes: u64,
-    /// [`Seal64`] over every chunk and slice payload and every chunk
-    /// map's references, in stream order.
+    /// FNV-1a over the seal of every frame before this one, header
+    /// included, in stream order: each seal as a little-endian `u64`.
     pub data_checksum: u64,
 }
 
@@ -182,34 +169,7 @@ impl_codec_enum!(StreamFrame, "stream frame tag", {
     4 => Slice(slice),
 });
 
-/// Where a chunk's and a slice's data start in an encoded frame body:
-/// after the tag, `seq`, `handle`, a slice's `offset`, and the data's
-/// length. The data is the body's trailing run, the part the trailer
-/// checksum covers.
-const CHUNK_DATA_AT: usize = 1 + 4 + 8 + 8;
-const SLICE_DATA_AT: usize = 1 + 4 + 8 + 8 + 8;
-
 impl StreamFrame {
-    /// Where this body's trailing payload data starts, read from its
-    /// tag; the body's end for a frame without inline data.
-    fn data_at(body: &[u8]) -> usize {
-        match body.first() {
-            Some(1) => CHUNK_DATA_AT,
-            Some(4) => SLICE_DATA_AT,
-            _ => body.len(),
-        }
-    }
-
-    /// The inline payload a chunk or slice carries, which the trailer
-    /// checksum covers; empty for every other frame.
-    fn data(&self) -> &[u8] {
-        match self {
-            StreamFrame::Chunk(c) => &c.data,
-            StreamFrame::Slice(s) => &s.data,
-            _ => &[],
-        }
-    }
-
     /// The `seq` of a payload frame (chunk, chunk map or slice).
     fn payload_seq(&self) -> Option<u32> {
         match self {
@@ -219,6 +179,14 @@ impl StreamFrame {
             StreamFrame::Header(_) | StreamFrame::Trailer(_) => None,
         }
     }
+}
+
+/// The seal of a frame that [`decode_framed`] accepted or
+/// [`encode_prefixed_frame`] wrote: its last 8 bytes.
+fn seal_of(frame: &[u8]) -> u64 {
+    frame
+        .last_chunk()
+        .map_or(0, |&seal| u64::from_le_bytes(seal))
 }
 
 /// `true` if `bytes` look like a streamed checkpoint (as opposed to the
@@ -260,8 +228,8 @@ pub struct ParsedStream {
 /// Parse and fully validate the bytes of a streamed checkpoint file:
 /// every frame's magic/version/checksum, the header-first /
 /// trailer-last shape, contiguous `seq` numbering, and the trailer's
-/// count/bytes/checksum over the chunk payloads. A stream missing its
-/// trailer (torn mid-write) is rejected.
+/// count, inline byte total and chain of frame seals. A stream missing
+/// its trailer (torn mid-write) is rejected.
 pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
     let mut r = Reader::new(bytes);
     let mut header: Option<(StreamHeader, u64)> = None;
@@ -271,7 +239,7 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
     let mut map_bytes: Vec<u64> = Vec::new();
     let mut slices: Vec<StreamSlice> = Vec::new();
     let mut slice_bytes: Vec<u64> = Vec::new();
-    let mut hasher = Seal64::new();
+    let mut seals = Fnv64::new();
     let mut data_bytes: u64 = 0;
     loop {
         if r.is_empty() {
@@ -279,24 +247,8 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
             return Err(CodecError::Invalid("stream has no trailer"));
         }
         let frame = r.take_frame()?;
-        let on_disk = frame.len() as u64 + 8;
-        // The seal check folds a chunk's or slice's data into the
-        // trailer checksum as it goes. Should the tag's offset ever miss
-        // the decoded data, fold it again from the state before.
-        let unfolded = hasher;
-        let (frame, folded) = decode_framed_folding::<StreamFrame>(
-            STREAM_MAGIC,
-            STREAM_VERSION,
-            frame,
-            StreamFrame::data_at,
-            &mut hasher,
-        )?;
-        let data = frame.data();
-        if folded != data.len() {
-            hasher = unfolded;
-            hasher.update(data);
-        }
-        data_bytes += data.len() as u64;
+        let (on_disk, seal) = (frame.len() as u64 + 8, seal_of(frame));
+        let frame = decode_framed::<StreamFrame>(STREAM_MAGIC, STREAM_VERSION, frame)?;
         if let Some(seq) = frame.payload_seq() {
             if header.is_none() {
                 return Err(CodecError::Invalid("stream chunk before header"));
@@ -316,17 +268,16 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 header = Some((h, on_disk));
             }
             StreamFrame::Chunk(c) => {
+                data_bytes += c.data.len() as u64;
                 chunk_bytes.push(on_disk);
                 chunks.push(c);
             }
             StreamFrame::ChunkMap(m) => {
-                let sealed = m.checksum_bytes();
-                hasher.update(&sealed);
-                data_bytes += sealed.len() as u64;
                 map_bytes.push(on_disk);
                 maps.push(m);
             }
             StreamFrame::Slice(s) => {
+                data_bytes += s.data.len() as u64;
                 slice_bytes.push(on_disk);
                 slices.push(s);
             }
@@ -336,7 +287,7 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 };
                 if t.chunks as usize != chunks.len() + maps.len() + slices.len()
                     || t.data_bytes != data_bytes
-                    || t.data_checksum != hasher.finish()
+                    || t.data_checksum != seals.finish()
                 {
                     return Err(CodecError::ChecksumMismatch);
                 }
@@ -356,6 +307,7 @@ pub fn parse_stream(bytes: &[u8]) -> Result<ParsedStream, CodecError> {
                 });
             }
         }
+        seals.update_u64(seal);
     }
 }
 
@@ -417,7 +369,8 @@ pub struct StreamWriter {
     written: u64,
     chunks: u32,
     data_bytes: u64,
-    hasher: Seal64,
+    /// The trailer's chain of the seals of every frame appended so far.
+    seals: Fnv64,
     state: WriterState,
 }
 
@@ -452,7 +405,7 @@ impl StreamWriter {
             written: 0,
             chunks: 0,
             data_bytes: 0,
-            hasher: Seal64::new(),
+            seals: Fnv64::new(),
             state: WriterState::Open,
         };
         let header = StreamFrame::Header(StreamHeader {
@@ -464,24 +417,16 @@ impl StreamWriter {
         Ok(w)
     }
 
-    /// Append `frame` and then `zero_tail` zeros to the tmp file. A
-    /// chunk's or slice's data is counted into the trailer and folded
-    /// into its checksum during the frame seal's pass over it.
+    /// Append `frame` and then `zero_tail` zeros to the tmp file, and
+    /// chain the frame's seal into the trailer's checksum.
     fn append_frame(
         &mut self,
         cluster: &mut Cluster,
         frame: &StreamFrame,
         zero_tail: u64,
     ) -> Result<SimDuration, CprError> {
-        let run = frame.data().len();
-        self.data_bytes += run as u64;
-        let bytes = encode_prefixed_frame_folding(
-            STREAM_MAGIC,
-            STREAM_VERSION,
-            frame,
-            run,
-            &mut self.hasher,
-        );
+        let bytes = encode_prefixed_frame(STREAM_MAGIC, STREAM_VERSION, frame);
+        self.seals.update_u64(seal_of(&bytes));
         let cost = cluster
             .append_file(self.pid, &self.tmp, &bytes, zero_tail)
             .map_err(CprError::Fs)?;
@@ -522,6 +467,7 @@ impl StreamWriter {
         data: Vec<u8>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
+        self.data_bytes += data.len() as u64;
         let chunk = StreamFrame::Chunk(StreamChunk {
             seq: self.chunks,
             handle,
@@ -550,9 +496,6 @@ impl StreamWriter {
             total_len,
             segments,
         };
-        let sealed = map.checksum_bytes();
-        self.hasher.update(&sealed);
-        self.data_bytes += sealed.len() as u64;
         self.chunks += 1;
         self.append_frame(cluster, &StreamFrame::ChunkMap(map), 0)
     }
@@ -568,6 +511,7 @@ impl StreamWriter {
         data: Vec<u8>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
+        self.data_bytes += data.len() as u64;
         let slice = StreamFrame::Slice(StreamSlice {
             seq: self.chunks,
             handle,
@@ -586,7 +530,7 @@ impl StreamWriter {
         let trailer = StreamFrame::Trailer(StreamTrailer {
             chunks: self.chunks,
             data_bytes: self.data_bytes,
-            data_checksum: self.hasher.finish(),
+            data_checksum: self.seals.finish(),
         });
         let cost = self.append_frame(cluster, &trailer, calib::base_process_image().as_u64())?;
         cluster
@@ -621,7 +565,6 @@ impl StreamWriter {
 mod tests {
     use super::*;
     use osproc::FaultPlan;
-    use simcore::Codec;
 
     fn setup() -> (Cluster, Pid) {
         let mut c = Cluster::with_standard_nodes(1);
@@ -817,7 +760,7 @@ mod tests {
         assert_eq!(m.total_len, 9000);
         assert_eq!(m.segments, vec![(0xabc, 4000), (0xdef, 5000)]);
         assert_eq!(parsed.trailer.chunks, 3);
-        // Tampering with a map reference breaks the trailer seal.
+        // Tampering with a map reference breaks its frame seal.
         let hdr = parsed.header_bytes as usize + parsed.chunk_bytes[0] as usize;
         let mut bad = bytes.clone();
         bad[hdr + 40] ^= 0xff;
@@ -846,47 +789,11 @@ mod tests {
         assert_eq!(parsed.slices[1].seq, 2);
         assert_eq!(parsed.slices[1].offset, 0);
         assert_eq!(parsed.trailer.chunks, 3);
-        // Tampering with slice payload bytes breaks the trailer seal.
+        // Tampering with slice payload bytes breaks its frame seal.
         let mut bad = bytes.clone();
         let pos = parsed.header_bytes as usize + 40;
         bad[pos] ^= 0xff;
         assert!(parse_stream(&bad).is_err());
-    }
-
-    #[test]
-    fn payload_data_is_where_the_tag_says() {
-        let chunk = StreamFrame::Chunk(StreamChunk {
-            seq: 3,
-            handle: 0x60,
-            data: vec![7; 19],
-        });
-        let slice = StreamFrame::Slice(StreamSlice {
-            seq: 4,
-            handle: 0x61,
-            offset: 4096,
-            data: vec![8; 23],
-        });
-        for frame in [chunk, slice] {
-            let body = frame.to_bytes();
-            assert_eq!(&body[StreamFrame::data_at(&body)..], frame.data());
-        }
-        for frame in [
-            StreamFrame::Trailer(StreamTrailer {
-                chunks: 1,
-                data_bytes: 2,
-                data_checksum: 3,
-            }),
-            StreamFrame::ChunkMap(StreamChunkMap {
-                seq: 0,
-                handle: 1,
-                store: "s".into(),
-                total_len: 9,
-                segments: vec![(1, 9)],
-            }),
-        ] {
-            let body = frame.to_bytes();
-            assert_eq!(StreamFrame::data_at(&body), body.len());
-        }
     }
 
     #[test]

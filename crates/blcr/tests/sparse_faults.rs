@@ -167,28 +167,28 @@ const EXPECTED: &[&str] = &[
     "seq corrupt_prefix seed=13 ok(25169995) len=25169995 fnv=9054ce40b5aedfb8 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
     "seq corrupt_prefix seed=21 ok(25169995) len=25169995 fnv=331a795de270c873 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
     "seq corrupt_prefix seed=34 ok(25169995) len=25169995 fnv=efd7a51581272b0e log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=7e3de8c1f3e88344 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=bcc8181a7183aa98 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=66a826f10cc2b084 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=d7604c2ea7a3b778 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=96b194cdfca3711c log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=ed685e7bf61d195c log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=420c64889295099f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=60ec049cbfd73767 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
-    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=f05d480b80494f50 log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
-    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=4b75127c1efc02d0 log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
-    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=b058af4f80e18a70 log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
-    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=af11631e415ea870 log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
-    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=6b9a43ba1165f6f0 log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
-    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=62858205ab2331d0 log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
-    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=d7d0a3f23770df70 log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
-    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=20c918b82ba74ed0 log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
-    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=979590b0eda2dc5c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=d80a57ad8e2154f0 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=3d33c6f4d78abca6 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=645e7142856f8078 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=cef4f3b4fc23e8cc log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=a1785e4100814d64 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=f818df184700e2cd log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=1f4fbdc2f5a768cb log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=ec8987485effc8db log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=ff08fe69edc450e3 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=93ed231fc8a8ebdb log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=7c47db01514948cf log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=0fbefdf718bd117f log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=896a90c76f7229f7 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=ac025ea715d8ccf8 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=f50a74548b6bf354 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=44e287dc169344d9 log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
+    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=ecd1ba49a27a7271 log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
+    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=d1da090860ad49f3 log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
+    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=d1fbb66063a4c953 log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
+    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=e61fc7702085f65b log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
+    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=76917730b3c90421 log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
+    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=036c2a38cc1cb583 log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
+    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=d5a590a1adff9631 log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
+    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=04284b4e77ef5c0b log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=d82ee657cdc814db log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=dedf6d554da46899 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=6a7adaac1be1264f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=64940c873fc1b20f log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=686d7c3f7e76e18f log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=8432fd2523b1654a log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=868ce9ca17603e54 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
 ];

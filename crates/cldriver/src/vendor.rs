@@ -17,7 +17,7 @@ pub enum VendorKind {
 
 /// Format version of a program binary's frame (behind the vendor's
 /// [`binary_magic`](VendorKind::binary_magic)). Version 2 is sealed
-/// with a four-lane [`simcore::Seal64`]; a binary of any other version
+/// with a four-lane [`simcore::seal64`]; a binary of any other version
 /// is `InvalidBinary`.
 pub const BINARY_VERSION: u32 = 2;
 

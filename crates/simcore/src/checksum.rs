@@ -3,8 +3,8 @@
 //! [`Fnv64`] is the content checksum: it lets tests and workloads
 //! assert that buffer contents survive checkpoint / restart / migration
 //! bit-exactly without storing full golden copies, and it addresses
-//! chunk-store records. [`Seal64`] seals the frames of the dump formats
-//! (format v2), where only integrity matters and speed does.
+//! chunk-store records. [`seal64`] seals each frame of the dump formats
+//! once, where only integrity matters and speed does.
 
 /// Streaming 64-bit FNV-1a hasher.
 #[derive(Clone, Copy, Debug)]
@@ -67,121 +67,35 @@ fn step(h: u64, byte: u8) -> u64 {
     (h ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Streaming four-lane seal: byte `i` of the sealed run goes to FNV-1a
-/// lane `i mod 4`, and [`finish`](Seal64::finish) folds the four lanes
-/// and the length through one FNV-1a into 8 bytes.
+/// The four-lane frame seal of `data`: byte `i` goes to FNV-1a lane
+/// `i mod 4`, and the four lanes and the length are folded through one
+/// FNV-1a into 8 bytes.
 ///
 /// FNV-1a is bound by the latency of its multiply: one state is one
 /// serial chain. Four lanes are four independent chains that the CPU
 /// runs side by side, so a seal costs about a quarter of an [`Fnv64`]
-/// pass over the same bytes. The phase (`len mod 4`) carries across
-/// calls, so any split of the input gives the same seal.
-#[derive(Clone, Copy, Debug)]
-pub struct Seal64 {
-    lanes: [u64; 4],
-    len: u64,
-}
-
-impl Seal64 {
-    /// A fresh seal.
-    pub fn new() -> Self {
-        Seal64 {
-            lanes: [FNV_OFFSET; 4],
-            len: 0,
-        }
+/// pass over the same bytes.
+pub fn seal64(data: &[u8]) -> u64 {
+    let quads = data.chunks_exact(4);
+    let tail = quads.remainder();
+    let [mut a, mut b, mut c, mut d] = [FNV_OFFSET; 4];
+    for q in quads {
+        a = step(a, q[0]);
+        b = step(b, q[1]);
+        c = step(c, q[2]);
+        d = step(d, q[3]);
     }
-
-    /// The lane the next byte goes to.
-    fn phase(&self) -> usize {
-        (self.len % 4) as usize
+    let mut lanes = [a, b, c, d];
+    // The tail starts at a multiple of 4, so its byte `j` is lane `j`'s.
+    for (lane, &byte) in lanes.iter_mut().zip(tail) {
+        *lane = step(*lane, byte);
     }
-
-    /// Absorb one byte into the lane its position names.
-    fn push(&mut self, byte: u8) {
-        let lane = self.phase();
-        self.lanes[lane] = step(self.lanes[lane], byte);
-        self.len += 1;
+    let mut h = Fnv64::new();
+    for lane in lanes {
+        h.update_u64(lane);
     }
-
-    /// How many of `n` bytes go one at a time before the next byte
-    /// opens lane 0.
-    fn head_len(&self, n: usize) -> usize {
-        ((4 - self.phase()) % 4).min(n)
-    }
-
-    /// Absorb bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        let (head, data) = data.split_at(self.head_len(data.len()));
-        head.iter().for_each(|&b| self.push(b));
-        let quads = data.chunks_exact(4);
-        let tail = quads.remainder();
-        let [mut a, mut b, mut c, mut d] = self.lanes;
-        for q in quads {
-            a = step(a, q[0]);
-            b = step(b, q[1]);
-            c = step(c, q[2]);
-            d = step(d, q[3]);
-        }
-        self.lanes = [a, b, c, d];
-        self.len += (data.len() - tail.len()) as u64;
-        tail.iter().for_each(|&b| self.push(b));
-    }
-
-    /// Absorb bytes into this seal and `other` in one pass: eight
-    /// independent chains, which cost little more than the four of one
-    /// [`update`](Seal64::update). The loop runs at `self`'s lane 0, so
-    /// `other`'s lanes are rotated by its own phase around it.
-    pub fn update_with(&mut self, other: &mut Seal64, data: &[u8]) {
-        let (head, data) = data.split_at(self.head_len(data.len()));
-        for &byte in head {
-            self.push(byte);
-            other.push(byte);
-        }
-        let rot = other.phase();
-        let quads = data.chunks_exact(4);
-        let tail = quads.remainder();
-        let [mut a, mut b, mut c, mut d] = self.lanes;
-        let [mut e, mut f, mut g, mut h]: [u64; 4] =
-            std::array::from_fn(|j| other.lanes[(rot + j) % 4]);
-        for q in quads {
-            a = step(a, q[0]);
-            b = step(b, q[1]);
-            c = step(c, q[2]);
-            d = step(d, q[3]);
-            e = step(e, q[0]);
-            f = step(f, q[1]);
-            g = step(g, q[2]);
-            h = step(h, q[3]);
-        }
-        self.lanes = [a, b, c, d];
-        for (j, lane) in [e, f, g, h].into_iter().enumerate() {
-            other.lanes[(rot + j) % 4] = lane;
-        }
-        let n = (data.len() - tail.len()) as u64;
-        self.len += n;
-        other.len += n;
-        for &byte in tail {
-            self.push(byte);
-            other.push(byte);
-        }
-    }
-
-    /// The seal so far: FNV-1a over the four lanes' little-endian bytes,
-    /// then the length's.
-    pub fn finish(&self) -> u64 {
-        let mut h = Fnv64::new();
-        for lane in self.lanes {
-            h.update_u64(lane);
-        }
-        h.update_u64(self.len);
-        h.finish()
-    }
-}
-
-impl Default for Seal64 {
-    fn default() -> Self {
-        Seal64::new()
-    }
+    h.update_u64(data.len() as u64);
+    h.finish()
 }
 
 /// One-shot FNV-1a 64 of a byte slice.
@@ -242,8 +156,8 @@ mod tests {
         });
     }
 
-    /// The four-lane seal of `data`, byte by byte: the definition the
-    /// streaming paths must agree with.
+    /// The four-lane seal of `data`, byte by byte: the definition
+    /// [`seal64`]'s quad loop must agree with.
     fn reference_seal(data: &[u8]) -> u64 {
         let mut lanes = [FNV_OFFSET; 4];
         for (i, &b) in data.iter().enumerate() {
@@ -255,65 +169,17 @@ mod tests {
         h.finish()
     }
 
-    fn seal_of(data: &[u8]) -> u64 {
-        let mut s = Seal64::new();
-        s.update(data);
-        s.finish()
-    }
-
     #[test]
     fn seal_matches_the_lane_definition() {
-        for n in [0usize, 1, 3, 4, 5, 7, 8, 100, 4099] {
+        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 100, 4098, 4099] {
             let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
-            assert_eq!(seal_of(&data), reference_seal(&data), "n = {n}");
+            assert_eq!(seal64(&data), reference_seal(&data), "n = {n}");
         }
         // Lanes make the seal differ from plain FNV-1a, and from a
         // reordering of the same bytes.
-        assert_ne!(seal_of(b"foobar"), fnv1a64(b"foobar"));
-        assert_ne!(seal_of(b"ab"), seal_of(b"ba"));
-        assert_ne!(seal_of(b""), seal_of(b"\x00"));
-    }
-
-    #[test]
-    fn any_split_gives_the_same_seal() {
-        crate::qcheck::qcheck("seal_split", 128, |g| {
-            let len = g.usize_in(0, 300);
-            let data = g.bytes(len);
-            let mut s = Seal64::new();
-            let mut at = 0;
-            while at < len {
-                let step = g.usize_in(0, len - at + 1);
-                s.update(&data[at..at + step]);
-                at += step;
-            }
-            assert_eq!(s.finish(), reference_seal(&data));
-        });
-    }
-
-    #[test]
-    fn one_pass_over_two_seals_equals_two_updates() {
-        // Every pair of phases: `self` and `other` each start 0..4 bytes
-        // into a lane cycle, and the run covers the aligning head, whole
-        // quads and the tail.
-        crate::qcheck::qcheck("seal_update_with", 128, |g| {
-            for (pa, pb) in (0..4).flat_map(|a| (0..4).map(move |b| (a, b))) {
-                let (prior_a, prior_b) = (4 * g.usize_in(0, 3) + pa, 4 * g.usize_in(0, 3) + pb);
-                let (mut a, mut b) = (Seal64::new(), Seal64::new());
-                a.update(&g.bytes(prior_a));
-                b.update(&g.bytes(prior_b));
-                let len = g.usize_in(0, 40);
-                let run = g.bytes(len);
-                let (mut want_a, mut want_b) = (a, b);
-                a.update_with(&mut b, &run);
-                want_a.update(&run);
-                want_b.update(&run);
-                assert_eq!(
-                    (a.finish(), b.finish()),
-                    (want_a.finish(), want_b.finish()),
-                    "phases {pa}/{pb}, {len} bytes"
-                );
-            }
-        });
+        assert_ne!(seal64(b"foobar"), fnv1a64(b"foobar"));
+        assert_ne!(seal64(b"ab"), seal64(b"ba"));
+        assert_ne!(seal64(b""), seal64(b"\x00"));
     }
 
     #[test]
@@ -324,7 +190,7 @@ mod tests {
             let mut flipped = data.clone();
             let at = g.usize_in(0, len);
             flipped[at] ^= g.usize_in(1, 256) as u8;
-            assert_ne!(seal_of(&data), seal_of(&flipped), "byte {at} of {len}");
+            assert_ne!(seal64(&data), seal64(&flipped), "byte {at} of {len}");
         });
     }
 

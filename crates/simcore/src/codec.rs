@@ -29,7 +29,7 @@
 //! something: `NDRange`'s dimension count, `ClError`'s code, and
 //! `CheclDb`'s index rebuild (plus the newtype wrappers).
 
-use crate::checksum::Seal64;
+use crate::checksum::seal64;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -455,43 +455,20 @@ fn put_prefixed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// The seal of a frame body: a [`Seal64`] over all of `body`, whose
-/// bytes from `split` on (clamped to the body) are folded into `fold`
-/// in the same pass. The seal is bound by the latency of its
-/// multiplies, so a run folded into a second seal here costs little
-/// beside it, where a separate `update` would be a second full pass.
-fn seal(body: &[u8], split: usize, fold: &mut Seal64) -> u64 {
-    let (head, run) = body.split_at(split.min(body.len()));
-    let mut sum = Seal64::new();
-    sum.update(head);
-    sum.update_with(fold, run);
-    sum.finish()
-}
-
-/// Append a `magic | version | len | payload | seal64` frame to `out`,
-/// folding the last `run` bytes of the encoded payload (all of it, if
-/// `run` is longer) into `fold`.
-fn put_framed<T: Codec>(
-    out: &mut Vec<u8>,
-    magic: [u8; 4],
-    version: u32,
-    payload: &T,
-    run: usize,
-    fold: &mut Seal64,
-) {
+/// Append a `magic | version | len | payload | seal64` frame to `out`.
+fn put_framed<T: Codec>(out: &mut Vec<u8>, magic: [u8; 4], version: u32, payload: &T) {
     out.extend_from_slice(&magic);
     version.encode(out);
     let body = out.len() + 8;
     put_prefixed(out, |out| payload.encode(out));
-    let split = (out.len() - body).saturating_sub(run);
-    let sum = seal(&out[body..], split, fold);
+    let sum = seal64(&out[body..]);
     sum.encode(out);
 }
 
 /// Wrap a payload in a `magic | version | len | payload | seal64` frame.
 pub fn encode_framed<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
     let mut out = Vec::new();
-    put_framed(&mut out, magic, version, payload, 0, &mut Seal64::new());
+    put_framed(&mut out, magic, version, payload);
     out
 }
 
@@ -499,50 +476,18 @@ pub fn encode_framed<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec
 /// file, a stream or a chunk store appends, read back with
 /// [`Reader::take_frame`].
 pub fn encode_prefixed_frame<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
-    encode_prefixed_frame_folding(magic, version, payload, 0, &mut Seal64::new())
-}
-
-/// [`encode_prefixed_frame`], folding the last `run` bytes of the
-/// encoded payload (a trailing byte run, such as a stream chunk's data)
-/// into `fold` during the seal's own pass over them. The frame's bytes
-/// are exactly [`encode_prefixed_frame`]'s.
-pub fn encode_prefixed_frame_folding<T: Codec>(
-    magic: [u8; 4],
-    version: u32,
-    payload: &T,
-    run: usize,
-    fold: &mut Seal64,
-) -> Vec<u8> {
     let mut out = Vec::new();
-    put_prefixed(&mut out, |out| {
-        put_framed(out, magic, version, payload, run, fold)
-    });
+    put_prefixed(&mut out, |out| put_framed(out, magic, version, payload));
     out
 }
 
 /// Decode a frame produced by [`encode_framed`], validating magic,
-/// version and checksum.
+/// version and seal, in that order.
 pub fn decode_framed<T: Codec>(
     magic: [u8; 4],
     version: u32,
     bytes: &[u8],
 ) -> Result<T, CodecError> {
-    decode_framed_folding(magic, version, bytes, <[u8]>::len, &mut Seal64::new()).map(|(t, _)| t)
-}
-
-/// [`decode_framed`], folding the payload body from `run_at(body)` on
-/// into `fold` while the seal is checked. Errors come in the same order:
-/// magic, version, length prefix, trailing bytes, seal, decode; `fold`
-/// is only meaningful on `Ok`. Returns the payload and the length of
-/// the run that was folded, so a caller can confirm it was the run it
-/// meant.
-pub fn decode_framed_folding<T: Codec>(
-    magic: [u8; 4],
-    version: u32,
-    bytes: &[u8],
-    run_at: impl FnOnce(&[u8]) -> usize,
-    fold: &mut Seal64,
-) -> Result<(T, usize), CodecError> {
     let mut r = Reader::new(bytes);
     if r.take(4)? != magic {
         return Err(CodecError::BadMagic);
@@ -556,11 +501,10 @@ pub fn decode_framed_folding<T: Codec>(
     if !r.is_empty() {
         return Err(CodecError::TrailingBytes(r.remaining()));
     }
-    let split = run_at(body).min(body.len());
-    if seal(body, split, fold) != sum {
+    if seal64(body) != sum {
         return Err(CodecError::ChecksumMismatch);
     }
-    Ok((T::from_bytes(body)?, body.len() - split))
+    T::from_bytes(body)
 }
 
 #[cfg(test)]
@@ -680,51 +624,6 @@ mod tests {
         bad[mid] ^= 0xff;
         let res = decode_framed::<Vec<u64>>(*b"CKPT", 1, &bad);
         assert!(res.is_err());
-    }
-
-    fn sealed(data: &[u8]) -> u64 {
-        let mut s = Seal64::new();
-        s.update(data);
-        s.finish()
-    }
-
-    #[test]
-    fn folding_encode_is_the_plain_frame_plus_a_separate_hash() {
-        crate::qcheck::qcheck("folding_frame", 64, |g| {
-            let (head, len, prior_len) = (g.u32(), g.usize_in(0, 300), g.usize_in(0, 16));
-            let payload = (head, g.bytes(len));
-            let mut fold = Seal64::new();
-            fold.update(&g.bytes(prior_len));
-            let mut want = fold;
-            want.update(&payload.1);
-            let run = payload.1.len();
-            let frame = encode_prefixed_frame_folding(*b"FOLD", 3, &payload, run, &mut fold);
-            assert_eq!(frame, encode_prefixed_frame(*b"FOLD", 3, &payload));
-            assert_eq!(fold.finish(), want.finish());
-            // The read side folds the same run back out of the frame,
-            // from any start the caller names.
-            let framed = &frame[8..];
-            let mut back = Seal64::new();
-            let (decoded, folded) = decode_framed_folding::<(u32, Vec<u8>)>(
-                *b"FOLD",
-                3,
-                framed,
-                |b| b.len() - run,
-                &mut back,
-            )
-            .unwrap();
-            assert_eq!((decoded, folded), (payload.clone(), run));
-            assert_eq!(back.finish(), sealed(&payload.1));
-            let at = g.usize_in(0, 400);
-            let mut any = Seal64::new();
-            let (_, folded) =
-                decode_framed_folding::<(u32, Vec<u8>)>(*b"FOLD", 3, framed, |_| at, &mut any)
-                    .unwrap();
-            let (body, sum) = framed[16..].split_at(framed.len() - 24);
-            assert_eq!(u64::from_bytes(sum).unwrap(), sealed(body));
-            assert_eq!(folded, body.len() - at.min(body.len()));
-            assert_eq!(any.finish(), sealed(&body[body.len() - folded..]));
-        });
     }
 
     #[test]

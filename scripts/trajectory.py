@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""The committed host-time trajectory: BENCH_trajectory.json.
+
+The file is a JSON list of rows, one per PR x workload x end-to-end
+metric of BENCHMARK.json:
+
+  {"pr": 31, "workload": "fleet", "metric": "host_s",
+   "parent": 0.22189, "change": 0.20629, "source": "compare.py"}
+
+`parent` and `change` are perfbench medians in seconds of the PR's parent
+commit and of the PR itself (`parent` is null where only the change was
+recorded). `source` names the runs they come from: "compare.py" for the
+PR's own `perfbench/compare.py run` sets, another label for benchmark
+runs made after the PR landed.
+
+Run from the repository root:
+
+  python3 scripts/trajectory.py check
+      For every workload, compare the newest PR's `host_s` change median
+      with the previous PR's: exit 1 if it is worse by more than the
+      `host_s` bound in BENCHMARK.json. The previous PR's number is the
+      newest row's own `parent` median where it has one, since that was
+      measured on the same machine in the same session, and the previous
+      row's `change` median otherwise. `setup_s` is printed the same way
+      but not gated: its spread between runs exceeds its bound.
+
+  python3 scripts/trajectory.py add --pr N --parent A.jsonl --change B.jsonl
+      Append the rows of PR N from two `compare.py run` files (A the
+      parent, B the change): per workload and metric, the median of
+      every run in the file, replacing any rows PR N already has.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FILE = ROOT / "BENCH_trajectory.json"
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: m for m in BENCH["end_to_end"]}
+WORKLOADS = [w["name"] for w in BENCH["workloads"]]
+GATED = {"host_s"}
+
+
+def load():
+    return json.loads(FILE.read_text())
+
+
+def save(rows):
+    rows = sorted(rows, key=lambda r: (r["pr"], list(METRICS).index(r["metric"]),
+                                       WORKLOADS.index(r["workload"])))
+    # One row a line, so a PR's rows read as one block in a diff.
+    FILE.write_text("[\n" + ",\n".join("  " + json.dumps(r) for r in rows) + "\n]\n")
+
+
+def cmd_check(_args):
+    series = defaultdict(list)
+    for r in load():
+        series[(r["workload"], r["metric"])].append((r["pr"], r["change"], r["parent"]))
+    bad = False
+    for metric in METRICS:
+        bound = METRICS[metric]["bound"]
+        for w in WORKLOADS:
+            points = sorted(series[(w, metric)])
+            if len(points) < 2:
+                print(f"{w:<11} {metric:<8} fewer than two rows: nothing to compare")
+                continue
+            (prev_pr, prev, _), (pr, now, parent) = points[-2], points[-1]
+            base = "previous row" if parent is None else "its parent"
+            prev = prev if parent is None else parent
+            worse = (now - prev) / prev
+            if metric not in GATED:
+                status = "recorded (not gated)"
+            elif worse > bound:
+                status, bad = "REGRESSED", True
+            else:
+                status = "within bound"
+            print(f"{w:<11} {metric:<8} PR {prev_pr} {prev:.4g} ({base}) -> PR {pr} {now:.4g} s "
+                  f"({100 * worse:+.1f}%, bound {100 * bound:g}%): {status}")
+    sys.exit(1 if bad else 0)
+
+
+def medians(path):
+    values = defaultdict(list)
+    for line in open(path):
+        if line.strip():
+            r = json.loads(line)
+            for name, m in r["result"]["metrics"].items():
+                if name in METRICS:
+                    values[(r["workload"], name)].append(m["value"])
+    return {k: statistics.median(v) for k, v in values.items()}
+
+
+def cmd_add(args):
+    parent, change = medians(args.parent), medians(args.change)
+    rows = [r for r in load() if r["pr"] != args.pr]
+    for (w, metric), value in sorted(change.items()):
+        rows.append({"pr": args.pr, "workload": w, "metric": metric,
+                     "parent": round(parent[(w, metric)], 5) if (w, metric) in parent else None,
+                     "change": round(value, 5), "source": "compare.py"})
+    save(rows)
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="cmd", required=True)
+    sub.add_parser("check")
+    a = sub.add_parser("add")
+    a.add_argument("--pr", type=int, required=True)
+    a.add_argument("--parent", required=True)
+    a.add_argument("--change", required=True)
+    args = p.parse_args()
+    {"check": cmd_check, "add": cmd_add}[args.cmd](args)
+
+
+if __name__ == "__main__":
+    main()

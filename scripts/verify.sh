@@ -159,6 +159,9 @@ echo "==> golden invariants (perf, availability, reconciliation guards)"
 # and every text report prints what its JSON holds.
 python3 scripts/check_goldens.py pipeline migration supervisor inspect dedup incremental live obs fleet gray text
 
+echo "==> host-time trajectory (newest PR's host_s against the previous PR's)"
+python3 scripts/trajectory.py check
+
 if [[ "$QUICK" -eq 0 ]]; then
     echo "==> smoke: micro-benches (codec, checksum, kernel, driver, workload and forward filters)"
     cargo bench -q -p checl-bench -- codec >/dev/null

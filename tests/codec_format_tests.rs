@@ -4,7 +4,9 @@
 //! layout sets every file size and virtual write time in the goldens.
 //! Two seeded streamed dumps, one pipelined and one live with slices,
 //! keep their whole-file length and hash, and corrupted stream bytes
-//! keep the exact error they are refused with.
+//! keep the exact error they are refused with. A stream frame edited
+//! and resealed alone is refused by the trailer's chain of frame seals,
+//! and every single-bit flip of a sealed frame is refused.
 
 mod common;
 
@@ -22,7 +24,7 @@ const PINNED: [(&str, usize, u64); 12] = [
     ("CheclDb", 954, 0xbcd78c5019c24321),
     ("AppProgram", 1165, 0x960ae9ba6a4b0743),
     ("chunk store file", 738, 0xba6193c98fec0873),
-    ("stream file", 528, 0x3db90a8b469c03be),
+    ("stream file", 528, 0xdd55eabd99e10acd),
     ("checkpoint file", 300, 0xa1c44e42600c7768),
     ("DeviceType", 4, 0x4475327f98e05411),
     ("HandleKind", 9, 0xb11d013568a3b7cf),
@@ -219,8 +221,8 @@ fn seeded_stream_dumps_match_the_pinned_lengths_and_hashes() {
     assert_eq!(
         got,
         [
-            ("pipelined", 26052628, 0x71bf_2459_ab40_f96b),
-            ("live", 26052782, 0xc01d_ece5_acbf_519c),
+            ("pipelined", 26052628, 0xc902_9c05_8845_6ea9),
+            ("live", 26052782, 0x7146_f169_da1a_9080),
         ]
     );
 }
@@ -305,7 +307,7 @@ fn flipped_stream_bytes_keep_their_errors() {
         ("chunk data length", CodecError::ChecksumMismatch),
         ("slice offset", CodecError::ChecksumMismatch),
         ("chunk magic", CodecError::BadMagic),
-        ("chunk version", CodecError::BadVersion(34)),
+        ("chunk version", CodecError::BadVersion(35)),
         ("chunk body length", eof(327733, 327709)),
         ("chunk frame length", eof(327701, 327677)),
     ];
@@ -342,6 +344,12 @@ fn a_resealed_trailer_with_a_lying_checksum_is_refused() {
 /// `body`'s length-prefixed frames as format v1 wrote them: the same
 /// magic and payload, version 1 and a one-lane FNV-1a seal.
 fn as_v1(body: &[u8]) -> Vec<u8> {
+    as_version(body, 1, fnv1a64)
+}
+
+/// `body`'s length-prefixed frames with the same magic and payload,
+/// relabelled `version` and sealed with `seal`.
+fn as_version(body: &[u8], version: u32, seal: fn(&[u8]) -> u64) -> Vec<u8> {
     let mut r = simcore::codec::Reader::new(body);
     let mut out = Vec::new();
     while !r.is_empty() {
@@ -349,11 +357,11 @@ fn as_v1(body: &[u8]) -> Vec<u8> {
         let payload = simcore::codec::Reader::new(&frame[8..])
             .take_frame()
             .unwrap();
-        let mut v1 = frame[..4].to_vec();
-        1u32.encode(&mut v1);
-        payload.to_vec().encode(&mut v1);
-        fnv1a64(payload).encode(&mut v1);
-        v1.encode(&mut out);
+        let mut relabelled = frame[..4].to_vec();
+        version.encode(&mut relabelled);
+        payload.to_vec().encode(&mut relabelled);
+        seal(payload).encode(&mut relabelled);
+        relabelled.encode(&mut out);
     }
     out
 }
@@ -368,11 +376,17 @@ fn version_1_dumps_and_binaries_are_refused_by_version() {
         image,
     }
     .to_file_bytes();
-    for dump in [sequential, pipelined_dump()] {
-        assert!(blcr::sniff_dump(&dump).is_ok());
+    let pipelined = pipelined_dump();
+    for dump in [&sequential, &pipelined] {
+        assert!(blcr::sniff_dump(dump).is_ok());
         let v1 = osproc::FileBytes::new(as_v1(dump.body()), dump.zero_tail());
         assert_eq!(blcr::sniff_dump(&v1), Err(CodecError::BadVersion(1)));
     }
+    // A v2 stream had the v3 frames and seals; only its trailer summed
+    // the payloads again.
+    let v2 = as_version(pipelined.body(), 2, simcore::seal64);
+    let v2 = osproc::FileBytes::new(v2, pipelined.zero_tail());
+    assert_eq!(blcr::sniff_dump(&v2), Err(CodecError::BadVersion(2)));
 
     let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
     let mut now = simcore::SimTime::ZERO;
@@ -451,36 +465,37 @@ fn map_total_len_at(body: &[u8]) -> usize {
     21 + u64::from_le_bytes(body[13..21].try_into().unwrap()) as usize
 }
 
-/// The stream body of `bodies`, every seal recomputed: the trailer's
-/// count, byte total and checksum over what the payload frames now
-/// carry, then each frame's own seal.
+/// A frame body sealed as a length-prefixed stream frame.
+fn stream_frame(body: &[u8]) -> Vec<u8> {
+    simcore::codec::encode_prefixed_frame(
+        blcr::STREAM_MAGIC,
+        blcr::STREAM_VERSION,
+        &RawBody(body.to_vec()),
+    )
+}
+
+/// The seal of a length-prefixed frame: its last 8 bytes.
+fn seal_of(frame: &[u8]) -> u64 {
+    u64::from_le_bytes(frame[frame.len() - 8..].try_into().unwrap())
+}
+
+/// The stream body of `bodies`, every seal recomputed: each frame's own
+/// seal, and the trailer's payload count, inline chunk and slice bytes
+/// and FNV-1a chain of the seals of the frames before it.
 fn resealed(bodies: &[Vec<u8>]) -> Vec<u8> {
-    let (mut sum, mut data_bytes, mut payloads) = (simcore::Seal64::new(), 0u64, 0u32);
+    let (mut seals, mut data_bytes, mut payloads) = (simcore::Fnv64::new(), 0u64, 0u32);
     let mut out = Vec::new();
     for body in bodies {
         let mut body = body.clone();
-        let sealed: Vec<&[u8]> = match body[0] {
-            1 => vec![&body[21..]],
-            4 => vec![&body[29..]],
-            3 => {
-                let at = map_total_len_at(&body);
-                vec![&body[at..at + 8], &body[at + 16..]]
-            }
-            _ => Vec::new(),
-        };
+        match body[0] {
+            1 => data_bytes += body.len() as u64 - 21,
+            4 => data_bytes += body.len() as u64 - 29,
+            2 => body = (2u8, payloads, (data_bytes, seals.finish())).to_bytes(),
+            _ => {}
+        }
         payloads += u32::from(body[0] != 0 && body[0] != 2);
-        for run in sealed {
-            sum.update(run);
-            data_bytes += run.len() as u64;
-        }
-        if body[0] == 2 {
-            body = (2u8, payloads, (data_bytes, sum.finish())).to_bytes();
-        }
-        let frame = simcore::codec::encode_prefixed_frame(
-            blcr::STREAM_MAGIC,
-            blcr::STREAM_VERSION,
-            &RawBody(body),
-        );
+        let frame = stream_frame(&body);
+        seals.update_u64(seal_of(&frame));
         out.extend_from_slice(&frame);
     }
     out
@@ -553,6 +568,122 @@ fn lying_but_sealed_stream_edits_get_typed_errors() {
     }
     // Every field of every payload frame kind was lied about.
     assert_eq!(kinds.len(), 7, "{kinds:?}");
+}
+
+/// One frame edited and sealed again on its own, the trailer left as
+/// written: every field is under its frame's seal, and the trailer
+/// chains the seals, so the edit cannot pass as a sealed stream.
+#[test]
+fn a_frame_resealed_alone_is_refused_by_the_trailer() {
+    let dedup = seeded_dump(&checl::CprPolicy::pipelined().dedup(true));
+    let mut places = std::collections::BTreeMap::new();
+    for dump in [pipelined_dump(), live_dump(), dedup] {
+        let body = dump.body();
+        let starts = frames(body);
+        for (i, frame) in frame_bodies(body).into_iter().enumerate() {
+            // The header's last byte, a chunk's `handle`, a slice's
+            // `offset` and a map's `store` path.
+            let (what, at) = match frame[0] {
+                0 => ("header last byte", frame.len() - 1),
+                1 => ("chunk handle", 5),
+                4 => ("slice offset", 13),
+                3 => ("map store", 21),
+                _ => continue,
+            };
+            let mut edited = frame;
+            edited[at] ^= 0x20;
+            let end = starts.get(i + 1).map_or(body.len(), |&(at, _)| at);
+            let mut lie = body.to_vec();
+            lie[starts[i].0..end].copy_from_slice(&stream_frame(&edited));
+            let file = osproc::FileBytes::new(lie, dump.zero_tail());
+            let refused = Err(CodecError::ChecksumMismatch);
+            let parsed = blcr::parse_stream(file.body()).map(|_| ());
+            assert_eq!(parsed, refused, "frame {i} {what}");
+            assert_eq!(
+                blcr::sniff_dump(&file).map(|_| ()),
+                refused,
+                "frame {i} {what}"
+            );
+            *places.entry(what).or_insert(0) += 1;
+        }
+    }
+    let places: Vec<_> = places.into_iter().collect();
+    assert_eq!(
+        places,
+        [
+            ("chunk handle", 6),
+            ("header last byte", 3),
+            ("map store", 4),
+            ("slice offset", 4)
+        ]
+    );
+}
+
+/// Flip every bit of `bytes[range]`, one at a time, and read the result
+/// with `read`: each flip must be refused.
+fn every_bit_flip_is_refused(
+    what: &str,
+    bytes: &[u8],
+    range: std::ops::Range<usize>,
+    mut read: impl FnMut(&[u8]) -> Result<(), CodecError>,
+) {
+    assert_eq!(read(bytes), Ok(()), "{what} reads back");
+    let mut bad = bytes.to_vec();
+    for bit in 8 * range.start..8 * range.end {
+        bad[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            read(&bad).is_err(),
+            "{what}: bit {bit} flipped reads as sealed"
+        );
+        bad[bit / 8] ^= 1 << (bit % 8);
+    }
+}
+
+/// Every single-bit flip of a sealed frame of about 1 KiB is refused
+/// with a typed error, in each of the three dump formats: whatever
+/// function seals a frame must keep this.
+#[test]
+fn every_single_bit_flip_of_a_sealed_frame_is_refused() {
+    let noise = simcore::qcheck::Gen::new(0xf11b).bytes(1000);
+    let mut image = osproc::MemImage::new();
+    image.put("seg", noise.clone());
+    let file = blcr::CheckpointFile {
+        source_pid: 7,
+        source_host: "node0".into(),
+        image,
+    }
+    .to_file_bytes();
+    every_bit_flip_is_refused("BLCR file", file.body(), 0..file.body().len(), |b| {
+        blcr::CheckpointFile::from_file_bytes(b).map(|_| ())
+    });
+
+    let mut c = osproc::Cluster::with_standard_nodes(1);
+    let p = c.spawn(c.node_ids()[0]);
+    let mut w = blcr::StreamWriter::begin(&mut c, p, "/local/s.ckpt").unwrap();
+    w.append_chunk(&mut c, 0x60, noise.clone()).unwrap();
+    w.finish(&mut c).unwrap();
+    let stream = c.read_file(p, "/local/s.ckpt").unwrap().body().to_vec();
+    let starts = frames(&stream);
+    every_bit_flip_is_refused("BLCS chunk", &stream, starts[1].0..starts[2].0, |b| {
+        blcr::parse_stream(b).map(|_| ())
+    });
+
+    // The record is the first of two, and its length prefix is left
+    // alone: a store reads a prefix that runs past its end, or a last
+    // record that fails, as an append torn by a crash.
+    let mut store = blcr::ChunkStore::open(&mut c, p, "/local/s.cas").unwrap();
+    store.put(&mut c, &noise).unwrap();
+    store.put(&mut c, &[3; 3000]).unwrap();
+    let cas = c.read_file(p, "/local/s.cas").unwrap().body().to_vec();
+    let record = 8..frames(&cas)[1].0;
+    every_bit_flip_is_refused("BLCC record", &cas, record, |b| {
+        c.write_file(p, "/local/flip.cas", b.to_vec()).unwrap();
+        match blcr::ChunkStore::load_all(&mut c, p, "/local/flip.cas") {
+            Ok(_) => Ok(()),
+            Err(blcr::CprError::Corrupt(e)) => Err(e),
+            Err(e) => panic!("BLCC record: refused untyped: {e}"),
+        }
+    });
 }
 
 /// Chunk-store record bodies framed and sealed again, so that an edited
