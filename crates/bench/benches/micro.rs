@@ -65,15 +65,15 @@ fn bench(filter: &str, name: &str, bytes: Option<u64>, mut f: impl FnMut()) {
 }
 
 /// The content checksum (one FNV-1a state) over 1 MiB, against the
-/// four-lane frame seal that every dumped byte passes through once.
+/// XXH64 seal that every dumped byte passes through once.
 fn bench_checksum(filter: &str) {
     let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
     let len = data.len() as u64;
     bench(filter, "checksum/fnv1a64_1mib", Some(len), || {
         black_box(simcore::fnv1a64(black_box(&data)));
     });
-    bench(filter, "checksum/seal64_1mib", Some(len), || {
-        black_box(simcore::seal64(black_box(&data)));
+    bench(filter, "checksum/xxh64_1mib", Some(len), || {
+        black_box(simcore::xxh64(black_box(&data)));
     });
 }
 

@@ -3,7 +3,7 @@
 //! A dedup dump splits each buffer payload with **content-defined
 //! chunking** (a gear rolling hash picks cut points from the bytes
 //! themselves, so an insertion early in a buffer does not shift every
-//! later chunk boundary), addresses each chunk by its FNV-64, and
+//! later chunk boundary), addresses each chunk by its [`xxh64`], and
 //! appends only *novel* chunks — compressed — to an append-only `.cas`
 //! file shared by every generation on the same mount. The stream file
 //! then carries a [`crate::stream::StreamChunkMap`] of `(hash, len)`
@@ -15,12 +15,12 @@
 //! never dangle — a dump aborted mid-write leaves at most unreferenced
 //! (harmless) records behind, never a missing one. Records carry the
 //! same framed+checksummed codec as the stream format, so bit-rot is
-//! caught when the store is scanned. This is format v2
-//! ([`STORE_VERSION`]): each record is sealed with a four-lane
-//! [`simcore::seal64`], while chunk addresses stay plain FNV-1a content
-//! hashes. A record of any other version or magic is refused with a
-//! typed error wherever it sits in the file, never dropped as a torn
-//! tail.
+//! caught when the store is scanned. This is format v3
+//! ([`STORE_VERSION`]): each record is sealed with [`xxh64`], and the
+//! same hash of the raw chunk bytes is its address. A record of any
+//! other version or magic is refused with a typed error wherever it
+//! sits in the file, never dropped as a torn tail, and so is a length
+//! prefix longer than any record [`ChunkStore::put`] writes.
 //!
 //! Compression is a deterministic byte-level RLE with a raw fallback
 //! (never expands). It is a *model* of a real codec: the simulator
@@ -31,14 +31,14 @@
 use crate::cpr::CprError;
 use osproc::{Cluster, Pid};
 use simcore::codec::{decode_framed, encode_prefixed_frame, Codec, CodecError, Reader};
-use simcore::{fnv1a64, impl_codec_enum, impl_codec_struct, obs, SimDuration, SplitMix64};
+use simcore::{impl_codec_enum, impl_codec_struct, obs, xxh64, SimDuration, SplitMix64};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Magic bytes of one chunk-store record frame.
 pub const STORE_MAGIC: [u8; 4] = *b"BLCC";
 /// Chunk-store format version.
-pub const STORE_VERSION: u32 = 2;
+pub const STORE_VERSION: u32 = 3;
 
 /// Content-defined chunking bounds: no chunk smaller than this…
 pub const CDC_MIN_CHUNK: usize = 2 << 10;
@@ -46,6 +46,13 @@ pub const CDC_MIN_CHUNK: usize = 2 << 10;
 pub const CDC_MAX_CHUNK: usize = 64 << 10;
 /// …and a cut wherever the gear hash masks to zero (≈ 8 KiB average).
 pub const CDC_MASK: u64 = (1 << 13) - 1;
+
+/// The longest frame [`ChunkStore::put`] appends behind its length
+/// prefix: an incompressible [`CDC_MAX_CHUNK`]-byte chunk stored raw.
+/// Magic, version and body length (16 bytes), the record's address,
+/// raw length, encoding tag and payload length (25), the payload, and
+/// the seal (8).
+pub const MAX_RECORD_FRAME: u64 = (16 + 25 + CDC_MAX_CHUNK + 8) as u64;
 
 fn gear_table() -> &'static [u64; 256] {
     static TABLE: OnceLock<[u64; 256]> = OnceLock::new();
@@ -149,7 +156,7 @@ pub fn decompress(encoding: Encoding, payload: &[u8], raw_len: u64) -> Result<Ve
 /// One record of the append-only store file.
 #[derive(Clone, Debug, PartialEq)]
 struct StoreRecord {
-    /// FNV-64 of the *raw* chunk bytes — the content address.
+    /// [`xxh64`] of the *raw* chunk bytes — the content address.
     hash: u64,
     /// Raw (decompressed) length.
     raw_len: u64,
@@ -252,10 +259,12 @@ fn decoded_len(encoding: Encoding, payload: &[u8]) -> Option<u64> {
 /// ever point at earlier, intact records. Corruption *before* the final
 /// frame is still fatal (that is bit-rot, not a torn append, and
 /// dropping mid-file records would dangle committed references), and a
-/// foreign magic or version is fatal at any position. So is a record
-/// whose seal holds but whose raw length disagrees with its payload or
-/// whose address is not the FNV-1a of its bytes: a sealed record was
-/// written whole, so it lies.
+/// foreign magic or version is fatal at any position. So is a length
+/// prefix over [`MAX_RECORD_FRAME`]: a tear cuts a prefix short but
+/// never lengthens one. So is a record whose seal holds but whose raw
+/// length disagrees with its payload or whose address is not the
+/// [`xxh64`] of its bytes: a sealed record was written whole, so it
+/// lies.
 fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut index = BTreeMap::new();
     let mut payloads = BTreeMap::new();
@@ -263,16 +272,21 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
     let mut valid_len = 0u64;
     while !r.is_empty() {
         let frame = match r.take_frame() {
-            Ok(frame) => frame,
+            Ok(frame) if frame.len() as u64 <= MAX_RECORD_FRAME => frame,
             // The length prefix or the frame body is cut short: torn
             // tail.
-            Err(CodecError::UnexpectedEof { .. }) => {
+            Err(CodecError::UnexpectedEof { needed, .. }) if needed as u64 <= MAX_RECORD_FRAME => {
                 return Ok(ScanResult {
                     index,
                     payloads,
                     valid_len,
                     torn: true,
                 })
+            }
+            // A prefix no `put` writes, whether or not the file holds
+            // that many bytes: bit-rot, wherever it sits.
+            Ok(_) | Err(CodecError::UnexpectedEof { .. }) => {
+                return Err(CodecError::Invalid("chunk store record length"))
             }
             Err(e) => return Err(e),
         };
@@ -286,7 +300,7 @@ fn scan(bytes: &[u8], keep_payloads: bool) -> Result<ScanResult, CodecError> {
                 Encoding::Raw => std::mem::take(&mut rec.payload),
                 Encoding::Rle => decompress(rec.encoding, &rec.payload, rec.raw_len)?,
             };
-            if fnv1a64(&payload) != rec.hash {
+            if xxh64(&payload) != rec.hash {
                 return Err(CodecError::Invalid("chunk address mismatch"));
             }
             Ok((rec, keep_payloads.then_some(payload)))
@@ -402,13 +416,18 @@ impl ChunkStore {
     /// Offer one raw chunk. A known hash dedups to zero I/O; a novel
     /// one is compressed and appended. The caller models the
     /// compression CPU cost separately (it depends on scheduling, not
-    /// on the store).
+    /// on the store). A chunk longer than [`CDC_MAX_CHUNK`] is refused
+    /// with [`CprError::ChunkTooLong`], so no record outgrows
+    /// [`MAX_RECORD_FRAME`].
     pub fn put(
         &mut self,
         cluster: &mut Cluster,
         data: &[u8],
     ) -> Result<(u64, PutOutcome), CprError> {
-        let hash = fnv1a64(data);
+        if data.len() > CDC_MAX_CHUNK {
+            return Err(CprError::ChunkTooLong(data.len() as u64));
+        }
+        let hash = xxh64(data);
         if let Some(meta) = self.index.get(&hash) {
             return Ok((hash, PutOutcome::Deduped(*meta)));
         }
@@ -494,11 +513,11 @@ mod tests {
         shifted.extend_from_slice(&data);
         let a: std::collections::BTreeSet<u64> = cdc_chunks(&data)
             .iter()
-            .map(|(off, len)| fnv1a64(&data[*off as usize..(*off + *len) as usize]))
+            .map(|(off, len)| xxh64(&data[*off as usize..(*off + *len) as usize]))
             .collect();
         let b: std::collections::BTreeSet<u64> = cdc_chunks(&shifted)
             .iter()
-            .map(|(off, len)| fnv1a64(&shifted[*off as usize..(*off + *len) as usize]))
+            .map(|(off, len)| xxh64(&shifted[*off as usize..(*off + *len) as usize]))
             .collect();
         let common = a.intersection(&b).count();
         assert!(
@@ -613,6 +632,48 @@ mod tests {
         rotted.extend_from_slice(&bytes); // intact frame *after* the rot
         c.write_file(p, "/local/rot.cas", rotted).unwrap();
         assert!(ChunkStore::open(&mut c, p, "/local/rot.cas").is_err());
+    }
+
+    /// One flipped high bit in the first record's length prefix is
+    /// bit-rot, not a torn append: both scans refuse it, and the store
+    /// is not truncated.
+    #[test]
+    fn an_overlong_first_prefix_is_corrupt_not_torn() {
+        let (mut c, p) = setup();
+        let mut s = ChunkStore::open(&mut c, p, "/local/p.cas").unwrap();
+        s.put(&mut c, &[1u8; 1000]).unwrap();
+        s.put(&mut c, &[2u8; 1000]).unwrap();
+        let mut bytes = c.read_file(p, "/local/p.cas").unwrap().to_vec();
+        bytes[5] ^= 1; // bit 40 of the first prefix
+        c.write_file(p, "/local/p.cas", bytes.clone()).unwrap();
+        let refused = CodecError::Invalid("chunk store record length");
+        assert!(matches!(
+            ChunkStore::load_all(&mut c, p, "/local/p.cas"),
+            Err(CprError::Corrupt(e)) if e == refused
+        ));
+        assert!(matches!(
+            ChunkStore::open(&mut c, p, "/local/p.cas"),
+            Err(CprError::Corrupt(e)) if e == refused
+        ));
+        assert_eq!(c.read_file(p, "/local/p.cas").unwrap().body(), &bytes[..]);
+    }
+
+    #[test]
+    fn the_longest_record_fits_the_bound_and_longer_chunks_are_refused() {
+        let (mut c, p) = setup();
+        let mut s = ChunkStore::open(&mut c, p, "/local/m.cas").unwrap();
+        let noise = simcore::qcheck::Gen::new(7).bytes(CDC_MAX_CHUNK + 1);
+        let (_, out) = s.put(&mut c, &noise[..CDC_MAX_CHUNK]).unwrap();
+        let PutOutcome::Stored(meta, _) = out else {
+            panic!("novel chunk must store")
+        };
+        assert!(!meta.compressed);
+        assert_eq!(meta.stored_len, MAX_RECORD_FRAME + 8);
+        assert!(matches!(
+            s.put(&mut c, &noise),
+            Err(CprError::ChunkTooLong(len)) if len == CDC_MAX_CHUNK as u64 + 1
+        ));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! carried as the file's run of zeros ([`FileBytes`]), a length rather
 //! than bytes: it costs I/O time like data, and no parser reads it.
 //!
-//! This is format v2 ([`CKPT_VERSION`]): the frame is sealed with a
-//! four-lane [`simcore::seal64`]. A v1 file, sealed with one-lane
-//! FNV-1a, is refused with [`CodecError::BadVersion`]; no v1 reader is
-//! kept.
+//! This is format v3 ([`CKPT_VERSION`]): the frame is sealed with
+//! [`simcore::xxh64`]. A v2 file (sealed with four-lane FNV-1a) and a v1
+//! file (one-lane FNV-1a) are refused with [`CodecError::BadVersion`];
+//! no older reader is kept.
 
 use osproc::{FileBytes, MemImage};
 use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
@@ -29,7 +29,7 @@ use simcore::{calib, impl_codec_struct};
 /// Magic bytes of a checkpoint frame.
 pub const CKPT_MAGIC: [u8; 4] = *b"BLCR";
 /// Format version.
-pub const CKPT_VERSION: u32 = 2;
+pub const CKPT_VERSION: u32 = 3;
 
 /// Decoded checkpoint contents.
 #[derive(Clone, Debug, PartialEq)]

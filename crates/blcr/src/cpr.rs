@@ -35,6 +35,9 @@ pub enum CprError {
     /// Stream-writer lifecycle misuse (append/finish after the stream
     /// was already sealed or aborted).
     Stream(crate::stream::StreamError),
+    /// A chunk of this many bytes was offered to a chunk store, over
+    /// [`CDC_MAX_CHUNK`](crate::chunkstore::CDC_MAX_CHUNK).
+    ChunkTooLong(u64),
 }
 
 impl fmt::Display for CprError {
@@ -54,6 +57,11 @@ impl fmt::Display for CprError {
             CprError::Fs(e) => write!(f, "checkpoint I/O failed: {e}"),
             CprError::Corrupt(e) => write!(f, "checkpoint file invalid: {e}"),
             CprError::Stream(e) => write!(f, "stream writer misuse: {e}"),
+            CprError::ChunkTooLong(len) => write!(
+                f,
+                "chunk of {len} bytes exceeds the store's {}-byte limit",
+                crate::chunkstore::CDC_MAX_CHUNK
+            ),
         }
     }
 }

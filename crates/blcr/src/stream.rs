@@ -25,15 +25,16 @@
 //! Every frame reuses the framed+checksummed codec of the sequential
 //! format (distinct magic), so torn or corrupted streams are detected
 //! at parse time. Each frame's bytes are sealed once, by its own
-//! [`simcore::seal64`]; the trailer chains those seals, so a frame
-//! edited and resealed alone still breaks the stream. This is format v3
-//! ([`STREAM_VERSION`]). A v2 stream (whose trailer re-hashed the chunk
-//! payloads) and a v1 stream (sealed with one-lane FNV-1a) are refused
-//! with [`CodecError::BadVersion`]; no older reader is kept. The commit
-//! protocol is unchanged from the robust sequential path: everything is
-//! appended to `<target>.tmp` and a single atomic rename publishes the
-//! checkpoint — a fault during any streamed chunk leaves the previous
-//! generation at `target` intact.
+//! [`simcore::xxh64`]; the trailer chains those 8-byte seals through
+//! FNV-1a, so a frame edited and resealed alone still breaks the
+//! stream. This is format v4 ([`STREAM_VERSION`]). A v3 stream (sealed
+//! with four-lane FNV-1a), a v2 stream (whose trailer re-hashed the
+//! chunk payloads) and a v1 stream (sealed with one-lane FNV-1a) are
+//! refused with [`CodecError::BadVersion`]; no older reader is kept.
+//! The commit protocol is unchanged from the robust sequential path:
+//! everything is appended to `<target>.tmp` and a single atomic rename
+//! publishes the checkpoint — a fault during any streamed chunk leaves
+//! the previous generation at `target` intact.
 
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
@@ -44,7 +45,7 @@ use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDur
 /// uses `BLCR`; the first frame's magic is what tells the two apart).
 pub const STREAM_MAGIC: [u8; 4] = *b"BLCS";
 /// Streamed format version.
-pub const STREAM_VERSION: u32 = 3;
+pub const STREAM_VERSION: u32 = 4;
 
 /// First frame of a stream: everything the sequential
 /// [`crate::CheckpointFile`] holds, minus the buffer payloads that
@@ -93,7 +94,7 @@ pub struct StreamChunkMap {
     pub store: String,
     /// Total reassembled payload length.
     pub total_len: u64,
-    /// `(FNV-64 content hash, raw chunk length)` references, in
+    /// `(XXH64 content address, raw chunk length)` references, in
     /// concatenation order.
     pub segments: Vec<(u64, u64)>,
 }

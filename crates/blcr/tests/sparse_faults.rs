@@ -143,52 +143,52 @@ fn write_faults_on_dump_files_replay_byte_identically() {
 }
 
 const EXPECTED: &[&str] = &[
-    "seq corrupt_all seed=1 ok(25169995) len=25169995 fnv=63967b4a0e245bb4 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=2 ok(25169995) len=25169995 fnv=7fb77d7c1f5a68e8 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=3 ok(25169995) len=25169995 fnv=4a8da44bbfd6a775 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=5 ok(25169995) len=25169995 fnv=9581122c2297131f log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=8 ok(25169995) len=25169995 fnv=083618064d34b278 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
-    "seq corrupt_all seed=13 ok(25169995) len=25169995 fnv=9f914f9525b7a6e0 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
-    "seq corrupt_all seed=21 ok(25169995) len=25169995 fnv=513d37e0094303cd log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_all seed=34 ok(25169995) len=25169995 fnv=2cbdde23d8070852 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq short_tail seed=1 ok(25169995) len=14260352 fnv=5887e39312646904 log=[short_write@0:/local/seq.ckpt: 14260352/25169995 bytes]",
-    "seq short_tail seed=2 ok(25169995) len=14880242 fnv=b737d6d97105eca4 log=[short_write@0:/local/seq.ckpt: 14880242/25169995 bytes]",
-    "seq short_tail seed=3 ok(25169995) len=2855544 fnv=f1dca2bebb17d084 log=[short_write@0:/local/seq.ckpt: 2855544/25169995 bytes]",
-    "seq short_tail seed=5 ok(25169995) len=9734949 fnv=cf45628165c6028c log=[short_write@0:/local/seq.ckpt: 9734949/25169995 bytes]",
-    "seq short_tail seed=8 ok(25169995) len=15567758 fnv=19fcbbc1fadf4e64 log=[short_write@0:/local/seq.ckpt: 15567758/25169995 bytes]",
-    "seq short_tail seed=13 ok(25169995) len=19348441 fnv=13e7d6e52466724c log=[short_write@0:/local/seq.ckpt: 19348441/25169995 bytes]",
-    "seq short_tail seed=21 ok(25169995) len=667518 fnv=003961469a24d564 log=[short_write@0:/local/seq.ckpt: 667518/25169995 bytes]",
-    "seq short_tail seed=34 ok(25169995) len=13483774 fnv=cbd2461253410d64 log=[short_write@0:/local/seq.ckpt: 13483774/25169995 bytes]",
-    "seq corrupt_prefix seed=1 ok(25169995) len=25169995 fnv=f9b65d11a028b1c4 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=2 ok(25169995) len=25169995 fnv=35be283adfe43308 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=3 ok(25169995) len=25169995 fnv=a6393b5fe7e51b49 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=5 ok(25169995) len=25169995 fnv=9bfd643c6349f90f log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=8 ok(25169995) len=25169995 fnv=3ae8976d6a5f8d80 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
-    "seq corrupt_prefix seed=13 ok(25169995) len=25169995 fnv=9054ce40b5aedfb8 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
-    "seq corrupt_prefix seed=21 ok(25169995) len=25169995 fnv=331a795de270c873 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "seq corrupt_prefix seed=34 ok(25169995) len=25169995 fnv=efd7a51581272b0e log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
-    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=ec8987485effc8db log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=ff08fe69edc450e3 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=93ed231fc8a8ebdb log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=7c47db01514948cf log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=0fbefdf718bd117f log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=896a90c76f7229f7 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=ac025ea715d8ccf8 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=f50a74548b6bf354 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
-    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=44e287dc169344d9 log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
-    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=ecd1ba49a27a7271 log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
-    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=d1da090860ad49f3 log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
-    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=d1fbb66063a4c953 log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
-    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=e61fc7702085f65b log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
-    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=76917730b3c90421 log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
-    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=036c2a38cc1cb583 log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
-    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=d5a590a1adff9631 log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
-    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=04284b4e77ef5c0b log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=d82ee657cdc814db log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=dedf6d554da46899 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=6a7adaac1be1264f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
-    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=64940c873fc1b20f log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=686d7c3f7e76e18f log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=8432fd2523b1654a log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
-    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=868ce9ca17603e54 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "seq corrupt_all seed=1 ok(25169995) len=25169995 fnv=3334ef0f1cc07630 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=2 ok(25169995) len=25169995 fnv=6925c8091a2c001c log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=3 ok(25169995) len=25169995 fnv=e128ba969c365fe1 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=5 ok(25169995) len=25169995 fnv=e654894a6e25e1ab log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=8 ok(25169995) len=25169995 fnv=65c256cd278def0c log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
+    "seq corrupt_all seed=13 ok(25169995) len=25169995 fnv=ce671f3e4f0afaa4 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
+    "seq corrupt_all seed=21 ok(25169995) len=25169995 fnv=42f9d3171429e6f9 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_all seed=34 ok(25169995) len=25169995 fnv=1e7a795ae2edeb7e log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq short_tail seed=1 ok(25169995) len=14260352 fnv=3fdd3bb542465e08 log=[short_write@0:/local/seq.ckpt: 14260352/25169995 bytes]",
+    "seq short_tail seed=2 ok(25169995) len=14880242 fnv=37d989b6d7584548 log=[short_write@0:/local/seq.ckpt: 14880242/25169995 bytes]",
+    "seq short_tail seed=3 ok(25169995) len=2855544 fnv=371b9cb23a93ad08 log=[short_write@0:/local/seq.ckpt: 2855544/25169995 bytes]",
+    "seq short_tail seed=5 ok(25169995) len=9734949 fnv=8477107dd70b2918 log=[short_write@0:/local/seq.ckpt: 9734949/25169995 bytes]",
+    "seq short_tail seed=8 ok(25169995) len=15567758 fnv=fbc64b433a4848c8 log=[short_write@0:/local/seq.ckpt: 15567758/25169995 bytes]",
+    "seq short_tail seed=13 ok(25169995) len=19348441 fnv=67234caa91734898 log=[short_write@0:/local/seq.ckpt: 19348441/25169995 bytes]",
+    "seq short_tail seed=21 ok(25169995) len=667518 fnv=e6eb328d55c856c8 log=[short_write@0:/local/seq.ckpt: 667518/25169995 bytes]",
+    "seq short_tail seed=34 ok(25169995) len=13483774 fnv=0a7b473e7fa8c6c8 log=[short_write@0:/local/seq.ckpt: 13483774/25169995 bytes]",
+    "seq corrupt_prefix seed=1 ok(25169995) len=25169995 fnv=88996473b4113970 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=2 ok(25169995) len=25169995 fnv=4283dca91687c17c log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=3 ok(25169995) len=25169995 fnv=1a9972405feccbad log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=5 ok(25169995) len=25169995 fnv=3a8cdb73b86e84e3 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=8 ok(25169995) len=25169995 fnv=93cd237a10d00744 log=[corrupt_write@0:/local/seq.ckpt: 2 bit flip(s)]",
+    "seq corrupt_prefix seed=13 ok(25169995) len=25169995 fnv=6a91748e306b6734 log=[corrupt_write@0:/local/seq.ckpt: 1 bit flip(s)]",
+    "seq corrupt_prefix seed=21 ok(25169995) len=25169995 fnv=b389fe72ba741197 log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "seq corrupt_prefix seed=34 ok(25169995) len=25169995 fnv=67fc74920afc64ce log=[corrupt_write@0:/local/seq.ckpt: 3 bit flip(s)]",
+    "str corrupt_all seed=1 ok(25175275) len=25175275 fnv=e0a197803d40de6f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=2 ok(25175275) len=25175275 fnv=2dea38f97beb37c7 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=3 ok(25175275) len=25175275 fnv=a1c9e6142db54f33 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=5 ok(25175275) len=25175275 fnv=e9010ad92a6282d7 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_all seed=8 ok(25175275) len=25175275 fnv=3457758baa02c0c7 log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=13 ok(25175275) len=25175275 fnv=a4e68c61cbd08677 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=21 ok(25175275) len=25175275 fnv=57cc5d7c0a90a88c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_all seed=34 ok(25175275) len=25175275 fnv=8a1649f36c69c36c log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
+    "str short_tail seed=1 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14267416 fnv=06d2f50be514a2a1 log=[short_write@8085436:/local/str.ckpt.tmp: 14258018/25165877 bytes]",
+    "str short_tail seed=2 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=14887206 fnv=595f7fe4efdd24f9 log=[short_write@8085436:/local/str.ckpt.tmp: 14877808/25165877 bytes]",
+    "str short_tail seed=3 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=2864475 fnv=9b64fc09ca8c568b log=[short_write@8085436:/local/str.ckpt.tmp: 2855077/25165877 bytes]",
+    "str short_tail seed=5 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=9742755 fnv=246411046c2670eb log=[short_write@8085436:/local/str.ckpt.tmp: 9733357/25165877 bytes]",
+    "str short_tail seed=8 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=15574609 fnv=8a2eb7c7c8487e33 log=[short_write@8085436:/local/str.ckpt.tmp: 15565211/25165877 bytes]",
+    "str short_tail seed=13 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=19354674 fnv=d461d0a3b6619429 log=[short_write@8085436:/local/str.ckpt.tmp: 19345276/25165877 bytes]",
+    "str short_tail seed=21 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=676807 fnv=94417c86f1ac8e9b log=[short_write@8085436:/local/str.ckpt.tmp: 667409/25165877 bytes]",
+    "str short_tail seed=34 err(checkpoint I/O failed: write failed: /local/str.ckpt.tmp) len=13490966 fnv=3539878b4e03a6b9 log=[short_write@8085436:/local/str.ckpt.tmp: 13481568/25165877 bytes]",
+    "str corrupt_prefix seed=1 ok(25175275) len=25175275 fnv=ad36e278d57e7dc7 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=2 ok(25175275) len=25175275 fnv=5b409b3423b179e7 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=3 ok(25175275) len=25175275 fnv=8b1e1d1924fbd529 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=5 ok(25175275) len=25175275 fnv=3e4af5a1c722ed4f log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 3 bit flip(s)]",
+    "str corrupt_prefix seed=8 ok(25175275) len=25175275 fnv=8fb868465644e5ef log=[corrupt_write@0:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=13 ok(25175275) len=25175275 fnv=a9199046c23dcbe7 log=[corrupt_write@0:/local/str.ckpt.tmp: 1 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=21 ok(25175275) len=25175275 fnv=884892a17a10d1c6 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 1 bit flip(s)]",
+    "str corrupt_prefix seed=34 ok(25175275) len=25175275 fnv=6b60504aeb801d64 log=[corrupt_write@0:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8037927:/local/str.ckpt.tmp: 2 bit flip(s); corrupt_write@8075645:/local/str.ckpt.tmp: 3 bit flip(s); corrupt_write@8085436:/local/str.ckpt.tmp: 2 bit flip(s)]",
 ];

@@ -95,7 +95,7 @@ pub struct CprPolicy {
     /// Overlap D2H copies with chunk writes on per-resource channels.
     pub pipelined: bool,
     /// Route buffer payloads through the content-addressed chunk store:
-    /// content-defined chunking, FNV-64 dedup against every earlier
+    /// content-defined chunking, XXH64 dedup against every earlier
     /// generation, per-chunk compression on the `cpu.compress` channel.
     /// A buffer no write touched since its last dedup generation skips
     /// the device read altogether and re-emits its previous chunk map

@@ -16,10 +16,10 @@ pub enum VendorKind {
 }
 
 /// Format version of a program binary's frame (behind the vendor's
-/// [`binary_magic`](VendorKind::binary_magic)). Version 2 is sealed
-/// with a four-lane [`simcore::seal64`]; a binary of any other version
-/// is `InvalidBinary`.
-pub const BINARY_VERSION: u32 = 2;
+/// [`binary_magic`](VendorKind::binary_magic)). Version 3 is sealed
+/// with [`simcore::xxh64`]; a binary of any other version is
+/// `InvalidBinary`.
+pub const BINARY_VERSION: u32 = 3;
 
 impl VendorKind {
     /// Stable numeric id embedded in handles and binaries.

@@ -1,10 +1,12 @@
-//! FNV-1a content checksums and the four-lane frame seal.
+//! FNV-1a content checksums and the XXH64 seal.
 //!
 //! [`Fnv64`] is the content checksum: it lets tests and workloads
 //! assert that buffer contents survive checkpoint / restart / migration
-//! bit-exactly without storing full golden copies, and it addresses
-//! chunk-store records. [`seal64`] seals each frame of the dump formats
-//! once, where only integrity matters and speed does.
+//! bit-exactly without storing full golden copies, it hashes runs of
+//! zeros in closed form ([`Fnv64::update_zeros`]), and it chains the
+//! 8-byte frame seals of a stream's trailer. [`xxh64`] seals each frame
+//! of the dump formats once and addresses chunk-store records, where
+//! every dumped byte passes through it and speed matters.
 
 /// Streaming 64-bit FNV-1a hasher.
 #[derive(Clone, Copy, Debug)]
@@ -67,35 +69,83 @@ fn step(h: u64, byte: u8) -> u64 {
     (h ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// The four-lane frame seal of `data`: byte `i` goes to FNV-1a lane
-/// `i mod 4`, and the four lanes and the length are folded through one
-/// FNV-1a into 8 bytes.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One XXH64 round: absorb the word `w` into the lane `acc`.
+#[inline(always)]
+fn round(acc: u64, w: u64) -> u64 {
+    acc.wrapping_add(w.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// The little-endian word of the first 8 bytes of `b`.
+#[inline(always)]
+fn word(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().unwrap())
+}
+
+/// XXH64 of `data` with seed 0: the frame seal of every dump format and
+/// the address of every stored chunk.
 ///
-/// FNV-1a is bound by the latency of its multiply: one state is one
-/// serial chain. Four lanes are four independent chains that the CPU
-/// runs side by side, so a seal costs about a quarter of an [`Fnv64`]
-/// pass over the same bytes.
-pub fn seal64(data: &[u8]) -> u64 {
-    let quads = data.chunks_exact(4);
-    let tail = quads.remainder();
-    let [mut a, mut b, mut c, mut d] = [FNV_OFFSET; 4];
-    for q in quads {
-        a = step(a, q[0]);
-        b = step(b, q[1]);
-        c = step(c, q[2]);
-        d = step(d, q[3]);
+/// Four lanes each absorb one 8-byte word of every 32-byte stripe, then
+/// merge; the tail is taken a word, a half-word and a byte at a time,
+/// and a final avalanche mixes every bit into every other. The lanes
+/// are four independent multiply chains that step a word, not a byte,
+/// at a time, so the hash runs about 8× faster than [`Fnv64`].
+pub fn xxh64(data: &[u8]) -> u64 {
+    let stripes = data.chunks_exact(32);
+    let tail = stripes.remainder();
+    let mut h = if data.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for s in stripes {
+            for (i, lane) in v.iter_mut().enumerate() {
+                *lane = round(*lane, word(&s[8 * i..]));
+            }
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for lane in v {
+            h = (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(data.len() as u64);
+    let words = tail.chunks_exact(8);
+    let mut rest = words.remainder();
+    for w in words {
+        h = (h ^ round(0, word(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
     }
-    let mut lanes = [a, b, c, d];
-    // The tail starts at a multiple of 4, so its byte `j` is lane `j`'s.
-    for (lane, &byte) in lanes.iter_mut().zip(tail) {
-        *lane = step(*lane, byte);
+    if rest.len() >= 4 {
+        let half = u32::from_le_bytes(rest[..4].try_into().unwrap()) as u64;
+        h = (h ^ half.wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
     }
-    let mut h = Fnv64::new();
-    for lane in lanes {
-        h.update_u64(lane);
+    for &b in rest {
+        h = (h ^ (b as u64).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
     }
-    h.update_u64(data.len() as u64);
-    h.finish()
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 /// One-shot FNV-1a 64 of a byte slice.
@@ -156,30 +206,31 @@ mod tests {
         });
     }
 
-    /// The four-lane seal of `data`, byte by byte: the definition
-    /// [`seal64`]'s quad loop must agree with.
-    fn reference_seal(data: &[u8]) -> u64 {
-        let mut lanes = [FNV_OFFSET; 4];
-        for (i, &b) in data.iter().enumerate() {
-            lanes[i % 4] = step(lanes[i % 4], b);
-        }
-        let mut h = Fnv64::new();
-        lanes.iter().for_each(|&l| h.update_u64(l));
-        h.update_u64(data.len() as u64);
-        h.finish()
-    }
-
+    /// XXH64 known answers from the reference implementation
+    /// (`XXH64(ptr, len, 0)` of libxxhash 0.8.1), covering every tail
+    /// path: bytes only, a half-word, words, no stripe, one stripe and
+    /// stripes with each kind of tail.
     #[test]
-    fn seal_matches_the_lane_definition() {
-        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 100, 4098, 4099] {
-            let data: Vec<u8> = (0..n).map(|i| (i * 31 + 7) as u8).collect();
-            assert_eq!(seal64(&data), reference_seal(&data), "n = {n}");
+    fn xxh64_matches_the_reference() {
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        let ramp = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 31 + 7) as u8).collect() };
+        let want = [
+            (0, 0xef46_db37_51d8_e999),
+            (1, 0xa96c_7f0c_e858_bbb7),
+            (3, 0x56e6_9576_32a4_87f9),
+            (4, 0xc60d_15b1_e3ff_8f04),
+            (8, 0x3da5_c7aa_2696_83e0),
+            (31, 0x4a74_f3a1_a39a_d4a1),
+            (32, 0x8d57_d6a4_671c_c43d),
+            (33, 0x62c9_fd21_ed85_7664),
+            (100, 0xefa0_ad2d_3e70_c151),
+            (4099, 0x9853_1e44_aa4f_969d),
+        ];
+        for (n, hash) in want {
+            assert_eq!(xxh64(&ramp(n)), hash, "n = {n}");
         }
-        // Lanes make the seal differ from plain FNV-1a, and from a
-        // reordering of the same bytes.
-        assert_ne!(seal64(b"foobar"), fnv1a64(b"foobar"));
-        assert_ne!(seal64(b"ab"), seal64(b"ba"));
-        assert_ne!(seal64(b""), seal64(b"\x00"));
     }
 
     #[test]
@@ -190,7 +241,7 @@ mod tests {
             let mut flipped = data.clone();
             let at = g.usize_in(0, len);
             flipped[at] ^= g.usize_in(1, 256) as u8;
-            assert_ne!(seal64(&data), seal64(&flipped), "byte {at} of {len}");
+            assert_ne!(xxh64(&data), xxh64(&flipped), "byte {at} of {len}");
         });
     }
 

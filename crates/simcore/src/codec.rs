@@ -5,7 +5,7 @@
 //! runtime state living inside the process — into a compact, framed,
 //! checksummed binary stream. This module defines that stream format:
 //! little-endian fixed-width primitives, `u64` length prefixes, and a
-//! `magic | version | payload | seal64` frame.
+//! `magic | version | payload | xxh64` frame.
 //!
 //! The format is deliberately hand-rolled rather than pulled from an
 //! external serialisation crate: the checkpoint file layout is part of
@@ -29,7 +29,7 @@
 //! something: `NDRange`'s dimension count, `ClError`'s code, and
 //! `CheclDb`'s index rebuild (plus the newtype wrappers).
 
-use crate::checksum::seal64;
+use crate::checksum::xxh64;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -455,17 +455,17 @@ fn put_prefixed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Append a `magic | version | len | payload | seal64` frame to `out`.
+/// Append a `magic | version | len | payload | xxh64` frame to `out`.
 fn put_framed<T: Codec>(out: &mut Vec<u8>, magic: [u8; 4], version: u32, payload: &T) {
     out.extend_from_slice(&magic);
     version.encode(out);
     let body = out.len() + 8;
     put_prefixed(out, |out| payload.encode(out));
-    let sum = seal64(&out[body..]);
+    let sum = xxh64(&out[body..]);
     sum.encode(out);
 }
 
-/// Wrap a payload in a `magic | version | len | payload | seal64` frame.
+/// Wrap a payload in a `magic | version | len | payload | xxh64` frame.
 pub fn encode_framed<T: Codec>(magic: [u8; 4], version: u32, payload: &T) -> Vec<u8> {
     let mut out = Vec::new();
     put_framed(&mut out, magic, version, payload);
@@ -501,7 +501,7 @@ pub fn decode_framed<T: Codec>(
     if !r.is_empty() {
         return Err(CodecError::TrailingBytes(r.remaining()));
     }
-    if seal64(body) != sum {
+    if xxh64(body) != sum {
         return Err(CodecError::ChecksumMismatch);
     }
     T::from_bytes(body)

@@ -35,7 +35,7 @@ pub mod time;
 
 pub use bandwidth::{Bandwidth, LinkModel};
 pub use bytesize::ByteSize;
-pub use checksum::{fnv1a64, seal64, Fnv64};
+pub use checksum::{fnv1a64, xxh64, Fnv64};
 pub use codec::{Codec, CodecError, Reader};
 pub use payload::Payload;
 pub use rng::SplitMix64;

@@ -23,9 +23,9 @@ use workloads::{BufInit, Op};
 const PINNED: [(&str, usize, u64); 12] = [
     ("CheclDb", 954, 0xbcd78c5019c24321),
     ("AppProgram", 1165, 0x960ae9ba6a4b0743),
-    ("chunk store file", 738, 0xba6193c98fec0873),
-    ("stream file", 528, 0xdd55eabd99e10acd),
-    ("checkpoint file", 300, 0xa1c44e42600c7768),
+    ("chunk store file", 738, 0xdd293b2c46ade800),
+    ("stream file", 528, 0xc273abb80fef75d8),
+    ("checkpoint file", 300, 0x9619d33ebf94fdb2),
     ("DeviceType", 4, 0x4475327f98e05411),
     ("HandleKind", 9, 0xb11d013568a3b7cf),
     ("EventStatus", 4, 0x4475327f98e05411),
@@ -96,7 +96,7 @@ fn unknown_tags_keep_their_messages() {
     let mut file = Vec::new();
     for encoding in [2u8, 0] {
         let rec = Record {
-            hash: fnv1a64(&[1]),
+            hash: simcore::xxh64(&[1]),
             raw_len: 1,
             encoding,
             payload: vec![1],
@@ -221,8 +221,8 @@ fn seeded_stream_dumps_match_the_pinned_lengths_and_hashes() {
     assert_eq!(
         got,
         [
-            ("pipelined", 26052628, 0xc902_9c05_8845_6ea9),
-            ("live", 26052782, 0x7146_f169_da1a_9080),
+            ("pipelined", 26052628, 0xbe35_d618_b0d7_5099),
+            ("live", 26052782, 0x742c_bbbd_9e7f_7791),
         ]
     );
 }
@@ -307,7 +307,7 @@ fn flipped_stream_bytes_keep_their_errors() {
         ("chunk data length", CodecError::ChecksumMismatch),
         ("slice offset", CodecError::ChecksumMismatch),
         ("chunk magic", CodecError::BadMagic),
-        ("chunk version", CodecError::BadVersion(35)),
+        ("chunk version", CodecError::BadVersion(36)),
         ("chunk body length", eof(327733, 327709)),
         ("chunk frame length", eof(327701, 327677)),
     ];
@@ -341,6 +341,17 @@ fn a_resealed_trailer_with_a_lying_checksum_is_refused() {
     }
 }
 
+/// `body` as a length-prefixed `magic | version | len | body | seal`
+/// frame, built by hand so that the test, not the codec, says which
+/// function seals it.
+fn frame_sealed_with(magic: &[u8], version: u32, body: &[u8], seal: fn(&[u8]) -> u64) -> Vec<u8> {
+    let mut frame = magic.to_vec();
+    version.encode(&mut frame);
+    body.to_vec().encode(&mut frame);
+    seal(body).encode(&mut frame);
+    frame.to_bytes()
+}
+
 /// `body`'s length-prefixed frames as format v1 wrote them: the same
 /// magic and payload, version 1 and a one-lane FNV-1a seal.
 fn as_v1(body: &[u8]) -> Vec<u8> {
@@ -350,22 +361,53 @@ fn as_v1(body: &[u8]) -> Vec<u8> {
 /// `body`'s length-prefixed frames with the same magic and payload,
 /// relabelled `version` and sealed with `seal`.
 fn as_version(body: &[u8], version: u32, seal: fn(&[u8]) -> u64) -> Vec<u8> {
-    let mut r = simcore::codec::Reader::new(body);
     let mut out = Vec::new();
-    while !r.is_empty() {
-        let frame = r.take_frame().unwrap();
-        let payload = simcore::codec::Reader::new(&frame[8..])
-            .take_frame()
-            .unwrap();
-        let mut relabelled = frame[..4].to_vec();
-        version.encode(&mut relabelled);
-        payload.to_vec().encode(&mut relabelled);
-        seal(payload).encode(&mut relabelled);
-        relabelled.encode(&mut out);
+    for (magic, payload) in frame_magics(body).iter().zip(frame_bodies(body)) {
+        out.extend(frame_sealed_with(magic, version, &payload, seal));
     }
     out
 }
 
+/// The magic of every length-prefixed frame of `body`, in order.
+fn frame_magics(body: &[u8]) -> Vec<[u8; 4]> {
+    let mut r = simcore::codec::Reader::new(body);
+    let mut out = Vec::new();
+    while !r.is_empty() {
+        out.push(r.take_frame().unwrap()[..4].try_into().unwrap());
+    }
+    out
+}
+
+/// Write `old`, a chunk store relabelled to an older format, and check
+/// that both `open` and `load_all` refuse it with `BadVersion(version)`
+/// and leave its bytes as they were.
+fn old_store_is_refused(version: u32, seal: fn(&[u8]) -> u64) {
+    let mut c = osproc::Cluster::with_standard_nodes(1);
+    let p = c.spawn(c.node_ids()[0]);
+    let mut store = blcr::ChunkStore::open(&mut c, p, "/local/new.cas").unwrap();
+    store.put(&mut c, &[3; 5000]).unwrap();
+    let new = c.read_file(p, "/local/new.cas").unwrap();
+    let old = osproc::FileBytes::new(as_version(new.body(), version, seal), 0);
+    assert_eq!(old.len(), new.len());
+    c.write_file(p, "/local/old.cas", old.body().to_vec())
+        .unwrap();
+    let want = CodecError::BadVersion(version);
+    match blcr::ChunkStore::open(&mut c, p, "/local/old.cas") {
+        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(s) => panic!("a v{version} store opened with {} chunks", s.len()),
+    }
+    match blcr::ChunkStore::load_all(&mut c, p, "/local/old.cas") {
+        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
+        other => panic!("wrong result: {:?}", other.map(|all| all.len())),
+    }
+    assert_eq!(c.read_file(p, "/local/old.cas").unwrap(), old);
+}
+
+/// Dumps, stores and binaries of every older format are refused by
+/// their version word, which is read before the seal: v1 files carry
+/// their own one-lane FNV-1a seal, and the later versions, whose
+/// four-lane FNV-1a seal no longer exists, carry the current one.
 #[test]
 fn version_1_dumps_and_binaries_are_refused_by_version() {
     let mut image = osproc::MemImage::new();
@@ -377,16 +419,21 @@ fn version_1_dumps_and_binaries_are_refused_by_version() {
     }
     .to_file_bytes();
     let pipelined = pipelined_dump();
-    for dump in [&sequential, &pipelined] {
+    let xxh64 = simcore::xxh64;
+    let older = [
+        (&sequential, 1, fnv1a64 as fn(&[u8]) -> u64),
+        (&sequential, 2, xxh64),
+        (&pipelined, 1, fnv1a64),
+        (&pipelined, 2, xxh64),
+        (&pipelined, 3, xxh64),
+    ];
+    for (dump, version, seal) in older {
         assert!(blcr::sniff_dump(dump).is_ok());
-        let v1 = osproc::FileBytes::new(as_v1(dump.body()), dump.zero_tail());
-        assert_eq!(blcr::sniff_dump(&v1), Err(CodecError::BadVersion(1)));
+        let old = as_version(dump.body(), version, seal);
+        let old = osproc::FileBytes::new(old, dump.zero_tail());
+        assert_eq!(blcr::sniff_dump(&old), Err(CodecError::BadVersion(version)));
     }
-    // A v2 stream had the v3 frames and seals; only its trailer summed
-    // the payloads again.
-    let v2 = as_version(pipelined.body(), 2, simcore::seal64);
-    let v2 = osproc::FileBytes::new(v2, pipelined.zero_tail());
-    assert_eq!(blcr::sniff_dump(&v2), Err(CodecError::BadVersion(2)));
+    old_store_is_refused(2, xxh64);
 
     let mut driver = cldriver::Driver::new(cldriver::vendor::nimbus(), osproc::Pid(1));
     let mut now = simcore::SimTime::ZERO;
@@ -400,48 +447,20 @@ fn version_1_dumps_and_binaries_are_refused_by_version() {
     ocl.build_program(program, "").unwrap();
     let binary = ocl.get_program_binary(program).unwrap();
     let v1 = as_v1(&binary.to_bytes())[8..].to_vec();
-    assert_eq!(v1.len(), binary.len());
+    let v2 = as_version(&binary.to_bytes(), 2, xxh64)[8..].to_vec();
+    assert_eq!((v1.len(), v2.len()), (binary.len(), binary.len()));
     assert!(ocl.create_program_with_binary(ctx, dev, binary).is_ok());
-    assert_eq!(
-        ocl.create_program_with_binary(ctx, dev, v1).unwrap_err(),
-        clspec::error::ClError::InvalidBinary
-    );
+    for old in [v1, v2] {
+        assert_eq!(
+            ocl.create_program_with_binary(ctx, dev, old).unwrap_err(),
+            clspec::error::ClError::InvalidBinary
+        );
+    }
 }
 
 #[test]
 fn a_version_1_chunk_store_is_refused_and_left_as_it_was() {
-    let mut c = osproc::Cluster::with_standard_nodes(1);
-    let p = c.spawn(c.node_ids()[0]);
-    let mut store = blcr::ChunkStore::open(&mut c, p, "/local/v2.cas").unwrap();
-    store.put(&mut c, &[3; 5000]).unwrap();
-    let v2 = c.read_file(p, "/local/v2.cas").unwrap();
-    let v1 = osproc::FileBytes::new(as_v1(v2.body()), 0);
-    assert_eq!(v1.len(), v2.len());
-    c.write_file(p, "/local/v1.cas", v1.body().to_vec())
-        .unwrap();
-    let want = CodecError::BadVersion(1);
-    match blcr::ChunkStore::open(&mut c, p, "/local/v1.cas") {
-        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(s) => panic!("a v1 store opened with {} chunks", s.len()),
-    }
-    match blcr::ChunkStore::load_all(&mut c, p, "/local/v1.cas") {
-        Err(blcr::CprError::Corrupt(e)) => assert_eq!(e, want),
-        other => panic!("wrong result: {:?}", other.map(|all| all.len())),
-    }
-    assert_eq!(c.read_file(p, "/local/v1.cas").unwrap(), v1);
-}
-
-/// A frame body carried as it is, so an edited body can be resealed.
-struct RawBody(Vec<u8>);
-
-impl Codec for RawBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0);
-    }
-    fn decode(r: &mut simcore::codec::Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RawBody(r.take(r.remaining())?.to_vec()))
-    }
+    old_store_is_refused(1, fnv1a64);
 }
 
 /// The payload body of every frame of a stream or chunk-store body, in
@@ -467,10 +486,11 @@ fn map_total_len_at(body: &[u8]) -> usize {
 
 /// A frame body sealed as a length-prefixed stream frame.
 fn stream_frame(body: &[u8]) -> Vec<u8> {
-    simcore::codec::encode_prefixed_frame(
-        blcr::STREAM_MAGIC,
+    frame_sealed_with(
+        &blcr::STREAM_MAGIC,
         blcr::STREAM_VERSION,
-        &RawBody(body.to_vec()),
+        body,
+        simcore::xxh64,
     )
 }
 
@@ -619,17 +639,18 @@ fn a_frame_resealed_alone_is_refused_by_the_trailer() {
     );
 }
 
-/// Flip every bit of `bytes[range]`, one at a time, and read the result
-/// with `read`: each flip must be refused.
+/// Flip each bit of `bytes` in `bits` (counted from bit 0 of byte 0),
+/// one at a time, and read the result with `read`: each flip must be
+/// refused.
 fn every_bit_flip_is_refused(
     what: &str,
     bytes: &[u8],
-    range: std::ops::Range<usize>,
+    bits: std::ops::Range<usize>,
     mut read: impl FnMut(&[u8]) -> Result<(), CodecError>,
 ) {
     assert_eq!(read(bytes), Ok(()), "{what} reads back");
     let mut bad = bytes.to_vec();
-    for bit in 8 * range.start..8 * range.end {
+    for bit in bits {
         bad[bit / 8] ^= 1 << (bit % 8);
         assert!(
             read(&bad).is_err(),
@@ -653,7 +674,7 @@ fn every_single_bit_flip_of_a_sealed_frame_is_refused() {
         image,
     }
     .to_file_bytes();
-    every_bit_flip_is_refused("BLCR file", file.body(), 0..file.body().len(), |b| {
+    every_bit_flip_is_refused("BLCR file", file.body(), 0..8 * file.body().len(), |b| {
         blcr::CheckpointFile::from_file_bytes(b).map(|_| ())
     });
 
@@ -664,26 +685,34 @@ fn every_single_bit_flip_of_a_sealed_frame_is_refused() {
     w.finish(&mut c).unwrap();
     let stream = c.read_file(p, "/local/s.ckpt").unwrap().body().to_vec();
     let starts = frames(&stream);
-    every_bit_flip_is_refused("BLCS chunk", &stream, starts[1].0..starts[2].0, |b| {
+    let chunk = 8 * starts[1].0..8 * starts[2].0;
+    every_bit_flip_is_refused("BLCS chunk", &stream, chunk, |b| {
         blcr::parse_stream(b).map(|_| ())
     });
 
-    // The record is the first of two, and its length prefix is left
-    // alone: a store reads a prefix that runs past its end, or a last
-    // record that fails, as an append torn by a crash.
+    // The record is the first of two. A store reads a last record that
+    // fails, or a length prefix within the longest record `put` writes
+    // that runs past its end, as an append torn by a crash; so of the
+    // record's length prefix only the bits above that bound are
+    // flipped.
     let mut store = blcr::ChunkStore::open(&mut c, p, "/local/s.cas").unwrap();
     store.put(&mut c, &noise).unwrap();
     store.put(&mut c, &[3; 3000]).unwrap();
     let cas = c.read_file(p, "/local/s.cas").unwrap().body().to_vec();
-    let record = 8..frames(&cas)[1].0;
-    every_bit_flip_is_refused("BLCC record", &cas, record, |b| {
+    let mut read_store = |b: &[u8]| {
         c.write_file(p, "/local/flip.cas", b.to_vec()).unwrap();
         match blcr::ChunkStore::load_all(&mut c, p, "/local/flip.cas") {
             Ok(_) => Ok(()),
             Err(blcr::CprError::Corrupt(e)) => Err(e),
             Err(e) => panic!("BLCC record: refused untyped: {e}"),
         }
-    });
+    };
+    let record = 8 * 8..8 * frames(&cas)[1].0;
+    every_bit_flip_is_refused("BLCC record", &cas, record, &mut read_store);
+    let bound = blcr::chunkstore::MAX_RECORD_FRAME;
+    let above = 64 - bound.leading_zeros() as usize..64;
+    assert!(1u64 << above.start > bound && 1u64 << (above.start - 1) <= bound);
+    every_bit_flip_is_refused("BLCC prefix", &cas, above, &mut read_store);
 }
 
 /// Chunk-store record bodies framed and sealed again, so that an edited
@@ -695,7 +724,7 @@ fn resealed_store(bodies: &[Vec<u8>]) -> Vec<u8> {
     );
     bodies
         .iter()
-        .flat_map(|b| simcore::codec::encode_prefixed_frame(magic, version, &RawBody(b.clone())))
+        .flat_map(|b| frame_sealed_with(&magic, version, b, simcore::xxh64))
         .collect()
 }
 
