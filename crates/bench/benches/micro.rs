@@ -97,11 +97,13 @@ fn scalar(v: u32) -> clkernels::ArgData {
     clkernels::ArgData::Scalar(v.to_le_bytes().to_vec())
 }
 
-/// The kernels that cost `interpose` the most host time, at the sizes
-/// its 1/16-scale programs launch them, called the way the driver
-/// calls them. A kernel that works in place gets its input back before
-/// every launch (a copy of well under a tenth of its cost), so each
-/// iteration sorts or transforms the same data.
+/// The costliest kernels: those of `interpose` at the sizes its
+/// 1/16-scale programs launch them (`fdtd3d` at both of its targets'
+/// volumes), `fleet`'s two costliest at its jobs' sizes, and the
+/// paper-scale figures' costliest at theirs, each called the way the
+/// driver calls it. A kernel that works in place gets its input back
+/// before every launch (a copy of well under a tenth of its cost), so
+/// each iteration sorts, transforms or iterates the same data.
 fn bench_kernels(filter: &str) {
     fn launch(name: &str, args: &mut [clkernels::ArgData]) {
         clkernels::execute(name, black_box(args)).unwrap();
@@ -221,6 +223,41 @@ fn bench_kernels(filter: &str) {
         .collect();
     bench(filter, "kernel/mri_fhd_1024x4096", None, || {
         launch("mri_fhd", &mut args);
+    });
+    // `interpose`'s other costly kernels, drawn last so the inputs above
+    // stay as they were.
+    for dim in [50u32, 73] {
+        let vol = dim * dim * dim;
+        let mut args = [
+            f32_buf((0..vol).map(|_| g.f32_in(0.0, 1.0))),
+            f32_buf((0..vol).map(|_| 0.0)),
+            scalar(dim),
+            scalar(dim),
+            scalar(dim),
+        ];
+        let name = format!("kernel/fdtd3d_{dim}x{dim}x{dim}");
+        bench(filter, &name, None, || launch("fdtd3d", &mut args));
+    }
+    const FLOPS_N: u32 = 65_536;
+    let lanes = [
+        f32_buf((0..FLOPS_N).map(|_| g.f32_in(0.5, 1.5))),
+        scalar(FLOPS_N),
+        scalar(8),
+    ];
+    let mut args = lanes.clone();
+    bench(filter, "kernel/max_flops_65536", None, || {
+        args[0].clone_from(&lanes[0]);
+        launch("max_flops", &mut args);
+    });
+    const STENCIL: u32 = 64;
+    let mut args = [
+        f32_buf((0..STENCIL * STENCIL).map(|_| g.f32_in(0.0, 1.0))),
+        f32_buf((0..STENCIL * STENCIL).map(|_| 0.0)),
+        scalar(STENCIL),
+        scalar(STENCIL),
+    ];
+    bench(filter, "kernel/stencil2d_64x64", None, || {
+        launch("stencil2d", &mut args);
     });
 }
 

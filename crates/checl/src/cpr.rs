@@ -35,7 +35,7 @@
 use crate::objects::{ObjectRecord, RecordedArg};
 use crate::runtime::{ChecLib, StructArgPolicy};
 use blcr::CprError;
-use clspec::api::ApiRequest;
+use clspec::api::{ApiRequest, ApiResponse};
 use clspec::error::ClError;
 use clspec::handles::{
     CommandQueue, Context, DeviceId, HandleKind, Kernel, Mem, PlatformId, Program, RawHandle,
@@ -185,6 +185,9 @@ pub enum CheclCprError {
         /// How many candidates the restore host offered.
         available: usize,
     },
+    /// The driver answered the re-creation of an object of this kind
+    /// with a response that names no object.
+    NotRecreated(HandleKind),
 }
 
 impl fmt::Display for CheclCprError {
@@ -210,6 +213,11 @@ impl fmt::Display for CheclCprError {
             } => write!(
                 f,
                 "cannot restore {} #{index}: restore host enumerates only {available} candidate(s)",
+                kind.short_name()
+            ),
+            CheclCprError::NotRecreated(kind) => write!(
+                f,
+                "cannot restore {}: its re-creation returned no object",
                 kind.short_name()
             ),
         }
@@ -369,6 +377,14 @@ fn vendor_of(lib: &ChecLib, h: u64) -> Result<RawHandle, CheclCprError> {
         .ok_or(CheclCprError::Cl(ClError::InvalidValue))
 }
 
+/// The vendor handle of the object a re-creation request's response
+/// names, or [`CheclCprError::NotRecreated`] when it names none.
+fn recreated_object(kind: HandleKind, mut resp: ApiResponse) -> Result<RawHandle, CheclCprError> {
+    resp.object_mut()
+        .map(|h| *h)
+        .ok_or(CheclCprError::NotRecreated(kind))
+}
+
 fn restore_one(
     lib: &mut ChecLib,
     now: &mut SimTime,
@@ -380,9 +396,8 @@ fn restore_one(
     let vendor = match record.recreate_request() {
         Some(mut req) => {
             req.try_map_handles(|_, h| vendor_of(lib, h.0))?;
-            *lib.forward(now, req)?
-                .object_mut()
-                .expect("a re-creation request returns its object")
+            let resp = lib.forward(now, req)?;
+            recreated_object(record.kind(), resp)?
         }
         None => recreate_special(lib, now, record, target)?,
     };
@@ -576,5 +591,39 @@ fn recreate_special(
                 .raw())
         }
         _ => unreachable!("every other record has a re-creation request"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clspec::handles::Event;
+
+    #[test]
+    fn a_recreation_answered_without_an_object_is_an_error_not_a_panic() {
+        let mem = ApiResponse::Mem(Mem::from_raw(RawHandle(7)));
+        assert_eq!(
+            recreated_object(HandleKind::Mem, mem).unwrap(),
+            RawHandle(7)
+        );
+        let event = ApiResponse::DataEvent {
+            data: vec![1].into(),
+            event: Event::from_raw(RawHandle(9)),
+        };
+        assert_eq!(
+            recreated_object(HandleKind::Event, event).unwrap(),
+            RawHandle(9)
+        );
+        for resp in [ApiResponse::Unit, ApiResponse::Platforms(Vec::new())] {
+            let err = recreated_object(HandleKind::Kernel, resp).unwrap_err();
+            assert!(
+                matches!(err, CheclCprError::NotRecreated(HandleKind::Kernel)),
+                "{err}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "cannot restore kernel: its re-creation returned no object"
+            );
+        }
     }
 }

@@ -16,15 +16,24 @@
 //!
 //! A kernel rewritten for speed keeps each output lane's floating-point
 //! operations and their order, so its output stays bit-exact: a value
-//! hoisted out of a loop into a table (the FFT's twiddles, the DCT's
-//! cosines) comes from the same expression, and a work skip (a sorted
-//! buffer is its own sort) or an integer shortcut (`quasirandom`'s
-//! truncation for `floor`) holds for every input. Each rewrite is
-//! tested against a copy of the loop it replaced.
+//! hoisted out of a loop into a table comes from the same expression
+//! (the DCT's cosines) or one equal to it bit for bit (the FFT's
+//! twiddles); a compute-bound kernel may carry many outputs through one
+//! pass over its input, decoded into lanes once; and a work skip (a
+//! sorted buffer is its own sort) or an integer shortcut
+//! (`quasirandom`'s truncation for `floor`) holds for every input. Each
+//! rewrite is tested against a copy of the loop it replaced.
 
 use crate::args::{ArgData, ExecError};
 use crate::cost::CostSpec;
-use crate::f32util::{f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s};
+use crate::f32util::{
+    clamped_rows, f32_at, f32s, put_f32s, put_u32s, set_f32, swap_lanes, u32_at, u32s,
+};
+
+/// Outputs a compute-bound kernel carries through one pass over its
+/// shared input, each in its own accumulator: wide enough for packed
+/// `sqrt`, `div` and `mul`, and short enough to stay in registers.
+const LANES: usize = 8;
 
 /// A kernel's body: it validates its arguments, then writes its
 /// outputs in place.
@@ -238,12 +247,23 @@ fn k_max_flops(args: &mut [ArgData]) -> Result<(), ExecError> {
     let n = n.scalar_u32()? as usize;
     let iters = iters.scalar_u32()?;
     let data = output(0, data, n * 4)?;
-    for i in 0..n {
-        let mut v = f32_at(data, i);
-        for _ in 0..iters {
-            v = v * 1.000_001 + 0.000_000_1;
+    // Each lane iterates on its own value, so a block of lanes steps
+    // together: iterations outer, lanes inner. A step's multiply and add
+    // wait on the step before, and 64 lanes keep enough of those chains
+    // in flight to cover that wait. Lanes past `n` in the last block are
+    // never stored.
+    const BLOCK: usize = 64;
+    for block in data.chunks_mut(4 * BLOCK) {
+        let mut v = [0.0f32; BLOCK];
+        for (v, lane) in v.iter_mut().zip(f32s(block)) {
+            *v = lane;
         }
-        set_f32(data, i, v);
+        for _ in 0..iters {
+            for v in &mut v {
+                *v = *v * 1.000_001 + 0.000_000_1;
+            }
+        }
+        put_f32s(block, v);
     }
     Ok(())
 }
@@ -514,20 +534,41 @@ fn k_conv(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
     let src = input(0, src, w * h * 4)?;
     let dst = output(1, dst, w * h * 4)?;
     let filter = input(2, filter, (2 * radius as usize + 1) * 4)?;
-    for y in 0..h as i64 {
-        for x in 0..w as i64 {
-            let mut acc = 0.0f32;
-            for k in -radius..=radius {
-                let (xx, yy) = if rows {
-                    ((x + k).clamp(0, w as i64 - 1), y)
-                } else {
-                    (x, (y + k).clamp(0, h as i64 - 1))
-                };
-                acc += f32_at(src, (yy * w as i64 + xx) as usize)
-                    * f32_at(filter, (k + radius) as usize);
+    if w * h == 0 {
+        return Ok(());
+    }
+    // A whole row of pixels per pass, each summing its taps in order
+    // into its own accumulator. A row pass reads tap `k` of pixel `x`
+    // from lane `x + k` of its row widened by `radius` clamped lanes
+    // either side (one row at a time, so a wide radius costs one wide
+    // row); a column pass reads lane `x` of the clamped row `y + k`.
+    let taps: Vec<f32> = f32s(filter).collect();
+    let r = radius as usize;
+    let lanes: Vec<f32> = if rows {
+        Vec::new()
+    } else {
+        f32s(src).collect()
+    };
+    let mut acc = vec![0.0f32; w];
+    let rows_in = src.chunks_exact(4 * w).zip(dst.chunks_exact_mut(4 * w));
+    for (y, (src_row, dst_row)) in rows_in.enumerate() {
+        let padded = if rows {
+            clamped_rows(src_row, w, r)
+        } else {
+            Vec::new()
+        };
+        acc.fill(0.0);
+        for (k, &tap) in taps.iter().enumerate() {
+            let from = if rows {
+                &padded[k..k + w]
+            } else {
+                &lanes[(y + k).saturating_sub(r).min(h - 1) * w..][..w]
+            };
+            for (a, &v) in acc.iter_mut().zip(from) {
+                *a += v * tap;
             }
-            set_f32(dst, (y * w as i64 + x) as usize, acc);
         }
+        put_f32s(dst_row, acc.iter().copied());
     }
     Ok(())
 }
@@ -614,25 +655,29 @@ fn k_fdtd3d(args: &mut [ArgData]) -> Result<(), ExecError> {
     let n = dx * dy * dz;
     let src = input(0, src, n * 4)?;
     let dst = output(1, dst, n * 4)?;
-    let idx = |x: usize, y: usize, z: usize| (z * dy + y) * dx + x;
-    let at = |x, y, z| f32_at(src, idx(x, y, z));
-    for z in 0..dz {
-        for y in 0..dy {
-            for x in 0..dx {
-                let c = at(x, y, z);
-                let xm = at(x.saturating_sub(1), y, z);
-                let xp = at((x + 1).min(dx - 1), y, z);
-                let ym = at(x, y.saturating_sub(1), z);
-                let yp = at(x, (y + 1).min(dy - 1), z);
-                let zm = at(x, y, z.saturating_sub(1));
-                let zp = at(x, y, (z + 1).min(dz - 1));
-                set_f32(
-                    dst,
-                    idx(x, y, z),
-                    0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp),
-                );
-            }
+    if n == 0 {
+        return Ok(());
+    }
+    // A whole x row per pass. Each row is widened by one clamped lane
+    // either side, so `x - 1`, `x` and `x + 1` of row `(y, z)` are its
+    // lanes `x`, `x + 1` and `x + 2`; the four other neighbours are the
+    // clamped rows' lane `x + 1`.
+    let rows = clamped_rows(src, dx, 1);
+    let pitch = dx + 2;
+    let row = |y: usize, z: usize| &rows[(z * dy + y) * pitch..][..pitch];
+    let mut out = vec![0.0f32; dx];
+    for (yz, dst_row) in dst.chunks_exact_mut(4 * dx).enumerate() {
+        let (y, z) = (yz % dy, yz / dy);
+        let c = row(y, z);
+        let ym = &row(y.saturating_sub(1), z)[1..];
+        let yp = &row((y + 1).min(dy - 1), z)[1..];
+        let zm = &row(y, z.saturating_sub(1))[1..];
+        let zp = &row(y, (z + 1).min(dz - 1))[1..];
+        for (x, o) in out.iter_mut().enumerate() {
+            let (xm, xp) = (c[x], c[x + 2]);
+            *o = 0.4 * c[x + 1] + 0.1 * (xm + xp + ym[x] + yp[x] + zm[x] + zp[x]);
         }
+        put_f32s(dst_row, out.iter().copied());
     }
     Ok(())
 }
@@ -643,19 +688,29 @@ fn k_stencil2d(args: &mut [ArgData]) -> Result<(), ExecError> {
     let h = h.scalar_u32()? as usize;
     let src = input(0, src, w * h * 4)?;
     let dst = output(1, dst, w * h * 4)?;
-    for y in 0..h {
-        for x in 0..w {
+    if w * h == 0 {
+        return Ok(());
+    }
+    // A whole row per pass: rows `y - 1`, `y` and `y + 1`, clamped, each
+    // widened by one clamped lane either side, so the taps of pixel `x`
+    // are lanes `x`, `x + 1` and `x + 2` of each, summed in that order.
+    const WEIGHTS: [[f32; 3]; 3] = [[0.0625; 3], [0.0625, 0.5, 0.0625], [0.0625; 3]];
+    let rows = clamped_rows(src, w, 1);
+    let pitch = w + 2;
+    let row = |y: usize| &rows[y * pitch..][..pitch];
+    let mut out = vec![0.0f32; w];
+    for (y, dst_row) in dst.chunks_exact_mut(4 * w).enumerate() {
+        let near = [row(y.saturating_sub(1)), row(y), row((y + 1).min(h - 1))];
+        for (x, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0f32;
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    let xx = (x as i64 + dx).clamp(0, w as i64 - 1) as usize;
-                    let yy = (y as i64 + dy).clamp(0, h as i64 - 1) as usize;
-                    let wgt = if dx == 0 && dy == 0 { 0.5 } else { 0.0625 };
-                    acc += f32_at(src, yy * w + xx) * wgt;
+            for (r, weights) in near.iter().zip(&WEIGHTS) {
+                for (d, &wgt) in weights.iter().enumerate() {
+                    acc += r[x + d] * wgt;
                 }
             }
-            set_f32(dst, y * w + x, acc);
+            *o = acc;
         }
+        put_f32s(dst_row, out.iter().copied());
     }
     Ok(())
 }
@@ -671,34 +726,54 @@ fn k_md_forces(args: &mut [ArgData]) -> Result<(), ExecError> {
     let pos = input(0, pos, n * 12)?;
     let force = output(1, force, n * 12)?;
     let cutoff2 = cutoff * cutoff;
-    // Neighbour-window Lennard-Jones: deterministic and O(n).
+    // Neighbour-window Lennard-Jones: deterministic and O(n). Atom `i`
+    // sums over `j` from `i - WINDOW` to `i + WINDOW` in order, skipping
+    // itself, atoms outside `0..n` and those beyond the cutoff.
     const WINDOW: usize = 8;
-    for i in 0..n {
-        let (mut fx, mut fy, mut fz) = (0.0f32, 0.0f32, 0.0f32);
-        let (xi, yi, zi) = (
-            f32_at(pos, 3 * i),
-            f32_at(pos, 3 * i + 1),
-            f32_at(pos, 3 * i + 2),
-        );
-        for j in i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1) {
-            if j == i {
-                continue;
+    // `LANES` atoms per pass, with each coordinate decoded into its own
+    // array behind `WINDOW` lanes of padding, so atom `i`'s neighbour
+    // `i + d - WINDOW` sits at `i + d`. A skipped neighbour adds `+0.0`,
+    // which leaves an accumulator that starts at `+0.0` bit-identical.
+    let lanes: Vec<f32> = f32s(pos).collect();
+    let coord = |c: usize| {
+        let mut v = vec![0.0f32; WINDOW];
+        v.extend(lanes.iter().skip(c).step_by(3));
+        v.resize(n + 2 * WINDOW + LANES, 0.0);
+        v
+    };
+    let xyz = [coord(0), coord(1), coord(2)];
+    for (block, out) in force.chunks_mut(12 * LANES).enumerate() {
+        let i0 = block * LANES;
+        let at =
+            |c: usize, d: usize| -> [f32; LANES] { xyz[c][i0 + d..][..LANES].try_into().unwrap() };
+        let (xi, yi, zi) = (at(0, WINDOW), at(1, WINDOW), at(2, WINDOW));
+        let mut f = [[0.0f32; LANES]; 3];
+        for d in (0..=2 * WINDOW).filter(|&d| d != WINDOW) {
+            let (xj, yj, zj) = (at(0, d), at(1, d), at(2, d));
+            // Lanes `lo..hi` are atoms whose neighbour is in `0..n`.
+            let lo = WINDOW.saturating_sub(i0 + d).min(LANES) as u32;
+            let hi = (n + WINDOW).saturating_sub(i0 + d).min(n - i0).min(LANES) as u32;
+            for l in 0..LANES {
+                let in_range = (lo..hi).contains(&(l as u32));
+                let dx = xi[l] - xj[l];
+                let dy = yi[l] - yj[l];
+                let dz = zi[l] - zj[l];
+                let r2 = (dx * dx + dy * dy + dz * dz).max(0.01);
+                let inv_r2 = 1.0 / r2;
+                let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+                let s = 24.0 * inv_r2 * inv_r6 * (2.0 * inv_r6 - 1.0);
+                let beyond_cutoff = r2 > cutoff2;
+                let (tx, ty, tz) = if in_range && !beyond_cutoff {
+                    (s * dx, s * dy, s * dz)
+                } else {
+                    (0.0, 0.0, 0.0)
+                };
+                f[0][l] += tx;
+                f[1][l] += ty;
+                f[2][l] += tz;
             }
-            let dx = xi - f32_at(pos, 3 * j);
-            let dy = yi - f32_at(pos, 3 * j + 1);
-            let dz = zi - f32_at(pos, 3 * j + 2);
-            let r2 = (dx * dx + dy * dy + dz * dz).max(0.01);
-            if r2 > cutoff2 {
-                continue;
-            }
-            let inv_r2 = 1.0 / r2;
-            let inv_r6 = inv_r2 * inv_r2 * inv_r2;
-            let f = 24.0 * inv_r2 * inv_r6 * (2.0 * inv_r6 - 1.0);
-            fx += f * dx;
-            fy += f * dy;
-            fz += f * dz;
         }
-        put_f32s(&mut force[12 * i..], [fx, fy, fz]);
+        put_f32s(out, (0..LANES).flat_map(|l| [f[0][l], f[1][l], f[2][l]]));
     }
     Ok(())
 }
@@ -727,15 +802,18 @@ fn k_fft_radix2(args: &mut [ArgData]) -> Result<(), ExecError> {
             swap_lanes(im, i, j);
         }
     }
-    // Iterative Cooley-Tukey, each stage's twiddles computed once.
-    let mut twiddles = Vec::with_capacity(n / 2);
+    // Iterative Cooley-Tukey over one twiddle table, the last stage's.
+    // Stage `len` takes every `n / len`-th entry: its angle
+    // `-2π/len · k` equals `-2π/n · (k · n/len)` bit for bit, since the
+    // two differ only by powers of two in each factor.
+    let ang = -2.0 * std::f32::consts::PI / n as f32;
+    let twiddles: Vec<(f32, f32)> = (0..n / 2)
+        .map(|k| ((ang * k as f32).cos(), (ang * k as f32).sin()))
+        .collect();
     let mut len = 2;
     while len <= n {
-        let ang = -2.0 * std::f32::consts::PI / len as f32;
-        twiddles.clear();
-        twiddles.extend((0..len / 2).map(|k| ((ang * k as f32).cos(), (ang * k as f32).sin())));
         for start in (0..n).step_by(len) {
-            for (k, &(wr, wi)) in twiddles.iter().enumerate() {
+            for (k, &(wr, wi)) in twiddles.iter().step_by(n / len).enumerate() {
                 let (i, j) = (start + k, start + k + len / 2);
                 let (rj, ij) = (f32_at(re, j), f32_at(im, j));
                 let (tr, ti) = (rj * wr - ij * wi, rj * wi + ij * wr);
@@ -768,16 +846,27 @@ fn k_cp_potential(args: &mut [ArgData]) -> Result<(), ExecError> {
     let gh = gh.scalar_u32()? as usize;
     let atoms = input(0, atoms, natoms * 16)?;
     let grid = output(1, grid, gw * gh * 4)?;
-    for gy in 0..gh {
-        for gx in 0..gw {
-            let mut acc = 0.0f32;
-            for atom in atoms.chunks_exact(16) {
-                let dx = f32_at(atom, 0) - gx as f32;
-                let dy = f32_at(atom, 1) - gy as f32;
-                let dz = f32_at(atom, 2);
-                acc += f32_at(atom, 3) / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
+    if gw * gh == 0 {
+        return Ok(());
+    }
+    // `LANES` grid points of a row per pass over the atoms, each summing
+    // the atoms in order; lanes past the row's end are never stored.
+    let atoms: Vec<[f32; 4]> = atoms
+        .chunks_exact(16)
+        .map(|a| std::array::from_fn(|c| f32_at(a, c)))
+        .collect();
+    for (gy, row) in grid.chunks_exact_mut(4 * gw).enumerate() {
+        for (block, out) in row.chunks_mut(4 * LANES).enumerate() {
+            let gx: [f32; LANES] = std::array::from_fn(|l| (block * LANES + l) as f32);
+            let mut acc = [0.0f32; LANES];
+            for &[ax, ay, dz, q] in &atoms {
+                let dy = ay - gy as f32;
+                for (acc, &gx) in acc.iter_mut().zip(&gx) {
+                    let dx = ax - gx;
+                    *acc += q / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
+                }
             }
-            set_f32(grid, gy * gw + gx, acc);
+            put_f32s(out, acc);
         }
     }
     Ok(())
@@ -798,30 +887,49 @@ fn mri_core(args: &mut [ArgData], p: usize) -> Result<(), ExecError> {
     };
     let re_out = output(p + 6, re_out, nx * 4)?;
     let im_out = output(p + 7, im_out, nx * 4)?;
-    let [kx, ky, kz, x, y, z] = ins[p..] else {
-        unreachable!("six coordinate inputs")
-    };
+    // Each k-space sample decoded once, with a zero imaginary phase for
+    // Q, which never reads it.
+    let lanes: Vec<Vec<f32>> = ins.iter().map(|b| f32s(b).collect()).collect();
+    let samples: Vec<[f32; 5]> = (0..nk)
+        .map(|k| {
+            let im = if p == 2 { lanes[1][k] } else { 0.0 };
+            [
+                lanes[0][k],
+                im,
+                lanes[p][k],
+                lanes[p + 1][k],
+                lanes[p + 2][k],
+            ]
+        })
+        .collect();
+    let [x, y, z] = [&lanes[p + 3], &lanes[p + 4], &lanes[p + 5]];
     let tau = 2.0 * std::f32::consts::PI;
-    for i in 0..nx {
-        let (mut rr, mut ii) = (0.0f32, 0.0f32);
-        for k in 0..nk {
-            let e = tau
-                * (f32_at(kx, k) * f32_at(x, i)
-                    + f32_at(ky, k) * f32_at(y, i)
-                    + f32_at(kz, k) * f32_at(z, i));
-            let (s, c) = e.sin_cos();
-            let re = f32_at(ins[0], k);
-            if p == 2 {
-                let im = f32_at(ins[1], k);
-                rr += re * c - im * s;
-                ii += im * c + re * s;
-            } else {
-                rr += re * c;
-                ii += re * s;
+    // `LANES` voxels per pass over k-space, each summing the samples in
+    // order; lanes past `nx` are never stored.
+    let blocks = re_out
+        .chunks_mut(4 * LANES)
+        .zip(im_out.chunks_mut(4 * LANES));
+    for (block, (re_block, im_block)) in blocks.enumerate() {
+        let voxel = |c: &[f32]| -> [f32; LANES] {
+            std::array::from_fn(|l| c.get(block * LANES + l).copied().unwrap_or(0.0))
+        };
+        let (xs, ys, zs) = (voxel(x), voxel(y), voxel(z));
+        let (mut rr, mut ii) = ([0.0f32; LANES], [0.0f32; LANES]);
+        for &[re, im, kx, ky, kz] in &samples {
+            for l in 0..LANES {
+                let e = tau * (kx * xs[l] + ky * ys[l] + kz * zs[l]);
+                let (s, c) = e.sin_cos();
+                if p == 2 {
+                    rr[l] += re * c - im * s;
+                    ii[l] += im * c + re * s;
+                } else {
+                    rr[l] += re * c;
+                    ii[l] += re * s;
+                }
             }
         }
-        set_f32(re_out, i, rr);
-        set_f32(im_out, i, ii);
+        put_f32s(re_block, rr);
+        put_f32s(im_block, ii);
     }
     Ok(())
 }
@@ -1252,8 +1360,8 @@ mod tests {
     #[test]
     fn fft_matches_per_butterfly_twiddles_bit_for_bit() {
         let mut g = simcore::qcheck::Gen::new(0xff7);
-        for n in [1usize, 2, 4096] {
-            let re: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
+        for n in (0..=12).map(|b| 1usize << b) {
+            let re = lanes_with_nans(&mut g, n, -1.0, 1.0);
             let im: Vec<f32> = (0..n).map(|_| g.f32_in(-1.0, 1.0)).collect();
             let mut args = vec![buf_f32(&re), buf_f32(&im), scalar_u32(n as u32)];
             execute("fft_radix2", &mut args).unwrap();
@@ -1262,6 +1370,366 @@ mod tests {
             fft_with_twiddles_per_butterfly(re, im, n);
             assert_eq!(args[0].buffer().unwrap(), re, "re, n = {n}");
             assert_eq!(args[1].buffer().unwrap(), im, "im, n = {n}");
+        }
+    }
+
+    /// `n` lanes drawn from `[lo, hi)`, about one in sixteen of them
+    /// NaN.
+    fn lanes_with_nans(g: &mut simcore::qcheck::Gen, n: usize, lo: f32, hi: f32) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                if g.usize_in(0, 16) == 0 {
+                    f32::NAN
+                } else {
+                    g.f32_in(lo, hi)
+                }
+            })
+            .collect()
+    }
+
+    /// Run kernel `name` and `reference` over copies of `args`, and
+    /// require every buffer to come out byte for byte the same.
+    fn assert_matches(name: &str, reference: Body, args: Vec<ArgData>, case: &str) {
+        let mut got = args.clone();
+        execute(name, &mut got).unwrap();
+        let mut want = args;
+        reference(&mut want).unwrap();
+        assert!(buffers(&got) == buffers(&want), "{name}: {case}");
+    }
+
+    // The multi-lane kernels as they were before their rewrites: one
+    // output at a time, every input lane read from its bytes.
+
+    fn max_flops_per_lane(args: &mut [ArgData]) -> Result<(), ExecError> {
+        let [data, n, iters] = arity(args)?;
+        let n = n.scalar_u32()? as usize;
+        let iters = iters.scalar_u32()?;
+        let data = output(0, data, n * 4)?;
+        for i in 0..n {
+            let mut v = f32_at(data, i);
+            for _ in 0..iters {
+                v = v * 1.000_001 + 0.000_000_1;
+            }
+            set_f32(data, i, v);
+        }
+        Ok(())
+    }
+
+    fn conv_per_pixel(args: &mut [ArgData], rows: bool) -> Result<(), ExecError> {
+        let [src, dst, filter, w, h, radius] = arity(args)?;
+        let w = w.scalar_u32()? as usize;
+        let h = h.scalar_u32()? as usize;
+        let radius = radius.scalar_u32()? as i64;
+        let src = input(0, src, w * h * 4)?;
+        let dst = output(1, dst, w * h * 4)?;
+        let filter = input(2, filter, (2 * radius as usize + 1) * 4)?;
+        for y in 0..h as i64 {
+            for x in 0..w as i64 {
+                let mut acc = 0.0f32;
+                for k in -radius..=radius {
+                    let (xx, yy) = if rows {
+                        ((x + k).clamp(0, w as i64 - 1), y)
+                    } else {
+                        (x, (y + k).clamp(0, h as i64 - 1))
+                    };
+                    acc += f32_at(src, (yy * w as i64 + xx) as usize)
+                        * f32_at(filter, (k + radius) as usize);
+                }
+                set_f32(dst, (y * w as i64 + x) as usize, acc);
+            }
+        }
+        Ok(())
+    }
+
+    fn fdtd3d_per_cell(args: &mut [ArgData]) -> Result<(), ExecError> {
+        let [src, dst, dx, dy, dz] = arity(args)?;
+        let dx = dx.scalar_u32()? as usize;
+        let dy = dy.scalar_u32()? as usize;
+        let dz = dz.scalar_u32()? as usize;
+        let n = dx * dy * dz;
+        let src = input(0, src, n * 4)?;
+        let dst = output(1, dst, n * 4)?;
+        let idx = |x: usize, y: usize, z: usize| (z * dy + y) * dx + x;
+        let at = |x, y, z| f32_at(src, idx(x, y, z));
+        for z in 0..dz {
+            for y in 0..dy {
+                for x in 0..dx {
+                    let c = at(x, y, z);
+                    let xm = at(x.saturating_sub(1), y, z);
+                    let xp = at((x + 1).min(dx - 1), y, z);
+                    let ym = at(x, y.saturating_sub(1), z);
+                    let yp = at(x, (y + 1).min(dy - 1), z);
+                    let zm = at(x, y, z.saturating_sub(1));
+                    let zp = at(x, y, (z + 1).min(dz - 1));
+                    set_f32(
+                        dst,
+                        idx(x, y, z),
+                        0.4 * c + 0.1 * (xm + xp + ym + yp + zm + zp),
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn stencil2d_per_pixel(args: &mut [ArgData]) -> Result<(), ExecError> {
+        let [src, dst, w, h] = arity(args)?;
+        let w = w.scalar_u32()? as usize;
+        let h = h.scalar_u32()? as usize;
+        let src = input(0, src, w * h * 4)?;
+        let dst = output(1, dst, w * h * 4)?;
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0f32;
+                for dy in -1i64..=1 {
+                    for dx in -1i64..=1 {
+                        let xx = (x as i64 + dx).clamp(0, w as i64 - 1) as usize;
+                        let yy = (y as i64 + dy).clamp(0, h as i64 - 1) as usize;
+                        let wgt = if dx == 0 && dy == 0 { 0.5 } else { 0.0625 };
+                        acc += f32_at(src, yy * w + xx) * wgt;
+                    }
+                }
+                set_f32(dst, y * w + x, acc);
+            }
+        }
+        Ok(())
+    }
+
+    fn md_forces_per_atom(args: &mut [ArgData]) -> Result<(), ExecError> {
+        let [pos, force, n, cutoff] = arity(args)?;
+        let n = n.scalar_u32()? as usize;
+        let cutoff = cutoff.scalar_f32()?;
+        let pos = input(0, pos, n * 12)?;
+        let force = output(1, force, n * 12)?;
+        let cutoff2 = cutoff * cutoff;
+        const WINDOW: usize = 8;
+        for i in 0..n {
+            let (mut fx, mut fy, mut fz) = (0.0f32, 0.0f32, 0.0f32);
+            let (xi, yi, zi) = (
+                f32_at(pos, 3 * i),
+                f32_at(pos, 3 * i + 1),
+                f32_at(pos, 3 * i + 2),
+            );
+            for j in i.saturating_sub(WINDOW)..=(i + WINDOW).min(n - 1) {
+                if j == i {
+                    continue;
+                }
+                let dx = xi - f32_at(pos, 3 * j);
+                let dy = yi - f32_at(pos, 3 * j + 1);
+                let dz = zi - f32_at(pos, 3 * j + 2);
+                let r2 = (dx * dx + dy * dy + dz * dz).max(0.01);
+                if r2 > cutoff2 {
+                    continue;
+                }
+                let inv_r2 = 1.0 / r2;
+                let inv_r6 = inv_r2 * inv_r2 * inv_r2;
+                let f = 24.0 * inv_r2 * inv_r6 * (2.0 * inv_r6 - 1.0);
+                fx += f * dx;
+                fy += f * dy;
+                fz += f * dz;
+            }
+            put_f32s(&mut force[12 * i..], [fx, fy, fz]);
+        }
+        Ok(())
+    }
+
+    fn cp_potential_per_point(args: &mut [ArgData]) -> Result<(), ExecError> {
+        let [atoms, grid, natoms, gw, gh] = arity(args)?;
+        let natoms = natoms.scalar_u32()? as usize;
+        let gw = gw.scalar_u32()? as usize;
+        let gh = gh.scalar_u32()? as usize;
+        let atoms = input(0, atoms, natoms * 16)?;
+        let grid = output(1, grid, gw * gh * 4)?;
+        for gy in 0..gh {
+            for gx in 0..gw {
+                let mut acc = 0.0f32;
+                for atom in atoms.chunks_exact(16) {
+                    let dx = f32_at(atom, 0) - gx as f32;
+                    let dy = f32_at(atom, 1) - gy as f32;
+                    let dz = f32_at(atom, 2);
+                    acc += f32_at(atom, 3) / (dx * dx + dy * dy + dz * dz + 1.0).sqrt();
+                }
+                set_f32(grid, gy * gw + gx, acc);
+            }
+        }
+        Ok(())
+    }
+
+    fn mri_per_voxel(args: &mut [ArgData], p: usize) -> Result<(), ExecError> {
+        let nk = args[p + 8].scalar_u32()? as usize;
+        let nx = args[p + 9].scalar_u32()? as usize;
+        let (ins, outs) = args.split_at_mut(p + 6);
+        let ins: Vec<&[u8]> = (ins.iter().enumerate())
+            .map(|(i, a)| input(i, a, if i < p + 3 { nk * 4 } else { nx * 4 }))
+            .collect::<Result<_, _>>()?;
+        let [re_out, im_out, ..] = outs else {
+            unreachable!("arity checked by the caller")
+        };
+        let re_out = output(p + 6, re_out, nx * 4)?;
+        let im_out = output(p + 7, im_out, nx * 4)?;
+        let [kx, ky, kz, x, y, z] = ins[p..] else {
+            unreachable!("six coordinate inputs")
+        };
+        let tau = 2.0 * std::f32::consts::PI;
+        for i in 0..nx {
+            let (mut rr, mut ii) = (0.0f32, 0.0f32);
+            for k in 0..nk {
+                let e = tau
+                    * (f32_at(kx, k) * f32_at(x, i)
+                        + f32_at(ky, k) * f32_at(y, i)
+                        + f32_at(kz, k) * f32_at(z, i));
+                let (s, c) = e.sin_cos();
+                let re = f32_at(ins[0], k);
+                if p == 2 {
+                    let im = f32_at(ins[1], k);
+                    rr += re * c - im * s;
+                    ii += im * c + re * s;
+                } else {
+                    rr += re * c;
+                    ii += re * s;
+                }
+            }
+            set_f32(re_out, i, rr);
+            set_f32(im_out, i, ii);
+        }
+        Ok(())
+    }
+
+    /// Sides of 2-D and 3-D problems: 1 and 2 lanes, odd and unequal
+    /// sides, and some wider than a block of `LANES`.
+    const SIDES: [(u32, u32, u32); 8] = [
+        (1, 1, 1),
+        (1, 2, 3),
+        (2, 1, 2),
+        (2, 2, 1),
+        (3, 5, 2),
+        (7, 3, 4),
+        (17, 9, 5),
+        (33, 20, 3),
+    ];
+
+    #[test]
+    fn max_flops_matches_the_per_lane_loop_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xf10);
+        for n in [0usize, 1, 2, 15, 16, 17, 33, 100] {
+            for iters in [0, 1, 8, 300] {
+                let data = f32_lanes(lanes_with_nans(&mut g, n + 1, 0.5, 1.5));
+                let args = vec![data, scalar_u32(n as u32), scalar_u32(iters)];
+                assert_matches(
+                    "max_flops",
+                    max_flops_per_lane,
+                    args,
+                    &format!("n = {n}, iters = {iters}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn conv_matches_the_per_pixel_loop_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xc0);
+        for (name, reference) in [
+            ("conv_rows", (|a| conv_per_pixel(a, true)) as Body),
+            ("conv_cols", |a| conv_per_pixel(a, false)),
+        ] {
+            for (w, h, _) in SIDES.into_iter().chain([(0, 3, 0), (4, 0, 0)]) {
+                for radius in [0u32, 1, 3, 8] {
+                    let src = f32_lanes(lanes_with_nans(&mut g, (w * h) as usize, 0.0, 1.0));
+                    let taps = lanes_with_nans(&mut g, 2 * radius as usize + 1, -0.5, 0.5);
+                    let dst = f32_lanes((0..w * h).map(|_| g.f32_in(-1.0, 1.0)));
+                    let args = vec![
+                        src,
+                        dst,
+                        f32_lanes(taps),
+                        scalar_u32(w),
+                        scalar_u32(h),
+                        scalar_u32(radius),
+                    ];
+                    assert_matches(name, reference, args, &format!("{w}x{h}, radius {radius}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fdtd3d_and_stencil2d_match_the_per_cell_loops_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xfd7d);
+        for (dx, dy, dz) in SIDES.into_iter().chain([(0, 2, 2), (4, 4, 0)]) {
+            let n = (dx * dy * dz) as usize;
+            let src = f32_lanes(lanes_with_nans(&mut g, n, 0.0, 1.0));
+            let dst = f32_lanes((0..n).map(|_| g.f32_in(-1.0, 1.0)));
+            let case = format!("{dx}x{dy}x{dz}");
+            let sizes = [dx, dy, dz].map(scalar_u32);
+            let args = [src.clone(), dst.clone()]
+                .into_iter()
+                .chain(sizes)
+                .collect();
+            assert_matches("fdtd3d", fdtd3d_per_cell, args, &case);
+            let args = vec![src, dst, scalar_u32(dx), scalar_u32(dy * dz)];
+            assert_matches("stencil2d", stencil2d_per_pixel, args, &case);
+        }
+    }
+
+    #[test]
+    fn md_forces_matches_the_per_atom_loop_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0x3d);
+        for n in [0usize, 1, 2, 7, 8, 9, 17, 40, 100] {
+            for cutoff in [0.05f32, 2.5, 100.0, f32::NAN] {
+                // Close enough that some pairs fall inside the cutoff and
+                // some inside the 0.01 floor on `r2`.
+                let pos = f32_lanes(lanes_with_nans(&mut g, 3 * n, 0.0, 2.0));
+                let force = f32_lanes((0..3 * n).map(|_| g.f32_in(-1.0, 1.0)));
+                let args = vec![pos, force, scalar_u32(n as u32), scalar_f32(cutoff)];
+                assert_matches(
+                    "md_forces",
+                    md_forces_per_atom,
+                    args,
+                    &format!("n = {n}, cutoff {cutoff}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cp_potential_matches_the_per_point_loop_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0xc9);
+        for (gw, gh, natoms) in SIDES.into_iter().chain([(0, 3, 2), (5, 4, 0)]) {
+            let atoms = f32_lanes(lanes_with_nans(&mut g, 4 * natoms as usize, 0.0, 40.0));
+            let grid = f32_lanes((0..gw * gh).map(|_| g.f32_in(-1.0, 1.0)));
+            let args = vec![
+                atoms,
+                grid,
+                scalar_u32(natoms),
+                scalar_u32(gw),
+                scalar_u32(gh),
+            ];
+            assert_matches(
+                "cp_potential",
+                cp_potential_per_point,
+                args,
+                &format!("{gw}x{gh}, {natoms} atoms"),
+            );
+        }
+    }
+
+    #[test]
+    fn mri_matches_the_per_voxel_loop_bit_for_bit() {
+        let mut g = simcore::qcheck::Gen::new(0x3e1);
+        for (name, phases, reference) in [
+            ("mri_fhd", 2, (|a| mri_per_voxel(a, 2)) as Body),
+            ("mri_q", 1, |a| mri_per_voxel(a, 1)),
+        ] {
+            for (nk, nx) in [(0u32, 3u32), (3, 0), (1, 1), (2, 9), (5, 8), (13, 17)] {
+                let mut args: Vec<ArgData> = (0..phases + 3)
+                    .map(|_| f32_lanes(lanes_with_nans(&mut g, nk as usize, -1.0, 1.0)))
+                    .collect();
+                args.extend(
+                    (0..3).map(|_| f32_lanes(lanes_with_nans(&mut g, nx as usize, -1.0, 1.0))),
+                );
+                args.extend((0..2).map(|_| f32_lanes((0..nx).map(|_| g.f32_in(-1.0, 1.0)))));
+                args.extend([scalar_u32(nk), scalar_u32(nx)]);
+                assert_matches(name, reference, args, &format!("nk = {nk}, nx = {nx}"));
+            }
         }
     }
 

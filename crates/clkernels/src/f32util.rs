@@ -1,11 +1,14 @@
 //! Little-endian lane views over device buffer bytes.
 //!
 //! Device buffers are raw bytes; kernels read them as `f32`/`u32`
-//! lanes and write each result lane straight back into the bytes, with
-//! no typed copy in between (and no unsafe transmutes). The
-//! little-endian layout is fixed so results are platform-independent.
-//! Trailing bytes that don't fill a lane are ignored, as on a real
-//! device.
+//! lanes and write result lanes back into the bytes (with no unsafe
+//! transmutes). A bandwidth-bound kernel, which touches each lane once,
+//! writes each result lane straight back with no typed copy in between.
+//! A compute-bound kernel, which reads each input lane many times, may
+//! decode its inputs into lanes once ([`f32s`], [`clamped_rows`]) and
+//! compute from those. The little-endian layout is fixed so results are
+//! platform-independent. Trailing bytes that don't fill a lane are
+//! ignored, as on a real device.
 
 macro_rules! lanes {
     ($t:ty, $at:ident, $all:ident, $put:ident) => {
@@ -39,6 +42,22 @@ pub fn set_f32(bytes: &mut [u8], i: usize, v: f32) {
     bytes[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
 }
 
+/// The `f32` lanes of `bytes` as rows of `w` lanes (`w > 0`), each row
+/// widened by `pad` lanes on either side that repeat its first and last
+/// lane. Rows are `w + 2 * pad` apart, and lane `x + d` of a row,
+/// clamped to the row, sits at `x + pad + d` for `|d| <= pad`.
+pub fn clamped_rows(bytes: &[u8], w: usize, pad: usize) -> Vec<f32> {
+    let rows = bytes.chunks_exact(4 * w);
+    let mut out = Vec::with_capacity(rows.len() * (w + 2 * pad));
+    for row in rows {
+        let (first, last) = (f32_at(row, 0), f32_at(row, w - 1));
+        out.extend(std::iter::repeat_n(first, pad));
+        out.extend(f32s(row));
+        out.extend(std::iter::repeat_n(last, pad));
+    }
+    out
+}
+
 /// Swap lanes `i` and `j` of a buffer of 4-byte lanes.
 pub fn swap_lanes(bytes: &mut [u8], i: usize, j: usize) {
     for b in 0..4 {
@@ -63,5 +82,17 @@ mod tests {
         set_f32(&mut bytes, 2, 1.0);
         assert_eq!(f32_at(&bytes, 2), 1.0);
         assert_eq!(bytes[12], 0);
+    }
+
+    #[test]
+    fn clamped_rows_repeat_each_rows_edge_lanes() {
+        let mut bytes = vec![0u8; 4 * 6 + 3];
+        put_f32s(&mut bytes, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(
+            clamped_rows(&bytes, 3, 2),
+            [1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0, 5.0, 6.0, 6.0, 6.0]
+        );
+        assert_eq!(clamped_rows(&bytes, 1, 0), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(clamped_rows(&bytes[..4], 1, 1), [1.0, 1.0, 1.0]);
     }
 }

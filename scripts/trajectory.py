@@ -13,6 +13,14 @@ recorded). `source` names the runs they come from: "compare.py" for the
 PR's own `perfbench/compare.py run` sets, another label for benchmark
 runs made after the PR landed.
 
+A PR may also have one `suite` row, whose `parent` and `change` map each
+bench binary (crates/bench/src/bin) to the wall-clock seconds of one
+release run of it, plus their `total`:
+
+  {"pr": 33, "workload": "suite", "metric": "bin_s",
+   "parent": {"fig4_fig8": 29.0, ..., "total": 91.4}, "change": {...},
+   "source": "trajectory.py suite"}
+
 Run from the repository root:
 
   python3 scripts/trajectory.py check
@@ -22,7 +30,16 @@ Run from the repository root:
       newest row's own `parent` median where it has one, since that was
       measured on the same machine in the same session, and the previous
       row's `change` median otherwise. `setup_s` is printed the same way
-      but not gated: its spread between runs exceeds its bound.
+      but not gated: its spread between runs exceeds its bound. Each
+      `suite` row's totals, and the newest one's binaries, are printed
+      too, and not gated: one run per binary is no median.
+
+  python3 scripts/trajectory.py suite --pr N --side parent|change [--root DIR]
+      Build the bench binaries of the checkout at DIR (default: this
+      one) in release, run each once from DIR, and store the wall-clock
+      seconds as the `parent` or `change` side of PR N's `suite` row.
+      Each run rewrites DIR's results/, so run it on a clean tree and
+      diff results/ afterwards; run nothing else meanwhile.
 
   python3 scripts/trajectory.py add --pr N --parent A.jsonl --change B.jsonl
       Append the rows of PR N from two `compare.py run` files (A the
@@ -32,8 +49,11 @@ Run from the repository root:
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
+import time
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,6 +63,7 @@ BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m for m in BENCH["end_to_end"]}
 WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 GATED = {"host_s"}
+SUITE = "suite"
 
 
 def load():
@@ -50,15 +71,22 @@ def load():
 
 
 def save(rows):
-    rows = sorted(rows, key=lambda r: (r["pr"], list(METRICS).index(r["metric"]),
-                                       WORKLOADS.index(r["workload"])))
+    def key(r):
+        if r["workload"] == SUITE:
+            return (r["pr"], len(METRICS), 0)
+        return (r["pr"], list(METRICS).index(r["metric"]), WORKLOADS.index(r["workload"]))
+    rows = sorted(rows, key=key)
     # One row a line, so a PR's rows read as one block in a diff.
     FILE.write_text("[\n" + ",\n".join("  " + json.dumps(r) for r in rows) + "\n]\n")
 
 
 def cmd_check(_args):
     series = defaultdict(list)
+    suites = []
     for r in load():
+        if r["workload"] == SUITE:
+            suites.append(r)
+            continue
         series[(r["workload"], r["metric"])].append((r["pr"], r["change"], r["parent"]))
     bad = False
     for metric in METRICS:
@@ -80,7 +108,22 @@ def cmd_check(_args):
                 status = "within bound"
             print(f"{w:<11} {metric:<8} PR {prev_pr} {prev:.4g} ({base}) -> PR {pr} {now:.4g} s "
                   f"({100 * worse:+.1f}%, bound {100 * bound:g}%): {status}")
+    print_suites(suites)
     sys.exit(1 if bad else 0)
+
+
+def print_suites(suites):
+    """Each suite row's totals, then the newest row binary by binary."""
+    total = lambda side: "-" if side is None else f"{side['total']:.1f} s"
+    for r in sorted(suites, key=lambda r: r["pr"]):
+        print(f"{SUITE:<11} PR {r['pr']} total: parent {total(r['parent'])} -> "
+              f"change {total(r['change'])} (one run per binary, not gated)")
+    if not suites:
+        return
+    newest = max(suites, key=lambda r: r["pr"])
+    parent, change = newest["parent"] or {}, newest["change"] or {}
+    for b in sorted((set(parent) | set(change)) - {"total"}):
+        print(f"{SUITE:<11}   {b:<22} {parent.get(b, '-'):>7} -> {change.get(b, '-'):>7} s")
 
 
 def medians(path):
@@ -96,11 +139,35 @@ def medians(path):
 
 def cmd_add(args):
     parent, change = medians(args.parent), medians(args.change)
-    rows = [r for r in load() if r["pr"] != args.pr]
+    rows = [r for r in load() if r["pr"] != args.pr or r["workload"] == SUITE]
     for (w, metric), value in sorted(change.items()):
         rows.append({"pr": args.pr, "workload": w, "metric": metric,
                      "parent": round(parent[(w, metric)], 5) if (w, metric) in parent else None,
                      "change": round(value, 5), "source": "compare.py"})
+    save(rows)
+
+
+def cmd_suite(args):
+    root = Path(args.root).resolve() if args.root else ROOT
+    subprocess.run(["cargo", "build", "--release", "--offline", "-q", "-p", "checl-bench",
+                    "--bins"], cwd=root, check=True)
+    target = root / os.environ.get("CARGO_TARGET_DIR", "target") / "release"
+    times = {}
+    for src in sorted((root / "crates" / "bench" / "src" / "bin").glob("*.rs")):
+        start = time.perf_counter()
+        subprocess.run([str(target / src.stem)], cwd=root, check=True,
+                       stdout=subprocess.DEVNULL)
+        times[src.stem] = round(time.perf_counter() - start, 2)
+        print(f"{src.stem:<22} {times[src.stem]:7.2f} s")
+    times["total"] = round(sum(times.values()), 2)
+    print(f"{'total':<22} {times['total']:7.2f} s")
+    rows = load()
+    row = next((r for r in rows if r["pr"] == args.pr and r["workload"] == SUITE), None)
+    if row is None:
+        row = {"pr": args.pr, "workload": SUITE, "metric": "bin_s", "parent": None,
+               "change": None, "source": "trajectory.py suite"}
+        rows.append(row)
+    row[args.side] = times
     save(rows)
 
 
@@ -113,8 +180,12 @@ def main():
     a.add_argument("--pr", type=int, required=True)
     a.add_argument("--parent", required=True)
     a.add_argument("--change", required=True)
+    s = sub.add_parser("suite")
+    s.add_argument("--pr", type=int, required=True)
+    s.add_argument("--side", choices=["parent", "change"], required=True)
+    s.add_argument("--root")
     args = p.parse_args()
-    {"check": cmd_check, "add": cmd_add}[args.cmd](args)
+    {"check": cmd_check, "add": cmd_add, "suite": cmd_suite}[args.cmd](args)
 
 
 if __name__ == "__main__":
