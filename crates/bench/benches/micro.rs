@@ -435,7 +435,7 @@ fn bench_codec(filter: &str) {
             context: 0,
             flags: clspec::types::MemFlags::READ_WRITE,
             size: 1 << 20,
-            saved_data: Some(vec![0xabu8; 1 << 20]),
+            saved_data: Some(vec![0xabu8; 1 << 20].into()),
             host_cache: None,
             dirty: false,
             saved_in: None,

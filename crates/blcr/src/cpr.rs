@@ -300,7 +300,7 @@ mod tests {
         for path in ["/local/seq.ckpt", "/local/str.ckpt"] {
             let a = c.read_file(p, path).unwrap();
             let b = c.read_file(p, path).unwrap();
-            assert!(std::sync::Arc::ptr_eq(a.shared_body(), b.shared_body()));
+            assert_eq!(a.body().as_ptr(), b.body().as_ptr());
             assert!(a.body().len() < 64 << 10, "{path}");
             assert!(a.len() >= base, "{path}");
         }
@@ -309,10 +309,7 @@ mod tests {
         let g = vault.commit_at(&mut c, p, "/local/seq.ckpt").unwrap();
         let primary = c.peek_file_on(n, &g.primary).unwrap();
         let mirror = c.peek_file_on(n, &g.mirror).unwrap();
-        assert!(std::sync::Arc::ptr_eq(
-            primary.shared_body(),
-            mirror.shared_body()
-        ));
+        assert_eq!(primary.body().as_ptr(), mirror.body().as_ptr());
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::cpr::CprError;
 use osproc::{Cluster, FsError, MemImage, Pid};
 use simcore::codec::{decode_framed, encode_prefixed_frame, CodecError, Reader};
-use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, SimDuration};
+use simcore::{calib, impl_codec_enum, impl_codec_struct, ByteSize, Fnv64, Payload, SimDuration};
 
 /// Magic bytes of a streamed-checkpoint frame (the sequential format
 /// uses `BLCR`; the first frame's magic is what tells the two apart).
@@ -75,7 +75,7 @@ pub struct StreamChunk {
     /// so restore knows which object the bytes belong to.
     pub handle: u64,
     /// The buffer contents.
-    pub data: Vec<u8>,
+    pub data: Payload,
 }
 
 impl_codec_struct!(StreamChunk { seq, handle, data });
@@ -123,7 +123,7 @@ pub struct StreamSlice {
     /// Byte offset of this slice within the owning buffer.
     pub offset: u64,
     /// The slice contents.
-    pub data: Vec<u8>,
+    pub data: Payload,
 }
 
 impl_codec_struct!(StreamSlice {
@@ -465,9 +465,10 @@ impl StreamWriter {
         &mut self,
         cluster: &mut Cluster,
         handle: u64,
-        data: Vec<u8>,
+        data: impl Into<Payload>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
+        let data = data.into();
         self.data_bytes += data.len() as u64;
         let chunk = StreamFrame::Chunk(StreamChunk {
             seq: self.chunks,
@@ -509,9 +510,10 @@ impl StreamWriter {
         cluster: &mut Cluster,
         handle: u64,
         offset: u64,
-        data: Vec<u8>,
+        data: impl Into<Payload>,
     ) -> Result<SimDuration, CprError> {
         self.ensure_open()?;
+        let data = data.into();
         self.data_bytes += data.len() as u64;
         let slice = StreamFrame::Slice(StreamSlice {
             seq: self.chunks,
@@ -589,7 +591,7 @@ mod tests {
         assert_eq!(parsed.header.image.get("state"), Some(&[9u8; 64][..]));
         assert_eq!(parsed.chunks.len(), 2);
         assert_eq!(parsed.chunks[0].handle, 0x60);
-        assert_eq!(parsed.chunks[1].data, vec![4; 1000]);
+        assert_eq!(parsed.chunks[1].data[..], vec![4; 1000]);
         assert_eq!(parsed.trailer.chunks, 2);
         // The sequential format is NOT a stream.
         crate::checkpoint(&mut c, p, "/local/seq.ckpt").unwrap();
@@ -661,7 +663,7 @@ mod tests {
         // The committed generation still parses and holds gen-1 data.
         let bytes = c.read_file(p, "/local/g.ckpt").unwrap();
         let parsed = parse_stream(bytes.body()).unwrap();
-        assert_eq!(parsed.chunks[0].data, vec![1; 128]);
+        assert_eq!(parsed.chunks[0].data[..], vec![1; 128]);
     }
 
     #[test]
@@ -786,7 +788,7 @@ mod tests {
         assert_eq!(parsed.slices[0].seq, 0);
         assert_eq!(parsed.slices[0].handle, 0x70);
         assert_eq!(parsed.slices[0].offset, 4096);
-        assert_eq!(parsed.slices[0].data, vec![7; 512]);
+        assert_eq!(parsed.slices[0].data[..], vec![7; 512]);
         assert_eq!(parsed.slices[1].seq, 2);
         assert_eq!(parsed.slices[1].offset, 0);
         assert_eq!(parsed.trailer.chunks, 3);

@@ -300,22 +300,8 @@ pub fn restore_checl(
 
     for kind in HandleKind::RESTORE_ORDER {
         let t0 = *now;
-        // Lift the (possibly multi-MB) saved payloads out of the Mem
-        // records first, so the metadata snapshot below never clones
-        // checkpoint data; `restore_one` consumes each payload once.
-        let mut payloads: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        if kind == HandleKind::Mem {
-            for e in lib.db.entries_mut() {
-                if e.refs == 0 {
-                    continue;
-                }
-                if let ObjectRecord::Mem { saved_data, .. } = &mut e.record {
-                    if let Some(d) = saved_data.take() {
-                        payloads.insert(e.checl, d);
-                    }
-                }
-            }
-        }
+        // Cloning a record shares its saved payloads, so the snapshot
+        // below copies no checkpoint data.
         let entries: Vec<(u64, ObjectRecord)> = lib
             .db
             .live_of_kind(kind)
@@ -331,23 +317,7 @@ pub fn restore_checl(
             );
         }
         for (checl, record) in entries {
-            let payload = payloads.remove(&checl);
-            let vendor = match restore_one(lib, now, checl, &record, payload, target) {
-                Ok(vendor) => vendor,
-                Err(e) => {
-                    // Put the un-consumed payloads back so a caller
-                    // that keeps the process alive (proxy respawn)
-                    // loses no saved data.
-                    for (h, d) in std::mem::take(&mut payloads) {
-                        if let Some(entry) = lib.db.get_mut(h) {
-                            if let ObjectRecord::Mem { saved_data, .. } = &mut entry.record {
-                                *saved_data = Some(d);
-                            }
-                        }
-                    }
-                    return Err(e);
-                }
-            };
+            let vendor = restore_one(lib, now, checl, &record, target)?;
             if let Some(e) = lib.db.get_mut(checl) {
                 e.vendor = vendor;
             }
@@ -390,7 +360,6 @@ fn restore_one(
     now: &mut SimTime,
     checl: u64,
     record: &ObjectRecord,
-    payload: Option<Vec<u8>>,
     target: RestoreTarget,
 ) -> Result<RawHandle, CheclCprError> {
     let vendor = match record.recreate_request() {
@@ -405,14 +374,15 @@ fn restore_one(
     match record {
         ObjectRecord::Mem {
             context,
+            saved_data,
             host_cache,
             ..
         } => {
-            // "Send the user data back to the device memory" (§III-C).
-            // The checkpoint payload is moved in; the recorded host
-            // cache (which must survive the restore) is the cloned
-            // fallback.
-            if let Some(data) = payload.or_else(|| host_cache.clone()) {
+            // "Send the user data back to the device memory" (§III-C):
+            // the checkpoint payload, else the recorded host cache. The
+            // device shares either; the record keeps its own until the
+            // upload succeeds, so a failed restore loses no saved data.
+            if let Some(data) = saved_data.as_ref().or(host_cache.as_ref()) {
                 let (_qc, q_vendor) = queue_in_context(lib, *context)
                     .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
                 let ev = lib
@@ -423,7 +393,7 @@ fn restore_one(
                             mem: Mem::from_raw(vendor),
                             blocking: true,
                             offset: 0,
-                            data: data.into(),
+                            data: data.clone(),
                             wait_list: vec![],
                         },
                     )?

@@ -38,7 +38,7 @@ use clspec::error::ClError;
 use clspec::handles::{CommandQueue, HandleKind, Mem, RawHandle};
 use osproc::{Cluster, FsError, FsKind, NodeId, Pid};
 use simcore::channels::{ChannelId, ChannelSet};
-use simcore::{calib, obs, telemetry, ByteSize, LinkModel, SimDuration, SimTime};
+use simcore::{calib, obs, telemetry, ByteSize, LinkModel, Payload, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Telemetry `tid` base for per-channel swimlanes (well above any real
@@ -438,26 +438,7 @@ pub(crate) fn snapshot_once(
         // the host memory.
         let t0 = now;
         telemetry::span_begin("cpr", "checkpoint.preprocess", t0, Vec::new());
-        for &(checl_mem, vendor_mem, context, size) in &mems {
-            let (queue, _) = queue_and_device_in_context(lib, context)
-                .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
-            let (data, _, released) =
-                read_device(lib, queue, vendor_mem, 0, size, now, |cost| now + cost)?;
-            now = released;
-            if let Some(e) = lib.db.get_mut(checl_mem) {
-                if let ObjectRecord::Mem {
-                    saved_data,
-                    dirty,
-                    saved_in,
-                    ..
-                } = &mut e.record
-                {
-                    *saved_data = Some(data);
-                    *dirty = false;
-                    *saved_in = Some(path.to_string());
-                }
-            }
-        }
+        now = save_to_host(lib, &mems, path, now)?;
         let preprocess = now.since(t0);
         telemetry::span_end(
             "cpr",
@@ -790,7 +771,7 @@ struct LivePending {
     size: u64,
     /// Grain-aligned `(offset, bytes, host-ready time)` runs preserved
     /// ahead of overwrites. Disjoint by construction.
-    forked: Vec<(u64, Vec<u8>, SimTime)>,
+    forked: Vec<(u64, Payload, SimTime)>,
 }
 
 impl LiveDrain {
@@ -1099,7 +1080,7 @@ fn drive_live_drain(
                     landed,
                     p.checl,
                     cur,
-                    Frame::Slice(cur, data[cur as usize..off as usize].to_vec()),
+                    Frame::Slice(cur, data[cur as usize..off as usize].to_vec().into()),
                 ));
             }
             cur = off + fdata.len() as u64;
@@ -1111,7 +1092,7 @@ fn drive_live_drain(
                 landed,
                 p.checl,
                 cur,
-                Frame::Slice(cur, data[cur as usize..p.size as usize].to_vec()),
+                Frame::Slice(cur, data[cur as usize..p.size as usize].to_vec().into()),
             ));
         }
     }
@@ -1202,6 +1183,38 @@ fn collect_mems(lib: &ChecLib) -> Vec<MemPlan> {
         .collect()
 }
 
+/// The sequential preprocess phase from `now`: copy each buffer of `mems`
+/// to its record's `saved_data` (the device's payload, shared) and mark
+/// it clean and saved in `path`. Returns when the last copy released.
+fn save_to_host(
+    lib: &mut ChecLib,
+    mems: &[MemPlan],
+    path: &str,
+    mut now: SimTime,
+) -> Result<SimTime, CheclCprError> {
+    for &(checl_mem, vendor_mem, context, size) in mems {
+        let (queue, _) = queue_and_device_in_context(lib, context)
+            .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
+        let (data, _, released) =
+            read_device(lib, queue, vendor_mem, 0, size, now, |cost| now + cost)?;
+        now = released;
+        if let Some(e) = lib.db.get_mut(checl_mem) {
+            if let ObjectRecord::Mem {
+                saved_data,
+                dirty,
+                saved_in,
+                ..
+            } = &mut e.record
+            {
+                *saved_data = Some(data);
+                *dirty = false;
+                *saved_in = Some(path.to_string());
+            }
+        }
+    }
+    Ok(now)
+}
+
 /// The engine's one device-to-host copy: a blocking read of `size`
 /// bytes at `offset` of vendor buffer `mem` on vendor queue `queue`,
 /// forwarded at `start`, then the release of its event. `land` books
@@ -1216,7 +1229,7 @@ fn read_device(
     size: u64,
     start: SimTime,
     land: impl FnOnce(SimDuration) -> SimTime,
-) -> Result<(Vec<u8>, SimTime, SimTime), ClError> {
+) -> Result<(Payload, SimTime, SimTime), ClError> {
     let mut t = start;
     let (data, event) = lib
         .forward(
@@ -1231,8 +1244,6 @@ fn read_device(
             },
         )?
         .into_data_event()?;
-    // The dump owns its bytes, and the buffer keeps its payload: a copy.
-    let data = data.into_vec();
     let landed = land(t.since(start));
     let mut released = landed;
     lib.forward(&mut released, ApiRequest::ReleaseEvent { event })?;
@@ -1305,14 +1316,14 @@ fn seal_stream(
 
 /// One payload frame of a buffer.
 enum Frame<'a> {
-    Chunk(Vec<u8>),
+    Chunk(Payload),
     Map {
         store: &'a str,
         total_len: u64,
         segments: Vec<(u64, u64)>,
     },
     /// `(offset, bytes)`: one run of a live-drained buffer.
-    Slice(u64, Vec<u8>),
+    Slice(u64, Payload),
 }
 
 impl Frame<'_> {
@@ -1370,7 +1381,7 @@ fn streamed_data_path(
             // own channel.
             let mut copy = |lib: &mut ChecLib,
                             channels: &mut ChannelSet|
-             -> Result<(Vec<u8>, SimTime), CheclCprError> {
+             -> Result<(Payload, SimTime), CheclCprError> {
                 let (q_vendor, dev_index) = queue_and_device_in_context(lib, context)
                     .ok_or(CheclCprError::Cl(ClError::InvalidContext))?;
                 let pcie = pcie_channel(channels, dev_index);
@@ -1385,7 +1396,7 @@ fn streamed_data_path(
             };
             let (ready, frame, label) = match &mut dedup {
                 // Stream the chunk while the next copy is in flight;
-                // the buffer is moved into the writer, never cloned.
+                // encoding the shared payload is the one host copy.
                 None => {
                     let (data, landed) = copy(lib, channels)?;
                     (landed, Frame::Chunk(data), "stream.chunk")
@@ -1490,7 +1501,7 @@ impl DedupPass {
         channels: &mut ChannelSet,
         checl_mem: u64,
         size: u64,
-        copy: impl FnOnce(&mut ChecLib, &mut ChannelSet) -> Result<(Vec<u8>, SimTime), CheclCprError>,
+        copy: impl FnOnce(&mut ChecLib, &mut ChannelSet) -> Result<(Payload, SimTime), CheclCprError>,
     ) -> Result<(SimTime, Vec<(u64, u64)>), CheclCprError> {
         // What the record knows about this buffer's history: the dirty
         // regions written since the last dedup generation, and that
@@ -1772,18 +1783,16 @@ pub fn restore(
         },
     );
     let mut stream = parsed.map(|parsed| StreamRestore::begin(cluster, pid, path, t0, parsed));
-    let state = match cluster.process(pid).image.get(CHECL_STATE_SEGMENT) {
-        Some(bytes) => bytes.to_vec(),
+    let state = cluster.process(pid).image.get(CHECL_STATE_SEGMENT);
+    let mut lib = match state.map(ChecLib::decode_state) {
+        Some(Ok(lib)) => lib,
+        Some(Err(e)) => {
+            cluster.kill(pid);
+            return Err(CheclCprError::BadState(e));
+        }
         None => {
             cluster.kill(pid);
             return Err(CheclCprError::MissingState);
-        }
-    };
-    let mut lib = match ChecLib::decode_state(&state) {
-        Ok(lib) => lib,
-        Err(e) => {
-            cluster.kill(pid);
-            return Err(CheclCprError::BadState(e));
         }
     };
     let mut args = vec![("path", path.into())];
@@ -2009,7 +2018,7 @@ impl StreamRestore {
         &mut self,
         lib: &mut ChecLib,
         handle: u64,
-        data: Vec<u8>,
+        data: Payload,
         in_memory: SimTime,
         now: SimTime,
     ) -> Result<SimTime, CheclCprError> {
@@ -2034,7 +2043,7 @@ impl StreamRestore {
                     mem: Mem::from_raw(vendor_mem),
                     blocking: true,
                     offset: 0,
-                    data: data.into(),
+                    data,
                     wait_list: vec![],
                 },
             )?
@@ -2144,7 +2153,7 @@ fn assemble_payloads(
     lib: &ChecLib,
     parsed: &mut blcr::ParsedStream,
     stores: &Stores,
-) -> Result<Vec<(u64, Vec<u8>, PayloadFrames)>, CheclCprError> {
+) -> Result<Vec<(u64, Payload, PayloadFrames)>, CheclCprError> {
     // Live buffers still waiting for their payload, with their sizes.
     let mut unfilled: BTreeMap<u64, u64> = lib
         .db
@@ -2171,10 +2180,10 @@ fn assemble_payloads(
             return Err(corrupt("chunk map length does not match its buffer"));
         }
         let data = assemble_from_store(stores, &map)?;
-        payloads.push((map.handle, data, PayloadFrames::Map(i)));
+        payloads.push((map.handle, data.into(), PayloadFrames::Map(i)));
     }
     // Live-drained buffers arrive as out-of-order slice frames.
-    type SliceGroup = (Vec<(u64, Vec<u8>)>, Vec<usize>);
+    type SliceGroup = (Vec<(u64, Payload)>, Vec<usize>);
     let mut groups: BTreeMap<u64, SliceGroup> = BTreeMap::new();
     for (i, slice) in std::mem::take(&mut parsed.slices).into_iter().enumerate() {
         let group = groups.entry(slice.handle).or_default();
@@ -2183,7 +2192,7 @@ fn assemble_payloads(
     }
     for (handle, (parts, frames)) in groups {
         let data = assemble_from_slices(fill(handle)?, parts)?;
-        payloads.push((handle, data, PayloadFrames::Slices(frames)));
+        payloads.push((handle, data.into(), PayloadFrames::Slices(frames)));
     }
     if !unfilled.is_empty() {
         return Err(corrupt("a buffer has no payload frame"));
@@ -2233,7 +2242,7 @@ fn assemble_from_store(
 /// dumped state) is only trusted once the slices actually back it.
 fn assemble_from_slices(
     size: u64,
-    mut parts: Vec<(u64, Vec<u8>)>,
+    mut parts: Vec<(u64, Payload)>,
 ) -> Result<Vec<u8>, CheclCprError> {
     parts.sort_by_key(|p| p.0);
     let mut cur = 0u64;
@@ -2326,5 +2335,53 @@ pub(crate) fn invalidate_saves(lib: &mut ChecLib, path: &str) {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::boot::boot_checl;
+    use crate::runtime::CheclConfig;
+    use clspec::types::{DeviceType, MemFlags, QueueProps};
+    use clspec::Ocl;
+
+    /// The preprocess phase saves each buffer without a host copy, and a
+    /// later write to the buffer leaves the saved bytes as they were.
+    #[test]
+    fn a_sequential_snapshot_saves_each_buffer_shared_with_the_device() {
+        let mut cluster = Cluster::with_standard_nodes(1);
+        let pid = cluster.spawn(cluster.node_ids()[0]);
+        let vendor = cldriver::vendor::nimbus();
+        let mut lib = boot_checl(&mut cluster, pid, vendor, CheclConfig::default()).lib;
+        let mut now = cluster.process(pid).clock;
+        let host = Payload::from(vec![5u8; 256]);
+        let mut ocl = Ocl::new(&mut lib, &mut now);
+        let p = ocl.get_platform_ids().unwrap();
+        let d = ocl.get_device_ids(p[0], DeviceType::All).unwrap();
+        let ctx = ocl.create_context(&d[..1]).unwrap();
+        let queue = ocl
+            .create_command_queue(ctx, d[0], QueueProps::default())
+            .unwrap();
+        let flags = MemFlags::READ_WRITE | MemFlags::COPY_HOST_PTR;
+        let mem = ocl
+            .create_buffer(ctx, flags, 256, Some(host.clone()))
+            .unwrap();
+
+        let mems = collect_mems(&lib);
+        now = save_to_host(&mut lib, &mems, "/local/a.ckpt", now).unwrap();
+        let saved = match &lib.db.get(mem.raw().0).unwrap().record {
+            ObjectRecord::Mem {
+                saved_data: Some(data),
+                ..
+            } => data.clone(),
+            other => panic!("not saved: {other:?}"),
+        };
+        assert!(saved.ptr_eq(&host));
+
+        let mut ocl = Ocl::new(&mut lib, &mut now);
+        ocl.enqueue_write_buffer(queue, mem, true, 0, vec![9u8; 16].into(), &[])
+            .unwrap();
+        assert_eq!(saved[..], [5u8; 256]);
     }
 }

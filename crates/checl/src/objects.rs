@@ -20,7 +20,7 @@ use clspec::handles::{CommandQueue, Context, DeviceId, HandleKind, Program, RawH
 use clspec::sig::{parse_kernel_sigs, KernelSig};
 use clspec::types::{image2d_bytes, DeviceType, MemFlags, QueueProps, SamplerDesc};
 use simcore::codec::{Codec, CodecError, Reader};
-use simcore::{impl_codec_enum, impl_codec_struct};
+use simcore::{impl_codec_enum, impl_codec_struct, Payload};
 use std::collections::{BTreeMap, HashMap};
 
 /// A recorded `clSetKernelArg` value, in CheCL-handle space.
@@ -86,9 +86,9 @@ pub enum ObjectRecord {
         size: u64,
         /// Device data saved in the preprocessing phase; present only
         /// between checkpoint and postprocessing/restart.
-        saved_data: Option<Vec<u8>>,
+        saved_data: Option<Payload>,
         /// Host-side cached copy for `CL_MEM_USE_HOST_PTR` buffers.
-        host_cache: Option<Vec<u8>>,
+        host_cache: Option<Payload>,
         /// `true` if the device copy may have changed since the last
         /// checkpoint (kernel wrote to it, or the host wrote it).
         dirty: bool,
@@ -172,7 +172,7 @@ impl ObjectRecord {
     /// The record a successful `req` leaves behind, read off the request
     /// while its handles are still CheCL handles; `None` for a call that
     /// creates nothing. This is the one place the shim builds a record.
-    /// A `USE_HOST_PTR` buffer keeps a copy of its host data; a program
+    /// A `USE_HOST_PTR` buffer shares its host data as its cache; a program
     /// from source has its kernel signatures parsed here (§III-B), which
     /// fails with `InvalidValue` on unparsable source. Enumerated
     /// platforms and devices are recorded by position, which the request
@@ -220,7 +220,7 @@ impl ObjectRecord {
                     host_cache: host_data
                         .as_ref()
                         .filter(|_| flags.contains(MemFlags::USE_HOST_PTR))
-                        .map(|d| d.to_vec()),
+                        .cloned(),
                     dirty: true,
                     saved_in: None,
                     image_dims,
@@ -698,7 +698,7 @@ mod tests {
                 context: c,
                 flags: MemFlags::READ_WRITE,
                 size: 100,
-                saved_data: Some(vec![0u8; 100]),
+                saved_data: Some(vec![0u8; 100].into()),
                 host_cache: None,
                 dirty: true,
                 saved_in: None,

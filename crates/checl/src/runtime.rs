@@ -752,7 +752,7 @@ impl ChecLib {
                     mem: vendor_mem,
                     blocking: true,
                     offset: 0,
-                    data: cache.into(),
+                    data: cache,
                     wait_list: vec![],
                 },
             )?;
@@ -777,7 +777,7 @@ impl ChecLib {
                 .into_data_event()?;
             if let Some(e) = self.db.get_mut(*mem_checl) {
                 if let ObjectRecord::Mem { host_cache, .. } = &mut e.record {
-                    *host_cache = Some(data.into_vec());
+                    *host_cache = Some(data);
                 }
             }
         }
@@ -865,7 +865,7 @@ impl ChecLib {
                 {
                     let end = offset.saturating_add(data.len() as u64);
                     if end <= c.len() as u64 {
-                        c[offset as usize..end as usize].copy_from_slice(data);
+                        c.make_mut()[offset as usize..end as usize].copy_from_slice(data);
                     }
                 }
             }

@@ -8,8 +8,8 @@
 
 use checl::runtime::ChecLib;
 use checl::{
-    boot_checl, restore, restore_checl, snapshot, CheclConfig, CprPolicy, RestoreTarget,
-    StructArgPolicy,
+    boot_checl, restore, restore_checl, snapshot, CheclConfig, CprPolicy, ObjectRecord,
+    RestoreTarget, StructArgPolicy,
 };
 use cldriver::vendor::{crimson, nimbus};
 use clspec::api::ClApi;
@@ -683,6 +683,53 @@ fn no_proxy_is_a_clean_error() {
         restore_checl(&mut lib, &mut now, RestoreTarget::default()),
         Err(checl::cpr::CheclCprError::NoProxy)
     ));
+}
+
+/// A restore that fails part-way through the buffers leaves the saved
+/// bytes of every buffer after the failing one in place, so a caller
+/// that keeps the process alive (a proxy respawn) loses no saved data.
+#[test]
+fn a_failed_restore_keeps_the_saved_data_of_buffers_not_yet_restored() {
+    let mut cluster = Cluster::with_standard_nodes(1);
+    let node = cluster.node_ids()[0];
+    let app_pid = cluster.spawn(node);
+    let mut booted = boot_checl(&mut cluster, app_pid, nimbus(), CheclConfig::default());
+    let mut now = cluster.process(app_pid).clock;
+    let mut ocl = Ocl::new(&mut booted.lib, &mut now);
+    let p = ocl.get_platform_ids().unwrap();
+    let d = ocl.get_device_ids(p[0], DeviceType::All).unwrap();
+    let ctx = ocl.create_context(&d[..1]).unwrap();
+    ocl.create_command_queue(ctx, d[0], QueueProps::default())
+        .unwrap();
+    // No queue drives this context, so its buffer's upload fails.
+    let bare = ocl.create_context(&d[..1]).unwrap();
+    let rw = MemFlags::READ_WRITE;
+    let first = ocl.create_buffer(ctx, rw, 64, None).unwrap();
+    let stuck = ocl.create_buffer(bare, rw, 64, None).unwrap();
+    let last = ocl.create_buffer(ctx, rw, 64, None).unwrap();
+    let bytes = |m: Mem| vec![m.raw().0 as u8; 64];
+    for m in [first, stuck, last] {
+        if let ObjectRecord::Mem { saved_data, .. } =
+            &mut booted.lib.db.get_mut(m.raw().0).unwrap().record
+        {
+            *saved_data = Some(bytes(m).into());
+        }
+    }
+
+    checl::boot::kill_proxy(&mut cluster, &mut booted.lib);
+    cluster.process_mut(app_pid).clock = now;
+    checl::boot::refork_proxy(&mut cluster, &mut booted.lib, app_pid, nimbus());
+    let mut now = cluster.process(app_pid).clock;
+    assert!(matches!(
+        restore_checl(&mut booted.lib, &mut now, RestoreTarget::default()),
+        Err(checl::cpr::CheclCprError::Cl(ClError::InvalidContext))
+    ));
+    let saved = |m: Mem| match &booted.lib.db.get(m.raw().0).unwrap().record {
+        ObjectRecord::Mem { saved_data, .. } => saved_data.as_deref().map(<[u8]>::to_vec),
+        _ => unreachable!("a buffer's record"),
+    };
+    assert_eq!(saved(first), None, "uploaded, so handed to the device");
+    assert_eq!(saved(last), Some(bytes(last)));
 }
 
 #[test]

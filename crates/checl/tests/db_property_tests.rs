@@ -56,7 +56,7 @@ fn db_roundtrip_any_population() {
                     context: ctx_seed,
                     flags: clspec::types::MemFlags::READ_WRITE,
                     size: (i as u64 + 1) * 16,
-                    saved_data: (i % 2 == 0).then(|| vec![i as u8; 8]),
+                    saved_data: (i % 2 == 0).then(|| vec![i as u8; 8].into()),
                     host_cache: None,
                     dirty: i % 3 == 0,
                     saved_in: (i % 4 == 0).then(|| format!("/ckpt/{i}")),

@@ -621,7 +621,9 @@ fn sealed_dumps_that_lie_about_payloads_are_corrupt() {
         chunks[0].handle = 0xdead_beef;
     });
     reseal(&mut cluster, app_pid, "/local/ok.ckpt", lies[2], |chunks| {
-        chunks[2].data.pop();
+        let mut short = chunks[2].data.clone().into_vec();
+        short.pop();
+        chunks[2].data = short.into();
     });
 
     let is_corrupt =

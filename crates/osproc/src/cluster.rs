@@ -670,13 +670,13 @@ mod tests {
             .unwrap();
         let a = c.read_file(p, "/local/d.ckpt").unwrap();
         let b = c.read_file(p, "/local/d.ckpt").unwrap();
-        assert!(std::sync::Arc::ptr_eq(a.shared_body(), b.shared_body()));
+        assert_eq!(a.body().as_ptr(), b.body().as_ptr());
         assert!(a.body().len() < 64 << 10);
         assert!(a.len() >= base);
         // Copy + delete across mounts shares the body too.
         c.rename_file(p, "/local/d.ckpt", "/nfs/d.ckpt").unwrap();
         let moved = c.read_file(p, "/nfs/d.ckpt").unwrap();
-        assert!(std::sync::Arc::ptr_eq(a.shared_body(), moved.shared_body()));
+        assert_eq!(a.body().as_ptr(), moved.body().as_ptr());
         assert_eq!(
             c.file_size_on(n, "/nfs/d.ckpt"),
             Some(ByteSize::bytes(a.len()))

@@ -10,14 +10,14 @@
 //! kept only as a length. A dump's process-baseline padding (tens of
 //! MB, Fig. 5) lives in that run, so it costs time and fills the
 //! [`FsStats`] books like real bytes, but is never allocated, copied or
-//! hashed byte by byte. A read hands out the stored body shared, not a
-//! copy.
+//! hashed byte by byte. The body is a [`Payload`], the bytes type a
+//! buffer's contents travel in from the device to the dump: a read
+//! hands it out shared, not a copy.
 
 use simcore::calib;
-use simcore::{ByteSize, Fnv64, LinkModel, SimDuration, SimTime};
+use simcore::{ByteSize, Fnv64, LinkModel, Payload, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// The contents of one file: a shared `body` followed by `zero_tail`
 /// zero bytes that are carried as a length.
@@ -29,15 +29,15 @@ use std::sync::Arc;
 /// shared.
 #[derive(Clone, Debug, Default)]
 pub struct FileBytes {
-    body: Arc<Vec<u8>>,
+    body: Payload,
     zero_tail: u64,
 }
 
 impl FileBytes {
     /// `body` followed by `zero_tail` zero bytes.
-    pub fn new(body: Vec<u8>, zero_tail: u64) -> Self {
+    pub fn new(body: impl Into<Payload>, zero_tail: u64) -> Self {
         FileBytes {
-            body: Arc::new(body),
+            body: body.into(),
             zero_tail,
         }
     }
@@ -57,11 +57,6 @@ impl FileBytes {
         &self.body
     }
 
-    /// The body as shared with every other clone of this file.
-    pub fn shared_body(&self) -> &Arc<Vec<u8>> {
-        &self.body
-    }
-
     /// Length of the run of zeros after the body.
     pub fn zero_tail(&self) -> u64 {
         self.zero_tail
@@ -72,7 +67,9 @@ impl FileBytes {
     pub fn truncate(&mut self, len: u64) {
         let body_len = self.body.len() as u64;
         if len < body_len {
-            Arc::make_mut(&mut self.body).truncate(len as usize);
+            let mut body = std::mem::take(&mut self.body).into_vec();
+            body.truncate(len as usize);
+            self.body = body.into();
             self.zero_tail = 0;
         } else {
             self.zero_tail = self.zero_tail.min(len - body_len);
@@ -86,22 +83,24 @@ impl FileBytes {
         if pos >= self.len() {
             return;
         }
-        let body = Arc::make_mut(&mut self.body);
+        let mut body = std::mem::take(&mut self.body).into_vec();
         let pos = pos as usize;
         if pos >= body.len() {
             self.zero_tail -= (pos + 1 - body.len()) as u64;
             body.resize(pos + 1, 0);
         }
         body[pos] ^= mask;
+        self.body = body.into();
     }
 
     /// Append `data` followed by `zero_tail` more zeros. A run of zeros
     /// that `data` lands behind is made real first.
     pub(crate) fn append(&mut self, data: &[u8], zero_tail: u64) {
         if !data.is_empty() {
-            let body = Arc::make_mut(&mut self.body);
+            let mut body = std::mem::take(&mut self.body).into_vec();
             body.resize(body.len() + self.zero_tail as usize, 0);
             body.extend_from_slice(data);
+            self.body = body.into();
             self.zero_tail = 0;
         }
         self.zero_tail += zero_tail;
@@ -458,7 +457,7 @@ mod tests {
     fn edits_copy_a_shared_body() {
         let a = FileBytes::new(vec![1, 2], 4);
         let mut b = a.clone();
-        assert!(Arc::ptr_eq(a.shared_body(), b.shared_body()));
+        assert_eq!(a.body().as_ptr(), b.body().as_ptr());
         b.flip(0, 1);
         assert_eq!(a.body(), &[1, 2]);
         assert_eq!(b.body(), &[0, 2]);

@@ -5,15 +5,16 @@
 //! each an opaque byte blob owned by whatever runtime put it there.
 //! BLCR serialises segments wholesale without understanding them, which
 //! is exactly the transparency contract of the paper: CheCL's object
-//! database rides along inside the dumped host memory.
+//! database rides along inside the dumped host memory. Each segment is
+//! a [`Payload`], so copying an image (as a dump does) shares its bytes.
 
-use simcore::{impl_codec_struct, ByteSize};
+use simcore::{impl_codec_struct, ByteSize, Payload};
 use std::collections::BTreeMap;
 
 /// A process's host memory: named, opaque segments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemImage {
-    segments: BTreeMap<String, Vec<u8>>,
+    segments: BTreeMap<String, Payload>,
 }
 
 impl MemImage {
@@ -23,17 +24,17 @@ impl MemImage {
     }
 
     /// Install or replace a segment.
-    pub fn put(&mut self, name: &str, data: Vec<u8>) {
-        self.segments.insert(name.to_string(), data);
+    pub fn put(&mut self, name: &str, data: impl Into<Payload>) {
+        self.segments.insert(name.to_string(), data.into());
     }
 
     /// Read a segment.
     pub fn get(&self, name: &str) -> Option<&[u8]> {
-        self.segments.get(name).map(Vec::as_slice)
+        self.segments.get(name).map(|p| &p[..])
     }
 
     /// Remove a segment, returning its contents.
-    pub fn take(&mut self, name: &str) -> Option<Vec<u8>> {
+    pub fn take(&mut self, name: &str) -> Option<Payload> {
         self.segments.remove(name)
     }
 
@@ -60,7 +61,7 @@ impl MemImage {
     }
 }
 
-// Laid out as the `BTreeMap<String, Vec<u8>>` it wraps.
+// Laid out as a `BTreeMap<String, Vec<u8>>`.
 impl_codec_struct!(MemImage { segments });
 
 #[cfg(test)]
@@ -75,7 +76,7 @@ mod tests {
         img.put("script", vec![9]);
         assert_eq!(img.get("heap"), Some(&[1u8, 2, 3][..]));
         assert_eq!(img.total_size(), ByteSize::bytes(4));
-        assert_eq!(img.take("heap"), Some(vec![1, 2, 3]));
+        assert_eq!(img.take("heap").as_deref(), Some(&[1u8, 2, 3][..]));
         assert!(!img.contains("heap"));
         assert_eq!(img.len(), 1);
     }
@@ -87,6 +88,18 @@ mod tests {
         img.put("b", b"hello".to_vec());
         let back = MemImage::from_bytes(&img.to_bytes()).unwrap();
         assert_eq!(back, img);
+    }
+
+    #[test]
+    fn a_cloned_image_shares_its_segments() {
+        let mut img = MemImage::new();
+        img.put("heap", vec![7u8; 4096]);
+        let copy = img.clone();
+        assert_eq!(copy, img);
+        assert_eq!(
+            copy.get("heap").unwrap().as_ptr(),
+            img.get("heap").unwrap().as_ptr()
+        );
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! The modelled system copies a buffer's bytes at every hop: from the
 //! application into the proxy's request, across PCIe into device
-//! memory, and back. The simulator charges each of those copies in
-//! virtual time by length alone, so the host need not make them. A
-//! [`Payload`] is one byte string that every hop shares; it is copied
+//! memory, and back, and at a checkpoint into the dump file and out
+//! again. The simulator charges each of those copies in virtual time by
+//! length alone, so the host need not make them. A [`Payload`] is one
+//! byte string that every hop shares, up to a file's body; it is copied
 //! only when one holder changes it while another still holds it.
 
+use crate::codec::{Codec, CodecError, Reader};
 use std::ops::Deref;
 use std::sync::{Arc, LazyLock};
 
@@ -58,6 +60,17 @@ impl Deref for Payload {
     }
 }
 
+/// Laid out as the `Vec<u8>` it holds: a `u64` length, then the bytes.
+impl Codec for Payload {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).encode(out);
+        u8::encode_run(self, out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Vec::decode(r).map(Payload::from)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,5 +96,23 @@ mod tests {
         assert_eq!(b.into_vec(), [4, 5]);
         let owned = a.into_vec();
         assert_eq!((owned.as_ptr(), owned), (before, vec![4, 5]));
+    }
+
+    #[test]
+    fn codec_is_byte_identical_to_vec() {
+        crate::qcheck::qcheck("payload_codec", 64, |g| {
+            let len = g.usize_in(0, 4097);
+            let bytes = g.bytes(len);
+            let wire = bytes.to_bytes();
+            let payload = Payload::from(bytes.clone());
+            assert_eq!(payload.to_bytes(), wire);
+            assert_eq!(Payload::from_bytes(&wire).unwrap(), payload);
+            assert_eq!(Vec::<u8>::from_bytes(&payload.to_bytes()).unwrap(), bytes);
+            let cut = &wire[..g.usize_in(0, wire.len())];
+            assert_eq!(
+                Payload::from_bytes(cut).unwrap_err(),
+                Vec::<u8>::from_bytes(cut).unwrap_err()
+            );
+        });
     }
 }

@@ -11,7 +11,9 @@ metric of BENCHMARK.json:
 commit and of the PR itself (`parent` is null where only the change was
 recorded). `source` names the runs they come from: "compare.py" for the
 PR's own `perfbench/compare.py run` sets, another label for benchmark
-runs made after the PR landed.
+runs made after the PR landed. Rows that `add` writes also give each
+side's quartiles and run count, as `parent_q`/`change_q` ([q1, q3]) and
+`parent_n`/`change_n`.
 
 A PR may also have one `suite` row, whose `parent` and `change` map each
 bench binary (crates/bench/src/bin) to the wall-clock seconds of one
@@ -29,8 +31,10 @@ Run from the repository root:
       `host_s` bound in BENCHMARK.json. The previous PR's number is the
       newest row's own `parent` median where it has one, since that was
       measured on the same machine in the same session, and the previous
-      row's `change` median otherwise. `setup_s` is printed the same way
-      but not gated: its spread between runs exceeds its bound. Each
+      row's `change` median otherwise. A side's quartiles and run count
+      are printed after its median where the row has them. `setup_s` is
+      printed the same way but not gated: its spread between runs
+      exceeds its bound. Each
       `suite` row's totals, and the newest one's binaries, are printed
       too, and not gated: one run per binary is no median.
 
@@ -43,8 +47,9 @@ Run from the repository root:
 
   python3 scripts/trajectory.py add --pr N --parent A.jsonl --change B.jsonl
       Append the rows of PR N from two `compare.py run` files (A the
-      parent, B the change): per workload and metric, the median of
-      every run in the file, replacing any rows PR N already has.
+      parent, B the change): per workload and metric, the median,
+      quartiles and count of every run in the file, replacing any rows
+      PR N already has.
 """
 
 import argparse
@@ -87,18 +92,20 @@ def cmd_check(_args):
         if r["workload"] == SUITE:
             suites.append(r)
             continue
-        series[(r["workload"], r["metric"])].append((r["pr"], r["change"], r["parent"]))
+        series[(r["workload"], r["metric"])].append((r["pr"], r["change"], r["parent"], r))
     bad = False
     for metric in METRICS:
         bound = METRICS[metric]["bound"]
         for w in WORKLOADS:
-            points = sorted(series[(w, metric)])
+            points = sorted(series[(w, metric)], key=lambda p: p[0])
             if len(points) < 2:
                 print(f"{w:<11} {metric:<8} fewer than two rows: nothing to compare")
                 continue
-            (prev_pr, prev, _), (pr, now, parent) = points[-2], points[-1]
-            base = "previous row" if parent is None else "its parent"
-            prev = prev if parent is None else parent
+            (prev_pr, prev, _, prev_row), (pr, now, parent, row) = points[-2], points[-1]
+            if parent is None:
+                base, prev_side = "previous row", spread(prev_row, "change")
+            else:
+                base, prev_side, prev = "its parent", spread(row, "parent"), parent
             worse = (now - prev) / prev
             if metric not in GATED:
                 status = "recorded (not gated)"
@@ -106,10 +113,17 @@ def cmd_check(_args):
                 status, bad = "REGRESSED", True
             else:
                 status = "within bound"
-            print(f"{w:<11} {metric:<8} PR {prev_pr} {prev:.4g} ({base}) -> PR {pr} {now:.4g} s "
+            print(f"{w:<11} {metric:<8} PR {prev_pr} {prev:.4g}{prev_side} ({base}) -> "
+                  f"PR {pr} {now:.4g}{spread(row, 'change')} s "
                   f"({100 * worse:+.1f}%, bound {100 * bound:g}%): {status}")
     print_suites(suites)
     sys.exit(1 if bad else 0)
+
+
+def spread(row, side):
+    """` [q1, q3] n=N` of one side of a row, or nothing if not recorded."""
+    q, n = row.get(f"{side}_q"), row.get(f"{side}_n")
+    return "" if q is None else f" [{q[0]:.4g}, {q[1]:.4g}] n={n}"
 
 
 def print_suites(suites):
@@ -126,7 +140,9 @@ def print_suites(suites):
         print(f"{SUITE:<11}   {b:<22} {parent.get(b, '-'):>7} -> {change.get(b, '-'):>7} s")
 
 
-def medians(path):
+def summaries(path):
+    """Per (workload, metric): the median, [q1, q3] and count of every run
+    in a `compare.py run` file, quartiles as `compare.py` takes them."""
     values = defaultdict(list)
     for line in open(path):
         if line.strip():
@@ -134,16 +150,21 @@ def medians(path):
             for name, m in r["result"]["metrics"].items():
                 if name in METRICS:
                     values[(r["workload"], name)].append(m["value"])
-    return {k: statistics.median(v) for k, v in values.items()}
+    out = {}
+    for k, xs in values.items():
+        q1, q2, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+        out[k] = (round(q2, 5), [round(q1, 5), round(q3, 5)], len(xs))
+    return out
 
 
 def cmd_add(args):
-    parent, change = medians(args.parent), medians(args.change)
+    parent, change = summaries(args.parent), summaries(args.change)
     rows = [r for r in load() if r["pr"] != args.pr or r["workload"] == SUITE]
-    for (w, metric), value in sorted(change.items()):
+    for (w, metric), (median, q, n) in sorted(change.items()):
+        base = parent.get((w, metric), (None, None, None))
         rows.append({"pr": args.pr, "workload": w, "metric": metric,
-                     "parent": round(parent[(w, metric)], 5) if (w, metric) in parent else None,
-                     "change": round(value, 5), "source": "compare.py"})
+                     "parent": base[0], "change": median, "source": "compare.py",
+                     "parent_q": base[1], "change_q": q, "parent_n": base[2], "change_n": n})
     save(rows)
 
 

@@ -163,13 +163,10 @@ echo "==> host-time trajectory (newest PR's host_s against the previous PR's)"
 python3 scripts/trajectory.py check
 
 if [[ "$QUICK" -eq 0 ]]; then
-    echo "==> smoke: micro-benches (codec, checksum, kernel, driver, workload and forward filters)"
-    cargo bench -q -p checl-bench -- codec >/dev/null
-    cargo bench -q -p checl-bench -- checksum >/dev/null
-    cargo bench -q -p checl-bench -- kernel >/dev/null
-    cargo bench -q -p checl-bench -- driver >/dev/null
-    cargo bench -q -p checl-bench -- workload >/dev/null
-    cargo bench -q -p checl-bench -- forward >/dev/null
+    echo "==> smoke: micro-benches (every filter, one run each)"
+    for f in codec checksum kernel driver workload forward cpr sig_parser; do
+        cargo bench -q -p checl-bench -- "$f" >/dev/null
+    done
 fi
 
 echo "verify: OK"

@@ -78,8 +78,8 @@ pub fn checl_db() -> CheclDb {
             context,
             flags: MemFlags::READ_ONLY | MemFlags::USE_HOST_PTR,
             size: 96,
-            saved_data: Some((0..96u8).collect()),
-            host_cache: Some(vec![0xa5; 96]),
+            saved_data: Some((0..96u8).collect::<Vec<u8>>().into()),
+            host_cache: Some(vec![0xa5; 96].into()),
             dirty: true,
             saved_in: Some("/local/app.ckpt".into()),
             image_dims: Some((8, 12)),
@@ -347,7 +347,7 @@ pub fn stream_file() -> Vec<u8> {
 /// The body of a sequential dump of a two-segment image.
 pub fn checkpoint_file() -> Vec<u8> {
     let mut image = MemImage::new();
-    image.put("heap", (0..200u8).collect());
+    image.put("heap", (0..200u8).collect::<Vec<u8>>());
     image.put("script", vec![]);
     blcr::CheckpointFile {
         source_pid: 77,
